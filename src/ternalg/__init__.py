@@ -22,6 +22,7 @@ from .errors import (
     ArityMismatch,
     BundleError,
     DimensionMismatch,
+    InternalError,
     MissingRep,
     MissingTensor,
     NotATrace,

@@ -179,7 +179,7 @@ def cmd_derive(construction, inputs, output_path, anchor_spec, complete_skew):
         else:
             bundle = rb_induced_pre(doc.require_map("R", "T"), doc.bundle)
     elif construction == "deform":
-        bundle = deform(docs[0].require_map("N"), docs[0].bundle)
+        bundle = deform(docs[0].require_map("N", "N_T"), docs[0].bundle)
     elif construction == "lift-nijenhuis":
         rep = docs[0].require_rep()
         nt = lift_nijenhuis(docs[0].require_map("T"), rep)

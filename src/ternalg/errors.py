@@ -7,6 +7,14 @@ class TernalgError(Exception):
     """Base class for all ternalg errors."""
 
 
+class InternalError(RuntimeError):
+    """A library invariant failed: a bug in ternalg, never a fault of the input.
+
+    Deliberately not a TernalgError, so the CLI does not report it as bad
+    input (exit code 2).
+    """
+
+
 class DimensionMismatch(TernalgError):
     """Operands have incompatible dimensions."""
 

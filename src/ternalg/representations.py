@@ -5,19 +5,31 @@ a bracket action rho (a matrix per basis pair for ternary brackets, per basis
 vector for binary ones).  All checks quantify over algebra basis tuples and
 module basis vectors; the defect for a counterexample is the corresponding
 column of the failing matrix identity.
+
+Each condition is one function of a basis tuple and a module column over
+sparse tables (`_RepOps`).  The exhaustive scan runs it on integers: rho and
+both brackets scaled by alpha, the lcm of all their denominators, mu and the
+product by beta, the lcm of theirs.  The conditions are homogeneous only in
+these two groups (L1 = rho mu - mu rho - mu([.,.,.]) mixes rho and the
+bracket), so one shared factor per group is needed: then each column scales
+by one monomial alpha^a beta^b and is zero exactly when the rational one is.
+Flagged columns are recomputed in Fractions at scale 1 for the reported
+residual, which cross-checks the integer path.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from math import lcm
 from typing import Optional
 
 from .constructions import fix_slot_bracket, subadjacent_ternary_fmanifold
 from .errors import (
     DimensionMismatch,
+    InternalError,
     MissingRep,
     MissingTensor,
     UnknownKind,
@@ -29,8 +41,11 @@ from .structures import (
     COHERENCE_IDENTITIES,
     Counterexample,
     _check_identities,
-    leibnizator2,
-    leibnizator3,
+    _leib2,
+    _leib3,
+    _Ops,
+    _require,
+    scan_space,
 )
 
 
@@ -159,63 +174,316 @@ def coerce_rep_kind(kind) -> RepKind:
 
 
 # ---------------------------------------------------------------------------
-# matrix-identity scanning
+# sparse tables: a matrix is held as its sparse columns, cols[q] =
+# ((row, value), ...), and the algebra tensors as in structures._Ops
 
 
-def _scan_matrix_range(matfn, n, arity, m, start, stop, budget):
-    found = []
-    for rank in range(start, stop):
-        digits = []
-        r = rank
-        for _ in range(arity):
-            r, d = divmod(r, n)
-            digits.append(d)
-        t = tuple(reversed(digits))
-        mat = matfn(t)
-        if mat is None or mat.is_zero():
-            continue
-        for p in range(m):
-            col = mat.column(p)
-            if not col.is_zero():
-                found.append((rank * m + p, t + (p,), col))
-                if len(found) >= budget:
-                    return found
-    return found
+def _sparse(grid, scale=None):
+    """Nested rows of scalars -> the same nesting, innermost rows made sparse,
+    with every value times scale (an integer that clears its denominator)."""
+    if grid and isinstance(grid[0], tuple):
+        return [_sparse(g, scale) for g in grid]
+    return tuple((k, (v * scale).numerator if scale else v) for k, v in enumerate(grid) if v)
 
 
-def _scan_matrix_space(matfn, n, arity, m, budget, jobs):
-    total = n ** arity
-    if jobs <= 1 or total < 1024:
-        found = _scan_matrix_range(matfn, n, arity, m, 0, total, budget)
+def _den_lcm(grid) -> int:
+    if isinstance(grid, tuple):
+        return lcm(*map(_den_lcm, grid))
+    return grid.denominator
+
+
+def _columns(mats):
+    """Nested tuples of matrices -> the same nesting of column tuples."""
+    if isinstance(mats, Matrix):
+        return tuple(zip(*mats.entries))
+    return tuple(_columns(x) for x in mats)
+
+
+class _RepOps:
+    """Sparse tables of a representation bundle, on integers scaled by
+    (alpha, beta) or exact.  L maps and Leibnizators are memoised per basis
+    tuple; an entry is stored once, complete, so parallel scans at worst
+    compute it twice."""
+
+    __slots__ = ("m", "scale", "alg", "rho", "mu", "_memo")
+
+    def __init__(self, r: RepBundle, exact: bool):
+        a = r.algebra
+        rho = _columns(r.rho.mats) if r.rho is not None else ()
+        mu = _columns(r.mu.mats) if r.mu is not None else ()
+        prod, br3, br2 = (t.entries if t is not None else ()
+                          for t in (a.product, a.bracket, a.binary_bracket))
+        alpha, beta = (None, None) if exact else (_den_lcm((rho, br3, br2)), _den_lcm((mu, prod)))
+        self.m, self.scale = r.module_dim, (alpha or 1, beta or 1)
+        self.alg = _Ops(a.dim, _sparse(prod, beta), _sparse(br3, alpha), _sparse(br2, alpha))
+        self.rho = _sparse(rho, alpha)
+        self.mu = _sparse(mu, beta)
+        self._memo = defaultdict(dict)
+
+    def table(self, col, t):
+        """Sparse columns of the matrix whose column p is col(self, t, p)."""
+        memo = self._memo[col]
+        cols = memo.get(t)
+        if cols is None:
+            cols = memo[t] = tuple(_sparse(col(self, t, p)) for p in range(self.m))
+        return cols
+
+    def leib(self, t):
+        """Sparse Leibnizator at a basis tuple: ternary for 4 indices, binary for 3."""
+        memo = self._memo[len(t)]
+        v = memo.get(t)
+        if v is None:
+            fn = _leib3 if len(t) == 4 else _leib2
+            v = memo[t] = _sparse(fn(self.alg, *(self.alg.basis[i] for i in t)))
+        return v
+
+
+def _acc(out, v, c):
+    """out += c * v for a sparse vector v."""
+    for r, b in v:
+        out[r] += c * b
+
+
+def _acc_mat(out, cols, v, c):
+    """out += c * (M v) for M given by its sparse columns and a sparse vector v."""
+    for q, a in v:
+        ca = c * a
+        for r, b in cols[q]:
+            out[r] += ca * b
+
+
+# ---------------------------------------------------------------------------
+# matrix conditions: column p at basis tuple t, as a dense list; each runs on
+# integer tables in the scan and on Fraction tables for the re-check
+
+
+def _rho_skew(o, t, p):
+    """rho(e_i,e_j) + rho(e_j,e_i)."""
+    i, j = t
+    out = [0] * o.m
+    _acc(out, o.rho[i][j][p], 1)
+    _acc(out, o.rho[j][i][p], 1)
+    return out
+
+
+def _kasymov_i(o, t, p):
+    """[rho(e_i,e_j), rho(e_k,e_l)] - rho([e_i,e_j,e_k], e_l) + rho([e_i,e_j,e_l], e_k)."""
+    i, j, k, l = t
+    R, f = o.rho, o.alg.br3t[i][j]
+    out = [0] * o.m
+    _acc_mat(out, R[i][j], R[k][l][p], 1)
+    _acc_mat(out, R[k][l], R[i][j][p], -1)
+    for s, c in f[k]:
+        _acc(out, R[s][l][p], -c)
+    for s, c in f[l]:
+        _acc(out, R[s][k][p], c)
+    return out
+
+
+def _kasymov_ii(o, t, p):
+    """rho([e_i,e_j,e_k], e_l) - rho_ij rho_kl - rho_jk rho_il - rho_ki rho_jl."""
+    i, j, k, l = t
+    R = o.rho
+    out = [0] * o.m
+    for s, c in o.alg.br3t[i][j][k]:
+        _acc(out, R[s][l][p], c)
+    _acc_mat(out, R[i][j], R[k][l][p], -1)
+    _acc_mat(out, R[j][k], R[i][l][p], -1)
+    _acc_mat(out, R[k][i], R[j][l][p], -1)
+    return out
+
+
+def _mu_mult(o, t, p):
+    """mu(e_i e_j) - mu(e_i) mu(e_j)."""
+    i, j = t
+    out = [0] * o.m
+    for s, c in o.alg.prod[i][j]:
+        _acc(out, o.mu[s][p], c)
+    _acc_mat(out, o.mu[i], o.mu[j][p], -1)
+    return out
+
+
+def _rho_lie(o, t, p):
+    """rho([e_i,e_j]) - rho(e_i) rho(e_j) + rho(e_j) rho(e_i)."""
+    i, j = t
+    R = o.rho
+    out = [0] * o.m
+    for s, c in o.alg.br2t[i][j]:
+        _acc(out, R[s][p], c)
+    _acc_mat(out, R[i], R[j][p], -1)
+    _acc_mat(out, R[j], R[i][p], 1)
+    return out
+
+
+def _rho_at(o, head):
+    """Columns of rho(e_i, e_j) for a pair action, of rho(e_i) for a binary one."""
+    return o.rho[head[0]][head[1]] if len(head) == 2 else o.rho[head[0]]
+
+
+def _l1(o, t, p):
+    """L1(x,y,z) = rho(x,y)mu(z) - mu(z)rho(x,y) - mu([x,y,z]) at basis vectors;
+    for a binary bracket L1(x,z) = rho(x)mu(z) - mu(z)rho(x) - mu([x,z])."""
+    r, mk = _rho_at(o, t[:-1]), o.mu[t[-1]]
+    out = [0] * o.m
+    _acc_mat(out, r, mk[p], 1)
+    _acc_mat(out, mk, r[p], -1)
+    bracket = o.alg.br3t[t[0]][t[1]][t[2]] if len(t) == 3 else o.alg.br2t[t[0]][t[1]]
+    for s, c in bracket:
+        _acc(out, o.mu[s][p], -c)
+    return out
+
+
+def _l23(o, t, p, mu_left):
+    """With mu_left, L2(x,y,z) = mu(z)rho(x,y) + mu(y)rho(x,z) - rho(x, y z) at basis
+    vectors, or for a binary bracket L2(y,z) = mu(z)rho(y) + mu(y)rho(z) - rho(y z);
+    without, L3: the same with every rho before its mu."""
+    head, j, k = t[:-2], t[-2], t[-1]
+    out = [0] * o.m
+    for x, y in ((j, k), (k, j)):
+        r, my = _rho_at(o, head + (x,)), o.mu[y]
+        if mu_left:
+            _acc_mat(out, my, r[p], 1)
+        else:
+            _acc_mat(out, r, my[p], 1)
+    for s, c in o.alg.prod[j][k]:
+        _acc(out, _rho_at(o, head + (s,))[p], -c)
+    return out
+
+
+_l2 = partial(_l23, mu_left=True)
+_l3 = partial(_l23, mu_left=False)
+
+
+def _product_rule(o, t, p, lmap, sign, mu_right):
+    """L(e_i e_j, ...) + sign * (mu(e_i) L(e_j, ...) + mu(e_j) L(e_i, ...)),
+    with each mu factor on the right of L when mu_right."""
+    i, j, rest = t[0], t[1], t[2:]
+    M = o.mu
+    out = [0] * o.m
+    for s, c in o.alg.prod[i][j]:
+        _acc(out, o.table(lmap, (s,) + rest)[p], c)
+    li, lj = o.table(lmap, (i,) + rest), o.table(lmap, (j,) + rest)
+    if mu_right:
+        _acc_mat(out, lj, M[i][p], sign)
+        _acc_mat(out, li, M[j][p], sign)
     else:
-        chunk = (total + jobs - 1) // jobs
-        ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda r: _scan_matrix_range(matfn, n, arity, m, r[0], r[1], budget),
-                    ranges,
-                )
-            )
-        found = sorted(itertools.chain.from_iterable(results), key=lambda f: f[0])[:budget]
-    if len(found) >= budget and found:
-        return found, found[-1][0] + 1
-    return found, total * m
+        _acc_mat(out, M[i], lj[p], sign)
+        _acc_mat(out, M[j], li[p], sign)
+    return out
 
 
-def _run_conditions(conds, n, m, kind_label, max_counterexamples, jobs) -> CheckReport:
+def _leibnizator_rule(o, t, p, lmap):
+    """mu(Leib(e_i, ...)) - L(...) mu(e_i) + mu(e_i) L(...), L at the tuple's tail."""
+    i, M = t[0], o.mu
+    out = [0] * o.m
+    for s, c in o.leib(t):
+        _acc(out, M[s][p], c)
+    lm = o.table(lmap, t[1:])
+    _acc_mat(out, lm, M[i][p], -1)
+    _acc_mat(out, M[i], lm[p], 1)
+    return out
+
+
+_THREE_LIE = [("rho-skew", 2, _rho_skew), ("kasymov-i", 4, _kasymov_i),
+              ("kasymov-ii", 4, _kasymov_ii)]
+_MU_MULT = [("mu-mult", 2, _mu_mult)]
+_RHO_LIE = [("rho-lie", 2, _rho_lie)]
+_BINARY_REP = [
+    ("brep-1", 3, partial(_product_rule, lmap=_l1, sign=-1, mu_right=False)),
+    ("brep-2", 3, partial(_leibnizator_rule, lmap=_l2)),
+]
+_TERNARY_REP = [
+    ("rep-1", 4, partial(_product_rule, lmap=_l1, sign=-1, mu_right=False)),
+    ("rep-3", 4, partial(_product_rule, lmap=_l2, sign=-1, mu_right=False)),
+    ("rep-2", 4, partial(_leibnizator_rule, lmap=_l2)),
+]
+_DUAL = [
+    ("corep-1", 4, partial(_product_rule, lmap=_l1, sign=-1, mu_right=True)),
+    ("corep-2", 4, partial(_product_rule, lmap=_l3, sign=1, mu_right=True)),
+    ("corep-3", 4, partial(_leibnizator_rule, lmap=_l3)),
+]
+
+_KIND_CONDITIONS = {
+    RepKind.COMM_ASSOC_REP: _MU_MULT,
+    RepKind.LIE_REP: _RHO_LIE,
+    RepKind.THREE_LIE_REP: _THREE_LIE,
+    RepKind.FMANIFOLD_REP: _RHO_LIE + _MU_MULT + _BINARY_REP,
+    RepKind.TERNARY_FMANIFOLD_REP: _THREE_LIE + _MU_MULT + _TERNARY_REP,
+    RepKind.DUAL_CONDITIONS: _DUAL,
+}
+
+
+# ---------------------------------------------------------------------------
+# checking
+
+
+def _need_birep(r: RepBundle) -> BiRep:
+    if not isinstance(r.rho, BiRep):
+        raise MissingRep("this check needs rho as a pair action (BiRep)")
+    return r.rho
+
+
+def _need_mu(r: RepBundle) -> LinRep:
+    if r.mu is None:
+        raise MissingRep("this check needs mu")
+    return r.mu
+
+
+def _kind_conditions(kind: RepKind, r: RepBundle):
+    """The kind's (name, arity, column) list; raises for the first component it misses."""
+    a = r.algebra
+    if kind in (RepKind.LIE_REP, RepKind.FMANIFOLD_REP):
+        if not isinstance(r.rho, LinRep):
+            raise MissingRep("this check needs rho as a single-argument action (LinRep)")
+        _require(a, ("binary_bracket",), "lie-rep")
+    if kind in (RepKind.THREE_LIE_REP, RepKind.TERNARY_FMANIFOLD_REP):
+        _require(a, ("bracket",), "three-lie-rep")
+        _need_birep(r)
+    if kind in (RepKind.COMM_ASSOC_REP, RepKind.FMANIFOLD_REP, RepKind.TERNARY_FMANIFOLD_REP):
+        _require(a, ("product",), "comm-assoc-rep")
+        _need_mu(r)
+    if kind is RepKind.DUAL_CONDITIONS:
+        _require(a, ("product", "bracket"), "dual-conditions")
+        _need_mu(r)
+        _need_birep(r)
+    return _KIND_CONDITIONS[kind]
+
+
+def _run_conditions(conds, r: RepBundle, kind_label, max_counterexamples, jobs) -> CheckReport:
+    """Scan tuples in rank order and module columns within each tuple.  A
+    failing column's global rank is rank * m + p; the budget and tuple_count
+    count columns, up to and including the last one reported."""
+    n, m = r.algebra.dim, r.module_dim
+    ops = _RepOps(r, exact=False)
+    exact = None  # Fraction tables, built for the first flagged column
     budget = max(1, max_counterexamples)
     counterexamples: list[Counterexample] = []
     checked: list[str] = []
     tuple_count = 0
-    for name, arity, matfn in conds:
+    for name, arity, col in conds:
         checked.append(name)
-        found, evaluated = _scan_matrix_space(
-            matfn, n, arity, m, budget - len(counterexamples), jobs
-        )
-        tuple_count += evaluated
-        for _rank, idx, col in found:
-            counterexamples.append(Counterexample(name, idx, col))
+        left = budget - len(counterexamples)
+
+        def scan(t, col=col):
+            for p in range(m):
+                if any(col(ops, t, p)):
+                    return True
+            return None
+
+        # each failing tuple has a failing column, so `left` tuples hold enough
+        found, _tuples = scan_space(scan, n, arity, left, jobs)
+        failing = [(rank * m + p, t + (p,)) for rank, t in found for p in range(m)
+                   if any(col(ops, t, p))][:left]
+        tuple_count += failing[-1][0] + 1 if len(failing) == left else n ** arity * m
+        for _rank, idx in failing:
+            if exact is None:
+                exact = _RepOps(r, exact=True)
+            residual = Vec(col(exact, idx[:-1], idx[-1]))
+            if residual.is_zero():
+                raise InternalError(
+                    f"integer scan flagged {name} at {idx}, but its exact column is zero"
+                )
+            counterexamples.append(Counterexample(name, idx, residual))
         if len(counterexamples) >= budget:
             break
     return CheckReport(
@@ -227,284 +495,15 @@ def _run_conditions(conds, n, m, kind_label, max_counterexamples, jobs) -> Check
     )
 
 
-# ---------------------------------------------------------------------------
-# condition tables
-
-
-def _need_birep(r: RepBundle) -> BiRep:
-    if not isinstance(r.rho, BiRep):
-        raise MissingRep("this check needs rho as a pair action (BiRep)")
-    return r.rho
-
-
-def _need_linrep_rho(r: RepBundle) -> LinRep:
-    if not isinstance(r.rho, LinRep):
-        raise MissingRep("this check needs rho as a single-argument action (LinRep)")
-    return r.rho
-
-
-def _need_mu(r: RepBundle) -> LinRep:
-    if r.mu is None:
-        raise MissingRep("this check needs mu")
-    return r.mu
-
-
-def _mu_of_sparse(mu: LinRep, v: Vec) -> Matrix:
-    out = Matrix.zero(mu.module_dim, mu.module_dim)
-    for k, c in enumerate(v.entries):
-        if c:
-            out = out + mu.mats[k].scale(c)
-    return out
-
-
-def _mu_mult_conditions(r: RepBundle):
-    a = r.algebra
-    if a.product is None:
-        raise MissingTensor("product", "comm-assoc-rep")
-    mu = _need_mu(r)
-    basis = a.basis_vectors()
-
-    def mu_mult(t):
-        i, j = t
-        return _mu_of_sparse(mu, a.mul(basis[i], basis[j])) - mu.mats[i] @ mu.mats[j]
-
-    return [("mu-mult", 2, mu_mult)]
-
-
-def _lie_rep_conditions(rho: LinRep, a: AlgebraBundle):
-    if a.binary_bracket is None:
-        raise MissingTensor("binary_bracket", "lie-rep")
-    basis = a.basis_vectors()
-
-    def lie(t):
-        i, j = t
-        return (
-            _mu_of_sparse(rho, a.br2(basis[i], basis[j]))
-            - rho.mats[i] @ rho.mats[j]
-            + rho.mats[j] @ rho.mats[i]
-        )
-
-    return [("rho-lie", 2, lie)]
-
-
-def _three_lie_conditions(r: RepBundle):
-    a = r.algebra
-    if a.bracket is None:
-        raise MissingTensor("bracket", "three-lie-rep")
-    rho = _need_birep(r)
-    f = a.bracket.entries
-    mats = rho.mats
-    m = rho.module_dim
-
-    def rho_of_bracket(i, j, k, l):
-        """rho([e_i,e_j,e_k], e_l)"""
-        out = Matrix.zero(m, m)
-        for s, c in enumerate(f[i][j][k]):
-            if c:
-                out = out + mats[s][l].scale(c)
-        return out
-
-    def skew(t):
-        i, j = t
-        return mats[i][j] + mats[j][i]
-
-    def kasymov_i(t):
-        i, j, k, l = t
-        return (
-            mats[i][j] @ mats[k][l]
-            - mats[k][l] @ mats[i][j]
-            - rho_of_bracket(i, j, k, l)
-            + rho_of_bracket(i, j, l, k)
-        )
-
-    def kasymov_ii(t):
-        i, j, k, l = t
-        return (
-            rho_of_bracket(i, j, k, l)
-            - mats[i][j] @ mats[k][l]
-            - mats[j][k] @ mats[i][l]
-            - mats[k][i] @ mats[j][l]
-        )
-
-    return [
-        ("rho-skew", 2, skew),
-        ("kasymov-i", 4, kasymov_i),
-        ("kasymov-ii", 4, kasymov_ii),
-    ]
-
-
-def _l_tables(r: RepBundle):
-    """Matrices of L1, L2, L3 at basis triples of the algebra."""
-    a = r.algebra
-    rho = _need_birep(r)
-    mu = _need_mu(r)
-    n = a.dim
-    basis = a.basis_vectors()
-    l1t = [[[None] * n for _ in range(n)] for _ in range(n)]
-    l2t = [[[None] * n for _ in range(n)] for _ in range(n)]
-    l3t = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rij = rho.mats[i][j]
-            for k in range(n):
-                mub = _mu_of_sparse(mu, a.br3(basis[i], basis[j], basis[k]))
-                rho_ip = rho.of_partial(i, a.mul(basis[j], basis[k]))
-                l1t[i][j][k] = rij @ mu.mats[k] - mu.mats[k] @ rij - mub
-                l2t[i][j][k] = (
-                    mu.mats[k] @ rij + mu.mats[j] @ rho.mats[i][k] - rho_ip
-                )
-                l3t[i][j][k] = (
-                    rij @ mu.mats[k] + rho.mats[i][k] @ mu.mats[j] - rho_ip
-                )
-    return l1t, l2t, l3t
-
-
-def _comb(table, v: Vec, m: int) -> Matrix:
-    out = Matrix.zero(m, m)
-    for s, c in enumerate(v.entries):
-        if c:
-            out = out + table[s].scale(c)
-    return out
-
-
-def _ternary_rep_conditions(r: RepBundle):
-    a = r.algebra
-    if a.product is None:
-        raise MissingTensor("product", "ternary-fmanifold-rep")
-    if a.bracket is None:
-        raise MissingTensor("bracket", "ternary-fmanifold-rep")
-    mu = _need_mu(r)
-    m = mu.module_dim
-    basis = a.basis_vectors()
-    l1t, l2t, l3t = _l_tables(r)
-    prows = [[a.mul(basis[i], basis[j]) for j in range(a.dim)] for i in range(a.dim)]
-
-    def rep1(t):
-        i, j, k, l = t
-        lhs = _comb([l1t[s][k][l] for s in range(a.dim)], prows[i][j], m)
-        return lhs - mu.mats[i] @ l1t[j][k][l] - mu.mats[j] @ l1t[i][k][l]
-
-    def rep3(t):
-        i, j, k, l = t
-        lhs = _comb([l2t[s][k][l] for s in range(a.dim)], prows[i][j], m)
-        return lhs - mu.mats[i] @ l2t[j][k][l] - mu.mats[j] @ l2t[i][k][l]
-
-    def rep2(t):
-        i, j, k, l = t
-        lvec = leibnizator3(a, basis[i], basis[j], basis[k], basis[l])
-        return (
-            _mu_of_sparse(mu, lvec)
-            - l2t[j][k][l] @ mu.mats[i]
-            + mu.mats[i] @ l2t[j][k][l]
-        )
-
-    return [("rep-1", 4, rep1), ("rep-3", 4, rep3), ("rep-2", 4, rep2)]
-
-
-def _dual_conditions(r: RepBundle):
-    a = r.algebra
-    if a.product is None or a.bracket is None:
-        raise MissingTensor("product" if a.product is None else "bracket",
-                            "dual-conditions")
-    mu = _need_mu(r)
-    m = mu.module_dim
-    basis = a.basis_vectors()
-    l1t, _l2t, l3t = _l_tables(r)
-    prows = [[a.mul(basis[i], basis[j]) for j in range(a.dim)] for i in range(a.dim)]
-
-    def corep1(t):
-        i, j, k, l = t
-        lhs = _comb([l1t[s][k][l] for s in range(a.dim)], prows[i][j], m)
-        return lhs - l1t[j][k][l] @ mu.mats[i] - l1t[i][k][l] @ mu.mats[j]
-
-    def corep2(t):
-        i, j, k, l = t
-        lhs = _comb([l3t[s][k][l] for s in range(a.dim)], prows[i][j], m)
-        return lhs + l3t[j][k][l] @ mu.mats[i] + l3t[i][k][l] @ mu.mats[j]
-
-    def corep3(t):
-        i, j, k, l = t
-        lvec = leibnizator3(a, basis[i], basis[j], basis[k], basis[l])
-        return (
-            _mu_of_sparse(mu, lvec)
-            - l3t[j][k][l] @ mu.mats[i]
-            + mu.mats[i] @ l3t[j][k][l]
-        )
-
-    return [("corep-1", 4, corep1), ("corep-2", 4, corep2), ("corep-3", 4, corep3)]
-
-
-def _binary_rep_conditions(r: RepBundle):
-    a = r.algebra
-    if a.product is None:
-        raise MissingTensor("product", "fmanifold-rep")
-    if a.binary_bracket is None:
-        raise MissingTensor("binary_bracket", "fmanifold-rep")
-    rho = _need_linrep_rho(r)
-    mu = _need_mu(r)
-    m = mu.module_dim
-    n = a.dim
-    basis = a.basis_vectors()
-    l1t = [[None] * n for _ in range(n)]
-    l2t = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mub = _mu_of_sparse(mu, a.br2(basis[i], basis[j]))
-            rho_p = _mu_of_sparse(rho, a.mul(basis[i], basis[j]))
-            l1t[i][j] = rho.mats[i] @ mu.mats[j] - mu.mats[j] @ rho.mats[i] - mub
-            l2t[i][j] = mu.mats[i] @ rho.mats[j] + mu.mats[j] @ rho.mats[i] - rho_p
-    prows = [[a.mul(basis[i], basis[j]) for j in range(n)] for i in range(n)]
-
-    def brep1(t):
-        i, j, k = t
-        lhs = _comb([l1t[s][k] for s in range(n)], prows[i][j], m)
-        return lhs - mu.mats[i] @ l1t[j][k] - mu.mats[j] @ l1t[i][k]
-
-    def brep2(t):
-        i, j, k = t
-        lvec = leibnizator2(a, basis[i], basis[j], basis[k])
-        return _mu_of_sparse(mu, lvec) - l2t[j][k] @ mu.mats[i] + mu.mats[i] @ l2t[j][k]
-
-    return [("brep-1", 3, brep1), ("brep-2", 3, brep2)]
-
-
 def check_representation(kind, r: RepBundle, *, max_counterexamples: int = 1,
                          jobs: int = 1) -> CheckReport:
     """Verify all conditions of the representation kind on basis tuples x module basis."""
     kind = coerce_rep_kind(kind)
-    if kind is RepKind.COMM_ASSOC_REP:
-        conds = _mu_mult_conditions(r)
-    elif kind is RepKind.LIE_REP:
-        conds = _lie_rep_conditions(_need_linrep_rho(r), r.algebra)
-    elif kind is RepKind.THREE_LIE_REP:
-        conds = _three_lie_conditions(r)
-    elif kind is RepKind.FMANIFOLD_REP:
-        conds = (
-            _lie_rep_conditions(_need_linrep_rho(r), r.algebra)
-            + _mu_mult_conditions(r)
-            + _binary_rep_conditions(r)
-        )
-    elif kind is RepKind.TERNARY_FMANIFOLD_REP:
-        conds = (
-            _three_lie_conditions(r)
-            + _mu_mult_conditions(r)
-            + _ternary_rep_conditions(r)
-        )
-    elif kind is RepKind.DUAL_CONDITIONS:
-        conds = _dual_conditions(r)
-    else:  # pragma: no cover
-        raise UnknownKind(str(kind))
-    return _run_conditions(
-        conds, r.algebra.dim, r.module_dim, kind.value, max_counterexamples, jobs
-    )
+    return _run_conditions(_kind_conditions(kind, r), r, kind.value, max_counterexamples, jobs)
 
 
 # ---------------------------------------------------------------------------
 # L maps as vector evaluators
-
-
-def _rho_of_vecs(rho: BiRep, x: Vec, y: Vec) -> Matrix:
-    return rho.of(x, y)
 
 
 def l1(r: RepBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
@@ -515,7 +514,7 @@ def l1(r: RepBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
     return (
         rxy.apply(mu.of(z).apply(u))
         - mu.of(z).apply(rxy.apply(u))
-        - _mu_of_sparse(mu, a.br3(x, y, z)).apply(u)
+        - mu.of(a.br3(x, y, z)).apply(u)
     )
 
 

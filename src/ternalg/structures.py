@@ -28,6 +28,7 @@ from .errors import (
     BundleError,
     DimensionCapExceeded,
     DimensionMismatch,
+    InternalError,
     MissingTensor,
     UnknownIdentity,
     UnknownKind,
@@ -171,7 +172,8 @@ class CheckReport:
     tuple_count: int
 
     def __post_init__(self):
-        assert self.passed == (not self.counterexamples)
+        if self.passed != (not self.counterexamples):
+            raise InternalError("a report passes exactly when it has no counterexamples")
 
     @property
     def verdict(self) -> str:
@@ -759,7 +761,10 @@ def _check_identities(b: AlgebraBundle, names: Sequence[str], kind_label: str,
         for _rank, idx in found:
             residual = ident.defect(exact, *(exact.basis[i] for i in idx))
             vec = Vec(residual)
-            assert not vec.is_zero()
+            if vec.is_zero():
+                raise InternalError(
+                    f"integer scan flagged {name} at {idx}, but its exact residual is zero"
+                )
             counterexamples.append(Counterexample(name, idx, vec))
         if len(counterexamples) >= budget:
             break

@@ -183,6 +183,16 @@ def test_derive_lift_nijenhuis(runner, tmp_path):
     assert doc["maps"][0]["name"] == "N_T"
 
 
+def test_derive_deform_reads_lift_nijenhuis_output(runner, tmp_path):
+    lift = tmp_path / "lift.json"
+    assert invoke(runner, "derive", "lift-nijenhuis", fixture("r_int3"),
+                  "-o", lift).exit_code == 0
+    out = tmp_path / "deformed.json"
+    r = invoke(runner, "derive", "deform", lift, "-o", out)
+    assert r.exit_code == 0, r.output
+    assert json.loads(out.read_text())["dim"] == 6
+
+
 def test_derive_symplectic_pre(runner, tmp_path):
     out = tmp_path / "sp.json"
     assert invoke(runner, "derive", "symplectic-pre", fixture("fil4_symplectic"),

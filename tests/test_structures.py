@@ -1,5 +1,10 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -328,3 +333,52 @@ def test_dimension_cap_enforced():
         assert b.dim == 17
     finally:
         set_dimension_cap(16)
+
+
+# -- invariants under python -O --------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+OPTIMIZED_INVARIANTS = textwrap.dedent("""
+    import sys
+    from ternalg.catalog import fil4
+    from ternalg.errors import InternalError
+    from ternalg.linalg import Vec
+    from ternalg.representations import _RepOps, adjoint_rep, check_representation
+    from ternalg.structures import CheckReport, Counterexample, _int_ops, check_axioms
+
+    def raises(fn):
+        try:
+            fn()
+        except InternalError:
+            return True
+        return False
+
+    bad = Counterexample("comm", (0, 1), Vec([1]))
+    report = raises(lambda: CheckReport(passed=True, kind="comm-assoc",
+                                        checked_identities=("comm",),
+                                        counterexamples=(bad,), tuple_count=1))
+
+    # integer tables that disagree with the exact ones: e1 -> e1 at [e1,e1,e1]
+    b = fil4()
+    _int_ops(b).br3t[0][0][0] = ((0, 1),)
+    structure_scan = raises(lambda: check_axioms("3-lie", b))
+
+    init = _RepOps.__init__
+    def patched(self, r, exact):
+        init(self, r, exact)
+        if not exact:
+            self.rho[0][0][0] = ((0, 1),)
+    _RepOps.__init__ = patched
+    rep_scan = raises(lambda: check_representation("three-lie-rep", adjoint_rep(fil4())))
+    print(sys.flags.optimize, report, structure_scan, rep_scan)
+""")
+
+
+def test_invariants_survive_python_O():
+    pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_INVARIANTS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True", "True", "True"]
