@@ -23,7 +23,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import lcm
 from typing import Optional
 
 from .constructions import fix_slot_bracket, subadjacent_ternary_fmanifold
@@ -40,11 +39,14 @@ from .structures import (
     CheckReport,
     COHERENCE_IDENTITIES,
     Counterexample,
+    _SUBMAPS,
     _check_identities,
-    _leib2,
-    _leib3,
+    _den_lcm,
+    _evaluate,
     _Ops,
     _require,
+    _sparse,
+    _table,
     scan_space,
 )
 
@@ -178,20 +180,6 @@ def coerce_rep_kind(kind) -> RepKind:
 # ((row, value), ...), and the algebra tensors as in structures._Ops
 
 
-def _sparse(grid, scale=None):
-    """Nested rows of scalars -> the same nesting, innermost rows made sparse,
-    with every value times scale (an integer that clears its denominator)."""
-    if grid and isinstance(grid[0], tuple):
-        return [_sparse(g, scale) for g in grid]
-    return tuple((k, (v * scale).numerator if scale else v) for k, v in enumerate(grid) if v)
-
-
-def _den_lcm(grid) -> int:
-    if isinstance(grid, tuple):
-        return lcm(*map(_den_lcm, grid))
-    return grid.denominator
-
-
 def _columns(mats):
     """Nested tuples of matrices -> the same nesting of column tuples."""
     if isinstance(mats, Matrix):
@@ -201,11 +189,11 @@ def _columns(mats):
 
 class _RepOps:
     """Sparse tables of a representation bundle, on integers scaled by
-    (alpha, beta) or exact.  L maps and Leibnizators are memoised per basis
-    tuple; an entry is stored once, complete, so parallel scans at worst
-    compute it twice."""
+    (alpha, beta) or exact.  L maps, exact Leibnizators and the integer
+    Leibnizator tables are built on first use; an entry is stored once,
+    complete, so parallel scans at worst compute it twice."""
 
-    __slots__ = ("m", "scale", "alg", "rho", "mu", "_memo")
+    __slots__ = ("m", "exact", "scale", "alg", "rho", "mu", "_memo")
 
     def __init__(self, r: RepBundle, exact: bool):
         a = r.algebra
@@ -214,7 +202,7 @@ class _RepOps:
         prod, br3, br2 = (t.entries if t is not None else ()
                           for t in (a.product, a.bracket, a.binary_bracket))
         alpha, beta = (None, None) if exact else (_den_lcm((rho, br3, br2)), _den_lcm((mu, prod)))
-        self.m, self.scale = r.module_dim, (alpha or 1, beta or 1)
+        self.m, self.exact, self.scale = r.module_dim, exact, (alpha or 1, beta or 1)
         self.alg = _Ops(a.dim, _sparse(prod, beta), _sparse(br3, alpha), _sparse(br2, alpha))
         self.rho = _sparse(rho, alpha)
         self.mu = _sparse(mu, beta)
@@ -229,12 +217,15 @@ class _RepOps:
         return cols
 
     def leib(self, t):
-        """Sparse Leibnizator at a basis tuple: ternary for 4 indices, binary for 3."""
-        memo = self._memo[len(t)]
-        v = memo.get(t)
-        if v is None:
-            fn = _leib3 if len(t) == 4 else _leib2
-            v = memo[t] = _sparse(fn(self.alg, *(self.alg.basis[i] for i in t)))
+        """Sparse Leibnizator at a basis tuple: ternary for 4 indices, binary
+        for 3.  The scan reads the generated sub-map table; the exact re-check
+        walks the terms, independent of generated code."""
+        name = "leib3" if len(t) == 4 else "leib2"
+        if self.exact:
+            return _sparse(_evaluate(self.alg, _SUBMAPS[name], [self.alg.basis[i] for i in t]))
+        v = _table(self.alg, name)
+        for i in t:
+            v = v[i]
         return v
 
 

@@ -1,27 +1,45 @@
-"""Algebra bundles, identity defect evaluation, and exhaustive axiom checking.
+"""Algebra bundles, identities as data, and exhaustive axiom checking.
 
 Every axiom in scope is a multilinear identity in the structure constants,
 so it vanishes on all vectors iff it vanishes on all basis tuples; the
 checkers enumerate basis tuples exhaustively in lexicographic order and
 report the first failures with exact residual vectors.
 
-The hot scans (arity-5 identities at dimension ~8 visit 32768 tuples) run
-on integer-rescaled copies of the tensors: each tensor is multiplied by the
-lcm of its denominators, and since every registered identity is homogeneous
-in each tensor separately, the rescaled defect is zero exactly when the true
-rational defect is.  Counterexample residuals are recomputed in exact
-rationals, which doubles as a cross-check of the fast path.
+Each identity, and each sub-map identities share (Leibnizators, F1, F2, the
+cyclic sums), is defined once, as data: a signed sum of terms, each term an
+operation (`mul`, `br3`, `br2` or a sub-map) applied to argument slots, with
+at most one argument itself such a term.  Two evaluators derive from it.
+The exhaustive scans run Python source generated per identity: each term
+becomes two nested loops over sparse tables, and each sub-map is tabulated
+once per bundle, on first use, by its own generated loops.  Exact
+evaluations (`eval_defect`, the Leibnizators, F1, F2, K and the residual of
+every counterexample) walk the same terms over exact vectors instead, so
+the reported residuals never depend on generated code.
+
+The scans run on integer-rescaled tables: each tensor is multiplied by the
+lcm of its denominators.  Every identity is homogeneous in each tensor
+separately -- checked at import from the term degrees, raising
+`InternalError` otherwise -- so the rescaled defect is the true one times a
+nonzero integer and vanishes exactly when it does.  Flagged tuples are
+recomputed in exact rationals, which doubles as a cross-check of the fast
+path.
+
+Adding an identity: define it in `_registry` with `_define` (a shared
+sub-map with `_submap`), in terms of `mul`, `br3`, `br2` and the existing
+sub-maps, and list it in `KIND_IDENTITIES`.  Which tensors it needs, its
+degree check and both evaluators follow from the definition.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -35,6 +53,8 @@ from .errors import (
 )
 from .linalg import InterMap, Tensor3, Tensor4, Vec, apply_bilinear, apply_trilinear
 
+log = logging.getLogger("ternalg")
+
 DEFAULT_DIMENSION_CAP = 16
 _dimension_cap = DEFAULT_DIMENSION_CAP
 
@@ -44,7 +64,12 @@ def dimension_cap() -> int:
 
 
 def set_dimension_cap(n: int) -> None:
-    """Raise or lower the dense-storage dimension cap (default 16)."""
+    """Raise or lower the dense-storage dimension cap (default 16).
+
+    The cap is process-wide: it rebinds a module global that every later
+    `AlgebraBundle(...)` reads.  Set it once, before starting threads that
+    build bundles; it is not meant to change while they run.
+    """
     global _dimension_cap
     if n < 1:
         raise ValueError("dimension cap must be positive")
@@ -183,17 +208,36 @@ class CheckReport:
         return self.passed
 
 
+
 # ---------------------------------------------------------------------------
-# sparse operation context
+# sparse tables
 #
 # Tables hold sparse rows: prod[i][j] is a tuple of (k, coeff) pairs, and
-# br3t[i][j][k] a tuple of (l, coeff) pairs.  The same defect code runs in
-# two modes: integer coefficients for the exhaustive scans and Fraction
-# coefficients for single evaluations on arbitrary rational vectors.
+# br3t[i][j][k] a tuple of (l, coeff) pairs.  Integer tables drive the
+# exhaustive scans; Fraction tables serve exact evaluation at arbitrary
+# rational vectors through the vector methods below.
+
+
+def _sparse(grid, scale=None):
+    """Nested rows of scalars -> the same nesting, innermost rows made sparse,
+    with every value times scale (an integer that clears its denominator)."""
+    if grid and isinstance(grid[0], tuple):
+        return [_sparse(g, scale) for g in grid]
+    return tuple((k, (v * scale).numerator if scale else v) for k, v in enumerate(grid) if v)
+
+
+def _den_lcm(grid) -> int:
+    """The lcm of all denominators in nested tuples of Fractions."""
+    if isinstance(grid, tuple):
+        return lcm(*map(_den_lcm, grid))
+    return grid.denominator
 
 
 class _Ops:
-    __slots__ = ("n", "prod", "br3t", "br2t", "basis")
+    """Sparse tables of one bundle, by operation name: the tensors `mul`,
+    `br3`, `br2`, and the sub-map tables the scanners add on first use."""
+
+    __slots__ = ("n", "prod", "br3t", "br2t", "basis", "tables")
 
     def __init__(self, n, prod, br3t, br2t):
         self.n = n
@@ -201,6 +245,7 @@ class _Ops:
         self.br3t = br3t
         self.br2t = br2t
         self.basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+        self.tables = {"mul": prod, "br3": br3t, "br2": br2t}
 
     def mul(self, x, y):
         out = [0] * self.n
@@ -215,13 +260,6 @@ class _Ops:
                             c = xi * yj
                             for k, v in row:
                                 out[k] += c * v
-        return out
-
-    def symmul(self, x, y):
-        out = self.mul(x, y)
-        for k, v in enumerate(self.mul(y, x)):
-            if v:
-                out[k] += v
         return out
 
     def br3(self, x, y, z):
@@ -243,16 +281,6 @@ class _Ops:
                                         out[l] += c * v
         return out
 
-    def cyc3(self, x, y, z):
-        out = self.br3(x, y, z)
-        for k, v in enumerate(self.br3(y, z, x)):
-            if v:
-                out[k] += v
-        for k, v in enumerate(self.br3(z, x, y)):
-            if v:
-                out[k] += v
-        return out
-
     def br2(self, x, y):
         out = [0] * self.n
         br2t = self.br2t
@@ -269,71 +297,19 @@ class _Ops:
         return out
 
 
-def _sparse3(t: Tensor3, scale):
-    return [
-        [tuple((k, v * scale) for k, v in enumerate(row) if v) for row in plane]
-        for plane in t.entries
-    ]
-
-
-def _sparse4(t: Tensor4, scale):
-    return [
-        [
-            [tuple((l, v * scale) for l, v in enumerate(row) if v) for row in plane]
-            for plane in cube
-        ]
-        for cube in t.entries
-    ]
-
-
-def _denominator_lcm3(t: Tensor3) -> int:
-    d = 1
-    for plane in t.entries:
-        for row in plane:
-            for v in row:
-                if v:
-                    d = lcm(d, v.denominator)
-    return d
-
-
-def _denominator_lcm4(t: Tensor4) -> int:
-    d = 1
-    for cube in t.entries:
-        for plane in cube:
-            for row in plane:
-                for v in row:
-                    if v:
-                        d = lcm(d, v.denominator)
-    return d
+def _tensors(b: AlgebraBundle):
+    return (b.product, b.bracket, b.binary_bracket)
 
 
 def _int_ops(b: AlgebraBundle) -> _Ops:
     cached = getattr(b, "_ops_int", None)
     if cached is not None:
         return cached
-    prod = br3t = br2t = None
-    if b.product is not None:
-        lam = _denominator_lcm3(b.product)
-        prod = [
-            [tuple((k, int(v * lam)) for k, v in enumerate(row) if v) for row in plane]
-            for plane in b.product.entries
-        ]
-    if b.bracket is not None:
-        lam = _denominator_lcm4(b.bracket)
-        br3t = [
-            [
-                [tuple((l, int(v * lam)) for l, v in enumerate(row) if v) for row in plane]
-                for plane in cube
-            ]
-            for cube in b.bracket.entries
-        ]
-    if b.binary_bracket is not None:
-        lam = _denominator_lcm3(b.binary_bracket)
-        br2t = [
-            [tuple((k, int(v * lam)) for k, v in enumerate(row) if v) for row in plane]
-            for plane in b.binary_bracket.entries
-        ]
-    ops = _Ops(b.dim, prod, br3t, br2t)
+    scales = [_den_lcm(t.entries) if t is not None else None for t in _tensors(b)]
+    log.debug("integer tables, dim %d: scale factors product=%s bracket=%s "
+              "binary_bracket=%s", b.dim, *scales)
+    ops = _Ops(b.dim, *(_sparse(t.entries, s) if t is not None else None
+                        for t, s in zip(_tensors(b), scales)))
     object.__setattr__(b, "_ops_int", ops)
     return ops
 
@@ -342,236 +318,195 @@ def _exact_ops(b: AlgebraBundle) -> _Ops:
     cached = getattr(b, "_ops_exact", None)
     if cached is not None:
         return cached
-    prod = _sparse3(b.product, Fraction(1)) if b.product is not None else None
-    br3t = _sparse4(b.bracket, Fraction(1)) if b.bracket is not None else None
-    br2t = _sparse3(b.binary_bracket, Fraction(1)) if b.binary_bracket is not None else None
-    ops = _Ops(b.dim, prod, br3t, br2t)
+    ops = _Ops(b.dim, *(_sparse(t.entries) if t is not None else None for t in _tensors(b)))
     object.__setattr__(b, "_ops_exact", ops)
     return ops
 
 
-def _vsub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def _vadd(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
 # ---------------------------------------------------------------------------
-# identity registry
+# identities as data
 #
-# Each identity is oriented LHS - RHS as the defining equation reads, and is
-# homogeneous in each tensor slot separately (required by the integer-scaled
-# scan path).  Skewness identities are oriented as "tensor minus its full
-# antisymmetrisation", scaled by the symmetric group order to stay integral:
-# the combination vanishes for all arguments iff the bracket is alternating.
+# A term is (op, args): op names a tensor (mul, br3, br2) or a sub-map, and
+# each argument is a slot index or one nested (op, slots) term.  Every term
+# uses each slot exactly once, so each map is multilinear.  Identities are
+# oriented LHS - RHS as the defining equation reads.  Skewness identities
+# are oriented as "tensor minus its full antisymmetrisation", scaled by the
+# symmetric group order to stay integral: the combination vanishes for all
+# arguments iff the bracket is alternating.
 
-
-def _d_comm(o, x, y):
-    return _vsub(o.mul(x, y), o.mul(y, x))
-
-
-def _d_assoc(o, x, y, z):
-    return _vsub(o.mul(o.mul(x, y), z), o.mul(x, o.mul(y, z)))
-
-
-def _d_zinbiel(o, x, y, z):
-    lhs = o.mul(x, o.mul(y, z))
-    rhs = _vadd(o.mul(o.mul(y, x), z), o.mul(o.mul(x, y), z))
-    return _vsub(lhs, rhs)
-
-
-def _d_skew2(o, x, y):
-    return _vadd(o.br2(x, y), o.br2(y, x))
-
-
-def _d_jacobi(o, x, y, z):
-    return _vadd(
-        _vadd(o.br2(o.br2(x, y), z), o.br2(o.br2(y, z), x)), o.br2(o.br2(z, x), y)
-    )
-
-
-def _d_skew3(o, x, y, z):
-    out = [6 * v for v in o.br3(x, y, z)]
-    for sign, args in (
-        (-1, (x, y, z)),
-        (1, (y, x, z)),
-        (1, (x, z, y)),
-        (1, (z, y, x)),
-        (-1, (y, z, x)),
-        (-1, (z, x, y)),
-    ):
-        term = o.br3(*args)
-        for k, v in enumerate(term):
-            if v:
-                out[k] += sign * v
-    return out
-
-
-def _d_fundamental(o, x1, x2, x3, x4, x5):
-    lhs = o.br3(x1, x2, o.br3(x3, x4, x5))
-    rhs = _vadd(
-        _vadd(o.br3(o.br3(x1, x2, x3), x4, x5), o.br3(x3, o.br3(x1, x2, x4), x5)),
-        o.br3(x3, x4, o.br3(x1, x2, x5)),
-    )
-    return _vsub(lhs, rhs)
-
-
-def _d_prelie3_skew(o, x, y, z):
-    return _vadd(o.br3(x, y, z), o.br3(y, x, z))
-
-
-def _d_prelie3_a(o, x1, x2, x3, x4, x5):
-    lhs = o.br3(x1, x2, o.br3(x3, x4, x5))
-    rhs = _vadd(
-        _vadd(o.br3(o.cyc3(x1, x2, x3), x4, x5), o.br3(x3, o.cyc3(x1, x2, x4), x5)),
-        o.br3(x3, x4, o.br3(x1, x2, x5)),
-    )
-    return _vsub(lhs, rhs)
-
-
-def _d_prelie3_b(o, x1, x2, x3, x4, x5):
-    lhs = o.br3(o.cyc3(x1, x2, x3), x4, x5)
-    rhs = _vadd(
-        _vadd(o.br3(x1, x2, o.br3(x3, x4, x5)), o.br3(x2, x3, o.br3(x1, x4, x5))),
-        o.br3(x3, x1, o.br3(x2, x4, x5)),
-    )
-    return _vsub(lhs, rhs)
-
-
-def _leib3(o, x1, x2, x3, x4):
-    """3-Leibnizator: [x1,x2,x3*x4] - x3*[x1,x2,x4] - [x1,x2,x3]*x4."""
-    lhs = o.br3(x1, x2, o.mul(x3, x4))
-    return _vsub(lhs, _vadd(o.mul(x3, o.br3(x1, x2, x4)), o.mul(o.br3(x1, x2, x3), x4)))
-
-
-def _d_hm3(o, x1, x2, x3, x4, x5):
-    lhs = _leib3(o, o.mul(x1, x2), x3, x4, x5)
-    rhs = _vadd(o.mul(x1, _leib3(o, x2, x3, x4, x5)), o.mul(x2, _leib3(o, x1, x3, x4, x5)))
-    return _vsub(lhs, rhs)
-
-
-def _leib2(o, x, y, z):
-    """Binary Leibnizator: [x, y*z] - [x,y]*z - y*[x,z]."""
-    return _vsub(
-        o.br2(x, o.mul(y, z)), _vadd(o.mul(o.br2(x, y), z), o.mul(y, o.br2(x, z)))
-    )
-
-
-def _d_hm2(o, x, y, z, w):
-    lhs = _leib2(o, o.mul(x, y), z, w)
-    rhs = _vadd(o.mul(x, _leib2(o, y, z, w)), o.mul(y, _leib2(o, x, z, w)))
-    return _vsub(lhs, rhs)
-
-
-def _f1(o, x1, x2, x3, x4):
-    """F1 = {x1,x2,x3<>x4} - x3<>{x1,x2,x4} - [x1,x2,x3]<>x4 over the pre-tensors."""
-    lhs = o.br3(x1, x2, o.mul(x3, x4))
-    return _vsub(lhs, _vadd(o.mul(x3, o.br3(x1, x2, x4)), o.mul(o.cyc3(x1, x2, x3), x4)))
-
-
-def _f2(o, x1, x2, x3, x4):
-    """F2 = x3<>{x1,x2,x4} + x2<>{x1,x3,x4} - {x1, x2*x3, x4}."""
-    lhs = _vadd(o.mul(x3, o.br3(x1, x2, x4)), o.mul(x2, o.br3(x1, x3, x4)))
-    return _vsub(lhs, o.br3(x1, o.symmul(x2, x3), x4))
-
-
-def _leib3_sub(o, x1, x2, x3, x4):
-    """3-Leibnizator of the sub-adjacent operations of a pre-structure."""
-    lhs = o.cyc3(x1, x2, o.symmul(x3, x4))
-    return _vsub(
-        lhs, _vadd(o.symmul(x3, o.cyc3(x1, x2, x4)), o.symmul(o.cyc3(x1, x2, x3), x4))
-    )
-
-
-def _d_prefm1(o, x1, x2, x3, x4, x5):
-    lhs = _f1(o, o.symmul(x1, x2), x3, x4, x5)
-    rhs = _vadd(o.mul(x1, _f1(o, x2, x3, x4, x5)), o.mul(x2, _f1(o, x1, x3, x4, x5)))
-    return _vsub(lhs, rhs)
-
-
-def _d_prefm11(o, x1, x2, x3, x4, x5):
-    lhs = _f2(o, o.symmul(x1, x2), x3, x4, x5)
-    rhs = _vadd(o.mul(x1, _f2(o, x2, x3, x4, x5)), o.mul(x2, _f2(o, x1, x3, x4, x5)))
-    return _vsub(lhs, rhs)
-
-
-def _d_prefm2(o, x1, x2, x3, x4, x5):
-    lhs = o.mul(_leib3_sub(o, x1, x2, x3, x4), x5)
-    rhs = _vsub(_f2(o, x2, x3, x4, o.mul(x1, x5)), o.mul(x1, _f2(o, x2, x3, x4, x5)))
-    return _vsub(lhs, rhs)
-
-
-def _d_prenp1(o, x1, x2, x3, x4):
-    return _f1(o, x1, x2, x3, x4)
-
-
-def _d_prenp2(o, x1, x2, x3, x4):
-    return [-v for v in _f2(o, x1, x2, x3, x4)]
-
-
-def _kmap(o, x, y, z, u):
-    """Cyclic sum over (y,z,u) of [x, y, z*u]."""
-    return _vadd(
-        _vadd(o.br3(x, y, o.mul(z, u)), o.br3(x, z, o.mul(u, y))),
-        o.br3(x, u, o.mul(y, z)),
-    )
-
-
-def _d_coh1(o, x, y, z, t, u):
-    lhs = _leib3(o, o.mul(x, y), z, t, u)
-    rhs = _vadd(_leib3(o, y, z, t, o.mul(x, u)), _leib3(o, x, z, t, o.mul(y, u)))
-    return _vsub(lhs, rhs)
-
-
-def _d_coh2(o, x, y, z, t, u):
-    return _vadd(
-        _vadd(_kmap(o, o.mul(x, y), z, t, u), _kmap(o, x, z, t, o.mul(y, u))),
-        _kmap(o, y, z, t, o.mul(x, u)),
-    )
-
-
-def _d_coh3(o, x, y, z, t, u):
-    lhs = o.mul(_leib3(o, x, y, z, t), u)
-    rhs = _vsub(_kmap(o, y, z, t, o.mul(x, u)), o.mul(x, _kmap(o, y, z, t, u)))
-    return _vsub(lhs, rhs)
+_TENSOR_SLOTS = (("mul", "product"), ("br3", "bracket"), ("br2", "binary_bracket"))
+_DEGREE = {"mul": (1, 0, 0), "br3": (0, 1, 0), "br2": (0, 0, 1)}
 
 
 @dataclass(frozen=True)
 class Identity:
+    """A named multilinear map: an identity's defect, or a sub-map.
+
+    `terms` is ((coeff, (op, args)), ...); `degree` counts the (mul, br3,
+    br2) factors of every term, which `_define` checks are all the same.
+    """
+
     name: str
     arity: int
-    needs: tuple[str, ...]
-    defect: Callable
+    terms: tuple
+    degree: tuple[int, int, int]
+
+    @property
+    def needs(self) -> tuple[str, ...]:
+        return tuple(slot for (_, slot), d in zip(_TENSOR_SLOTS, self.degree) if d)
 
 
-IDENTITIES: dict[str, Identity] = {
-    i.name: i
-    for i in [
-        Identity("comm", 2, ("product",), _d_comm),
-        Identity("assoc", 3, ("product",), _d_assoc),
-        Identity("zinbiel", 3, ("product",), _d_zinbiel),
-        Identity("skew2", 2, ("binary_bracket",), _d_skew2),
-        Identity("jacobi", 3, ("binary_bracket",), _d_jacobi),
-        Identity("skew3", 3, ("bracket",), _d_skew3),
-        Identity("fundamental", 5, ("bracket",), _d_fundamental),
-        Identity("prelie3-skew", 3, ("bracket",), _d_prelie3_skew),
-        Identity("prelie3-a", 5, ("bracket",), _d_prelie3_a),
-        Identity("prelie3-b", 5, ("bracket",), _d_prelie3_b),
-        Identity("leibniz-np", 4, ("product", "bracket"), _leib3),
-        Identity("hm2", 4, ("product", "binary_bracket"), _d_hm2),
-        Identity("hm3", 5, ("product", "bracket"), _d_hm3),
-        Identity("prefm-1", 5, ("product", "bracket"), _d_prefm1),
-        Identity("prefm-11", 5, ("product", "bracket"), _d_prefm11),
-        Identity("prefm-2", 5, ("product", "bracket"), _d_prefm2),
-        Identity("prenp-1", 4, ("product", "bracket"), _d_prenp1),
-        Identity("prenp-2", 4, ("product", "bracket"), _d_prenp2),
-        Identity("coh1", 5, ("product", "bracket"), _d_coh1),
-        Identity("coh2", 5, ("product", "bracket"), _d_coh2),
-        Identity("coh3", 5, ("product", "bracket"), _d_coh3),
-    ]
-}
+class _Sum:
+    """A signed sum of terms, built by applying operations to slots."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+
+    def __add__(self, other):
+        return _Sum(self.terms + other.terms)
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __neg__(self):
+        return -1 * self
+
+    def __rmul__(self, c):
+        return _Sum((c * k, t) for k, t in self.terms)
+
+
+def _op(name: str, arity: int):
+    """The operation `name` as a function of slots and at most one term."""
+
+    def arg(a):
+        if isinstance(a, int):
+            return a
+        if len(a.terms) == 1 and a.terms[0][0] == 1:
+            term = a.terms[0][1]
+            if all(isinstance(s, int) for s in term[1]):
+                return term
+        raise InternalError(f"{name}: a nested argument must be one term on slots")
+
+    def apply(*args):
+        args = tuple(map(arg, args))
+        if len(args) != arity or sum(not isinstance(a, int) for a in args) > 1:
+            raise InternalError(f"{name} takes {arity} arguments, at most one a term")
+        return _Sum([(1, (name, args))])
+
+    return apply
+
+
+def _define(name: str, body) -> Identity:
+    """The map body(slot 0, slot 1, ...), checked to be multilinear and
+    homogeneous in each tensor separately; the integer scans rely on both."""
+    arity = body.__code__.co_argcount
+    terms = body(*range(arity)).terms
+    degrees = set()
+    for _, (op, args) in terms:
+        slots, degree = [], _DEGREE[op]
+        for a in args:
+            if isinstance(a, int):
+                slots.append(a)
+            else:
+                slots.extend(a[1])
+                degree = tuple(map(sum, zip(degree, _DEGREE[a[0]])))
+        if sorted(slots) != list(range(arity)):
+            raise InternalError(f"{name}: every term must use each slot exactly once")
+        degrees.add(degree)
+    if len(degrees) != 1:
+        raise InternalError(
+            f"{name} is not homogeneous in each tensor: term degrees {sorted(degrees)}"
+        )
+    return Identity(name, arity, terms, degrees.pop())
+
+
+_SUBMAPS: dict[str, Identity] = {}
+
+
+def _submap(name: str, body):
+    m = _SUBMAPS[name] = _define(name, body)
+    _DEGREE[name] = m.degree
+    return _op(name, m.arity)
+
+
+def _registry() -> dict[str, Identity]:
+    """Every sub-map and identity, each defined once."""
+    mul, br3, br2 = _op("mul", 2), _op("br3", 3), _op("br2", 2)
+    symmul = _submap("symmul", lambda x, y: mul(x, y) + mul(y, x))
+    cyc3 = _submap("cyc3", lambda x, y, z: br3(x, y, z) + br3(y, z, x) + br3(z, x, y))
+    # 3-Leibnizator: [x1,x2,x3*x4] - x3*[x1,x2,x4] - [x1,x2,x3]*x4
+    leib3 = _submap("leib3", lambda x1, x2, x3, x4: (
+        br3(x1, x2, mul(x3, x4)) - mul(x3, br3(x1, x2, x4)) - mul(br3(x1, x2, x3), x4)))
+    # binary Leibnizator: [x, y*z] - [x,y]*z - y*[x,z]
+    leib2 = _submap("leib2", lambda x, y, z: (
+        br2(x, mul(y, z)) - mul(br2(x, y), z) - mul(y, br2(x, z))))
+    # K: the cyclic sum over (y,z,u) of [x, y, z*u]
+    kmap = _submap("kmap", lambda x, y, z, u: (
+        br3(x, y, mul(z, u)) + br3(x, z, mul(u, y)) + br3(x, u, mul(y, z))))
+    # F1 = {x1,x2,x3<>x4} - x3<>{x1,x2,x4} - [x1,x2,x3]<>x4 over the pre-tensors
+    f1 = _submap("f1", lambda x1, x2, x3, x4: (
+        br3(x1, x2, mul(x3, x4)) - mul(x3, br3(x1, x2, x4)) - mul(cyc3(x1, x2, x3), x4)))
+    # F2 = x3<>{x1,x2,x4} + x2<>{x1,x3,x4} - {x1, x2*x3, x4}
+    f2 = _submap("f2", lambda x1, x2, x3, x4: (
+        mul(x3, br3(x1, x2, x4)) + mul(x2, br3(x1, x3, x4)) - br3(x1, symmul(x2, x3), x4)))
+    # 3-Leibnizator of the sub-adjacent operations of a pre-structure
+    leib3_sub = _submap("leib3_sub", lambda x1, x2, x3, x4: (
+        cyc3(x1, x2, symmul(x3, x4)) - symmul(x3, cyc3(x1, x2, x4))
+        - symmul(cyc3(x1, x2, x3), x4)))
+    return {
+        i.name: i
+        for i in [
+            _define("comm", lambda x, y: mul(x, y) - mul(y, x)),
+            _define("assoc", lambda x, y, z: mul(mul(x, y), z) - mul(x, mul(y, z))),
+            _define("zinbiel", lambda x, y, z: (
+                mul(x, mul(y, z)) - mul(mul(y, x), z) - mul(mul(x, y), z))),
+            _define("skew2", lambda x, y: br2(x, y) + br2(y, x)),
+            _define("jacobi", lambda x, y, z: (
+                br2(br2(x, y), z) + br2(br2(y, z), x) + br2(br2(z, x), y))),
+            _define("skew3", lambda x, y, z: (
+                6 * br3(x, y, z) - br3(x, y, z) + br3(y, x, z) + br3(x, z, y)
+                + br3(z, y, x) - br3(y, z, x) - br3(z, x, y))),
+            _define("fundamental", lambda x1, x2, x3, x4, x5: (
+                br3(x1, x2, br3(x3, x4, x5)) - br3(br3(x1, x2, x3), x4, x5)
+                - br3(x3, br3(x1, x2, x4), x5) - br3(x3, x4, br3(x1, x2, x5)))),
+            _define("prelie3-skew", lambda x, y, z: br3(x, y, z) + br3(y, x, z)),
+            _define("prelie3-a", lambda x1, x2, x3, x4, x5: (
+                br3(x1, x2, br3(x3, x4, x5)) - br3(cyc3(x1, x2, x3), x4, x5)
+                - br3(x3, cyc3(x1, x2, x4), x5) - br3(x3, x4, br3(x1, x2, x5)))),
+            _define("prelie3-b", lambda x1, x2, x3, x4, x5: (
+                br3(cyc3(x1, x2, x3), x4, x5) - br3(x1, x2, br3(x3, x4, x5))
+                - br3(x2, x3, br3(x1, x4, x5)) - br3(x3, x1, br3(x2, x4, x5)))),
+            _define("leibniz-np", lambda x1, x2, x3, x4: leib3(x1, x2, x3, x4)),
+            _define("hm2", lambda x, y, z, w: (
+                leib2(mul(x, y), z, w) - mul(x, leib2(y, z, w)) - mul(y, leib2(x, z, w)))),
+            _define("hm3", lambda x1, x2, x3, x4, x5: (
+                leib3(mul(x1, x2), x3, x4, x5) - mul(x1, leib3(x2, x3, x4, x5))
+                - mul(x2, leib3(x1, x3, x4, x5)))),
+            _define("prefm-1", lambda x1, x2, x3, x4, x5: (
+                f1(symmul(x1, x2), x3, x4, x5) - mul(x1, f1(x2, x3, x4, x5))
+                - mul(x2, f1(x1, x3, x4, x5)))),
+            _define("prefm-11", lambda x1, x2, x3, x4, x5: (
+                f2(symmul(x1, x2), x3, x4, x5) - mul(x1, f2(x2, x3, x4, x5))
+                - mul(x2, f2(x1, x3, x4, x5)))),
+            _define("prefm-2", lambda x1, x2, x3, x4, x5: (
+                mul(leib3_sub(x1, x2, x3, x4), x5) - f2(x2, x3, x4, mul(x1, x5))
+                + mul(x1, f2(x2, x3, x4, x5)))),
+            _define("prenp-1", lambda x1, x2, x3, x4: f1(x1, x2, x3, x4)),
+            _define("prenp-2", lambda x1, x2, x3, x4: -f2(x1, x2, x3, x4)),
+            _define("coh1", lambda x, y, z, t, u: (
+                leib3(mul(x, y), z, t, u) - leib3(y, z, t, mul(x, u))
+                - leib3(x, z, t, mul(y, u)))),
+            _define("coh2", lambda x, y, z, t, u: (
+                kmap(mul(x, y), z, t, u) + kmap(x, z, t, mul(y, u)) + kmap(y, z, t, mul(x, u)))),
+            _define("coh3", lambda x, y, z, t, u: (
+                mul(leib3(x, y, z, t), u) - kmap(y, z, t, mul(x, u)) + mul(x, kmap(y, z, t, u)))),
+        ]
+    }
+
+
+IDENTITIES: dict[str, Identity] = _registry()
 
 KIND_IDENTITIES: dict[StructureKind, tuple[str, ...]] = {
     StructureKind.COMM_ASSOC: ("comm", "assoc"),
@@ -605,86 +540,142 @@ def _require(b: AlgebraBundle, needs: Sequence[str], context: str):
 
 
 # ---------------------------------------------------------------------------
-# specialised scanners for the two identities that dominate runtime
+# exact evaluator: walk the terms over the vector methods of _Ops
 
 
-def _scan_fundamental(ops: _Ops, _ident):
-    F = ops.br3t
-    n = ops.n
-
-    def scan(t):
-        a, b, c, d, e = t
-        out = [0] * n
-        Fab = F[a][b]
-        for m, v in F[c][d][e]:
-            for l, w in Fab[m]:
-                out[l] += v * w
-        for m, v in Fab[c]:
-            for l, w in F[m][d][e]:
-                out[l] -= v * w
-        Fc = F[c]
-        for m, v in Fab[d]:
-            for l, w in Fc[m][e]:
-                out[l] -= v * w
-        Fcd = Fc[d]
-        for m, v in Fab[e]:
-            for l, w in Fcd[m]:
-                out[l] -= v * w
-        return out if any(out) else None
-
-    return scan
+def _evaluate(ops: _Ops, m: Identity, vecs) -> list:
+    """m at dense vectors; exact on Fraction tables."""
+    out = None
+    for c, (op, args) in m.terms:
+        vals = [vecs[a] if isinstance(a, int) else _apply(ops, a[0], [vecs[s] for s in a[1]])
+                for a in args]
+        term = _apply(ops, op, vals)
+        if out is None:
+            out = term if c == 1 else [c * v for v in term]
+            continue
+        for k, v in enumerate(term):
+            if v:
+                if c == 1:
+                    out[k] += v
+                elif c == -1:
+                    out[k] -= v
+                else:
+                    out[k] += c * v
+    return out
 
 
-def _scan_hm3(ops: _Ops, _ident):
-    n = ops.n
-    prod = ops.prod
-    basis = ops.basis
-    n2 = n * n
-    n3 = n2 * n
-    ltab = [None] * (n * n3)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                base = ((a * n + b) * n + c) * n
-                for d in range(n):
-                    vec = _leib3(ops, basis[a], basis[b], basis[c], basis[d])
-                    ltab[base + d] = tuple((k, v) for k, v in enumerate(vec) if v)
-
-    def scan(t):
-        x1, x2, x3, x4, x5 = t
-        out = [0] * n
-        tail = (x3 * n + x4) * n + x5
-        for m, v in prod[x1][x2]:
-            for l, w in ltab[m * n3 + tail]:
-                out[l] += v * w
-        p1 = prod[x1]
-        for k, w in ltab[x2 * n3 + tail]:
-            for l, v in p1[k]:
-                out[l] -= w * v
-        p2 = prod[x2]
-        for k, w in ltab[x1 * n3 + tail]:
-            for l, v in p2[k]:
-                out[l] -= w * v
-        return out if any(out) else None
-
-    return scan
+def _apply(ops: _Ops, op: str, vecs) -> list:
+    sub = _SUBMAPS.get(op)
+    return _evaluate(ops, sub, vecs) if sub is not None else getattr(ops, op)(*vecs)
 
 
-_SPECIAL_SCANNERS = {"fundamental": _scan_fundamental, "hm3": _scan_hm3}
+# ---------------------------------------------------------------------------
+# integer scanner: each term of a map becomes nested loops over sparse tables,
+#   for m, v in Inner[x..]: for l, w in Outer[x..][m][x..]: out[l] += c*v*w
+# in a generated closure; sub-maps are tabulated by the same loops
+
+
+def _source(m: Identity, table: bool) -> tuple[str, list[str]]:
+    """Source of make(n, *tables) for m, and the table names it takes.
+
+    make returns scan(t), m's dense value at one basis tuple or None when it
+    is zero, or, with `table`, build(), m's sparse table over all tuples.
+    Prefixes of outer tables before a nested argument are hoisted into
+    locals, at the loop depth where their slots are bound.
+    """
+    deps: list[str] = []
+    hoisted: dict[tuple, str] = {}
+    for _, (op, args) in m.terms:
+        for p, a in enumerate(args):
+            if not isinstance(a, int) and p:
+                hoisted.setdefault((op, args[:p]), f"p{len(hoisted)}")
+        for name in [op] + [a[0] for a in args if not isinstance(a, int)]:
+            if name not in deps:
+                deps.append(name)
+
+    def chain(op, slots, longest):
+        for k in range(min(longest, len(slots)), 0, -1):
+            name = hoisted.get((op, slots[:k]))
+            if name:
+                return name + "".join(f"[x{s}]" for s in slots[k:])
+        return op + "".join(f"[x{s}]" for s in slots)
+
+    lines = []
+    for c, (op, args) in m.terms:
+        update = f"out[l] {'+=' if c > 0 else '-='} {'' if abs(c) == 1 else f'{abs(c)} * '}"
+        nested = [p for p, a in enumerate(args) if not isinstance(a, int)]
+        if not nested:
+            lines += [f"for l, w in {chain(op, args, len(args))}:", f"    {update}w"]
+            continue
+        p = nested[0]
+        inner, rest = args[p], "".join(f"[x{s}]" for s in args[p + 1:])
+        outer = (hoisted[(op, args[:p])] if p else op) + "[m]" + rest
+        lines += [f"for m, v in {chain(inner[0], inner[1], len(inner[1]))}:",
+                  f"    for l, w in {outer}:",
+                  f"        {update}v * w"]
+    hoists = sorted(hoisted.items(), key=lambda kv: (max(kv[0][1]), len(kv[0][1])))
+    defs = {d: [] for d in range(m.arity + 1)}
+    for (op, slots), name in hoists:
+        defs[max(slots) + 1 if table else 0].append(
+            f"{name} = {chain(op, slots, len(slots) - 1)}")
+
+    xs = ", ".join(f"x{i}" for i in range(m.arity))
+    src = [f"def make(n, {', '.join(deps)}):"]
+    if table:
+        src += ["    def build():", "        t0 = []"]
+        for d in range(m.arity):
+            pad = "        " + "    " * d
+            src += [f"{pad}for x{d} in range(n):"]
+            src += [f"{pad}    {h}" for h in defs[d + 1]]
+            if d + 1 < m.arity:
+                src += [f"{pad}    t{d + 1} = []", f"{pad}    t{d}.append(t{d + 1})"]
+        pad = "        " + "    " * m.arity
+        body = ["out = [0] * n"] + lines + [
+            f"t{m.arity - 1}.append(tuple([(l, v) for l, v in enumerate(out) if v])"
+            " if any(out) else ())"]
+        src += [pad + s for s in body] + ["        return t0", "    return build"]
+    else:
+        body = [f"{xs}, = t", "out = [0] * n"] + defs[0] + lines + [
+            "return out if any(out) else None"]
+        src += ["    def scan(t):"] + ["        " + s for s in body] + ["    return scan"]
+    return "\n".join(src) + "\n", deps
+
+
+_COMPILED: dict = {}
+
+
+def _compiled(m: Identity, table: bool):
+    hit = _COMPILED.get((m, table))
+    if hit is None:
+        src, deps = _source(m, table)
+        log.debug("generated %s for %s:\n%s", "table builder" if table else "scanner",
+                  m.name, src)
+        namespace: dict = {}
+        exec(compile(src, f"<ternalg {m.name}>", "exec"), namespace)
+        hit = _COMPILED[(m, table)] = (namespace["make"], deps)
+    return hit
+
+
+def _entries(tab) -> int:
+    return sum(map(_entries, tab)) if isinstance(tab, list) else len(tab)
+
+
+def _table(ops: _Ops, op: str):
+    """The sparse table of a tensor or sub-map; sub-maps are built on first use."""
+    tab = ops.tables.get(op)
+    if tab is None:
+        make, deps = _compiled(_SUBMAPS[op], table=True)
+        start = time.perf_counter()
+        tab = ops.tables[op] = make(ops.n, *(_table(ops, d) for d in deps))()
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("built %s table, dim %d: %d entries in %.4f s", op, ops.n,
+                      _entries(tab), time.perf_counter() - start)
+    return tab
 
 
 def _make_scanner(ops: _Ops, ident: Identity):
-    special = _SPECIAL_SCANNERS.get(ident.name)
-    if special is not None:
-        return special(ops, ident)
-    basis = ops.basis
-    fn = ident.defect
-
-    def scan(t):
-        out = fn(ops, *(basis[i] for i in t))
-        return out if any(out) else None
-
-    return scan
+    make, deps = _compiled(ident, table=False)
+    return make(ops.n, *(_table(ops, d) for d in deps))
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +750,8 @@ def _check_identities(b: AlgebraBundle, names: Sequence[str], kind_label: str,
         )
         tuple_count += evaluated
         for _rank, idx in found:
-            residual = ident.defect(exact, *(exact.basis[i] for i in idx))
-            vec = Vec(residual)
+            vec = Vec(_evaluate(exact, ident, [exact.basis[i] for i in idx]))
+            log.debug("exact re-check of %s at %s: residual %s", name, idx, vec)
             if vec.is_zero():
                 raise InternalError(
                     f"integer scan flagged {name} at {idx}, but its exact residual is zero"
@@ -781,6 +772,14 @@ def _check_identities(b: AlgebraBundle, names: Sequence[str], kind_label: str,
 # public evaluators and checkers
 
 
+def _eval_map(b: AlgebraBundle, m: Identity, args: Sequence[Vec], context: str) -> Vec:
+    _require(b, m.needs, context)
+    for v in args:
+        if v.dim != b.dim:
+            raise DimensionMismatch(f"argument has dim {v.dim}, bundle has dim {b.dim}")
+    return Vec(_evaluate(_exact_ops(b), m, [list(v.entries) for v in args]))
+
+
 def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:
     """Evaluate LHS - RHS of the named identity at arbitrary vectors.
 
@@ -794,12 +793,7 @@ def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:
         raise ArityMismatch(
             f"identity {identity!r} takes {ident.arity} arguments, got {len(args)}"
         )
-    for v in args:
-        if v.dim != b.dim:
-            raise DimensionMismatch(f"argument has dim {v.dim}, bundle has dim {b.dim}")
-    _require(b, ident.needs, f"identity {identity!r}")
-    ops = _exact_ops(b)
-    return Vec(ident.defect(ops, *(list(v.entries) for v in args)))
+    return _eval_map(b, ident, args, f"identity {identity!r}")
 
 
 def check_axioms(kind, b: AlgebraBundle, *, max_counterexamples: int = 1,
@@ -818,36 +812,22 @@ def leibnizator3(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
 
 def leibnizator2(b: AlgebraBundle, x: Vec, y: Vec, z: Vec) -> Vec:
     """[x, y*z] - [x,y]*z - y*[x,z] over the binary bracket."""
-    _require(b, ("product", "binary_bracket"), "leibnizator2")
-    for v in (x, y, z):
-        if v.dim != b.dim:
-            raise DimensionMismatch(f"argument has dim {v.dim}, bundle has dim {b.dim}")
-    ops = _exact_ops(b)
-    return Vec(_leib2(ops, list(x.entries), list(y.entries), list(z.entries)))
-
-
-def _eval_pre(b: AlgebraBundle, fn, args, context):
-    _require(b, ("product", "bracket"), context)
-    for v in args:
-        if v.dim != b.dim:
-            raise DimensionMismatch(f"argument has dim {v.dim}, bundle has dim {b.dim}")
-    ops = _exact_ops(b)
-    return Vec(fn(ops, *(list(v.entries) for v in args)))
+    return _eval_map(b, _SUBMAPS["leib2"], (x, y, z), "leibnizator2")
 
 
 def f1(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
     """F1 of a pre-structure bundle (product slot = Zinbiel, bracket slot = 3-pre-Lie)."""
-    return _eval_pre(b, _f1, (x1, x2, x3, x4), "f1")
+    return _eval_map(b, _SUBMAPS["f1"], (x1, x2, x3, x4), "f1")
 
 
 def f2(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
     """F2 of a pre-structure bundle; the sub-adjacent product is formed internally."""
-    return _eval_pre(b, _f2, (x1, x2, x3, x4), "f2")
+    return _eval_map(b, _SUBMAPS["f2"], (x1, x2, x3, x4), "f2")
 
 
 def k_op(b: AlgebraBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
     """[x,y,z*u] + [x,z,u*y] + [x,u,y*z]: the cyclic operator of the coherence set."""
-    return _eval_pre(b, _kmap, (x, y, z, u), "k_op")
+    return _eval_map(b, _SUBMAPS["kmap"], (x, y, z, u), "k_op")
 
 
 def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
