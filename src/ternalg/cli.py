@@ -4,12 +4,11 @@ Exit codes: 0 = pass/success, 1 = check failed or a builder precondition
 failed (the failing report is printed as JSON), 2 = input or usage error.
 Reports are byte-deterministic for fixed inputs and flags; timing is only
 included under --timing so that the default output does not vary between
-runs or with --jobs.
+runs.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
@@ -46,14 +45,6 @@ STRUCTURE_KINDS = [k.value for k in StructureKind] + ["coherence"]
 REP_KINDS = [k.value for k in RepKind]
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("TERNALG_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _emit(obj: dict):
     click.echo(schema.dumps(obj), nl=False)
 
@@ -69,15 +60,12 @@ def main():
 @click.option("--rep", "as_rep", is_flag=True,
               help="Check the document's rep block against a representation kind.")
 @click.option("--max-counterexamples", "-k", default=1, show_default=True, type=int)
-@click.option("--jobs", "-j", default=None, type=int,
-              help="Parallel tuple-scan workers (default: TERNALG_JOBS or 1).")
 @click.option("--complete-skew", is_flag=True,
               help="Fill absent bracket orientations by skew-symmetry before checking.")
 @click.option("--timing", is_flag=True, help="Include timing_ms in the report.")
 @click.argument("input_path", type=click.Path())
-def cmd_check(kind, as_rep, max_counterexamples, jobs, complete_skew, timing, input_path):
+def cmd_check(kind, as_rep, max_counterexamples, complete_skew, timing, input_path):
     """Run an axiom or representation check on a bundle document."""
-    jobs = jobs if jobs is not None else _default_jobs()
     doc, filled = schema.load_document(input_path, complete_skew=complete_skew)
     if filled:
         click.echo(f"completed {filled} skew orientations", err=True)
@@ -86,20 +74,16 @@ def cmd_check(kind, as_rep, max_counterexamples, jobs, complete_skew, timing, in
         if kind not in REP_KINDS:
             raise SchemaError(f"unknown representation kind {kind!r} (choices: {REP_KINDS})")
         report = check_representation(
-            kind, doc.require_rep(), max_counterexamples=max_counterexamples, jobs=jobs
+            kind, doc.require_rep(), max_counterexamples=max_counterexamples
         )
     elif kind == "coherence":
-        report = check_coherence(
-            doc.bundle, max_counterexamples=max_counterexamples, jobs=jobs
-        )
+        report = check_coherence(doc.bundle, max_counterexamples=max_counterexamples)
     else:
         if kind not in [k.value for k in StructureKind]:
             raise SchemaError(
                 f"unknown structure kind {kind!r} (choices: {STRUCTURE_KINDS})"
             )
-        report = check_axioms(
-            kind, doc.bundle, max_counterexamples=max_counterexamples, jobs=jobs
-        )
+        report = check_axioms(kind, doc.bundle, max_counterexamples=max_counterexamples)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     _emit(schema.report_to_obj(report, timing_ms=elapsed_ms if timing else None))
     sys.exit(0 if report.passed else 1)
@@ -129,7 +113,8 @@ def _parse_anchor(spec: str, doc: schema.Document) -> Vec:
             raise SchemaError(
                 f"--anchor: expected {bundle.dim} comma-separated rationals"
             )
-        return Vec(parts)
+        return Vec([schema.parse_scalar(x.strip(), f"--anchor[{i}]")
+                    for i, x in enumerate(parts)])
     try:
         idx = int(spec)
     except ValueError:

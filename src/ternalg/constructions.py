@@ -13,12 +13,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, MissingTensor, NotATrace
 from .linalg import Tensor3, Tensor4, Vec
-from .structures import (
-    AlgebraBundle,
-    CheckReport,
-    Counterexample,
-    scan_space,
-)
+from .structures import AlgebraBundle, CheckReport, Condition, run_conditions
 
 
 @dataclass(frozen=True)
@@ -162,30 +157,18 @@ def fix_slot_bracket(a: AlgebraBundle, anchor: Vec) -> AlgebraBundle:
 
 
 def check_trace(a: AlgebraBundle, tau: TraceFunctional, *,
-                max_counterexamples: int = 1, jobs: int = 1) -> CheckReport:
+                max_counterexamples: int = 1) -> CheckReport:
     """Verify tau([e_i, e_j]) = 0 on all basis pairs of the binary bracket."""
     if a.binary_bracket is None:
         raise MissingTensor("binary_bracket", "check_trace")
     if tau.dim != a.dim:
         raise DimensionMismatch(f"trace has dim {tau.dim}, bundle has dim {a.dim}")
-    budget = max(1, max_counterexamples)
 
-    def scan(t):
-        v = tau.apply(a.br2(a.basis(t[0]), a.basis(t[1])))
-        return [v] if v else None
+    def value(t):
+        return tau.apply(a.br2(a.basis(t[0]), a.basis(t[1])))
 
-    found, evaluated = scan_space(scan, a.dim, 2, budget, jobs)
-    ces = tuple(
-        Counterexample("trace", idx, Vec([tau.apply(a.br2(a.basis(idx[0]), a.basis(idx[1])))]))
-        for _rank, idx in found
-    )
-    return CheckReport(
-        passed=not ces,
-        kind="trace",
-        checked_identities=("trace",),
-        counterexamples=ces,
-        tuple_count=evaluated,
-    )
+    cond = Condition("trace", a.dim, 2, lambda t: Vec([value(t)]), scan=value)
+    return run_conditions("trace", [cond], max_counterexamples)
 
 
 def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
@@ -214,7 +197,7 @@ def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
 
 
 def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
-                            max_counterexamples: int = 1, jobs: int = 1) -> CheckReport:
+                            max_counterexamples: int = 1) -> CheckReport:
     """Verify tau(x1 x2) L(x3,x4,x5) = tau(x2) x1 L(...) + tau(x1) x2 L(...)
     on all basis 5-tuples, with L the binary Leibnizator."""
     if a.product is None:
@@ -232,7 +215,6 @@ def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
         [[leibnizator2(a, basis[i], basis[j], basis[k]) for k in range(n)] for j in range(n)]
         for i in range(n)
     ]
-    budget = max(1, max_counterexamples)
 
     def defect(t5):
         i, j, k, l, m = t5
@@ -241,21 +223,8 @@ def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
         d = d - a.mul(basis[i], lv).scale(t[j]) - a.mul(basis[j], lv).scale(t[i])
         return d
 
-    def scan(t5):
-        d = defect(t5)
-        return list(d.entries) if not d.is_zero() else None
-
-    found, evaluated = scan_space(scan, n, 5, budget, jobs)
-    ces = tuple(
-        Counterexample("induced-condition", idx, defect(idx)) for _rank, idx in found
-    )
-    return CheckReport(
-        passed=not ces,
-        kind="induced-condition",
-        checked_identities=("induced-condition",),
-        counterexamples=ces,
-        tuple_count=evaluated,
-    )
+    cond = Condition("induced-condition", n, 5, defect)
+    return run_conditions("induced-condition", [cond], max_counterexamples)
 
 
 def symmetrize_zinbiel(d: AlgebraBundle) -> AlgebraBundle:

@@ -9,6 +9,7 @@ threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -21,6 +22,22 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational written as an optional sign, digits and an optional
+    "/digits" ("3", "-3/2"); ValueError for any other text or a zero
+    denominator.  Exponents and decimals are refused: "1e999999999" would
+    otherwise expand to a billion-digit integer."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError("expected an integer or p/q")
+    num, _, den = text.partition("/")
+    if den and not int(den):
+        raise ValueError("zero denominator")
+    return Fraction(int(num), int(den or 1))
+
+
 def as_scalar(x) -> Fraction:
     """Coerce an int, string ("3", "-3/2") or Fraction to an exact scalar."""
     if isinstance(x, Fraction):
@@ -28,7 +45,7 @@ def as_scalar(x) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_rational(x)
     raise TypeError(f"cannot build an exact scalar from {type(x).__name__}: {x!r}")
 
 

@@ -31,29 +31,7 @@ from .representations import (
     adjoint_rep,
     check_coherence,
 )
-from .structures import (
-    AlgebraBundle,
-    CheckReport,
-    Counterexample,
-    scan_space,
-)
-
-
-def _merge_reports(kind: str, reports: list[CheckReport]) -> CheckReport:
-    ces: list[Counterexample] = []
-    checked: list[str] = []
-    count = 0
-    for rep in reports:
-        checked.extend(rep.checked_identities)
-        ces.extend(rep.counterexamples)
-        count += rep.tuple_count
-    return CheckReport(
-        passed=not ces,
-        kind=kind,
-        checked_identities=tuple(checked),
-        counterexamples=tuple(ces),
-        tuple_count=count,
-    )
+from .structures import AlgebraBundle, CheckReport, Condition, run_conditions
 
 
 def _check_map_dims(t: InterMap, r: RepBundle, context: str):
@@ -68,9 +46,8 @@ def _images(t: InterMap, m: int) -> list[Vec]:
     return [t.matrix.column(p) for p in range(m)]
 
 
-def check_relative_rb_comm(t: InterMap, r: RepBundle, *, max_counterexamples: int = 1,
-                           jobs: int = 1) -> CheckReport:
-    """Tu * Tv = T(mu(Tu)v + mu(Tv)u) on all module basis pairs."""
+def _rb_comm(t: InterMap, r: RepBundle) -> Condition:
+    """rb-comm, the condition of check_relative_rb_comm, after its preconditions."""
     a = r.algebra
     if a.product is None:
         raise MissingTensor("product", "check_relative_rb_comm")
@@ -88,19 +65,11 @@ def check_relative_rb_comm(t: InterMap, r: RepBundle, *, max_counterexamples: in
         rhs = t.apply(mut[p].apply(vbasis[q]) + mut[q].apply(vbasis[p]))
         return lhs - rhs
 
-    def scan(idx):
-        d = defect(idx)
-        return d if not d.is_zero() else None
-
-    budget = max(1, max_counterexamples)
-    found, evaluated = scan_space(scan, m, 2, budget, jobs)
-    ces = tuple(Counterexample("rb-comm", idx, defect(idx)) for _rank, idx in found)
-    return CheckReport(not ces, "relative-rb-comm", ("rb-comm",), ces, evaluated)
+    return Condition("rb-comm", m, 2, defect)
 
 
-def check_relative_rb_3lie(t: InterMap, r: RepBundle, *, max_counterexamples: int = 1,
-                           jobs: int = 1) -> CheckReport:
-    """[Tu,Tv,Tw] = T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v) on basis triples."""
+def _rb_3lie(t: InterMap, r: RepBundle) -> Condition:
+    """rb-3lie, the condition of check_relative_rb_3lie, after its preconditions."""
     a = r.algebra
     if a.bracket is None:
         raise MissingTensor("bracket", "check_relative_rb_3lie")
@@ -122,27 +91,24 @@ def check_relative_rb_3lie(t: InterMap, r: RepBundle, *, max_counterexamples: in
         )
         return lhs - rhs
 
-    def scan(idx):
-        d = defect(idx)
-        return d if not d.is_zero() else None
-
-    budget = max(1, max_counterexamples)
-    found, evaluated = scan_space(scan, m, 3, budget, jobs)
-    ces = tuple(Counterexample("rb-3lie", idx, defect(idx)) for _rank, idx in found)
-    return CheckReport(not ces, "relative-rb-3lie", ("rb-3lie",), ces, evaluated)
+    return Condition("rb-3lie", m, 3, defect)
 
 
-def check_relative_rb(t: InterMap, r: RepBundle, *, max_counterexamples: int = 1,
-                      jobs: int = 1) -> CheckReport:
+def check_relative_rb_comm(t: InterMap, r: RepBundle, *,
+                           max_counterexamples: int = 1) -> CheckReport:
+    """Tu * Tv = T(mu(Tu)v + mu(Tv)u) on all module basis pairs."""
+    return run_conditions("relative-rb-comm", [_rb_comm(t, r)], max_counterexamples)
+
+
+def check_relative_rb_3lie(t: InterMap, r: RepBundle, *,
+                           max_counterexamples: int = 1) -> CheckReport:
+    """[Tu,Tv,Tw] = T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v) on basis triples."""
+    return run_conditions("relative-rb-3lie", [_rb_3lie(t, r)], max_counterexamples)
+
+
+def check_relative_rb(t: InterMap, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Conjunction: relative Rota-Baxter for both the product and the bracket."""
-    first = check_relative_rb_comm(
-        t, r, max_counterexamples=max_counterexamples, jobs=jobs
-    )
-    remaining = max(1, max_counterexamples) - len(first.counterexamples)
-    if remaining <= 0:
-        return _merge_reports("relative-rb", [first])
-    second = check_relative_rb_3lie(t, r, max_counterexamples=remaining, jobs=jobs)
-    return _merge_reports("relative-rb", [first, second])
+    return run_conditions("relative-rb", [_rb_comm(t, r), _rb_3lie(t, r)], max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +234,20 @@ def _require_skew(b: BilinearForm, context: str):
         raise NotSkew(f"{context}: bilinear form is not skew-symmetric")
 
 
+def _form_condition(name: str, context: str, b: BilinearForm, a: AlgebraBundle,
+                    arity: int, value) -> Condition:
+    """The scalar condition value(idx) = 0 of a skew form; its residual is a 1-vector."""
+    if b.dim != a.dim:
+        raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
+    _require_skew(b, context)
+    return Condition(name, a.dim, arity, lambda idx: Vec([value(idx)]), scan=value)
+
+
 def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
-                          max_counterexamples: int = 1, jobs: int = 1) -> CheckReport:
+                          max_counterexamples: int = 1) -> CheckReport:
     """B(x y, z) + B(y z, x) + B(z x, y) = 0 on all basis triples."""
     if a.product is None:
         raise MissingTensor("product", "check_cyclic_2cocycle")
-    if b.dim != a.dim:
-        raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
-    _require_skew(b, "check_cyclic_2cocycle")
     basis = a.basis_vectors()
 
     def value(idx):
@@ -286,24 +258,15 @@ def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
             + b.value(a.mul(basis[k], basis[i]), basis[j])
         )
 
-    def scan(idx):
-        v = value(idx)
-        return [v] if v else None
-
-    budget = max(1, max_counterexamples)
-    found, evaluated = scan_space(scan, a.dim, 3, budget, jobs)
-    ces = tuple(Counterexample("cocycle", idx, Vec([value(idx)])) for _rank, idx in found)
-    return CheckReport(not ces, "cyclic-2cocycle", ("cocycle",), ces, evaluated)
+    cond = _form_condition("cocycle", "check_cyclic_2cocycle", b, a, 3, value)
+    return run_conditions("cyclic-2cocycle", [cond], max_counterexamples)
 
 
 def check_symplectic(b: BilinearForm, a: AlgebraBundle, *,
-                     max_counterexamples: int = 1, jobs: int = 1) -> CheckReport:
+                     max_counterexamples: int = 1) -> CheckReport:
     """B([x,y,z],u) - B([x,y,u],z) + B([x,z,u],y) - B([y,z,u],x) = 0 on 4-tuples."""
     if a.bracket is None:
         raise MissingTensor("bracket", "check_symplectic")
-    if b.dim != a.dim:
-        raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
-    _require_skew(b, "check_symplectic")
     basis = a.basis_vectors()
 
     def value(idx):
@@ -315,16 +278,8 @@ def check_symplectic(b: BilinearForm, a: AlgebraBundle, *,
             - b.value(a.br3(basis[j], basis[k], basis[l]), basis[i])
         )
 
-    def scan(idx):
-        v = value(idx)
-        return [v] if v else None
-
-    budget = max(1, max_counterexamples)
-    found, evaluated = scan_space(scan, a.dim, 4, budget, jobs)
-    ces = tuple(
-        Counterexample("symplectic", idx, Vec([value(idx)])) for _rank, idx in found
-    )
-    return CheckReport(not ces, "symplectic", ("symplectic",), ces, evaluated)
+    cond = _form_condition("symplectic", "check_symplectic", b, a, 4, value)
+    return run_conditions("symplectic", [cond], max_counterexamples)
 
 
 def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
@@ -366,8 +321,8 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
 # Nijenhuis operators and deformations
 
 
-def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *, max_counterexamples: int = 1,
-                    jobs: int = 1) -> CheckReport:
+def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
+                    max_counterexamples: int = 1) -> CheckReport:
     """Integrability of N for whichever of the product / ternary bracket exists."""
     if nop.src_dim != a.dim or nop.dst_dim != a.dim:
         raise DimensionMismatch(
@@ -378,59 +333,36 @@ def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *, max_counterexamples: int
     n = a.dim
     basis = a.basis_vectors()
     nimg = [nop.apply(e) for e in basis]
-    reports = []
-    budget = max(1, max_counterexamples)
 
-    if a.product is not None:
-        def defect2(idx):
-            i, j = idx
-            lhs = a.mul(nimg[i], nimg[j])
-            inner = a.mul(nimg[i], basis[j]) + a.mul(basis[i], nimg[j]) \
-                - nop.apply(a.mul(basis[i], basis[j]))
-            return lhs - nop.apply(inner)
+    def defect2(idx):
+        i, j = idx
+        lhs = a.mul(nimg[i], nimg[j])
+        inner = a.mul(nimg[i], basis[j]) + a.mul(basis[i], nimg[j]) \
+            - nop.apply(a.mul(basis[i], basis[j]))
+        return lhs - nop.apply(inner)
 
-        def scan2(idx):
-            d = defect2(idx)
-            return d if not d.is_zero() else None
-
-        found, evaluated = scan_space(scan2, n, 2, budget, jobs)
-        ces = tuple(
-            Counterexample("nijenhuis-comm", idx, defect2(idx)) for _rank, idx in found
-        )
-        reports.append(
-            CheckReport(not ces, "nijenhuis", ("nijenhuis-comm",), ces, evaluated)
-        )
-
-    remaining = budget - sum(len(r.counterexamples) for r in reports)
-    if a.bracket is not None and remaining > 0:
-        def defect3(idx):
-            i, j, k = idx
-            lhs = a.br3(nimg[i], nimg[j], nimg[k])
-            inner = (
-                a.br3(nimg[i], nimg[j], basis[k])
-                + a.br3(nimg[i], basis[j], nimg[k])
-                + a.br3(basis[i], nimg[j], nimg[k])
-                - nop.apply(
-                    a.br3(nimg[i], basis[j], basis[k])
-                    + a.br3(basis[i], nimg[j], basis[k])
-                    + a.br3(basis[i], basis[j], nimg[k])
-                )
-                + nop.apply(nop.apply(a.br3(basis[i], basis[j], basis[k])))
+    def defect3(idx):
+        i, j, k = idx
+        lhs = a.br3(nimg[i], nimg[j], nimg[k])
+        inner = (
+            a.br3(nimg[i], nimg[j], basis[k])
+            + a.br3(nimg[i], basis[j], nimg[k])
+            + a.br3(basis[i], nimg[j], nimg[k])
+            - nop.apply(
+                a.br3(nimg[i], basis[j], basis[k])
+                + a.br3(basis[i], nimg[j], basis[k])
+                + a.br3(basis[i], basis[j], nimg[k])
             )
-            return lhs - nop.apply(inner)
-
-        def scan3(idx):
-            d = defect3(idx)
-            return d if not d.is_zero() else None
-
-        found, evaluated = scan_space(scan3, n, 3, remaining, jobs)
-        ces = tuple(
-            Counterexample("nijenhuis-3lie", idx, defect3(idx)) for _rank, idx in found
+            + nop.apply(nop.apply(a.br3(basis[i], basis[j], basis[k])))
         )
-        reports.append(
-            CheckReport(not ces, "nijenhuis", ("nijenhuis-3lie",), ces, evaluated)
-        )
-    return _merge_reports("nijenhuis", reports)
+        return lhs - nop.apply(inner)
+
+    conditions = []
+    if a.product is not None:
+        conditions.append(Condition("nijenhuis-comm", n, 2, defect2))
+    if a.bracket is not None:
+        conditions.append(Condition("nijenhuis-3lie", n, 3, defect3))
+    return run_conditions("nijenhuis", conditions, max_counterexamples)
 
 
 def deform(nop: InterMap, a: AlgebraBundle) -> AlgebraBundle:

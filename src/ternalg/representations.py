@@ -22,13 +22,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 from .constructions import fix_slot_bracket, subadjacent_ternary_fmanifold
 from .errors import (
     DimensionMismatch,
-    InternalError,
     MissingRep,
     MissingTensor,
     UnknownKind,
@@ -38,16 +37,16 @@ from .structures import (
     AlgebraBundle,
     CheckReport,
     COHERENCE_IDENTITIES,
-    Counterexample,
+    Condition,
     _SUBMAPS,
-    _check_identities,
     _den_lcm,
     _evaluate,
+    _identity_conditions,
     _Ops,
     _require,
     _sparse,
     _table,
-    scan_space,
+    run_conditions,
 )
 
 
@@ -190,8 +189,7 @@ def _columns(mats):
 class _RepOps:
     """Sparse tables of a representation bundle, on integers scaled by
     (alpha, beta) or exact.  L maps, exact Leibnizators and the integer
-    Leibnizator tables are built on first use; an entry is stored once,
-    complete, so parallel scans at worst compute it twice."""
+    Leibnizator tables are built on first use."""
 
     __slots__ = ("m", "exact", "scale", "alg", "rho", "mu", "_memo")
 
@@ -440,57 +438,28 @@ def _kind_conditions(kind: RepKind, r: RepBundle):
     return _KIND_CONDITIONS[kind]
 
 
-def _run_conditions(conds, r: RepBundle, kind_label, max_counterexamples, jobs) -> CheckReport:
-    """Scan tuples in rank order and module columns within each tuple.  A
-    failing column's global rank is rank * m + p; the budget and tuple_count
-    count columns, up to and including the last one reported."""
-    n, m = r.algebra.dim, r.module_dim
+def _rep_conditions(kind: RepKind, r: RepBundle) -> list[Condition]:
+    """The kind's conditions, each scanned over tuples on integer tables with
+    the loop over module columns inside; failing columns are recomputed on
+    Fraction tables, built for the first of them."""
     ops = _RepOps(r, exact=False)
-    exact = None  # Fraction tables, built for the first flagged column
-    budget = max(1, max_counterexamples)
-    counterexamples: list[Counterexample] = []
-    checked: list[str] = []
-    tuple_count = 0
-    for name, arity, col in conds:
-        checked.append(name)
-        left = budget - len(counterexamples)
+    exact = cache(lambda: _RepOps(r, exact=True))
+    m = r.module_dim
 
-        def scan(t, col=col):
-            for p in range(m):
-                if any(col(ops, t, p)):
-                    return True
-            return None
+    def condition(name, arity, col):
+        return Condition(
+            name, r.algebra.dim, arity,
+            lambda idx: Vec(col(exact(), idx[:-1], idx[-1])),
+            scan=lambda t: [p for p in range(m) if any(col(ops, t, p))],
+            columns=m)
 
-        # each failing tuple has a failing column, so `left` tuples hold enough
-        found, _tuples = scan_space(scan, n, arity, left, jobs)
-        failing = [(rank * m + p, t + (p,)) for rank, t in found for p in range(m)
-                   if any(col(ops, t, p))][:left]
-        tuple_count += failing[-1][0] + 1 if len(failing) == left else n ** arity * m
-        for _rank, idx in failing:
-            if exact is None:
-                exact = _RepOps(r, exact=True)
-            residual = Vec(col(exact, idx[:-1], idx[-1]))
-            if residual.is_zero():
-                raise InternalError(
-                    f"integer scan flagged {name} at {idx}, but its exact column is zero"
-                )
-            counterexamples.append(Counterexample(name, idx, residual))
-        if len(counterexamples) >= budget:
-            break
-    return CheckReport(
-        passed=not counterexamples,
-        kind=kind_label,
-        checked_identities=tuple(checked),
-        counterexamples=tuple(counterexamples),
-        tuple_count=tuple_count,
-    )
+    return [condition(*c) for c in _kind_conditions(kind, r)]
 
 
-def check_representation(kind, r: RepBundle, *, max_counterexamples: int = 1,
-                         jobs: int = 1) -> CheckReport:
+def check_representation(kind, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Verify all conditions of the representation kind on basis tuples x module basis."""
     kind = coerce_rep_kind(kind)
-    return _run_conditions(_kind_conditions(kind, r), r, kind.value, max_counterexamples, jobs)
+    return run_conditions(kind.value, _rep_conditions(kind, r), max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +552,14 @@ def dual_rep(r: RepBundle) -> RepBundle:
     return RepBundle(algebra=r.algebra, rho=rho, mu=mu)
 
 
-def check_coherence(a: AlgebraBundle, *, max_counterexamples: int = 1,
-                    jobs: int = 1) -> CheckReport:
+def check_coherence(a: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Ternary F-manifold identities plus the three coherence identities.
 
     The coherence notion presumes the structure identities, so they are part
     of the identity list and a non-passing bundle fails with counterexamples.
     """
-    return _check_identities(
-        a, COHERENCE_IDENTITIES, "coherence", max_counterexamples, jobs
-    )
+    return run_conditions("coherence", _identity_conditions(a, COHERENCE_IDENTITIES),
+                          max_counterexamples)
 
 
 def semidirect(r: RepBundle) -> AlgebraBundle:
@@ -660,29 +627,11 @@ def fix_slot_rep(r: RepBundle, anchor: Vec) -> RepBundle:
 def rep_of_subadjacent(p: AlgebraBundle) -> RepBundle:
     """(A; L-bracket, L-product) over the sub-adjacent bundle of a pre-structure.
 
-    rho(e_i,e_j) has columns {e_i, e_j, e_k}; mu(e_i) has columns e_i <> e_k.
+    rho(e_i,e_j) has columns {e_i, e_j, e_k}; mu(e_i) has columns e_i <> e_k:
+    the matrices of the adjoint action of p itself.
     """
     if p.product is None or p.bracket is None:
         raise MissingTensor("product" if p.product is None else "bracket",
                             "rep_of_subadjacent")
-    sub = subadjacent_ternary_fmanifold(p)
-    n = p.dim
-    basis = p.basis_vectors()
-    rho = BiRep(
-        n,
-        tuple(
-            tuple(
-                Matrix.from_columns([p.br3(basis[i], basis[j], basis[k]) for k in range(n)])
-                for j in range(n)
-            )
-            for i in range(n)
-        ),
-    )
-    mu = LinRep(
-        n,
-        tuple(
-            Matrix.from_columns([p.mul(basis[i], basis[k]) for k in range(n)])
-            for i in range(n)
-        ),
-    )
-    return RepBundle(algebra=sub, rho=rho, mu=mu)
+    adj = adjoint_rep(p)
+    return RepBundle(algebra=subadjacent_ternary_fmanifold(p), rho=adj.rho, mu=adj.mu)

@@ -18,10 +18,12 @@ One document describes a full scenario:
     }
 
 Indices are 0-based.  Scalars are exact rationals written as strings
-("3", "-3/2"); bare JSON integers are accepted on input.  Sparse entry lists
-carry only nonzero entries; a key that is present (even as an empty list)
-means the tensor exists and unlisted entries are zero, while an absent key
-means the bundle does not carry that tensor.  Serialization is canonical
+("3", "-3/2": an optional sign, digits and an optional "/digits", never a
+decimal or an exponent); bare JSON integers are accepted on input.  `dim` and
+`module_dim` are refused past the dimension cap before any table is built.
+Sparse entry lists carry only nonzero entries; a key that is present (even
+as an empty list) means the tensor exists and unlisted entries are zero,
+while an absent key means the bundle does not carry that tensor.  Serialization is canonical
 (entries sorted by indices, scalars always strings), so serialize-parse
 round trips are byte identical.
 """
@@ -35,10 +37,10 @@ from typing import Optional
 
 from .constructions import TraceFunctional
 from .errors import SchemaError
-from .linalg import InterMap, Matrix, Tensor3, Tensor4, Vec
+from .linalg import InterMap, Matrix, Tensor3, Tensor4, Vec, parse_rational
 from .operators import BilinearForm
 from .representations import BiRep, LinRep, RepBundle
-from .structures import AlgebraBundle, CheckReport
+from .structures import AlgebraBundle, CheckReport, dimension_cap
 
 SCHEMA_VERSION = 1
 
@@ -75,19 +77,28 @@ class Document:
         return TraceFunctional(tau.matrix.row(0))
 
 
-def _parse_scalar(x, where: str) -> Fraction:
+def parse_scalar(x, where: str) -> Fraction:
+    """A document scalar: an integer, or a string "p" or "p/q" (no exponents,
+    no decimals); SchemaError otherwise."""
     if isinstance(x, bool):
         raise SchemaError(f"{where}: booleans are not scalars")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{where}: cannot parse rational {x!r}: {exc}") from None
+            return parse_rational(x)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: cannot parse rational {x[:40]!r}: {exc}") from None
     raise SchemaError(
         f"{where}: scalars must be integers or 'p/q' strings, got {type(x).__name__}"
     )
+
+
+def _check_cap(where: str, n: int):
+    """Refuse a dimension past the cap before any dense table of that size is built."""
+    if n > dimension_cap():
+        raise SchemaError(f"{where}: {n} exceeds the dimension cap {dimension_cap()}; "
+                          "raise it with set_dimension_cap()")
 
 
 def _fmt_scalar(v: Fraction) -> str:
@@ -120,7 +131,7 @@ def _parse_sparse(raw, where: str, count: int, dim: int) -> dict[tuple[int, ...]
         idx = _parse_indices(entry, f"{where}[{pos}]", count, dim)
         if idx in entries:
             raise SchemaError(f"{where}[{pos}]: duplicate indices {list(idx)}")
-        entries[idx] = _parse_scalar(entry.get("value"), f"{where}[{pos}].value")
+        entries[idx] = parse_scalar(entry.get("value"), f"{where}[{pos}].value")
     return entries
 
 
@@ -166,7 +177,7 @@ def _parse_matrix(raw, where: str, rows: int, cols: int) -> Matrix:
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{where}[{i}]: expected {cols} entries")
-        grid.append([_parse_scalar(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
+        grid.append([parse_scalar(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
     return Matrix(grid)
 
 
@@ -179,7 +190,7 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SchemaError("document root must be an object")
@@ -189,6 +200,7 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError(f"dim: expected a positive integer, got {dim!r}")
+    _check_cap("dim", dim)
     basis = data.get("basis")
     if basis is not None:
         if not isinstance(basis, list) or len(basis) != dim or not all(
@@ -238,6 +250,7 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
         m = raw.get("module_dim")
         if not isinstance(m, int) or isinstance(m, bool) or m < 1:
             raise SchemaError(f"rep.module_dim: expected a positive integer, got {m!r}")
+        _check_cap("rep.module_dim", m)
         mu = rho = None
         if "mu" in raw:
             mats = [Matrix.zero(m, m)] * dim

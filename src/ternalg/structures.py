@@ -24,6 +24,11 @@ nonzero integer and vanishes exactly when it does.  Flagged tuples are
 recomputed in exact rationals, which doubles as a cross-check of the fast
 path.
 
+Every checker of the package, here and in `representations`, `operators`
+and `constructions`, declares its conditions as `Condition`s and hands them
+to `run_conditions`, the one scan driver and the one place that builds a
+`CheckReport`.
+
 Adding an identity: define it in `_registry` with `_define` (a shared
 sub-map with `_submap`), in terms of `mul`, `br3`, `br2` and the existing
 sub-maps, and list it in `KIND_IDENTITIES`.  Which tensors it needs, its
@@ -35,11 +40,10 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -679,93 +683,99 @@ def _make_scanner(ops: _Ops, ident: Identity):
 
 
 # ---------------------------------------------------------------------------
-# scan driver: lexicographic enumeration, first-k counterexamples, optional
-# chunked parallel evaluation with a deterministic rank-ordered merge
+# conditions and the scan driver
 
 
-def _tuple_of_rank(rank: int, n: int, arity: int) -> tuple[int, ...]:
-    digits = [0] * arity
-    for pos in range(arity - 1, -1, -1):
-        rank, digits[pos] = divmod(rank, n)
-    return tuple(digits)
+@dataclass(frozen=True)
+class Condition:
+    """A multilinear condition that must vanish on every basis tuple.
 
-
-def _scan_range(scan, n, arity, start, stop, budget):
-    found = []
-    t = list(_tuple_of_rank(start, n, arity))
-    last = n - 1
-    for rank in range(start, stop):
-        r = scan(tuple(t))
-        if r is not None:
-            found.append((rank, tuple(t)))
-            if len(found) >= budget:
-                return found
-        for pos in range(arity - 1, -1, -1):
-            if t[pos] != last:
-                t[pos] += 1
-                break
-            t[pos] = 0
-    return found
-
-
-def scan_space(scan, n: int, arity: int, budget: int, jobs: int = 1):
-    """Scan all basis index tuples; return (first-k failures, tuples evaluated).
-
-    The tuple count follows sequential semantics (everything up to and
-    including the k-th failure), so reports do not depend on the number of
-    jobs used.
+    Its tuples are `range(size) ** arity`; with `columns` = m, each tuple
+    also holds m module columns, and an entry is the tuple plus a column.
+    `defect(entry)` is the exact residual `Vec` of an entry.  `scan(t)` is
+    the fast test at a tuple: falsy when it passes, and with `columns` the
+    failing columns; without `scan`, a tuple fails when its defect is nonzero.
     """
-    total = n ** arity
-    if jobs <= 1 or total < 4096:
-        found = _scan_range(scan, n, arity, 0, total, budget)
-    else:
-        chunk = (total + jobs - 1) // jobs
-        ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda r: _scan_range(scan, n, arity, r[0], r[1], budget), ranges)
-            )
-        found = sorted(itertools.chain.from_iterable(results))[:budget]
-    if len(found) >= budget and found:
-        return found, found[-1][0] + 1
-    return found, total
+
+    name: str
+    size: int
+    arity: int
+    defect: Callable
+    scan: Optional[Callable] = None
+    columns: Optional[int] = None
 
 
-def _check_identities(b: AlgebraBundle, names: Sequence[str], kind_label: str,
-                      max_counterexamples: int, jobs: int) -> CheckReport:
-    for name in names:
-        _require(b, IDENTITIES[name].needs, f"identity {name!r}")
-    ops_int = _int_ops(b)
-    exact = _exact_ops(b)
+def _failures(cond: Condition, budget: int):
+    """The first `budget` failing entries of cond, in rank order, and the
+    number of entries evaluated: up to and including the last one returned
+    when the budget fills, else all of them.  An entry's rank is the rank
+    of its tuple in lexicographic order, times m plus its column."""
+    m = cond.columns
+    scan = cond.scan or (lambda t: not cond.defect(t).is_zero())
+    found = []
+    for rank, t in enumerate(itertools.product(range(cond.size), repeat=cond.arity)):
+        hit = scan(t)
+        if hit:
+            entries = [(t, rank)] if m is None else [(t + (p,), rank * m + p) for p in hit]
+            for entry, last in entries:
+                found.append(entry)
+                if len(found) == budget:
+                    return found, last + 1
+    return found, cond.size ** cond.arity * (m or 1)
+
+
+def run_conditions(kind: str, conditions: Iterable[Condition],
+                   max_counterexamples: int) -> CheckReport:
+    """Scan the conditions in order and report their first k failures.
+
+    The budget k is shared: the list stops at the condition that fills it,
+    so a generator of conditions builds each one only when it is reached.
+    Every failure is re-evaluated by its exact defect, which must be nonzero.
+    """
+    budget = max(1, max_counterexamples)
     counterexamples: list[Counterexample] = []
     checked: list[str] = []
     tuple_count = 0
-    budget = max(1, max_counterexamples)
-    for name in names:
-        ident = IDENTITIES[name]
-        checked.append(name)
-        scanner = _make_scanner(ops_int, ident)
-        found, evaluated = scan_space(
-            scanner, b.dim, ident.arity, budget - len(counterexamples), jobs
-        )
+    for cond in conditions:
+        checked.append(cond.name)
+        found, evaluated = _failures(cond, budget - len(counterexamples))
         tuple_count += evaluated
-        for _rank, idx in found:
-            vec = Vec(_evaluate(exact, ident, [exact.basis[i] for i in idx]))
-            log.debug("exact re-check of %s at %s: residual %s", name, idx, vec)
-            if vec.is_zero():
+        for idx in found:
+            residual = cond.defect(idx)
+            log.debug("exact re-check of %s at %s: residual %s", cond.name, idx, residual)
+            if residual.is_zero():
                 raise InternalError(
-                    f"integer scan flagged {name} at {idx}, but its exact residual is zero"
+                    f"the scan flagged {cond.name} at {idx}, but its exact residual is zero"
                 )
-            counterexamples.append(Counterexample(name, idx, vec))
+            counterexamples.append(Counterexample(cond.name, idx, residual))
         if len(counterexamples) >= budget:
             break
     return CheckReport(
         passed=not counterexamples,
-        kind=kind_label,
+        kind=kind,
         checked_identities=tuple(checked),
         counterexamples=tuple(counterexamples),
         tuple_count=tuple_count,
     )
+
+
+def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
+    """The named identities of b as conditions, scanned on integer tables.
+
+    Every needed tensor is checked here; each identity's scanner, and the
+    sub-map tables it reads, are built only when the driver reaches it.
+    """
+    for name in names:
+        _require(b, IDENTITIES[name].needs, f"identity {name!r}")
+    ops, exact = _int_ops(b), _exact_ops(b)
+
+    def condition(ident):
+        return Condition(
+            ident.name, b.dim, ident.arity,
+            lambda idx: Vec(_evaluate(exact, ident, [exact.basis[i] for i in idx])),
+            scan=_make_scanner(ops, ident))
+
+    return (condition(IDENTITIES[name]) for name in names)
 
 
 # ---------------------------------------------------------------------------
@@ -796,13 +806,11 @@ def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:
     return _eval_map(b, ident, args, f"identity {identity!r}")
 
 
-def check_axioms(kind, b: AlgebraBundle, *, max_counterexamples: int = 1,
-                 jobs: int = 1) -> CheckReport:
+def check_axioms(kind, b: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Exhaustively verify the identity list of the given structure kind."""
     kind = coerce_kind(kind)
-    return _check_identities(
-        b, KIND_IDENTITIES[kind], kind.value, max_counterexamples, jobs
-    )
+    return run_conditions(kind.value, _identity_conditions(b, KIND_IDENTITIES[kind]),
+                          max_counterexamples)
 
 
 def leibnizator3(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
@@ -831,64 +839,27 @@ def k_op(b: AlgebraBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
 
 
 def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
-                       max_counterexamples: int = 1, jobs: int = 1) -> CheckReport:
+                       max_counterexamples: int = 1) -> CheckReport:
     """Check that f carries every tensor src has onto dst's tensor of the same kind."""
     if f.src_dim != src.dim or f.dst_dim != dst.dim:
         raise DimensionMismatch(
             f"map is {f.dst_dim}x{f.src_dim}, bundles have dims {src.dim} -> {dst.dim}"
         )
-    budget = max(1, max_counterexamples)
-    counterexamples: list[Counterexample] = []
-    checked: list[str] = []
-    tuple_count = 0
     images = [f.apply(src.basis(i)) for i in range(src.dim)]
+    conditions = []
+    for name, slot, op, arity in (("hom-product", "product", "mul", 2),
+                                  ("hom-bracket", "bracket", "br3", 3),
+                                  ("hom-binary-bracket", "binary_bracket", "br2", 2)):
+        if getattr(src, slot) is None:
+            continue
+        if getattr(dst, slot) is None:
+            raise MissingTensor(slot, "check_homomorphism target")
+        src_op, dst_op = getattr(src, op), getattr(dst, op)
 
-    jobs = 1 if jobs < 1 else jobs
+        def defect(t, src_op=src_op, dst_op=dst_op):
+            return f.apply(src_op(*(src.basis(i) for i in t))) - dst_op(*(images[i] for i in t))
 
-    def run(name, arity, src_val, dst_val):
-        nonlocal tuple_count
-        checked.append(name)
-
-        def scan(t):
-            d = src_val(t) - dst_val(t)
-            return list(d.entries) if not d.is_zero() else None
-
-        found, evaluated = scan_space(scan, src.dim, arity, budget - len(counterexamples), jobs)
-        tuple_count += evaluated
-        for _rank, idx in found:
-            d = src_val(idx) - dst_val(idx)
-            counterexamples.append(Counterexample(name, idx, d))
-
-    if src.product is not None:
-        if dst.product is None:
-            raise MissingTensor("product", "check_homomorphism target")
-        run(
-            "hom-product", 2,
-            lambda t: f.apply(src.mul(src.basis(t[0]), src.basis(t[1]))),
-            lambda t: dst.mul(images[t[0]], images[t[1]]),
-        )
-    if len(counterexamples) < budget and src.bracket is not None:
-        if dst.bracket is None:
-            raise MissingTensor("bracket", "check_homomorphism target")
-        run(
-            "hom-bracket", 3,
-            lambda t: f.apply(src.br3(src.basis(t[0]), src.basis(t[1]), src.basis(t[2]))),
-            lambda t: dst.br3(images[t[0]], images[t[1]], images[t[2]]),
-        )
-    if len(counterexamples) < budget and src.binary_bracket is not None:
-        if dst.binary_bracket is None:
-            raise MissingTensor("binary_bracket", "check_homomorphism target")
-        run(
-            "hom-binary-bracket", 2,
-            lambda t: f.apply(src.br2(src.basis(t[0]), src.basis(t[1]))),
-            lambda t: dst.br2(images[t[0]], images[t[1]]),
-        )
-    if not checked:
+        conditions.append(Condition(name, src.dim, arity, defect))
+    if not conditions:
         raise MissingTensor("product", "check_homomorphism (source carries no tensors)")
-    return CheckReport(
-        passed=not counterexamples,
-        kind="homomorphism",
-        checked_identities=tuple(checked),
-        counterexamples=tuple(counterexamples),
-        tuple_count=tuple_count,
-    )
+    return run_conditions("homomorphism", conditions, max_counterexamples)

@@ -83,15 +83,6 @@ def test_check_coherence_kind(runner):
     assert r.exit_code == 0
 
 
-def test_check_jobs_deterministic(runner):
-    r1 = invoke(runner, "check", "--kind", "ternary-f-manifold", "--jobs", 1,
-                fixture("fil4"))
-    r2 = invoke(runner, "check", "--kind", "ternary-f-manifold", "--jobs", 4,
-                fixture("fil4"))
-    assert r1.stdout == r2.stdout
-    assert r1.exit_code == r2.exit_code == 0
-
-
 def test_check_timing_flag(runner):
     r = invoke(runner, "check", "--kind", "comm-assoc", "--timing", fixture("trunc2"))
     assert "timing_ms" in json.loads(r.stdout)
@@ -156,6 +147,15 @@ def test_derive_fix_slot(runner, tmp_path):
     assert invoke(runner, "derive", "fix-slot", fixture("fil4"), "--anchor", "0,0,0,1",
                   "-o", out2).exit_code == 0
     assert out.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("anchor", ["1/0,1", "x,1", "1e9,1"])
+def test_derive_fix_slot_bad_anchor_exits_2(runner, tmp_path, anchor):
+    r = invoke(runner, "derive", "fix-slot", fixture("trunc2"), "--anchor", anchor,
+               "-o", tmp_path / "fx.json")
+    assert r.exit_code == 2
+    assert r.stderr.startswith("error: --anchor[0]: cannot parse rational")
+    assert not (tmp_path / "fx.json").exists()
 
 
 def test_derive_induce_pre_chain(runner, tmp_path):
@@ -244,17 +244,6 @@ def test_catalog_emit_unknown_exits_2(runner, tmp_path):
     assert r.exit_code == 2
 
 
-def test_jobs_env_default(runner):
-    base = invoke(runner, "check", "--kind", "3-lie", fixture("fil4"))
-    r = runner.invoke(
-        main,
-        ["check", "--kind", "3-lie", str(fixture("fil4"))],
-        env={"TERNALG_JOBS": "4"},
-    )
-    assert r.exit_code == 0
-    assert r.stdout == base.stdout
-
-
 # -- console script wiring -------------------------------------------------------
 
 def test_console_script_smoke(tmp_path):
@@ -268,6 +257,19 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+def test_jobs_option_is_gone():
+    # scans run in one thread; the --jobs/-j option and TERNALG_JOBS are removed
+    pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ternalg",
+         "check", "--jobs", "2", "--kind", "3-lie", str(fixture("fil4"))],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "No such option" in proc.stderr
 
 
 def test_console_script_entry_point():

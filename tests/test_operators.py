@@ -13,6 +13,8 @@ from ternalg.catalog import (
     trunc,
 )
 from ternalg.errors import (
+    MissingRep,
+    MissingTensor,
     NotCoherent,
     NotNijenhuis,
     NotRelativeRB,
@@ -119,6 +121,26 @@ def test_rb_conjunction_mixed():
     assert comm_ok  # the product is zero, so the comm side always holds
     assert not lie_ok
     assert not overall
+
+
+def test_rb_conjunction_checks_rho_before_scanning(reg3):
+    # the identity fails rb-comm on the unital trunc(3) at the first pair, so
+    # k = 1 is full before rb-3lie; its missing pair action still raises
+    mu_only = RepBundle(algebra=reg3.algebra, mu=reg3.mu)
+    assert not check_relative_rb_comm(InterMap.identity(3), mu_only).passed
+    with pytest.raises(MissingRep, match="pair action"):
+        check_relative_rb(InterMap.identity(3), mu_only, max_counterexamples=1)
+
+
+def test_homomorphism_checks_every_target_tensor_before_scanning():
+    # 2 * identity fails hom-product at once; the target's missing bracket
+    # still raises although the budget is full before hom-bracket
+    t3 = trunc(3)
+    product_only = AlgebraBundle(3, product=t3.product)
+    double = InterMap(Matrix.identity(3).scale(2))
+    assert not check_homomorphism(double, product_only, product_only).passed
+    with pytest.raises(MissingTensor, match="bracket"):
+        check_homomorphism(double, t3, product_only, max_counterexamples=1)
 
 
 # -- induced structures -----------------------------------------------------------

@@ -1,7 +1,10 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ternalg import catalog
 from ternalg.cli import _catalog_document
@@ -105,6 +108,69 @@ def test_bad_rational_rejected():
                 }
             )
         )
+
+
+def product_doc(value):
+    return json.dumps({"schema_version": 1, "dim": 2,
+                       "product": [{"indices": [0, 0, 0], "value": value}]})
+
+
+@pytest.mark.parametrize("text", ["1e100000", "1e3", "1.5", ".5", "1/0", "-2/00", " 3",
+                                  "1_000", "0x10", "inf", "nan", "3/-2", "1/2/3", "",
+                                  "\u0663"])
+def test_only_integer_and_fraction_strings_accepted(text):
+    # "1e100000" would be a 100,001-digit integer; exponents are refused
+    # before any digits are expanded
+    with pytest.raises(SchemaError, match=r"product\[0\]\.value"):
+        parse_document(product_doc(text))
+
+
+@pytest.mark.parametrize("text, value", [("3", 3), ("+3", 3), ("-3/2", Fraction(-3, 2)),
+                                         ("007", 7), ("10/4", Fraction(5, 2)), ("-0/5", 0)])
+def test_integer_and_fraction_strings_parse(text, value):
+    b = parse_document(product_doc(text))[0].bundle
+    assert b.product.entries[0][0][0] == value
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"schema_version": 1, "dim": 17, "product": []}, "dim"),
+    ({"schema_version": 1, "dim": 2, "rep": {"module_dim": 17, "mu": []}}, "rep.module_dim"),
+])
+def test_dimension_cap_checked_before_tables_are_built(obj, field):
+    with pytest.raises(SchemaError, match=rf"^{field}: 17 exceeds the dimension cap 16"):
+        parse_document(json.dumps(obj))
+
+
+KEYS = ["schema_version", "dim", "basis", "unit", "product", "bracket", "binary_bracket",
+        "rep", "module_dim", "mu", "rho", "index", "indices", "value", "matrix", "maps",
+        "name", "form"]
+LEAVES = (st.none() | st.booleans() | st.integers(-2, 5) | st.floats()
+          | st.sampled_from(["1", "-3/2", "1/0", "1e100000", "1.5", "x", "", "T"])
+          | st.text(max_size=4))
+JSON = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(KEYS), inner,
+                                                                max_size=5),
+    max_leaves=25,
+)
+
+
+@st.composite
+def documents(draw):
+    """A version-1 document of dimension 1-3 with up to six keys set to
+    generated JSON, so that most inputs get past the header checks."""
+    doc = {"schema_version": 1, "dim": draw(st.integers(1, 3))}
+    doc.update(draw(st.dictionaries(st.sampled_from(KEYS), JSON, max_size=6)))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents() | JSON, st.booleans(), st.booleans())
+def test_parse_document_raises_only_schema_error(obj, as_text, complete_skew):
+    try:
+        parse_document(json.dumps(obj) if as_text else obj, complete_skew=complete_skew)
+    except SchemaError:
+        pass
 
 
 def test_wrong_schema_version():

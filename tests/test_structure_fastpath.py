@@ -39,7 +39,7 @@ from ternalg.structures import (
     KIND_IDENTITIES,
     AlgebraBundle,
     StructureKind,
-    _check_identities,
+    _identity_conditions,
     check_axioms,
     eval_defect,
     f1,
@@ -47,10 +47,10 @@ from ternalg.structures import (
     k_op,
     leibnizator2,
     leibnizator3,
+    run_conditions,
 )
 
 KS = (1, 5, 100)
-JOBS = (1, 2)
 # every tensor of a random bundle gets non-unit denominators only
 DENS = {"product": (2, 3), "bracket": (5, 4), "binary_bracket": (7, 3)}
 
@@ -126,12 +126,12 @@ def kinds():
         ("coherence", COHERENCE_IDENTITIES)]
 
 
-def check(label, names, b, k, jobs):
+def check(label, names, b, k):
     if label == "coherence":
-        return check_coherence(b, max_counterexamples=k, jobs=jobs)
+        return check_coherence(b, max_counterexamples=k)
     if label in KIND_LABELS:
-        return check_axioms(label, b, max_counterexamples=k, jobs=jobs)
-    return _check_identities(b, names, label, k, jobs)
+        return check_axioms(label, b, max_counterexamples=k)
+    return run_conditions(label, _identity_conditions(b, names), k)
 
 
 def assert_agrees(b, label, names):
@@ -139,8 +139,7 @@ def assert_agrees(b, label, names):
         return None
     expected = oracle.reports(b, names, label, KS)
     for k in KS:
-        for jobs in JOBS:
-            assert check(label, names, b, k, jobs) == expected[k], (label, k, jobs)
+        assert check(label, names, b, k) == expected[k], (label, k)
     return expected[max(KS)]
 
 
@@ -193,7 +192,7 @@ def test_near_misses_of_catalog_passes(case):
     build, passing = PASSES[case]
     base = scaled(build())
     for label in passing:
-        assert check(label, None, base, 1, 1).passed, label
+        assert check(label, None, base, 1).passed, label
     rng = random.Random(case)
     failed = set()
     for _ in range(2):
@@ -213,9 +212,9 @@ def test_noncoherent_tfm_fails_only_coherence():
     assert len(report.counterexamples) == 10
 
 
-def test_thread_pool_path_against_oracle():
-    # n = 6 gives 7,776 quintic tuples, past the 4,096 below which jobs=2
-    # scans in one thread
+def test_n6_direct_sum_against_oracle():
+    # n = 6 gives 7,776 quintic tuples: rank order and the tuple count past
+    # the small bundles above
     base = direct_sum(scaled(fil4()), scaled(trunc(2)))
     b = perturb(base, random.Random(3), "bracket")
     for label in ("3-lie", "ternary-f-manifold"):
@@ -260,11 +259,10 @@ def test_pinned_n8_coherence_near_miss():
     assert b.dim == 8
     assert check_axioms("ternary-f-manifold", b).passed
     for k, (count, digest) in PINNED_N8.items():
-        for jobs in JOBS:
-            report = check_coherence(b, max_counterexamples=k, jobs=jobs)
-            text = schema.dumps(schema.report_to_obj(report))
-            assert hashlib.sha256(text.encode()).hexdigest() == digest, (k, jobs)
-            assert report.tuple_count == count
+        report = check_coherence(b, max_counterexamples=k)
+        text = schema.dumps(schema.report_to_obj(report))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, k
+        assert report.tuple_count == count
     assert {ce.identity for ce in report.counterexamples} == {"coh1", "coh2", "coh3"}
     assert len(report.counterexamples) == 20
     for ce in report.counterexamples:

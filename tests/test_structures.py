@@ -127,12 +127,6 @@ def test_counterexample_budget(f4):
     assert ranks == sorted(ranks)
 
 
-def test_jobs_do_not_change_report(f4):
-    r1 = check_axioms("ternary-f-manifold", f4, jobs=1)
-    r4 = check_axioms("ternary-f-manifold", f4, jobs=4)
-    assert r1 == r4
-
-
 def test_missing_tensor_for_kind(t3):
     b = AlgebraBundle(3, product=trunc(3).product)
     with pytest.raises(MissingTensor):
