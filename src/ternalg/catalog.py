@@ -11,10 +11,11 @@ from fractions import Fraction
 from itertools import permutations
 
 from .constructions import TraceFunctional
-from .errors import BundleError
+from .errors import BundleError, SchemaError
 from .linalg import InterMap, Matrix, Tensor3, Tensor4, Vec
 from .operators import BilinearForm
 from .representations import RepBundle, adjoint_rep
+from .schema import document_to_obj
 from .structures import AlgebraBundle
 
 
@@ -156,3 +157,36 @@ CATALOG_DOC = {
     "heisenberg_trace": "Heisenberg Lie bundle with the trace e1*",
     "gl2_trace": "sl2 + center Lie bundle with the trace z*",
 }
+
+
+def catalog_document(name: str) -> dict:
+    """The schema document object of catalog entry `name` (see CATALOG_DOC)."""
+    if name == "fil4":
+        return document_to_obj(fil4())
+    if name == "fil4_adjoint":
+        rep = fil4_adjoint()
+        return document_to_obj(rep.algebra, rep=rep)
+    if name == "fil4_rb":
+        rep = fil4_adjoint()
+        return document_to_obj(rep.algebra, rep=rep, maps={"T": fil4_rb()})
+    if name == "fil4_symplectic":
+        return document_to_obj(fil4(), form=fil4_symplectic())
+    if name.startswith("trunc"):
+        return document_to_obj(trunc(int(name[len("trunc"):])))
+    if name.startswith("r_int"):
+        n = int(name[len("r_int"):])
+        bundle = trunc(n)
+        return document_to_obj(
+            bundle, rep=adjoint_rep(bundle), maps={"T": r_int(n)}
+        )
+    if name == "heisenberg_trace":
+        bundle, tau = heisenberg_trace()
+        return document_to_obj(
+            bundle, maps={"tau": InterMap(Matrix([tau.row.entries]))}
+        )
+    if name == "gl2_trace":
+        bundle, tau = gl2_trace()
+        return document_to_obj(
+            bundle, maps={"tau": InterMap(Matrix([tau.row.entries]))}
+        )
+    raise SchemaError(f"unknown catalog entry {name!r}")

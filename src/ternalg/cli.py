@@ -23,7 +23,7 @@ from .constructions import (
     trace_induced,
 )
 from .errors import PreconditionError, SchemaError, TernalgError
-from .linalg import InterMap, Matrix, Vec
+from .linalg import Vec
 from .operators import (
     deform,
     induced_pre_fmanifold,
@@ -33,7 +33,6 @@ from .operators import (
 )
 from .representations import (
     RepKind,
-    adjoint_rep,
     check_coherence,
     check_representation,
     dual_rep,
@@ -181,38 +180,6 @@ def cmd_derive(construction, inputs, output_path, anchor_spec, complete_skew):
     click.echo(f"wrote {output_path}", err=True)
 
 
-def _catalog_document(name: str) -> dict:
-    if name == "fil4":
-        return schema.document_to_obj(cat.fil4())
-    if name == "fil4_adjoint":
-        rep = cat.fil4_adjoint()
-        return schema.document_to_obj(rep.algebra, rep=rep)
-    if name == "fil4_rb":
-        rep = cat.fil4_adjoint()
-        return schema.document_to_obj(rep.algebra, rep=rep, maps={"T": cat.fil4_rb()})
-    if name == "fil4_symplectic":
-        return schema.document_to_obj(cat.fil4(), form=cat.fil4_symplectic())
-    if name.startswith("trunc"):
-        return schema.document_to_obj(cat.trunc(int(name[len("trunc"):])))
-    if name.startswith("r_int"):
-        n = int(name[len("r_int"):])
-        bundle = cat.trunc(n)
-        return schema.document_to_obj(
-            bundle, rep=adjoint_rep(bundle), maps={"T": cat.r_int(n)}
-        )
-    if name == "heisenberg_trace":
-        bundle, tau = cat.heisenberg_trace()
-        return schema.document_to_obj(
-            bundle, maps={"tau": InterMap(Matrix([tau.row.entries]))}
-        )
-    if name == "gl2_trace":
-        bundle, tau = cat.gl2_trace()
-        return schema.document_to_obj(
-            bundle, maps={"tau": InterMap(Matrix([tau.row.entries]))}
-        )
-    raise SchemaError(f"unknown catalog entry {name!r}")
-
-
 @main.group("catalog")
 def cmd_catalog():
     """List or export the built-in example documents."""
@@ -232,7 +199,7 @@ def catalog_emit(name, output_path):
         raise SchemaError(
             f"unknown catalog entry {name!r} (run 'ternalg catalog list')"
         )
-    obj = _catalog_document(name)
+    obj = cat.catalog_document(name)
     with open(output_path, "w", encoding="utf-8") as fh:
         fh.write(schema.dumps(obj))
     click.echo(f"wrote {output_path}", err=True)

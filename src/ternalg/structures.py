@@ -29,14 +29,30 @@ and `constructions`, declares its conditions as `Condition`s and hands them
 to `run_conditions`, the one scan driver and the one place that builds a
 `CheckReport`.
 
+Identity scans use only certified symmetries.  A term normaliser expands a
+defect into trees of `mul`, `br3` and `br2` and, for every transposition of
+two slots, compares the transposed defect with +/- the defect, assuming
+only what identities earlier in the same list state: `comm` (mul
+symmetric), `skew3` (br3 alternating), `skew2` (br2 alternating).  The
+certified transpositions form blocks of slots in which the defect is
+symmetric or alternating, and the scan visits one representative per orbit
+-- non-decreasing values in a symmetric block, strictly increasing ones in
+an alternating block, whose tuples with a repeated value vanish -- but only
+once every identity the blocks assume has passed in the same run; otherwise
+it scans the full range.  A failing representative expands back to its
+orbit members at their own ranks, so the first k counterexamples and the
+tuple count equal those of the full scan.
+
 Adding an identity: define it in `_registry` with `_define` (a shared
 sub-map with `_submap`), in terms of `mul`, `br3`, `br2` and the existing
 sub-maps, and list it in `KIND_IDENTITIES`.  Which tensors it needs, its
-degree check and both evaluators follow from the definition.
+degree check, its symmetry certificate and both evaluators follow from the
+definition.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 import time
@@ -544,6 +560,155 @@ def _require(b: AlgebraBundle, needs: Sequence[str], context: str):
 
 
 # ---------------------------------------------------------------------------
+# symmetry certificates
+#
+# A defect is expanded into a signed list of trees of mul/br3/br2 on slots,
+# sub-maps included.  A tree is canonical when the arguments of every
+# operation assumed symmetric or alternating are sorted, an alternating sort
+# contributing its sign; summing equal canonical trees gives the normal
+# form.  Each rewrite is an equality given the assumed identities, so equal
+# normal forms of the transposed defect and +/- the defect prove the
+# transposition.
+
+# the identities a certificate may assume: operation and its sign (1 =
+# symmetric, -1 = alternating) once the identity has passed
+_SYMMETRY_OF = {"comm": ("mul", 1), "skew3": ("br3", -1), "skew2": ("br2", -1)}
+
+
+@dataclass(frozen=True)
+class Symmetry:
+    """Certified blocks of slots of a defect, and the identities assumed.
+
+    `blocks` is ((slots, sign), ...): the defect is symmetric (sign 1) or
+    alternating (sign -1) in the slots of each block, given every identity
+    in `assumes`.
+    """
+
+    blocks: tuple[tuple[tuple[int, ...], int], ...]
+    assumes: tuple[str, ...]
+
+    def __str__(self):
+        blocks = " ".join(f"{'sym' if sign > 0 else 'alt'}({','.join(f'x{s + 1}' for s in slots)})"
+                          for slots, sign in self.blocks)
+        return f"{blocks} given {', '.join(self.assumes) or 'no identity'}"
+
+
+def _substitute(tree, args):
+    """tree with each slot s replaced by args[s]."""
+    if isinstance(tree, int):
+        return args[tree]
+    op, sub = tree
+    return op, tuple(_substitute(a, args) for a in sub)
+
+
+def _expand(tree) -> list:
+    """A tree of operations and sub-maps on slots as [(coeff, tree)], every
+    tree built from mul, br3 and br2 alone."""
+    if isinstance(tree, int):
+        return [(1, tree)]
+    op, args = tree
+    sub = _SUBMAPS.get(op)
+    out = []
+    for choice in itertools.product(*map(_expand, args)):
+        c = 1
+        for k, _ in choice:
+            c *= k
+        trees = tuple(t for _, t in choice)
+        if sub is None:
+            out.append((c, (op, trees)))
+        else:
+            out += [(c * k * j, t) for k, term in sub.terms
+                    for j, t in _expand(_substitute(term, trees))]
+    return out
+
+
+def _canonical(tree, signs: dict, memo: dict):
+    """(sign, tree) with the arguments of each operation in `signs` sorted;
+    `memo` caches sub-trees already seen under the same `signs`."""
+    if isinstance(tree, int):
+        return 1, tree
+    hit = memo.get(tree)
+    if hit is None:
+        op, args = tree
+        sign, canon = 1, []
+        for a in args:
+            s, c = _canonical(a, signs, memo)
+            sign *= s
+            canon.append(c)
+        if op in signs:
+            order = sorted(range(len(canon)), key=lambda i: repr(canon[i]))
+            if signs[op] < 0:
+                sign *= (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+            canon = [canon[i] for i in order]
+        hit = memo[tree] = (sign, (op, tuple(canon)))
+    return hit
+
+
+def _normal(terms, signs: dict, memo: dict) -> dict:
+    out: dict = {}
+    for c, tree in terms:
+        s, canon = _canonical(tree, signs, memo)
+        out[canon] = out.get(canon, 0) + s * c
+    return {t: c for t, c in out.items() if c}
+
+
+def _transpositions(ident: Identity, assumable: tuple[str, ...]) -> dict:
+    """{(i, j): (sign, assumed)} for each slot transposition that maps the
+    defect of `ident` to sign * itself given the identities in `assumable`;
+    `assumed` is the smallest subset of them found to prove it.  A pair
+    that all of `assumable` does not prove is not tried further, since
+    fewer assumptions identify fewer terms."""
+    terms = [(c * k, t) for c, term in ident.terms for k, t in _expand(term)]
+    subsets = [s for r in range(len(assumable), -1, -1)
+               for s in itertools.combinations(assumable, r)]
+    signs = {s: dict(_SYMMETRY_OF[a] for a in s) for s in subsets}
+    memos: dict = {s: {} for s in subsets}
+    normals = {s: _normal(terms, signs[s], memos[s]) for s in subsets}
+    certified = {}
+    for i, j in itertools.combinations(range(ident.arity), 2):
+        swap = list(range(ident.arity))
+        swap[i], swap[j] = j, i
+        swapped = [(c, _substitute(t, swap)) for c, t in terms]
+        for s in subsets:  # from all of assumable down to nothing
+            image, base = _normal(swapped, signs[s], memos[s]), normals[s]
+            if image == base or image == {t: -c for t, c in base.items()}:
+                certified[i, j] = (1 if image == base else -1, s)
+            elif len(s) == len(assumable):
+                break
+    return certified
+
+
+_CERTIFICATES: dict = {}
+
+
+def _certificate(ident: Identity, assumable: tuple[str, ...]) -> Optional[Symmetry]:
+    """The symmetry blocks of `ident` given the identities in `assumable`,
+    or None; computed on first use and cached.
+
+    A block is a slot with every later slot it transposes with, kept only
+    if every pair inside is certified with one sign.
+    """
+    key = (ident, assumable)
+    if key in _CERTIFICATES:
+        return _CERTIFICATES[key]
+    certified = _transpositions(ident, assumable)
+    blocks, assumes, used = [], set(), set()
+    for i in range(ident.arity):
+        block = (i,) + tuple(j for j in range(i + 1, ident.arity) if (i, j) in certified)
+        pairs = list(itertools.combinations(block, 2))
+        block_signs = {certified.get(p, (0,))[0] for p in pairs}
+        if len(block) > 1 and used.isdisjoint(block) and block_signs in ({1}, {-1}):
+            blocks.append((block, block_signs.pop()))
+            assumes.update(a for p in pairs for a in certified[p][1])
+            used.update(block)
+    cert = _CERTIFICATES[key] = Symmetry(
+        tuple(blocks), tuple(a for a in assumable if a in assumes)) if blocks else None
+    log.debug("symmetry certificate of %s given %s: %s", ident.name,
+              ", ".join(assumable) or "no identity", cert)
+    return cert
+
+
+# ---------------------------------------------------------------------------
 # exact evaluator: walk the terms over the vector methods of _Ops
 
 
@@ -645,6 +810,12 @@ def _source(m: Identity, table: bool) -> tuple[str, list[str]]:
     return "\n".join(src) + "\n", deps
 
 
+def _exec(src: str, label: str, name: str):
+    namespace: dict = {}
+    exec(compile(src, f"<ternalg {label}>", "exec"), namespace)
+    return namespace[name]
+
+
 _COMPILED: dict = {}
 
 
@@ -654,10 +825,46 @@ def _compiled(m: Identity, table: bool):
         src, deps = _source(m, table)
         log.debug("generated %s for %s:\n%s", "table builder" if table else "scanner",
                   m.name, src)
-        namespace: dict = {}
-        exec(compile(src, f"<ternalg {m.name}>", "exec"), namespace)
-        hit = _COMPILED[(m, table)] = (namespace["make"], deps)
+        hit = _COMPILED[(m, table)] = (_exec(src, m.name, "make"), deps)
     return hit
+
+
+def _representatives(arity: int, blocks):
+    """reps(n), a generator of the tuples in range(n) ** arity whose values
+    rise along each block, strictly in an alternating one: the smallest
+    member of every orbit, in lexicographic order.  Compiled once per shape."""
+    key = ("reps", arity, blocks)
+    hit = _COMPILED.get(key)
+    if hit is None:
+        start = {s: f"x{prev}{' + 1' if sign < 0 else ''}"
+                 for slots, sign in blocks for prev, s in zip(slots, slots[1:])}
+        src = "\n".join(["def reps(n):"] + [
+            "    " * (s + 1) + f"for x{s} in range({start.get(s, 0)}, n):" for s in range(arity)
+        ] + ["    " * (arity + 1) + f"yield {''.join(f'x{s}, ' for s in range(arity))}"])
+        hit = _COMPILED[key] = _exec(src + "\n", "representatives", "reps")
+    return hit
+
+
+def _orbit(t: tuple, blocks) -> set:
+    """Every tuple that permutes the values of t within each block."""
+    orbit = {t}
+    for slots, _ in blocks:
+        moved = set()
+        for u in orbit:
+            for values in itertools.permutations([u[s] for s in slots]):
+                v = list(u)
+                for s, x in zip(slots, values):
+                    v[s] = x
+                moved.add(tuple(v))
+        orbit = moved
+    return orbit
+
+
+def _rank(t: tuple, n: int) -> int:
+    r = 0
+    for i in t:
+        r = r * n + i
+    return r
 
 
 def _entries(tab) -> int:
@@ -695,6 +902,9 @@ class Condition:
     `defect(entry)` is the exact residual `Vec` of an entry.  `scan(t)` is
     the fast test at a tuple: falsy when it passes, and with `columns` the
     failing columns; without `scan`, a tuple fails when its defect is nonzero.
+    `symmetry`, for a condition without columns, is its certificate: once
+    every identity it assumes has passed earlier in the same run, the scan
+    visits one representative per orbit.
     """
 
     name: str
@@ -703,13 +913,29 @@ class Condition:
     defect: Callable
     scan: Optional[Callable] = None
     columns: Optional[int] = None
+    symmetry: Optional[Symmetry] = None
 
 
-def _failures(cond: Condition, budget: int):
+def _failures(cond: Condition, budget: int, passed: set):
     """The first `budget` failing entries of cond, in rank order, and the
     number of entries evaluated: up to and including the last one returned
     when the budget fills, else all of them.  An entry's rank is the rank
-    of its tuple in lexicographic order, times m plus its column."""
+    of its tuple in lexicographic order, times m plus its column.  `passed`
+    names the conditions that passed earlier in the run."""
+    sym = cond.symmetry
+    if sym is not None and passed.issuperset(sym.assumes):
+        found, evaluated, scanned = _reduced_failures(cond, budget)
+        path = f"symmetry-reduced over {sym}"
+    else:
+        found, evaluated, scanned = _all_failures(cond, budget)
+        path = "full range" + (f", certified {sym} unused" if sym else "")
+    log.debug("scan %s: %s; %d of %d tuples scanned", cond.name, path, scanned,
+              cond.size ** cond.arity)
+    return found, evaluated
+
+
+def _all_failures(cond: Condition, budget: int):
+    """_failures over every tuple, and the number of tuples scanned."""
     m = cond.columns
     scan = cond.scan or (lambda t: not cond.defect(t).is_zero())
     found = []
@@ -720,8 +946,42 @@ def _failures(cond: Condition, budget: int):
             for entry, last in entries:
                 found.append(entry)
                 if len(found) == budget:
-                    return found, last + 1
-    return found, cond.size ** cond.arity * (m or 1)
+                    return found, last + 1, rank + 1
+    total = cond.size ** cond.arity
+    return found, total * (m or 1), total
+
+
+def _reduced_failures(cond: Condition, budget: int):
+    """_failures over one representative per orbit of cond's symmetry, and
+    the number of representatives scanned.
+
+    Every member of a failing representative's orbit fails too, its defect
+    being +/- the representative's.  Members wait on a heap and are released
+    once the next representative ranks above them: no failure ranked below
+    a member can still be found, because each representative is the
+    smallest member of its orbit.
+    """
+    n, blocks = cond.size, cond.symmetry.blocks
+    scan = cond.scan or (lambda t: not cond.defect(t).is_zero())
+    found, waiting, scanned = [], [], 0
+
+    def release(below):
+        while waiting and (below is None or waiting[0] < below):
+            found.append(heapq.heappop(waiting))
+            if len(found) == budget:
+                return True
+        return False
+
+    for t in _representatives(cond.arity, blocks)(n):
+        if waiting and release(t):
+            return found, _rank(found[-1], n) + 1, scanned
+        scanned += 1
+        if scan(t):
+            for u in _orbit(t, blocks):
+                heapq.heappush(waiting, u)
+    if release(None):
+        return found, _rank(found[-1], n) + 1, scanned
+    return found, n ** cond.arity, scanned
 
 
 def run_conditions(kind: str, conditions: Iterable[Condition],
@@ -735,10 +995,13 @@ def run_conditions(kind: str, conditions: Iterable[Condition],
     budget = max(1, max_counterexamples)
     counterexamples: list[Counterexample] = []
     checked: list[str] = []
+    passed: set[str] = set()
     tuple_count = 0
     for cond in conditions:
         checked.append(cond.name)
-        found, evaluated = _failures(cond, budget - len(counterexamples))
+        found, evaluated = _failures(cond, budget - len(counterexamples), passed)
+        if not found:
+            passed.add(cond.name)
         tuple_count += evaluated
         for idx in found:
             residual = cond.defect(idx)
@@ -764,18 +1027,20 @@ def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
 
     Every needed tensor is checked here; each identity's scanner, and the
     sub-map tables it reads, are built only when the driver reaches it.
+    Each identity's symmetry may assume the identities listed before it.
     """
     for name in names:
         _require(b, IDENTITIES[name].needs, f"identity {name!r}")
     ops, exact = _int_ops(b), _exact_ops(b)
 
-    def condition(ident):
+    def condition(pos, ident):
+        assumable = tuple(a for a in names[:pos] if a in _SYMMETRY_OF)
         return Condition(
             ident.name, b.dim, ident.arity,
             lambda idx: Vec(_evaluate(exact, ident, [exact.basis[i] for i in idx])),
-            scan=_make_scanner(ops, ident))
+            scan=_make_scanner(ops, ident), symmetry=_certificate(ident, assumable))
 
-    return (condition(IDENTITIES[name]) for name in names)
+    return (condition(pos, IDENTITIES[name]) for pos, name in enumerate(names))
 
 
 # ---------------------------------------------------------------------------

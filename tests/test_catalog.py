@@ -84,10 +84,9 @@ def test_catalog_doc_names_cover_fixtures():
 
 
 def test_fixtures_match_emitted_documents():
-    from ternalg.cli import _catalog_document
     from ternalg.schema import dumps
 
     for name in catalog.CATALOG_DOC:
-        want = dumps(_catalog_document(name))
+        want = dumps(catalog.catalog_document(name))
         got = (FIXTURES / f"{name}.json").read_text(encoding="utf-8")
         assert got == want, f"fixture {name} is stale"

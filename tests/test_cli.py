@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -6,8 +7,11 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ternalg.cli import main
+from ternalg.structures import StructureKind
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -242,6 +246,75 @@ def test_catalog_emit_roundtrips_byte_identical(runner, tmp_path):
 def test_catalog_emit_unknown_exits_2(runner, tmp_path):
     r = invoke(runner, "catalog", "emit", "nope", "-o", tmp_path / "x.json")
     assert r.exit_code == 2
+
+
+# sha256 of `catalog emit NAME` output, pinned when the documents were still
+# built in the CLI module
+EMITTED = {
+    "fil4": "977a6004af914e3ec4ec239395d7459199f8f8c8054c72477d2cc95a3c6506af",
+    "fil4_adjoint": "9a71e5dd204ff02d38bd0a5a46015cab5687fbbe29265fe14d43afc9b782388d",
+    "fil4_rb": "50d37158689f7eff4503d02f02d5bb120b05391d85a3f7df16ea0a9b417918fb",
+    "fil4_symplectic": "7798e05b63c044eeec8a24687b7c512577fc28fb774d1c5a6f8c8af12bbe845a",
+    "gl2_trace": "08b915c08ede8132eee868cca32879f707e0791d032c24819861e64cc9ac00d8",
+    "heisenberg_trace": "d34d9ef6b9dc2de5c9c96893ec3e92c9d4dfab9451e27e4f27773bf2f263e73a",
+    "r_int3": "ebc73b00977169c2caaa358c0f3a64db16f7102df02f6a2c9cd0ee28a7d6e4c6",
+    "r_int4": "99ae368d9d581775e0b3846821c7cbac8edbe2e166c790f06cba75f077999281",
+    "r_int5": "ad8f80864abc8b44ac1eef93d98d2fdb10fd574ef97c9ede894d3306422ed092",
+    "trunc2": "e67ef6413128cfd4def7ad5be824ad71792e87651fdcdd0a672d417ec893a933",
+    "trunc3": "520aa9834f5a3396f2ce4cf859a9f5a324f9b2c0acabe8ab4fffe3aa49968f77",
+    "trunc4": "3e41f779b4f082d19a3f4a4279184076c0bd60a8be546833adfb100ee9663011",
+}
+
+
+def test_catalog_emit_bytes_pinned(runner, tmp_path):
+    from ternalg.catalog import CATALOG_DOC
+
+    assert sorted(EMITTED) == sorted(CATALOG_DOC)
+    for name, digest in EMITTED.items():
+        out = tmp_path / f"{name}.json"
+        assert invoke(runner, "catalog", "emit", name, "-o", out).exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name
+
+
+# -- check on generated documents -------------------------------------------------
+
+VALUES = st.sampled_from(["1", "-1", "2", "1/2", "-3/2", "0"] * 3 + ["1/0", "x"])
+CORRUPTIONS = [None] * 6 + [("schema_version", 2), ("dim", 0), ("dim", "3"), ("unit", 7),
+                            ("product", "x"), ("bracket", [{"indices": [0, 0, 0, 9]}])]
+
+
+@st.composite
+def bundle_documents(draw):
+    """Documents of dimension 1-3 with a few structure constants per tensor,
+    some values malformed, and now and then one broken field."""
+    n = draw(st.integers(1, 3))
+    doc = {"schema_version": 1, "dim": n}
+    for key, arity in (("product", 3), ("bracket", 4), ("binary_bracket", 3)):
+        if draw(st.sampled_from([True, True, False])):
+            doc[key] = draw(st.lists(st.fixed_dictionaries({
+                "indices": st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity),
+                "value": VALUES}), max_size=4))
+    corruption = draw(st.sampled_from(CORRUPTIONS))
+    if corruption:
+        doc[corruption[0]] = corruption[1]
+    return doc
+
+
+CHECK_KINDS = sorted(k.value for k in StructureKind) + ["coherence", "no-such-kind"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bundle_documents(), st.sampled_from(CHECK_KINDS), st.integers(-1, 3), st.booleans())
+def test_check_on_generated_documents_exits_cleanly(doc, kind, k, complete_skew):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        pathlib.Path("doc.json").write_text(json.dumps(doc))
+        args = ["check", "--kind", kind, "-k", str(k), "doc.json"]
+        r = runner.invoke(main, args + (["--complete-skew"] if complete_skew else []))
+    assert r.exception is None or isinstance(r.exception, SystemExit), r.exc_info
+    assert r.exit_code in (0, 1, 2)
+    if r.exit_code in (0, 1):
+        assert json.loads(r.stdout)["verdict"] == ("pass" if r.exit_code == 0 else "fail")
 
 
 # -- console script wiring -------------------------------------------------------

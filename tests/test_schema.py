@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ternalg import catalog
-from ternalg.cli import _catalog_document
 from ternalg.errors import SchemaError
 from ternalg.linalg import Vec
 from ternalg.schema import (
@@ -28,7 +27,7 @@ def roundtrip(obj):
 
 def test_roundtrip_structural_equality_all_catalog():
     for name in catalog.CATALOG_DOC:
-        obj = _catalog_document(name)
+        obj = catalog.catalog_document(name)
         doc = roundtrip(obj)
         again = document_to_obj(
             doc.bundle,
@@ -40,7 +39,7 @@ def test_roundtrip_structural_equality_all_catalog():
 
 
 def test_serialize_parse_serialize_byte_identical():
-    obj = _catalog_document("fil4")
+    obj = catalog.catalog_document("fil4")
     text = dumps(obj)
     doc, _ = parse_document(text)
     text2 = dumps(document_to_obj(doc.bundle))

@@ -365,7 +365,19 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
             self.rho[0][0][0] = ((0, 1),)
     _RepOps.__init__ = patched
     rep_scan = raises(lambda: check_representation("three-lie-rep", adjoint_rep(fil4())))
-    print(sys.flags.optimize, report, structure_scan, rep_scan)
+
+    # a symmetry certificate claiming assoc symmetric in all three slots: on
+    # e1 e1 = e2, e1 e2 = e2 e1 = e1 it fails at (e1, e1, e2), but the orbit
+    # member (e1, e2, e1) has a zero exact residual
+    from ternalg import structures
+    from ternalg.linalg import Tensor3
+    from ternalg.structures import IDENTITIES, AlgebraBundle, Symmetry
+    structures._CERTIFICATES[(IDENTITIES["assoc"], ("comm",))] = Symmetry(
+        (((0, 1, 2), 1),), ("comm",))
+    b = AlgebraBundle(2, product=Tensor3.from_nonzeros(
+        2, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}))
+    certificate = raises(lambda: check_axioms("comm-assoc", b, max_counterexamples=100))
+    print(sys.flags.optimize, report, structure_scan, rep_scan, certificate)
 """)
 
 
@@ -375,4 +387,4 @@ def test_invariants_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_INVARIANTS],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True", "True", "True"]
+    assert proc.stdout.split() == ["1", "True", "True", "True", "True"]
