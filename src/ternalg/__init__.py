@@ -40,11 +40,10 @@ from .linalg import (
     InterMap,
     Matrix,
     Scalar,
+    Tensor,
     Tensor3,
     Tensor4,
     Vec,
-    apply_bilinear,
-    apply_trilinear,
     invert,
 )
 from .operators import (

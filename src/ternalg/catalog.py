@@ -69,7 +69,7 @@ def trunc(n: int) -> AlgebraBundle:
     unital commutative associative, zero ternary bracket."""
     if n < 1:
         raise BundleError("trunc(n) needs n >= 1")
-    prod = Tensor3.build(n, lambda i, j, k: 1 if i + j == k else 0)
+    prod = Tensor3.from_nonzeros(n, {(i, j, i + j): 1 for i in range(n) for j in range(n - i)})
     labels = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, n)]
     return AlgebraBundle(
         n,

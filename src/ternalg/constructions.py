@@ -12,8 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, MissingTensor, NotATrace
-from .linalg import Tensor3, Tensor4, Vec
-from .structures import AlgebraBundle, CheckReport, Condition, run_conditions
+from .linalg import Tensor, Vec
+from .structures import (
+    AlgebraBundle,
+    CheckReport,
+    Condition,
+    _exact_ops,
+    _table,
+    run_conditions,
+)
 
 
 @dataclass(frozen=True)
@@ -45,30 +52,20 @@ def direct_sum(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
             raise MissingTensor("product", "direct_sum")
         if bundle.bracket is None:
             raise MissingTensor("bracket", "direct_sum")
-    n, m = a.dim, b.dim
-    dim = n + m
+    n = a.dim
+    dim = n + b.dim
 
-    def prod(i, j, k):
-        if i < n and j < n and k < n:
-            return a.product.entries[i][j][k]
-        if i >= n and j >= n and k >= n:
-            return b.product.entries[i - n][j - n][k - n]
-        return 0
-
-    def brk(i, j, k, l):
-        if i < n and j < n and k < n and l < n:
-            return a.bracket.entries[i][j][k][l]
-        if i >= n and j >= n and k >= n and l >= n:
-            return b.bracket.entries[i - n][j - n][k - n][l - n]
-        return 0
+    def block_sum(s, t):
+        return Tensor(dim, s.order, list(s.nonzeros()) + [
+            (tuple(i + n for i in idx), v) for idx, v in t.nonzeros()])
 
     unit = None
     if a.unit is not None and b.unit is not None:
         unit = Vec(list(a.unit.entries) + list(b.unit.entries))
     return AlgebraBundle(
         dim,
-        product=Tensor3.build(dim, prod),
-        bracket=Tensor4.build(dim, brk),
+        product=block_sum(a.product, b.product),
+        bracket=block_sum(a.bracket, b.bracket),
         unit=unit,
         basis_labels=a.basis_labels + b.basis_labels,
     )
@@ -88,34 +85,14 @@ def tensor_with_comm_assoc(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
         raise MissingTensor("product", "tensor_with_comm_assoc (associative factor)")
     n, m = a.dim, b.dim
     dim = n * m
-    pa, pb = a.product.entries, b.product.entries
-    fa = a.bracket.entries
-
+    rows = b.product.table()
     # triple product table of B: e_p e_q e_r expanded as (pq)r
-    triple = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                out = [Fraction(0)] * m
-                for s, c in enumerate(pb[p][q]):
-                    if c:
-                        for t_, d in enumerate(pb[s][r]):
-                            if d:
-                                out[t_] += c * d
-                triple[p][q][r] = out
+    triple = Tensor(m, 4, (((p, q, r, t), c * d) for (p, q, s), c in b.product.nonzeros()
+                           for r in range(m) for t, d in rows[s][r]))
 
-    def prod(i, j, k):
-        ia, ib = divmod(i, m)
-        ja, jb = divmod(j, m)
-        ka, kb = divmod(k, m)
-        return pa[ia][ja][ka] * pb[ib][jb][kb]
-
-    def brk(i, j, k, l):
-        ia, ib = divmod(i, m)
-        ja, jb = divmod(j, m)
-        ka, kb = divmod(k, m)
-        la, lb = divmod(l, m)
-        return fa[ia][ja][ka][la] * triple[ib][jb][kb][lb]
+    def kron(x, y):
+        return Tensor(dim, x.order, ((tuple(i * m + j for i, j in zip(u, w)), c * d)
+                                     for u, c in x.nonzeros() for w, d in y.nonzeros()))
 
     labels = tuple(
         f"{la}(x){lb}" for la in a.basis_labels for lb in b.basis_labels
@@ -127,8 +104,8 @@ def tensor_with_comm_assoc(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
         )
     return AlgebraBundle(
         dim,
-        product=Tensor3.build(dim, prod),
-        bracket=Tensor4.build(dim, brk),
+        product=kron(a.product, b.product),
+        bracket=kron(a.bracket, triple),
         unit=unit,
         basis_labels=labels,
     )
@@ -142,13 +119,10 @@ def fix_slot_bracket(a: AlgebraBundle, anchor: Vec) -> AlgebraBundle:
         raise MissingTensor("bracket", "fix_slot_bracket")
     if anchor.dim != a.dim:
         raise DimensionMismatch(f"anchor has dim {anchor.dim}, bundle has dim {a.dim}")
-    n = a.dim
-    cols = [
-        [a.br3(a.basis(i), anchor, a.basis(j)) for j in range(n)] for i in range(n)
-    ]
-    bb = Tensor3.build(n, lambda i, j, k: cols[i][j][k])
+    bb = Tensor(a.dim, 3, (((i, j, l), f * anchor[s])
+                           for (i, s, j, l), f in a.bracket.nonzeros() if anchor[s]))
     return AlgebraBundle(
-        n,
+        a.dim,
         product=a.product,
         binary_bracket=bb,
         unit=a.unit,
@@ -180,17 +154,15 @@ def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
     report = check_trace(a, tau)
     if not report.passed:
         raise NotATrace("functional does not vanish on the bracket image", report)
-    n = a.dim
-    t = [tau.apply(a.basis(i)) for i in range(n)]
-    bb = a.binary_bracket.entries
-
-    def brk(i, j, k, l):
-        return t[i] * bb[j][k][l] - t[j] * bb[i][k][l] + t[k] * bb[i][j][l]
-
+    terms = []
+    for (x, y, l), c in a.binary_bracket.nonzeros():
+        for s, ts in enumerate(tau.row):
+            if ts:
+                terms += [((s, x, y, l), ts * c), ((x, s, y, l), -ts * c), ((x, y, s, l), ts * c)]
     return AlgebraBundle(
-        n,
+        a.dim,
         product=a.product,
-        bracket=Tensor4.build(n, brk),
+        bracket=Tensor(a.dim, 4, terms),
         unit=a.unit,
         basis_labels=a.basis_labels,
     )
@@ -227,24 +199,25 @@ def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
     return run_conditions("induced-condition", [cond], max_counterexamples)
 
 
+def _submap_tensor(b: AlgebraBundle, name: str, order: int) -> Tensor:
+    """The structure constants of b's sub-map `name` (symmul or cyc3)."""
+    return Tensor.from_table(b.dim, order, _table(_exact_ops(b), name))
+
+
 def symmetrize_zinbiel(d: AlgebraBundle) -> AlgebraBundle:
     """x*y = x<>y + y<>x: commutative associative when the input is Zinbiel."""
     if d.product is None:
         raise MissingTensor("product", "symmetrize_zinbiel")
-    c = d.product.entries
-    sym = Tensor3.build(d.dim, lambda i, j, k: c[i][j][k] + c[j][i][k])
-    return AlgebraBundle(d.dim, product=sym, basis_labels=d.basis_labels)
+    return AlgebraBundle(d.dim, product=_submap_tensor(d, "symmul", 3),
+                         basis_labels=d.basis_labels)
 
 
 def subadjacent_commutator(s: AlgebraBundle) -> AlgebraBundle:
     """[x,y,z]^C = {x,y,z} + {y,z,x} + {z,x,y}: 3-Lie when the input is 3-pre-Lie."""
     if s.bracket is None:
         raise MissingTensor("bracket", "subadjacent_commutator")
-    f = s.bracket.entries
-    cyc = Tensor4.build(
-        s.dim, lambda i, j, k, l: f[i][j][k][l] + f[j][k][i][l] + f[k][i][j][l]
-    )
-    return AlgebraBundle(s.dim, bracket=cyc, basis_labels=s.basis_labels)
+    return AlgebraBundle(s.dim, bracket=_submap_tensor(s, "cyc3", 4),
+                         basis_labels=s.basis_labels)
 
 
 def subadjacent_ternary_fmanifold(p: AlgebraBundle) -> AlgebraBundle:
@@ -252,10 +225,5 @@ def subadjacent_ternary_fmanifold(p: AlgebraBundle) -> AlgebraBundle:
     if p.product is None or p.bracket is None:
         raise MissingTensor("product" if p.product is None else "bracket",
                             "subadjacent_ternary_fmanifold")
-    c = p.product.entries
-    f = p.bracket.entries
-    sym = Tensor3.build(p.dim, lambda i, j, k: c[i][j][k] + c[j][i][k])
-    cyc = Tensor4.build(
-        p.dim, lambda i, j, k, l: f[i][j][k][l] + f[j][k][i][l] + f[k][i][j][l]
-    )
-    return AlgebraBundle(p.dim, product=sym, bracket=cyc, basis_labels=p.basis_labels)
+    return AlgebraBundle(p.dim, product=_submap_tensor(p, "symmul", 3),
+                         bracket=_submap_tensor(p, "cyc3", 4), basis_labels=p.basis_labels)

@@ -1,4 +1,4 @@
-"""Exact rational vectors, matrices and dense structure-constant tensors.
+"""Exact rational vectors, matrices and sparse structure-constant tensors.
 
 Scalars are `fractions.Fraction`: arbitrary precision, always in lowest
 terms with positive denominator, so equality is structural and arithmetic
@@ -9,10 +9,12 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from math import lcm
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -150,6 +152,10 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.entries for e in row)
 
+    def nonzeros(self) -> list:
+        """((row, column), value) for each nonzero entry, row by row."""
+        return [((i, j), v) for i, row in enumerate(self.entries) for j, v in enumerate(row) if v]
+
     def row(self, i: int) -> Vec:
         return Vec(self.entries[i])
 
@@ -245,142 +251,107 @@ def invert(m: Matrix) -> Matrix:
 
 
 @dataclass(frozen=True)
-class Tensor3:
-    """Structure constants of a binary product: e_i * e_j = sum_k c[i][j][k] e_k."""
+class Tensor:
+    """Structure constants of a multilinear operation, stored sparse.
+
+    An order-k tensor on a space of dimension `dim` sends basis vectors
+    (e_i1, ..., e_i(k-1)) to sum_j c[i1, ..., i(k-1), j] e_j: order 3 for a
+    product or binary bracket, 4 for a ternary bracket.  Only the nonzero
+    constants are kept, sorted by indices, so equality is structural and a
+    tensor is hashable; `t[i, j, k]` reads one constant, zero when absent.
+    """
 
     dim: int
-    entries: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    order: int
+    constants: tuple[tuple[tuple[int, ...], Fraction], ...]
+    _values: dict = field(compare=False, repr=False)
 
-    def __init__(self, entries: Iterable[Iterable[Iterable]]):
-        grid = tuple(tuple(tuple(as_scalar(e) for e in row) for row in plane) for plane in entries)
-        n = len(grid)
-        if any(len(p) != n for p in grid) or any(len(r) != n for p in grid for r in p):
-            raise DimensionMismatch("Tensor3 must be n x n x n")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "entries", grid)
+    def __init__(self, dim: int, order: int, nonzeros):
+        """`nonzeros` maps index tuples to scalars, or lists (indices, value)
+        pairs whose values at repeated indices add up; zeros are dropped."""
+        values: dict = {}
+        for idx, v in nonzeros.items() if isinstance(nonzeros, Mapping) else nonzeros:
+            idx = tuple(idx)
+            if len(idx) != order or not all(isinstance(i, int) and 0 <= i < dim for i in idx):
+                raise DimensionMismatch(
+                    f"indices {list(idx)} do not address an order-{order} tensor of dim {dim}")
+            values[idx] = values.get(idx, ZERO) + as_scalar(v)
+        values = {idx: v for idx, v in sorted(values.items()) if v}
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "constants", tuple(values.items()))
+        object.__setattr__(self, "_values", values)
 
     @staticmethod
-    def zero(n: int) -> "Tensor3":
-        return Tensor3([[[ZERO] * n for _ in range(n)] for _ in range(n)])
+    def from_images(dim: int, order: int, image: Callable[..., Vec]) -> "Tensor":
+        """The tensor whose constants at (i1, ..., i(k-1), j) are the
+        coordinates j of image(i1, ..., i(k-1)), its value at basis vectors."""
+        return Tensor(dim, order, ((idx + (j,), v)
+                                   for idx in itertools.product(range(dim), repeat=order - 1)
+                                   for j, v in enumerate(image(*idx)) if v))
 
     @staticmethod
-    def build(n: int, fn: Callable[[int, int, int], object]) -> "Tensor3":
-        return Tensor3(
-            [[[as_scalar(fn(i, j, k)) for k in range(n)] for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def from_nonzeros(n: int, nonzeros: Mapping[tuple[int, int, int], object]) -> "Tensor3":
-        grid = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k), v in nonzeros.items():
-            grid[i][j][k] = as_scalar(v)
-        return Tensor3(grid)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for p in self.entries for r in p for e in r)
+    def from_table(dim: int, order: int, table) -> "Tensor":
+        """The tensor of a sparse-row table of the form `table()` returns."""
+        rows = [((), table)]
+        for _ in range(order - 1):
+            rows = [(idx + (i,), row) for idx, node in rows for i, row in enumerate(node)]
+        return Tensor(dim, order, ((idx + (j,), v) for idx, row in rows for j, v in row))
 
     def nonzeros(self):
-        for i, plane in enumerate(self.entries):
-            for j, row in enumerate(plane):
-                for k, v in enumerate(row):
-                    if v:
-                        yield (i, j, k), v
-
-
-@dataclass(frozen=True)
-class Tensor4:
-    """Structure constants of a ternary bracket: [e_i,e_j,e_k] = sum_l f[i][j][k][l] e_l."""
-
-    dim: int
-    entries: tuple
-
-    def __init__(self, entries):
-        grid = tuple(
-            tuple(tuple(tuple(as_scalar(e) for e in row) for row in plane) for plane in cube)
-            for cube in entries
-        )
-        n = len(grid)
-        ok = all(
-            len(cube) == n and all(len(p) == n and all(len(r) == n for r in p) for p in cube)
-            for cube in grid
-        )
-        if not ok:
-            raise DimensionMismatch("Tensor4 must be n x n x n x n")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "entries", grid)
-
-    @staticmethod
-    def zero(n: int) -> "Tensor4":
-        return Tensor4([[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)])
-
-    @staticmethod
-    def build(n: int, fn: Callable[[int, int, int, int], object]) -> "Tensor4":
-        return Tensor4(
-            [
-                [[[as_scalar(fn(i, j, k, l)) for l in range(n)] for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-        )
-
-    @staticmethod
-    def from_nonzeros(n: int, nonzeros: Mapping[tuple[int, int, int, int], object]) -> "Tensor4":
-        grid = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for (i, j, k, l), v in nonzeros.items():
-            grid[i][j][k][l] = as_scalar(v)
-        return Tensor4(grid)
+        return self.constants
 
     def is_zero(self) -> bool:
-        return all(e == 0 for c in self.entries for p in c for r in p for e in r)
+        return not self.constants
 
-    def nonzeros(self):
-        for i, cube in enumerate(self.entries):
-            for j, plane in enumerate(cube):
-                for k, row in enumerate(plane):
-                    for l, v in enumerate(row):
-                        if v:
-                            yield (i, j, k, l), v
+    def __getitem__(self, idx) -> Fraction:
+        return self._values.get(tuple(idx), ZERO)
+
+    def den_lcm(self) -> int:
+        """The lcm of the constants' denominators: the least integer that
+        makes every constant integral."""
+        return lcm(*(v.denominator for _, v in self.constants))
+
+    def table(self, scale: Optional[int] = None):
+        """Nested sparse rows: table[i1]...[i(k-1)] is the tuple of (j, value)
+        pairs of the nonzero constants there, by increasing j, each value
+        times `scale` (an integer that clears every denominator, giving an
+        int) when one is given.  The outer levels are lists."""
+        rows: dict = {}
+        for idx, v in self.constants:
+            rows.setdefault(idx[:-1], []).append(
+                (idx[-1], (v * scale).numerator if scale else v))
+
+        def level(prefix):
+            if len(prefix) == self.order - 1:
+                return tuple(rows.get(prefix, ()))
+            return [level(prefix + (i,)) for i in range(self.dim)]
+
+        return level(())
 
 
-def apply_bilinear(t: Tensor3, x: Vec, y: Vec) -> Vec:
-    """Expand x*y through the structure constants; bilinear in both arguments."""
-    n = t.dim
-    if x.dim != n or y.dim != n:
-        raise DimensionMismatch(f"tensor has dim {n}, vectors have dims {x.dim}, {y.dim}")
-    out = [ZERO] * n
-    for i, xi in enumerate(x.entries):
-        if xi:
-            plane = t.entries[i]
-            for j, yj in enumerate(y.entries):
-                if yj:
-                    c = xi * yj
-                    for k, v in enumerate(plane[j]):
-                        if v:
-                            out[k] += c * v
-    return Vec(out)
+class _FixedOrder:
+    """Constructors of `Tensor`s of one order."""
+
+    def __init__(self, order: int):
+        self.order = order
+
+    def zero(self, n: int) -> Tensor:
+        return Tensor(n, self.order, {})
+
+    def build(self, n: int, fn: Callable[..., object]) -> Tensor:
+        """The tensor with constant fn(*indices) at each of the n**order cells."""
+        return Tensor(n, self.order, ((idx, fn(*idx))
+                                      for idx in itertools.product(range(n), repeat=self.order)))
+
+    def from_nonzeros(self, n: int, nonzeros) -> Tensor:
+        return Tensor(n, self.order, nonzeros)
 
 
-def apply_trilinear(t: Tensor4, x: Vec, y: Vec, z: Vec) -> Vec:
-    """Expand [x,y,z] through the structure constants; trilinear."""
-    n = t.dim
-    if x.dim != n or y.dim != n or z.dim != n:
-        raise DimensionMismatch(
-            f"tensor has dim {n}, vectors have dims {x.dim}, {y.dim}, {z.dim}"
-        )
-    out = [ZERO] * n
-    for i, xi in enumerate(x.entries):
-        if xi:
-            cube = t.entries[i]
-            for j, yj in enumerate(y.entries):
-                if yj:
-                    plane = cube[j]
-                    cij = xi * yj
-                    for k, zk in enumerate(z.entries):
-                        if zk:
-                            c = cij * zk
-                            for l, v in enumerate(plane[k]):
-                                if v:
-                                    out[l] += c * v
-    return Vec(out)
+# binary products and brackets: e_i * e_j = sum_k c[i, j, k] e_k
+Tensor3 = _FixedOrder(3)
+# ternary brackets: [e_i, e_j, e_k] = sum_l f[i, j, k, l] e_l
+Tensor4 = _FixedOrder(4)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import (
     NotSkew,
     NotSymplectic,
 )
-from .linalg import InterMap, Matrix, Tensor3, Tensor4, Vec, invert
+from .linalg import InterMap, Matrix, Tensor, Vec, invert
 from .representations import (
     BiRep,
     LinRep,
@@ -119,6 +119,20 @@ def _module_labels(m: int) -> tuple[str, ...]:
     return tuple(f"v{p + 1}" for p in range(m))
 
 
+def _induced_product(t: InterMap, r: RepBundle) -> Tensor:
+    """u <> v = mu(Tu)v on the module."""
+    timg = _images(t, r.module_dim)
+    mut = [r.mu.of(x) for x in timg]
+    return Tensor.from_images(r.module_dim, 3, lambda p, q: mut[p].column(q))
+
+
+def _induced_bracket(t: InterMap, r: RepBundle) -> Tensor:
+    """{u,v,w} = rho(Tu,Tv)w on the module."""
+    timg = _images(t, r.module_dim)
+    rhot = [[r.rho.of(x, y) for y in timg] for x in timg]
+    return Tensor.from_images(r.module_dim, 4, lambda p, q, s: rhot[p][q].column(s))
+
+
 def induced_zinbiel(t: InterMap, r: RepBundle) -> AlgebraBundle:
     """u <> v = mu(Tu)v on the module; Zinbiel when T is relative Rota-Baxter."""
     report = check_relative_rb_comm(t, r)
@@ -126,10 +140,7 @@ def induced_zinbiel(t: InterMap, r: RepBundle) -> AlgebraBundle:
         raise NotRelativeRB("map fails the commutative relative Rota-Baxter identity",
                             report)
     m = r.module_dim
-    timg = _images(t, m)
-    mut = [r.mu.of(timg[p]) for p in range(m)]
-    prod = Tensor3.build(m, lambda p, q, s: mut[p].entries[s][q])
-    return AlgebraBundle(m, product=prod, basis_labels=_module_labels(m))
+    return AlgebraBundle(m, product=_induced_product(t, r), basis_labels=_module_labels(m))
 
 
 def induced_3prelie(t: InterMap, r: RepBundle) -> AlgebraBundle:
@@ -138,10 +149,7 @@ def induced_3prelie(t: InterMap, r: RepBundle) -> AlgebraBundle:
     if not report.passed:
         raise NotRelativeRB("map fails the 3-Lie relative Rota-Baxter identity", report)
     m = r.module_dim
-    timg = _images(t, m)
-    rhot = [[r.rho.of(timg[p], timg[q]) for q in range(m)] for p in range(m)]
-    brk = Tensor4.build(m, lambda p, q, s, w: rhot[p][q].entries[w][s])
-    return AlgebraBundle(m, bracket=brk, basis_labels=_module_labels(m))
+    return AlgebraBundle(m, bracket=_induced_bracket(t, r), basis_labels=_module_labels(m))
 
 
 def induced_pre_fmanifold(t: InterMap, r: RepBundle) -> AlgebraBundle:
@@ -150,12 +158,8 @@ def induced_pre_fmanifold(t: InterMap, r: RepBundle) -> AlgebraBundle:
     if not report.passed:
         raise NotRelativeRB("map fails the relative Rota-Baxter identities", report)
     m = r.module_dim
-    timg = _images(t, m)
-    mut = [r.mu.of(timg[p]) for p in range(m)]
-    rhot = [[r.rho.of(timg[p], timg[q]) for q in range(m)] for p in range(m)]
-    prod = Tensor3.build(m, lambda p, q, s: mut[p].entries[s][q])
-    brk = Tensor4.build(m, lambda p, q, s, w: rhot[p][q].entries[w][s])
-    return AlgebraBundle(m, product=prod, bracket=brk, basis_labels=_module_labels(m))
+    return AlgebraBundle(m, product=_induced_product(t, r), bracket=_induced_bracket(t, r),
+                         basis_labels=_module_labels(m))
 
 
 def rb_induced_pre(R: InterMap, a: AlgebraBundle) -> AlgebraBundle:
@@ -168,8 +172,8 @@ def rb_induced_pre(R: InterMap, a: AlgebraBundle) -> AlgebraBundle:
     n = a.dim
     rimg = _images(R, n)
     basis = a.basis_vectors()
-    prod = Tensor3.build(n, lambda i, j, k: a.mul(rimg[i], basis[j])[k])
-    brk = Tensor4.build(n, lambda i, j, k, l: a.br3(rimg[i], rimg[j], basis[k])[l])
+    prod = Tensor.from_images(n, 3, lambda i, j: a.mul(rimg[i], basis[j]))
+    brk = Tensor.from_images(n, 4, lambda i, j, k: a.br3(rimg[i], rimg[j], basis[k]))
     return AlgebraBundle(n, product=prod, bracket=brk, basis_labels=a.basis_labels)
 
 
@@ -186,12 +190,8 @@ def invertible_rb_to_pre(t: InterMap, r: RepBundle) -> AlgebraBundle:
     n = a.dim
     rho, mu = r.rho, r.mu
     tinv_cols = [tinv.column(j) for j in range(n)]
-    prod = Tensor3.build(
-        n, lambda i, j, k: t.apply(mu.mats[i].apply(tinv_cols[j]))[k]
-    )
-    brk = Tensor4.build(
-        n, lambda i, j, k, l: t.apply(rho.mats[i][j].apply(tinv_cols[k]))[l]
-    )
+    prod = Tensor.from_images(n, 3, lambda i, j: t.apply(mu.mats[i].apply(tinv_cols[j])))
+    brk = Tensor.from_images(n, 4, lambda i, j, k: t.apply(rho.mats[i][j].apply(tinv_cols[k])))
     return AlgebraBundle(n, product=prod, bracket=brk, basis_labels=a.basis_labels)
 
 
@@ -310,15 +310,38 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
         h = Vec([-b.value(basis[k], a.br3(basis[i], basis[j], basis[u])) for u in range(n)])
         return sharp_inv.apply(h)
 
-    dia = [[diamond(i, j) for j in range(n)] for i in range(n)]
-    ter = [[[ternary(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
-    prod = Tensor3.build(n, lambda i, j, k: dia[i][j][k])
-    brk = Tensor4.build(n, lambda i, j, k, l: ter[i][j][k][l])
+    prod = Tensor.from_images(n, 3, diamond)
+    brk = Tensor.from_images(n, 4, ternary)
     return AlgebraBundle(n, product=prod, bracket=brk, basis_labels=a.basis_labels)
 
 
 # ---------------------------------------------------------------------------
 # Nijenhuis operators and deformations
+
+
+def _deformed(nop: InterMap, a: AlgebraBundle):
+    """The images N e_i, and x *_N y and [x,y,z]_N at basis indices."""
+    basis = a.basis_vectors()
+    nimg = [nop.apply(e) for e in basis]
+
+    def mul_n(i, j):
+        return (a.mul(nimg[i], basis[j]) + a.mul(basis[i], nimg[j])
+                - nop.apply(a.mul(basis[i], basis[j])))
+
+    def br3_n(i, j, k):
+        return (
+            a.br3(nimg[i], nimg[j], basis[k])
+            + a.br3(nimg[i], basis[j], nimg[k])
+            + a.br3(basis[i], nimg[j], nimg[k])
+            - nop.apply(
+                a.br3(nimg[i], basis[j], basis[k])
+                + a.br3(basis[i], nimg[j], basis[k])
+                + a.br3(basis[i], basis[j], nimg[k])
+            )
+            + nop.apply(nop.apply(a.br3(basis[i], basis[j], basis[k])))
+        )
+
+    return nimg, mul_n, br3_n
 
 
 def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
@@ -331,31 +354,15 @@ def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
     if a.product is None and a.bracket is None:
         raise MissingTensor("product", "check_nijenhuis")
     n = a.dim
-    basis = a.basis_vectors()
-    nimg = [nop.apply(e) for e in basis]
+    nimg, mul_n, br3_n = _deformed(nop, a)
 
     def defect2(idx):
         i, j = idx
-        lhs = a.mul(nimg[i], nimg[j])
-        inner = a.mul(nimg[i], basis[j]) + a.mul(basis[i], nimg[j]) \
-            - nop.apply(a.mul(basis[i], basis[j]))
-        return lhs - nop.apply(inner)
+        return a.mul(nimg[i], nimg[j]) - nop.apply(mul_n(i, j))
 
     def defect3(idx):
         i, j, k = idx
-        lhs = a.br3(nimg[i], nimg[j], nimg[k])
-        inner = (
-            a.br3(nimg[i], nimg[j], basis[k])
-            + a.br3(nimg[i], basis[j], nimg[k])
-            + a.br3(basis[i], nimg[j], nimg[k])
-            - nop.apply(
-                a.br3(nimg[i], basis[j], basis[k])
-                + a.br3(basis[i], nimg[j], basis[k])
-                + a.br3(basis[i], basis[j], nimg[k])
-            )
-            + nop.apply(nop.apply(a.br3(basis[i], basis[j], basis[k])))
-        )
-        return lhs - nop.apply(inner)
+        return a.br3(nimg[i], nimg[j], nimg[k]) - nop.apply(br3_n(i, j, k))
 
     conditions = []
     if a.product is not None:
@@ -370,37 +377,10 @@ def deform(nop: InterMap, a: AlgebraBundle) -> AlgebraBundle:
     report = check_nijenhuis(nop, a)
     if not report.passed:
         raise NotNijenhuis("map fails the Nijenhuis integrability conditions", report)
-    n = a.dim
-    basis = a.basis_vectors()
-    nimg = [nop.apply(e) for e in basis]
-    prod = brk = None
-    if a.product is not None:
-        rows = [
-            [
-                a.mul(nimg[i], basis[j]) + a.mul(basis[i], nimg[j])
-                - nop.apply(a.mul(basis[i], basis[j]))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        prod = Tensor3.build(n, lambda i, j, k: rows[i][j][k])
-    if a.bracket is not None:
-        def deformed(i, j, k):
-            return (
-                a.br3(nimg[i], nimg[j], basis[k])
-                + a.br3(nimg[i], basis[j], nimg[k])
-                + a.br3(basis[i], nimg[j], nimg[k])
-                - nop.apply(
-                    a.br3(nimg[i], basis[j], basis[k])
-                    + a.br3(basis[i], nimg[j], basis[k])
-                    + a.br3(basis[i], basis[j], nimg[k])
-                )
-                + nop.apply(nop.apply(a.br3(basis[i], basis[j], basis[k])))
-            )
-
-        cells = [[[deformed(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
-        brk = Tensor4.build(n, lambda i, j, k, l: cells[i][j][k][l])
-    return AlgebraBundle(n, product=prod, bracket=brk, basis_labels=a.basis_labels)
+    _, mul_n, br3_n = _deformed(nop, a)
+    prod = Tensor.from_images(a.dim, 3, mul_n) if a.product is not None else None
+    brk = Tensor.from_images(a.dim, 4, br3_n) if a.bracket is not None else None
+    return AlgebraBundle(a.dim, product=prod, bracket=brk, basis_labels=a.basis_labels)
 
 
 def lift_nijenhuis(t: InterMap, r: RepBundle) -> InterMap:

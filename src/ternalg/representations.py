@@ -23,6 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
+from math import lcm
 from typing import Optional
 
 from .constructions import fix_slot_bracket, subadjacent_ternary_fmanifold
@@ -32,19 +33,17 @@ from .errors import (
     MissingTensor,
     UnknownKind,
 )
-from .linalg import Matrix, Tensor3, Tensor4, Vec
+from .linalg import ZERO, Matrix, Tensor, Vec
 from .structures import (
     AlgebraBundle,
     CheckReport,
     COHERENCE_IDENTITIES,
     Condition,
     _SUBMAPS,
-    _den_lcm,
     _evaluate,
     _identity_conditions,
     _Ops,
     _require,
-    _sparse,
     _table,
     run_conditions,
 )
@@ -107,15 +106,6 @@ class BiRep:
                 for j, yj in enumerate(y.entries):
                     if yj:
                         out = out + row[j].scale(xi * yj)
-        return out
-
-    def of_partial(self, i: int, w: Vec) -> Matrix:
-        """rho(e_i, w) for a basis first argument."""
-        out = Matrix.zero(self.module_dim, self.module_dim)
-        row = self.mats[i]
-        for j, wj in enumerate(w.entries):
-            if wj:
-                out = out + row[j].scale(wj)
         return out
 
 
@@ -186,6 +176,24 @@ def _columns(mats):
     return tuple(_columns(x) for x in mats)
 
 
+def _sparse(grid, scale=None):
+    """Nested rows of scalars -> the same nesting, innermost rows made sparse,
+    with every value times scale (an integer that clears its denominator)."""
+    if grid and isinstance(grid[0], tuple):
+        return [_sparse(g, scale) for g in grid]
+    return tuple((k, (v * scale).numerator if scale else v) for k, v in enumerate(grid) if v)
+
+
+def _den_lcm(grid) -> int:
+    """The lcm of all denominators in nested tuples of Fractions and tensors
+    (None for an absent one)."""
+    if isinstance(grid, tuple):
+        return lcm(*map(_den_lcm, grid))
+    if isinstance(grid, Tensor):
+        return grid.den_lcm()
+    return 1 if grid is None else grid.denominator
+
+
 class _RepOps:
     """Sparse tables of a representation bundle, on integers scaled by
     (alpha, beta) or exact.  L maps, exact Leibnizators and the integer
@@ -197,11 +205,11 @@ class _RepOps:
         a = r.algebra
         rho = _columns(r.rho.mats) if r.rho is not None else ()
         mu = _columns(r.mu.mats) if r.mu is not None else ()
-        prod, br3, br2 = (t.entries if t is not None else ()
-                          for t in (a.product, a.bracket, a.binary_bracket))
+        prod, br3, br2 = a.product, a.bracket, a.binary_bracket
         alpha, beta = (None, None) if exact else (_den_lcm((rho, br3, br2)), _den_lcm((mu, prod)))
         self.m, self.exact, self.scale = r.module_dim, exact, (alpha or 1, beta or 1)
-        self.alg = _Ops(a.dim, _sparse(prod, beta), _sparse(br3, alpha), _sparse(br2, alpha))
+        self.alg = _Ops(a.dim, *(t.table(s) if t is not None else None
+                                 for t, s in ((prod, beta), (br3, alpha), (br2, alpha))))
         self.rho = _sparse(rho, alpha)
         self.mu = _sparse(mu, beta)
         self._memo = defaultdict(dict)
@@ -511,25 +519,14 @@ def adjoint_rep(a: AlgebraBundle) -> RepBundle:
     if a.bracket is None:
         raise MissingTensor("bracket", "adjoint_rep")
     n = a.dim
-    basis = a.basis_vectors()
-    rho = BiRep(
-        n,
-        tuple(
-            tuple(
-                Matrix.from_columns([a.br3(basis[i], basis[j], basis[k]) for k in range(n)])
-                for j in range(n)
-            )
-            for i in range(n)
-        ),
-    )
-    mu = LinRep(
-        n,
-        tuple(
-            Matrix.from_columns([a.mul(basis[i], basis[k]) for k in range(n)])
-            for i in range(n)
-        ),
-    )
-    return RepBundle(algebra=a, rho=rho, mu=mu)
+    rho = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    mu = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k, l), v in a.bracket.nonzeros():
+        rho[i][j][l][k] = v
+    for (i, k, l), v in a.product.nonzeros():
+        mu[i][l][k] = v
+    return RepBundle(algebra=a, rho=BiRep(n, tuple(tuple(map(Matrix, row)) for row in rho)),
+                     mu=LinRep(n, tuple(map(Matrix, mu))))
 
 
 def dual_rep(r: RepBundle) -> RepBundle:
@@ -574,38 +571,19 @@ def semidirect(r: RepBundle) -> AlgebraBundle:
     rho = _need_birep(r)
     mu = _need_mu(r)
     n, m = a.dim, r.module_dim
-    dim = n + m
-    pa = a.product.entries
-    fa = a.bracket.entries
-
-    def prod(i, j, k):
-        if i < n and j < n:
-            return pa[i][j][k] if k < n else 0
-        if i < n and j >= n:
-            return mu.mats[i].entries[k - n][j - n] if k >= n else 0
-        if i >= n and j < n:
-            return mu.mats[j].entries[k - n][i - n] if k >= n else 0
-        return 0
-
-    def brk(i, j, k, l):
-        av = (i < n, j < n, k < n)
-        if av == (True, True, True):
-            return fa[i][j][k][l] if l < n else 0
-        if l < n:
-            return 0
-        if av == (True, True, False):
-            return rho.mats[i][j].entries[l - n][k - n]
-        if av == (True, False, True):
-            return -rho.mats[i][k].entries[l - n][j - n]
-        if av == (False, True, True):
-            return rho.mats[j][k].entries[l - n][i - n]
-        return 0
-
+    prod = list(a.product.nonzeros())
+    for i, mat in enumerate(mu.mats):
+        for (k, j), v in mat.nonzeros():
+            prod += [((i, n + j, n + k), v), ((n + j, i, n + k), v)]
+    brk = list(a.bracket.nonzeros())
+    for i, row in enumerate(rho.mats):
+        for j, mat in enumerate(row):
+            for (l, k), v in mat.nonzeros():
+                brk += [((i, j, n + k, n + l), v), ((i, n + k, j, n + l), -v),
+                        ((n + k, i, j, n + l), v)]
     labels = a.basis_labels + tuple(f"v{p + 1}" for p in range(m))
-    return AlgebraBundle(
-        dim, product=Tensor3.build(dim, prod), bracket=Tensor4.build(dim, brk),
-        basis_labels=labels,
-    )
+    return AlgebraBundle(n + m, product=Tensor(n + m, 3, prod), bracket=Tensor(n + m, 4, brk),
+                         basis_labels=labels)
 
 
 def fix_slot_rep(r: RepBundle, anchor: Vec) -> RepBundle:
@@ -619,7 +597,7 @@ def fix_slot_rep(r: RepBundle, anchor: Vec) -> RepBundle:
     fixed = fix_slot_bracket(r.algebra, anchor)
     rho_a = LinRep(
         rho.module_dim,
-        tuple(rho.of_partial(i, anchor) for i in range(r.algebra.dim)),
+        tuple(rho.of(r.algebra.basis(i), anchor) for i in range(r.algebra.dim)),
     )
     return RepBundle(algebra=fixed, rho=rho_a, mu=mu)
 

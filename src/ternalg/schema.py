@@ -95,7 +95,9 @@ def parse_scalar(x, where: str) -> Fraction:
 
 
 def _check_cap(where: str, n: int):
-    """Refuse a dimension past the cap before any dense table of that size is built."""
+    """Refuse a dimension past the cap before anything of that size is built:
+    the exhaustive scans visit up to n**5 basis tuples, and a representation
+    holds m x m matrices."""
     if n > dimension_cap():
         raise SchemaError(f"{where}: {n} exceeds the dimension cap {dimension_cap()}; "
                           "raise it with set_dimension_cap()")

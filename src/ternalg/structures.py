@@ -58,7 +58,6 @@ import logging
 import time
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -71,7 +70,7 @@ from .errors import (
     UnknownIdentity,
     UnknownKind,
 )
-from .linalg import InterMap, Tensor3, Tensor4, Vec, apply_bilinear, apply_trilinear
+from .linalg import ZERO, InterMap, Tensor, Vec
 
 log = logging.getLogger("ternalg")
 
@@ -84,7 +83,8 @@ def dimension_cap() -> int:
 
 
 def set_dimension_cap(n: int) -> None:
-    """Raise or lower the dense-storage dimension cap (default 16).
+    """Raise or lower the dimension cap (default 16): the exhaustive scans
+    visit up to n**5 basis tuples, so the cap bounds their cost.
 
     The cap is process-wide: it rebinds a module global that every later
     `AlgebraBundle(...)` reads.  Set it once, before starting threads that
@@ -111,9 +111,9 @@ class AlgebraBundle:
 
     dim: int
     basis_labels: tuple[str, ...]
-    product: Optional[Tensor3] = None
-    bracket: Optional[Tensor4] = None
-    binary_bracket: Optional[Tensor3] = None
+    product: Optional[Tensor] = None
+    bracket: Optional[Tensor] = None
+    binary_bracket: Optional[Tensor] = None
     unit: Optional[Vec] = None
 
     def __init__(self, dim, product=None, bracket=None, binary_bracket=None,
@@ -131,11 +131,15 @@ class AlgebraBundle:
             basis_labels = tuple(str(s) for s in basis_labels)
             if len(basis_labels) != dim:
                 raise BundleError(f"expected {dim} basis labels, got {len(basis_labels)}")
-        for name, t in (("product", product), ("binary_bracket", binary_bracket)):
-            if t is not None and t.dim != dim:
+        for name, t, order in (("product", product, 3), ("bracket", bracket, 4),
+                               ("binary_bracket", binary_bracket, 3)):
+            if t is None:
+                continue
+            if not isinstance(t, Tensor) or t.order != order:
+                got = f"order {t.order}" if isinstance(t, Tensor) else type(t).__name__
+                raise BundleError(f"{name} must be an order-{order} Tensor, got {got}")
+            if t.dim != dim:
                 raise BundleError(f"{name} tensor has dim {t.dim}, bundle has dim {dim}")
-        if bracket is not None and bracket.dim != dim:
-            raise BundleError(f"bracket tensor has dim {bracket.dim}, bundle has dim {dim}")
         if unit is not None:
             if product is None:
                 raise BundleError("unit given but bundle has no product")
@@ -150,7 +154,7 @@ class AlgebraBundle:
         if unit is not None:
             for i in range(dim):
                 e = self.basis(i)
-                if apply_bilinear(product, e, unit) != e or apply_bilinear(product, unit, e) != e:
+                if self.mul(e, unit) != e or self.mul(unit, e) != e:
                     raise BundleError(f"unit fails x*1 = 1*x = x at basis vector {i}")
 
     def basis(self, i: int) -> Vec:
@@ -160,19 +164,13 @@ class AlgebraBundle:
         return [self.basis(i) for i in range(self.dim)]
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        if self.product is None:
-            raise MissingTensor("product")
-        return apply_bilinear(self.product, x, y)
+        return _operate(self, "mul", (x, y))
 
     def br3(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        if self.bracket is None:
-            raise MissingTensor("bracket")
-        return apply_trilinear(self.bracket, x, y, z)
+        return _operate(self, "br3", (x, y, z))
 
     def br2(self, x: Vec, y: Vec) -> Vec:
-        if self.binary_bracket is None:
-            raise MissingTensor("binary_bracket")
-        return apply_bilinear(self.binary_bracket, x, y)
+        return _operate(self, "br2", (x, y))
 
 
 class StructureKind(str, Enum):
@@ -232,25 +230,47 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # sparse tables
 #
-# Tables hold sparse rows: prod[i][j] is a tuple of (k, coeff) pairs, and
-# br3t[i][j][k] a tuple of (l, coeff) pairs.  Integer tables drive the
-# exhaustive scans; Fraction tables serve exact evaluation at arbitrary
-# rational vectors through the vector methods below.
+# Tables hold sparse rows, as `Tensor.table` builds them: prod[i][j] is a
+# tuple of (k, coeff) pairs, and br3t[i][j][k] a tuple of (l, coeff) pairs.
+# Integer tables drive the exhaustive scans; Fraction tables serve exact
+# evaluation at arbitrary rational vectors through the functions below.
 
 
-def _sparse(grid, scale=None):
-    """Nested rows of scalars -> the same nesting, innermost rows made sparse,
-    with every value times scale (an integer that clears its denominator)."""
-    if grid and isinstance(grid[0], tuple):
-        return [_sparse(g, scale) for g in grid]
-    return tuple((k, (v * scale).numerator if scale else v) for k, v in enumerate(grid) if v)
+def _bilinear(n, table, x, y):
+    out = [ZERO] * n
+    for i, xi in enumerate(x):
+        if xi:
+            plane = table[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    row = plane[j]
+                    if row:
+                        c = xi * yj
+                        for k, v in row:
+                            out[k] += c * v
+    return out
 
 
-def _den_lcm(grid) -> int:
-    """The lcm of all denominators in nested tuples of Fractions."""
-    if isinstance(grid, tuple):
-        return lcm(*map(_den_lcm, grid))
-    return grid.denominator
+def _trilinear(n, table, x, y, z):
+    out = [ZERO] * n
+    for i, xi in enumerate(x):
+        if xi:
+            cube = table[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    plane = cube[j]
+                    cij = xi * yj
+                    for k, zk in enumerate(z):
+                        if zk:
+                            row = plane[k]
+                            if row:
+                                c = cij * zk
+                                for l, v in row:
+                                    out[l] += c * v
+    return out
+
+
+_MULTILINEAR = {"mul": _bilinear, "br3": _trilinear, "br2": _bilinear}
 
 
 class _Ops:
@@ -267,55 +287,6 @@ class _Ops:
         self.basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
         self.tables = {"mul": prod, "br3": br3t, "br2": br2t}
 
-    def mul(self, x, y):
-        out = [0] * self.n
-        prod = self.prod
-        for i, xi in enumerate(x):
-            if xi:
-                plane = prod[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        row = plane[j]
-                        if row:
-                            c = xi * yj
-                            for k, v in row:
-                                out[k] += c * v
-        return out
-
-    def br3(self, x, y, z):
-        out = [0] * self.n
-        br3t = self.br3t
-        for i, xi in enumerate(x):
-            if xi:
-                cube = br3t[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        plane = cube[j]
-                        cij = xi * yj
-                        for k, zk in enumerate(z):
-                            if zk:
-                                row = plane[k]
-                                if row:
-                                    c = cij * zk
-                                    for l, v in row:
-                                        out[l] += c * v
-        return out
-
-    def br2(self, x, y):
-        out = [0] * self.n
-        br2t = self.br2t
-        for i, xi in enumerate(x):
-            if xi:
-                plane = br2t[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        row = plane[j]
-                        if row:
-                            c = xi * yj
-                            for k, v in row:
-                                out[k] += c * v
-        return out
-
 
 def _tensors(b: AlgebraBundle):
     return (b.product, b.bracket, b.binary_bracket)
@@ -325,10 +296,10 @@ def _int_ops(b: AlgebraBundle) -> _Ops:
     cached = getattr(b, "_ops_int", None)
     if cached is not None:
         return cached
-    scales = [_den_lcm(t.entries) if t is not None else None for t in _tensors(b)]
+    scales = [t.den_lcm() if t is not None else None for t in _tensors(b)]
     log.debug("integer tables, dim %d: scale factors product=%s bracket=%s "
               "binary_bracket=%s", b.dim, *scales)
-    ops = _Ops(b.dim, *(_sparse(t.entries, s) if t is not None else None
+    ops = _Ops(b.dim, *(t.table(s) if t is not None else None
                         for t, s in zip(_tensors(b), scales)))
     object.__setattr__(b, "_ops_int", ops)
     return ops
@@ -338,7 +309,7 @@ def _exact_ops(b: AlgebraBundle) -> _Ops:
     cached = getattr(b, "_ops_exact", None)
     if cached is not None:
         return cached
-    ops = _Ops(b.dim, *(_sparse(t.entries) if t is not None else None for t in _tensors(b)))
+    ops = _Ops(b.dim, *(t.table() if t is not None else None for t in _tensors(b)))
     object.__setattr__(b, "_ops_exact", ops)
     return ops
 
@@ -355,6 +326,7 @@ def _exact_ops(b: AlgebraBundle) -> _Ops:
 # arguments iff the bracket is alternating.
 
 _TENSOR_SLOTS = (("mul", "product"), ("br3", "bracket"), ("br2", "binary_bracket"))
+_SLOT_OF = dict(_TENSOR_SLOTS)
 _DEGREE = {"mul": (1, 0, 0), "br3": (0, 1, 0), "br2": (0, 0, 1)}
 
 
@@ -735,7 +707,9 @@ def _evaluate(ops: _Ops, m: Identity, vecs) -> list:
 
 def _apply(ops: _Ops, op: str, vecs) -> list:
     sub = _SUBMAPS.get(op)
-    return _evaluate(ops, sub, vecs) if sub is not None else getattr(ops, op)(*vecs)
+    if sub is not None:
+        return _evaluate(ops, sub, vecs)
+    return _MULTILINEAR[op](ops.n, ops.tables[op], *vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,12 +1021,24 @@ def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
 # public evaluators and checkers
 
 
-def _eval_map(b: AlgebraBundle, m: Identity, args: Sequence[Vec], context: str) -> Vec:
-    _require(b, m.needs, context)
+def _coordinates(b: AlgebraBundle, args: Sequence[Vec]) -> list:
     for v in args:
         if v.dim != b.dim:
             raise DimensionMismatch(f"argument has dim {v.dim}, bundle has dim {b.dim}")
-    return Vec(_evaluate(_exact_ops(b), m, [list(v.entries) for v in args]))
+    return [v.entries for v in args]
+
+
+def _operate(b: AlgebraBundle, op: str, args: Sequence[Vec]) -> Vec:
+    """The tensor operation op (mul, br3 or br2) of b at exact vectors."""
+    slot = _SLOT_OF[op]
+    if getattr(b, slot) is None:
+        raise MissingTensor(slot)
+    return Vec(_apply(_exact_ops(b), op, _coordinates(b, args)))
+
+
+def _eval_map(b: AlgebraBundle, m: Identity, args: Sequence[Vec], context: str) -> Vec:
+    _require(b, m.needs, context)
+    return Vec(_evaluate(_exact_ops(b), m, _coordinates(b, args)))
 
 
 def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:

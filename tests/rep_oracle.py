@@ -2,16 +2,18 @@
 
 Each condition is a function of one algebra basis tuple returning its whole
 m x m matrix in `Fraction` arithmetic, with no rescaling and no sparse
-tables.  `check` scans tuples in lexicographic order and module columns
-within each tuple, stops after the first k failing columns and counts
-columns the same way `check_representation` does, so the two must return
-equal reports.  It is slow and used only by the tests.
+tables; products, brackets and Leibnizators come from `structure_oracle`.
+`check` scans tuples in lexicographic order and module columns within each
+tuple, stops after the first k failing columns and counts columns the same
+way `check_representation` does, so the two must return equal reports.  It
+is slow and used only by the tests.
 """
 
 import itertools
 
+from structure_oracle import _leib2, _leib3, br2, br3, mul
 from ternalg.linalg import Matrix, Vec
-from ternalg.structures import CheckReport, Counterexample, leibnizator2, leibnizator3
+from ternalg.structures import CheckReport, Counterexample
 
 
 def _mu_of(mu, v: Vec) -> Matrix:
@@ -36,7 +38,7 @@ def _mu_mult(r):
 
     def mu_mult(t):
         i, j = t
-        return _mu_of(mu, a.mul(basis[i], basis[j])) - mu.mats[i] @ mu.mats[j]
+        return _mu_of(mu, mul(a, basis[i], basis[j])) - mu.mats[i] @ mu.mats[j]
 
     return [("mu-mult", 2, mu_mult)]
 
@@ -48,7 +50,7 @@ def _lie(r):
     def lie(t):
         i, j = t
         return (
-            _mu_of(rho, a.br2(basis[i], basis[j]))
+            _mu_of(rho, br2(a, basis[i], basis[j]))
             - rho.mats[i] @ rho.mats[j]
             + rho.mats[j] @ rho.mats[i]
         )
@@ -57,17 +59,13 @@ def _lie(r):
 
 
 def _three_lie(r):
-    f = r.algebra.bracket.entries
-    mats = r.rho.mats
+    a, mats = r.algebra, r.rho.mats
+    basis = a.basis_vectors()
     m = r.rho.module_dim
 
     def rho_of_bracket(i, j, k, l):
         """rho([e_i,e_j,e_k], e_l)"""
-        out = Matrix.zero(m, m)
-        for s, c in enumerate(f[i][j][k]):
-            if c:
-                out = out + mats[s][l].scale(c)
-        return out
+        return _comb([row[l] for row in mats], br3(a, basis[i], basis[j], basis[k]), m)
 
     def skew(t):
         i, j = t
@@ -107,8 +105,8 @@ def _l_maps(r):
     def at(i, j, k):
         if (i, j, k) not in memo:
             rij = rho.mats[i][j]
-            mub = _mu_of(mu, a.br3(basis[i], basis[j], basis[k]))
-            rho_ip = rho.of_partial(i, a.mul(basis[j], basis[k]))
+            mub = _mu_of(mu, br3(a, basis[i], basis[j], basis[k]))
+            rho_ip = rho.of(basis[i], mul(a, basis[j], basis[k]))
             memo[i, j, k] = (
                 rij @ mu.mats[k] - mu.mats[k] @ rij - mub,
                 mu.mats[k] @ rij + mu.mats[j] @ rho.mats[i][k] - rho_ip,
@@ -124,7 +122,7 @@ def _ternary_rep(r):
     n, m = a.dim, mu.module_dim
     basis = a.basis_vectors()
     lm = _l_maps(r)
-    prows = [[a.mul(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    prows = [[mul(a, basis[i], basis[j]) for j in range(n)] for i in range(n)]
 
     def rep1(t):
         i, j, k, l = t
@@ -138,7 +136,7 @@ def _ternary_rep(r):
 
     def rep2(t):
         i, j, k, l = t
-        lvec = leibnizator3(a, basis[i], basis[j], basis[k], basis[l])
+        lvec = _leib3(a, basis[i], basis[j], basis[k], basis[l])
         l2 = lm(j, k, l)[1]
         return _mu_of(mu, lvec) - l2 @ mu.mats[i] + mu.mats[i] @ l2
 
@@ -150,7 +148,7 @@ def _dual(r):
     n, m = a.dim, mu.module_dim
     basis = a.basis_vectors()
     lm = _l_maps(r)
-    prows = [[a.mul(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    prows = [[mul(a, basis[i], basis[j]) for j in range(n)] for i in range(n)]
 
     def corep1(t):
         i, j, k, l = t
@@ -164,7 +162,7 @@ def _dual(r):
 
     def corep3(t):
         i, j, k, l = t
-        lvec = leibnizator3(a, basis[i], basis[j], basis[k], basis[l])
+        lvec = _leib3(a, basis[i], basis[j], basis[k], basis[l])
         l3 = lm(j, k, l)[2]
         return _mu_of(mu, lvec) - l3 @ mu.mats[i] + mu.mats[i] @ l3
 
@@ -179,11 +177,11 @@ def _binary_rep(r):
     l2t = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            mub = _mu_of(mu, a.br2(basis[i], basis[j]))
-            rho_p = _mu_of(rho, a.mul(basis[i], basis[j]))
+            mub = _mu_of(mu, br2(a, basis[i], basis[j]))
+            rho_p = _mu_of(rho, mul(a, basis[i], basis[j]))
             l1t[i][j] = rho.mats[i] @ mu.mats[j] - mu.mats[j] @ rho.mats[i] - mub
             l2t[i][j] = mu.mats[i] @ rho.mats[j] + mu.mats[j] @ rho.mats[i] - rho_p
-    prows = [[a.mul(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+    prows = [[mul(a, basis[i], basis[j]) for j in range(n)] for i in range(n)]
 
     def brep1(t):
         i, j, k = t
@@ -192,7 +190,7 @@ def _binary_rep(r):
 
     def brep2(t):
         i, j, k = t
-        lvec = leibnizator2(a, basis[i], basis[j], basis[k])
+        lvec = _leib2(a, basis[i], basis[j], basis[k])
         return _mu_of(mu, lvec) - l2t[j][k] @ mu.mats[i] + mu.mats[i] @ l2t[j][k]
 
     return [("brep-1", 3, brep1), ("brep-2", 3, brep2)]

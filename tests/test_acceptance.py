@@ -227,7 +227,7 @@ def test_c06_lift_and_induced_rep():
         for k in range(n):
             expected_product[n + p][i][k] = w[k]
             expected_product[i][n + p][k] = w[k]
-    assert deformed.product == Tensor3(expected_product)
+    assert deformed.product == Tensor3.build(n + m, lambda i, j, k: expected_product[i][j][k])
 
     expected_bracket = [
         [[[Fraction(0)] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
@@ -243,7 +243,8 @@ def test_c06_lift_and_induced_rep():
             expected_bracket[n + p][n + q][i][k] = w[k]      # [u,v,x] -> rho_T(u,v)x
             expected_bracket[n + q][i][n + p][k] = -w[k]     # [v,x,u] = -[v,u,x]
             expected_bracket[i][n + p][n + q][k] = w[k]      # [x,u,v] -> rho_T(u,v)x
-    assert deformed.bracket == Tensor4(expected_bracket)
+    assert deformed.bracket == Tensor4.build(
+        n + m, lambda i, j, k, l: expected_bracket[i][j][k][l])
     done(6, "N_T lift, induced representation, block expansion")
 
 

@@ -120,7 +120,7 @@ def test_fix_slot_linear_in_anchor():
     t1 = fix_slot_bracket(f, a1).binary_bracket
     t2 = fix_slot_bracket(f, a2).binary_bracket
     ts = fix_slot_bracket(f, a1 + a2).binary_bracket
-    got = Tensor3.build(4, lambda i, j, k: t1.entries[i][j][k] + t2.entries[i][j][k])
+    got = Tensor3.build(4, lambda i, j, k: t1[i, j, k] + t2[i, j, k])
     assert ts == got
 
 
@@ -164,10 +164,10 @@ def test_trace_induced_rejects_non_trace():
 def test_trace_induced_alternating_by_construction():
     b, tau = gl2_trace()
     out = trace_induced(b, tau)
-    t = out.bracket.entries
-    for i, j, k in itertools.product(range(4), repeat=3):
-        assert t[i][j][k] == tuple(-v for v in t[j][i][k])
-        assert t[i][j][k] == tuple(-v for v in t[i][k][j])
+    t = out.bracket
+    for i, j, k, l in itertools.product(range(4), repeat=4):
+        assert t[i, j, k, l] == -t[j, i, k, l]
+        assert t[i, j, k, l] == -t[i, k, j, l]
 
 
 def test_induced_condition_zero_product():
@@ -206,7 +206,7 @@ def test_symmetrize_zero():
 
 def test_symmetrize_half_product_recovers():
     t = trunc(3)
-    half = Tensor3.build(3, lambda i, j, k: Fraction(t.product.entries[i][j][k], 2))
+    half = Tensor3.build(3, lambda i, j, k: Fraction(t.product[i, j, k], 2))
     b = AlgebraBundle(3, product=half)
     assert symmetrize_zinbiel(b).product == t.product
 
@@ -229,7 +229,7 @@ def test_subadjacent_commutator_of_skew_bracket_is_triple():
     f = fil4()
     p = AlgebraBundle(4, bracket=f.bracket)
     out = subadjacent_commutator(p)
-    tripled = Tensor4.build(4, lambda i, j, k, l: 3 * f.bracket.entries[i][j][k][l])
+    tripled = Tensor4.build(4, lambda i, j, k, l: 3 * f.bracket[i, j, k, l])
     assert out.bracket == tripled
 
 

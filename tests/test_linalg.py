@@ -8,13 +8,13 @@ from ternalg.errors import DimensionMismatch, SingularMatrix
 from ternalg.linalg import (
     InterMap,
     Matrix,
+    Tensor,
     Tensor3,
     Tensor4,
     Vec,
-    apply_bilinear,
-    apply_trilinear,
     invert,
 )
+from ternalg.structures import AlgebraBundle
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -25,6 +25,14 @@ def rand_vec(rng, n):
 
 def trunc_product(n):
     return Tensor3.build(n, lambda i, j, k: 1 if i + j == k else 0)
+
+
+def mul(t, x, y):
+    return AlgebraBundle(t.dim, product=t).mul(x, y)
+
+
+def br3(f, x, y, z):
+    return AlgebraBundle(f.dim, bracket=f).br3(x, y, z)
 
 
 def fil4_bracket():
@@ -51,18 +59,18 @@ def test_scalar_lowest_terms():
     assert Fraction(1, -2).denominator == 2
 
 
-# -- apply_bilinear ----------------------------------------------------------
+# -- products through AlgebraBundle.mul -----------------------------------------
 
 def test_bilinear_zero_tensor():
     t = Tensor3.zero(3)
     rng = random.Random(1)
-    assert apply_bilinear(t, rand_vec(rng, 3), rand_vec(rng, 3)) == Vec.zero(3)
+    assert mul(t, rand_vec(rng, 3), rand_vec(rng, 3)) == Vec.zero(3)
 
 
 def test_bilinear_trunc3_monomial():
     t = trunc_product(3)
     e2 = Vec.basis(3, 1)  # t
-    assert apply_bilinear(t, e2, e2) == Vec.basis(3, 2)  # t^2
+    assert mul(t, e2, e2) == Vec.basis(3, 2)  # t^2
 
 
 def test_bilinear_matches_polynomial_product():
@@ -77,22 +85,22 @@ def test_bilinear_matches_polynomial_product():
             for j in range(n):
                 if i + j < n:
                     conv[i + j] += x[i] * y[j]
-        assert apply_bilinear(t, x, y) == Vec(conv)
+        assert mul(t, x, y) == Vec(conv)
 
 
 def test_bilinear_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        apply_bilinear(trunc_product(3), Vec.zero(2), Vec.zero(3))
+        mul(trunc_product(3), Vec.zero(2), Vec.zero(3))
 
 
-# -- apply_trilinear ---------------------------------------------------------
+# -- brackets through AlgebraBundle.br3 -----------------------------------------
 
 def test_trilinear_table_values():
     f = fil4_bracket()
     e = [Vec.basis(4, i) for i in range(4)]
-    assert apply_trilinear(f, e[0], e[1], e[2]) == e[3]
-    assert apply_trilinear(f, e[0], e[0], e[2]) == Vec.zero(4)
-    assert apply_trilinear(f, e[1], e[0], e[2]) == -e[3]
+    assert br3(f, e[0], e[1], e[2]) == e[3]
+    assert br3(f, e[0], e[0], e[2]) == Vec.zero(4)
+    assert br3(f, e[1], e[0], e[2]) == -e[3]
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,8 +108,8 @@ def test_trilinear_table_values():
 def test_multilinearity_first_slot(a, b, i, j, k):
     t = trunc_product(3)
     x, y, z = Vec.basis(3, i), Vec.basis(3, j), Vec.basis(3, k)
-    lhs = apply_bilinear(t, x.scale(a) + y.scale(b), z)
-    rhs = apply_bilinear(t, x, z).scale(a) + apply_bilinear(t, y, z).scale(b)
+    lhs = mul(t, x.scale(a) + y.scale(b), z)
+    rhs = mul(t, x, z).scale(a) + mul(t, y, z).scale(b)
     assert lhs == rhs
 
 
@@ -111,8 +119,8 @@ def test_trilinearity_random_exact():
     for _ in range(20):
         x, y, z, w = (rand_vec(rng, 4) for _ in range(4))
         a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        lhs = apply_trilinear(f, x, y.scale(a) + z, w)
-        rhs = apply_trilinear(f, x, y, w).scale(a) + apply_trilinear(f, x, z, w)
+        lhs = br3(f, x, y.scale(a) + z, w)
+        rhs = br3(f, x, y, w).scale(a) + br3(f, x, z, w)
         assert lhs == rhs
 
 
@@ -166,6 +174,20 @@ def test_intermap_dims():
 
 def test_tensor_shape_validation():
     with pytest.raises(DimensionMismatch):
-        Tensor3([[[0]], [[0]]])
+        Tensor3.from_nonzeros(2, {(0, 1): 1})  # too few indices
     with pytest.raises(DimensionMismatch):
-        Tensor4([[[[0, 0]]]])
+        Tensor4.from_nonzeros(2, {(0, 1, 2, 0): 1})  # index 2 out of range
+    with pytest.raises(DimensionMismatch):
+        Tensor3.from_nonzeros(2, {(0, -1, 0): 1})
+
+
+def test_tensor_is_structural_and_sparse():
+    t = Tensor3.from_nonzeros(3, {(2, 0, 1): Fraction(3, 4), (0, 1, 2): -1, (1, 1, 1): 0})
+    assert t == Tensor(3, 3, [((0, 1, 2), -2), ((2, 0, 1), Fraction(3, 4)), ((0, 1, 2), 1)])
+    assert hash(t) == hash(Tensor3.build(3, lambda *idx: t[idx]))
+    assert t.nonzeros() == (((0, 1, 2), -1), ((2, 0, 1), Fraction(3, 4)))
+    assert t[2, 0, 1] == Fraction(3, 4) and t[1, 1, 1] == 0
+    assert t != Tensor4.zero(3) and Tensor3.from_nonzeros(3, {(0, 0, 0): 0}).is_zero()
+    assert t.den_lcm() == 4
+    assert t.table(4)[2][0] == ((1, 3),) and t.table()[0][1] == ((2, -1),)
+    assert Tensor.from_table(3, 3, t.table()) == t

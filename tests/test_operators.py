@@ -470,7 +470,7 @@ def test_block_expansion_identity(reg3):
         return out[k]
 
     for i, j, k in itertools.product(range(n + m), repeat=3):
-        assert deformed.product.entries[i][j][k] == expected_product(i, j, k)
+        assert deformed.product[i, j, k] == expected_product(i, j, k)
 
     def expected_bracket(i, j, k, l):
         parts = [(x, x >= n) for x in (i, j, k)]
@@ -493,7 +493,7 @@ def test_block_expansion_identity(reg3):
         return out[l]
 
     for i, j, k, l in itertools.product(range(n + m), repeat=4):
-        assert deformed.bracket.entries[i][j][k][l] == expected_bracket(i, j, k, l)
+        assert deformed.bracket[i, j, k, l] == expected_bracket(i, j, k, l)
 
 
 def test_induction_closure_all_checkers(reg3):

@@ -15,7 +15,7 @@ import pytest
 
 import rep_oracle
 from ternalg.catalog import fil4
-from ternalg.linalg import Matrix, Tensor3, Tensor4, Vec, invert
+from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec, invert
 from ternalg.representations import (
     BiRep,
     LinRep,
@@ -90,7 +90,7 @@ def scaled(r, alpha, beta):
     a = r.algebra
 
     def tensor(t, c):
-        return None if t is None else type(t)(_scale_nested(t.entries, c))
+        return None if t is None else Tensor(t.dim, t.order, [(i, c * v) for i, v in t.nonzeros()])
 
     algebra = AlgebraBundle(a.dim, product=tensor(a.product, beta),
                             bracket=tensor(a.bracket, alpha),
@@ -102,12 +102,6 @@ def scaled(r, alpha, beta):
         rho = LinRep(r.module_dim, tuple(x.scale(alpha) for x in r.rho.mats))
     mu = LinRep(r.module_dim, tuple(x.scale(beta) for x in r.mu.mats))
     return RepBundle(algebra=algebra, rho=rho, mu=mu)
-
-
-def _scale_nested(x, c):
-    if isinstance(x, tuple):
-        return [_scale_nested(y, c) for y in x]
-    return x * c
 
 
 def conjugated(r, s):

@@ -128,7 +128,7 @@ def test_only_integer_and_fraction_strings_accepted(text):
                                          ("007", 7), ("10/4", Fraction(5, 2)), ("-0/5", 0)])
 def test_integer_and_fraction_strings_parse(text, value):
     b = parse_document(product_doc(text))[0].bundle
-    assert b.product.entries[0][0][0] == value
+    assert b.product[0, 0, 0] == value
 
 
 @pytest.mark.parametrize("obj, field", [

@@ -29,7 +29,7 @@ from ternalg.catalog import (
 )
 from ternalg.constructions import direct_sum
 from ternalg.errors import InternalError
-from ternalg.linalg import Tensor3, Tensor4, Vec
+from ternalg.linalg import Tensor, Tensor3, Tensor4, Vec
 from ternalg.operators import induced_pre_fmanifold
 from ternalg.representations import adjoint_rep, check_coherence
 from ternalg import structures
@@ -88,7 +88,7 @@ def scaled(b, lam=Fraction(2, 3), mu=Fraction(3, 5), nu=Fraction(5, 7)):
 def _rebuild(t, c):
     if t is None:
         return None
-    return type(t).from_nonzeros(t.dim, {k: c * v for k, v in t.nonzeros()})
+    return Tensor(t.dim, t.order, {k: c * v for k, v in t.nonzeros()})
 
 
 def perturb(b, rng, slot=None):
@@ -114,7 +114,7 @@ def perturb(b, rng, slot=None):
     for key, v in orbit:
         nz[key] = nz.get(key, 0) + v
     tensors = {s: getattr(b, s) for s in ("product", "bracket", "binary_bracket")}
-    tensors[slot] = type(t).from_nonzeros(n, nz)
+    tensors[slot] = Tensor(n, t.order, nz)
     return AlgebraBundle(n, **tensors)
 
 

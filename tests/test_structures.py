@@ -388,3 +388,37 @@ def test_invariants_survive_python_O():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True", "True", "True", "True"]
+
+
+TENSOR_ORDERS = textwrap.dedent("""
+    from ternalg.errors import BundleError
+    from ternalg.linalg import Tensor3, Tensor4
+    from ternalg.structures import AlgebraBundle
+
+    def refused(**tensors):
+        try:
+            AlgebraBundle(2, **tensors)
+        except BundleError as exc:
+            return str(exc)
+        return "accepted"
+
+    print(refused(bracket=Tensor3.zero(2)))
+    print(refused(product=Tensor4.zero(2)))
+    print(refused(binary_bracket=Tensor4.zero(2)))
+    print(refused(product=[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_tensor_order_checked_under_python_O(flags):
+    pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    proc = subprocess.run([sys.executable, *flags, "-c", TENSOR_ORDERS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "bracket must be an order-4 Tensor, got order 3",
+        "product must be an order-3 Tensor, got order 4",
+        "binary_bracket must be an order-3 Tensor, got order 4",
+        "product must be an order-3 Tensor, got list",
+    ]
