@@ -141,7 +141,7 @@ def check_trace(a: AlgebraBundle, tau: TraceFunctional, *,
     def value(t):
         return tau.apply(a.br2(a.basis(t[0]), a.basis(t[1])))
 
-    cond = Condition("trace", a.dim, 2, lambda t: Vec([value(t)]), scan=value)
+    cond = Condition("trace", (a.dim, a.dim), lambda t: Vec([value(t)]), scan=value)
     return run_conditions("trace", [cond], max_counterexamples)
 
 
@@ -178,24 +178,19 @@ def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
         raise MissingTensor("binary_bracket", "check_induced_condition")
     if tau.dim != a.dim:
         raise DimensionMismatch(f"trace has dim {tau.dim}, bundle has dim {a.dim}")
-    from .structures import leibnizator2
-
     n = a.dim
     basis = [a.basis(i) for i in range(n)]
     t = [tau.apply(e) for e in basis]
-    ltab = [
-        [[leibnizator2(a, basis[i], basis[j], basis[k]) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+    leib2 = [[[Vec(dict(row).get(s, 0) for s in range(n)) for row in plane] for plane in cube]
+             for cube in _table(_exact_ops(a), "leib2")]
 
     def defect(t5):
         i, j, k, l, m = t5
-        lv = ltab[k][l][m]
-        d = lv.scale(tau.apply(a.mul(basis[i], basis[j])))
-        d = d - a.mul(basis[i], lv).scale(t[j]) - a.mul(basis[j], lv).scale(t[i])
-        return d
+        lv = leib2[k][l][m]
+        return (lv.scale(tau.apply(a.mul(basis[i], basis[j])))
+                - a.mul(basis[i], lv).scale(t[j]) - a.mul(basis[j], lv).scale(t[i]))
 
-    cond = Condition("induced-condition", n, 5, defect)
+    cond = Condition("induced-condition", (n,) * 5, defect)
     return run_conditions("induced-condition", [cond], max_counterexamples)
 
 

@@ -65,7 +65,7 @@ def _rb_comm(t: InterMap, r: RepBundle) -> Condition:
         rhs = t.apply(mut[p].apply(vbasis[q]) + mut[q].apply(vbasis[p]))
         return lhs - rhs
 
-    return Condition("rb-comm", m, 2, defect)
+    return Condition("rb-comm", (m, m), defect)
 
 
 def _rb_3lie(t: InterMap, r: RepBundle) -> Condition:
@@ -91,7 +91,7 @@ def _rb_3lie(t: InterMap, r: RepBundle) -> Condition:
         )
         return lhs - rhs
 
-    return Condition("rb-3lie", m, 3, defect)
+    return Condition("rb-3lie", (m,) * 3, defect)
 
 
 def check_relative_rb_comm(t: InterMap, r: RepBundle, *,
@@ -240,7 +240,7 @@ def _form_condition(name: str, context: str, b: BilinearForm, a: AlgebraBundle,
     if b.dim != a.dim:
         raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
     _require_skew(b, context)
-    return Condition(name, a.dim, arity, lambda idx: Vec([value(idx)]), scan=value)
+    return Condition(name, (a.dim,) * arity, lambda idx: Vec([value(idx)]), scan=value)
 
 
 def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
@@ -366,9 +366,9 @@ def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
 
     conditions = []
     if a.product is not None:
-        conditions.append(Condition("nijenhuis-comm", n, 2, defect2))
+        conditions.append(Condition("nijenhuis-comm", (n, n), defect2))
     if a.bracket is not None:
-        conditions.append(Condition("nijenhuis-3lie", n, 3, defect3))
+        conditions.append(Condition("nijenhuis-3lie", (n,) * 3, defect3))
     return run_conditions("nijenhuis", conditions, max_counterexamples)
 
 

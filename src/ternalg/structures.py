@@ -8,21 +8,25 @@ report the first failures with exact residual vectors.
 Each identity, and each sub-map identities share (Leibnizators, F1, F2, the
 cyclic sums), is defined once, as data: a signed sum of terms, each term an
 operation (`mul`, `br3`, `br2` or a sub-map) applied to argument slots, with
-at most one argument itself such a term.  Two evaluators derive from it.
-The exhaustive scans run Python source generated per identity: each term
-becomes two nested loops over sparse tables, and each sub-map is tabulated
-once per bundle, on first use, by its own generated loops.  Exact
-evaluations (`eval_defect`, the Leibnizators, F1, F2, K and the residual of
-every counterexample) walk the same terms over exact vectors instead, so
-the reported residuals never depend on generated code.
+at most one argument itself such a term.  Every slot has a sort, A (the
+algebra) or V (a module), and every operation a signature (`_SIGNATURES`)
+that `_define` checks; `representations` states its conditions in the same
+language.  Two evaluators derive from the data.  The exhaustive scans run
+Python source generated per identity: each term becomes two nested loops
+over sparse tables, and each sub-map is tabulated once per bundle, on first
+use, by its own generated loops.  Exact evaluations (`eval_defect`, the
+Leibnizators, F1, F2, K and the residual of every counterexample) walk the
+same terms over exact vectors instead, so the reported residuals never
+depend on generated code.
 
 The scans run on integer-rescaled tables: each tensor is multiplied by the
-lcm of its denominators.  Every identity is homogeneous in each tensor
-separately -- checked at import from the term degrees, raising
-`InternalError` otherwise -- so the rescaled defect is the true one times a
-nonzero integer and vanishes exactly when it does.  Flagged tuples are
-recomputed in exact rationals, which doubles as a cross-check of the fast
-path.
+lcm of its denominators, or, for a map with a module slot, each scale group
+of `_SCALE_GROUPS` by the lcm of all its tensors' denominators.  Every map
+is homogeneous in each tensor, or in each group -- checked at import from
+the term degrees, raising `InternalError` otherwise -- so the rescaled
+defect is the true one times a nonzero integer and vanishes exactly when it
+does.  Flagged tuples are recomputed in exact rationals, which doubles as a
+cross-check of the fast path.
 
 Every checker of the package, here and in `representations`, `operators`
 and `constructions`, declares its conditions as `Condition`s and hands them
@@ -47,7 +51,10 @@ Adding an identity: define it in `_registry` with `_define` (a shared
 sub-map with `_submap`), in terms of `mul`, `br3`, `br2` and the existing
 sub-maps, and list it in `KIND_IDENTITIES`.  Which tensors it needs, its
 degree check, its symmetry certificate and both evaluators follow from the
-definition.
+definition.  A representation condition is the same, in
+`representations._registry` and `KIND_CONDITIONS`, with the module slot
+last and `rho`, `rho1` and `mu` available.  A new tensor needs a signature
+in `_SIGNATURES` and a place in `_SCALE_GROUPS`.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ import logging
 import time
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -186,13 +194,12 @@ class StructureKind(str, Enum):
     TERNARY_PRE_NAMBU_POISSON = "ternary-pre-nambu-poisson"
 
 
-def coerce_kind(kind) -> StructureKind:
-    if isinstance(kind, StructureKind):
-        return kind
+def coerce_kind(kind, kinds: type[Enum] = StructureKind, what: str = "structure"):
+    """kind, a member or a value of the enum `kinds`, as a member."""
     try:
-        return StructureKind(kind)
+        return kinds(kind)
     except ValueError:
-        raise UnknownKind(f"unknown structure kind {kind!r}") from None
+        raise UnknownKind(f"unknown {what} kind {kind!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -270,82 +277,118 @@ def _trilinear(n, table, x, y, z):
     return out
 
 
-_MULTILINEAR = {"mul": _bilinear, "br3": _trilinear, "br2": _bilinear}
+_MULTILINEAR = {2: _bilinear, 3: _trilinear}
 
 
 class _Ops:
-    """Sparse tables of one bundle, by operation name: the tensors `mul`,
-    `br3`, `br2`, and the sub-map tables the scanners add on first use."""
+    """Sparse tables by operation name, and each sort's size: the tensors,
+    times their integer `scales` when given, and the sub-map tables the
+    scanners add on first use."""
 
-    __slots__ = ("n", "prod", "br3t", "br2t", "basis", "tables")
+    __slots__ = ("sizes", "scales", "tables")
 
-    def __init__(self, n, prod, br3t, br2t):
-        self.n = n
-        self.prod = prod
-        self.br3t = br3t
-        self.br2t = br2t
-        self.basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        self.tables = {"mul": prod, "br3": br3t, "br2": br2t}
-
-
-def _tensors(b: AlgebraBundle):
-    return (b.product, b.bracket, b.binary_bracket)
+    def __init__(self, sizes: dict, tensors: dict, scales: Optional[dict] = None):
+        self.sizes = sizes
+        self.scales = scales
+        self.tables = {op: t.table(scales[op] if scales else None)
+                       for op, t in tensors.items() if t is not None}
 
 
-def _int_ops(b: AlgebraBundle) -> _Ops:
-    cached = getattr(b, "_ops_int", None)
-    if cached is not None:
-        return cached
-    scales = [t.den_lcm() if t is not None else None for t in _tensors(b)]
-    log.debug("integer tables, dim %d: scale factors product=%s bracket=%s "
-              "binary_bracket=%s", b.dim, *scales)
-    ops = _Ops(b.dim, *(t.table(s) if t is not None else None
-                        for t, s in zip(_tensors(b), scales)))
-    object.__setattr__(b, "_ops_int", ops)
-    return ops
+def _dims(sizes: dict) -> str:
+    return ", ".join(f"{'module dim' if s == 'V' else 'dim'} {n}" for s, n in sizes.items())
+
+
+def _ops(owner, exact: bool, layout: Callable) -> _Ops:
+    """The tables of owner's tensors, exact or with each scale group's
+    tensors times the lcm of all their denominators; layout(owner) gives the
+    sort sizes, the tensors and the groups.  Built on first use, kept on owner."""
+    attr = "_ops_exact" if exact else "_ops_int"
+    hit = getattr(owner, attr, None)
+    if hit is None:
+        sizes, tensors, groups = layout(owner)
+        if exact:
+            hit = _Ops(sizes, tensors)
+        else:
+            factors = {}  # None for a group without tensors
+            for g, members in groups.items():
+                dens = [tensors[op].den_lcm() for op in members if tensors.get(op) is not None]
+                factors[g] = lcm(*dens) if dens else None
+            log.debug("integer tables, %s: scale factors %s", _dims(sizes),
+                      " ".join(f"{g}={f}" for g, f in factors.items()))
+            hit = _Ops(sizes, tensors, {op: factors[g] for g, ops in groups.items() for op in ops})
+        object.__setattr__(owner, attr, hit)
+    return hit
+
+
+def _layout(b: AlgebraBundle):
+    tensors = {"mul": b.product, "br3": b.bracket, "br2": b.binary_bracket}
+    return {"A": b.dim}, tensors, _TENSOR_GROUPS
 
 
 def _exact_ops(b: AlgebraBundle) -> _Ops:
-    cached = getattr(b, "_ops_exact", None)
-    if cached is not None:
-        return cached
-    ops = _Ops(b.dim, *(t.table() if t is not None else None for t in _tensors(b)))
-    object.__setattr__(b, "_ops_exact", ops)
-    return ops
+    return _ops(b, True, _layout)
 
 
 # ---------------------------------------------------------------------------
 # identities as data
 #
-# A term is (op, args): op names a tensor (mul, br3, br2) or a sub-map, and
-# each argument is a slot index or one nested (op, slots) term.  Every term
-# uses each slot exactly once, so each map is multilinear.  Identities are
-# oriented LHS - RHS as the defining equation reads.  Skewness identities
-# are oriented as "tensor minus its full antisymmetrisation", scaled by the
+# A term is (op, args): op names a tensor or a sub-map, and each argument
+# is a slot index or one nested (op, slots) term.  Every term uses each slot
+# exactly once, so each map is multilinear.  Identities are oriented
+# LHS - RHS as the defining equation reads.  Skewness identities are
+# oriented as "tensor minus its full antisymmetrisation", scaled by the
 # symmetric group order to stay integral: the combination vanishes for all
 # arguments iff the bracket is alternating.
 
+# the sorts of each operation's slots and value; `_submap` adds sub-maps'
+_SIGNATURES = {
+    "mul": ("AA", "A"), "br3": ("AAA", "A"), "br2": ("AA", "A"),
+    "rho": ("AAV", "V"), "rho1": ("AV", "V"), "mu": ("AV", "V"),
+}
+_TENSORS = tuple(_SIGNATURES)
 _TENSOR_SLOTS = (("mul", "product"), ("br3", "bracket"), ("br2", "binary_bracket"))
 _SLOT_OF = dict(_TENSOR_SLOTS)
-_DEGREE = {"mul": (1, 0, 0), "br3": (0, 1, 0), "br2": (0, 0, 1)}
+
+# The tensors of a scale group share one integer factor in a scan, so a map
+# must be homogeneous in each group: in each tensor for a map on the
+# algebra, in alpha and beta for one with a module slot.  Declared, not
+# derived: the finest grouping that balances the degrees need not be unique.
+_TENSOR_GROUPS = {slot: (op,) for op, slot in _TENSOR_SLOTS}
+_SCALE_GROUPS = {"alpha": ("rho", "rho1", "br3", "br2"), "beta": ("mu", "mul")}
+
+# each operation's factors in every tensor, one vector per term
+_DEGREES = {op: frozenset({tuple(int(t == op) for t in _TENSORS)}) for op in _TENSORS}
 
 
 @dataclass(frozen=True)
 class Identity:
-    """A named multilinear map: an identity's defect, or a sub-map.
+    """A named multilinear map: an identity's defect, a representation
+    condition, or a sub-map.
 
-    `terms` is ((coeff, (op, args)), ...); `degree` counts the (mul, br3,
-    br2) factors of every term, which `_define` checks are all the same.
+    `terms` is ((coeff, (op, args)), ...); `sorts` is each slot's sort and
+    `out` the value's.  `degrees` holds each term's factors in the tensors
+    of `_TENSORS`, sub-maps expanded, and `degree` their sum in each scale
+    group, which `_define` checks is the same for every term.
     """
 
     name: str
-    arity: int
     terms: tuple
-    degree: tuple[int, int, int]
+    sorts: tuple[str, ...]
+    out: str
+    degrees: frozenset
+    degree: tuple[int, ...]
+
+    @property
+    def arity(self) -> int:
+        return len(self.sorts)
+
+    @property
+    def tensors(self) -> set[str]:
+        return {t for d in self.degrees for t, k in zip(_TENSORS, d) if k}
 
     @property
     def needs(self) -> tuple[str, ...]:
-        return tuple(slot for (_, slot), d in zip(_TENSOR_SLOTS, self.degree) if d)
+        return tuple(slot for op, slot in _TENSOR_SLOTS if op in self.tensors)
 
 
 class _Sum:
@@ -369,8 +412,9 @@ class _Sum:
         return _Sum((c * k, t) for k, t in self.terms)
 
 
-def _op(name: str, arity: int):
+def _op(name: str):
     """The operation `name` as a function of slots and at most one term."""
+    arity = len(_SIGNATURES[name][0])
 
     def arg(a):
         if isinstance(a, int):
@@ -391,27 +435,46 @@ def _op(name: str, arity: int):
 
 
 def _define(name: str, body) -> Identity:
-    """The map body(slot 0, slot 1, ...), checked to be multilinear and
-    homogeneous in each tensor separately; the integer scans rely on both."""
+    """The map body(slot 0, slot 1, ...), checked to be multilinear, well
+    sorted, and homogeneous in each of its scale groups; the integer scans
+    rely on all three."""
     arity = body.__code__.co_argcount
     terms = body(*range(arity)).terms
+    sorts: dict[int, str] = {}
     degrees = set()
-    for _, (op, args) in terms:
-        slots, degree = [], _DEGREE[op]
-        for a in args:
+
+    def bind(op, args):
+        """The slots and degrees of the term op(*args); each slot's sort is
+        checked against op's signature and recorded."""
+        slots, degree = [], _DEGREES[op]
+        for a, want in zip(args, _SIGNATURES[op][0]):
             if isinstance(a, int):
+                if sorts.setdefault(a, want) != want:
+                    raise InternalError(f"{name}: slot x{a + 1} is {sorts[a]} in one "
+                                        f"term and {want} in another")
                 slots.append(a)
-            else:
-                slots.extend(a[1])
-                degree = tuple(map(sum, zip(degree, _DEGREE[a[0]])))
+                continue
+            got = _SIGNATURES[a[0]][1]
+            if got != want:
+                raise InternalError(f"{name}: {a[0]} gives {got} where {op} takes {want}")
+            inner, inner_degree = bind(*a)
+            slots += inner
+            degree = {tuple(map(sum, zip(d, e))) for d in degree for e in inner_degree}
+        return slots, degree
+
+    for _, term in terms:
+        slots, degree = bind(*term)
         if sorted(slots) != list(range(arity)):
             raise InternalError(f"{name}: every term must use each slot exactly once")
-        degrees.add(degree)
-    if len(degrees) != 1:
-        raise InternalError(
-            f"{name} is not homogeneous in each tensor: term degrees {sorted(degrees)}"
-        )
-    return Identity(name, arity, terms, degrees.pop())
+        degrees |= degree
+    out = _SIGNATURES[terms[0][1][0]][1]  # the same for every term, on the same slots
+    groups = (_SCALE_GROUPS if out == "V" else _TENSOR_GROUPS).values()
+    sums = {tuple(sum(d[_TENSORS.index(t)] for t in g) for g in groups) for d in degrees}
+    if len(sums) != 1:
+        raise InternalError(f"{name} is not homogeneous in each of {list(groups)}: "
+                            f"term degrees {sorted(sums)}")
+    return Identity(name, terms, tuple(sorts[s] for s in range(arity)), out,
+                    frozenset(degrees), sums.pop())
 
 
 _SUBMAPS: dict[str, Identity] = {}
@@ -419,13 +482,14 @@ _SUBMAPS: dict[str, Identity] = {}
 
 def _submap(name: str, body):
     m = _SUBMAPS[name] = _define(name, body)
-    _DEGREE[name] = m.degree
-    return _op(name, m.arity)
+    _SIGNATURES[name] = ("".join(m.sorts), m.out)
+    _DEGREES[name] = m.degrees
+    return _op(name)
 
 
 def _registry() -> dict[str, Identity]:
     """Every sub-map and identity, each defined once."""
-    mul, br3, br2 = _op("mul", 2), _op("br3", 3), _op("br2", 2)
+    mul, br3, br2 = _op("mul"), _op("br3"), _op("br2")
     symmul = _submap("symmul", lambda x, y: mul(x, y) + mul(y, x))
     cyc3 = _submap("cyc3", lambda x, y, z: br3(x, y, z) + br3(y, z, x) + br3(z, x, y))
     # 3-Leibnizator: [x1,x2,x3*x4] - x3*[x1,x2,x4] - [x1,x2,x3]*x4
@@ -685,7 +749,7 @@ def _certificate(ident: Identity, assumable: tuple[str, ...]) -> Optional[Symmet
 
 
 def _evaluate(ops: _Ops, m: Identity, vecs) -> list:
-    """m at dense vectors; exact on Fraction tables."""
+    """m at dense vectors, one per slot; exact on Fraction tables."""
     out = None
     for c, (op, args) in m.terms:
         vals = [vecs[a] if isinstance(a, int) else _apply(ops, a[0], [vecs[s] for s in a[1]])
@@ -709,7 +773,7 @@ def _apply(ops: _Ops, op: str, vecs) -> list:
     sub = _SUBMAPS.get(op)
     if sub is not None:
         return _evaluate(ops, sub, vecs)
-    return _MULTILINEAR[op](ops.n, ops.tables[op], *vecs)
+    return _MULTILINEAR[len(vecs)](ops.sizes[_SIGNATURES[op][1]], ops.tables[op], *vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +783,8 @@ def _apply(ops: _Ops, op: str, vecs) -> list:
 
 
 def _source(m: Identity, table: bool) -> tuple[str, list[str]]:
-    """Source of make(n, *tables) for m, and the table names it takes.
+    """Source of make(sizes, size, *tables) for m, and the table names it
+    takes; `sizes` holds the size of each slot's range, `size` the value's.
 
     make returns scan(t), m's dense value at one basis tuple or None when it
     is zero, or, with `table`, build(), m's sparse table over all tuples.
@@ -763,22 +828,22 @@ def _source(m: Identity, table: bool) -> tuple[str, list[str]]:
             f"{name} = {chain(op, slots, len(slots) - 1)}")
 
     xs = ", ".join(f"x{i}" for i in range(m.arity))
-    src = [f"def make(n, {', '.join(deps)}):"]
+    src = [f"def make(sizes, size, {', '.join(deps)}):"]
     if table:
         src += ["    def build():", "        t0 = []"]
         for d in range(m.arity):
             pad = "        " + "    " * d
-            src += [f"{pad}for x{d} in range(n):"]
+            src += [f"{pad}for x{d} in range(sizes[{d}]):"]
             src += [f"{pad}    {h}" for h in defs[d + 1]]
             if d + 1 < m.arity:
                 src += [f"{pad}    t{d + 1} = []", f"{pad}    t{d}.append(t{d + 1})"]
         pad = "        " + "    " * m.arity
-        body = ["out = [0] * n"] + lines + [
+        body = ["out = [0] * size"] + lines + [
             f"t{m.arity - 1}.append(tuple([(l, v) for l, v in enumerate(out) if v])"
             " if any(out) else ())"]
         src += [pad + s for s in body] + ["        return t0", "    return build"]
     else:
-        body = [f"{xs}, = t", "out = [0] * n"] + defs[0] + lines + [
+        body = [f"{xs}, = t", "out = [0] * size"] + defs[0] + lines + [
             "return out if any(out) else None"]
         src += ["    def scan(t):"] + ["        " + s for s in body] + ["    return scan"]
     return "\n".join(src) + "\n", deps
@@ -845,22 +910,28 @@ def _entries(tab) -> int:
     return sum(map(_entries, tab)) if isinstance(tab, list) else len(tab)
 
 
+def _shape(ops: _Ops, m: Identity) -> tuple[tuple[int, ...], int]:
+    """The size of each slot's range of m, and of its value, on ops."""
+    return tuple(ops.sizes[s] for s in m.sorts), ops.sizes[m.out]
+
+
 def _table(ops: _Ops, op: str):
     """The sparse table of a tensor or sub-map; sub-maps are built on first use."""
     tab = ops.tables.get(op)
     if tab is None:
-        make, deps = _compiled(_SUBMAPS[op], table=True)
+        sub = _SUBMAPS[op]
+        make, deps = _compiled(sub, table=True)
         start = time.perf_counter()
-        tab = ops.tables[op] = make(ops.n, *(_table(ops, d) for d in deps))()
+        tab = ops.tables[op] = make(*_shape(ops, sub), *(_table(ops, d) for d in deps))()
         if log.isEnabledFor(logging.DEBUG):
-            log.debug("built %s table, dim %d: %d entries in %.4f s", op, ops.n,
+            log.debug("built %s table, %s: %d entries in %.4f s", op, _dims(ops.sizes),
                       _entries(tab), time.perf_counter() - start)
     return tab
 
 
-def _make_scanner(ops: _Ops, ident: Identity):
-    make, deps = _compiled(ident, table=False)
-    return make(ops.n, *(_table(ops, d) for d in deps))
+def _make_scanner(ops: _Ops, m: Identity):
+    make, deps = _compiled(m, table=False)
+    return make(*_shape(ops, m), *(_table(ops, d) for d in deps))
 
 
 # ---------------------------------------------------------------------------
@@ -871,31 +942,28 @@ def _make_scanner(ops: _Ops, ident: Identity):
 class Condition:
     """A multilinear condition that must vanish on every basis tuple.
 
-    Its tuples are `range(size) ** arity`; with `columns` = m, each tuple
-    also holds m module columns, and an entry is the tuple plus a column.
-    `defect(entry)` is the exact residual `Vec` of an entry.  `scan(t)` is
-    the fast test at a tuple: falsy when it passes, and with `columns` the
-    failing columns; without `scan`, a tuple fails when its defect is nonzero.
-    `symmetry`, for a condition without columns, is its certificate: once
-    every identity it assumes has passed earlier in the same run, the scan
-    visits one representative per orbit.
+    Its tuples are range(sizes[0]) x range(sizes[1]) x ...: a representation
+    condition's last slot ranges over the module basis.  `defect(t)` is the
+    exact residual `Vec` at t.  `scan(t)` is the fast test, falsy when t
+    passes; without `scan`, a tuple fails when its defect is nonzero.
+    `symmetry`, for a condition whose slots share one size, is its
+    certificate: once every identity it assumes has passed earlier in the
+    same run, the scan visits one representative per orbit.
     """
 
     name: str
-    size: int
-    arity: int
+    sizes: tuple[int, ...]
     defect: Callable
     scan: Optional[Callable] = None
-    columns: Optional[int] = None
     symmetry: Optional[Symmetry] = None
 
 
 def _failures(cond: Condition, budget: int, passed: set):
-    """The first `budget` failing entries of cond, in rank order, and the
-    number of entries evaluated: up to and including the last one returned
-    when the budget fills, else all of them.  An entry's rank is the rank
-    of its tuple in lexicographic order, times m plus its column.  `passed`
-    names the conditions that passed earlier in the run."""
+    """The first `budget` failing tuples of cond, in rank order, and the
+    number of tuples evaluated: up to and including the last one returned
+    when the budget fills, else all of them.  A tuple's rank is its
+    position in lexicographic order, the mixed-radix number of its values.
+    `passed` names the conditions that passed earlier in the run."""
     sym = cond.symmetry
     if sym is not None and passed.issuperset(sym.assumes):
         found, evaluated, scanned = _reduced_failures(cond, budget)
@@ -904,25 +972,21 @@ def _failures(cond: Condition, budget: int, passed: set):
         found, evaluated, scanned = _all_failures(cond, budget)
         path = "full range" + (f", certified {sym} unused" if sym else "")
     log.debug("scan %s: %s; %d of %d tuples scanned", cond.name, path, scanned,
-              cond.size ** cond.arity)
+              prod(cond.sizes))
     return found, evaluated
 
 
 def _all_failures(cond: Condition, budget: int):
     """_failures over every tuple, and the number of tuples scanned."""
-    m = cond.columns
     scan = cond.scan or (lambda t: not cond.defect(t).is_zero())
     found = []
-    for rank, t in enumerate(itertools.product(range(cond.size), repeat=cond.arity)):
-        hit = scan(t)
-        if hit:
-            entries = [(t, rank)] if m is None else [(t + (p,), rank * m + p) for p in hit]
-            for entry, last in entries:
-                found.append(entry)
-                if len(found) == budget:
-                    return found, last + 1, rank + 1
-    total = cond.size ** cond.arity
-    return found, total * (m or 1), total
+    for rank, t in enumerate(itertools.product(*map(range, cond.sizes))):
+        if scan(t):
+            found.append(t)
+            if len(found) == budget:
+                return found, rank + 1, rank + 1
+    total = prod(cond.sizes)
+    return found, total, total
 
 
 def _reduced_failures(cond: Condition, budget: int):
@@ -935,7 +999,7 @@ def _reduced_failures(cond: Condition, budget: int):
     a member can still be found, because each representative is the
     smallest member of its orbit.
     """
-    n, blocks = cond.size, cond.symmetry.blocks
+    n, arity, blocks = cond.sizes[0], len(cond.sizes), cond.symmetry.blocks
     scan = cond.scan or (lambda t: not cond.defect(t).is_zero())
     found, waiting, scanned = [], [], 0
 
@@ -946,7 +1010,7 @@ def _reduced_failures(cond: Condition, budget: int):
                 return True
         return False
 
-    for t in _representatives(cond.arity, blocks)(n):
+    for t in _representatives(arity, blocks)(n):
         if waiting and release(t):
             return found, _rank(found[-1], n) + 1, scanned
         scanned += 1
@@ -955,7 +1019,7 @@ def _reduced_failures(cond: Condition, budget: int):
                 heapq.heappush(waiting, u)
     if release(None):
         return found, _rank(found[-1], n) + 1, scanned
-    return found, n ** cond.arity, scanned
+    return found, n ** arity, scanned
 
 
 def run_conditions(kind: str, conditions: Iterable[Condition],
@@ -996,6 +1060,21 @@ def run_conditions(kind: str, conditions: Iterable[Condition],
     )
 
 
+def _condition(m: Identity, owner, layout: Callable,
+               symmetry: Optional[Symmetry] = None) -> Condition:
+    """m as a condition on owner's tables (see `_ops`), scanned on the
+    integer ones; a failure's residual is m at its basis vectors, exact."""
+    ops = _ops(owner, False, layout)
+
+    def defect(idx):
+        tables = _ops(owner, True, layout)
+        units = [[int(j == i) for j in range(tables.sizes[s])] for s, i in zip(m.sorts, idx)]
+        return Vec(_evaluate(tables, m, units))
+
+    return Condition(m.name, _shape(ops, m)[0], defect, scan=_make_scanner(ops, m),
+                     symmetry=symmetry)
+
+
 def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
     """The named identities of b as conditions, scanned on integer tables.
 
@@ -1005,14 +1084,10 @@ def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
     """
     for name in names:
         _require(b, IDENTITIES[name].needs, f"identity {name!r}")
-    ops, exact = _int_ops(b), _exact_ops(b)
 
     def condition(pos, ident):
         assumable = tuple(a for a in names[:pos] if a in _SYMMETRY_OF)
-        return Condition(
-            ident.name, b.dim, ident.arity,
-            lambda idx: Vec(_evaluate(exact, ident, [exact.basis[i] for i in idx])),
-            scan=_make_scanner(ops, ident), symmetry=_certificate(ident, assumable))
+        return _condition(ident, b, _layout, _certificate(ident, assumable))
 
     return (condition(pos, IDENTITIES[name]) for pos, name in enumerate(names))
 
@@ -1021,24 +1096,32 @@ def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
 # public evaluators and checkers
 
 
-def _coordinates(b: AlgebraBundle, args: Sequence[Vec]) -> list:
-    for v in args:
-        if v.dim != b.dim:
-            raise DimensionMismatch(f"argument has dim {v.dim}, bundle has dim {b.dim}")
+def _coordinates(ops: _Ops, sorts: str, args: Sequence[Vec]) -> list:
+    for v, s in zip(args, sorts):
+        if v.dim != ops.sizes[s]:
+            raise DimensionMismatch(f"argument has dim {v.dim}, "
+                                    f"{'module' if s == 'V' else 'bundle'} has dim {ops.sizes[s]}")
     return [v.entries for v in args]
 
 
 def _operate(b: AlgebraBundle, op: str, args: Sequence[Vec]) -> Vec:
-    """The tensor operation op (mul, br3 or br2) of b at exact vectors."""
+    """The tensor operation op (mul, br3 or br2) of b at exact vectors; the
+    operator checks call it per tuple, so it skips the sort lookups."""
     slot = _SLOT_OF[op]
     if getattr(b, slot) is None:
         raise MissingTensor(slot)
-    return Vec(_apply(_exact_ops(b), op, _coordinates(b, args)))
+    for v in args:
+        if v.dim != b.dim:
+            raise DimensionMismatch(f"argument has dim {v.dim}, bundle has dim {b.dim}")
+    return Vec(_MULTILINEAR[len(args)](b.dim, _exact_ops(b).tables[op], *[v.entries for v in args]))
 
 
-def _eval_map(b: AlgebraBundle, m: Identity, args: Sequence[Vec], context: str) -> Vec:
+def _eval_map(b: AlgebraBundle, m: Identity, args: Sequence[Vec], context: str,
+              ops: Optional[_Ops] = None) -> Vec:
+    """m at exact vectors, on b's exact tables or on ops."""
     _require(b, m.needs, context)
-    return Vec(_evaluate(_exact_ops(b), m, _coordinates(b, args)))
+    ops = ops or _exact_ops(b)
+    return Vec(_evaluate(ops, m, _coordinates(ops, m.sorts, args)))
 
 
 def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:
@@ -1110,7 +1193,7 @@ def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
         def defect(t, src_op=src_op, dst_op=dst_op):
             return f.apply(src_op(*(src.basis(i) for i in t))) - dst_op(*(images[i] for i in t))
 
-        conditions.append(Condition(name, src.dim, arity, defect))
+        conditions.append(Condition(name, (src.dim,) * arity, defect))
     if not conditions:
         raise MissingTensor("product", "check_homomorphism (source carries no tensors)")
     return run_conditions("homomorphism", conditions, max_counterexamples)

@@ -1,12 +1,15 @@
 """The integer-rescaled representation scan against the dense exact oracle.
 
-`check_representation` scans on integer tables and recomputes only the
-flagged columns exactly; `rep_oracle` evaluates every condition as a dense
-`Fraction` matrix.  Their reports must be equal, and every condition must
-scale by one monomial alpha^a beta^b when rho and the brackets are scaled by
-alpha and mu and the product by beta: the integer path is sound only then.
+`check_representation` scans the conditions of `REP_CONDITIONS` on integer
+tables and recomputes only the flagged entries exactly; `rep_oracle`
+evaluates every condition as a dense `Fraction` matrix.  Their reports must
+be equal, and every condition must scale by one monomial alpha^a beta^b when
+rho and the brackets are scaled by alpha and mu and the product by beta: the
+integer path is sound only then, so the sort and group checks of `_define`
+are pinned here too.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -14,22 +17,27 @@ from fractions import Fraction
 import pytest
 
 import rep_oracle
-from ternalg.catalog import fil4
+from ternalg import structures
+from ternalg import schema
+from ternalg.catalog import fil4, trunc
+from ternalg.constructions import direct_sum
 from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec, invert
+from ternalg.errors import InternalError
 from ternalg.representations import (
+    KIND_CONDITIONS,
+    REP_CONDITIONS,
     BiRep,
     LinRep,
     RepBundle,
     RepKind,
-    _kind_conditions,
     _rep_conditions,
-    _RepOps,
+    _rep_layout,
     adjoint_rep,
     check_representation,
     fix_slot_rep,
     semidirect,
 )
-from ternalg.structures import AlgebraBundle, run_conditions
+from ternalg.structures import AlgebraBundle, _evaluate, _make_scanner, _ops, run_conditions
 
 TERNARY_KINDS = ("three-lie-rep", "comm-assoc-rep", "ternary-fmanifold-rep", "dual-conditions")
 BINARY_KINDS = ("lie-rep", "comm-assoc-rep", "fmanifold-rep")
@@ -154,9 +162,12 @@ def test_every_condition_matches_oracle_alone(seed, binary):
     # whole budget; scanning each condition alone reaches the later ones.
     r = random_rep(100 + seed, binary)
     for kind in BINARY_KINDS if binary else TERNARY_KINDS:
-        ours = _rep_conditions(RepKind(kind), r)
+        ours = list(_rep_conditions(RepKind(kind), r))
         theirs = rep_oracle.conditions(kind, r)
-        assert [(c.name, c.arity) for c in ours] == [c[:2] for c in theirs]
+        # the oracle counts the algebra slots; the module slot is the last
+        assert [(name, REP_CONDITIONS[name].arity - 1)
+                for name in KIND_CONDITIONS[RepKind(kind)]] == [c[:2] for c in theirs]
+        assert [c.name for c in ours] == list(KIND_CONDITIONS[RepKind(kind)])
         for mine, ref in zip(ours, theirs):
             for k in KS:
                 assert run_conditions(kind, [mine], k) == \
@@ -195,30 +206,70 @@ def test_unperturbed_scaled_conjugated_adjoint_passes():
 
 # -- weighted homogeneity ------------------------------------------------------------
 
+def test_degrees_pinned():
+    assert {name: c.degree for name, c in REP_CONDITIONS.items()} == DEGREES
+    assert {name for names in KIND_CONDITIONS.values() for name in names} == set(DEGREES)
+
+
+def _units(sorts, t, sizes):
+    return [[int(j == i) for j in range(sizes[s])] for s, i in zip(sorts, t)]
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("binary", (False, True))
 def test_conditions_scale_by_one_monomial(seed, binary):
     rng = random.Random(200 + seed)
     r = random_rep(200 + seed, binary)
     alpha, beta = rng.randint(2, 9), rng.randint(2, 9)
-    base, big = _RepOps(r, exact=True), _RepOps(scaled(r, alpha, beta), exact=True)
-    fast = _RepOps(r, exact=False)
-    f_alpha, f_beta = fast.scale
-    n, m = r.algebra.dim, r.module_dim
+    base = _ops(r, True, _rep_layout)
+    big = _ops(scaled(r, alpha, beta), True, _rep_layout)
+    fast = _ops(r, False, _rep_layout)
+    # the integer factors of the scale groups: rho's is alpha's, mu's beta's
+    f_alpha, f_beta = fast.scales["rho1" if binary else "rho"], fast.scales["mu"]
+    names = {name for kind in (BINARY_KINDS if binary else TERNARY_KINDS)
+             for name in KIND_CONDITIONS[RepKind(kind)]}
     seen = set()
-    for kind in BINARY_KINDS if binary else TERNARY_KINDS:
-        for name, arity, col in _kind_conditions(RepKind(kind), r):
-            a, b = DEGREES[name]
-            for t in itertools.product(range(n), repeat=arity):
-                for p in range(m):
-                    ref = col(base, t, p)
-                    assert col(big, t, p) == [alpha ** a * beta ** b * v for v in ref]
-                    assert col(fast, t, p) == [f_alpha ** a * f_beta ** b * v for v in ref]
-                    if any(ref):
-                        seen.add(name)
+    for name in names:
+        cond = REP_CONDITIONS[name]
+        a, b = DEGREES[name]
+        scan = _make_scanner(fast, cond)
+        for t in itertools.product(*(range(base.sizes[s]) for s in cond.sorts)):
+            ref = _evaluate(base, cond, _units(cond.sorts, t, base.sizes))
+            assert _evaluate(big, cond, _units(cond.sorts, t, base.sizes)) == \
+                [alpha ** a * beta ** b * v for v in ref]
+            assert (scan(t) or [0] * len(ref)) == [f_alpha ** a * f_beta ** b * v for v in ref]
+            if any(ref):
+                seen.add(name)
     # the random data must give every condition nonzero columns to compare
-    assert seen == {name for kind in (BINARY_KINDS if binary else TERNARY_KINDS)
-                    for name, _a, _c in _kind_conditions(RepKind(kind), r)}
+    assert seen == names
+
+
+# -- the import-time checks of a definition --------------------------------------
+
+def test_ill_sorted_or_inhomogeneous_definitions_rejected():
+    mul, br3, rho, mu = (structures._op(op) for op in ("mul", "br3", "rho", "mu"))
+    L1 = structures._op("L1")
+    # a module slot inside mul
+    with pytest.raises(InternalError, match="slot x3 is V in one term and A in another"):
+        structures._define("bad", lambda x, y, v: mu(x, mu(y, v)) - mu(mul(x, v), y))
+    # an algebra slot, and an algebra value, where rho takes a module vector
+    with pytest.raises(InternalError, match="slot x3 is A in one term and V in another"):
+        structures._define("bad", lambda x, y, z, v: mu(z, rho(x, y, v)) - rho(x, y, z))
+    with pytest.raises(InternalError, match="mul gives A where rho takes V"):
+        structures._define("bad", lambda x, y, z, w: rho(x, y, mul(z, w)))
+    # a module-valued sub-map nested as an algebra argument
+    with pytest.raises(InternalError, match="L1 gives V where mul takes A"):
+        structures._define("bad", lambda x, y, z, w, v: mul(L1(x, y, z, v), w))
+    # not homogeneous in alpha (rho, br3, br2) though each term is multilinear
+    with pytest.raises(InternalError, match="not homogeneous"):
+        structures._define("bad", lambda x, y, v: rho(x, y, v) - mu(x, mu(y, v)))
+    with pytest.raises(InternalError, match="not homogeneous"):
+        structures._define("bad", lambda x, y, v: mu(mul(x, y), v) - rho(x, y, v))
+    # L1 mixes rho with br3, in one group: accepted, with one degree per group
+    ok = structures._define("ok", lambda x, y, z, v: (
+        rho(x, y, mu(z, v)) - mu(z, rho(x, y, v)) - mu(br3(x, y, z), v)))
+    assert (ok.sorts, ok.out, ok.degree) == (("A", "A", "A", "V"), "V", (1, 1))
+    assert ok.terms == structures._SUBMAPS["L1"].terms
 
 
 # -- pinned reports at n = m = 8 ------------------------------------------------------
@@ -243,3 +294,50 @@ def test_adjoint_sd_perturbed_reports_match_oracle(adj_sd):
             expected = full if full.passed or k == KS[-1] else rep_oracle.check(kind, bad, k)
             assert check_representation(kind, bad, max_counterexamples=k) == expected, \
                 (kind, k)
+
+
+# -- pinned reports with a nonzero mu at n = m = 8 --------------------------------------
+# adjoint_rep(sd) has mu = 0, so its pins never reach the mu terms; the
+# adjoint representation of fil4 + trunc(4) has a nonzero mu and passes.
+# One nudged mu entry fails mu-mult, rep-1, rep-2, corep-1 and corep-3; one
+# nudged rho entry fails every condition of both kinds.
+
+NONZERO_MU_PINNED = {
+    ("mu", "ternary-fmanifold-rep"): {
+        1: (66337, "2a5bf965c4d02759f8834a7d1c7e7cdc7eccf68bedb05ab1097b8d4d8285e576"),
+        5: (84641, "3709e292b57a4233448d2f1536890c1a682c18ed9f09e50d2d9ad63ca0bb012f"),
+        100: (164864, "43ea59224c060eb8216e974d8876b3104e5e31ca65e58c492f632053c54b3610"),
+    },
+    ("mu", "dual-conditions"): {
+        1: (10465, "1bd7638d3c0e7e29c19b86ff243fbc0e20ed45b6e567e3bc0ace7e3cfc118273"),
+        5: (83169, "2ab45907e466777820710b7412cd54e0e7761325e0425ad3d0b2b4791de94aa4"),
+        100: (98304, "1e4ae4dfa8b73a462c8dfa7f4fee8f372c8474ae8902bfb97602dbf143020985"),
+    },
+    ("rho", "ternary-fmanifold-rep"): {
+        1: (14, "9ec15d5fa23de4cd5165798b989e6096eb9141a8a2676da78d60d38b6820b9c1"),
+        5: (6230, "89870c63e1b03b34d38087f967d98d4092b412e332cdf0684aa8b6a69e373884"),
+        100: (164864, "e6151c7bfc78d607ea9806f0396c0423ccadec6a823bf418f5075a03d5032b4a"),
+    },
+    ("rho", "dual-conditions"): {
+        1: (2157, "10cf11d606efe3f554ac55499a53dee4a6cd99b8d9a43dd9eb2be5855bd97c86"),
+        5: (2669, "d8356f1a4a38819bea6f945d87ae375d8c01f0a8b28524b965111249c067f560"),
+        100: (98304, "68891f7416680aecfa6bf3bd67e911cef86267308bbb6494e30823545a69f53b"),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def adj_fil4_trunc4():
+    base = adjoint_rep(direct_sum(fil4(), trunc(4)))
+    assert any(not x.is_zero() for x in base.mu.mats)
+    return {"mu": nudged(base, "mu", 4, 0, 1, 0, Fraction(1, 2)),
+            "rho": nudged(base, "rho", 0, 1, 4, 5, Fraction(2, 3))}
+
+
+@pytest.mark.parametrize("case, kind", sorted(NONZERO_MU_PINNED))
+def test_nonzero_mu_n8_reports_pinned(adj_fil4_trunc4, case, kind):
+    for k, (count, digest) in NONZERO_MU_PINNED[case, kind].items():
+        report = check_representation(kind, adj_fil4_trunc4[case], max_counterexamples=k)
+        text = schema.dumps(schema.report_to_obj(report))
+        assert (report.tuple_count, hashlib.sha256(text.encode()).hexdigest()) == \
+            (count, digest), (case, kind, k)

@@ -31,7 +31,7 @@ from ternalg.constructions import direct_sum
 from ternalg.errors import InternalError
 from ternalg.linalg import Tensor, Tensor3, Tensor4, Vec
 from ternalg.operators import induced_pre_fmanifold
-from ternalg.representations import adjoint_rep, check_coherence
+from ternalg.representations import adjoint_rep, check_coherence, check_representation
 from ternalg import structures
 from ternalg.structures import (
     COHERENCE_IDENTITIES,
@@ -304,7 +304,7 @@ def test_degrees_scale_each_identity_by_one_monomial():
 
 
 def test_non_homogeneous_definition_rejected():
-    mul, br3 = structures._op("mul", 2), structures._op("br3", 3)
+    mul, br3 = structures._op("mul"), structures._op("br3")
     with pytest.raises(InternalError, match="not homogeneous"):
         structures._define("bad", lambda x, y, z: mul(mul(x, y), z) - br3(x, y, z))
     with pytest.raises(InternalError, match="each slot exactly once"):
@@ -335,9 +335,20 @@ def test_debug_events(caplog, monkeypatch):
     rechecks = [t for t in text if t.startswith("exact re-check of coh")]
     assert len(rechecks) == len(report.counterexamples) == 10
 
+    # a representation scan: one factor per scale group, n^arity * m entries
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        assert check_representation("ternary-fmanifold-rep", adjoint_rep(b)).passed
+    text = [r.getMessage() for r in caplog.records]
+    assert "integer tables, dim 4, module dim 4: scale factors alpha=5 beta=3" in text
+    assert "scan rho-skew: full range; 64 of 64 tuples scanned" in text
+    assert "scan rep-1: full range; 1024 of 1024 tuples scanned" in text
+    assert any(t.startswith("built L1 table, dim 4, module dim 4:") for t in text)
+
 
 def test_no_log_output_by_default(capfd):
     b = scaled(noncoherent_tfm(*NONCOHERENT_A))
     assert not check_coherence(b).passed
+    assert check_representation("ternary-fmanifold-rep", adjoint_rep(b)).passed
     out, err = capfd.readouterr()
     assert out == err == ""

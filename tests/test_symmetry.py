@@ -185,7 +185,7 @@ def test_wrong_symmetries_are_rejected():
 
 
 def test_certifier_on_new_definitions():
-    mul = _op("mul", 2)
+    mul = _op("mul")
     left = _define("left", lambda x, y, z: mul(mul(x, y), z))
     assert _certificate(left, ()) is None
     assert str(_certificate(left, ("comm",))) == "sym(x1,x2) given comm"
