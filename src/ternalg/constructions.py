@@ -4,6 +4,8 @@ Each builder implements a closure statement (direct sum, tensor with a
 commutative associative factor, slot-fixing, trace induction, symmetrisation,
 sub-adjacent structures); the paired checker that certifies the claim lives
 in `structures` and is exercised by the test suite on every catalog input.
+The trace and induced conditions are data in `structures.CONDITIONS`,
+written with tau: A -> k and the scalar multiplication smul: k A -> A.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from .linalg import Tensor, Vec
 from .structures import (
     AlgebraBundle,
     CheckReport,
-    Condition,
     _exact_ops,
-    _table,
+    _layout,
+    _Maps,
+    _submap_tensor,
     run_conditions,
 )
 
@@ -130,19 +133,21 @@ def fix_slot_bracket(a: AlgebraBundle, anchor: Vec) -> AlgebraBundle:
     )
 
 
+def _trace_maps(a: AlgebraBundle, tau: TraceFunctional) -> _Maps:
+    if tau.dim != a.dim:
+        raise DimensionMismatch(f"trace has dim {tau.dim}, bundle has dim {a.dim}")
+    n = a.dim
+    return _Maps(a, _layout, {}, {
+        "tau": Tensor(n, 2, (((i, 0), v) for i, v in enumerate(tau.row) if v)),
+        "smul": Tensor(n, 3, (((0, i, i), 1) for i in range(n)))})
+
+
 def check_trace(a: AlgebraBundle, tau: TraceFunctional, *,
                 max_counterexamples: int = 1) -> CheckReport:
     """Verify tau([e_i, e_j]) = 0 on all basis pairs of the binary bracket."""
     if a.binary_bracket is None:
         raise MissingTensor("binary_bracket", "check_trace")
-    if tau.dim != a.dim:
-        raise DimensionMismatch(f"trace has dim {tau.dim}, bundle has dim {a.dim}")
-
-    def value(t):
-        return tau.apply(a.br2(a.basis(t[0]), a.basis(t[1])))
-
-    cond = Condition("trace", (a.dim, a.dim), lambda t: Vec([value(t)]), scan=value)
-    return run_conditions("trace", [cond], max_counterexamples)
+    return run_conditions("trace", _trace_maps(a, tau).conditions(["trace"]), max_counterexamples)
 
 
 def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
@@ -154,18 +159,8 @@ def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
     report = check_trace(a, tau)
     if not report.passed:
         raise NotATrace("functional does not vanish on the bracket image", report)
-    terms = []
-    for (x, y, l), c in a.binary_bracket.nonzeros():
-        for s, ts in enumerate(tau.row):
-            if ts:
-                terms += [((s, x, y, l), ts * c), ((x, s, y, l), -ts * c), ((x, y, s, l), ts * c)]
-    return AlgebraBundle(
-        a.dim,
-        product=a.product,
-        bracket=Tensor(a.dim, 4, terms),
-        unit=a.unit,
-        basis_labels=a.basis_labels,
-    )
+    return AlgebraBundle(a.dim, product=a.product, bracket=_trace_maps(a, tau).tensor("br3_tau"),
+                         unit=a.unit, basis_labels=a.basis_labels)
 
 
 def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
@@ -176,34 +171,15 @@ def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
         raise MissingTensor("product", "check_induced_condition")
     if a.binary_bracket is None:
         raise MissingTensor("binary_bracket", "check_induced_condition")
-    if tau.dim != a.dim:
-        raise DimensionMismatch(f"trace has dim {tau.dim}, bundle has dim {a.dim}")
-    n = a.dim
-    basis = [a.basis(i) for i in range(n)]
-    t = [tau.apply(e) for e in basis]
-    leib2 = [[[Vec(dict(row).get(s, 0) for s in range(n)) for row in plane] for plane in cube]
-             for cube in _table(_exact_ops(a), "leib2")]
-
-    def defect(t5):
-        i, j, k, l, m = t5
-        lv = leib2[k][l][m]
-        return (lv.scale(tau.apply(a.mul(basis[i], basis[j])))
-                - a.mul(basis[i], lv).scale(t[j]) - a.mul(basis[j], lv).scale(t[i]))
-
-    cond = Condition("induced-condition", (n,) * 5, defect)
-    return run_conditions("induced-condition", [cond], max_counterexamples)
-
-
-def _submap_tensor(b: AlgebraBundle, name: str, order: int) -> Tensor:
-    """The structure constants of b's sub-map `name` (symmul or cyc3)."""
-    return Tensor.from_table(b.dim, order, _table(_exact_ops(b), name))
+    conditions = _trace_maps(a, tau).conditions(["induced-condition"])
+    return run_conditions("induced-condition", conditions, max_counterexamples)
 
 
 def symmetrize_zinbiel(d: AlgebraBundle) -> AlgebraBundle:
     """x*y = x<>y + y<>x: commutative associative when the input is Zinbiel."""
     if d.product is None:
         raise MissingTensor("product", "symmetrize_zinbiel")
-    return AlgebraBundle(d.dim, product=_submap_tensor(d, "symmul", 3),
+    return AlgebraBundle(d.dim, product=_submap_tensor(_exact_ops(d), "symmul"),
                          basis_labels=d.basis_labels)
 
 
@@ -211,7 +187,7 @@ def subadjacent_commutator(s: AlgebraBundle) -> AlgebraBundle:
     """[x,y,z]^C = {x,y,z} + {y,z,x} + {z,x,y}: 3-Lie when the input is 3-pre-Lie."""
     if s.bracket is None:
         raise MissingTensor("bracket", "subadjacent_commutator")
-    return AlgebraBundle(s.dim, bracket=_submap_tensor(s, "cyc3", 4),
+    return AlgebraBundle(s.dim, bracket=_submap_tensor(_exact_ops(s), "cyc3"),
                          basis_labels=s.basis_labels)
 
 
@@ -220,5 +196,6 @@ def subadjacent_ternary_fmanifold(p: AlgebraBundle) -> AlgebraBundle:
     if p.product is None or p.bracket is None:
         raise MissingTensor("product" if p.product is None else "bracket",
                             "subadjacent_ternary_fmanifold")
-    return AlgebraBundle(p.dim, product=_submap_tensor(p, "symmul", 3),
-                         bracket=_submap_tensor(p, "cyc3", 4), basis_labels=p.basis_labels)
+    ops = _exact_ops(p)
+    return AlgebraBundle(p.dim, product=_submap_tensor(ops, "symmul"),
+                         bracket=_submap_tensor(ops, "cyc3"), basis_labels=p.basis_labels)

@@ -1,5 +1,14 @@
 """Relative Rota-Baxter, Rota-Baxter, Nijenhuis and symplectic machinery.
 
+Every condition here -- rb-comm, rb-3lie, cocycle, symplectic,
+nijenhuis-comm and nijenhuis-3lie -- is data in `structures.CONDITIONS`,
+written with the map T: V -> A, the operator N: A -> A or the form: A A -> k
+beside the algebra's tensors and the actions, and scanned by the generated
+integer loops like every identity.  A checker keeps only its preconditions;
+the builders read the same registry's sub-map tables (muT and rhoTT, the
+induced product and bracket; mul_N and br3_N, the deformed ones), so each
+formula is written once.
+
 Builders re-verify the operator identity they rely on (fail fast with the
 failing report attached); they do not re-check ambient axioms, so perturbed
 or raw bundles remain usable for negative tests.
@@ -28,10 +37,20 @@ from .representations import (
     BiRep,
     LinRep,
     RepBundle,
+    _rep_layout,
     adjoint_rep,
     check_coherence,
 )
-from .structures import AlgebraBundle, CheckReport, Condition, run_conditions
+from .structures import (
+    AlgebraBundle,
+    CheckReport,
+    _layout,
+    _map_tensor,
+    _Maps,
+    _ops,
+    _table,
+    run_conditions,
+)
 
 
 def _check_map_dims(t: InterMap, r: RepBundle, context: str):
@@ -42,73 +61,44 @@ def _check_map_dims(t: InterMap, r: RepBundle, context: str):
         )
 
 
-def _images(t: InterMap, m: int) -> list[Vec]:
-    return [t.matrix.column(p) for p in range(m)]
+def _rb_maps(t: InterMap, r: RepBundle) -> _Maps:
+    return _Maps(r, _rep_layout, {}, {"T": _map_tensor(t.matrix)})
 
 
-def _rb_comm(t: InterMap, r: RepBundle) -> Condition:
-    """rb-comm, the condition of check_relative_rb_comm, after its preconditions."""
+def _check_rb(kind: str, names: tuple[str, ...], t: InterMap, r: RepBundle,
+              max_counterexamples: int) -> CheckReport:
+    """The named relative Rota-Baxter conditions, after their preconditions."""
     a = r.algebra
-    if a.product is None:
-        raise MissingTensor("product", "check_relative_rb_comm")
-    if r.mu is None:
-        raise MissingRep("check_relative_rb_comm needs mu")
-    _check_map_dims(t, r, "check_relative_rb_comm")
-    m = r.module_dim
-    timg = _images(t, m)
-    mut = [r.mu.of(timg[p]) for p in range(m)]
-    vbasis = [Vec.basis(m, p) for p in range(m)]
-
-    def defect(idx):
-        p, q = idx
-        lhs = a.mul(timg[p], timg[q])
-        rhs = t.apply(mut[p].apply(vbasis[q]) + mut[q].apply(vbasis[p]))
-        return lhs - rhs
-
-    return Condition("rb-comm", (m, m), defect)
-
-
-def _rb_3lie(t: InterMap, r: RepBundle) -> Condition:
-    """rb-3lie, the condition of check_relative_rb_3lie, after its preconditions."""
-    a = r.algebra
-    if a.bracket is None:
-        raise MissingTensor("bracket", "check_relative_rb_3lie")
-    if not isinstance(r.rho, BiRep):
-        raise MissingRep("check_relative_rb_3lie needs rho as a pair action")
-    _check_map_dims(t, r, "check_relative_rb_3lie")
-    m = r.module_dim
-    timg = _images(t, m)
-    rhot = [[r.rho.of(timg[p], timg[q]) for q in range(m)] for p in range(m)]
-    vbasis = [Vec.basis(m, p) for p in range(m)]
-
-    def defect(idx):
-        p, q, s = idx
-        lhs = a.br3(timg[p], timg[q], timg[s])
-        rhs = t.apply(
-            rhot[p][q].apply(vbasis[s])
-            + rhot[q][s].apply(vbasis[p])
-            + rhot[s][p].apply(vbasis[q])
-        )
-        return lhs - rhs
-
-    return Condition("rb-3lie", (m,) * 3, defect)
+    if "rb-comm" in names:
+        if a.product is None:
+            raise MissingTensor("product", "check_relative_rb_comm")
+        if r.mu is None:
+            raise MissingRep("check_relative_rb_comm needs mu")
+        _check_map_dims(t, r, "check_relative_rb_comm")
+    if "rb-3lie" in names:
+        if a.bracket is None:
+            raise MissingTensor("bracket", "check_relative_rb_3lie")
+        if not isinstance(r.rho, BiRep):
+            raise MissingRep("check_relative_rb_3lie needs rho as a pair action")
+        _check_map_dims(t, r, "check_relative_rb_3lie")
+    return run_conditions(kind, _rb_maps(t, r).conditions(names), max_counterexamples)
 
 
 def check_relative_rb_comm(t: InterMap, r: RepBundle, *,
                            max_counterexamples: int = 1) -> CheckReport:
     """Tu * Tv = T(mu(Tu)v + mu(Tv)u) on all module basis pairs."""
-    return run_conditions("relative-rb-comm", [_rb_comm(t, r)], max_counterexamples)
+    return _check_rb("relative-rb-comm", ("rb-comm",), t, r, max_counterexamples)
 
 
 def check_relative_rb_3lie(t: InterMap, r: RepBundle, *,
                            max_counterexamples: int = 1) -> CheckReport:
     """[Tu,Tv,Tw] = T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v) on basis triples."""
-    return run_conditions("relative-rb-3lie", [_rb_3lie(t, r)], max_counterexamples)
+    return _check_rb("relative-rb-3lie", ("rb-3lie",), t, r, max_counterexamples)
 
 
 def check_relative_rb(t: InterMap, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Conjunction: relative Rota-Baxter for both the product and the bracket."""
-    return run_conditions("relative-rb", [_rb_comm(t, r), _rb_3lie(t, r)], max_counterexamples)
+    return _check_rb("relative-rb", ("rb-comm", "rb-3lie"), t, r, max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -119,20 +109,6 @@ def _module_labels(m: int) -> tuple[str, ...]:
     return tuple(f"v{p + 1}" for p in range(m))
 
 
-def _induced_product(t: InterMap, r: RepBundle) -> Tensor:
-    """u <> v = mu(Tu)v on the module."""
-    timg = _images(t, r.module_dim)
-    mut = [r.mu.of(x) for x in timg]
-    return Tensor.from_images(r.module_dim, 3, lambda p, q: mut[p].column(q))
-
-
-def _induced_bracket(t: InterMap, r: RepBundle) -> Tensor:
-    """{u,v,w} = rho(Tu,Tv)w on the module."""
-    timg = _images(t, r.module_dim)
-    rhot = [[r.rho.of(x, y) for y in timg] for x in timg]
-    return Tensor.from_images(r.module_dim, 4, lambda p, q, s: rhot[p][q].column(s))
-
-
 def induced_zinbiel(t: InterMap, r: RepBundle) -> AlgebraBundle:
     """u <> v = mu(Tu)v on the module; Zinbiel when T is relative Rota-Baxter."""
     report = check_relative_rb_comm(t, r)
@@ -140,7 +116,7 @@ def induced_zinbiel(t: InterMap, r: RepBundle) -> AlgebraBundle:
         raise NotRelativeRB("map fails the commutative relative Rota-Baxter identity",
                             report)
     m = r.module_dim
-    return AlgebraBundle(m, product=_induced_product(t, r), basis_labels=_module_labels(m))
+    return AlgebraBundle(m, product=_rb_maps(t, r).tensor("muT"), basis_labels=_module_labels(m))
 
 
 def induced_3prelie(t: InterMap, r: RepBundle) -> AlgebraBundle:
@@ -149,7 +125,8 @@ def induced_3prelie(t: InterMap, r: RepBundle) -> AlgebraBundle:
     if not report.passed:
         raise NotRelativeRB("map fails the 3-Lie relative Rota-Baxter identity", report)
     m = r.module_dim
-    return AlgebraBundle(m, bracket=_induced_bracket(t, r), basis_labels=_module_labels(m))
+    return AlgebraBundle(m, bracket=_rb_maps(t, r).tensor("rhoTT"),
+                         basis_labels=_module_labels(m))
 
 
 def induced_pre_fmanifold(t: InterMap, r: RepBundle) -> AlgebraBundle:
@@ -158,7 +135,8 @@ def induced_pre_fmanifold(t: InterMap, r: RepBundle) -> AlgebraBundle:
     if not report.passed:
         raise NotRelativeRB("map fails the relative Rota-Baxter identities", report)
     m = r.module_dim
-    return AlgebraBundle(m, product=_induced_product(t, r), bracket=_induced_bracket(t, r),
+    maps = _rb_maps(t, r)
+    return AlgebraBundle(m, product=maps.tensor("muT"), bracket=maps.tensor("rhoTT"),
                          basis_labels=_module_labels(m))
 
 
@@ -169,12 +147,9 @@ def rb_induced_pre(R: InterMap, a: AlgebraBundle) -> AlgebraBundle:
     if not report.passed:
         raise NotRotaBaxter("map fails the Rota-Baxter identities on the adjoint action",
                             report)
-    n = a.dim
-    rimg = _images(R, n)
-    basis = a.basis_vectors()
-    prod = Tensor.from_images(n, 3, lambda i, j: a.mul(rimg[i], basis[j]))
-    brk = Tensor.from_images(n, 4, lambda i, j, k: a.br3(rimg[i], rimg[j], basis[k]))
-    return AlgebraBundle(n, product=prod, bracket=brk, basis_labels=a.basis_labels)
+    maps = _rb_maps(R, rep)
+    return AlgebraBundle(a.dim, product=maps.tensor("mulT"), bracket=maps.tensor("br3TT"),
+                         basis_labels=a.basis_labels)
 
 
 def invertible_rb_to_pre(t: InterMap, r: RepBundle) -> AlgebraBundle:
@@ -234,13 +209,15 @@ def _require_skew(b: BilinearForm, context: str):
         raise NotSkew(f"{context}: bilinear form is not skew-symmetric")
 
 
-def _form_condition(name: str, context: str, b: BilinearForm, a: AlgebraBundle,
-                    arity: int, value) -> Condition:
-    """The scalar condition value(idx) = 0 of a skew form; its residual is a 1-vector."""
+def _check_form(kind: str, name: str, context: str, b: BilinearForm, a: AlgebraBundle,
+                max_counterexamples: int) -> CheckReport:
+    """The scalar condition `name` of a skew form; its residual is a 1-vector."""
     if b.dim != a.dim:
         raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
     _require_skew(b, context)
-    return Condition(name, (a.dim,) * arity, lambda idx: Vec([value(idx)]), scan=value)
+    form = Tensor(a.dim, 3, (((i, j, 0), v) for (i, j), v in b.matrix.nonzeros()))
+    return run_conditions(kind, _Maps(a, _layout, {}, {"form": form}).conditions([name]),
+                          max_counterexamples)
 
 
 def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
@@ -248,18 +225,8 @@ def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
     """B(x y, z) + B(y z, x) + B(z x, y) = 0 on all basis triples."""
     if a.product is None:
         raise MissingTensor("product", "check_cyclic_2cocycle")
-    basis = a.basis_vectors()
-
-    def value(idx):
-        i, j, k = idx
-        return (
-            b.value(a.mul(basis[i], basis[j]), basis[k])
-            + b.value(a.mul(basis[j], basis[k]), basis[i])
-            + b.value(a.mul(basis[k], basis[i]), basis[j])
-        )
-
-    cond = _form_condition("cocycle", "check_cyclic_2cocycle", b, a, 3, value)
-    return run_conditions("cyclic-2cocycle", [cond], max_counterexamples)
+    return _check_form("cyclic-2cocycle", "cocycle", "check_cyclic_2cocycle", b, a,
+                       max_counterexamples)
 
 
 def check_symplectic(b: BilinearForm, a: AlgebraBundle, *,
@@ -267,19 +234,8 @@ def check_symplectic(b: BilinearForm, a: AlgebraBundle, *,
     """B([x,y,z],u) - B([x,y,u],z) + B([x,z,u],y) - B([y,z,u],x) = 0 on 4-tuples."""
     if a.bracket is None:
         raise MissingTensor("bracket", "check_symplectic")
-    basis = a.basis_vectors()
-
-    def value(idx):
-        i, j, k, l = idx
-        return (
-            b.value(a.br3(basis[i], basis[j], basis[k]), basis[l])
-            - b.value(a.br3(basis[i], basis[j], basis[l]), basis[k])
-            + b.value(a.br3(basis[i], basis[k], basis[l]), basis[j])
-            - b.value(a.br3(basis[j], basis[k], basis[l]), basis[i])
-        )
-
-    cond = _form_condition("symplectic", "check_symplectic", b, a, 4, value)
-    return run_conditions("symplectic", [cond], max_counterexamples)
+    return _check_form("symplectic", "symplectic", "check_symplectic", b, a,
+                       max_counterexamples)
 
 
 def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
@@ -319,29 +275,8 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
 # Nijenhuis operators and deformations
 
 
-def _deformed(nop: InterMap, a: AlgebraBundle):
-    """The images N e_i, and x *_N y and [x,y,z]_N at basis indices."""
-    basis = a.basis_vectors()
-    nimg = [nop.apply(e) for e in basis]
-
-    def mul_n(i, j):
-        return (a.mul(nimg[i], basis[j]) + a.mul(basis[i], nimg[j])
-                - nop.apply(a.mul(basis[i], basis[j])))
-
-    def br3_n(i, j, k):
-        return (
-            a.br3(nimg[i], nimg[j], basis[k])
-            + a.br3(nimg[i], basis[j], nimg[k])
-            + a.br3(basis[i], nimg[j], nimg[k])
-            - nop.apply(
-                a.br3(nimg[i], basis[j], basis[k])
-                + a.br3(basis[i], nimg[j], basis[k])
-                + a.br3(basis[i], basis[j], nimg[k])
-            )
-            + nop.apply(nop.apply(a.br3(basis[i], basis[j], basis[k])))
-        )
-
-    return nimg, mul_n, br3_n
+def _nijenhuis_maps(nop: InterMap, a: AlgebraBundle) -> _Maps:
+    return _Maps(a, _layout, {}, {"N": _map_tensor(nop.matrix)})
 
 
 def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
@@ -353,23 +288,10 @@ def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
         )
     if a.product is None and a.bracket is None:
         raise MissingTensor("product", "check_nijenhuis")
-    n = a.dim
-    nimg, mul_n, br3_n = _deformed(nop, a)
-
-    def defect2(idx):
-        i, j = idx
-        return a.mul(nimg[i], nimg[j]) - nop.apply(mul_n(i, j))
-
-    def defect3(idx):
-        i, j, k = idx
-        return a.br3(nimg[i], nimg[j], nimg[k]) - nop.apply(br3_n(i, j, k))
-
-    conditions = []
-    if a.product is not None:
-        conditions.append(Condition("nijenhuis-comm", (n, n), defect2))
-    if a.bracket is not None:
-        conditions.append(Condition("nijenhuis-3lie", (n,) * 3, defect3))
-    return run_conditions("nijenhuis", conditions, max_counterexamples)
+    names = [name for name, t in (("nijenhuis-comm", a.product), ("nijenhuis-3lie", a.bracket))
+             if t is not None]
+    return run_conditions("nijenhuis", _nijenhuis_maps(nop, a).conditions(names),
+                          max_counterexamples)
 
 
 def deform(nop: InterMap, a: AlgebraBundle) -> AlgebraBundle:
@@ -377,9 +299,9 @@ def deform(nop: InterMap, a: AlgebraBundle) -> AlgebraBundle:
     report = check_nijenhuis(nop, a)
     if not report.passed:
         raise NotNijenhuis("map fails the Nijenhuis integrability conditions", report)
-    _, mul_n, br3_n = _deformed(nop, a)
-    prod = Tensor.from_images(a.dim, 3, mul_n) if a.product is not None else None
-    brk = Tensor.from_images(a.dim, 4, br3_n) if a.bracket is not None else None
+    maps = _nijenhuis_maps(nop, a)
+    prod = maps.tensor("mul_N") if a.product is not None else None
+    brk = maps.tensor("br3_N") if a.bracket is not None else None
     return AlgebraBundle(a.dim, product=prod, bracket=brk, basis_labels=a.basis_labels)
 
 
@@ -405,33 +327,14 @@ def induced_rep_on_A(t: InterMap, r: RepBundle) -> RepBundle:
     report = check_relative_rb(t, r)
     if not report.passed:
         raise NotRelativeRB("map fails the relative Rota-Baxter identities", report)
-    a = r.algebra
-    n, m = a.dim, r.module_dim
-    timg = _images(t, m)
-    basis = a.basis_vectors()
-    vbasis = [Vec.basis(m, p) for p in range(m)]
-    algebra_v = subadjacent_ternary_fmanifold(induced_pre_fmanifold(t, r))
+    n, m = r.algebra.dim, r.module_dim
+    tables = _ops(_rb_maps(t, r), True, _Maps.layout)
+    mu_t, rho_t = _table(tables, "mu_T"), _table(tables, "rho_T")
 
-    def mu_col(p, k):
-        return a.mul(timg[p], basis[k]) - t.apply(r.mu.of(basis[k]).apply(vbasis[p]))
+    def matrix(columns):
+        return Matrix.from_columns([Vec(dict(c).get(l, 0) for l in range(n)) for c in columns])
 
-    def rho_col(p, q, k):
-        return a.br3(timg[p], timg[q], basis[k]) - t.apply(
-            r.rho.of(timg[q], basis[k]).apply(vbasis[p])
-            + r.rho.of(basis[k], timg[p]).apply(vbasis[q])
-        )
-
-    mu = LinRep(
-        n, tuple(Matrix.from_columns([mu_col(p, k) for k in range(n)]) for p in range(m))
-    )
-    rho = BiRep(
-        n,
-        tuple(
-            tuple(
-                Matrix.from_columns([rho_col(p, q, k) for k in range(n)])
-                for q in range(m)
-            )
-            for p in range(m)
-        ),
-    )
-    return RepBundle(algebra=algebra_v, rho=rho, mu=mu)
+    mu = LinRep(n, tuple(matrix(mu_t[p]) for p in range(m)))
+    rho = BiRep(n, tuple(tuple(matrix(rho_t[p][q]) for q in range(m)) for p in range(m)))
+    return RepBundle(algebra=subadjacent_ternary_fmanifold(induced_pre_fmanifold(t, r)),
+                     rho=rho, mu=mu)

@@ -14,12 +14,14 @@ at the algebra tuple t, ranked rank(t) * m + p.  `_registry` defines L1, L2,
 L3 and their binary forms as sub-maps, and each condition, once;
 `KIND_CONDITIONS` lists each kind's conditions by name.
 
-The scans run on integer tables, one factor per declared scale group
-(`structures._SCALE_GROUPS`): rho and both brackets share alpha, mu and the
-product share beta.  The conditions are homogeneous only in these groups
-(L1 mixes rho with the bracket), which `_define` checks at import, so each
-scales by one monomial alpha^a beta^b.  Flagged entries are recomputed by
-the exact term walker on Fraction tables, which cross-checks the scan.
+The scans run on integer tables: rho and mu each times the lcm of its own
+denominators, next to the algebra's own integer tables and sub-map tables,
+which a representation shares with its algebra.  A condition need not be
+homogeneous in its tensors (L1 mixes rho with the bracket): each term's
+coefficient carries the multiplier that brings it to the condition's
+common scale L (`structures._multipliers`), so every scanned column is L
+times the exact one.  Flagged entries are recomputed by the exact term
+walker on Fraction tables, which cross-checks the scan.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import (
 )
 from .linalg import ZERO, Matrix, Tensor, Vec
 from .structures import (
-    _SCALE_GROUPS,
     _SUBMAPS,
     COHERENCE_IDENTITIES,
     AlgebraBundle,
@@ -254,14 +255,12 @@ def _action(x, dim: int) -> Optional[Tensor]:
                            for (p, q), v in m.nonzeros()))
 
 
-def _rep_layout(r: RepBundle):
-    """The tables of r's algebra and actions for `_ops`: one integer factor
-    per scale group."""
-    sizes, tensors, _ = _layout(r.algebra)
+def _rep_layout(r: RepBundle, exact: bool):
+    """r's actions for `_ops`, over the tables of its algebra."""
     dim = max(r.algebra.dim, r.module_dim)
-    tensors["rho" if isinstance(r.rho, BiRep) else "rho1"] = _action(r.rho, dim)
-    tensors["mu"] = _action(r.mu, dim)
-    return {**sizes, "V": r.module_dim}, tensors, _SCALE_GROUPS
+    tensors = {"rho" if isinstance(r.rho, BiRep) else "rho1": _action(r.rho, dim),
+               "mu": _action(r.mu, dim)}
+    return {"V": r.module_dim}, tensors, _ops(r.algebra, exact, _layout)
 
 
 def _need_birep(r: RepBundle) -> BiRep:

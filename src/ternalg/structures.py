@@ -8,30 +8,31 @@ report the first failures with exact residual vectors.
 Each identity, and each sub-map identities share (Leibnizators, F1, F2, the
 cyclic sums), is defined once, as data: a signed sum of terms, each term an
 operation (`mul`, `br3`, `br2` or a sub-map) applied to argument slots, with
-at most one argument itself such a term.  Every slot has a sort, A (the
-algebra) or V (a module), and every operation a signature (`_SIGNATURES`)
-that `_define` checks; `representations` states its conditions in the same
-language.  Two evaluators derive from the data.  The exhaustive scans run
-Python source generated per identity: each term becomes two nested loops
-over sparse tables, and each sub-map is tabulated once per bundle, on first
-use, by its own generated loops.  Exact evaluations (`eval_defect`, the
-Leibnizators, F1, F2, K and the residual of every counterexample) walk the
-same terms over exact vectors instead, so the reported residuals never
-depend on generated code.
+at most one argument itself such a term.  Every slot has a sort -- A (the
+algebra), V (a module), B (a homomorphism's target) or k (the scalars) --
+and every operation a signature (`_SIGNATURES`) that `_define` checks.  The
+conditions of every other checker are written in the same language: those
+of representations in `representations`, the operator, trace and
+homomorphism conditions in `CONDITIONS`.  Two evaluators derive from the
+data.  The exhaustive scans run Python source generated per map: each term
+becomes two nested loops over sparse tables, and each sub-map is tabulated
+once per owner, on first use, by its own generated loops.  Exact evaluations
+(`eval_defect`, the Leibnizators, F1, F2, K and the residual of every
+counterexample) walk the same terms over exact vectors instead, so the
+reported residuals never depend on generated code.
 
-The scans run on integer-rescaled tables: each tensor is multiplied by the
-lcm of its denominators, or, for a map with a module slot, each scale group
-of `_SCALE_GROUPS` by the lcm of all its tensors' denominators.  Every map
-is homogeneous in each tensor, or in each group -- checked at import from
-the term degrees, raising `InternalError` otherwise -- so the rescaled
-defect is the true one times a nonzero integer and vanishes exactly when it
-does.  Flagged tuples are recomputed in exact rationals, which doubles as a
-cross-check of the fast path.
+The scans run on integer tables, each tensor times the lcm of its own
+denominators, its scale.  A term's scale is the product of its operations'
+scales (a sub-map's is that of its table), and a map's scale L the lcm of
+its terms'.  `_multipliers` gives each term the integer L / (its scale), a
+literal factor of its coefficient in the generated source, so every scan is
+L times the exact defect and vanishes exactly when it does, homogeneous or
+not; on integer tensors every factor is 1.  Flagged tuples are recomputed
+in exact rationals, which doubles as a cross-check of the fast path.
 
-Every checker of the package, here and in `representations`, `operators`
-and `constructions`, declares its conditions as `Condition`s and hands them
-to `run_conditions`, the one scan driver and the one place that builds a
-`CheckReport`.
+Every checker of the package hands its maps to `_condition`, the one place
+that builds a `Condition`, and those to `run_conditions`, the one scan
+driver and the one place that builds a `CheckReport`.
 
 Identity scans use only certified symmetries.  A term normaliser expands a
 defect into trees of `mul`, `br3` and `br2` and, for every transposition of
@@ -50,11 +51,13 @@ tuple count equal those of the full scan.
 Adding an identity: define it in `_registry` with `_define` (a shared
 sub-map with `_submap`), in terms of `mul`, `br3`, `br2` and the existing
 sub-maps, and list it in `KIND_IDENTITIES`.  Which tensors it needs, its
-degree check, its symmetry certificate and both evaluators follow from the
-definition.  A representation condition is the same, in
+term multipliers, its symmetry certificate and both evaluators follow from
+the definition.  A representation condition is the same, in
 `representations._registry` and `KIND_CONDITIONS`, with the module slot
-last and `rho`, `rho1` and `mu` available.  A new tensor needs a signature
-in `_SIGNATURES` and a place in `_SCALE_GROUPS`.
+last and `rho`, `rho1` and `mu` available; an operator, trace or
+homomorphism condition goes into `_conditions`.  An operation applied to two
+nested terms goes through a named sub-map.  A new tensor needs a signature
+in `_SIGNATURES`.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import heapq
 import itertools
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
@@ -78,7 +81,7 @@ from .errors import (
     UnknownIdentity,
     UnknownKind,
 )
-from .linalg import ZERO, InterMap, Tensor, Vec
+from .linalg import ZERO, InterMap, Matrix, Tensor, Vec
 
 log = logging.getLogger("ternalg")
 
@@ -277,52 +280,61 @@ def _trilinear(n, table, x, y, z):
     return out
 
 
-_MULTILINEAR = {2: _bilinear, 3: _trilinear}
+def _linear(n, table, x):
+    out = [ZERO] * n
+    for i, xi in enumerate(x):
+        if xi:
+            for k, v in table[i]:
+                out[k] += xi * v
+    return out
+
+
+_MULTILINEAR = {1: _linear, 2: _bilinear, 3: _trilinear}
 
 
 class _Ops:
-    """Sparse tables by operation name, and each sort's size: the tensors,
-    times their integer `scales` when given, and the sub-map tables the
-    scanners add on first use."""
+    """Sparse tables by operation name, each one's integer scale, and each
+    sort's size: the tensors, exact (scale 1) or times the lcm of their own
+    denominators, those of `base`, and the sub-map tables the scanners add on
+    first use.  A sub-map that needs no tensor beyond base's is built on base,
+    so an algebra's sub-map tables serve its representations and operators."""
 
-    __slots__ = ("sizes", "scales", "tables")
+    __slots__ = ("sizes", "scales", "tables", "base")
 
-    def __init__(self, sizes: dict, tensors: dict, scales: Optional[dict] = None):
-        self.sizes = sizes
-        self.scales = scales
-        self.tables = {op: t.table(scales[op] if scales else None)
-                       for op, t in tensors.items() if t is not None}
+    def __init__(self, sizes: dict, tensors: dict, exact: bool, base: Optional["_Ops"] = None):
+        tensors = {op: t for op, t in tensors.items() if t is not None}
+        scales = {op: 1 if exact else t.den_lcm() for op, t in tensors.items()}
+        tables = {op: t.table(None if exact else scales[op]) for op, t in tensors.items()}
+        self.base = base
+        self.sizes = {**base.sizes, **sizes} if base else {"k": 1, **sizes}
+        self.scales = {**base.scales, **scales} if base else scales
+        self.tables = {**base.tables, **tables} if base else tables
 
 
 def _dims(sizes: dict) -> str:
-    return ", ".join(f"{'module dim' if s == 'V' else 'dim'} {n}" for s, n in sizes.items())
+    names = {"A": "dim", "V": "module dim", "B": "target dim"}
+    return ", ".join(f"{names[s]} {n}" for s, n in sizes.items() if s in names)
 
 
 def _ops(owner, exact: bool, layout: Callable) -> _Ops:
-    """The tables of owner's tensors, exact or with each scale group's
-    tensors times the lcm of all their denominators; layout(owner) gives the
-    sort sizes, the tensors and the groups.  Built on first use, kept on owner."""
+    """The tables of owner's tensors, exact or each times the lcm of its own
+    denominators; layout(owner, exact) gives the sizes of owner's own sorts,
+    its tensors and the `_Ops` of its base or None.  Built on first use, kept
+    on owner."""
     attr = "_ops_exact" if exact else "_ops_int"
     hit = getattr(owner, attr, None)
     if hit is None:
-        sizes, tensors, groups = layout(owner)
-        if exact:
-            hit = _Ops(sizes, tensors)
-        else:
-            factors = {}  # None for a group without tensors
-            for g, members in groups.items():
-                dens = [tensors[op].den_lcm() for op in members if tensors.get(op) is not None]
-                factors[g] = lcm(*dens) if dens else None
-            log.debug("integer tables, %s: scale factors %s", _dims(sizes),
-                      " ".join(f"{g}={f}" for g, f in factors.items()))
-            hit = _Ops(sizes, tensors, {op: factors[g] for g, ops in groups.items() for op in ops})
+        sizes, tensors, base = layout(owner, exact)
+        hit = _Ops(sizes, tensors, exact, base)
+        if not exact:
+            log.debug("integer tables, %s: scale factors %s", _dims(hit.sizes), " ".join(
+                f"{op}={hit.scales.get(op)}" for op in tensors))
         object.__setattr__(owner, attr, hit)
     return hit
 
 
-def _layout(b: AlgebraBundle):
-    tensors = {"mul": b.product, "br3": b.bracket, "br2": b.binary_bracket}
-    return {"A": b.dim}, tensors, _TENSOR_GROUPS
+def _layout(b: AlgebraBundle, exact: bool):
+    return {"A": b.dim}, {"mul": b.product, "br3": b.bracket, "br2": b.binary_bracket}, None
 
 
 def _exact_ops(b: AlgebraBundle) -> _Ops:
@@ -340,51 +352,43 @@ def _exact_ops(b: AlgebraBundle) -> _Ops:
 # symmetric group order to stay integral: the combination vanishes for all
 # arguments iff the bracket is alternating.
 
-# the sorts of each operation's slots and value; `_submap` adds sub-maps'
+# The sorts of each operation's slots and value; `_submap` adds sub-maps'.
+# A is the algebra, V a module, B a homomorphism's target and k the scalars
+# (size 1): T is a relative Rota-Baxter map, N a Nijenhuis operator, form a
+# bilinear form, tau a trace, smul the scalar multiplication, f a
+# homomorphism and mulB, br3B, br2B the target's tensors.
 _SIGNATURES = {
     "mul": ("AA", "A"), "br3": ("AAA", "A"), "br2": ("AA", "A"),
     "rho": ("AAV", "V"), "rho1": ("AV", "V"), "mu": ("AV", "V"),
+    "T": ("V", "A"), "N": ("A", "A"), "form": ("AA", "k"), "tau": ("A", "k"),
+    "smul": ("kA", "A"), "f": ("A", "B"),
+    "mulB": ("BB", "B"), "br3B": ("BBB", "B"), "br2B": ("BB", "B"),
 }
-_TENSORS = tuple(_SIGNATURES)
 _TENSOR_SLOTS = (("mul", "product"), ("br3", "bracket"), ("br2", "binary_bracket"))
 _SLOT_OF = dict(_TENSOR_SLOTS)
 
-# The tensors of a scale group share one integer factor in a scan, so a map
-# must be homogeneous in each group: in each tensor for a map on the
-# algebra, in alpha and beta for one with a module slot.  Declared, not
-# derived: the finest grouping that balances the degrees need not be unique.
-_TENSOR_GROUPS = {slot: (op,) for op, slot in _TENSOR_SLOTS}
-_SCALE_GROUPS = {"alpha": ("rho", "rho1", "br3", "br2"), "beta": ("mu", "mul")}
-
-# each operation's factors in every tensor, one vector per term
-_DEGREES = {op: frozenset({tuple(int(t == op) for t in _TENSORS)}) for op in _TENSORS}
+# the tensors each operation reads, sub-maps expanded
+_TENSORS_OF = {op: frozenset({op}) for op in _SIGNATURES}
 
 
 @dataclass(frozen=True)
 class Identity:
-    """A named multilinear map: an identity's defect, a representation
+    """A named multilinear map: an identity's defect, a checker's
     condition, or a sub-map.
 
     `terms` is ((coeff, (op, args)), ...); `sorts` is each slot's sort and
-    `out` the value's.  `degrees` holds each term's factors in the tensors
-    of `_TENSORS`, sub-maps expanded, and `degree` their sum in each scale
-    group, which `_define` checks is the same for every term.
+    `out` the value's; `tensors` names the tensors its terms read.
     """
 
     name: str
     terms: tuple
     sorts: tuple[str, ...]
     out: str
-    degrees: frozenset
-    degree: tuple[int, ...]
+    tensors: frozenset
 
     @property
     def arity(self) -> int:
         return len(self.sorts)
-
-    @property
-    def tensors(self) -> set[str]:
-        return {t for d in self.degrees for t, k in zip(_TENSORS, d) if k}
 
     @property
     def needs(self) -> tuple[str, ...]:
@@ -435,18 +439,18 @@ def _op(name: str):
 
 
 def _define(name: str, body) -> Identity:
-    """The map body(slot 0, slot 1, ...), checked to be multilinear, well
-    sorted, and homogeneous in each of its scale groups; the integer scans
-    rely on all three."""
+    """The map body(slot 0, slot 1, ...), checked to be multilinear and well
+    sorted; the integer scans rely on both."""
     arity = body.__code__.co_argcount
     terms = body(*range(arity)).terms
     sorts: dict[int, str] = {}
-    degrees = set()
+    tensors: set[str] = set()
 
     def bind(op, args):
-        """The slots and degrees of the term op(*args); each slot's sort is
-        checked against op's signature and recorded."""
-        slots, degree = [], _DEGREES[op]
+        """The slots of the term op(*args); each slot's sort is checked
+        against op's signature and recorded."""
+        slots = []
+        tensors.update(_TENSORS_OF[op])
         for a, want in zip(args, _SIGNATURES[op][0]):
             if isinstance(a, int):
                 if sorts.setdefault(a, want) != want:
@@ -457,24 +461,14 @@ def _define(name: str, body) -> Identity:
             got = _SIGNATURES[a[0]][1]
             if got != want:
                 raise InternalError(f"{name}: {a[0]} gives {got} where {op} takes {want}")
-            inner, inner_degree = bind(*a)
-            slots += inner
-            degree = {tuple(map(sum, zip(d, e))) for d in degree for e in inner_degree}
-        return slots, degree
+            slots += bind(*a)
+        return slots
 
     for _, term in terms:
-        slots, degree = bind(*term)
-        if sorted(slots) != list(range(arity)):
+        if sorted(bind(*term)) != list(range(arity)):
             raise InternalError(f"{name}: every term must use each slot exactly once")
-        degrees |= degree
     out = _SIGNATURES[terms[0][1][0]][1]  # the same for every term, on the same slots
-    groups = (_SCALE_GROUPS if out == "V" else _TENSOR_GROUPS).values()
-    sums = {tuple(sum(d[_TENSORS.index(t)] for t in g) for g in groups) for d in degrees}
-    if len(sums) != 1:
-        raise InternalError(f"{name} is not homogeneous in each of {list(groups)}: "
-                            f"term degrees {sorted(sums)}")
-    return Identity(name, terms, tuple(sorts[s] for s in range(arity)), out,
-                    frozenset(degrees), sums.pop())
+    return Identity(name, terms, tuple(sorts[s] for s in range(arity)), out, frozenset(tensors))
 
 
 _SUBMAPS: dict[str, Identity] = {}
@@ -483,7 +477,7 @@ _SUBMAPS: dict[str, Identity] = {}
 def _submap(name: str, body):
     m = _SUBMAPS[name] = _define(name, body)
     _SIGNATURES[name] = ("".join(m.sorts), m.out)
-    _DEGREES[name] = m.degrees
+    _TENSORS_OF[name] = m.tensors
     return _op(name)
 
 
@@ -587,6 +581,79 @@ KIND_IDENTITIES: dict[StructureKind, tuple[str, ...]] = {
 COHERENCE_IDENTITIES: tuple[str, ...] = KIND_IDENTITIES[
     StructureKind.TERNARY_F_MANIFOLD
 ] + ("coh1", "coh2", "coh3")
+
+
+def _conditions() -> dict[str, Identity]:
+    """The conditions of the operator, trace and homomorphism checkers, each
+    defined once, and the sub-maps they share with the builders.  A term
+    takes at most one nested term, so an operation applied to two images,
+    such as T(p) * T(q), goes through a sub-map: mulT(p, T(q))."""
+    mul, br3, br2, rho, mu, leib2 = map(_op, ("mul", "br3", "br2", "rho", "mu", "leib2"))
+    T, N, form, tau, smul, f = map(_op, ("T", "N", "form", "tau", "smul", "f"))
+    mulB, br3B, br2B = map(_op, ("mulB", "br3B", "br2B"))
+    # relative Rota-Baxter: T(p) * y, mu(T(p)) q, [T(p), T(q), z], rho(T(p), T(q)) v;
+    # muT and rhoTT are the induced product and bracket on the module
+    mulT = _submap("mulT", lambda p, y: mul(T(p), y))
+    muT = _submap("muT", lambda p, q: mu(T(p), q))
+    br3T = _submap("br3T", lambda p, y, z: br3(T(p), y, z))
+    br3TT = _submap("br3TT", lambda p, q, z: br3T(p, T(q), z))
+    rhoT = _submap("rhoT", lambda p, y, v: rho(T(p), y, v))
+    rhoTT = _submap("rhoTT", lambda p, q, v: rhoT(p, T(q), v))
+    # the representation induced back on A: mu_T(u)x and rho_T(u,v)x
+    rhoxT = _submap("rhoxT", lambda x, p, v: rho(x, T(p), v))
+    _submap("mu_T", lambda p, x: mulT(p, x) - T(mu(x, p)))
+    _submap("rho_T", lambda p, q, x: br3TT(p, q, x) - T(rhoT(q, x, p)) - T(rhoxT(x, p, q)))
+    # Nijenhuis: the deformed x o_N y and [x,y,z]_N, with N x * y, [N x, y, z],
+    # [x, N y, z], [N x, N y, z] and the terms of [x,y,z]_N inside N
+    mulN = _submap("mulN", lambda x, y: mul(N(x), y))
+    mul_N = _submap("mul_N", lambda x, y: mulN(x, y) + mul(x, N(y)) - N(mul(x, y)))
+    br3N = _submap("br3N", lambda x, y, z: br3(N(x), y, z))
+    br3xN = _submap("br3xN", lambda x, y, z: br3(x, N(y), z))
+    br3NN = _submap("br3NN", lambda x, y, z: br3N(x, N(y), z))
+    br3_N1 = _submap("br3_N1", lambda x, y, z: (
+        br3N(x, y, z) + br3xN(x, y, z) + br3(x, y, N(z)) - N(br3(x, y, z))))
+    br3_N = _submap("br3_N", lambda x, y, z: (
+        br3NN(x, y, z) + br3N(x, y, N(z)) + br3xN(x, y, N(z)) - N(br3_N1(x, y, z))))
+    # traces: tau(x) y, tau(x) L(y, z, w) and x L(y, z, w), L the binary Leibnizator,
+    # and the induced [x,y,z]_tau = tau(x)[y,z] - tau(y)[x,z] + tau(z)[x,y]
+    tau_smul = _submap("tau_smul", lambda x, y: smul(tau(x), y))
+    _submap("br3_tau", lambda x, y, z: (
+        tau_smul(x, br2(y, z)) - tau_smul(y, br2(x, z)) + tau_smul(z, br2(x, y))))
+    tau_leib2 = _submap("tau_leib2", lambda x, y, z, w: tau_smul(x, leib2(y, z, w)))
+    mul_leib2 = _submap("mul_leib2", lambda x, y, z, w: mul(x, leib2(y, z, w)))
+    # homomorphisms: f(x) * q, [f(x), f(y), q] and [f(x), q] in the target
+    mulBf = _submap("mulBf", lambda x, q: mulB(f(x), q))
+    br3Bf = _submap("br3Bf", lambda x, p, q: br3B(f(x), p, q))
+    br3Bff = _submap("br3Bff", lambda x, y, q: br3Bf(x, f(y), q))
+    br2Bf = _submap("br2Bf", lambda x, q: br2B(f(x), q))
+    return {
+        c.name: c
+        for c in [
+            # Tu * Tv - T(mu(Tu)v + mu(Tv)u)
+            _define("rb-comm", lambda p, q: mulT(p, T(q)) - T(muT(p, q)) - T(muT(q, p))),
+            # [Tu,Tv,Tw] - T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v)
+            _define("rb-3lie", lambda p, q, s: (
+                br3TT(p, q, T(s)) - T(rhoTT(p, q, s)) - T(rhoTT(q, s, p)) - T(rhoTT(s, p, q)))),
+            _define("cocycle", lambda x, y, z: (
+                form(mul(x, y), z) + form(mul(y, z), x) + form(mul(z, x), y))),
+            _define("symplectic", lambda x, y, z, u: (
+                form(br3(x, y, z), u) - form(br3(x, y, u), z) + form(br3(x, z, u), y)
+                - form(br3(y, z, u), x))),
+            _define("nijenhuis-comm", lambda x, y: mulN(x, N(y)) - N(mul_N(x, y))),
+            _define("nijenhuis-3lie", lambda x, y, z: br3NN(x, y, N(z)) - N(br3_N(x, y, z))),
+            _define("trace", lambda x, y: tau(br2(x, y))),
+            # tau(x1 x2) L(x3,x4,x5) - tau(x2) x1 L(x3,x4,x5) - tau(x1) x2 L(x3,x4,x5)
+            _define("induced-condition", lambda x1, x2, x3, x4, x5: (
+                tau_leib2(mul(x1, x2), x3, x4, x5) - tau_smul(x2, mul_leib2(x1, x3, x4, x5))
+                - tau_smul(x1, mul_leib2(x2, x3, x4, x5)))),
+            _define("hom-product", lambda x, y: f(mul(x, y)) - mulBf(x, f(y))),
+            _define("hom-bracket", lambda x, y, z: f(br3(x, y, z)) - br3Bff(x, y, f(z))),
+            _define("hom-binary-bracket", lambda x, y: f(br2(x, y)) - br2Bf(x, f(y))),
+        ]
+    }
+
+
+CONDITIONS: dict[str, Identity] = _conditions()
 
 
 def _require(b: AlgebraBundle, needs: Sequence[str], context: str):
@@ -855,17 +922,44 @@ def _exec(src: str, label: str, name: str):
     return namespace[name]
 
 
+def _scale(ops: _Ops, op: str) -> int:
+    """The integer factor of op's table on ops over its exact one: a
+    tensor's own, a sub-map's its `_multipliers` lcm."""
+    s = ops.scales.get(op)
+    if s is None:
+        s = ops.scales[op] = _multipliers(ops, _SUBMAPS[op])[0]
+    return s
+
+
+def _multipliers(ops: _Ops, m: Identity) -> tuple[int, tuple[int, ...]]:
+    """L, and each term's integer multiplier L / s, where s is the product of
+    the scales of the term's operations and L the lcm of every term's s: with
+    each coefficient times its multiplier, m on ops's integer tables is L
+    times its exact value, so it vanishes exactly when that does."""
+    scales = [prod(_scale(ops, a[0]) for a in args if not isinstance(a, int)) * _scale(ops, op)
+              for _, (op, args) in m.terms]
+    L = lcm(*scales)
+    return L, tuple(L // s for s in scales)
+
+
 _COMPILED: dict = {}
 
 
-def _compiled(m: Identity, table: bool):
+def _make_scanner(ops: _Ops, m: Identity, table: bool = False):
+    """m's scan(t) on ops, or with `table` its build(), from `_source` with
+    each coefficient times its term's multiplier (all 1 on integer tensors),
+    so its values are L times the exact ones; compiled once per source."""
+    mults = _multipliers(ops, m)[1]
+    if any(k != 1 for k in mults):
+        m = replace(m, terms=tuple((c * k, t) for (c, t), k in zip(m.terms, mults)))
     hit = _COMPILED.get((m, table))
     if hit is None:
         src, deps = _source(m, table)
         log.debug("generated %s for %s:\n%s", "table builder" if table else "scanner",
                   m.name, src)
         hit = _COMPILED[(m, table)] = (_exec(src, m.name, "make"), deps)
-    return hit
+    make, deps = hit
+    return make(*_shape(ops, m), *(_table(ops, d) for d in deps))
 
 
 def _representatives(arity: int, blocks):
@@ -916,22 +1010,28 @@ def _shape(ops: _Ops, m: Identity) -> tuple[tuple[int, ...], int]:
 
 
 def _table(ops: _Ops, op: str):
-    """The sparse table of a tensor or sub-map; sub-maps are built on first use."""
+    """The sparse table of a tensor or sub-map; sub-maps are built on first
+    use, on ops's base when it has every tensor they read."""
     tab = ops.tables.get(op)
     if tab is None:
         sub = _SUBMAPS[op]
-        make, deps = _compiled(sub, table=True)
+        if ops.base is not None and all(t in ops.base.tables for t in sub.tensors):
+            tab = ops.tables[op] = _table(ops.base, op)
+            return tab
         start = time.perf_counter()
-        tab = ops.tables[op] = make(*_shape(ops, sub), *(_table(ops, d) for d in deps))()
+        tab = ops.tables[op] = _make_scanner(ops, sub, table=True)()
         if log.isEnabledFor(logging.DEBUG):
-            log.debug("built %s table, %s: %d entries in %.4f s", op, _dims(ops.sizes),
-                      _entries(tab), time.perf_counter() - start)
+            log.debug("built %s table, %s: %d entries, scale %d, in %.4f s", op,
+                      _dims(ops.sizes), _entries(tab), _scale(ops, op),
+                      time.perf_counter() - start)
     return tab
 
 
-def _make_scanner(ops: _Ops, m: Identity):
-    make, deps = _compiled(m, table=False)
-    return make(*_shape(ops, m), *(_table(ops, d) for d in deps))
+def _submap_tensor(ops: _Ops, name: str) -> Tensor:
+    """The structure constants of the sub-map `name` on ops's (exact) tables."""
+    m = _SUBMAPS[name]
+    return Tensor.from_table(max(ops.sizes[s] for s in m.sorts + (m.out,)), m.arity + 1,
+                             _table(ops, name))
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +1045,7 @@ class Condition:
     Its tuples are range(sizes[0]) x range(sizes[1]) x ...: a representation
     condition's last slot ranges over the module basis.  `defect(t)` is the
     exact residual `Vec` at t.  `scan(t)` is the fast test, falsy when t
-    passes; without `scan`, a tuple fails when its defect is nonzero.
+    passes.
     `symmetry`, for a condition whose slots share one size, is its
     certificate: once every identity it assumes has passed earlier in the
     same run, the scan visits one representative per orbit.
@@ -954,7 +1054,7 @@ class Condition:
     name: str
     sizes: tuple[int, ...]
     defect: Callable
-    scan: Optional[Callable] = None
+    scan: Callable
     symmetry: Optional[Symmetry] = None
 
 
@@ -978,8 +1078,7 @@ def _failures(cond: Condition, budget: int, passed: set):
 
 def _all_failures(cond: Condition, budget: int):
     """_failures over every tuple, and the number of tuples scanned."""
-    scan = cond.scan or (lambda t: not cond.defect(t).is_zero())
-    found = []
+    scan, found = cond.scan, []
     for rank, t in enumerate(itertools.product(*map(range, cond.sizes))):
         if scan(t):
             found.append(t)
@@ -1000,8 +1099,7 @@ def _reduced_failures(cond: Condition, budget: int):
     smallest member of its orbit.
     """
     n, arity, blocks = cond.sizes[0], len(cond.sizes), cond.symmetry.blocks
-    scan = cond.scan or (lambda t: not cond.defect(t).is_zero())
-    found, waiting, scanned = [], [], 0
+    scan, found, waiting, scanned = cond.scan, [], [], 0
 
     def release(below):
         while waiting and (below is None or waiting[0] < below):
@@ -1071,8 +1169,37 @@ def _condition(m: Identity, owner, layout: Callable,
         units = [[int(j == i) for j in range(tables.sizes[s])] for s, i in zip(m.sorts, idx)]
         return Vec(_evaluate(tables, m, units))
 
-    return Condition(m.name, _shape(ops, m)[0], defect, scan=_make_scanner(ops, m),
-                     symmetry=symmetry)
+    return Condition(m.name, _shape(ops, m)[0], defect, _make_scanner(ops, m), symmetry)
+
+
+@dataclass(eq=False)
+class _Maps:
+    """Maps and forms over `base`, a bundle or a representation with the
+    `_ops` layout `base_layout`: the owner of an operator check's tables.
+    `sizes` holds the sorts base lacks, `tensors` the maps' tensors."""
+
+    base: object
+    base_layout: Callable
+    sizes: dict
+    tensors: dict
+
+    def layout(self, exact: bool):
+        return self.sizes, self.tensors, _ops(self.base, exact, self.base_layout)
+
+    def conditions(self, names: Sequence[str]):
+        """The named `CONDITIONS` on these tables, each built when the
+        driver reaches it."""
+        return (_condition(CONDITIONS[name], self, _Maps.layout) for name in names)
+
+    def tensor(self, name: str) -> Tensor:
+        """The structure constants of the sub-map `name`."""
+        return _submap_tensor(_ops(self, True, _Maps.layout), name)
+
+
+def _map_tensor(matrix: Matrix) -> Tensor:
+    """A linear map as an order-2 tensor: e_j goes to column j."""
+    return Tensor(max(matrix.rows, matrix.cols), 2,
+                  (((j, i), v) for (i, j), v in matrix.nonzeros()))
 
 
 def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
@@ -1105,15 +1232,11 @@ def _coordinates(ops: _Ops, sorts: str, args: Sequence[Vec]) -> list:
 
 
 def _operate(b: AlgebraBundle, op: str, args: Sequence[Vec]) -> Vec:
-    """The tensor operation op (mul, br3 or br2) of b at exact vectors; the
-    operator checks call it per tuple, so it skips the sort lookups."""
-    slot = _SLOT_OF[op]
-    if getattr(b, slot) is None:
-        raise MissingTensor(slot)
-    for v in args:
-        if v.dim != b.dim:
-            raise DimensionMismatch(f"argument has dim {v.dim}, bundle has dim {b.dim}")
-    return Vec(_MULTILINEAR[len(args)](b.dim, _exact_ops(b).tables[op], *[v.entries for v in args]))
+    """The tensor operation op (mul, br3 or br2) of b at exact vectors."""
+    if getattr(b, _SLOT_OF[op]) is None:
+        raise MissingTensor(_SLOT_OF[op])
+    ops = _exact_ops(b)
+    return Vec(_apply(ops, op, _coordinates(ops, _SIGNATURES[op][0], args)))
 
 
 def _eval_map(b: AlgebraBundle, m: Identity, args: Sequence[Vec], context: str,
@@ -1179,21 +1302,13 @@ def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
         raise DimensionMismatch(
             f"map is {f.dst_dim}x{f.src_dim}, bundles have dims {src.dim} -> {dst.dim}"
         )
-    images = [f.apply(src.basis(i)) for i in range(src.dim)]
-    conditions = []
-    for name, slot, op, arity in (("hom-product", "product", "mul", 2),
-                                  ("hom-bracket", "bracket", "br3", 3),
-                                  ("hom-binary-bracket", "binary_bracket", "br2", 2)):
-        if getattr(src, slot) is None:
-            continue
-        if getattr(dst, slot) is None:
-            raise MissingTensor(slot, "check_homomorphism target")
-        src_op, dst_op = getattr(src, op), getattr(dst, op)
-
-        def defect(t, src_op=src_op, dst_op=dst_op):
-            return f.apply(src_op(*(src.basis(i) for i in t))) - dst_op(*(images[i] for i in t))
-
-        conditions.append(Condition(name, (src.dim,) * arity, defect))
-    if not conditions:
+    names = [name for name in ("hom-product", "hom-bracket", "hom-binary-bracket")
+             if getattr(src, CONDITIONS[name].needs[0]) is not None]
+    if not names:
         raise MissingTensor("product", "check_homomorphism (source carries no tensors)")
-    return run_conditions("homomorphism", conditions, max_counterexamples)
+    for name in names:
+        _require(dst, CONDITIONS[name].needs, "check_homomorphism target")
+    maps = _Maps(src, _layout, {"B": dst.dim}, {
+        "f": _map_tensor(f.matrix), "mulB": dst.product, "br3B": dst.bracket,
+        "br2B": dst.binary_bracket})
+    return run_conditions("homomorphism", maps.conditions(names), max_counterexamples)

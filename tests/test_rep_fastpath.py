@@ -3,10 +3,10 @@
 `check_representation` scans the conditions of `REP_CONDITIONS` on integer
 tables and recomputes only the flagged entries exactly; `rep_oracle`
 evaluates every condition as a dense `Fraction` matrix.  Their reports must
-be equal, and every condition must scale by one monomial alpha^a beta^b when
-rho and the brackets are scaled by alpha and mu and the product by beta: the
-integer path is sound only then, so the sort and group checks of `_define`
-are pinned here too.
+be equal; every condition scales by one monomial alpha^a beta^b when rho and
+the brackets are scaled by alpha and mu and the product by beta, and its
+integer scan is L times its exact value; the sort checks of `_define` are
+pinned here too.
 """
 
 import hashlib
@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 import rep_oracle
+from test_structure_fastpath import degrees
 from ternalg import structures
 from ternalg import schema
 from ternalg.catalog import fil4, trunc
@@ -37,7 +38,14 @@ from ternalg.representations import (
     fix_slot_rep,
     semidirect,
 )
-from ternalg.structures import AlgebraBundle, _evaluate, _make_scanner, _ops, run_conditions
+from ternalg.structures import (
+    AlgebraBundle,
+    _evaluate,
+    _make_scanner,
+    _multipliers,
+    _ops,
+    run_conditions,
+)
 
 TERNARY_KINDS = ("three-lie-rep", "comm-assoc-rep", "ternary-fmanifold-rep", "dual-conditions")
 BINARY_KINDS = ("lie-rep", "comm-assoc-rep", "fmanifold-rep")
@@ -207,7 +215,10 @@ def test_unperturbed_scaled_conjugated_adjoint_passes():
 # -- weighted homogeneity ------------------------------------------------------------
 
 def test_degrees_pinned():
-    assert {name: c.degree for name, c in REP_CONDITIONS.items()} == DEGREES
+    # every term of a condition has the same (alpha, beta) degree
+    groups = (("rho", "rho1", "br3", "br2"), ("mu", "mul"))
+    assert {name: degrees(c, groups) for name, c in REP_CONDITIONS.items()} == \
+        {name: {d} for name, d in DEGREES.items()}
     assert {name for names in KIND_CONDITIONS.values() for name in names} == set(DEGREES)
 
 
@@ -224,20 +235,18 @@ def test_conditions_scale_by_one_monomial(seed, binary):
     base = _ops(r, True, _rep_layout)
     big = _ops(scaled(r, alpha, beta), True, _rep_layout)
     fast = _ops(r, False, _rep_layout)
-    # the integer factors of the scale groups: rho's is alpha's, mu's beta's
-    f_alpha, f_beta = fast.scales["rho1" if binary else "rho"], fast.scales["mu"]
     names = {name for kind in (BINARY_KINDS if binary else TERNARY_KINDS)
              for name in KIND_CONDITIONS[RepKind(kind)]}
     seen = set()
     for name in names:
         cond = REP_CONDITIONS[name]
         a, b = DEGREES[name]
-        scan = _make_scanner(fast, cond)
+        scan, L = _make_scanner(fast, cond), _multipliers(fast, cond)[0]
         for t in itertools.product(*(range(base.sizes[s]) for s in cond.sorts)):
             ref = _evaluate(base, cond, _units(cond.sorts, t, base.sizes))
             assert _evaluate(big, cond, _units(cond.sorts, t, base.sizes)) == \
                 [alpha ** a * beta ** b * v for v in ref]
-            assert (scan(t) or [0] * len(ref)) == [f_alpha ** a * f_beta ** b * v for v in ref]
+            assert (scan(t) or [0] * len(ref)) == [L * v for v in ref]
             if any(ref):
                 seen.add(name)
     # the random data must give every condition nonzero columns to compare
@@ -246,7 +255,7 @@ def test_conditions_scale_by_one_monomial(seed, binary):
 
 # -- the import-time checks of a definition --------------------------------------
 
-def test_ill_sorted_or_inhomogeneous_definitions_rejected():
+def test_ill_sorted_definitions_rejected():
     mul, br3, rho, mu = (structures._op(op) for op in ("mul", "br3", "rho", "mu"))
     L1 = structures._op("L1")
     # a module slot inside mul
@@ -260,15 +269,10 @@ def test_ill_sorted_or_inhomogeneous_definitions_rejected():
     # a module-valued sub-map nested as an algebra argument
     with pytest.raises(InternalError, match="L1 gives V where mul takes A"):
         structures._define("bad", lambda x, y, z, w, v: mul(L1(x, y, z, v), w))
-    # not homogeneous in alpha (rho, br3, br2) though each term is multilinear
-    with pytest.raises(InternalError, match="not homogeneous"):
-        structures._define("bad", lambda x, y, v: rho(x, y, v) - mu(x, mu(y, v)))
-    with pytest.raises(InternalError, match="not homogeneous"):
-        structures._define("bad", lambda x, y, v: mu(mul(x, y), v) - rho(x, y, v))
-    # L1 mixes rho with br3, in one group: accepted, with one degree per group
+    # L1 mixes rho with br3: accepted, each term scaled apart
     ok = structures._define("ok", lambda x, y, z, v: (
         rho(x, y, mu(z, v)) - mu(z, rho(x, y, v)) - mu(br3(x, y, z), v)))
-    assert (ok.sorts, ok.out, ok.degree) == (("A", "A", "A", "V"), "V", (1, 1))
+    assert (ok.sorts, ok.out, ok.tensors) == (("A", "A", "A", "V"), "V", {"rho", "mu", "br3"})
     assert ok.terms == structures._SUBMAPS["L1"].terms
 
 

@@ -4,11 +4,13 @@
 with loops generated from each identity's data; `structure_oracle` states
 every identity as a hand-written dense `Fraction` formula.  Their reports
 must be equal: verdict, counterexample indices and residuals, and
-`tuple_count`.  The integer path is sound only for identities homogeneous in
-each tensor, so the degree check at import is pinned here too.
+`tuple_count`.  The integer path is sound because every map's generated
+scan is one integer L times its exact value, which is checked here for every
+map of every registry on random rational tensors.
 """
 
 import hashlib
+import itertools
 import logging
 import random
 from fractions import Fraction
@@ -29,9 +31,19 @@ from ternalg.catalog import (
 )
 from ternalg.constructions import direct_sum
 from ternalg.errors import InternalError
-from ternalg.linalg import Tensor, Tensor3, Tensor4, Vec
+from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec
 from ternalg.operators import induced_pre_fmanifold
-from ternalg.representations import adjoint_rep, check_coherence, check_representation
+from ternalg.representations import (
+    REP_CONDITIONS,
+    BiRep,
+    LinRep,
+    RepBundle,
+    _rep_layout,
+    adjoint_rep,
+    check_coherence,
+    check_representation,
+    fix_slot_rep,
+)
 from ternalg import structures
 from ternalg.structures import (
     COHERENCE_IDENTITIES,
@@ -269,8 +281,9 @@ def test_pinned_n8_coherence_near_miss():
         assert ce.residual == oracle.residual(ce.identity, b, ce.indices)
 
 
-# -- identities as data: degrees and the import-time check -------------------------
+# -- identities as data: degrees, L times the exact value, the import-time checks ----
 
+# each identity's degree in the product, bracket and binary bracket
 DEGREES = {
     "comm": (1, 0, 0), "assoc": (2, 0, 0), "zinbiel": (2, 0, 0),
     "skew2": (0, 0, 1), "jacobi": (0, 0, 2),
@@ -283,8 +296,22 @@ DEGREES = {
 }
 
 
+def degrees(m, groups):
+    """The factors of each term of m in each group of operations, with
+    sub-maps expanded."""
+    def degree(tree):
+        if isinstance(tree, int):
+            return (0,) * len(groups)
+        op, args = tree
+        own = tuple(int(op in g) for g in groups)
+        return tuple(map(sum, zip(own, *map(degree, args))))
+
+    return {degree(t) for _, term in m.terms for _, t in structures._expand(term)}
+
+
 def test_degree_vectors_pinned():
-    assert {name: i.degree for name, i in IDENTITIES.items()} == DEGREES
+    assert {name: degrees(i, ("mul", "br3", "br2")) for name, i in IDENTITIES.items()} == \
+        {name: {d} for name, d in DEGREES.items()}
     assert IDENTITIES["hm2"].needs == ("product", "binary_bracket")
     assert IDENTITIES["coh2"].needs == ("product", "bracket")
     assert IDENTITIES["fundamental"].needs == ("bracket",)
@@ -299,14 +326,83 @@ def test_degrees_scale_each_identity_by_one_monomial():
     big = scaled(b, lam, mu, nu)
     for name, i in IDENTITIES.items():
         idx = tuple(rng.randrange(b.dim) for _ in range(i.arity))
-        factor = lam ** i.degree[0] * mu ** i.degree[1] * nu ** i.degree[2]
+        degree = DEGREES[name]
+        factor = lam ** degree[0] * mu ** degree[1] * nu ** degree[2]
         assert oracle.residual(name, big, idx) == oracle.residual(name, b, idx).scale(factor)
 
 
-def test_non_homogeneous_definition_rejected():
+def _all_tensor_owners(seed):
+    """Owners of every tensor of `_SIGNATURES` with random non-unit
+    denominators, each differing from the others': over a representation
+    with rho a pair action, and over one with a single action (rho1)."""
+    rng = random.Random(seed)
+    n, m, n2 = 3, 2, 2
+
+    def tensor(dim, order, dens, shape=None):
+        cells = list(itertools.product(*map(range, shape or (dim,) * order)))
+        return Tensor(dim, order, [
+            (idx, Fraction(rng.choice((-2, -1, 1, 2)), rng.choice(dens)))
+            for idx in rng.sample(cells, (len(cells) + 1) // 2)])
+
+    b = AlgebraBundle(n, product=tensor(n, 3, (2, 3)), bracket=tensor(n, 4, (5, 4)),
+                      binary_bracket=tensor(n, 3, (7, 3)))
+
+    def mats(count, dens):
+        return tuple(Matrix([[rand_q(rng, dens, 0.6) for _ in range(m)] for _ in range(m)])
+                     for _ in range(count))
+
+    pair = RepBundle(algebra=b, rho=BiRep(m, tuple(mats(n, (3, 9)) for _ in range(n))),
+                     mu=LinRep(m, mats(n, (11,))))
+    single = RepBundle(algebra=b, rho=LinRep(m, mats(n, (13,))), mu=pair.mu)
+    maps = {
+        "T": tensor(n, 2, (2, 5), (m, n)), "N": tensor(n, 2, (17,)),
+        "form": tensor(n, 3, (19, 3), (n, n, 1)), "tau": tensor(n, 2, (23,), (n, 1)),
+        "smul": Tensor(n, 3, [((0, i, i), 1) for i in range(n)]),
+        "f": tensor(n, 2, (29,), (n, n2)), "mulB": tensor(n2, 3, (31,)),
+        "br3B": tensor(n2, 4, (3, 37)), "br2B": tensor(n2, 3, (41,)),
+    }
+    return [structures._Maps(r, _rep_layout, {"B": n2}, maps) for r in (pair, single)]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_scan_is_L_times_the_exact_value(seed):
+    """For every map of every registry, the generated scan (or sub-map
+    table) on integer tables is L, from `_multipliers`, times the map's
+    exact value, at every basis tuple; multipliers other than 1 occur."""
+    pair, single = _all_tensor_owners(seed)
+    maps = {**IDENTITIES, **REP_CONDITIONS, **structures.CONDITIONS, **structures._SUBMAPS}
+    seen, uneven = set(), set()
+    for name, m in maps.items():
+        owner = single if "rho1" in m.tensors else pair
+        fast = structures._ops(owner, False, structures._Maps.layout)
+        exact = structures._ops(owner, True, structures._Maps.layout)
+        L, mults = structures._multipliers(fast, m)
+        if len(set(mults)) > 1:
+            uneven.add(name)
+        if name in structures._SUBMAPS:
+            tab = structures._table(fast, name)
+        else:
+            scan = structures._make_scanner(fast, m)
+        sizes = [fast.sizes[s] for s in m.sorts]
+        for t in itertools.product(*map(range, sizes)):
+            units = [[int(j == i) for j in range(fast.sizes[s])] for s, i in zip(m.sorts, t)]
+            want = [L * v for v in structures._evaluate(exact, m, units)]
+            if name in structures._SUBMAPS:
+                row = tab
+                for i in t:
+                    row = row[i]
+                got = [dict(row).get(j, 0) for j in range(len(want))]
+            else:
+                got = scan(t) or [0] * len(want)
+            assert got == want, (name, t)
+            if any(want):
+                seen.add(name)
+    assert seen == set(maps)
+    assert {"L1", "rb-comm", "rb-3lie", "hom-product"} <= uneven
+
+
+def test_malformed_definitions_rejected():
     mul, br3 = structures._op("mul"), structures._op("br3")
-    with pytest.raises(InternalError, match="not homogeneous"):
-        structures._define("bad", lambda x, y, z: mul(mul(x, y), z) - br3(x, y, z))
     with pytest.raises(InternalError, match="each slot exactly once"):
         structures._define("bad", lambda x, y, z: mul(x, y) - mul(y, z))
     with pytest.raises(InternalError, match="one term on slots"):
@@ -314,7 +410,110 @@ def test_non_homogeneous_definition_rejected():
     with pytest.raises(InternalError, match="at most one a term"):
         structures._define("bad", lambda x, y, z, u: mul(mul(x, y), mul(z, u)))
     ok = structures._define("ok", lambda x, y, z: mul(mul(x, y), z) - mul(x, mul(y, z)))
-    assert ok.degree == IDENTITIES["assoc"].degree and ok.terms == IDENTITIES["assoc"].terms
+    assert ok.tensors == IDENTITIES["assoc"].tensors and ok.terms == IDENTITIES["assoc"].terms
+    # a map need not be homogeneous in its tensors: each term scales apart
+    mixed = structures._define("mixed", lambda x, y, z: mul(mul(x, y), z) - br3(x, y, z))
+    assert (mixed.sorts, mixed.out, mixed.needs) == (("A",) * 3, "A", ("product", "bracket"))
+
+
+# -- the generated code, pinned ------------------------------------------------------
+# sha256 of `_source` for every identity and representation condition (the
+# scanner) and every sub-map (the table builder), computed before the scale
+# factors became per tensor: on integer tables the scans run this code.
+
+SCANNER_SOURCES = {
+    "comm": "a26dc60d55a1e65df87bddd0b35c6e94cb16ae227197737196b36514a837bf06",
+    "assoc": "6c8633cd2692d6af2fe69ec68ee37ab8023c48589e4ad30f05901d46c3a5d8bc",
+    "zinbiel": "3413c5d6bb75342fa0cd91f1d9fcf7364665d85df358bcfa8916c5775b11fde0",
+    "skew2": "cb6dd6fc0fbea405bfbffb9fc5e653cd0cfcd2cc4b2e12fe5ba5c990bdf6e414",
+    "jacobi": "a9b7247e5883e134aaa7a1c24d9807d01cbc40cd2683a2691630a11435af8274",
+    "skew3": "2842acaffd108087aac8f3b3e00baf342f7cbfd94979f82566faefa96feca46a",
+    "fundamental": "5174d33435c65c33f8b1848eec1b6674c95cf282e1ff5be1da7aff3c191babdd",
+    "prelie3-skew": "5575c447334a8c46072172238aab3260c18844fc94bda52528bdda06dac226ba",
+    "prelie3-a": "860d01e259e91c189f81a3b56e69d56fc9be00a46bf9beeacf14e863fcddecd1",
+    "prelie3-b": "2cb1bc38324d2d912c342ab4898128a198115ab89c47bfa4aa969dec5ea9c9bc",
+    "leibniz-np": "d47f20c603f71cff8480f210d5b1e2c9bac94c57e82168a20effdb11ec071a39",
+    "hm2": "419d1e25164d3f2253bc0f0b9b9ce55e5b02828e6b80595a2213da63696fbf1b",
+    "hm3": "1a16f21ea3c3540d52eee17cbf2ba461d8119d043566f263505c380a0f09909b",
+    "prefm-1": "458b0df5d37bf6b0ffe30a065d19be987c45a65b390cf4006a123fdf0054d83a",
+    "prefm-11": "3a746fb0b97d0e6a4e76b3c8b35db535b7ffe21233d7f50a61b80cf1319f2ce9",
+    "prefm-2": "a49631a046a4570333e16a6d949b510ac19fd488336ba25aec291d3d4cc94a08",
+    "prenp-1": "7b2fb3f7db970b2fae93aaa20f4616f60a72a63720a1ac8ce28a9ead6ff15075",
+    "prenp-2": "41626fdcf149dca794e2189b95fc663b615caf2e30a70f21f6207c605367ceb4",
+    "coh1": "324b636f2d69a32da439f107f09e3c5d0b7a0203f34737376641b0429602e5f4",
+    "coh2": "b3595360bc63019a8467c8f8b258c2d91afa24b0cb232b324eb0346a0739ff39",
+    "coh3": "ed1a69388aba9e7a31cbf8ed5ab25f6ad320959ed7c7e0963bdb9a406dfb0ba8",
+    "rho-skew": "a1739c99ad622bdbc082f7a5dd1195fb9babfcfc9aee1499bd8c7726fb0d9129",
+    "kasymov-i": "42afc4272139edecb950623d03c2d66faf996b2b987de0fca10219c81bb59421",
+    "kasymov-ii": "d48da3828659deb9f12244551b0b541884c398f9a9490e42b75c2f0d85a675a0",
+    "mu-mult": "4f1c92b39e0b24959a4534961512dd76051931382272c28ad4b6c6651ffde1ce",
+    "rho-lie": "babb71696281427cf3f5e2f1aedeec2f37d67570d54b46e7e9c7b02602d986e4",
+    "brep-1": "8d49cde3f181e03f2896478aa1e144f57cd53f56075169ad421b892b145c768e",
+    "brep-2": "19b4796c00e15812a42b5a9b5d9d3071f02ebdb5110423cafaeee8240e2d627b",
+    "rep-1": "a6c4b97194b4a8d259e6425ab33a5b41a7be1e88ea7593bbc4a5ba56a413561e",
+    "rep-3": "29f0f61cd6187e9a59d2e9d1cfc99a90fe72b739e4120cd00857127c37118bfa",
+    "rep-2": "85adb810ccc673c861e3f3c563395c502fe9f368bfbbaf8716bda783fc2c1c68",
+    "corep-1": "b7990af6779bf37ac49bde2ca6d5ff6399b026f7d97ccf2087d8e1aa0742c497",
+    "corep-2": "9a43a35882d71f3c120f197d64ddce93417c08ee3ab7071461b3fa2ce2742b85",
+    "corep-3": "89e6cd75d84a7c85be8ffafb7924d45151e5c4d3679aff6fa01faa365e05c5ae",
+}
+TABLE_BUILDER_SOURCES = {
+    "symmul": "6bcdc2120429253c50263a9b117b9f177a733ed1e55861949fab13c1c829ac45",
+    "cyc3": "4848e379d09f655a362ad3401860871a64b5aa04a6769b5980869189acc47ed4",
+    "leib3": "573eff5f7c128642aca12773dff99e84431da9857a9aee21ad09419338099ddb",
+    "leib2": "6d727c86abf892bd6cb760d5eb09756d27657b63fb7a5b353e8d42ac3602b61d",
+    "kmap": "979cf4728f7c3a258ba11c6a2adaba598ea61af23979bdae38b0221c832c9575",
+    "f1": "bc6ebec0f0dadeb90ecdd180b6bc5b7a1198b756dcf8cead7c991164bb1ead9a",
+    "f2": "f7d1fb80165eb7d15d0133c998b4c1a3871839f59746891f71b4b25dc7ca65bd",
+    "leib3_sub": "4d8d74d8b95d54a2e31759d2ca68a4cd21412f012589f0d8556883b046bbf85a",
+    "L1": "bfeccf70ef6c480368713eba8c7b9815a181850362280317cb3c1386696e918f",
+    "L2": "ce30bc5afe51c8568e4c5ba6932a7fb56e89d72fa8971ca4c37a57b1b9727518",
+    "L3": "4e942900c0b40d775b35c74b5c5bdb4b9438818a003286822cdcbe4ce542ec41",
+    "L1b": "577a4cea2433e4099f89f2f8a89b83fc5d2b50049acca38715f3f9fb0bfab729",
+    "L2b": "2afc3274af252c914958c27eeab324d4a44027c3d40e33e423dd81c164a9c329",
+}
+
+
+def _integer_owners():
+    """A bundle with all three tensors and integer constants, and two
+    representations on it, with rho as a pair action and as one action."""
+    rng = random.Random(7)
+
+    def tensor(order):
+        return Tensor(3, order, [(idx, rng.choice((-1, 1, 2)))
+                                 for idx in itertools.product(range(3), repeat=order)
+                                 if rng.random() < 0.3])
+
+    b = AlgebraBundle(3, product=tensor(3), bracket=tensor(4), binary_bracket=tensor(3))
+    r = adjoint_rep(b)
+    return b, r, fix_slot_rep(r, Vec.basis(3, 1))
+
+
+def test_generated_source_pinned(caplog, monkeypatch):
+    for name, digest in SCANNER_SOURCES.items():
+        m = IDENTITIES.get(name) or REP_CONDITIONS[name]
+        assert hashlib.sha256(structures._source(m, False)[0].encode()).hexdigest() == digest
+    for name, digest in TABLE_BUILDER_SOURCES.items():
+        m = structures._SUBMAPS[name]
+        assert hashlib.sha256(structures._source(m, True)[0].encode()).hexdigest() == digest
+
+    # on integer tables, the scans compile exactly the pinned sources
+    monkeypatch.setattr(structures, "_COMPILED", {})
+    b, r, rb = _integer_owners()
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        for m in IDENTITIES.values():
+            structures._make_scanner(structures._ops(b, False, structures._layout), m)
+        for m in REP_CONDITIONS.values():
+            owner = rb if "rho1" in m.tensors else r
+            structures._make_scanner(structures._ops(owner, False, _rep_layout), m)
+    seen = {}
+    for record in caplog.records:
+        head, _, src = record.getMessage().partition(":\n")
+        if head.startswith("generated "):
+            seen[head] = hashlib.sha256(src.encode()).hexdigest()
+    assert seen == {**{f"generated scanner for {name}": d for name, d in SCANNER_SOURCES.items()},
+                    **{f"generated table builder for {name}": d
+                       for name, d in TABLE_BUILDER_SOURCES.items()}}
 
 
 # -- debug logging -----------------------------------------------------------------
@@ -327,7 +526,7 @@ def test_debug_events(caplog, monkeypatch):
     assert not report.passed
     text = [r.getMessage() for r in caplog.records]
     assert all(r.name == "ternalg" and r.levelno == logging.DEBUG for r in caplog.records)
-    assert any("scale factors product=3 bracket=5 binary_bracket=None" in t for t in text)
+    assert "integer tables, dim 4: scale factors mul=3 br3=5 br2=None" in text
     assert any(t.startswith("generated scanner for coh1:\ndef make(") for t in text)
     assert any(t.startswith("generated table builder for leib3:") for t in text)
     assert any(t.startswith("built leib3 table, dim 4:") for t in text)
@@ -335,15 +534,30 @@ def test_debug_events(caplog, monkeypatch):
     rechecks = [t for t in text if t.startswith("exact re-check of coh")]
     assert len(rechecks) == len(report.counterexamples) == 10
 
-    # a representation scan: one factor per scale group, n^arity * m entries
+    # a representation scan: a factor per action, n^arity * m entries
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         assert check_representation("ternary-fmanifold-rep", adjoint_rep(b)).passed
     text = [r.getMessage() for r in caplog.records]
-    assert "integer tables, dim 4, module dim 4: scale factors alpha=5 beta=3" in text
+    assert "integer tables, dim 4, module dim 4: scale factors rho=5 mu=3" in text
     assert "scan rho-skew: full range; 64 of 64 tuples scanned" in text
     assert "scan rep-1: full range; 1024 of 1024 tuples scanned" in text
     assert any(t.startswith("built L1 table, dim 4, module dim 4:") for t in text)
+
+
+@pytest.mark.parametrize("rep_first", (False, True))
+def test_algebra_sub_map_tables_serve_its_representation(caplog, rep_first):
+    # leib3 reads only the algebra's tensors: a representation scan reuses
+    # the algebra's table, or builds it on the algebra for coherence to reuse
+    b = scaled(noncoherent_tfm(*NONCOHERENT_A))
+    checks = [lambda: check_coherence(b),
+              lambda: check_representation("ternary-fmanifold-rep", adjoint_rep(b))]
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        for run in reversed(checks) if rep_first else checks:
+            run()
+    built = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("built leib3 table")]
+    assert len(built) == 1 and built[0].startswith("built leib3 table, dim 4:")
 
 
 def test_no_log_output_by_default(capfd):

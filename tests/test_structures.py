@@ -363,6 +363,14 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     _ops(r, False, _rep_layout).tables["rho"][0][0][0] = ((0, 1),)
     rep_scan = raises(lambda: check_representation("three-lie-rep", r))
 
+    # and for an operator condition: the symplectic scan reads the bundle's
+    # integer bracket table, where [e1,e1,e1] -> e1 meets B(e1, e2) = 1
+    from ternalg.catalog import fil4_symplectic
+    from ternalg.operators import check_symplectic
+    b = fil4()
+    _ops(b, False, _layout).tables["br3"][0][0][0] = ((0, 1),)
+    operator_scan = raises(lambda: check_symplectic(fil4_symplectic(), b))
+
     # a symmetry certificate claiming assoc symmetric in all three slots: on
     # e1 e1 = e2, e1 e2 = e2 e1 = e1 it fails at (e1, e1, e2), but the orbit
     # member (e1, e2, e1) has a zero exact residual
@@ -374,7 +382,7 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     b = AlgebraBundle(2, product=Tensor3.from_nonzeros(
         2, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}))
     certificate = raises(lambda: check_axioms("comm-assoc", b, max_counterexamples=100))
-    print(sys.flags.optimize, report, structure_scan, rep_scan, certificate)
+    print(sys.flags.optimize, report, structure_scan, rep_scan, operator_scan, certificate)
 """)
 
 
@@ -384,7 +392,7 @@ def test_invariants_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_INVARIANTS],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True", "True", "True", "True"]
+    assert proc.stdout.split() == ["1", "True", "True", "True", "True", "True"]
 
 
 TENSOR_ORDERS = textwrap.dedent("""
