@@ -175,8 +175,7 @@ def cmd_derive(construction, inputs, output_path, anchor_spec, complete_skew):
         raise SchemaError(f"unknown construction {construction!r}")
 
     obj = schema.document_to_obj(bundle, rep=rep_out, maps=maps_out)
-    with open(output_path, "w", encoding="utf-8") as fh:
-        fh.write(schema.dumps(obj))
+    schema.save_document(obj, output_path)
     click.echo(f"wrote {output_path}", err=True)
 
 
@@ -200,8 +199,7 @@ def catalog_emit(name, output_path):
             f"unknown catalog entry {name!r} (run 'ternalg catalog list')"
         )
     obj = cat.catalog_document(name)
-    with open(output_path, "w", encoding="utf-8") as fh:
-        fh.write(schema.dumps(obj))
+    schema.save_document(obj, output_path)
     click.echo(f"wrote {output_path}", err=True)
 
 

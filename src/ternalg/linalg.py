@@ -290,14 +290,6 @@ class Tensor:
                                    for idx in itertools.product(range(dim), repeat=order - 1)
                                    for j, v in enumerate(image(*idx)) if v))
 
-    @staticmethod
-    def from_table(dim: int, order: int, table) -> "Tensor":
-        """The tensor of a sparse-row table of the form `table()` returns."""
-        rows = [((), table)]
-        for _ in range(order - 1):
-            rows = [(idx + (i,), row) for idx, node in rows for i, row in enumerate(node)]
-        return Tensor(dim, order, ((idx + (j,), v) for idx, row in rows for j, v in row))
-
     def nonzeros(self):
         return self.constants
 

@@ -327,6 +327,15 @@ def load_document(path, *, complete_skew: bool = False) -> tuple[Document, int]:
     return parse_document(text, complete_skew=complete_skew)
 
 
+def save_document(obj: dict, path) -> None:
+    """Write obj, as `dumps` renders it, to path; SchemaError if it cannot."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(obj))
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

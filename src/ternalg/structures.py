@@ -16,7 +16,11 @@ of representations in `representations`, the operator, trace and
 homomorphism conditions in `CONDITIONS`.  Two evaluators derive from the
 data.  The exhaustive scans run Python source generated per map: each term
 becomes two nested loops over sparse tables, and each sub-map is tabulated
-once per owner, on first use, by its own generated loops.  Exact evaluations
+once per owner, on first use, by its own generated loops.  Or, where one
+planner (`_plan`) estimates it cheaper from counts of the tables' nonzeros,
+the same terms become a contraction over those nonzeros, which adds each
+term's contributions at the tuples they bind; both give the same integers
+at every tuple, so the reports do not depend on the path.  Exact evaluations
 (`eval_defect`, the Leibnizators, F1, F2, K and the residual of every
 counterexample) walk the same terms over exact vectors instead, so the
 reported residuals never depend on generated code.
@@ -68,7 +72,7 @@ import logging
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -297,18 +301,29 @@ class _Ops:
     sort's size: the tensors, exact (scale 1) or times the lcm of their own
     denominators, those of `base`, and the sub-map tables the scanners add on
     first use.  A sub-map that needs no tensor beyond base's is built on base,
-    so an algebra's sub-map tables serve its representations and operators."""
+    so an algebra's sub-map tables serve its representations and operators.
 
-    __slots__ = ("sizes", "scales", "tables", "base")
+    Each table has two forms, each derived from the other on first use:
+    `tables` holds the nested rows the tuple scans read, `support` the list
+    of nonzeros (i1, ..., value index, value) in rank order, and `groups`
+    those nonzeros by the index at one position, for the contractions;
+    `counts` holds, for the planner, how many nonzeros have each index at
+    each position.  `path` forces "contract" or "tuples" on every plan made
+    on these tables and on those built over them; None lets `_plan` choose."""
 
-    def __init__(self, sizes: dict, tensors: dict, exact: bool, base: Optional["_Ops"] = None):
+    __slots__ = ("sizes", "scales", "tables", "support", "groups", "counts", "base", "path")
+
+    def __init__(self, sizes: dict, tensors: dict, exact: bool, base: Optional["_Ops"] = None,
+                 path: Optional[str] = None):
         tensors = {op: t for op, t in tensors.items() if t is not None}
         scales = {op: 1 if exact else t.den_lcm() for op, t in tensors.items()}
         tables = {op: t.table(None if exact else scales[op]) for op, t in tensors.items()}
         self.base = base
+        self.path = path or (base.path if base else None)
         self.sizes = {**base.sizes, **sizes} if base else {"k": 1, **sizes}
         self.scales = {**base.scales, **scales} if base else scales
         self.tables = {**base.tables, **tables} if base else tables
+        self.support, self.groups, self.counts = {}, {}, {}
 
 
 def _dims(sizes: dict) -> str:
@@ -316,16 +331,16 @@ def _dims(sizes: dict) -> str:
     return ", ".join(f"{names[s]} {n}" for s, n in sizes.items() if s in names)
 
 
-def _ops(owner, exact: bool, layout: Callable) -> _Ops:
+def _ops(owner, exact: bool, layout: Callable, path: Optional[str] = None) -> _Ops:
     """The tables of owner's tensors, exact or each times the lcm of its own
     denominators; layout(owner, exact) gives the sizes of owner's own sorts,
     its tensors and the `_Ops` of its base or None.  Built on first use, kept
-    on owner."""
+    on owner; `path` (tests only) forces the plans made on a new one."""
     attr = "_ops_exact" if exact else "_ops_int"
     hit = getattr(owner, attr, None)
     if hit is None:
         sizes, tensors, base = layout(owner, exact)
-        hit = _Ops(sizes, tensors, exact, base)
+        hit = _Ops(sizes, tensors, exact, base, path)
         if not exact:
             log.debug("integer tables, %s: scale factors %s", _dims(hit.sizes), " ".join(
                 f"{op}={hit.scales.get(op)}" for op in tensors))
@@ -846,18 +861,26 @@ def _apply(ops: _Ops, op: str, vecs) -> list:
 # ---------------------------------------------------------------------------
 # integer scanner: each term of a map becomes nested loops over sparse tables,
 #   for m, v in Inner[x..]: for l, w in Outer[x..][m][x..]: out[l] += c*v*w
-# in a generated closure; sub-maps are tabulated by the same loops
+# in a generated closure; sub-maps are tabulated by the same loops.  Or the
+# same terms become a contraction over the tables' nonzeros, one chunk per
+# value of the first slot:
+#   for x.., m, v in Inner at x0: for x.., l, w in Outer at m: acc[t, l] += c*v*w
 
 
-def _source(m: Identity, table: bool) -> tuple[str, list[str]]:
-    """Source of make(sizes, size, *tables) for m, and the table names it
-    takes; `sizes` holds the size of each slot's range, `size` the value's.
+def _source(m: Identity, mode: str) -> tuple[str, list]:
+    """Source of make(...) for m, and the tables it takes.
 
-    make returns scan(t), m's dense value at one basis tuple or None when it
-    is zero, or, with `table`, build(), m's sparse table over all tuples.
-    Prefixes of outer tables before a nested argument are hoisted into
-    locals, at the loop depth where their slots are bound.
+    In mode "scan", make(sizes, size, *tables) returns scan(t), m's dense
+    value at one basis tuple or None when it is zero; in mode "table",
+    build(), m's sparse table over all tuples.  `sizes` holds the size of
+    each slot's range, `size` the value's, and the tables are named by
+    operation.  Prefixes of outer tables before a nested argument are
+    hoisted into locals, at the loop depth where their slots are bound.
+    In mode "contract", see `_contraction_source`.
     """
+    if mode == "contract":
+        return _contraction_source(m)
+    table = mode == "table"
     deps: list[str] = []
     hoisted: dict[tuple, str] = {}
     for _, (op, args) in m.terms:
@@ -916,6 +939,58 @@ def _source(m: Identity, table: bool) -> tuple[str, list[str]]:
     return "\n".join(src) + "\n", deps
 
 
+def _contraction_source(m: Identity) -> tuple[str, list]:
+    """Source of make(*groups) for m, and the (operation, position) of each
+    group it takes: the nonzeros of a table by their index at a position.
+
+    make returns chunk(x0): a dict from (x0, x1, ..., l) to the value-l
+    coordinate of m at that tuple, summed over the nonzeros of every term's
+    tables whose slots bind x0, with zero sums possibly kept, and the number
+    of contributions made.  A term with a nested argument joins its inner
+    table's nonzeros to the outer table's with the inner value at the
+    nested position: by the inner index of slot 0 then the nested position
+    when the inner term binds slot 0, else by the outer index of slot 0
+    then the inner value.  Every term uses each slot once, so each
+    contribution lands on one whole tuple.
+    """
+    deps: list[tuple[str, int]] = []
+
+    def group(op, q):
+        if (op, q) not in deps:
+            deps.append((op, q))
+        return f"g{deps.index((op, q))}"
+
+    def names(slots):  # unpacking targets: slot 0 is bound by the chunk
+        return ", ".join(s if isinstance(s, str) else "_" if s == 0 else f"x{s}" for s in slots)
+
+    key = f"k = ({''.join(f'x{s}, ' for s in range(m.arity))}l)"
+    lines = []
+    for c, (op, args) in m.terms:
+        add = f"acc[k] = get(k, 0) {'+' if c > 0 else '-'} {'' if abs(c) == 1 else f'{abs(c)} * '}"
+        nested = [p for p, a in enumerate(args) if not isinstance(a, int)]
+        if not nested:
+            lines += [f"rows = {group(op, args.index(0))}.get(x0, ())", "made += len(rows)",
+                      f"for {names(args)}, l, w in rows:", f"    {key}", f"    {add}w"]
+            continue
+        p = nested[0]
+        inner, slots = args[p]
+        if 0 in slots:
+            first = f"{names(slots + ('m', 'v'))} in {group(inner, slots.index(0))}"
+            rows = group(op, p)
+            then = names(args[:p] + ("_",) + args[p + 1:] + ("l", "w"))
+        else:
+            first = f"{names(args[:p] + ('m',) + args[p + 1:] + ('l', 'w'))} in " \
+                    f"{group(op, args.index(0))}"
+            rows, then = group(inner, len(slots)), names(slots + ("_", "v"))
+        lines += [f"for {first}.get(x0, ()):", f"    rows = {rows}.get(m, ())",
+                  "    made += len(rows)", f"    for {then} in rows:",
+                  f"        {key}", f"        {add}v * w"]
+    src = [f"def make({', '.join(f'g{i}' for i in range(len(deps)))}):", "    def chunk(x0):",
+           "        acc, made = {}, 0", "        get = acc.get"]
+    src += ["        " + line for line in lines] + ["        return acc, made", "    return chunk"]
+    return "\n".join(src) + "\n", deps
+
+
 def _exec(src: str, label: str, name: str):
     namespace: dict = {}
     exec(compile(src, f"<ternalg {label}>", "exec"), namespace)
@@ -943,22 +1018,25 @@ def _multipliers(ops: _Ops, m: Identity) -> tuple[int, tuple[int, ...]]:
 
 
 _COMPILED: dict = {}
+_GENERATED = {"scan": "scanner", "table": "table builder", "contract": "contraction"}
 
 
-def _make_scanner(ops: _Ops, m: Identity, table: bool = False):
-    """m's scan(t) on ops, or with `table` its build(), from `_source` with
-    each coefficient times its term's multiplier (all 1 on integer tensors),
-    so its values are L times the exact ones; compiled once per source."""
+def _make_scanner(ops: _Ops, m: Identity, mode: str = "scan"):
+    """m's scan(t) on ops, or its build() or chunk(x0) in mode "table" or
+    "contract", from `_source` with each coefficient times its term's
+    multiplier (all 1 on integer tensors), so its values are L times the
+    exact ones; compiled once per source."""
     mults = _multipliers(ops, m)[1]
     if any(k != 1 for k in mults):
         m = replace(m, terms=tuple((c * k, t) for (c, t), k in zip(m.terms, mults)))
-    hit = _COMPILED.get((m, table))
+    hit = _COMPILED.get((m, mode))
     if hit is None:
-        src, deps = _source(m, table)
-        log.debug("generated %s for %s:\n%s", "table builder" if table else "scanner",
-                  m.name, src)
-        hit = _COMPILED[(m, table)] = (_exec(src, m.name, "make"), deps)
+        src, deps = _source(m, mode)
+        log.debug("generated %s for %s:\n%s", _GENERATED[mode], m.name, src)
+        hit = _COMPILED[(m, mode)] = (_exec(src, m.name, "make"), deps)
     make, deps = hit
+    if mode == "contract":
+        return make(*(_groups(ops, op, q) for op, q in deps))
     return make(*_shape(ops, m), *(_table(ops, d) for d in deps))
 
 
@@ -978,6 +1056,16 @@ def _representatives(arity: int, blocks):
     return hit
 
 
+def _representative_count(sizes: tuple[int, ...], blocks) -> int:
+    """How many tuples `_representatives` yields for the blocks."""
+    n, free = sizes[0], len(sizes)
+    count = 1
+    for slots, sign in blocks:
+        count *= comb(n, len(slots)) if sign < 0 else comb(n + len(slots) - 1, len(slots))
+        free -= len(slots)
+    return count * n ** free
+
+
 def _orbit(t: tuple, blocks) -> set:
     """Every tuple that permutes the values of t within each block."""
     orbit = {t}
@@ -993,9 +1081,10 @@ def _orbit(t: tuple, blocks) -> set:
     return orbit
 
 
-def _rank(t: tuple, n: int) -> int:
+def _rank(t: tuple, sizes: tuple[int, ...]) -> int:
+    """t's position in the lexicographic order of its range."""
     r = 0
-    for i in t:
+    for i, n in zip(t, sizes):
         r = r * n + i
     return r
 
@@ -1009,29 +1098,176 @@ def _shape(ops: _Ops, m: Identity) -> tuple[tuple[int, ...], int]:
     return tuple(ops.sizes[s] for s in m.sorts), ops.sizes[m.out]
 
 
+def _built(ops: _Ops, op: str) -> _Ops:
+    """The `_Ops` that holds op's table: ops's base when it has every tensor
+    op reads, else ops; a sub-map is tabulated there on first use."""
+    while ops.base is not None and _TENSORS_OF[op] <= ops.base.tables.keys():
+        ops = ops.base
+    if op not in ops.tables and op not in ops.support:
+        _tabulate(ops, op)
+    return ops
+
+
 def _table(ops: _Ops, op: str):
-    """The sparse table of a tensor or sub-map; sub-maps are built on first
-    use, on ops's base when it has every tensor they read."""
-    tab = ops.tables.get(op)
-    if tab is None:
-        sub = _SUBMAPS[op]
-        if ops.base is not None and all(t in ops.base.tables for t in sub.tensors):
-            tab = ops.tables[op] = _table(ops.base, op)
-            return tab
-        start = time.perf_counter()
-        tab = ops.tables[op] = _make_scanner(ops, sub, table=True)()
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("built %s table, %s: %d entries, scale %d, in %.4f s", op,
-                      _dims(ops.sizes), _entries(tab), _scale(ops, op),
-                      time.perf_counter() - start)
-    return tab
+    """The nested sparse rows of a tensor or sub-map."""
+    home = _built(ops, op)
+    if op not in home.tables:
+        rows: dict = {}
+        for e in home.support[op]:
+            rows.setdefault(e[:-2], []).append(e[-2:])
+        sizes = _shape(home, _SUBMAPS[op])[0]
+
+        def level(prefix):
+            if len(prefix) == len(sizes):
+                return tuple(rows.get(prefix, ()))
+            return [level(prefix + (i,)) for i in range(sizes[len(prefix)])]
+
+        home.tables[op] = level(())
+    return home.tables[op]
+
+
+def _support(ops: _Ops, op: str) -> list:
+    """The nonzeros (i1, ..., value index, value) of a tensor or sub-map, in
+    rank order."""
+    home = _built(ops, op)
+    if op not in home.support:
+        nodes = [((), home.tables[op])]
+        for _ in _SIGNATURES[op][0][1:]:
+            nodes = [(idx + (i,), sub) for idx, node in nodes for i, sub in enumerate(node)]
+        home.support[op] = [idx + (i, l, v) for idx, node in nodes
+                            for i, row in enumerate(node) if row for l, v in row]
+    return home.support[op]
+
+
+def _counts(ops: _Ops, op: str) -> list:
+    """For each position of op's nonzeros, the value's last, how many have
+    each index there; read off the nested rows when op has them."""
+    home = _built(ops, op)
+    hit = home.counts.get(op)
+    if hit is None:
+        arity = len(_SIGNATURES[op][0])
+        hit = home.counts[op] = [{} for _ in range(arity + 1)]
+        if op not in home.tables:
+            for e in home.support[op]:
+                for q, hist in enumerate(hit):
+                    hist[e[q]] = hist.get(e[q], 0) + 1
+            return hit
+        nodes = [((), home.tables[op])]
+        for _ in range(arity - 1):
+            nodes = [(idx + (i,), sub) for idx, node in nodes for i, sub in enumerate(node)]
+        last, values = hit[-2], hit[-1]
+        for idx, node in nodes:
+            for i, row in enumerate(node):
+                if row:
+                    for q, j in enumerate(idx):
+                        hit[q][j] = hit[q].get(j, 0) + len(row)
+                    last[i] = last.get(i, 0) + len(row)
+                    for l, _ in row:
+                        values[l] = values.get(l, 0) + 1
+    return hit
+
+
+def _groups(ops: _Ops, op: str, q: int) -> dict:
+    """op's nonzeros by their index at position q (the value's at q = arity)."""
+    home = _built(ops, op)
+    hit = home.groups.get((op, q))
+    if hit is None:
+        hit = home.groups[(op, q)] = {}
+        for e in _support(home, op):
+            hit.setdefault(e[q], []).append(e)
+    return hit
+
+
+# The planner's cost model, in tenths of a microsecond: a tuple scan pays
+# _TUPLE_COST per tuple, _TERM_COST per term of each tuple and _STEP_COST per
+# step of its inner loops; a contraction _CHUNK_COST per chunk, _PROBE_COST per
+# inner nonzero it joins and _CONTRIBUTION_COST per contribution.  Measured by
+# tools/plan_costs.py, which fits both loops' times over every identity and
+# sub-map on random n = 7 bundles of four densities: on an x86_64 vCPU with
+# CPython 3.11, three runs fitted 3.3-4.6, 0.7-1.3, 0.8-1.0, 6-9, 1.5-3.3
+# and 2.9-3.6, and these constants predict the measured times within 0.6x to
+# 2.2x, with the middle half of the maps' ratios in 0.8x-1.7x.
+# The contraction is taken only when it is estimated to save more than
+# _MARGIN, a tenth of a second; below that the tuple scan, with its pinned
+# sources and certified symmetries, is kept.  CHANGES.md and ROADMAP.md record
+# why the margin is that wide, and what lowering it waits for.
+_TUPLE_COST, _TERM_COST, _STEP_COST = 4, 1, 1
+_CHUNK_COST, _PROBE_COST, _CONTRIBUTION_COST = 10, 2, 4
+_MARGIN = 10 ** 6
+
+
+def _contributions(ops: _Ops, m: Identity) -> tuple[int, int]:
+    """The inner nonzeros a contraction of m on ops joins, and the
+    contributions it makes: a term's are the nonzeros of its table, or, with
+    a nested argument, the sum over values v of (inner nonzeros of value v)
+    times (outer nonzeros with v at the nested position)."""
+    probes = contributions = 0
+    for _, (op, args) in m.terms:
+        nested = [(p, a) for p, a in enumerate(args) if not isinstance(a, int)]
+        if not nested:
+            contributions += sum(_counts(ops, op)[0].values())
+            continue
+        (p, (inner, slots)), = nested
+        outer, values = _counts(ops, op)[p], _counts(ops, inner)[-1]
+        probes += sum(values.values())
+        contributions += sum(c * outer.get(v, 0) for v, c in values.items())
+    return probes, contributions
+
+
+def _plan(ops: _Ops, m: Identity, rows: int) -> bool:
+    """Whether to evaluate m on ops by contraction rather than by scanning
+    `rows` tuples (its representatives, or its whole range).
+
+    Over the whole range a tuple scan takes a step for each of the
+    contraction's contributions (see `_contributions`), so the mean row work
+    of a tuple is the per-tuple cost plus contributions / range.  Both paths
+    are exact, so the choice changes the time, never a result.
+
+    When the per-tuple costs alone stay within _MARGIN, no contraction can
+    win (it pays more per contribution than the scan pays per step, and the
+    scan takes at most one step per contribution), and none is estimated.
+    """
+    base = rows * (_TUPLE_COST + _TERM_COST * len(m.terms))
+    if base <= _MARGIN and not ops.path:
+        log.debug("plan %s, %s: tuple scan; %d tuples ~%.3f ms before their steps, "
+                  "within the margin", m.name, _dims(ops.sizes), rows, base / 1e4)
+        return False
+    probes, contributions = _contributions(ops, m)
+    sizes = _shape(ops, m)[0]
+    scan = base + _STEP_COST * rows * contributions / prod(sizes)
+    contract = _CHUNK_COST * sizes[0] + _PROBE_COST * probes + _CONTRIBUTION_COST * contributions
+    chosen = ops.path == "contract" if ops.path else contract + _MARGIN < scan
+    log.debug("plan %s, %s: %s%s; contraction of %d contributions ~%.3f ms, "
+              "tuple scan of %d tuples ~%.3f ms", m.name, _dims(ops.sizes),
+              "contraction" if chosen else "tuple scan", " (forced)" if ops.path else "",
+              contributions, contract / 1e4, rows, scan / 1e4)
+    return chosen
+
+
+def _tabulate(ops: _Ops, op: str) -> None:
+    """Build the table of the sub-map op on ops, by the path `_plan` picks:
+    its nonzeros by contraction, or its nested rows by a tuple scan."""
+    sub = _SUBMAPS[op]
+    sizes = _shape(ops, sub)[0]
+    start = time.perf_counter()
+    if _plan(ops, sub, prod(sizes)):
+        chunk, entries = _make_scanner(ops, sub, "contract"), []
+        for x0 in range(sizes[0]):
+            entries += sorted(k + (v,) for k, v in chunk(x0)[0].items() if v)
+        ops.support[op], path = entries, "contraction"
+    else:
+        ops.tables[op], path = _make_scanner(ops, sub, "table")(), "tuple scan"
+    if log.isEnabledFor(logging.DEBUG):
+        count = len(ops.support[op]) if op in ops.support else _entries(ops.tables[op])
+        log.debug("built %s table, %s: %d entries, scale %d, by %s in %.4f s", op,
+                  _dims(ops.sizes), count, _scale(ops, op), path, time.perf_counter() - start)
 
 
 def _submap_tensor(ops: _Ops, name: str) -> Tensor:
     """The structure constants of the sub-map `name` on ops's (exact) tables."""
     m = _SUBMAPS[name]
-    return Tensor.from_table(max(ops.sizes[s] for s in m.sorts + (m.out,)), m.arity + 1,
-                             _table(ops, name))
+    return Tensor(max(ops.sizes[s] for s in m.sorts + (m.out,)), m.arity + 1,
+                  ((e[:-1], e[-1]) for e in _support(ops, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -1044,53 +1280,51 @@ class Condition:
 
     Its tuples are range(sizes[0]) x range(sizes[1]) x ...: a representation
     condition's last slot ranges over the module basis.  `defect(t)` is the
-    exact residual `Vec` at t.  `scan(t)` is the fast test, falsy when t
-    passes.
-    `symmetry`, for a condition whose slots share one size, is its
-    certificate: once every identity it assumes has passed earlier in the
-    same run, the scan visits one representative per orbit.
+    exact residual `Vec` at t.  `failures(budget, passed)` is the fast test:
+    the first `budget` failing tuples, in rank order, and the number of
+    tuples evaluated, up to and including the last one returned when the
+    budget fills, else all of them.  A tuple's rank is its position in
+    lexicographic order, the mixed-radix number of its values; `passed`
+    names the conditions that passed earlier in the run.
     """
 
     name: str
     sizes: tuple[int, ...]
     defect: Callable
-    scan: Callable
-    symmetry: Optional[Symmetry] = None
+    failures: Callable
 
 
-def _failures(cond: Condition, budget: int, passed: set):
-    """The first `budget` failing tuples of cond, in rank order, and the
-    number of tuples evaluated: up to and including the last one returned
-    when the budget fills, else all of them.  A tuple's rank is its
-    position in lexicographic order, the mixed-radix number of its values.
-    `passed` names the conditions that passed earlier in the run."""
-    sym = cond.symmetry
-    if sym is not None and passed.issuperset(sym.assumes):
-        found, evaluated, scanned = _reduced_failures(cond, budget)
-        path = f"symmetry-reduced over {sym}"
-    else:
-        found, evaluated, scanned = _all_failures(cond, budget)
-        path = "full range" + (f", certified {sym} unused" if sym else "")
-    log.debug("scan %s: %s; %d of %d tuples scanned", cond.name, path, scanned,
-              prod(cond.sizes))
-    return found, evaluated
+def _contracted_failures(chunk: Callable, sizes: tuple[int, ...], budget: int):
+    """The failures of a contraction `chunk(x0)`, chunk by chunk in rank
+    order, and the number of contributions made: the chunk that fills the
+    budget is the last one contracted."""
+    found, made = [], 0
+    for x0 in range(sizes[0]):
+        acc, count = chunk(x0)
+        made += count
+        for t in sorted({k[:-1] for k, v in acc.items() if v}):
+            found.append(t)
+            if len(found) == budget:
+                return found, _rank(t, sizes) + 1, made
+    return found, prod(sizes), made
 
 
-def _all_failures(cond: Condition, budget: int):
-    """_failures over every tuple, and the number of tuples scanned."""
-    scan, found = cond.scan, []
-    for rank, t in enumerate(itertools.product(*map(range, cond.sizes))):
+def _all_failures(scan: Callable, sizes: tuple[int, ...], budget: int):
+    """The failures of `scan(t)` over every tuple, and the number of tuples
+    scanned."""
+    found = []
+    for rank, t in enumerate(itertools.product(*map(range, sizes))):
         if scan(t):
             found.append(t)
             if len(found) == budget:
                 return found, rank + 1, rank + 1
-    total = prod(cond.sizes)
+    total = prod(sizes)
     return found, total, total
 
 
-def _reduced_failures(cond: Condition, budget: int):
-    """_failures over one representative per orbit of cond's symmetry, and
-    the number of representatives scanned.
+def _reduced_failures(scan: Callable, sizes: tuple[int, ...], blocks, budget: int):
+    """The failures of `scan(t)` over one representative per orbit of the
+    certified `blocks`, and the number of representatives scanned.
 
     Every member of a failing representative's orbit fails too, its defect
     being +/- the representative's.  Members wait on a heap and are released
@@ -1098,8 +1332,8 @@ def _reduced_failures(cond: Condition, budget: int):
     a member can still be found, because each representative is the
     smallest member of its orbit.
     """
-    n, arity, blocks = cond.sizes[0], len(cond.sizes), cond.symmetry.blocks
-    scan, found, waiting, scanned = cond.scan, [], [], 0
+    n, arity = sizes[0], len(sizes)
+    found, waiting, scanned = [], [], 0
 
     def release(below):
         while waiting and (below is None or waiting[0] < below):
@@ -1110,13 +1344,13 @@ def _reduced_failures(cond: Condition, budget: int):
 
     for t in _representatives(arity, blocks)(n):
         if waiting and release(t):
-            return found, _rank(found[-1], n) + 1, scanned
+            return found, _rank(found[-1], sizes) + 1, scanned
         scanned += 1
         if scan(t):
             for u in _orbit(t, blocks):
                 heapq.heappush(waiting, u)
     if release(None):
-        return found, _rank(found[-1], n) + 1, scanned
+        return found, _rank(found[-1], sizes) + 1, scanned
     return found, n ** arity, scanned
 
 
@@ -1135,7 +1369,7 @@ def run_conditions(kind: str, conditions: Iterable[Condition],
     tuple_count = 0
     for cond in conditions:
         checked.append(cond.name)
-        found, evaluated = _failures(cond, budget - len(counterexamples), passed)
+        found, evaluated = cond.failures(budget - len(counterexamples), passed)
         if not found:
             passed.add(cond.name)
         tuple_count += evaluated
@@ -1161,15 +1395,42 @@ def run_conditions(kind: str, conditions: Iterable[Condition],
 def _condition(m: Identity, owner, layout: Callable,
                symmetry: Optional[Symmetry] = None) -> Condition:
     """m as a condition on owner's tables (see `_ops`), scanned on the
-    integer ones; a failure's residual is m at its basis vectors, exact."""
+    integer ones; a failure's residual is m at its basis vectors, exact.
+
+    When the run reaches it, `_plan` picks the contraction or the tuple
+    scan, and only that one is compiled.  `symmetry`, for a condition whose
+    slots share one size, is its certificate: once every identity it
+    assumes has passed earlier in the same run, the tuple scan visits one
+    representative per orbit.
+    """
     ops = _ops(owner, False, layout)
+    sizes = _shape(ops, m)[0]
 
     def defect(idx):
         tables = _ops(owner, True, layout)
         units = [[int(j == i) for j in range(tables.sizes[s])] for s, i in zip(m.sorts, idx)]
         return Vec(_evaluate(tables, m, units))
 
-    return Condition(m.name, _shape(ops, m)[0], defect, _make_scanner(ops, m), symmetry)
+    def failures(budget, passed):
+        reduced = symmetry is not None and passed.issuperset(symmetry.assumes)
+        rows = _representative_count(sizes, symmetry.blocks) if reduced else prod(sizes)
+        if _plan(ops, m, rows):
+            found, evaluated, made = _contracted_failures(
+                _make_scanner(ops, m, "contract"), sizes, budget)
+            log.debug("scan %s: contraction; %d contributions made, %d of %d tuples covered",
+                      m.name, made, evaluated, prod(sizes))
+            return found, evaluated
+        scan = _make_scanner(ops, m)
+        if reduced:
+            found, evaluated, scanned = _reduced_failures(scan, sizes, symmetry.blocks, budget)
+            path = f"symmetry-reduced over {symmetry}"
+        else:
+            found, evaluated, scanned = _all_failures(scan, sizes, budget)
+            path = "full range" + (f", certified {symmetry} unused" if symmetry else "")
+        log.debug("scan %s: %s; %d of %d tuples scanned", m.name, path, scanned, prod(sizes))
+        return found, evaluated
+
+    return Condition(m.name, sizes, defect, failures)
 
 
 @dataclass(eq=False)

@@ -248,6 +248,21 @@ def test_catalog_emit_unknown_exits_2(runner, tmp_path):
     assert r.exit_code == 2
 
 
+def test_derive_unwritable_output_exits_2(runner, tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    r = invoke(runner, "derive", "semidirect", fixture("fil4_adjoint"), "-o", out)
+    assert r.exit_code == 2
+    assert r.stderr.startswith(f"error: cannot write {out}:")
+    assert "Traceback" not in r.output
+
+
+def test_catalog_emit_to_directory_exits_2(runner, tmp_path):
+    r = invoke(runner, "catalog", "emit", "fil4", "-o", tmp_path)
+    assert r.exit_code == 2
+    assert r.stderr.startswith(f"error: cannot write {tmp_path}:")
+    assert "Traceback" not in r.output
+
+
 # sha256 of `catalog emit NAME` output, pinned when the documents were still
 # built in the CLI module
 EMITTED = {

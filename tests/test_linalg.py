@@ -190,4 +190,3 @@ def test_tensor_is_structural_and_sparse():
     assert t != Tensor4.zero(3) and Tensor3.from_nonzeros(3, {(0, 0, 0): 0}).is_zero()
     assert t.den_lcm() == 4
     assert t.table(4)[2][0] == ((1, 3),) and t.table()[0][1] == ((2, -1),)
-    assert Tensor.from_table(3, 3, t.table()) == t

@@ -29,7 +29,7 @@ from ternalg.catalog import (
     r_int,
     trunc,
 )
-from ternalg.constructions import direct_sum
+from ternalg.constructions import direct_sum, tensor_with_comm_assoc
 from ternalg.errors import InternalError
 from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec
 from ternalg.operators import induced_pre_fmanifold
@@ -43,6 +43,7 @@ from ternalg.representations import (
     check_coherence,
     check_representation,
     fix_slot_rep,
+    semidirect,
 )
 from ternalg import structures
 from ternalg.structures import (
@@ -281,6 +282,172 @@ def test_pinned_n8_coherence_near_miss():
         assert ce.residual == oracle.residual(ce.identity, b, ce.indices)
 
 
+# -- contraction against tuple scan on failing inputs ------------------------------
+
+def sd_near_miss():
+    """semidirect(adjoint_rep(fil4)) with a non-unit rational added to one
+    alternating bracket orbit, as the benchmark builds its near-misses."""
+    return perturb(semidirect(adjoint_rep(fil4())), random.Random(0), "bracket")
+
+
+def tfm4_trunc4():
+    """n = 16, with a product (30 nonzeros) and bracket (120) that interact."""
+    return tensor_with_comm_assoc(noncoherent_tfm(*NONCOHERENT_A), trunc(4))
+
+
+FAILING = {
+    "sd_near_miss": (sd_near_miss, "ternary-f-manifold"),
+    "sd_near_miss_coherence": (sd_near_miss, "coherence"),
+    "tfm4_scaled": (lambda: scaled(noncoherent_tfm(*NONCOHERENT_A)), "coherence"),
+    "tfm4_trunc4": (tfm4_trunc4, "coherence"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING))
+def test_failure_reports_equal_on_both_paths(case):
+    """Forced to either path, a failing check gives the same report: the
+    counterexamples in order, their residuals and the tuple count."""
+    build, label = FAILING[case]
+    for k in (1, 3, 100):
+        tuples, contract = (check(label, None, forced(build(), path), k) for path in PATHS)
+        assert not tuples.passed
+        assert contract == tuples, k
+
+
+def test_plan_and_contraction_debug_lines(caplog, monkeypatch):
+    monkeypatch.setattr(structures, "_COMPILED", {})
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        report = check_coherence(forced(scaled(noncoherent_tfm(*NONCOHERENT_A)), "contract"),
+                                 max_counterexamples=3)
+    text = [r.getMessage() for r in caplog.records]
+    assert any(t.startswith("generated contraction for coh1:\ndef make(") for t in text)
+    assert any(t.startswith("plan coh1, dim 4: contraction (forced); contraction of ")
+               for t in text)
+    assert any(t.startswith("built leib3 table, dim 4:") and " by contraction in " in t
+               for t in text)
+    # the budget of three fills in coh1's contraction, at its 769th tuple
+    assert [ce.identity for ce in report.counterexamples] == ["coh1"] * 3
+    assert "scan coh1: contraction; 4 contributions made, 769 of 1024 tuples covered" in text
+    # unforced, a scan this small stays on the tuple scan unestimated; at
+    # n = 16 the 67,200 representatives of fundamental cost under the
+    # margin, and the planner estimates both paths for hm3 and contracts it
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        check_coherence(scaled(noncoherent_tfm(*NONCOHERENT_A)))
+        check_axioms("ternary-f-manifold", tfm4_trunc4())
+    text = [r.getMessage() for r in caplog.records]
+    assert "plan coh1, dim 4: tuple scan; 640 tuples ~0.448 ms before their steps, " \
+        "within the margin" in text
+    assert any(t.startswith("plan fundamental, dim 16: tuple scan; 67200 tuples ~")
+               for t in text)
+    assert any(t.startswith("plan hm3, dim 16: contraction; contraction of ") for t in text)
+    assert any(t.startswith("scan hm3: contraction; ") for t in text)
+
+
+def test_plan_counts_the_full_range_when_the_certificate_cannot_apply(caplog):
+    """sd with one bracket entry whose skew images are missing: skew3 fails,
+    so fundamental's certificate is unused, and the plan counts every tuple."""
+    sd = semidirect(adjoint_rep(fil4()))
+    bracket = dict(sd.bracket.nonzeros())
+    bracket[(0, 1, 2, 3)] = bracket.get((0, 1, 2, 3), 0) + Fraction(1, 2)
+    b = AlgebraBundle(8, product=sd.product, bracket=Tensor(8, 4, bracket))
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        report = check_axioms("ternary-f-manifold", b, max_counterexamples=100)
+    text = [r.getMessage() for r in caplog.records]
+    assert "skew3" in {ce.identity for ce in report.counterexamples}
+    assert any(t.startswith("plan fundamental, dim 8: tuple scan; 32768 tuples ~") for t in text)
+    assert any(t.startswith("scan fundamental: full range, certified ") for t in text)
+
+
+def test_plan_takes_the_contraction_only_past_the_margin(monkeypatch):
+    """With a tuple costing 1, a chunk 1 and nothing else, the contraction
+    of fundamental on fil4 costs its 4 chunks: it is taken only when it
+    saves more than the margin of 10."""
+    for name in ("_TERM_COST", "_STEP_COST", "_PROBE_COST", "_CONTRIBUTION_COST"):
+        monkeypatch.setattr(structures, name, 0)
+    for name, value in (("_TUPLE_COST", 1), ("_CHUNK_COST", 1), ("_MARGIN", 10)):
+        monkeypatch.setattr(structures, name, value)
+    ops = structures._ops(fil4(), False, structures._layout)
+    picks = [structures._plan(ops, IDENTITIES["fundamental"], rows) for rows in (10, 14, 15)]
+    assert picks == [False, False, True]
+
+
+def changed_basis(b, p):
+    """b in the basis f_a = sum_i p[i][a] e_i, p upper unitriangular."""
+    n = b.dim
+    q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]  # p's inverse
+    for j in range(n):
+        for i in range(j - 1, -1, -1):
+            q[i][j] = -sum((p[i][k] * q[k][j] for k in range(i + 1, j + 1)), Fraction(0))
+    cols = [[(a, p[i][a]) for a in range(n) if p[i][a]] for i in range(n)]
+
+    def change(t):
+        out = {}
+        for (*ins, k), v in t.nonzeros():
+            for choice in itertools.product(*(cols[i] for i in ins)):
+                w = v
+                for _, c in choice:
+                    w *= c
+                head = tuple(a for a, _ in choice)
+                for c in range(n):
+                    if q[c][k]:
+                        out[head + (c,)] = out.get(head + (c,), 0) + w * q[c][k]
+        return Tensor(n, t.order, {k: v for k, v in out.items() if v})
+
+    return AlgebraBundle(n, product=change(b.product), bracket=change(b.bracket))
+
+
+def dense(b):
+    """b after a change of basis with entries 1, 7 and 9 places right of the
+    diagonal: an isomorphic copy whose tables fill up."""
+    n = b.dim
+    return changed_basis(b, [[Fraction((-1) ** (i + j), 1 + i * j % 3) if j - i in (1, 7, 9)
+                              else Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def _planned(ops, names, name):
+    """`_plan` for the identity `name` as the run over `names` reaches it,
+    every identity before it having passed."""
+    m = IDENTITIES[name]
+    assumable = tuple(a for a in names[:names.index(name)] if a in structures._SYMMETRY_OF)
+    sizes = structures._shape(ops, m)[0]
+    rows = structures._representative_count(sizes, structures._certificate(m, assumable).blocks)
+    return structures._plan(ops, m, rows)
+
+
+def test_planner_on_dense_input(caplog):
+    """On sd2 after a dense change of basis, fundamental's representatives
+    cost under the margin and the zero product leaves hm3 and coh1-coh3
+    nothing to contract.  Where a dense product and bracket interact, the
+    estimates keep hm3 and coh1 on the tuple scan: their contractions would
+    make over 30 million contributions."""
+    sd = semidirect(adjoint_rep(fil4()))
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        b = dense(direct_sum(sd, sd))
+        assert check_axioms("ternary-f-manifold", b).passed
+        assert check_coherence(b).passed
+    text = [r.getMessage() for r in caplog.records]
+    assert any(t.startswith("plan fundamental, dim 16: tuple scan; 67200 tuples ~")
+               and t.endswith("within the margin") for t in text)
+    for name in ("hm3", "coh1", "coh2", "coh3"):
+        assert any(t.startswith(f"plan {name}, dim 16: contraction; contraction of 0 "
+                                "contributions") for t in text), name
+    caplog.clear()
+    b = dense(tfm4_trunc4())
+    ops = structures._ops(b, False, structures._layout)
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        assert not _planned(ops, KIND_IDENTITIES[StructureKind("ternary-f-manifold")], "hm3")
+        assert not _planned(ops, COHERENCE_IDENTITIES, "coh1")
+    plans = [r.getMessage() for r in caplog.records if r.getMessage().startswith("plan ")]
+    assert [t.split(";")[0] for t in plans] == [
+        "plan leib3, dim 16: tuple scan", "plan hm3, dim 16: tuple scan",
+        "plan coh1, dim 16: tuple scan"]
+    assert plans[0].endswith("within the margin")
+    for t in plans[1:]:
+        made = int(t.split("contraction of ")[1].split()[0])
+        assert made > 30_000_000 and "within the margin" not in t, t
+
+
 # -- identities as data: degrees, L times the exact value, the import-time checks ----
 
 # each identity's degree in the product, bracket and binary bracket
@@ -331,7 +498,17 @@ def test_degrees_scale_each_identity_by_one_monomial():
         assert oracle.residual(name, big, idx) == oracle.residual(name, b, idx).scale(factor)
 
 
-def _all_tensor_owners(seed):
+PATHS = ("tuples", "contract")
+
+
+def forced(b, path):
+    """b with every plan made on its integer tables, and on the tables of
+    representations and maps built over it, forced to `path`."""
+    structures._ops(b, False, structures._layout, path)
+    return b
+
+
+def _all_tensor_owners(seed, path=None):
     """Owners of every tensor of `_SIGNATURES` with random non-unit
     denominators, each differing from the others': over a representation
     with rho a pair action, and over one with a single action (rho1)."""
@@ -344,8 +521,8 @@ def _all_tensor_owners(seed):
             (idx, Fraction(rng.choice((-2, -1, 1, 2)), rng.choice(dens)))
             for idx in rng.sample(cells, (len(cells) + 1) // 2)])
 
-    b = AlgebraBundle(n, product=tensor(n, 3, (2, 3)), bracket=tensor(n, 4, (5, 4)),
-                      binary_bracket=tensor(n, 3, (7, 3)))
+    b = forced(AlgebraBundle(n, product=tensor(n, 3, (2, 3)), bracket=tensor(n, 4, (5, 4)),
+                             binary_bracket=tensor(n, 3, (7, 3))), path)
 
     def mats(count, dens):
         return tuple(Matrix([[rand_q(rng, dens, 0.6) for _ in range(m)] for _ in range(m)])
@@ -364,41 +541,114 @@ def _all_tensor_owners(seed):
     return [structures._Maps(r, _rep_layout, {"B": n2}, maps) for r in (pair, single)]
 
 
+def integer_values(fast, m):
+    """{tuple: {l: value}} over the nonzero integer values of the map m on
+    fast, by the path forced there: a sub-map's from its table, in both
+    forms, a condition's from its scan at every tuple or its contraction."""
+    sizes = [fast.sizes[s] for s in m.sorts]
+    if m.name in structures._SUBMAPS:
+        values = {}
+        for e in structures._support(fast, m.name):
+            values.setdefault(e[:-2], {})[e[-2]] = e[-1]
+        rows = structures._table(fast, m.name)
+        for t in itertools.product(*map(range, sizes)):
+            row = rows
+            for i in t:
+                row = row[i]
+            assert dict(row) == values.get(t, {}), (m.name, t)
+        return values
+    if fast.path == "contract":
+        chunk, values = structures._make_scanner(fast, m, "contract"), {}
+        for x0 in range(sizes[0]):
+            for k, v in chunk(x0)[0].items():
+                if v:
+                    values.setdefault(k[:-1], {})[k[-1]] = v
+        return values
+    scan = structures._make_scanner(fast, m)
+    return {t: {l: v for l, v in enumerate(out) if v}
+            for t in itertools.product(*map(range, sizes)) if (out := scan(t))}
+
+
+def exact_values(owner, layout, m, tuples):
+    """L times m's exact value at each basis tuple, as {l: value}, L from
+    `_multipliers` on owner's integer tables."""
+    fast, exact = (structures._ops(owner, e, layout) for e in (False, True))
+    L = structures._multipliers(fast, m)[0]
+    out = {}
+    for t in tuples:
+        units = [[int(j == i) for j in range(exact.sizes[s])] for s, i in zip(m.sorts, t)]
+        out[t] = {l: L * v for l, v in enumerate(structures._evaluate(exact, m, units)) if v}
+    return out
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_scan_is_L_times_the_exact_value(seed):
-    """For every map of every registry, the generated scan (or sub-map
-    table) on integer tables is L, from `_multipliers`, times the map's
-    exact value, at every basis tuple; multipliers other than 1 occur."""
-    pair, single = _all_tensor_owners(seed)
+    """For every map of every registry, on either path, the generated scan
+    or contraction (or sub-map table, built by either) on integer tables is
+    L, from `_multipliers`, times the map's exact value, at every basis
+    tuple; multipliers other than 1 occur."""
     maps = {**IDENTITIES, **REP_CONDITIONS, **structures.CONDITIONS, **structures._SUBMAPS}
-    seen, uneven = set(), set()
-    for name, m in maps.items():
-        owner = single if "rho1" in m.tensors else pair
-        fast = structures._ops(owner, False, structures._Maps.layout)
-        exact = structures._ops(owner, True, structures._Maps.layout)
-        L, mults = structures._multipliers(fast, m)
-        if len(set(mults)) > 1:
-            uneven.add(name)
-        if name in structures._SUBMAPS:
-            tab = structures._table(fast, name)
-        else:
-            scan = structures._make_scanner(fast, m)
-        sizes = [fast.sizes[s] for s in m.sorts]
-        for t in itertools.product(*map(range, sizes)):
-            units = [[int(j == i) for j in range(fast.sizes[s])] for s, i in zip(m.sorts, t)]
-            want = [L * v for v in structures._evaluate(exact, m, units)]
-            if name in structures._SUBMAPS:
-                row = tab
-                for i in t:
-                    row = row[i]
-                got = [dict(row).get(j, 0) for j in range(len(want))]
-            else:
-                got = scan(t) or [0] * len(want)
-            assert got == want, (name, t)
-            if any(want):
+    for path in PATHS:
+        pair, single = _all_tensor_owners(seed, path)
+        seen, uneven = set(), set()
+        for name, m in maps.items():
+            owner = single if "rho1" in m.tensors else pair
+            fast = structures._ops(owner, False, structures._Maps.layout)
+            assert fast.path == path
+            mults = structures._multipliers(fast, m)[1]
+            if len(set(mults)) > 1:
+                uneven.add(name)
+            got = integer_values(fast, m)
+            tuples = list(itertools.product(*(range(fast.sizes[s]) for s in m.sorts)))
+            want = exact_values(owner, structures._Maps.layout, m, tuples)
+            assert {t: v for t, v in want.items() if v} == got, (path, name)
+            if got:
                 seen.add(name)
-    assert seen == set(maps)
-    assert {"L1", "rb-comm", "rb-3lie", "hom-product"} <= uneven
+        assert seen == set(maps)
+        assert {"L1", "rb-comm", "rb-3lie", "hom-product"} <= uneven
+
+
+# bundles whose product and bracket interact, so that leib3, kmap and the L
+# maps of their adjoint representations have nonzero tables: both paths must
+# give the tuple scan's values, L times the exact ones
+INTERACTING = {
+    "tfm4": lambda: noncoherent_tfm(*NONCOHERENT_A),
+    "tfmB": lambda: scaled(noncoherent_tfm(*NONCOHERENT_B)),
+    "tfm4_trunc2": lambda: tensor_with_comm_assoc(noncoherent_tfm(*NONCOHERENT_A), trunc(2)),
+    "tfmB_trunc2": lambda: tensor_with_comm_assoc(scaled(noncoherent_tfm(*NONCOHERENT_B)),
+                                                  trunc(2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERACTING))
+def test_contraction_is_L_times_the_exact_value_on_interacting_tables(case):
+    """Every map on the bundle's tensors, and every representation map on
+    its adjoint representation: the contraction and contraction-built
+    tables equal the tuple scan at every tuple, and both are L times the
+    exact value wherever they are nonzero (everywhere at n = 4)."""
+    owners = {}
+    for path in PATHS:
+        b = forced(INTERACTING[case](), path)
+        owners[path] = ((b, structures._layout, {**IDENTITIES, **structures._SUBMAPS}),
+                        (adjoint_rep(b), _rep_layout, {**REP_CONDITIONS, **structures._SUBMAPS}))
+    nonzero = set()
+    for side, (owner, layout, maps) in enumerate(owners["contract"]):
+        tuple_owner = owners["tuples"][side][0]
+        have = set(structures._ops(owner, False, layout).tables)
+        for name, m in maps.items():
+            if not m.tensors <= have:
+                continue
+            fast, slow = (structures._ops(o, False, layout) for o in (owner, tuple_owner))
+            got = integer_values(fast, m)
+            assert got == integer_values(slow, m), (case, name)
+            small = all(fast.sizes[s] <= 4 for s in m.sorts)
+            tuples = (list(itertools.product(*(range(fast.sizes[s]) for s in m.sorts)))
+                      if small else sorted(got))
+            want = exact_values(owner, layout, m, tuples)
+            assert {t: v for t, v in want.items() if v} == got, (case, name)
+            if got:
+                nonzero.add(name)
+    assert {"leib3", "kmap", "L1", "L2", "L3", "coh1"} <= nonzero, sorted(nonzero)
 
 
 def test_malformed_definitions_rejected():
@@ -492,14 +742,15 @@ def _integer_owners():
 def test_generated_source_pinned(caplog, monkeypatch):
     for name, digest in SCANNER_SOURCES.items():
         m = IDENTITIES.get(name) or REP_CONDITIONS[name]
-        assert hashlib.sha256(structures._source(m, False)[0].encode()).hexdigest() == digest
+        assert hashlib.sha256(structures._source(m, "scan")[0].encode()).hexdigest() == digest
     for name, digest in TABLE_BUILDER_SOURCES.items():
         m = structures._SUBMAPS[name]
-        assert hashlib.sha256(structures._source(m, True)[0].encode()).hexdigest() == digest
+        assert hashlib.sha256(structures._source(m, "table")[0].encode()).hexdigest() == digest
 
-    # on integer tables, the scans compile exactly the pinned sources
+    # on integer tables, the tuple scans compile exactly the pinned sources
     monkeypatch.setattr(structures, "_COMPILED", {})
     b, r, rb = _integer_owners()
+    forced(b, "tuples")
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         for m in IDENTITIES.values():
             structures._make_scanner(structures._ops(b, False, structures._layout), m)

@@ -341,6 +341,9 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     from ternalg.representations import _rep_layout, adjoint_rep, check_representation
     from ternalg.structures import CheckReport, Counterexample, _layout, _ops, check_axioms
 
+    # the scan path forced on every integer table below, or "" to plan
+    path = sys.argv[1] or None
+
     def raises(fn):
         try:
             fn()
@@ -355,12 +358,12 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
 
     # integer tables that disagree with the exact ones: e1 -> e1 at [e1,e1,e1]
     b = fil4()
-    _ops(b, False, _layout).tables["br3"][0][0][0] = ((0, 1),)
+    _ops(b, False, _layout, path).tables["br3"][0][0][0] = ((0, 1),)
     structure_scan = raises(lambda: check_axioms("3-lie", b))
 
     # the same for the integer rho table: column e1 of rho(e1, e1) -> e1
     r = adjoint_rep(fil4())
-    _ops(r, False, _rep_layout).tables["rho"][0][0][0] = ((0, 1),)
+    _ops(r, False, _rep_layout, path).tables["rho"][0][0][0] = ((0, 1),)
     rep_scan = raises(lambda: check_representation("three-lie-rep", r))
 
     # and for an operator condition: the symplectic scan reads the bundle's
@@ -368,12 +371,13 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     from ternalg.catalog import fil4_symplectic
     from ternalg.operators import check_symplectic
     b = fil4()
-    _ops(b, False, _layout).tables["br3"][0][0][0] = ((0, 1),)
+    _ops(b, False, _layout, path).tables["br3"][0][0][0] = ((0, 1),)
     operator_scan = raises(lambda: check_symplectic(fil4_symplectic(), b))
 
     # a symmetry certificate claiming assoc symmetric in all three slots: on
     # e1 e1 = e2, e1 e2 = e2 e1 = e1 it fails at (e1, e1, e2), but the orbit
-    # member (e1, e2, e1) has a zero exact residual
+    # member (e1, e2, e1) has a zero exact residual; a contraction uses no
+    # certificate, so there the check finds the true failures
     from ternalg import structures
     from ternalg.linalg import Tensor3
     from ternalg.structures import IDENTITIES, AlgebraBundle, Symmetry
@@ -381,18 +385,26 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
         (((0, 1, 2), 1),), ("comm",))
     b = AlgebraBundle(2, product=Tensor3.from_nonzeros(
         2, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}))
-    certificate = raises(lambda: check_axioms("comm-assoc", b, max_counterexamples=100))
+    _ops(b, False, _layout, path)
+    if path == "contract":
+        found = check_axioms("comm-assoc", b, max_counterexamples=100).counterexamples
+        certificate = [ce.indices for ce in found] == [
+            (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+    else:
+        certificate = raises(lambda: check_axioms("comm-assoc", b, max_counterexamples=100))
     print(sys.flags.optimize, report, structure_scan, rep_scan, operator_scan, certificate)
 """)
 
 
 def test_invariants_survive_python_O():
+    # once as planned, once with each scan path forced
     pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
-    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_INVARIANTS],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "True", "True", "True", "True", "True"]
+    for path in ("", "tuples", "contract"):
+        proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_INVARIANTS, path],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (path, proc.stderr)
+        assert proc.stdout.split() == ["1", "True", "True", "True", "True", "True"], path
 
 
 TENSOR_ORDERS = textwrap.dedent("""
