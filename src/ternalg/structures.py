@@ -14,9 +14,10 @@ and every operation a signature (`_SIGNATURES`) that `_define` checks.  The
 conditions of every other checker are written in the same language: those
 of representations in `representations`, the operator, trace and
 homomorphism conditions in `CONDITIONS`.  Two evaluators derive from the
-data.  The exhaustive scans run Python source generated per map: each term
-becomes two nested loops over sparse tables, and each sub-map is tabulated
-once per owner, on first use, by its own generated loops.  Or, where one
+data.  The exhaustive scans run Python source generated per map: one loop
+nest over the map's tuples, a sweep, in which each term becomes two nested
+loops over sparse tables, and each sub-map is tabulated once per owner, on
+first use, by the same loop nest.  Or, where one
 planner (`_plan`) estimates it cheaper from counts of the tables' nonzeros,
 the same terms become a contraction over those nonzeros, which adds each
 term's contributions at the tuples they bind; both give the same integers
@@ -859,41 +860,50 @@ def _apply(ops: _Ops, op: str, vecs) -> list:
 
 
 # ---------------------------------------------------------------------------
-# integer scanner: each term of a map becomes nested loops over sparse tables,
+# integer sweeps: one generated loop nest per map over its tuples, each table
+# prefix bound where its slots are, and each term in the innermost body
 #   for m, v in Inner[x..]: for l, w in Outer[x..][m][x..]: out[l] += c*v*w
-# in a generated closure; sub-maps are tabulated by the same loops.  Or the
+# into one reused buffer; sub-maps are tabulated by the same nest.  Or the
 # same terms become a contraction over the tables' nonzeros, one chunk per
 # value of the first slot:
 #   for x.., m, v in Inner at x0: for x.., l, w in Outer at m: acc[t, l] += c*v*w
 
 
-def _source(m: Identity, mode: str) -> tuple[str, list]:
+def _source(m: Identity, mode: str, blocks=()) -> tuple[str, list]:
     """Source of make(...) for m, and the tables it takes.
 
-    In mode "scan", make(sizes, size, *tables) returns scan(t), m's dense
-    value at one basis tuple or None when it is zero; in mode "table",
-    build(), m's sparse table over all tuples.  `sizes` holds the size of
-    each slot's range, `size` the value's, and the tables are named by
-    operation.  Prefixes of outer tables before a nested argument are
-    hoisted into locals, at the loop depth where their slots are bound.
+    In mode "sweep", make(sizes, size, *tables) returns sweep(), a generator
+    of (t, out) for each basis tuple t at which m is nonzero, in rank order,
+    out being m's dense value there; with certified `blocks`, t ranges over
+    the tuples whose values rise along each block, strictly in an
+    alternating one: the smallest member of every orbit.  In mode "table",
+    build() returns m's nested sparse rows over every tuple.  `sizes` holds
+    the size of each slot's range, `size` the value's, and the tables are
+    named by operation.  Both run one loop nest; a prefix of a table that
+    the loops below it index again is bound to a local at the depth where
+    its slots are, and the value is summed into one buffer, which a nonzero
+    value leaves and a zero one (terms that cancel included) keeps.
     In mode "contract", see `_contraction_source`.
     """
     if mode == "contract":
         return _contraction_source(m)
-    table = mode == "table"
     deps: list[str] = []
-    hoisted: dict[tuple, str] = {}
+    bound: dict[tuple, str] = {}
     for _, (op, args) in m.terms:
-        for p, a in enumerate(args):
-            if not isinstance(a, int) and p:
-                hoisted.setdefault((op, args[:p]), f"p{len(hoisted)}")
-        for name in [op] + [a[0] for a in args if not isinstance(a, int)]:
+        nested = [a for a in args if not isinstance(a, int)]
+        for name in [op] + [a[0] for a in nested]:
             if name not in deps:
                 deps.append(name)
+        outer = (op, args[:args.index(nested[0])] if nested else args)
+        for name, slots in [outer] + nested:
+            depths = {max(slots[:k]) + 1: k for k in range(1, len(slots) + 1)}
+            for depth, k in sorted(depths.items()):
+                if depth < m.arity:
+                    bound.setdefault((name, slots[:k]), f"p{len(bound)}")
 
-    def chain(op, slots, longest):
-        for k in range(min(longest, len(slots)), 0, -1):
-            name = hoisted.get((op, slots[:k]))
+    def chain(op, slots):
+        for k in range(len(slots), 0, -1):
+            name = bound.get((op, slots[:k]))
             if name:
                 return name + "".join(f"[x{s}]" for s in slots[k:])
         return op + "".join(f"[x{s}]" for s in slots)
@@ -903,39 +913,39 @@ def _source(m: Identity, mode: str) -> tuple[str, list]:
         update = f"out[l] {'+=' if c > 0 else '-='} {'' if abs(c) == 1 else f'{abs(c)} * '}"
         nested = [p for p, a in enumerate(args) if not isinstance(a, int)]
         if not nested:
-            lines += [f"for l, w in {chain(op, args, len(args))}:", f"    {update}w"]
+            lines += [f"for l, w in {chain(op, args)}:", f"    {update}w"]
             continue
         p = nested[0]
-        inner, rest = args[p], "".join(f"[x{s}]" for s in args[p + 1:])
-        outer = (hoisted[(op, args[:p])] if p else op) + "[m]" + rest
-        lines += [f"for m, v in {chain(inner[0], inner[1], len(inner[1]))}:",
-                  f"    for l, w in {outer}:",
+        outer = chain(op, args[:p]) + "[m]" + "".join(f"[x{s}]" for s in args[p + 1:])
+        lines += [f"for m, v in {chain(*args[p])}:", f"    for l, w in {outer}:",
                   f"        {update}v * w"]
-    hoists = sorted(hoisted.items(), key=lambda kv: (max(kv[0][1]), len(kv[0][1])))
     defs = {d: [] for d in range(m.arity + 1)}
-    for (op, slots), name in hoists:
-        defs[max(slots) + 1 if table else 0].append(
-            f"{name} = {chain(op, slots, len(slots) - 1)}")
+    for (op, slots), name in sorted(bound.items(), key=lambda kv: (max(kv[0][1]), len(kv[0][1]))):
+        defs[max(slots) + 1].append(f"{name} = {chain(op, slots[:-1])}[x{slots[-1]}]")
+    start = {s: f"x{prev}{' + 1' if sign < 0 else ''}, "
+             for slots, sign in blocks for prev, s in zip(slots, slots[1:])}
 
-    xs = ", ".join(f"x{i}" for i in range(m.arity))
-    src = [f"def make(sizes, size, {', '.join(deps)}):"]
-    if table:
-        src += ["    def build():", "        t0 = []"]
-        for d in range(m.arity):
-            pad = "        " + "    " * d
-            src += [f"{pad}for x{d} in range(sizes[{d}]):"]
-            src += [f"{pad}    {h}" for h in defs[d + 1]]
-            if d + 1 < m.arity:
-                src += [f"{pad}    t{d + 1} = []", f"{pad}    t{d}.append(t{d + 1})"]
-        pad = "        " + "    " * m.arity
-        body = ["out = [0] * size"] + lines + [
-            f"t{m.arity - 1}.append(tuple([(l, v) for l, v in enumerate(out) if v])"
-            " if any(out) else ())"]
-        src += [pad + s for s in body] + ["        return t0", "    return build"]
+    sweep, last = mode == "sweep", m.arity - 1
+
+    def rows(d):  # a table's level d: its last level holds a row per tuple, () until set
+        return f"t{d} = {'[]' if d < last else f'[()] * sizes[{last}]'}"
+
+    src = [f"def make(sizes, size, {', '.join(deps)}):",
+           f"    def {'sweep' if sweep else 'build'}():",
+           "        out, zero = [0] * size, [0] * size"] + ([] if sweep else ["        " + rows(0)])
+    for d in range(m.arity):
+        pad = "        " + "    " * d
+        src += [f"{pad}for x{d} in range({start.get(d, '')}sizes[{d}]):"]
+        src += [f"{pad}    {h}" for h in defs[d + 1]]
+        if not sweep and d < last:
+            src += [f"{pad}    {rows(d + 1)}", f"{pad}    t{d}.append(t{d + 1})"]
+    if sweep:
+        keep = f"yield ({', '.join(f'x{s}' for s in range(m.arity))},), out"
     else:
-        body = [f"{xs}, = t", "out = [0] * size"] + defs[0] + lines + [
-            "return out if any(out) else None"]
-        src += ["    def scan(t):"] + ["        " + s for s in body] + ["    return scan"]
+        keep = f"t{last}[x{last}] = tuple([(l, v) for l, v in enumerate(out) if v])"
+    pad = "        " + "    " * m.arity
+    src += [pad + s for s in lines + ["if out != zero:", "    " + keep, "    out = [0] * size"]]
+    src += ["    return sweep"] if sweep else ["        return t0", "    return build"]
     return "\n".join(src) + "\n", deps
 
 
@@ -1018,52 +1028,62 @@ def _multipliers(ops: _Ops, m: Identity) -> tuple[int, tuple[int, ...]]:
 
 
 _COMPILED: dict = {}
-_GENERATED = {"scan": "scanner", "table": "table builder", "contract": "contraction"}
+_GENERATED = {"sweep": "sweep", "table": "table builder", "contract": "contraction"}
 
 
-def _make_scanner(ops: _Ops, m: Identity, mode: str = "scan"):
-    """m's scan(t) on ops, or its build() or chunk(x0) in mode "table" or
-    "contract", from `_source` with each coefficient times its term's
-    multiplier (all 1 on integer tensors), so its values are L times the
-    exact ones; compiled once per source."""
+def _make_scanner(ops: _Ops, m: Identity, mode: str = "sweep", blocks=()):
+    """m's sweep() on ops, over the representatives of the certified
+    `blocks` (every tuple without), or its build() or chunk(x0) in mode
+    "table" or "contract", from `_source` with each coefficient times its
+    term's multiplier (all 1 on integer tensors), so its values are L times
+    the exact ones; compiled once per source."""
     mults = _multipliers(ops, m)[1]
     if any(k != 1 for k in mults):
         m = replace(m, terms=tuple((c * k, t) for (c, t), k in zip(m.terms, mults)))
-    hit = _COMPILED.get((m, mode))
+    hit = _COMPILED.get((m, mode, blocks))
     if hit is None:
-        src, deps = _source(m, mode)
+        src, deps = _source(m, mode, blocks)
         log.debug("generated %s for %s:\n%s", _GENERATED[mode], m.name, src)
-        hit = _COMPILED[(m, mode)] = (_exec(src, m.name, "make"), deps)
+        hit = _COMPILED[(m, mode, blocks)] = (_exec(src, m.name, "make"), deps)
     make, deps = hit
     if mode == "contract":
         return make(*(_groups(ops, op, q) for op, q in deps))
     return make(*_shape(ops, m), *(_table(ops, d) for d in deps))
 
 
-def _representatives(arity: int, blocks):
-    """reps(n), a generator of the tuples in range(n) ** arity whose values
-    rise along each block, strictly in an alternating one: the smallest
-    member of every orbit, in lexicographic order.  Compiled once per shape."""
-    key = ("reps", arity, blocks)
-    hit = _COMPILED.get(key)
-    if hit is None:
-        start = {s: f"x{prev}{' + 1' if sign < 0 else ''}"
-                 for slots, sign in blocks for prev, s in zip(slots, slots[1:])}
-        src = "\n".join(["def reps(n):"] + [
-            "    " * (s + 1) + f"for x{s} in range({start.get(s, 0)}, n):" for s in range(arity)
-        ] + ["    " * (arity + 1) + f"yield {''.join(f'x{s}, ' for s in range(arity))}"])
-        hit = _COMPILED[key] = _exec(src + "\n", "representatives", "reps")
-    return hit
+def _representative_count(sizes: tuple[int, ...], blocks, upto: Optional[tuple] = None) -> int:
+    """How many tuples a sweep over the certified `blocks` visits: all of
+    them, or those ranked up to and including `upto`, in closed form.  Past
+    a prefix, the k unbound slots of a block rise through the N values its
+    last bound slot leaves, in comb(N + k - 1, k) ways (symmetric; a slot in
+    no block is a symmetric block of its own) or comb(N, k) (alternating).
+    """
+    after = {s: (prev, sign < 0) for slots, sign in blocks for prev, s in zip(slots, slots[1:])}
+    inside = {s for slots, _ in blocks for s in slots}
+    blocks = tuple(blocks) + tuple(((s,), 1) for s in range(len(sizes)) if s not in inside)
 
+    def low(t, s):  # the least value slot s may take after the prefix t
+        prev, strict = after.get(s, (None, False))
+        return 0 if prev is None else t[prev] + strict
 
-def _representative_count(sizes: tuple[int, ...], blocks) -> int:
-    """How many tuples `_representatives` yields for the blocks."""
-    n, free = sizes[0], len(sizes)
-    count = 1
-    for slots, sign in blocks:
-        count *= comb(n, len(slots)) if sign < 0 else comb(n + len(slots) - 1, len(slots))
-        free -= len(slots)
-    return count * n ** free
+    def completions(t):
+        count = 1
+        for slots, sign in blocks:
+            rest = [s for s in slots if s >= len(t)]
+            if rest:
+                k, N = len(rest), sizes[rest[0]] - low(t, rest[0])
+                count *= comb(N + k - 1, k) if sign > 0 else comb(N, k)
+        return count
+
+    if upto is None:
+        return completions(())
+    count = 0
+    for d, u in enumerate(upto):
+        first = low(upto, d)
+        if u < first:
+            return count
+        count += sum(completions(upto[:d] + (v,)) for v in range(first, u))
+    return count + 1
 
 
 def _orbit(t: tuple, blocks) -> set:
@@ -1184,16 +1204,16 @@ def _groups(ops: _Ops, op: str, q: int) -> dict:
 # inner nonzero it joins and _CONTRIBUTION_COST per contribution.  Measured by
 # tools/plan_costs.py, which fits both loops' times over every identity and
 # sub-map on random n = 7 bundles of four densities: on an x86_64 vCPU with
-# CPython 3.11, three runs fitted 3.3-4.6, 0.7-1.3, 0.8-1.0, 6-9, 1.5-3.3
-# and 2.9-3.6, and these constants predict the measured times within 0.6x to
-# 2.2x, with the middle half of the maps' ratios in 0.8x-1.7x.
+# CPython 3.11, three runs fitted 0.9-1.4, 0.45-0.72, 1.35-1.40, 8-9, 0.9-1.4
+# and 3.4-3.6, and these constants predict the sweeps' measured times within
+# 0.5x to 1.8x, with the middle half of the maps' ratios in 0.7x-1.1x.
 # The contraction is taken only when it is estimated to save more than
-# _MARGIN, a tenth of a second; below that the tuple scan, with its pinned
-# sources and certified symmetries, is kept.  CHANGES.md and ROADMAP.md record
-# why the margin is that wide, and what lowering it waits for.
-_TUPLE_COST, _TERM_COST, _STEP_COST = 4, 1, 1
+# _MARGIN, 40 ms; below that the tuple scan, with its pinned sources and
+# certified symmetries, is kept.  CHANGES.md and ROADMAP.md record why the
+# margin is that wide, and what lowering it waits for.
+_TUPLE_COST, _TERM_COST, _STEP_COST = 1.1, 0.6, 1.4
 _CHUNK_COST, _PROBE_COST, _CONTRIBUTION_COST = 10, 2, 4
-_MARGIN = 10 ** 6
+_MARGIN = 4 * 10 ** 5
 
 
 def _contributions(ops: _Ops, m: Identity) -> tuple[int, int]:
@@ -1280,12 +1300,13 @@ class Condition:
 
     Its tuples are range(sizes[0]) x range(sizes[1]) x ...: a representation
     condition's last slot ranges over the module basis.  `defect(t)` is the
-    exact residual `Vec` at t.  `failures(budget, passed)` is the fast test:
-    the first `budget` failing tuples, in rank order, and the number of
-    tuples evaluated, up to and including the last one returned when the
-    budget fills, else all of them.  A tuple's rank is its position in
-    lexicographic order, the mixed-radix number of its values; `passed`
-    names the conditions that passed earlier in the run.
+    exact residual `Vec` at t.  `failures(budget, passed)` is the fast test,
+    a generated sweep or contraction on integer tables: the first `budget`
+    failing tuples, in rank order, and the number of tuples evaluated, up to
+    and including the last one returned when the budget fills, else all of
+    them.  A tuple's rank is its position in lexicographic order, the
+    mixed-radix number of its values; `passed` names the conditions that
+    passed earlier in the run.
     """
 
     name: str
@@ -1309,49 +1330,25 @@ def _contracted_failures(chunk: Callable, sizes: tuple[int, ...], budget: int):
     return found, prod(sizes), made
 
 
-def _all_failures(scan: Callable, sizes: tuple[int, ...], budget: int):
-    """The failures of `scan(t)` over every tuple, and the number of tuples
-    scanned."""
-    found = []
-    for rank, t in enumerate(itertools.product(*map(range, sizes))):
-        if scan(t):
-            found.append(t)
-            if len(found) == budget:
-                return found, rank + 1, rank + 1
-    total = prod(sizes)
-    return found, total, total
-
-
-def _reduced_failures(scan: Callable, sizes: tuple[int, ...], blocks, budget: int):
-    """The failures of `scan(t)` over one representative per orbit of the
-    certified `blocks`, and the number of representatives scanned.
+def _swept_failures(sweep: Callable, blocks, budget: int) -> list:
+    """The first `budget` failures, in rank order, of a sweep over the
+    representatives of the certified `blocks` (every tuple without).
 
     Every member of a failing representative's orbit fails too, its defect
     being +/- the representative's.  Members wait on a heap and are released
-    once the next representative ranks above them: no failure ranked below
-    a member can still be found, because each representative is the
-    smallest member of its orbit.
+    up to each failing representative as it is yielded, and at the end: a
+    failure ranked below a released member has its orbit's smallest member,
+    its representative, ranked below too, so it was yielded already.
     """
-    n, arity = sizes[0], len(sizes)
-    found, waiting, scanned = [], [], 0
-
-    def release(below):
-        while waiting and (below is None or waiting[0] < below):
+    found, waiting = [], []
+    for t, _ in sweep():
+        for u in _orbit(t, blocks):
+            heapq.heappush(waiting, u)
+        while waiting and waiting[0] <= t:
             found.append(heapq.heappop(waiting))
             if len(found) == budget:
-                return True
-        return False
-
-    for t in _representatives(arity, blocks)(n):
-        if waiting and release(t):
-            return found, _rank(found[-1], sizes) + 1, scanned
-        scanned += 1
-        if scan(t):
-            for u in _orbit(t, blocks):
-                heapq.heappush(waiting, u)
-    if release(None):
-        return found, _rank(found[-1], sizes) + 1, scanned
-    return found, n ** arity, scanned
+                return found
+    return found + sorted(waiting)[:budget - len(found)]
 
 
 def run_conditions(kind: str, conditions: Iterable[Condition],
@@ -1398,10 +1395,10 @@ def _condition(m: Identity, owner, layout: Callable,
     integer ones; a failure's residual is m at its basis vectors, exact.
 
     When the run reaches it, `_plan` picks the contraction or the tuple
-    scan, and only that one is compiled.  `symmetry`, for a condition whose
-    slots share one size, is its certificate: once every identity it
-    assumes has passed earlier in the same run, the tuple scan visits one
-    representative per orbit.
+    scan, a sweep, and only that one is compiled.  `symmetry`, for a
+    condition whose slots share one size, is its certificate: once every
+    identity it assumes has passed earlier in the same run, the sweep runs
+    over one representative per orbit.
     """
     ops = _ops(owner, False, layout)
     sizes = _shape(ops, m)[0]
@@ -1413,22 +1410,22 @@ def _condition(m: Identity, owner, layout: Callable,
 
     def failures(budget, passed):
         reduced = symmetry is not None and passed.issuperset(symmetry.assumes)
-        rows = _representative_count(sizes, symmetry.blocks) if reduced else prod(sizes)
+        blocks = symmetry.blocks if reduced else ()
+        rows = _representative_count(sizes, blocks)
         if _plan(ops, m, rows):
             found, evaluated, made = _contracted_failures(
                 _make_scanner(ops, m, "contract"), sizes, budget)
             log.debug("scan %s: contraction; %d contributions made, %d of %d tuples covered",
                       m.name, made, evaluated, prod(sizes))
             return found, evaluated
-        scan = _make_scanner(ops, m)
-        if reduced:
-            found, evaluated, scanned = _reduced_failures(scan, sizes, symmetry.blocks, budget)
-            path = f"symmetry-reduced over {symmetry}"
-        else:
-            found, evaluated, scanned = _all_failures(scan, sizes, budget)
-            path = "full range" + (f", certified {symmetry} unused" if symmetry else "")
-        log.debug("scan %s: %s; %d of %d tuples scanned", m.name, path, scanned, prod(sizes))
-        return found, evaluated
+        found = _swept_failures(_make_scanner(ops, m, "sweep", blocks), blocks, budget)
+        stop = found[-1] if len(found) == budget else None
+        path = (f"symmetry-reduced over {symmetry}" if reduced
+                else "full range" + (f", certified {symmetry} unused" if symmetry else ""))
+        log.debug("scan %s: %s; %d of %d tuples scanned", m.name, path,
+                  rows if stop is None else _representative_count(sizes, blocks, stop),
+                  prod(sizes))
+        return found, prod(sizes) if stop is None else _rank(stop, sizes) + 1
 
     return Condition(m.name, sizes, defect, failures)
 

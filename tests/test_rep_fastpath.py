@@ -241,12 +241,14 @@ def test_conditions_scale_by_one_monomial(seed, binary):
     for name in names:
         cond = REP_CONDITIONS[name]
         a, b = DEGREES[name]
-        scan, L = _make_scanner(fast, cond), _multipliers(fast, cond)[0]
+        # the lists kept as the sweep yielded them: a reused buffer would show
+        swept, L = dict(_make_scanner(fast, cond)()), _multipliers(fast, cond)[0]
         for t in itertools.product(*(range(base.sizes[s]) for s in cond.sorts)):
             ref = _evaluate(base, cond, _units(cond.sorts, t, base.sizes))
             assert _evaluate(big, cond, _units(cond.sorts, t, base.sizes)) == \
                 [alpha ** a * beta ** b * v for v in ref]
-            assert (scan(t) or [0] * len(ref)) == [L * v for v in ref]
+            assert swept.get(t, [0] * len(ref)) == [L * v for v in ref]
+            assert (t in swept) == any(ref)
             if any(ref):
                 seen.add(name)
     # the random data must give every condition nonzero columns to compare

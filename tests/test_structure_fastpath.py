@@ -1,4 +1,4 @@
-"""The generated integer scanners against the dense exact oracle.
+"""The generated integer sweeps against the dense exact oracle.
 
 `check_axioms` and `check_coherence` scan on integer-rescaled sparse tables
 with loops generated from each identity's data; `structure_oracle` states
@@ -336,7 +336,7 @@ def test_plan_and_contraction_debug_lines(caplog, monkeypatch):
         check_coherence(scaled(noncoherent_tfm(*NONCOHERENT_A)))
         check_axioms("ternary-f-manifold", tfm4_trunc4())
     text = [r.getMessage() for r in caplog.records]
-    assert "plan coh1, dim 4: tuple scan; 640 tuples ~0.448 ms before their steps, " \
+    assert "plan coh1, dim 4: tuple scan; 640 tuples ~0.186 ms before their steps, " \
         "within the margin" in text
     assert any(t.startswith("plan fundamental, dim 16: tuple scan; 67200 tuples ~")
                for t in text)
@@ -544,7 +544,7 @@ def _all_tensor_owners(seed, path=None):
 def integer_values(fast, m):
     """{tuple: {l: value}} over the nonzero integer values of the map m on
     fast, by the path forced there: a sub-map's from its table, in both
-    forms, a condition's from its scan at every tuple or its contraction."""
+    forms, a condition's from its sweep or its contraction."""
     sizes = [fast.sizes[s] for s in m.sorts]
     if m.name in structures._SUBMAPS:
         values = {}
@@ -564,9 +564,10 @@ def integer_values(fast, m):
                 if v:
                     values.setdefault(k[:-1], {})[k[-1]] = v
         return values
-    scan = structures._make_scanner(fast, m)
-    return {t: {l: v for l, v in enumerate(out) if v}
-            for t in itertools.product(*map(range, sizes)) if (out := scan(t))}
+    # every list kept as the sweep yielded it, so that a buffer it reused shows
+    swept = list(structures._make_scanner(fast, m)())
+    assert [t for t, _ in swept] == sorted(t for t, out in swept if any(out))
+    return {t: {l: v for l, v in enumerate(out) if v} for t, out in swept}
 
 
 def exact_values(owner, layout, m, tuples):
@@ -651,6 +652,22 @@ def test_contraction_is_L_times_the_exact_value_on_interacting_tables(case):
     assert {"leib3", "kmap", "L1", "L2", "L3", "coh1"} <= nonzero, sorted(nonzero)
 
 
+def test_sweep_keeps_no_value_it_handed_on():
+    """comm on a product with e1 e2 = e1 but e2 e1 = 0, and e1 e3 = e3 e1 =
+    e2: nonzero at (0, 1) and (1, 0), and zero at (0, 2) between them only
+    because its two terms cancel.  The sweep and the table builder reuse
+    one buffer across tuples, which must hold nothing over: each yielded
+    list keeps its value, and the cancelled tuple is skipped."""
+    b = AlgebraBundle(3, product=Tensor(3, 3, [((0, 1, 0), 1), ((0, 2, 1), 1),
+                                               ((2, 0, 1), 1)]))
+    ops = structures._ops(b, False, structures._layout)
+    comm = IDENTITIES["comm"]
+    assert list(structures._make_scanner(ops, comm)()) == [((0, 1), [1, 0, 0]),
+                                                           ((1, 0), [-1, 0, 0])]
+    rows = structures._make_scanner(ops, comm, "table")()
+    assert rows == [[(), ((0, 1),), ()], [((0, -1),), (), ()], [(), (), ()]]
+
+
 def test_malformed_definitions_rejected():
     mul, br3 = structures._op("mul"), structures._op("br3")
     with pytest.raises(InternalError, match="each slot exactly once"):
@@ -668,59 +685,60 @@ def test_malformed_definitions_rejected():
 
 # -- the generated code, pinned ------------------------------------------------------
 # sha256 of `_source` for every identity and representation condition (the
-# scanner) and every sub-map (the table builder), computed before the scale
-# factors became per tensor: on integer tables the scans run this code.
+# sweep over every tuple) and every sub-map (the table builder), computed
+# when both became one loop nest with a reused buffer: on integer tables the
+# tuple scans run this code.
 
-SCANNER_SOURCES = {
-    "comm": "a26dc60d55a1e65df87bddd0b35c6e94cb16ae227197737196b36514a837bf06",
-    "assoc": "6c8633cd2692d6af2fe69ec68ee37ab8023c48589e4ad30f05901d46c3a5d8bc",
-    "zinbiel": "3413c5d6bb75342fa0cd91f1d9fcf7364665d85df358bcfa8916c5775b11fde0",
-    "skew2": "cb6dd6fc0fbea405bfbffb9fc5e653cd0cfcd2cc4b2e12fe5ba5c990bdf6e414",
-    "jacobi": "a9b7247e5883e134aaa7a1c24d9807d01cbc40cd2683a2691630a11435af8274",
-    "skew3": "2842acaffd108087aac8f3b3e00baf342f7cbfd94979f82566faefa96feca46a",
-    "fundamental": "5174d33435c65c33f8b1848eec1b6674c95cf282e1ff5be1da7aff3c191babdd",
-    "prelie3-skew": "5575c447334a8c46072172238aab3260c18844fc94bda52528bdda06dac226ba",
-    "prelie3-a": "860d01e259e91c189f81a3b56e69d56fc9be00a46bf9beeacf14e863fcddecd1",
-    "prelie3-b": "2cb1bc38324d2d912c342ab4898128a198115ab89c47bfa4aa969dec5ea9c9bc",
-    "leibniz-np": "d47f20c603f71cff8480f210d5b1e2c9bac94c57e82168a20effdb11ec071a39",
-    "hm2": "419d1e25164d3f2253bc0f0b9b9ce55e5b02828e6b80595a2213da63696fbf1b",
-    "hm3": "1a16f21ea3c3540d52eee17cbf2ba461d8119d043566f263505c380a0f09909b",
-    "prefm-1": "458b0df5d37bf6b0ffe30a065d19be987c45a65b390cf4006a123fdf0054d83a",
-    "prefm-11": "3a746fb0b97d0e6a4e76b3c8b35db535b7ffe21233d7f50a61b80cf1319f2ce9",
-    "prefm-2": "a49631a046a4570333e16a6d949b510ac19fd488336ba25aec291d3d4cc94a08",
-    "prenp-1": "7b2fb3f7db970b2fae93aaa20f4616f60a72a63720a1ac8ce28a9ead6ff15075",
-    "prenp-2": "41626fdcf149dca794e2189b95fc663b615caf2e30a70f21f6207c605367ceb4",
-    "coh1": "324b636f2d69a32da439f107f09e3c5d0b7a0203f34737376641b0429602e5f4",
-    "coh2": "b3595360bc63019a8467c8f8b258c2d91afa24b0cb232b324eb0346a0739ff39",
-    "coh3": "ed1a69388aba9e7a31cbf8ed5ab25f6ad320959ed7c7e0963bdb9a406dfb0ba8",
-    "rho-skew": "a1739c99ad622bdbc082f7a5dd1195fb9babfcfc9aee1499bd8c7726fb0d9129",
-    "kasymov-i": "42afc4272139edecb950623d03c2d66faf996b2b987de0fca10219c81bb59421",
-    "kasymov-ii": "d48da3828659deb9f12244551b0b541884c398f9a9490e42b75c2f0d85a675a0",
-    "mu-mult": "4f1c92b39e0b24959a4534961512dd76051931382272c28ad4b6c6651ffde1ce",
-    "rho-lie": "babb71696281427cf3f5e2f1aedeec2f37d67570d54b46e7e9c7b02602d986e4",
-    "brep-1": "8d49cde3f181e03f2896478aa1e144f57cd53f56075169ad421b892b145c768e",
-    "brep-2": "19b4796c00e15812a42b5a9b5d9d3071f02ebdb5110423cafaeee8240e2d627b",
-    "rep-1": "a6c4b97194b4a8d259e6425ab33a5b41a7be1e88ea7593bbc4a5ba56a413561e",
-    "rep-3": "29f0f61cd6187e9a59d2e9d1cfc99a90fe72b739e4120cd00857127c37118bfa",
-    "rep-2": "85adb810ccc673c861e3f3c563395c502fe9f368bfbbaf8716bda783fc2c1c68",
-    "corep-1": "b7990af6779bf37ac49bde2ca6d5ff6399b026f7d97ccf2087d8e1aa0742c497",
-    "corep-2": "9a43a35882d71f3c120f197d64ddce93417c08ee3ab7071461b3fa2ce2742b85",
-    "corep-3": "89e6cd75d84a7c85be8ffafb7924d45151e5c4d3679aff6fa01faa365e05c5ae",
+SWEEP_SOURCES = {
+    "comm": "d4009251260eba1a4dc7d8ef048fc88e561e8201cb45fd98bfa73c3f472710bd",
+    "assoc": "a0000b1288a2f8a1003f27078012ae8194c917584eb4b4dbc16dbc893e7afec4",
+    "zinbiel": "77be359a6c272b3e2ca26508630c25c1c85598b1d83a9600d9b3998679df7f33",
+    "skew2": "545c8765826283346745703ebcc44c9df16af4bb00608874e2aed3fc778ab805",
+    "jacobi": "3a17bac4f947c7df80f39a3e8b6efc22ce2e82181259a17f34c6ae857c4ee8a0",
+    "skew3": "c61ee4a1d951e8fdf206395e6b1b669e2cee377236d2cb88b41383ba20e24686",
+    "fundamental": "6d4dd06ffaff80d6a7c267d9c3371db5f1908d5a2cef1cc545550c512b852ed4",
+    "prelie3-skew": "319346b021bf795669a3a953f0527c4ab3af1bb8c94a4d9961a9ac3fd96ca9a9",
+    "prelie3-a": "4a77dcb7cf7a07babe7e7ca30ff0ad7ec420b719c337ce76accbb349167f6909",
+    "prelie3-b": "9ad5b46e80dfe147d657028d10cb950ca78de182c4506619faddc54839374e0f",
+    "leibniz-np": "1c0d34a7a7889157c6c768cbf188c9120c7312bad2fb174aa6a859469eabce16",
+    "hm2": "407536798c70fdcb7cfd20023527b5909563209224416c9670e094a1fc429f20",
+    "hm3": "06afa0cdb36cab3af06879527ce5e32006b0b14003a411fd039967dc6cb466ef",
+    "prefm-1": "05ba0d25cb49576c65e95c5e0eed106acc6c68fcb3e45593ff71d5d472bf6e38",
+    "prefm-11": "9d3f25b0abb0833456c60eab713c08f9432955dc0cd703db42913e73b4434e4f",
+    "prefm-2": "a99c415efecb6e7312f0528222cf93031102d881da6386a281b3f5475b2b3183",
+    "prenp-1": "400854b3a11fea55713545eb23d76e4724f3c07da5d3c920e28c96563a304126",
+    "prenp-2": "1861d3a45cdc6dc4b1be99939331462267e41b2c855708c801320dfc8dd8b749",
+    "coh1": "5b4c6791f0ba46b30fe1fda9a71326b428e983e82399a6f14c586ad5a18943c6",
+    "coh2": "69ef43e35b0160387b8a62cb4b686f653d9bfc2611af3dd93d7c60038b7eac6e",
+    "coh3": "5d083bfb4ba63c32ccac07e8c7417d1e6d945b2a80da00b8fc43d8de6d7e914c",
+    "rho-skew": "0db875e8f7776af8748c84a6b13ffed6e15600242befe97ed86d79c6cdc9ebde",
+    "kasymov-i": "33f8d21e1112fb8c2114be602ca5434893925204993e51c1b4d2e794047c5a47",
+    "kasymov-ii": "66e87a6a7b77ba56a1513e6de28c13c5b5a48a1f47bb3d99aa73e4c902a0c3f1",
+    "mu-mult": "81ab4faa785ed3832ffd037af62496629eada6ee9bb7c2e096125961ec289ff5",
+    "rho-lie": "63c21a7bee8c902a40b90bb49dd83a7dde38958f9a671eccbec54066ace0e2ee",
+    "brep-1": "88b3d4f807aecb1f6ee0282231381b9568aaa7046d2ebe038078c2ea20b25053",
+    "brep-2": "2eb3746906ce6291ef4e561889afb71b99c31bf042b24d35a3c911aa48b538ec",
+    "rep-1": "92d4281f16a0bba67997882f6db1bc3355ec8ae20e7d4940f1810821aad5234b",
+    "rep-3": "7d52f6772e1e8c2b05f64ba9c2d673ec0c27424d7e3651e2685f9361802ee853",
+    "rep-2": "408054d6a3c4398c95db29f796c8e1f8fa1f5118d1f20c46fef390e953543a31",
+    "corep-1": "84c2c9dfb0c31c93ec93d2f46e2ee58fe3d1c483318ca5191450442dcaed8e35",
+    "corep-2": "5507c04ff5a93a77de521e51d6630056e8acce22a7f8f7a4ce5b95bd46c5e5e7",
+    "corep-3": "f9fec571413282795fe8da2f6faec83d71665d56bf9aa53df94665ae66e3bb83",
 }
 TABLE_BUILDER_SOURCES = {
-    "symmul": "6bcdc2120429253c50263a9b117b9f177a733ed1e55861949fab13c1c829ac45",
-    "cyc3": "4848e379d09f655a362ad3401860871a64b5aa04a6769b5980869189acc47ed4",
-    "leib3": "573eff5f7c128642aca12773dff99e84431da9857a9aee21ad09419338099ddb",
-    "leib2": "6d727c86abf892bd6cb760d5eb09756d27657b63fb7a5b353e8d42ac3602b61d",
-    "kmap": "979cf4728f7c3a258ba11c6a2adaba598ea61af23979bdae38b0221c832c9575",
-    "f1": "bc6ebec0f0dadeb90ecdd180b6bc5b7a1198b756dcf8cead7c991164bb1ead9a",
-    "f2": "f7d1fb80165eb7d15d0133c998b4c1a3871839f59746891f71b4b25dc7ca65bd",
-    "leib3_sub": "4d8d74d8b95d54a2e31759d2ca68a4cd21412f012589f0d8556883b046bbf85a",
-    "L1": "bfeccf70ef6c480368713eba8c7b9815a181850362280317cb3c1386696e918f",
-    "L2": "ce30bc5afe51c8568e4c5ba6932a7fb56e89d72fa8971ca4c37a57b1b9727518",
-    "L3": "4e942900c0b40d775b35c74b5c5bdb4b9438818a003286822cdcbe4ce542ec41",
-    "L1b": "577a4cea2433e4099f89f2f8a89b83fc5d2b50049acca38715f3f9fb0bfab729",
-    "L2b": "2afc3274af252c914958c27eeab324d4a44027c3d40e33e423dd81c164a9c329",
+    "symmul": "042fd9fbd4451ba24d6764b32c780e32fc037472ba4767423bd972009fe3b15a",
+    "cyc3": "b0044a2949e1acd08e39f8444b8255e5cea65b13343afae1ec15d87a6370c983",
+    "leib3": "846c9006a9c6424e3e30a49a1142682c5e7d695fd14f8ea99f42de8b3b5b2192",
+    "leib2": "cb2a7c579eaef7ee0fec62d9898c0861ea5ab51b9c93f53c83d3c19883e3f13f",
+    "kmap": "e4420eb0a5624d10b19d6e2f3bfe4b5732d627b84319263bc2f7d028972d646c",
+    "f1": "1c6756176ee1bfb93f43a45380889cf96d6a0e1526cf02c774a0bf293e21abea",
+    "f2": "2ee0324e08c2a85f11bcc0ac4fd9d67f154fa18532db2fb7ccae13738221d7c1",
+    "leib3_sub": "fd3c3b7746e4cbde76916fb03cd21cb75b5dbe6985b695cda6c2f99042321c02",
+    "L1": "30eeeab57d25d435563ef315c0c295161a801c22eadbde4015c4b9de8fdbefe5",
+    "L2": "69e052f4e984ed5dbf2f5c81b4706261adfdbf3e477a261f148329fe3be5ea10",
+    "L3": "d9bb26806bc021bb2a4ceda6c2299f3f8e20adaf598303c5d24cb81540c02a59",
+    "L1b": "03d3cc7aa8b0656097af53c9544db363b6ebaaccaf32578a93f17d9455bdeb98",
+    "L2b": "c645663902a0dce20daeb93abaef3f818b443c3f8539a7283589a633b695efb3",
 }
 
 
@@ -740,9 +758,9 @@ def _integer_owners():
 
 
 def test_generated_source_pinned(caplog, monkeypatch):
-    for name, digest in SCANNER_SOURCES.items():
+    for name, digest in SWEEP_SOURCES.items():
         m = IDENTITIES.get(name) or REP_CONDITIONS[name]
-        assert hashlib.sha256(structures._source(m, "scan")[0].encode()).hexdigest() == digest
+        assert hashlib.sha256(structures._source(m, "sweep")[0].encode()).hexdigest() == digest
     for name, digest in TABLE_BUILDER_SOURCES.items():
         m = structures._SUBMAPS[name]
         assert hashlib.sha256(structures._source(m, "table")[0].encode()).hexdigest() == digest
@@ -762,7 +780,7 @@ def test_generated_source_pinned(caplog, monkeypatch):
         head, _, src = record.getMessage().partition(":\n")
         if head.startswith("generated "):
             seen[head] = hashlib.sha256(src.encode()).hexdigest()
-    assert seen == {**{f"generated scanner for {name}": d for name, d in SCANNER_SOURCES.items()},
+    assert seen == {**{f"generated sweep for {name}": d for name, d in SWEEP_SOURCES.items()},
                     **{f"generated table builder for {name}": d
                        for name, d in TABLE_BUILDER_SOURCES.items()}}
 
@@ -778,7 +796,7 @@ def test_debug_events(caplog, monkeypatch):
     text = [r.getMessage() for r in caplog.records]
     assert all(r.name == "ternalg" and r.levelno == logging.DEBUG for r in caplog.records)
     assert "integer tables, dim 4: scale factors mul=3 br3=5 br2=None" in text
-    assert any(t.startswith("generated scanner for coh1:\ndef make(") for t in text)
+    assert any(t.startswith("generated sweep for coh1:\ndef make(") for t in text)
     assert any(t.startswith("generated table builder for leib3:") for t in text)
     assert any(t.startswith("built leib3 table, dim 4:") for t in text)
     assert any(t.startswith("built kmap table, dim 4:") for t in text)

@@ -30,7 +30,7 @@ from test_structure_fastpath import (
 )
 from ternalg.catalog import _alternating_tensor4, fil4, trunc
 from ternalg.constructions import direct_sum
-from ternalg.linalg import Tensor3, Tensor4, Vec
+from ternalg.linalg import Tensor, Tensor3, Tensor4, Vec
 from ternalg.representations import check_coherence
 from ternalg.structures import (
     COHERENCE_IDENTITIES,
@@ -42,8 +42,11 @@ from ternalg.structures import (
     _certificate,
     _define,
     _op,
+    _layout,
+    _make_scanner,
+    _ops,
     _orbit,
-    _representatives,
+    _representative_count,
     _SYMMETRY_OF,
     _transpositions,
     check_axioms,
@@ -96,12 +99,24 @@ def test_certificates_pinned():
     assert seen == set(CERTIFIED) == set(IDENTITIES)
 
 
+def swept(arity, blocks, n):
+    """The tuples a sweep over the blocks visits: it yields every one, on a
+    bracket that sends each basis triple to e1, of a map with one term."""
+    br3 = _op("br3")
+    m = {3: _define("every3", lambda x, y, z: br3(x, y, z)),
+         5: _define("every5", lambda x1, x2, x3, x4, x5: br3(x1, x2, br3(x3, x4, x5)))}[arity]
+    bracket = Tensor(n, 4, [(t + (0,), 1) for t in itertools.product(range(n), repeat=3)])
+    ops = _ops(AlgebraBundle(n, bracket=bracket), False, _layout)
+    return [t for t, _ in _make_scanner(ops, m, "sweep", blocks)()]
+
+
 def test_representative_counts_at_n16():
     fundamental = _certificate(IDENTITIES["fundamental"], ("comm", "skew3"))
     hm3 = _certificate(IDENTITIES["hm3"], ("comm", "skew3"))
     assert fundamental.assumes == ("skew3",) and hm3.assumes == ("comm",)
-    assert sum(1 for _ in _representatives(5, fundamental.blocks)(16)) == 67_200
-    assert sum(1 for _ in _representatives(5, hm3.blocks)(16)) == 295_936
+    for cert, count in ((fundamental, 67_200), (hm3, 295_936)):
+        assert len(swept(5, cert.blocks, 16)) == count
+        assert _representative_count((16,) * 5, cert.blocks) == count
     assert 67_200 == comb(16, 2) * comb(16, 3)
     assert 295_936 == comb(17, 2) * 16 * comb(17, 2)
 
@@ -202,11 +217,13 @@ def test_certifier_on_new_definitions():
 ])
 def test_representatives_are_the_orbit_minima(blocks):
     n, arity = 3, max(s for slots, _ in blocks for s in slots) + 1
-    reps = list(_representatives(arity, blocks)(n))
+    reps = swept(arity, blocks, n)
     assert reps == sorted(reps)
     alternating = [slots for slots, sign in blocks if sign < 0]
     covered = set()
     for t in itertools.product(range(n), repeat=arity):
+        # the closed-form count up to t is the sweep's
+        assert _representative_count((n,) * arity, blocks, t) == sum(r <= t for r in reps)
         if any(len({t[s] for s in slots}) < len(slots) for slots in alternating):
             continue  # a repeated value in an alternating block: the defect vanishes
         orbit = _orbit(t, blocks)

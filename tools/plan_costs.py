@@ -2,16 +2,16 @@
 the rest) on this machine, and how well the fitted model predicts.
 
 For every identity of `IDENTITIES` and every sub-map, on seeded random
-integer bundles of a few densities, it times the generated tuple scan over
-the whole range and the generated contraction over every chunk, each the
-best of a few runs, and counts what the cost model counts: tuples, tuples
-times terms, and contributions (the scan's steps) for the scan; chunks,
-inner nonzeros joined (probes) and contributions for the contraction.  A least-squares fit of
-each path's times on its counts gives the constants, in tenths of a
-microsecond, and each case's predicted over measured time shows the fit.
-The loops of `_all_failures` and `_contracted_failures` are timed without
-the failure lists, which only failing inputs build, and every random
-bundle fails nearly everywhere.
+integer bundles of a few densities, it times the generated sweep over the
+whole range and the generated contraction over every chunk, each the best
+of a few runs, and counts what the cost model counts: tuples, tuples times
+terms, and contributions (the sweep's steps) for the tuple scan; chunks,
+inner nonzeros joined (probes) and contributions for the contraction.  A
+least-squares fit of each path's times on its counts gives the constants,
+in tenths of a microsecond, and each case's predicted over measured time
+shows the fit.  The loops of `_swept_failures` and `_contracted_failures`
+are timed without the failure lists, which only failing inputs build, and
+every random bundle fails nearly everywhere.
 
 Run from the repository root:
 ``PYTHONPATH=src python3 tools/plan_costs.py [--n 6] [--repeats 3] [--json out.json]``
@@ -61,13 +61,12 @@ def best(fn, repeats: int) -> float:
 
 def measure(ops, m, repeats: int) -> dict:
     sizes = structures._shape(ops, m)[0]
-    scan = structures._make_scanner(ops, m)
+    sweep = structures._make_scanner(ops, m)
     chunk = structures._make_scanner(ops, m, "contract")
 
-    def run_scan():  # the loop of `_all_failures`
-        for t in itertools.product(*map(range, sizes)):
-            if scan(t):
-                pass
+    def run_scan():  # the loop of `_swept_failures` over every tuple
+        for t, out in sweep():
+            pass
 
     def run_contraction():  # the loop of `_contracted_failures`
         for x0 in range(sizes[0]):
