@@ -6,8 +6,9 @@ written with the map T: V -> A, the operator N: A -> A or the form: A A -> k
 beside the algebra's tensors and the actions, and scanned by the generated
 integer loops like every identity.  A checker keeps only its preconditions;
 the builders read the same registry's sub-map tables (muT and rhoTT, the
-induced product and bracket; mul_N and br3_N, the deformed ones), so each
-formula is written once.
+induced product and bracket; mu_T and rho_T, the representation induced on
+A; mul_pre and br3_pre over T^-1; mul_N and br3_N, the deformed ones), so
+each formula is written once.
 
 Builders re-verify the operator identity they rely on (fail fast with the
 failing report attached); they do not re-check ambient axioms, so perturbed
@@ -47,8 +48,6 @@ from .structures import (
     _layout,
     _map_tensor,
     _Maps,
-    _ops,
-    _table,
     run_conditions,
 )
 
@@ -160,14 +159,10 @@ def invertible_rb_to_pre(t: InterMap, r: RepBundle) -> AlgebraBundle:
     report = check_relative_rb(t, r)
     if not report.passed:
         raise NotRelativeRB("map fails the relative Rota-Baxter identities", report)
-    tinv = invert(t.matrix)
-    a = r.algebra
-    n = a.dim
-    rho, mu = r.rho, r.mu
-    tinv_cols = [tinv.column(j) for j in range(n)]
-    prod = Tensor.from_images(n, 3, lambda i, j: t.apply(mu.mats[i].apply(tinv_cols[j])))
-    brk = Tensor.from_images(n, 4, lambda i, j, k: t.apply(rho.mats[i][j].apply(tinv_cols[k])))
-    return AlgebraBundle(n, product=prod, bracket=brk, basis_labels=a.basis_labels)
+    maps = _Maps(r, _rep_layout, {}, {"T": _map_tensor(t.matrix),
+                                       "Tinv": _map_tensor(invert(t.matrix))})
+    return AlgebraBundle(r.algebra.dim, product=maps.tensor("mul_pre"),
+                         bracket=maps.tensor("br3_pre"), basis_labels=r.algebra.basis_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +323,7 @@ def induced_rep_on_A(t: InterMap, r: RepBundle) -> RepBundle:
     if not report.passed:
         raise NotRelativeRB("map fails the relative Rota-Baxter identities", report)
     n, m = r.algebra.dim, r.module_dim
-    tables = _ops(_rb_maps(t, r), True, _Maps.layout)
-    mu_t, rho_t = _table(tables, "mu_T"), _table(tables, "rho_T")
-
-    def matrix(columns):
-        return Matrix.from_columns([Vec(dict(c).get(l, 0) for l in range(n)) for c in columns])
-
-    mu = LinRep(n, tuple(matrix(mu_t[p]) for p in range(m)))
-    rho = BiRep(n, tuple(tuple(matrix(rho_t[p][q]) for q in range(m)) for p in range(m)))
+    maps = _rb_maps(t, r)
     return RepBundle(algebra=subadjacent_ternary_fmanifold(induced_pre_fmanifold(t, r)),
-                     rho=rho, mu=mu)
+                     rho=BiRep.from_tensor(m, n, maps.tensor("rho_T")),
+                     mu=LinRep.from_tensor(m, n, maps.tensor("mu_T")))

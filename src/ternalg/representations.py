@@ -1,10 +1,13 @@
 """Representations of the algebra kinds, their checkers, duals and semidirect products.
 
-A representation pairs a module action mu (one matrix per basis vector) with
-a bracket action rho (a matrix per basis pair for ternary brackets, per basis
-vector for binary ones).  All checks quantify over algebra basis tuples and
-module basis vectors; the defect for a counterexample is the corresponding
-column of the failing matrix identity.
+A representation pairs a module action mu with a bracket action rho (of a
+basis pair for ternary brackets, of a basis vector for binary ones).  Each
+is stored once as a sparse `Tensor` of structure constants, like the
+algebra's own: the constant at (i, [j,] q, p) is row p, column q of the
+matrix of e_i [, e_j].  So `adjoint_rep` stores the algebra's bracket and
+product themselves, and `dual_rep` swaps the last two indices.  All checks
+quantify over algebra basis tuples and module basis vectors; the defect for
+a counterexample is the corresponding column of the failing matrix identity.
 
 Every condition is data in the term language of `structures`: a map with
 algebra slots (A) first and the module slot (V) last, built from `rho`:
@@ -58,63 +61,88 @@ from .structures import (
 
 
 @dataclass(frozen=True)
-class LinRep:
-    """mu: A -> End(V), stored as mats[i] = mu(e_i), each module_dim x module_dim."""
+class _Action:
+    """An action of the algebra (dim `algebra_dim`) on a module (dim
+    `module_dim`), stored once as a sparse `Tensor` on max(algebra_dim,
+    module_dim): its constant at (i, [j,] q, p) is row p, column q of the
+    matrix of e_i [, e_j], so that the action sends e_q to the sum over p.
+    `Cls(module_dim, mats)` converts dense matrices, `Cls.from_tensor`
+    takes the constants themselves, and `mats` is a dense view built on
+    each access."""
 
     module_dim: int
-    mats: tuple[Matrix, ...]
+    algebra_dim: int
+    tensor: Tensor
 
-    def __post_init__(self):
-        for m in self.mats:
-            if m.rows != self.module_dim or m.cols != self.module_dim:
+    def __init__(self, module_dim: int, mats):
+        n = len(mats)
+        if self.order == 3:
+            cells = [((i,), m) for i, m in enumerate(mats)]
+        elif any(len(row) != n for row in mats):
+            raise DimensionMismatch("rho grid does not match the algebra dimension")
+        else:
+            cells = [((i, j), m) for i, row in enumerate(mats) for j, m in enumerate(row)]
+        for _, m in cells:
+            if m.rows != module_dim or m.cols != module_dim:
                 raise DimensionMismatch(
-                    f"representation matrix is {m.rows}x{m.cols}, module dim is {self.module_dim}"
-                )
+                    f"representation matrix is {m.rows}x{m.cols}, module dim is {module_dim}")
+        self._set(n, module_dim, Tensor(max(n, module_dim), self.order, (
+            (head + (q, p), v) for head, m in cells for (p, q), v in m.nonzeros())))
 
-    @staticmethod
-    def zero(n: int, module_dim: int) -> "LinRep":
-        z = Matrix.zero(module_dim, module_dim)
-        return LinRep(module_dim, tuple(z for _ in range(n)))
+    def _set(self, algebra_dim: int, module_dim: int, tensor: Tensor):
+        if tensor.order != self.order or tensor.dim != max(algebra_dim, module_dim):
+            raise DimensionMismatch(f"an order-{tensor.order} tensor of dim {tensor.dim} is "
+                                    f"no action of dim {algebra_dim} on dim {module_dim}")
+        object.__setattr__(self, "module_dim", module_dim)
+        object.__setattr__(self, "algebra_dim", algebra_dim)
+        object.__setattr__(self, "tensor", tensor)
 
-    def of(self, x: Vec) -> Matrix:
-        out = Matrix.zero(self.module_dim, self.module_dim)
-        for i, xi in enumerate(x.entries):
-            if xi:
-                out = out + self.mats[i].scale(xi)
+    @classmethod
+    def from_tensor(cls, algebra_dim: int, module_dim: int, tensor: Tensor):
+        out = object.__new__(cls)
+        out._set(algebra_dim, module_dim, tensor)
         return out
 
+    @classmethod
+    def zero(cls, n: int, module_dim: int):
+        return cls.from_tensor(n, module_dim, Tensor(max(n, module_dim), cls.order, ()))
 
-@dataclass(frozen=True)
-class BiRep:
-    """rho: A x A -> End(V), stored as mats[i][j] = rho(e_i, e_j); skewness in
-    (i, j) is intended and validated by the checkers, never enforced."""
-
-    module_dim: int
-    mats: tuple[tuple[Matrix, ...], ...]
-
-    def __post_init__(self):
-        for row in self.mats:
-            for m in row:
-                if m.rows != self.module_dim or m.cols != self.module_dim:
-                    raise DimensionMismatch(
-                        f"representation matrix is {m.rows}x{m.cols}, "
-                        f"module dim is {self.module_dim}"
-                    )
-
-    @staticmethod
-    def zero(n: int, module_dim: int) -> "BiRep":
-        z = Matrix.zero(module_dim, module_dim)
-        return BiRep(module_dim, tuple(tuple(z for _ in range(n)) for _ in range(n)))
-
-    def of(self, x: Vec, y: Vec) -> Matrix:
-        out = Matrix.zero(self.module_dim, self.module_dim)
-        for i, xi in enumerate(x.entries):
-            if xi:
-                row = self.mats[i]
-                for j, yj in enumerate(y.entries):
-                    if yj:
-                        out = out + row[j].scale(xi * yj)
+    def grids(self) -> dict:
+        """The rows of the matrix of each index (i,) [or (i, j)] whose action
+        is nonzero, by increasing index."""
+        out: dict = {}
+        for idx, v in self.tensor.nonzeros():
+            if idx[:-2] not in out:
+                out[idx[:-2]] = [[ZERO] * self.module_dim for _ in range(self.module_dim)]
+            out[idx[:-2]][idx[-1]][idx[-2]] = v
         return out
+
+    @property
+    def mats(self):
+        nz, zero = self.grids(), Matrix.zero(self.module_dim, self.module_dim)
+        n = self.algebra_dim
+
+        def at(*head):
+            return Matrix(nz[head]) if head in nz else zero
+
+        if self.order == 3:
+            return tuple(at(i) for i in range(n))
+        return tuple(tuple(at(i, j) for j in range(n)) for i in range(n))
+
+
+class LinRep(_Action):
+    """mu: A -> End(V), or the rho of a binary bracket: an order-3 tensor;
+    `mats[i]` = mu(e_i) has row p, column q the constant at (i, q, p)."""
+
+    order = 3
+
+
+class BiRep(_Action):
+    """rho: A x A -> End(V): an order-4 tensor; `mats[i][j]` = rho(e_i, e_j)
+    has row p, column q the constant at (i, j, q, p).  Skewness in (i, j) is
+    intended and validated by the checkers, never enforced."""
+
+    order = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,17 +157,14 @@ class RepBundle:
         n = self.algebra.dim
         dims = set()
         if self.rho is not None:
-            if isinstance(self.rho, BiRep):
-                if len(self.rho.mats) != n or any(len(r) != n for r in self.rho.mats):
-                    raise DimensionMismatch("rho grid does not match the algebra dimension")
-            elif isinstance(self.rho, LinRep):
-                if len(self.rho.mats) != n:
-                    raise DimensionMismatch("rho list does not match the algebra dimension")
-            else:
+            if not isinstance(self.rho, (BiRep, LinRep)):
                 raise TypeError("rho must be a BiRep or LinRep")
+            if self.rho.algebra_dim != n:
+                shape = "grid" if isinstance(self.rho, BiRep) else "list"
+                raise DimensionMismatch(f"rho {shape} does not match the algebra dimension")
             dims.add(self.rho.module_dim)
         if self.mu is not None:
-            if len(self.mu.mats) != n:
+            if self.mu.algebra_dim != n:
                 raise DimensionMismatch("mu list does not match the algebra dimension")
             dims.add(self.mu.module_dim)
         if len(dims) > 1:
@@ -242,24 +267,10 @@ KIND_CONDITIONS: dict[RepKind, tuple[str, ...]] = {
 # checking
 
 
-def _action(x, dim: int) -> Optional[Tensor]:
-    """rho or mu as a sparse tensor: its constant at (i, [j,] q, p) is row p,
-    column q of the matrix of e_i [, e_j], so that the action sends e_q to
-    the sum over p.  `dim` bounds the algebra and the module indices alike."""
-    if isinstance(x, BiRep):
-        return Tensor(dim, 4, (((i, j, q, p), v) for i, row in enumerate(x.mats)
-                               for j, m in enumerate(row) for (p, q), v in m.nonzeros()))
-    if x is None:
-        return None
-    return Tensor(dim, 3, (((i, q, p), v) for i, m in enumerate(x.mats)
-                           for (p, q), v in m.nonzeros()))
-
-
 def _rep_layout(r: RepBundle, exact: bool):
-    """r's actions for `_ops`, over the tables of its algebra."""
-    dim = max(r.algebra.dim, r.module_dim)
-    tensors = {"rho" if isinstance(r.rho, BiRep) else "rho1": _action(r.rho, dim),
-               "mu": _action(r.mu, dim)}
+    """r's action tensors for `_ops`, over the tables of its algebra."""
+    tensors = {"rho" if isinstance(r.rho, BiRep) else "rho1": r.rho and r.rho.tensor,
+               "mu": r.mu and r.mu.tensor}
     return {"V": r.module_dim}, tensors, _ops(r.algebra, exact, _layout)
 
 
@@ -332,14 +343,18 @@ def adjoint_rep(a: AlgebraBundle) -> RepBundle:
     if a.bracket is None:
         raise MissingTensor("bracket", "adjoint_rep")
     n = a.dim
-    rho = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    mu = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (i, j, k, l), v in a.bracket.nonzeros():
-        rho[i][j][l][k] = v
-    for (i, k, l), v in a.product.nonzeros():
-        mu[i][l][k] = v
-    return RepBundle(algebra=a, rho=BiRep(n, tuple(tuple(map(Matrix, row)) for row in rho)),
-                     mu=LinRep(n, tuple(map(Matrix, mu))))
+    return RepBundle(algebra=a, rho=BiRep.from_tensor(n, n, a.bracket),
+                     mu=LinRep.from_tensor(n, n, a.product))
+
+
+def _transpose(x, sign: int):
+    """sign times the transpose of each matrix of the action x: its last
+    two indices swapped."""
+    if x is None:
+        return None
+    t = x.tensor
+    return type(x).from_tensor(x.algebra_dim, x.module_dim, Tensor(
+        t.dim, t.order, ((idx[:-2] + (idx[-1], idx[-2]), sign * v) for idx, v in t.nonzeros())))
 
 
 def dual_rep(r: RepBundle) -> RepBundle:
@@ -348,14 +363,7 @@ def dual_rep(r: RepBundle) -> RepBundle:
     The mu-component is -mu* (double negation), so applying dual_rep twice
     recovers the original matrices exactly.
     """
-    rho, mu = r.rho, r.mu
-    if isinstance(rho, BiRep):
-        rho = BiRep(rho.module_dim, tuple(tuple((-m).T for m in row) for row in rho.mats))
-    elif rho is not None:
-        rho = LinRep(rho.module_dim, tuple((-m).T for m in rho.mats))
-    if mu is not None:
-        mu = LinRep(mu.module_dim, tuple(m.T for m in mu.mats))
-    return RepBundle(algebra=r.algebra, rho=rho, mu=mu)
+    return RepBundle(algebra=r.algebra, rho=_transpose(r.rho, -1), mu=_transpose(r.mu, 1))
 
 
 def check_coherence(a: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckReport:
@@ -380,10 +388,10 @@ def semidirect(r: RepBundle) -> AlgebraBundle:
     rho, mu = _need_birep(r), _need_mu(r)
     n, m = a.dim, r.module_dim
     prod = list(a.product.nonzeros())
-    for (i, j, k), v in _action(mu, max(n, m)).nonzeros():
+    for (i, j, k), v in mu.tensor.nonzeros():
         prod += [((i, n + j, n + k), v), ((n + j, i, n + k), v)]
     brk = list(a.bracket.nonzeros())
-    for (i, j, k, l), v in _action(rho, max(n, m)).nonzeros():
+    for (i, j, k, l), v in rho.tensor.nonzeros():
         brk += [((i, j, n + k, n + l), v), ((i, n + k, j, n + l), -v), ((n + k, i, j, n + l), v)]
     labels = a.basis_labels + tuple(f"v{p + 1}" for p in range(m))
     return AlgebraBundle(n + m, product=Tensor(n + m, 3, prod), bracket=Tensor(n + m, 4, brk),
@@ -391,15 +399,15 @@ def semidirect(r: RepBundle) -> AlgebraBundle:
 
 
 def fix_slot_rep(r: RepBundle, anchor: Vec) -> RepBundle:
-    """rho_a(x) = rho(x, anchor) over the slot-fixed binary bundle."""
+    """rho_a(x) = rho(x, anchor) over the slot-fixed binary bundle: its
+    constant at (i, q, p) is the sum over j of anchor_j rho[i, j, q, p]."""
     rho = _need_birep(r)
     mu = _need_mu(r)
     fixed = fix_slot_bracket(r.algebra, anchor)  # checks the anchor's dim
-    rho_a = LinRep(
-        rho.module_dim,
-        tuple(rho.of(r.algebra.basis(i), anchor) for i in range(r.algebra.dim)),
-    )
-    return RepBundle(algebra=fixed, rho=rho_a, mu=mu)
+    rho_a = Tensor(rho.tensor.dim, 3, (((i, q, p), anchor[j] * v)
+                                       for (i, j, q, p), v in rho.tensor.nonzeros() if anchor[j]))
+    return RepBundle(algebra=fixed, rho=LinRep.from_tensor(rho.algebra_dim, rho.module_dim, rho_a),
+                     mu=mu)
 
 
 def rep_of_subadjacent(p: AlgebraBundle) -> RepBundle:

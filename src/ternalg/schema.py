@@ -37,7 +37,7 @@ from typing import Optional
 
 from .constructions import TraceFunctional
 from .errors import SchemaError
-from .linalg import InterMap, Matrix, Tensor3, Tensor4, Vec, parse_rational
+from .linalg import InterMap, Matrix, Tensor, Vec, parse_rational
 from .operators import BilinearForm
 from .representations import BiRep, LinRep, RepBundle
 from .structures import AlgebraBundle, CheckReport, dimension_cap
@@ -172,7 +172,8 @@ def _complete_skew(entries: dict[tuple[int, ...], Fraction], count: int,
     return out, filled
 
 
-def _parse_matrix(raw, where: str, rows: int, cols: int) -> Matrix:
+def _parse_matrix(raw, where: str, rows: int, cols: int) -> list[list[Fraction]]:
+    """The rows of a rows x cols matrix of document scalars."""
     if not isinstance(raw, list) or len(raw) != rows:
         raise SchemaError(f"{where}: expected {rows} rows")
     grid = []
@@ -180,7 +181,34 @@ def _parse_matrix(raw, where: str, rows: int, cols: int) -> Matrix:
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{where}[{i}]: expected {cols} entries")
         grid.append([parse_scalar(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-    return Matrix(grid)
+    return grid
+
+
+def _parse_action(raw, key: str, dim: int, m: int) -> list:
+    """The nonzeros (i, [j,] q, p) of rep.mu (key "mu") or rep.rho (key
+    "rho"): row p, column q of the m x m matrix of each index."""
+    where = f"rep.{key}"
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where}: expected a list")
+    nonzeros, seen = [], set()
+    for pos, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}[{pos}]: expected an object")
+        if key == "mu":
+            i = entry.get("index")
+            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
+                raise SchemaError(f"{where}[{pos}].index: out of range for dim {dim}")
+            idx, duplicate = (i,), f"duplicate index {i}"
+        else:
+            idx = _parse_indices(entry, f"{where}[{pos}]", 2, dim)
+            duplicate = f"duplicate indices {list(idx)}"
+        if idx in seen:
+            raise SchemaError(f"{where}[{pos}]: {duplicate}")
+        seen.add(idx)
+        grid = _parse_matrix(entry.get("matrix"), f"{where}[{pos}].matrix", m, m)
+        nonzeros += [(idx + (q, p), v) for p, row in enumerate(grid)
+                     for q, v in enumerate(row) if v]
+    return nonzeros
 
 
 def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]:
@@ -215,19 +243,19 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
     product = bracket = binary_bracket = None
     if "product" in data:
         entries = _parse_sparse(data["product"], "product", 3, dim)
-        product = Tensor3.from_nonzeros(dim, entries)
+        product = Tensor(dim, 3, entries)
     if "bracket" in data:
         entries = _parse_sparse(data["bracket"], "bracket", 4, dim)
         if complete_skew:
             entries, f = _complete_skew(entries, 3, "bracket")
             filled += f
-        bracket = Tensor4.from_nonzeros(dim, entries)
+        bracket = Tensor(dim, 4, entries)
     if "binary_bracket" in data:
         entries = _parse_sparse(data["binary_bracket"], "binary_bracket", 3, dim)
         if complete_skew:
             entries, f = _complete_skew(entries, 2, "binary_bracket")
             filled += f
-        binary_bracket = Tensor3.from_nonzeros(dim, entries)
+        binary_bracket = Tensor(dim, 3, entries)
 
     unit = None
     if "unit" in data:
@@ -255,37 +283,11 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
         _check_cap("rep.module_dim", m)
         mu = rho = None
         if "mu" in raw:
-            mats = [Matrix.zero(m, m)] * dim
-            seen = set()
-            if not isinstance(raw["mu"], list):
-                raise SchemaError("rep.mu: expected a list")
-            for pos, entry in enumerate(raw["mu"]):
-                if not isinstance(entry, dict):
-                    raise SchemaError(f"rep.mu[{pos}]: expected an object")
-                i = entry.get("index")
-                if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
-                    raise SchemaError(f"rep.mu[{pos}].index: out of range for dim {dim}")
-                if i in seen:
-                    raise SchemaError(f"rep.mu[{pos}]: duplicate index {i}")
-                seen.add(i)
-                mats[i] = _parse_matrix(entry.get("matrix"), f"rep.mu[{pos}].matrix", m, m)
-            mu = LinRep(m, tuple(mats))
+            mu = LinRep.from_tensor(dim, m, Tensor(max(dim, m), 3,
+                                                   _parse_action(raw["mu"], "mu", dim, m)))
         if "rho" in raw:
-            grid = [[Matrix.zero(m, m)] * dim for _ in range(dim)]
-            seen = set()
-            if not isinstance(raw["rho"], list):
-                raise SchemaError("rep.rho: expected a list")
-            for pos, entry in enumerate(raw["rho"]):
-                if not isinstance(entry, dict):
-                    raise SchemaError(f"rep.rho[{pos}]: expected an object")
-                idx = _parse_indices(entry, f"rep.rho[{pos}]", 2, dim)
-                if idx in seen:
-                    raise SchemaError(f"rep.rho[{pos}]: duplicate indices {list(idx)}")
-                seen.add(idx)
-                grid[idx[0]][idx[1]] = _parse_matrix(
-                    entry.get("matrix"), f"rep.rho[{pos}].matrix", m, m
-                )
-            rho = BiRep(m, tuple(tuple(row) for row in grid))
+            rho = BiRep.from_tensor(dim, m, Tensor(max(dim, m), 4,
+                                                   _parse_action(raw["rho"], "rho", dim, m)))
         try:
             rep = RepBundle(algebra=bundle, rho=rho, mu=mu)
         except Exception as exc:
@@ -306,14 +308,14 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
                 raise SchemaError(f"maps[{pos}].matrix: expected a nested list")
             rows = len(raw_m)
             cols = len(raw_m[0])
-            maps[name] = InterMap(_parse_matrix(raw_m, f"maps[{pos}].matrix", rows, cols))
+            maps[name] = InterMap(Matrix(_parse_matrix(raw_m, f"maps[{pos}].matrix", rows, cols)))
 
     form = None
     if "form" in data:
         raw = data["form"]
         if not isinstance(raw, dict):
             raise SchemaError("form: expected an object")
-        form = BilinearForm(_parse_matrix(raw.get("matrix"), "form.matrix", dim, dim))
+        form = BilinearForm(Matrix(_parse_matrix(raw.get("matrix"), "form.matrix", dim, dim)))
 
     return Document(bundle=bundle, rep=rep, maps=maps, form=form), filled
 
@@ -347,8 +349,8 @@ def _sparse_out(nonzeros) -> list:
     ]
 
 
-def _matrix_out(m: Matrix) -> list:
-    return [[_fmt_scalar(v) for v in row] for row in m.entries]
+def _matrix_out(rows) -> list:
+    return [[_fmt_scalar(v) for v in row] for row in rows]
 
 
 def document_to_obj(bundle: AlgebraBundle, rep: Optional[RepBundle] = None,
@@ -370,29 +372,21 @@ def document_to_obj(bundle: AlgebraBundle, rep: Optional[RepBundle] = None,
     if rep is not None:
         block: dict = {"module_dim": rep.module_dim}
         if rep.mu is not None:
-            block["mu"] = [
-                {"index": i, "matrix": _matrix_out(m)}
-                for i, m in enumerate(rep.mu.mats)
-                if not m.is_zero()
-            ]
+            block["mu"] = [{"index": i, "matrix": _matrix_out(rows)}
+                           for (i,), rows in rep.mu.grids().items()]
         if rep.rho is not None:
-            if isinstance(rep.rho, BiRep):
-                block["rho"] = [
-                    {"indices": [i, j], "matrix": _matrix_out(m)}
-                    for i, row in enumerate(rep.rho.mats)
-                    for j, m in enumerate(row)
-                    if not m.is_zero()
-                ]
-            else:
+            if not isinstance(rep.rho, BiRep):
                 raise SchemaError("only pair actions (BiRep) serialize in the rep block")
+            block["rho"] = [{"indices": [i, j], "matrix": _matrix_out(rows)}
+                            for (i, j), rows in rep.rho.grids().items()]
         out["rep"] = block
     if maps:
         out["maps"] = [
-            {"name": name, "matrix": _matrix_out(maps[name].matrix)}
+            {"name": name, "matrix": _matrix_out(maps[name].matrix.entries)}
             for name in sorted(maps)
         ]
     if form is not None:
-        out["form"] = {"matrix": _matrix_out(form.matrix)}
+        out["form"] = {"matrix": _matrix_out(form.matrix.entries)}
     return out
 
 

@@ -370,14 +370,14 @@ def _exact_ops(b: AlgebraBundle) -> _Ops:
 
 # The sorts of each operation's slots and value; `_submap` adds sub-maps'.
 # A is the algebra, V a module, B a homomorphism's target and k the scalars
-# (size 1): T is a relative Rota-Baxter map, N a Nijenhuis operator, form a
-# bilinear form, tau a trace, smul the scalar multiplication, f a
-# homomorphism and mulB, br3B, br2B the target's tensors.
+# (size 1): T is a relative Rota-Baxter map and Tinv its inverse, N a
+# Nijenhuis operator, form a bilinear form, tau a trace, smul the scalar
+# multiplication, f a homomorphism and mulB, br3B, br2B the target's tensors.
 _SIGNATURES = {
     "mul": ("AA", "A"), "br3": ("AAA", "A"), "br2": ("AA", "A"),
     "rho": ("AAV", "V"), "rho1": ("AV", "V"), "mu": ("AV", "V"),
-    "T": ("V", "A"), "N": ("A", "A"), "form": ("AA", "k"), "tau": ("A", "k"),
-    "smul": ("kA", "A"), "f": ("A", "B"),
+    "T": ("V", "A"), "Tinv": ("A", "V"), "N": ("A", "A"), "form": ("AA", "k"),
+    "tau": ("A", "k"), "smul": ("kA", "A"), "f": ("A", "B"),
     "mulB": ("BB", "B"), "br3B": ("BBB", "B"), "br2B": ("BB", "B"),
 }
 _TENSOR_SLOTS = (("mul", "product"), ("br3", "bracket"), ("br2", "binary_bracket"))
@@ -605,7 +605,7 @@ def _conditions() -> dict[str, Identity]:
     takes at most one nested term, so an operation applied to two images,
     such as T(p) * T(q), goes through a sub-map: mulT(p, T(q))."""
     mul, br3, br2, rho, mu, leib2 = map(_op, ("mul", "br3", "br2", "rho", "mu", "leib2"))
-    T, N, form, tau, smul, f = map(_op, ("T", "N", "form", "tau", "smul", "f"))
+    T, Tinv, N, form, tau, smul, f = map(_op, ("T", "Tinv", "N", "form", "tau", "smul", "f"))
     mulB, br3B, br2B = map(_op, ("mulB", "br3B", "br2B"))
     # relative Rota-Baxter: T(p) * y, mu(T(p)) q, [T(p), T(q), z], rho(T(p), T(q)) v;
     # muT and rhoTT are the induced product and bracket on the module
@@ -619,6 +619,11 @@ def _conditions() -> dict[str, Identity]:
     rhoxT = _submap("rhoxT", lambda x, p, v: rho(x, T(p), v))
     _submap("mu_T", lambda p, x: mulT(p, x) - T(mu(x, p)))
     _submap("rho_T", lambda p, q, x: br3TT(p, q, x) - T(rhoT(q, x, p)) - T(rhoxT(x, p, q)))
+    # the pre-structure on A of an invertible T: T(mu(x) Tinv y) and T(rho(x, y) Tinv z)
+    muTinv = _submap("muTinv", lambda x, y: mu(x, Tinv(y)))
+    rhoTinv = _submap("rhoTinv", lambda x, y, z: rho(x, y, Tinv(z)))
+    _submap("mul_pre", lambda x, y: T(muTinv(x, y)))
+    _submap("br3_pre", lambda x, y, z: T(rhoTinv(x, y, z)))
     # Nijenhuis: the deformed x o_N y and [x,y,z]_N, with N x * y, [N x, y, z],
     # [x, N y, z], [N x, N y, z] and the terms of [x,y,z]_N inside N
     mulN = _submap("mulN", lambda x, y: mul(N(x), y))

@@ -106,7 +106,7 @@ def _l_maps(r):
         if (i, j, k) not in memo:
             rij = rho.mats[i][j]
             mub = _mu_of(mu, br3(a, basis[i], basis[j], basis[k]))
-            rho_ip = rho.of(basis[i], mul(a, basis[j], basis[k]))
+            rho_ip = _comb(rho.mats[i], mul(a, basis[j], basis[k]), rho.module_dim)
             memo[i, j, k] = (
                 rij @ mu.mats[k] - mu.mats[k] @ rij - mub,
                 mu.mats[k] @ rij + mu.mats[j] @ rho.mats[i][k] - rho_ip,

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ternalg.cli import main
+from ternalg.representations import RepKind
 from ternalg.structures import StructureKind
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -298,10 +299,40 @@ CORRUPTIONS = [None] * 6 + [("schema_version", 2), ("dim", 0), ("dim", "3"), ("u
                             ("product", "x"), ("bracket", [{"indices": [0, 0, 0, 9]}])]
 
 
+def matrices(m):
+    """An m x m matrix of document scalars most of the time; otherwise one
+    a row or a column off, or not a nested list of the right shape."""
+    def square(rows, cols):
+        return st.lists(st.lists(VALUES, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows)
+
+    off = st.sampled_from([(m + 1, m + 1), (m, m + 1), (m + 1, m), (m - 1, m)])
+    return st.one_of(square(m, m), square(m, m), square(m, m),
+                     off.flatmap(lambda shape: square(*shape)),
+                     st.sampled_from(["x", None, [], ["1"] * m, [["1"] * m, ["1"]]]))
+
+
+@st.composite
+def rep_blocks(draw, n):
+    """A rep block on a module of dim 1-3 with a few mu and rho entries,
+    their indices now and then out of range."""
+    m = draw(st.integers(1, 3))
+    block = {"module_dim": m}
+    if draw(st.booleans()):
+        block["mu"] = draw(st.lists(st.fixed_dictionaries({
+            "index": st.integers(0, n), "matrix": matrices(m)}), max_size=3))
+    if draw(st.booleans()):
+        block["rho"] = draw(st.lists(st.fixed_dictionaries({
+            "indices": st.lists(st.integers(0, n - 1), min_size=2, max_size=2),
+            "matrix": matrices(m)}), max_size=3))
+    return block
+
+
 @st.composite
 def bundle_documents(draw):
     """Documents of dimension 1-3 with a few structure constants per tensor,
-    some values malformed, and now and then one broken field."""
+    some values malformed, now and then a rep block, and now and then one
+    broken field."""
     n = draw(st.integers(1, 3))
     doc = {"schema_version": 1, "dim": n}
     for key, arity in (("product", 3), ("bracket", 4), ("binary_bracket", 3)):
@@ -309,6 +340,8 @@ def bundle_documents(draw):
             doc[key] = draw(st.lists(st.fixed_dictionaries({
                 "indices": st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity),
                 "value": VALUES}), max_size=4))
+    if draw(st.sampled_from([True, False, False])):
+        doc["rep"] = draw(rep_blocks(n))
     corruption = draw(st.sampled_from(CORRUPTIONS))
     if corruption:
         doc[corruption[0]] = corruption[1]
@@ -316,20 +349,33 @@ def bundle_documents(draw):
 
 
 CHECK_KINDS = sorted(k.value for k in StructureKind) + ["coherence", "no-such-kind"]
+REP_CHECK_KINDS = sorted(k.value for k in RepKind) + ["no-such-kind"]
+
+
+def exits_cleanly(doc, args):
+    """`check` with args on doc exits 0, 1 or 2, with no traceback, and a
+    report whose verdict matches the exit code."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        pathlib.Path("doc.json").write_text(json.dumps(doc))
+        r = runner.invoke(main, ["check", *args, "doc.json"])
+    assert r.exception is None or isinstance(r.exception, SystemExit), r.exc_info
+    assert r.exit_code in (0, 1, 2)
+    if r.exit_code in (0, 1):
+        assert json.loads(r.stdout)["verdict"] == ("pass" if r.exit_code == 0 else "fail")
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(bundle_documents(), st.sampled_from(CHECK_KINDS), st.integers(-1, 3), st.booleans())
 def test_check_on_generated_documents_exits_cleanly(doc, kind, k, complete_skew):
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        pathlib.Path("doc.json").write_text(json.dumps(doc))
-        args = ["check", "--kind", kind, "-k", str(k), "doc.json"]
-        r = runner.invoke(main, args + (["--complete-skew"] if complete_skew else []))
-    assert r.exception is None or isinstance(r.exception, SystemExit), r.exc_info
-    assert r.exit_code in (0, 1, 2)
-    if r.exit_code in (0, 1):
-        assert json.loads(r.stdout)["verdict"] == ("pass" if r.exit_code == 0 else "fail")
+    exits_cleanly(doc, ["--kind", kind, "-k", str(k)]
+                  + (["--complete-skew"] if complete_skew else []))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bundle_documents(), st.sampled_from(REP_CHECK_KINDS), st.integers(-1, 3))
+def test_check_rep_on_generated_documents_exits_cleanly(doc, kind, k):
+    exits_cleanly(doc, ["--kind", kind, "--rep", "-k", str(k)])
 
 
 # -- console script wiring -------------------------------------------------------

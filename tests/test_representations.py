@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ternalg.catalog import fil4, fil4_adjoint, fil4_rb, trunc
-from ternalg.errors import MissingRep
+from ternalg.errors import DimensionMismatch, MissingRep
 from ternalg.linalg import Matrix, Tensor3, Tensor4, Vec
 from ternalg.operators import induced_pre_fmanifold
 from ternalg.representations import (
@@ -38,6 +38,16 @@ def f4():
 @pytest.fixture(scope="module")
 def adj(f4):
     return adjoint_rep(f4)
+
+
+def act(mats, x, *more):
+    """sum_i x_i mats[i]: an action's matrix at x, or, for a pair action,
+    at x and the vector in `more`."""
+    out = None
+    for c, m in zip(x.entries, mats):
+        m = act(m, *more) if more else m
+        out = m.scale(c) if out is None else out + m.scale(c)
+    return out
 
 
 def perturb_rho(rep, i, j, row, col, delta, keep_skew=True):
@@ -85,6 +95,51 @@ def test_rep_kind_requires_components(f4):
         check_representation("three-lie-rep", r)
 
 
+# -- construction errors --------------------------------------------------------
+
+def test_wrong_shaped_rep_matrix_is_refused():
+    z = Matrix.zero(2, 2)
+    with pytest.raises(DimensionMismatch):
+        LinRep(2, (z, Matrix.zero(2, 3)))
+    with pytest.raises(DimensionMismatch):
+        BiRep(2, ((z, Matrix.zero(3, 3)), (z, z)))
+
+
+def test_action_count_must_match_the_algebra_dim(f4):
+    z = Matrix.zero(2, 2)
+    with pytest.raises(DimensionMismatch):
+        RepBundle(algebra=f4, mu=LinRep(2, (z,) * 3))
+    with pytest.raises(DimensionMismatch):
+        RepBundle(algebra=f4, rho=LinRep(2, (z,) * 5))
+    with pytest.raises(DimensionMismatch):
+        RepBundle(algebra=f4, rho=BiRep(2, ((z,) * 4,) * 3))
+    with pytest.raises(DimensionMismatch):
+        RepBundle(algebra=f4, rho=BiRep(2, ((z,) * 4,) * 3 + ((z,) * 3,)))
+
+
+def test_rho_and_mu_must_agree_on_the_module_dim(f4):
+    with pytest.raises(DimensionMismatch):
+        RepBundle(algebra=f4, rho=BiRep.zero(4, 2), mu=LinRep.zero(4, 3))
+    with pytest.raises(DimensionMismatch):
+        RepBundle(algebra=f4, rho=LinRep.zero(4, 3), mu=LinRep.zero(4, 2))
+
+
+def test_rho_must_be_a_pair_or_single_action(f4):
+    with pytest.raises(TypeError):
+        RepBundle(algebra=f4, rho=LinRep.zero(4, 2).mats, mu=LinRep.zero(4, 2))
+
+
+def test_action_tensors_are_the_constants(adj, f4):
+    """The adjoint actions are the bracket and product themselves, equal to
+    their dense construction; a tensor of another order or dim is refused."""
+    assert adj.rho.tensor is f4.bracket and adj.mu.tensor is f4.product
+    assert adj.rho == BiRep(4, adj.rho.mats) and adj.mu == LinRep(4, adj.mu.mats)
+    with pytest.raises(DimensionMismatch):
+        BiRep.from_tensor(4, 4, f4.product)
+    with pytest.raises(DimensionMismatch):
+        LinRep.from_tensor(4, 6, f4.product)
+
+
 # -- L maps ---------------------------------------------------------------------
 
 def test_l1_with_zero_rho(f4):
@@ -92,14 +147,14 @@ def test_l1_with_zero_rho(f4):
     r = RepBundle(algebra=f4, rho=BiRep.zero(4, 4), mu=mu)
     rng = random.Random(3)
     x, y, z, u = (rand_vec(rng, 4) for _ in range(4))
-    assert l1(r, x, y, z, u) == -mu.of(f4.br3(x, y, z)).apply(u)
+    assert l1(r, x, y, z, u) == -act(mu.mats, f4.br3(x, y, z)).apply(u)
 
 
 def test_l2_with_zero_mu(adj):
     rng = random.Random(4)
     x, y, z, u = (rand_vec(rng, 4) for _ in range(4))
     a = adj.algebra
-    assert l2(adj, x, y, z, u) == -adj.rho.of(x, a.mul(y, z)).apply(u)
+    assert l2(adj, x, y, z, u) == -act(adj.rho.mats, x, a.mul(y, z)).apply(u)
     assert l2(adj, x, y, z, u).is_zero()  # fil4 product is zero
 
 
@@ -184,6 +239,17 @@ def test_dual_rep_involution(adj):
     dd = dual_rep(dual_rep(adj))
     assert dd.mu.mats == adj.mu.mats
     assert dd.rho.mats == adj.rho.mats
+
+
+def test_dual_rep_of_single_argument_action(adj, f4):
+    r = fix_slot_rep(adj, Vec([1, -2, 0, 3]))
+    assert any(not m.is_zero() for m in r.rho.mats)
+    d = dual_rep(r)
+    assert isinstance(d.rho, LinRep)
+    assert d.rho.mats == tuple((-m).T for m in r.rho.mats)
+    dd = dual_rep(d)
+    assert dd.rho == r.rho and dd.mu == r.mu
+    assert dd.rho.mats == r.rho.mats and dd.mu.mats == r.mu.mats
 
 
 def test_coadjoint_passes_rep_checker(adj):

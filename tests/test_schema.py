@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from ternalg import catalog
 from ternalg.errors import SchemaError
-from ternalg.linalg import Vec
+from ternalg.linalg import Matrix, Vec
 from ternalg.schema import (
     document_to_obj,
     dumps,
     parse_document,
     report_to_obj,
 )
+from ternalg.representations import BiRep, LinRep, RepBundle, check_representation
 from ternalg.structures import check_axioms
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -205,6 +207,39 @@ def test_rep_block_roundtrip():
     t = doc.require_map("T")
     assert t.src_dim == 3 and t.dst_dim == 3
     assert check_axioms("comm-assoc", doc.bundle).passed
+
+
+def seeded_rep(seed, n, m):
+    """A representation of trunc(n) on a module of dim m: seeded sparse
+    rational matrices, about a third of them zero."""
+    rng = random.Random(seed)
+
+    def mat():
+        if rng.random() < 0.3:
+            return Matrix.zero(m, m)
+        return Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5
+                        else 0 for _ in range(m)] for _ in range(m)])
+
+    rho = BiRep(m, tuple(tuple(mat() for _ in range(n)) for _ in range(n)))
+    mu = LinRep(m, tuple(mat() for _ in range(n)))
+    return RepBundle(algebra=catalog.trunc(n), rho=rho, mu=mu)
+
+
+@pytest.mark.parametrize("n, m", [(4, 2), (2, 4)])
+def test_rep_block_roundtrip_with_module_dim_other_than_dim(n, m):
+    """Actions on a module smaller and larger than the algebra parse back
+    equal, check the same, and dump the same bytes."""
+    rep = seeded_rep(n * 10 + m, n, m)
+    assert any(not x.is_zero() for x in rep.mu.mats)
+    assert any(not x.is_zero() for row in rep.rho.mats for x in row)
+    text = dumps(document_to_obj(rep.algebra, rep=rep))
+    back = roundtrip(json.loads(text)).require_rep()
+    assert back.rho == rep.rho and back.mu == rep.mu
+    assert back.rho.mats == rep.rho.mats and back.mu.mats == rep.mu.mats
+    assert dumps(document_to_obj(back.algebra, rep=back)) == text
+    for kind in ("three-lie-rep", "comm-assoc-rep", "ternary-fmanifold-rep"):
+        assert (check_representation(kind, back, max_counterexamples=3)
+                == check_representation(kind, rep, max_counterexamples=3))
 
 
 def test_trace_helper():

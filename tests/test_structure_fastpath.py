@@ -532,7 +532,8 @@ def _all_tensor_owners(seed, path=None):
                      mu=LinRep(m, mats(n, (11,))))
     single = RepBundle(algebra=b, rho=LinRep(m, mats(n, (13,))), mu=pair.mu)
     maps = {
-        "T": tensor(n, 2, (2, 5), (m, n)), "N": tensor(n, 2, (17,)),
+        "T": tensor(n, 2, (2, 5), (m, n)), "Tinv": tensor(n, 2, (43,), (n, m)),
+        "N": tensor(n, 2, (17,)),
         "form": tensor(n, 3, (19, 3), (n, n, 1)), "tau": tensor(n, 2, (23,), (n, 1)),
         "smul": Tensor(n, 3, [((0, i, i), 1) for i in range(n)]),
         "f": tensor(n, 2, (29,), (n, n2)), "mulB": tensor(n2, 3, (31,)),
