@@ -309,17 +309,29 @@ class Tensor:
         pairs of the nonzero constants there, by increasing j, each value
         times `scale` (an integer that clears every denominator, giving an
         int) when one is given.  The outer levels are lists."""
-        rows: dict = {}
-        for idx, v in self.constants:
-            rows.setdefault(idx[:-1], []).append(
-                (idx[-1], (v * scale).numerator if scale else v))
+        return nested_rows((self.dim,) * (self.order - 1),
+                           (idx + ((v * scale).numerator if scale else v,)
+                            for idx, v in self.constants))
 
-        def level(prefix):
-            if len(prefix) == self.order - 1:
-                return tuple(rows.get(prefix, ()))
-            return [level(prefix + (i,)) for i in range(self.dim)]
 
-        return level(())
+def nested_rows(sizes: Sequence[int], entries: Iterable[tuple]) -> list:
+    """The nested sparse rows of `entries` (i1, ..., ik, j, value) in rank
+    order, i1 ranging over sizes[0] and so on: rows[i1]...[ik] is the tuple
+    of the (j, value) pairs there.  Laid out in one pass: every last level
+    is a list [()] * sizes[-1] and only the rows with entries are set."""
+
+    def empty(d):
+        if d == len(sizes) - 1:
+            return [()] * sizes[d]
+        return [empty(d + 1) for _ in range(sizes[d])]
+
+    rows = empty(0)
+    for idx, run in itertools.groupby(entries, lambda e: e[:-2]):
+        level = rows
+        for i in idx[:-1]:
+            level = level[i]
+        level[idx[-1]] = tuple(e[-2:] for e in run)
+    return rows
 
 
 class _FixedOrder:

@@ -37,7 +37,7 @@ from typing import Optional
 
 from .constructions import TraceFunctional
 from .errors import SchemaError
-from .linalg import InterMap, Matrix, Tensor, Vec, parse_rational
+from .linalg import ZERO, InterMap, Matrix, Tensor, Vec, parse_rational
 from .operators import BilinearForm
 from .representations import BiRep, LinRep, RepBundle
 from .structures import AlgebraBundle, CheckReport, dimension_cap
@@ -173,14 +173,16 @@ def _complete_skew(entries: dict[tuple[int, ...], Fraction], count: int,
 
 
 def _parse_matrix(raw, where: str, rows: int, cols: int) -> list[list[Fraction]]:
-    """The rows of a rows x cols matrix of document scalars."""
+    """The rows of a rows x cols matrix of document scalars; the zeros 0
+    and "0", most entries of a sparse action's matrices, skip the parser."""
     if not isinstance(raw, list) or len(raw) != rows:
         raise SchemaError(f"{where}: expected {rows} rows")
     grid = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{where}[{i}]: expected {cols} entries")
-        grid.append([parse_scalar(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
+        grid.append([ZERO if type(x) is int and not x or x == "0"
+                     else parse_scalar(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
     return grid
 
 

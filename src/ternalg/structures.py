@@ -86,7 +86,7 @@ from .errors import (
     UnknownIdentity,
     UnknownKind,
 )
-from .linalg import ZERO, InterMap, Matrix, Tensor, Vec
+from .linalg import ZERO, InterMap, Matrix, Tensor, Vec, nested_rows
 
 log = logging.getLogger("ternalg")
 
@@ -304,27 +304,36 @@ class _Ops:
     first use.  A sub-map that needs no tensor beyond base's is built on base,
     so an algebra's sub-map tables serve its representations and operators.
 
-    Each table has two forms, each derived from the other on first use:
-    `tables` holds the nested rows the tuple scans read, `support` the list
-    of nonzeros (i1, ..., value index, value) in rank order, and `groups`
-    those nonzeros by the index at one position, for the contractions;
-    `counts` holds, for the planner, how many nonzeros have each index at
-    each position.  `path` forces "contract" or "tuples" on every plan made
-    on these tables and on those built over them; None lets `_plan` choose."""
+    A table has two forms: `tables` holds the nested rows the tuple scans
+    read, `support` the list of nonzeros (i1, ..., value index, value) in
+    rank order, and `groups` those nonzeros by the index at one position,
+    for the contractions; `counts` holds, for the planner, how many nonzeros
+    have each index at each position.  A tensor's rows are built at once
+    (shared with base when base holds the same tensor object), and its
+    support read off them on first use, a zero tensor's being [] at once.
+    A sub-map starts as its support; its rows are laid out from it when a
+    sweep first reads them.  `path` forces "contract" or "tuples" on every
+    plan made on these tables and on those built over them; None lets
+    `_plan` choose."""
 
-    __slots__ = ("sizes", "scales", "tables", "support", "groups", "counts", "base", "path")
+    __slots__ = ("sizes", "scales", "tensors", "tables", "support", "groups", "counts",
+                 "base", "path")
 
     def __init__(self, sizes: dict, tensors: dict, exact: bool, base: Optional["_Ops"] = None,
                  path: Optional[str] = None):
         tensors = {op: t for op, t in tensors.items() if t is not None}
         scales = {op: 1 if exact else t.den_lcm() for op, t in tensors.items()}
-        tables = {op: t.table(None if exact else scales[op]) for op, t in tensors.items()}
+        shared = {id(t): base.tables[op] for op, t in base.tensors.items()} if base else {}
+        tables = {op: shared.get(id(t)) or t.table(None if exact else scales[op])
+                  for op, t in tensors.items()}
         self.base = base
         self.path = path or (base.path if base else None)
         self.sizes = {**base.sizes, **sizes} if base else {"k": 1, **sizes}
         self.scales = {**base.scales, **scales} if base else scales
+        self.tensors = {**base.tensors, **tensors} if base else tensors
         self.tables = {**base.tables, **tables} if base else tables
-        self.support, self.groups, self.counts = {}, {}, {}
+        self.support = {op: [] for op, t in tensors.items() if t.is_zero()}
+        self.groups, self.counts = {}, {}
 
 
 def _dims(sizes: dict) -> str:
@@ -882,7 +891,9 @@ def _source(m: Identity, mode: str, blocks=()) -> tuple[str, list]:
     out being m's dense value there; with certified `blocks`, t ranges over
     the tuples whose values rise along each block, strictly in an
     alternating one: the smallest member of every orbit.  In mode "table",
-    build() returns m's nested sparse rows over every tuple.  `sizes` holds
+    build() returns m's nonzeros over every tuple, (x0, ..., l, v) in rank
+    order: its support, from which `_table` lays out the nested rows that
+    sweeps read.  `sizes` holds
     the size of each slot's range, `size` the value's, and the tables are
     named by operation.  Both run one loop nest; a prefix of a table that
     the loops below it index again is bound to a local at the depth where
@@ -930,27 +941,21 @@ def _source(m: Identity, mode: str, blocks=()) -> tuple[str, list]:
     start = {s: f"x{prev}{' + 1' if sign < 0 else ''}, "
              for slots, sign in blocks for prev, s in zip(slots, slots[1:])}
 
-    sweep, last = mode == "sweep", m.arity - 1
-
-    def rows(d):  # a table's level d: its last level holds a row per tuple, () until set
-        return f"t{d} = {'[]' if d < last else f'[()] * sizes[{last}]'}"
-
+    sweep, xs = mode == "sweep", ", ".join(f"x{s}" for s in range(m.arity))
     src = [f"def make(sizes, size, {', '.join(deps)}):",
            f"    def {'sweep' if sweep else 'build'}():",
-           "        out, zero = [0] * size, [0] * size"] + ([] if sweep else ["        " + rows(0)])
+           "        out, zero = [0] * size, [0] * size"] + ([] if sweep else ["        entries = []"])
     for d in range(m.arity):
         pad = "        " + "    " * d
         src += [f"{pad}for x{d} in range({start.get(d, '')}sizes[{d}]):"]
         src += [f"{pad}    {h}" for h in defs[d + 1]]
-        if not sweep and d < last:
-            src += [f"{pad}    {rows(d + 1)}", f"{pad}    t{d}.append(t{d + 1})"]
     if sweep:
-        keep = f"yield ({', '.join(f'x{s}' for s in range(m.arity))},), out"
+        keep = f"yield ({xs},), out"
     else:
-        keep = f"t{last}[x{last}] = tuple([(l, v) for l, v in enumerate(out) if v])"
+        keep = f"entries += [({xs}, l, v) for l, v in enumerate(out) if v]"
     pad = "        " + "    " * m.arity
     src += [pad + s for s in lines + ["if out != zero:", "    " + keep, "    out = [0] * size"]]
-    src += ["    return sweep"] if sweep else ["        return t0", "    return build"]
+    src += ["    return sweep"] if sweep else ["        return entries", "    return build"]
     return "\n".join(src) + "\n", deps
 
 
@@ -1114,10 +1119,6 @@ def _rank(t: tuple, sizes: tuple[int, ...]) -> int:
     return r
 
 
-def _entries(tab) -> int:
-    return sum(map(_entries, tab)) if isinstance(tab, list) else len(tab)
-
-
 def _shape(ops: _Ops, m: Identity) -> tuple[tuple[int, ...], int]:
     """The size of each slot's range of m, and of its value, on ops."""
     return tuple(ops.sizes[s] for s in m.sorts), ops.sizes[m.out]
@@ -1134,26 +1135,17 @@ def _built(ops: _Ops, op: str) -> _Ops:
 
 
 def _table(ops: _Ops, op: str):
-    """The nested sparse rows of a tensor or sub-map."""
+    """The nested sparse rows of a tensor or sub-map: a sub-map's are laid
+    out from its support when a sweep first reads them."""
     home = _built(ops, op)
     if op not in home.tables:
-        rows: dict = {}
-        for e in home.support[op]:
-            rows.setdefault(e[:-2], []).append(e[-2:])
-        sizes = _shape(home, _SUBMAPS[op])[0]
-
-        def level(prefix):
-            if len(prefix) == len(sizes):
-                return tuple(rows.get(prefix, ()))
-            return [level(prefix + (i,)) for i in range(sizes[len(prefix)])]
-
-        home.tables[op] = level(())
+        home.tables[op] = nested_rows(_shape(home, _SUBMAPS[op])[0], home.support[op])
     return home.tables[op]
 
 
 def _support(ops: _Ops, op: str) -> list:
     """The nonzeros (i1, ..., value index, value) of a tensor or sub-map, in
-    rank order."""
+    rank order: a sub-map's as built, a tensor's read off its nested rows."""
     home = _built(ops, op)
     if op not in home.support:
         nodes = [((), home.tables[op])]
@@ -1166,29 +1158,14 @@ def _support(ops: _Ops, op: str) -> list:
 
 def _counts(ops: _Ops, op: str) -> list:
     """For each position of op's nonzeros, the value's last, how many have
-    each index there; read off the nested rows when op has them."""
+    each index there."""
     home = _built(ops, op)
     hit = home.counts.get(op)
     if hit is None:
-        arity = len(_SIGNATURES[op][0])
-        hit = home.counts[op] = [{} for _ in range(arity + 1)]
-        if op not in home.tables:
-            for e in home.support[op]:
-                for q, hist in enumerate(hit):
-                    hist[e[q]] = hist.get(e[q], 0) + 1
-            return hit
-        nodes = [((), home.tables[op])]
-        for _ in range(arity - 1):
-            nodes = [(idx + (i,), sub) for idx, node in nodes for i, sub in enumerate(node)]
-        last, values = hit[-2], hit[-1]
-        for idx, node in nodes:
-            for i, row in enumerate(node):
-                if row:
-                    for q, j in enumerate(idx):
-                        hit[q][j] = hit[q].get(j, 0) + len(row)
-                    last[i] = last.get(i, 0) + len(row)
-                    for l, _ in row:
-                        values[l] = values.get(l, 0) + 1
+        hit = home.counts[op] = [{} for _ in range(len(_SIGNATURES[op][0]) + 1)]
+        for e in _support(home, op):
+            for q, hist in enumerate(hit):
+                hist[e[q]] = hist.get(e[q], 0) + 1
     return hit
 
 
@@ -1270,22 +1247,29 @@ def _plan(ops: _Ops, m: Identity, rows: int) -> bool:
 
 
 def _tabulate(ops: _Ops, op: str) -> None:
-    """Build the table of the sub-map op on ops, by the path `_plan` picks:
-    its nonzeros by contraction, or its nested rows by a tuple scan."""
+    """Build the support of the sub-map op on ops.  Each term is a product
+    of its factors' entries, its operation's and its nested one's, so when
+    every term has an empty factor (support [], a zero tensor's from the
+    start, a sub-map's once built) the support is empty, and no plan or
+    scanner is made; a forced `path` builds it by that path all the same.
+    Otherwise by the path `_plan` picks: a contraction or a tuple scan."""
     sub = _SUBMAPS[op]
     sizes = _shape(ops, sub)[0]
     start = time.perf_counter()
-    if _plan(ops, sub, prod(sizes)):
+    factors = [[o] + [a[0] for a in args if not isinstance(a, int)] for _, (o, args) in sub.terms]
+    if not ops.path and all(any(_built(ops, f).support.get(f) == [] for f in term)
+                            for term in factors):
+        entries, path = [], "an empty factor in every term"
+    elif _plan(ops, sub, prod(sizes)):
         chunk, entries = _make_scanner(ops, sub, "contract"), []
         for x0 in range(sizes[0]):
             entries += sorted(k + (v,) for k, v in chunk(x0)[0].items() if v)
-        ops.support[op], path = entries, "contraction"
+        path = "contraction"
     else:
-        ops.tables[op], path = _make_scanner(ops, sub, "table")(), "tuple scan"
-    if log.isEnabledFor(logging.DEBUG):
-        count = len(ops.support[op]) if op in ops.support else _entries(ops.tables[op])
-        log.debug("built %s table, %s: %d entries, scale %d, by %s in %.4f s", op,
-                  _dims(ops.sizes), count, _scale(ops, op), path, time.perf_counter() - start)
+        entries, path = _make_scanner(ops, sub, "table")(), "tuple scan"
+    ops.support[op] = entries
+    log.debug("built %s table, %s: %d entries, scale %d, by %s in %.4f s", op,
+              _dims(ops.sizes), len(entries), _scale(ops, op), path, time.perf_counter() - start)
 
 
 def _submap_tensor(ops: _Ops, name: str) -> Tensor:

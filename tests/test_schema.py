@@ -14,6 +14,7 @@ from ternalg.schema import (
     document_to_obj,
     dumps,
     parse_document,
+    parse_scalar,
     report_to_obj,
 )
 from ternalg.representations import BiRep, LinRep, RepBundle, check_representation
@@ -266,3 +267,24 @@ def test_report_document_shape():
     assert "timing_ms" not in obj
     obj2 = report_to_obj(report, timing_ms=1.25)
     assert obj2["timing_ms"] == 1.25
+
+
+@pytest.mark.parametrize("x", [0, "0", False, "00", "0/0", "-0", 0.0, [0]])
+def test_rep_matrix_zeros_keep_their_outcomes(x):
+    """The entries 0 and "0" skip the scalar parser in a matrix; every other
+    spelling of zero parses, or is refused with its message, as
+    `parse_scalar` alone would have it."""
+    obj = {"schema_version": 1, "dim": 2, "product": [],
+           "rep": {"module_dim": 2, "mu": [{"index": 0, "matrix": [[x, 0], ["0", "1/2"]]}],
+                   "rho": []}}
+    where = "rep.mu[0].matrix[0][0]"
+    try:
+        want = parse_scalar(x, where)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            parse_document(obj)
+        assert str(got.value) == str(exc)
+        return
+    assert want == 0
+    mu = parse_document(obj)[0].require_rep().mu
+    assert mu.tensor.nonzeros() == (((0, 1, 1), Fraction(1, 2)),)

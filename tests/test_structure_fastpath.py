@@ -653,6 +653,101 @@ def test_contraction_is_L_times_the_exact_value_on_interacting_tables(case):
     assert {"leib3", "kmap", "L1", "L2", "L3", "coh1"} <= nonzero, sorted(nonzero)
 
 
+# inputs for the support-first tables: sparse sd and sd2 (zero product, so
+# every sub-map with a product factor in each term is empty), a dense change
+# of basis of direct_sum(fil4, trunc(4)) as perfbench's dense8 is built, and
+# the interacting bundles
+SUPPORT_FIRST = {
+    "sd": lambda: semidirect(adjoint_rep(fil4())),
+    "sd16": lambda: direct_sum(*[semidirect(adjoint_rep(fil4()))] * 2),
+    "dense8": lambda: dense(direct_sum(fil4(), trunc(4))),
+    **INTERACTING,
+}
+
+
+def sub_map_tables(b):
+    """{(owner, name): (support, nested rows)} of every sub-map b and its
+    adjoint representation have the tensors for, built by the plans made
+    on their integer tables."""
+    out = {}
+    for side, (owner, layout) in enumerate(((b, structures._layout),
+                                            (adjoint_rep(b), _rep_layout))):
+        ops = structures._ops(owner, False, layout)
+        for name, m in structures._SUBMAPS.items():
+            if m.tensors <= ops.tables.keys() and (side == 0 or m.tensors & {"rho", "mu"}):
+                out[side, name] = (structures._support(ops, name), structures._table(ops, name))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(SUPPORT_FIRST))
+def test_support_first_tables_equal_both_forced_paths(case, caplog):
+    """Every sub-map table as planned, a support built by the empty-factor
+    rule or by the path `_plan` picks and nested rows laid out from it,
+    equals the tables the forced tuple scan and contraction build."""
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        planned = sub_map_tables(SUPPORT_FIRST[case]())
+    for path in PATHS:
+        assert sub_map_tables(forced(SUPPORT_FIRST[case](), path)) == planned, path
+    assert {name for _, name in planned} >= {"leib3", "kmap", "f1", "L1", "L3"}
+    ruled = {t.split()[1] for t in (r.getMessage() for r in caplog.records)
+             if t.startswith("built ") and " by an empty factor in every term " in t}
+    empty = {name for (_, name), (support, _) in planned.items() if not support}
+    assert ruled <= empty
+    if case in ("sd", "sd16"):
+        assert {"leib3", "kmap", "L1"} <= ruled, sorted(ruled)
+
+
+def test_partly_empty_sub_map_is_still_scanned(caplog):
+    """mu_T = mulT(p, x) - T(mu(x, p)) with mu = 0 and T != 0: only its second
+    term has an empty factor, so its table is built by a plan, and equals
+    both forced paths."""
+    def owner(path=None):
+        b = noncoherent_tfm(*NONCOHERENT_A)
+        if path:
+            forced(b, path)
+        r = RepBundle(algebra=b, rho=BiRep.from_tensor(4, 4, b.bracket), mu=LinRep.zero(4, 4))
+        return structures._Maps(r, _rep_layout, {}, {"T": Tensor(4, 2, {(0, 0): 1, (1, 2): 1})})
+
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        ops = structures._ops(owner(), False, structures._Maps.layout)
+        support = structures._support(ops, "mu_T")
+    assert support and structures._support(ops, "mu") == [] and structures._support(ops, "mulT")
+    built = [r.getMessage() for r in caplog.records if r.getMessage().startswith("built mu_T ")]
+    assert len(built) == 1 and " by tuple scan in " in built[0], built
+    for path in PATHS:
+        fast = structures._ops(owner(path), False, structures._Maps.layout)
+        assert structures._support(fast, "mu_T") == support, path
+
+
+def test_empty_leib3_on_sd2_compiles_no_table_builder(caplog, monkeypatch):
+    """sd2's product is zero, so every term of leib3 has an empty factor:
+    its support is [] without a plan or a generated table builder."""
+    monkeypatch.setattr(structures, "_COMPILED", {})
+    sd = semidirect(adjoint_rep(fil4()))
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        assert check_axioms("ternary-f-manifold", direct_sum(sd, sd)).passed
+    text = [r.getMessage() for r in caplog.records]
+    assert not any(t.startswith("generated table builder for leib3") for t in text)
+    assert not any(t.startswith("plan leib3,") for t in text)
+    assert any(t.startswith("built leib3 table, dim 16: 0 entries, scale 1, "
+                            "by an empty factor in every term in ") for t in text)
+
+
+def test_adjoint_representation_shares_the_algebra_tables():
+    """adjoint_rep keeps the algebra's bracket and product themselves, so
+    its rho and mu tables are the algebra's br3 and mul tables, exact and
+    integer."""
+    sd = semidirect(adjoint_rep(fil4()))
+    b = direct_sum(sd, sd)
+    r = adjoint_rep(b)
+    for exact in (False, True):
+        base = structures._ops(b, exact, structures._layout)
+        ops = structures._ops(r, exact, _rep_layout)
+        assert ops.base is base
+        assert ops.tables["rho"] is base.tables["br3"]
+        assert ops.tables["mu"] is base.tables["mul"]
+
+
 def test_sweep_keeps_no_value_it_handed_on():
     """comm on a product with e1 e2 = e1 but e2 e1 = 0, and e1 e3 = e3 e1 =
     e2: nonzero at (0, 1) and (1, 0), and zero at (0, 2) between them only
@@ -665,8 +760,8 @@ def test_sweep_keeps_no_value_it_handed_on():
     comm = IDENTITIES["comm"]
     assert list(structures._make_scanner(ops, comm)()) == [((0, 1), [1, 0, 0]),
                                                            ((1, 0), [-1, 0, 0])]
-    rows = structures._make_scanner(ops, comm, "table")()
-    assert rows == [[(), ((0, 1),), ()], [((0, -1),), (), ()], [(), (), ()]]
+    entries = structures._make_scanner(ops, comm, "table")()
+    assert entries == [(0, 1, 0, 1), (1, 0, 0, -1)]
 
 
 def test_malformed_definitions_rejected():
@@ -687,8 +782,9 @@ def test_malformed_definitions_rejected():
 # -- the generated code, pinned ------------------------------------------------------
 # sha256 of `_source` for every identity and representation condition (the
 # sweep over every tuple) and every sub-map (the table builder), computed
-# when both became one loop nest with a reused buffer: on integer tables the
-# tuple scans run this code.
+# when both became one loop nest with a reused buffer, the table builders'
+# again when they began to emit their nonzeros: on integer tables the tuple
+# scans run this code.
 
 SWEEP_SOURCES = {
     "comm": "d4009251260eba1a4dc7d8ef048fc88e561e8201cb45fd98bfa73c3f472710bd",
@@ -727,19 +823,19 @@ SWEEP_SOURCES = {
     "corep-3": "f9fec571413282795fe8da2f6faec83d71665d56bf9aa53df94665ae66e3bb83",
 }
 TABLE_BUILDER_SOURCES = {
-    "symmul": "042fd9fbd4451ba24d6764b32c780e32fc037472ba4767423bd972009fe3b15a",
-    "cyc3": "b0044a2949e1acd08e39f8444b8255e5cea65b13343afae1ec15d87a6370c983",
-    "leib3": "846c9006a9c6424e3e30a49a1142682c5e7d695fd14f8ea99f42de8b3b5b2192",
-    "leib2": "cb2a7c579eaef7ee0fec62d9898c0861ea5ab51b9c93f53c83d3c19883e3f13f",
-    "kmap": "e4420eb0a5624d10b19d6e2f3bfe4b5732d627b84319263bc2f7d028972d646c",
-    "f1": "1c6756176ee1bfb93f43a45380889cf96d6a0e1526cf02c774a0bf293e21abea",
-    "f2": "2ee0324e08c2a85f11bcc0ac4fd9d67f154fa18532db2fb7ccae13738221d7c1",
-    "leib3_sub": "fd3c3b7746e4cbde76916fb03cd21cb75b5dbe6985b695cda6c2f99042321c02",
-    "L1": "30eeeab57d25d435563ef315c0c295161a801c22eadbde4015c4b9de8fdbefe5",
-    "L2": "69e052f4e984ed5dbf2f5c81b4706261adfdbf3e477a261f148329fe3be5ea10",
-    "L3": "d9bb26806bc021bb2a4ceda6c2299f3f8e20adaf598303c5d24cb81540c02a59",
-    "L1b": "03d3cc7aa8b0656097af53c9544db363b6ebaaccaf32578a93f17d9455bdeb98",
-    "L2b": "c645663902a0dce20daeb93abaef3f818b443c3f8539a7283589a633b695efb3",
+    "symmul": "f0f0f749e86b091b09085ea59bcffe5175bd16807bcba27b05f7fb0f99dc6f6e",
+    "cyc3": "0b2e61aa5161a1ea06b8bfaa0f6342489c60f73e084e3e9d68ef34482dbc36bc",
+    "leib3": "9f9cc25aa6957e52f711b2eea592b05911fde5a7442535ec450e19b59d81df87",
+    "leib2": "9f930e1f974465dae7f0c1781ea24e475d9d69ef325728b7807c97ebe37d1965",
+    "kmap": "87373a248e5785333761a31a9ee345e917334d4ed9ac20e7c6d7e2b1a34d8e40",
+    "f1": "6ece4f4b584615916a4a2148ec5415bcf8a95d3d3e4467a2615e28df62113ea9",
+    "f2": "87c4e7176c3e2b4d11c3a2d1447fb13629194b6e3015d2347ecc1542b57b42fd",
+    "leib3_sub": "aa2be310d1a50674e8561e608aa8adaa53b371fba788d2e27a8d682ab64bf348",
+    "L1": "2e01a33d9abe4fe146ce81b714dabc895c6cfb8f1a541d55fb2f4de545816a40",
+    "L2": "d08c015c65d43dc68c4b9628816fe5ca1f5858cd778179418c9e28d39326024a",
+    "L3": "1fc5c60ddee962ba5a56141433055ee3db52b49b4c3fa733002b225685dbc807",
+    "L1b": "b288efd34c6d2896a755ffef35757837029050caf0ccaff09b839ee6fdd41f77",
+    "L2b": "26780dc6eb907c654ccdccd973272d9f99223678f2af5909f1f68406c8e4f80f",
 }
 
 
