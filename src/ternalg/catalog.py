@@ -8,44 +8,21 @@ as user bundles (see `ternalg.schema`), exported under fixtures/.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .constructions import TraceFunctional
 from .errors import BundleError, SchemaError
 from .linalg import InterMap, Matrix, Tensor3, Tensor4, Vec
 from .operators import BilinearForm
 from .representations import RepBundle, adjoint_rep
-from .schema import document_to_obj
+from .schema import _complete_skew, document_to_obj
 from .structures import AlgebraBundle
 
 
 def _alternating_tensor4(n: int, generators: dict[tuple[int, int, int], dict[int, object]]):
     """Extend bracket generators to all index permutations by skew-symmetry."""
-    nonzeros = {}
-    for (i, j, k), row in generators.items():
-        for (a, b, c), sign in _signed_perms(i, j, k):
-            for l, v in row.items():
-                nonzeros[(a, b, c, l)] = sign * Fraction(v)
-    return Tensor4.from_nonzeros(n, nonzeros)
-
-
-def _signed_perms(i, j, k):
-    base = (i, j, k)
-    seen = set()
-    out = []
-    for perm in permutations(range(3)):
-        idx = tuple(base[p] for p in perm)
-        if idx in seen:
-            continue
-        seen.add(idx)
-        sign = 1
-        lst = list(perm)
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if lst[a] > lst[b]:
-                    sign = -sign
-        out.append((idx, sign))
-    return out
+    entries = {(i, j, k, l): Fraction(v)
+               for (i, j, k), row in generators.items() for l, v in row.items()}
+    return Tensor4.from_nonzeros(n, _complete_skew(entries, 3, "bracket")[0])
 
 
 def fil4() -> AlgebraBundle:

@@ -282,14 +282,6 @@ class Tensor:
         object.__setattr__(self, "constants", tuple(values.items()))
         object.__setattr__(self, "_values", values)
 
-    @staticmethod
-    def from_images(dim: int, order: int, image: Callable[..., Vec]) -> "Tensor":
-        """The tensor whose constants at (i1, ..., i(k-1), j) are the
-        coordinates j of image(i1, ..., i(k-1)), its value at basis vectors."""
-        return Tensor(dim, order, ((idx + (j,), v)
-                                   for idx in itertools.product(range(dim), repeat=order - 1)
-                                   for j, v in enumerate(image(*idx)) if v))
-
     def nonzeros(self):
         return self.constants
 
@@ -371,6 +363,13 @@ class InterMap:
     @property
     def dst_dim(self) -> int:
         return self.matrix.rows
+
+    @property
+    def tensor(self) -> Tensor:
+        """The map as an order-2 tensor on the larger of its two spaces:
+        its constant at (j, i) is row i, column j of the matrix."""
+        return Tensor(max(self.dst_dim, self.src_dim), 2,
+                      (((j, i), v) for (i, j), v in self.matrix.nonzeros()))
 
     def apply(self, v: Vec) -> Vec:
         return self.matrix.apply(v)

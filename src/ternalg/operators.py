@@ -7,8 +7,10 @@ beside the algebra's tensors and the actions, and scanned by the generated
 integer loops like every identity.  A checker keeps only its preconditions;
 the builders read the same registry's sub-map tables (muT and rhoTT, the
 induced product and bracket; mu_T and rho_T, the representation induced on
-A; mul_pre and br3_pre over T^-1; mul_N and br3_N, the deformed ones), so
-each formula is written once.
+A; mul_pre and br3_pre over T^-1, for an invertible T and for the symplectic
+pre-structure, whose T is the inverse musical map on the coadjoint
+representation; mul_N and br3_N, the deformed ones), so each formula is
+written once.
 
 Builders re-verify the operator identity they rely on (fail fast with the
 failing report attached); they do not re-check ambient axioms, so perturbed
@@ -41,12 +43,12 @@ from .representations import (
     _rep_layout,
     adjoint_rep,
     check_coherence,
+    dual_rep,
 )
 from .structures import (
     AlgebraBundle,
     CheckReport,
     _layout,
-    _map_tensor,
     _Maps,
     run_conditions,
 )
@@ -61,7 +63,7 @@ def _check_map_dims(t: InterMap, r: RepBundle, context: str):
 
 
 def _rb_maps(t: InterMap, r: RepBundle) -> _Maps:
-    return _Maps(r, _rep_layout, {}, {"T": _map_tensor(t.matrix)})
+    return _Maps(r, _rep_layout, {}, {"T": t.tensor})
 
 
 def _check_rb(kind: str, names: tuple[str, ...], t: InterMap, r: RepBundle,
@@ -151,6 +153,13 @@ def rb_induced_pre(R: InterMap, a: AlgebraBundle) -> AlgebraBundle:
                          basis_labels=a.basis_labels)
 
 
+def _pre_structure(t: InterMap, t_inv: InterMap, r: RepBundle) -> AlgebraBundle:
+    """x <> y = T(mu(x) T^-1 y) and {x,y,z} = T(rho(x,y) T^-1 z) on A."""
+    maps = _Maps(r, _rep_layout, {}, {"T": t.tensor, "Tinv": t_inv.tensor})
+    return AlgebraBundle(r.algebra.dim, product=maps.tensor("mul_pre"),
+                         bracket=maps.tensor("br3_pre"), basis_labels=r.algebra.basis_labels)
+
+
 def invertible_rb_to_pre(t: InterMap, r: RepBundle) -> AlgebraBundle:
     """Pre-structure on A itself: x <> y = T(mu(x) T^-1 y), {x,y,z} = T(rho(x,y) T^-1 z).
 
@@ -159,10 +168,7 @@ def invertible_rb_to_pre(t: InterMap, r: RepBundle) -> AlgebraBundle:
     report = check_relative_rb(t, r)
     if not report.passed:
         raise NotRelativeRB("map fails the relative Rota-Baxter identities", report)
-    maps = _Maps(r, _rep_layout, {}, {"T": _map_tensor(t.matrix),
-                                       "Tinv": _map_tensor(invert(t.matrix))})
-    return AlgebraBundle(r.algebra.dim, product=maps.tensor("mul_pre"),
-                         bracket=maps.tensor("br3_pre"), basis_labels=r.algebra.basis_labels)
+    return _pre_structure(t, InterMap(invert(t.matrix)), r)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +242,8 @@ def check_symplectic(b: BilinearForm, a: AlgebraBundle, *,
 def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
     """Pre-structure defined by B(x<>y, z) = B(y, x z) and B({x,y,z},u) = -B(z,[x,y,u]).
 
-    Solved columnwise through the inverse musical map; requires a coherent
+    It is the pre-structure of the invertible relative Rota-Baxter operator
+    T = (B flat)^-1 on the coadjoint representation; requires a coherent
     bundle, a skew form passing both form checks, and an invertible musical map.
     """
     coh = check_coherence(a)
@@ -249,21 +256,8 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
     c2 = check_symplectic(b, a)
     if not c2.passed:
         raise NotSymplectic("form fails the symplectic identity", c2)
-    sharp_inv = invert(b.musical())
-    n = a.dim
-    basis = a.basis_vectors()
-
-    def diamond(i, j):
-        g = Vec([b.value(basis[j], a.mul(basis[i], basis[k])) for k in range(n)])
-        return sharp_inv.apply(g)
-
-    def ternary(i, j, k):
-        h = Vec([-b.value(basis[k], a.br3(basis[i], basis[j], basis[u])) for u in range(n)])
-        return sharp_inv.apply(h)
-
-    prod = Tensor.from_images(n, 3, diamond)
-    brk = Tensor.from_images(n, 4, ternary)
-    return AlgebraBundle(n, product=prod, bracket=brk, basis_labels=a.basis_labels)
+    flat = b.musical()
+    return _pre_structure(InterMap(invert(flat)), InterMap(flat), dual_rep(adjoint_rep(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +265,7 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
 
 
 def _nijenhuis_maps(nop: InterMap, a: AlgebraBundle) -> _Maps:
-    return _Maps(a, _layout, {}, {"N": _map_tensor(nop.matrix)})
+    return _Maps(a, _layout, {}, {"N": nop.tensor})
 
 
 def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,

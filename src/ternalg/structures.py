@@ -86,7 +86,7 @@ from .errors import (
     UnknownIdentity,
     UnknownKind,
 )
-from .linalg import ZERO, InterMap, Matrix, Tensor, Vec, nested_rows
+from .linalg import ZERO, InterMap, Tensor, Vec, nested_rows
 
 log = logging.getLogger("ternalg")
 
@@ -1443,12 +1443,6 @@ class _Maps:
         return _submap_tensor(_ops(self, True, _Maps.layout), name)
 
 
-def _map_tensor(matrix: Matrix) -> Tensor:
-    """A linear map as an order-2 tensor: e_j goes to column j."""
-    return Tensor(max(matrix.rows, matrix.cols), 2,
-                  (((j, i), v) for (i, j), v in matrix.nonzeros()))
-
-
 def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
     """The named identities of b as conditions, scanned on integer tables.
 
@@ -1556,6 +1550,6 @@ def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
     for name in names:
         _require(dst, CONDITIONS[name].needs, "check_homomorphism target")
     maps = _Maps(src, _layout, {"B": dst.dim}, {
-        "f": _map_tensor(f.matrix), "mulB": dst.product, "br3B": dst.bracket,
+        "f": f.tensor, "mulB": dst.product, "br3B": dst.bracket,
         "br2B": dst.binary_bracket})
     return run_conditions("homomorphism", maps.conditions(names), max_counterexamples)

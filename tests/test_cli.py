@@ -10,8 +10,12 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ternalg.catalog import fil4, trunc
 from ternalg.cli import main
-from ternalg.representations import RepKind
+from ternalg.linalg import Matrix
+from ternalg.operators import BilinearForm
+from ternalg.representations import RepKind, adjoint_rep, semidirect
+from ternalg.schema import document_to_obj, load_document
 from ternalg.structures import StructureKind
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -206,6 +210,37 @@ def test_derive_symplectic_pre(runner, tmp_path):
                   out).exit_code == 0
 
 
+def symplectic_documents():
+    """Documents whose form fails one precondition of symplectic-pre, with
+    the exit code and report kind (None: no report) derive gives them."""
+    pairing = [[1 if j == i + 1 and i % 2 == 0 else -1 if i == j + 1 and j % 2 == 0 else 0
+                for j in range(8)] for i in range(8)]
+    return {
+        "non-skew": (document_to_obj(fil4(), form=BilinearForm(Matrix.identity(4))), 2, None),
+        "non-cocycle": (document_to_obj(trunc(2), form=BilinearForm(Matrix([[0, 1], [-1, 0]]))),
+                        1, "cyclic-2cocycle"),
+        "non-symplectic": (document_to_obj(semidirect(adjoint_rep(fil4())),
+                                           form=BilinearForm(Matrix(pairing))), 1, "symplectic"),
+        "singular": (document_to_obj(fil4(), form=BilinearForm(Matrix.zero(4, 4))), 2, None),
+    }
+
+
+@pytest.mark.parametrize("case", ["non-skew", "non-cocycle", "non-symplectic", "singular"])
+def test_derive_symplectic_pre_precondition_exit_codes(runner, tmp_path, case):
+    doc, code, kind = symplectic_documents()[case]
+    p = tmp_path / "form.json"
+    p.write_text(json.dumps(doc))
+    r = invoke(runner, "derive", "symplectic-pre", p, "-o", tmp_path / "x.json")
+    assert r.exit_code == code
+    assert r.stderr.startswith("error: ")
+    assert not (tmp_path / "x.json").exists()
+    if kind is None:
+        assert r.stdout == ""
+    else:
+        report = json.loads(r.stdout)
+        assert (report["kind"], report["verdict"]) == (kind, "fail")
+
+
 def test_derive_deform_rejects_non_nijenhuis(runner, tmp_path):
     doc = json.loads(fixture("trunc3").read_text())
     doc["maps"] = [{"name": "N",
@@ -299,17 +334,55 @@ CORRUPTIONS = [None] * 6 + [("schema_version", 2), ("dim", 0), ("dim", "3"), ("u
                             ("product", "x"), ("bracket", [{"indices": [0, 0, 0, 9]}])]
 
 
-def matrices(m):
-    """An m x m matrix of document scalars most of the time; otherwise one
-    a row or a column off, or not a nested list of the right shape."""
-    def square(rows, cols):
+def matrices(m, cols=None):
+    """An m x cols (default m x m) matrix of document scalars most of the
+    time; otherwise one a row or a column off, or not a nested list of the
+    right shape."""
+    cols = m if cols is None else cols
+
+    def grid(rows, cols):
         return st.lists(st.lists(VALUES, min_size=cols, max_size=cols),
                         min_size=rows, max_size=rows)
 
-    off = st.sampled_from([(m + 1, m + 1), (m, m + 1), (m + 1, m), (m - 1, m)])
-    return st.one_of(square(m, m), square(m, m), square(m, m),
-                     off.flatmap(lambda shape: square(*shape)),
-                     st.sampled_from(["x", None, [], ["1"] * m, [["1"] * m, ["1"]]]))
+    off = st.sampled_from([(m + 1, cols + 1), (m, cols + 1), (m + 1, cols), (m - 1, cols)])
+    return st.one_of(grid(m, cols), grid(m, cols), grid(m, cols),
+                     off.flatmap(lambda shape: grid(*shape)),
+                     st.sampled_from(["x", None, [], ["1"] * cols, [["1"] * cols, ["1"]]]))
+
+
+def skew_matrices(n):
+    """An n x n skew-symmetric matrix of small integers."""
+    def fill(upper):
+        entries = dict(zip(((i, j) for i in range(n) for j in range(i + 1, n)), upper))
+        return [[str(entries.get((i, j), -entries.get((j, i), 0))) for j in range(n)]
+                for i in range(n)]
+
+    return st.lists(st.integers(-2, 2), min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2).map(fill)
+
+
+MAP_NAMES = ["N", "N_T", "R", "T", "tau"]
+
+
+@st.composite
+def maps_blocks(draw, n, m, name=None):
+    """One to three named maps, `name` among them when given, each sized for
+    the construction that reads it (T: n x m, R and N: n x n, tau: 1 x n) or
+    a row or column off, now and then malformed; now and then a name
+    repeated or missing."""
+    shapes = {"T": (n, m), "R": (n, n), "N": (n, n), "N_T": (n, n), "tau": (1, n)}
+    names = draw(st.lists(st.sampled_from(MAP_NAMES), min_size=1, max_size=3, unique=True))
+    if name is not None and name not in names:
+        names[0] = name
+    block = [{"name": key, "matrix": draw(matrices(*shapes[key]))} for key in names]
+    broken = draw(st.sampled_from([None] * 8 + ["repeat", "nameless", "not-a-list"]))
+    if broken == "repeat":
+        block.append(block[0])
+    elif broken == "nameless":
+        block.append({"matrix": [["1"]]})
+    elif broken == "not-a-list":
+        block = {"T": [["1"]]}
+    return block
 
 
 @st.composite
@@ -328,11 +401,19 @@ def rep_blocks(draw, n):
     return block
 
 
+# the blocks each construction of the derive test reads, besides the bundle
+READS = {"deform": ("N", "N_T"), "induce-pre": ("R", "T"), "lift-nijenhuis": ("rep", "T"),
+         "symplectic-pre": ("form",), "trace-induce": ("tau",)}
+
+
 @st.composite
-def bundle_documents(draw):
+def bundle_documents(draw, construction=None):
     """Documents of dimension 1-3 with a few structure constants per tensor,
-    some values malformed, now and then a rep block, and now and then one
-    broken field."""
+    some values malformed, now and then a rep block, a maps block and a
+    form block (always those that `construction` reads), and now and then
+    one broken field."""
+    reads = READS.get(construction, ())
+    some = st.sampled_from([True, False, False])
     n = draw(st.integers(1, 3))
     doc = {"schema_version": 1, "dim": n}
     for key, arity in (("product", 3), ("bracket", 4), ("binary_bracket", 3)):
@@ -340,8 +421,16 @@ def bundle_documents(draw):
             doc[key] = draw(st.lists(st.fixed_dictionaries({
                 "indices": st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity),
                 "value": VALUES}), max_size=4))
-    if draw(st.sampled_from([True, False, False])):
+    if "rep" in reads or draw(some):
         doc["rep"] = draw(rep_blocks(n))
+    names = [r for r in reads if r in MAP_NAMES]
+    if names or draw(some):
+        m = doc["rep"]["module_dim"] if "rep" in doc else n
+        doc["maps"] = draw(maps_blocks(n, m, draw(st.sampled_from(names)) if names else None))
+    if "form" in reads or draw(some):
+        doc["form"] = draw(st.one_of(st.fixed_dictionaries({"matrix": matrices(n)}),
+                                     st.fixed_dictionaries({"matrix": skew_matrices(n)}),
+                                     st.sampled_from(["x", {}])))
     corruption = draw(st.sampled_from(CORRUPTIONS))
     if corruption:
         doc[corruption[0]] = corruption[1]
@@ -376,6 +465,24 @@ def test_check_on_generated_documents_exits_cleanly(doc, kind, k, complete_skew)
 @given(bundle_documents(), st.sampled_from(REP_CHECK_KINDS), st.integers(-1, 3))
 def test_check_rep_on_generated_documents_exits_cleanly(doc, kind, k):
     exits_cleanly(doc, ["--kind", kind, "--rep", "-k", str(k)])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(READS)).flatmap(
+    lambda c: st.tuples(st.just(c), bundle_documents(c))))
+def test_derive_on_generated_documents_exits_cleanly(construction_and_doc):
+    # exit 0, 1 or 2 with no traceback; a written document parses again
+    construction, doc = construction_and_doc
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        pathlib.Path("doc.json").write_text(json.dumps(doc))
+        r = runner.invoke(main, ["derive", construction, "doc.json", "-o", "out.json"])
+        assert r.exception is None or isinstance(r.exception, SystemExit), r.exc_info
+        assert r.exit_code in (0, 1, 2)
+        if r.exit_code == 0:
+            load_document("out.json")
+        else:
+            assert not pathlib.Path("out.json").exists()
 
 
 # -- console script wiring -------------------------------------------------------

@@ -1,4 +1,9 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -15,6 +20,8 @@ from ternalg.linalg import (
     invert,
 )
 from ternalg.structures import AlgebraBundle
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
@@ -170,6 +177,38 @@ def test_intermap_dims():
     t = InterMap(Matrix.zero(4, 2))
     assert t.src_dim == 2 and t.dst_dim == 4
     assert t.apply(Vec([1, 1])) == Vec.zero(4)
+
+
+INTERMAP_TENSOR = textwrap.dedent("""
+    import dataclasses
+    from fractions import Fraction
+    from ternalg.linalg import InterMap, Matrix
+
+    for t in (InterMap(Matrix([[1, 0, Fraction(-2, 3)], [0, 5, 7]])),
+              InterMap(Matrix([[0, 3, 0, -1, 2]])), InterMap.zero(4, 2)):
+        m = t.matrix
+        tensor = t.tensor
+        fresh = InterMap(Matrix(m.entries))  # its tensor never read
+        print(tensor.order == 2, tensor.dim == max(t.dst_dim, t.src_dim),
+              all(tensor[j, i] == m.entries[i][j]
+                  for i in range(m.rows) for j in range(m.cols)),
+              len(tensor.nonzeros()) == len(m.nonzeros()),
+              fresh == t, hash(fresh) == hash(t), repr(fresh) == repr(t),
+              fresh.tensor == tensor, repr(t) == f"InterMap(matrix={m!r})",
+              [f.name for f in dataclasses.fields(t)] == ["matrix"])
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_intermap_tensor_is_derived_from_the_matrix(flags):
+    # tensor[j, i] is row i, column j of the matrix, on the larger space;
+    # it takes no part in ==, hash or repr
+    pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    proc = subprocess.run([sys.executable, *flags, "-c", INTERMAP_TENSOR],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [["True"] * 10] * 3
 
 
 def test_tensor_shape_validation():

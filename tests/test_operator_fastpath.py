@@ -9,6 +9,7 @@ counterexample indices and residuals, and `tuple_count`.  The algebra, the
 action and the map, form or functional all carry non-unit denominators.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -109,8 +110,10 @@ def rebased(a, s: Matrix, scale=Fraction(1)):
     def tensor(slot, op, order):
         if getattr(a, slot) is None:
             return None
-        return Tensor.from_images(n, order, lambda *idx: s_inv.apply(
-            op(a, *(cols[i] for i in idx))).scale(scale))
+        return Tensor(n, order, ((idx + (j,), v)
+                                 for idx in itertools.product(range(n), repeat=order - 1)
+                                 for j, v in enumerate(s_inv.apply(
+                                     op(a, *(cols[i] for i in idx))).scale(scale))))
 
     return AlgebraBundle(n, product=tensor("product", mul, 3),
                          bracket=tensor("bracket", br3, 4),

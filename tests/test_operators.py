@@ -12,14 +12,17 @@ from ternalg.catalog import (
     r_int,
     trunc,
 )
+from ternalg.constructions import direct_sum, subadjacent_ternary_fmanifold
 from ternalg.errors import (
     MissingRep,
     MissingTensor,
     NotCoherent,
+    NotCyclicCocycle,
     NotNijenhuis,
     NotRelativeRB,
     NotRotaBaxter,
     NotSkew,
+    NotSymplectic,
     SingularMatrix,
 )
 from ternalg.linalg import InterMap, Matrix, Tensor3, Tensor4, Vec, invert
@@ -349,6 +352,90 @@ def test_symplectic_pre_requires_coherence():
     )
     with pytest.raises(NotCoherent):
         symplectic_induced_pre(BilinearForm(Matrix([[0, 1], [-1, 0]])), bad)
+
+
+def product4():
+    """Zero bracket, e2 e4 = e4 e2 = -e3 and e4 e4 = 2 e1: coherent, and W4 is
+    a symplectic cyclic 2-cocycle on it with a nonzero pre-product."""
+    return AlgebraBundle(4, product=Tensor3.from_nonzeros(
+        4, {(1, 3, 2): -1, (3, 1, 2): -1, (3, 3, 0): 2}), bracket=Tensor4.zero(4))
+
+
+W4 = Matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+
+
+def block_form(m1: Matrix, m2: Matrix) -> Matrix:
+    n1, n2 = m1.rows, m2.rows
+    return Matrix([list(row) + [0] * n2 for row in m1.entries]
+                  + [[0] * n1 + list(row) for row in m2.entries])
+
+
+SYMPLECTIC_WITH_PRODUCT = {
+    "product4": lambda: (BilinearForm(W4), product4()),
+    "product4-scaled": lambda: (BilinearForm(W4.scale(Fraction(5, 3))), product4()),
+    "fil4-plus-product4": lambda: (BilinearForm(block_form(fil4_symplectic().matrix, W4)),
+                                   direct_sum(fil4(), product4())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMPLECTIC_WITH_PRODUCT))
+def test_symplectic_pre_defining_equations(name):
+    # B(x<>y, z) = B(y, xz) and B({x,y,z}, u) = -B(z, [x,y,u]) at every basis
+    # tuple, as dense sums over the constants
+    b, a = SYMPLECTIC_WITH_PRODUCT[name]()
+    out = symplectic_induced_pre(b, a)
+    n, m = a.dim, b.matrix.entries
+    span = range(n)
+    assert len(out.product.nonzeros()) == 3
+    for x, y, z in itertools.product(span, repeat=3):
+        assert (sum(out.product[x, y, l] * m[l][z] for l in span)
+                == sum(m[y][l] * a.product[x, z, l] for l in span)), (x, y, z)
+    for x, y, z, u in itertools.product(span, repeat=4):
+        assert (sum(out.bracket[x, y, z, l] * m[l][u] for l in span)
+                == -sum(m[z][l] * a.bracket[x, y, u, l] for l in span)), (x, y, z, u)
+    assert check_axioms("ternary-pre-f-manifold", out).passed
+    sub = subadjacent_ternary_fmanifold(out)
+    assert sub.product == a.product
+    assert sub.bracket == a.bracket
+
+
+def pairing_form(n: int) -> BilinearForm:
+    """B(e_2k, e_2k+1) = 1 = -B(e_2k+1, e_2k)."""
+    return BilinearForm(Matrix([[1 if j == i + 1 and i % 2 == 0 else
+                                 -1 if i == j + 1 and j % 2 == 0 else 0
+                                 for j in range(n)] for i in range(n)]))
+
+
+NONCOHERENT2 = AlgebraBundle(2, product=Tensor3.from_nonzeros(2, {(0, 1, 0): 1}),
+                             bracket=Tensor4.zero(2))
+
+# each input passes the preconditions listed before its own
+SYMPLECTIC_PRECONDITIONS = [
+    (NotCoherent, lambda: (BilinearForm(Matrix([[0, 1], [-1, 0]])), NONCOHERENT2)),
+    (NotSkew, lambda: (BilinearForm(Matrix.identity(4)), fil4())),
+    (NotCyclicCocycle, lambda: (BilinearForm(Matrix([[0, 1], [-1, 0]])), trunc(2))),
+    (NotSymplectic, lambda: (pairing_form(8), semidirect(adjoint_rep(fil4())))),
+    (SingularMatrix, lambda: (BilinearForm(Matrix.zero(4, 4)), fil4())),
+]
+
+
+@pytest.mark.parametrize("error, inputs", SYMPLECTIC_PRECONDITIONS,
+                         ids=[e.__name__ for e, _ in SYMPLECTIC_PRECONDITIONS])
+def test_symplectic_pre_precondition_errors(error, inputs):
+    with pytest.raises(error) as exc:
+        symplectic_induced_pre(*inputs())
+    assert type(exc.value) is error
+
+
+def test_symplectic_pre_checks_preconditions_in_order():
+    # a form failing several preconditions raises the first one's error
+    singular_non_cocycle = BilinearForm(Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+    for error, b, a in ((NotCoherent, BilinearForm(Matrix.identity(2)), NONCOHERENT2),
+                        (NotSkew, BilinearForm(Matrix.identity(2)), trunc(2)),
+                        (NotCyclicCocycle, singular_non_cocycle, trunc(3))):
+        with pytest.raises(error) as exc:
+            symplectic_induced_pre(b, a)
+        assert type(exc.value) is error
 
 
 # -- Nijenhuis operators -----------------------------------------------------------------
