@@ -58,7 +58,8 @@ def main():
               help="Structure kind (or representation kind with --rep).")
 @click.option("--rep", "as_rep", is_flag=True,
               help="Check the document's rep block against a representation kind.")
-@click.option("--max-counterexamples", "-k", default=1, show_default=True, type=int)
+@click.option("--max-counterexamples", "-k", default=1, show_default=True, type=int,
+              help="Report the first K failures in lexicographic order; K below 1 counts as 1.")
 @click.option("--complete-skew", is_flag=True,
               help="Fill absent bracket orientations by skew-symmetry before checking.")
 @click.option("--timing", is_flag=True, help="Include timing_ms in the report.")

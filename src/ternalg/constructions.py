@@ -145,8 +145,6 @@ def _trace_maps(a: AlgebraBundle, tau: TraceFunctional) -> _Maps:
 def check_trace(a: AlgebraBundle, tau: TraceFunctional, *,
                 max_counterexamples: int = 1) -> CheckReport:
     """Verify tau([e_i, e_j]) = 0 on all basis pairs of the binary bracket."""
-    if a.binary_bracket is None:
-        raise MissingTensor("binary_bracket", "check_trace")
     return run_conditions("trace", _trace_maps(a, tau).conditions(["trace"]), max_counterexamples)
 
 
@@ -167,35 +165,24 @@ def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
                             max_counterexamples: int = 1) -> CheckReport:
     """Verify tau(x1 x2) L(x3,x4,x5) = tau(x2) x1 L(...) + tau(x1) x2 L(...)
     on all basis 5-tuples, with L the binary Leibnizator."""
-    if a.product is None:
-        raise MissingTensor("product", "check_induced_condition")
-    if a.binary_bracket is None:
-        raise MissingTensor("binary_bracket", "check_induced_condition")
     conditions = _trace_maps(a, tau).conditions(["induced-condition"])
     return run_conditions("induced-condition", conditions, max_counterexamples)
 
 
 def symmetrize_zinbiel(d: AlgebraBundle) -> AlgebraBundle:
     """x*y = x<>y + y<>x: commutative associative when the input is Zinbiel."""
-    if d.product is None:
-        raise MissingTensor("product", "symmetrize_zinbiel")
     return AlgebraBundle(d.dim, product=_submap_tensor(_exact_ops(d), "symmul"),
                          basis_labels=d.basis_labels)
 
 
 def subadjacent_commutator(s: AlgebraBundle) -> AlgebraBundle:
     """[x,y,z]^C = {x,y,z} + {y,z,x} + {z,x,y}: 3-Lie when the input is 3-pre-Lie."""
-    if s.bracket is None:
-        raise MissingTensor("bracket", "subadjacent_commutator")
     return AlgebraBundle(s.dim, bracket=_submap_tensor(_exact_ops(s), "cyc3"),
                          basis_labels=s.basis_labels)
 
 
 def subadjacent_ternary_fmanifold(p: AlgebraBundle) -> AlgebraBundle:
     """Symmetrised product plus cyclic-sum bracket of a pre-structure bundle."""
-    if p.product is None or p.bracket is None:
-        raise MissingTensor("product" if p.product is None else "bracket",
-                            "subadjacent_ternary_fmanifold")
     ops = _exact_ops(p)
     return AlgebraBundle(p.dim, product=_submap_tensor(ops, "symmul"),
                          bracket=_submap_tensor(ops, "cyc3"), basis_labels=p.basis_labels)

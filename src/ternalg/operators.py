@@ -4,13 +4,15 @@ Every condition here -- rb-comm, rb-3lie, cocycle, symplectic,
 nijenhuis-comm and nijenhuis-3lie -- is data in `structures.CONDITIONS`,
 written with the map T: V -> A, the operator N: A -> A or the form: A A -> k
 beside the algebra's tensors and the actions, and scanned by the generated
-integer loops like every identity.  A checker keeps only its preconditions;
-the builders read the same registry's sub-map tables (muT and rhoTT, the
-induced product and bracket; mu_T and rho_T, the representation induced on
-A; mul_pre and br3_pre over T^-1, for an invertible T and for the symplectic
-pre-structure, whose T is the inverse musical map on the coadjoint
-representation; mul_N and br3_N, the deformed ones), so each formula is
-written once.
+integer loops like every identity.  A checker checks only the shapes of
+the maps and forms it is handed (and a form's skewness): the tensors and
+actions its conditions read are checked with them, by
+`structures._check_components`.  The builders read the same registry's
+sub-map tables (muT and rhoTT, the induced product and bracket; mu_T and
+rho_T, the representation induced on A; mul_pre and br3_pre over T^-1, for
+an invertible T and for the symplectic pre-structure, whose T is the
+inverse musical map on the coadjoint representation; mul_N and br3_N, the
+deformed ones), so each formula is written once.
 
 Builders re-verify the operator identity they rely on (fail fast with the
 failing report attached); they do not re-check ambient axioms, so perturbed
@@ -25,8 +27,6 @@ from fractions import Fraction
 from .constructions import subadjacent_ternary_fmanifold
 from .errors import (
     DimensionMismatch,
-    MissingRep,
-    MissingTensor,
     NotCoherent,
     NotCyclicCocycle,
     NotNijenhuis,
@@ -48,6 +48,7 @@ from .representations import (
 from .structures import (
     AlgebraBundle,
     CheckReport,
+    _carried,
     _layout,
     _Maps,
     run_conditions,
@@ -68,20 +69,8 @@ def _rb_maps(t: InterMap, r: RepBundle) -> _Maps:
 
 def _check_rb(kind: str, names: tuple[str, ...], t: InterMap, r: RepBundle,
               max_counterexamples: int) -> CheckReport:
-    """The named relative Rota-Baxter conditions, after their preconditions."""
-    a = r.algebra
-    if "rb-comm" in names:
-        if a.product is None:
-            raise MissingTensor("product", "check_relative_rb_comm")
-        if r.mu is None:
-            raise MissingRep("check_relative_rb_comm needs mu")
-        _check_map_dims(t, r, "check_relative_rb_comm")
-    if "rb-3lie" in names:
-        if a.bracket is None:
-            raise MissingTensor("bracket", "check_relative_rb_3lie")
-        if not isinstance(r.rho, BiRep):
-            raise MissingRep("check_relative_rb_3lie needs rho as a pair action")
-        _check_map_dims(t, r, "check_relative_rb_3lie")
+    """The named relative Rota-Baxter conditions, once T's shape is checked."""
+    _check_map_dims(t, r, kind)
     return run_conditions(kind, _rb_maps(t, r).conditions(names), max_counterexamples)
 
 
@@ -224,8 +213,6 @@ def _check_form(kind: str, name: str, context: str, b: BilinearForm, a: AlgebraB
 def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
                           max_counterexamples: int = 1) -> CheckReport:
     """B(x y, z) + B(y z, x) + B(z x, y) = 0 on all basis triples."""
-    if a.product is None:
-        raise MissingTensor("product", "check_cyclic_2cocycle")
     return _check_form("cyclic-2cocycle", "cocycle", "check_cyclic_2cocycle", b, a,
                        max_counterexamples)
 
@@ -233,8 +220,6 @@ def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
 def check_symplectic(b: BilinearForm, a: AlgebraBundle, *,
                      max_counterexamples: int = 1) -> CheckReport:
     """B([x,y,z],u) - B([x,y,u],z) + B([x,z,u],y) - B([y,z,u],x) = 0 on 4-tuples."""
-    if a.bracket is None:
-        raise MissingTensor("bracket", "check_symplectic")
     return _check_form("symplectic", "symplectic", "check_symplectic", b, a,
                        max_counterexamples)
 
@@ -275,10 +260,7 @@ def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
         raise DimensionMismatch(
             f"Nijenhuis candidate is {nop.dst_dim}x{nop.src_dim}, bundle has dim {a.dim}"
         )
-    if a.product is None and a.bracket is None:
-        raise MissingTensor("product", "check_nijenhuis")
-    names = [name for name, t in (("nijenhuis-comm", a.product), ("nijenhuis-3lie", a.bracket))
-             if t is not None]
+    names = _carried(a, ("nijenhuis-comm", "nijenhuis-3lie"))
     return run_conditions("nijenhuis", _nijenhuis_maps(nop, a).conditions(names),
                           max_counterexamples)
 

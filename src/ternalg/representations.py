@@ -46,6 +46,7 @@ from .structures import (
     AlgebraBundle,
     CheckReport,
     Identity,
+    _check_components,
     _condition,
     _define,
     _eval_map,
@@ -53,7 +54,6 @@ from .structures import (
     _layout,
     _op,
     _ops,
-    _require,
     _submap,
     coerce_kind,
     run_conditions,
@@ -289,16 +289,9 @@ def _need_mu(r: RepBundle) -> LinRep:
 def _rep_conditions(kind: RepKind, r: RepBundle):
     """The kind's conditions on integer tables, each scanner built when the
     driver reaches it; raises first for any component they read r lacks."""
-    for name in KIND_CONDITIONS[kind]:
-        cond = REP_CONDITIONS[name]
-        _require(r.algebra, cond.needs, f"{kind.value} condition {name!r}")
-        if "rho" in cond.tensors:
-            _need_birep(r)
-        if "rho1" in cond.tensors and not isinstance(r.rho, LinRep):
-            raise MissingRep("this check needs rho as a single-argument action (LinRep)")
-        if "mu" in cond.tensors:
-            _need_mu(r)
-    return (_condition(REP_CONDITIONS[name], r, _rep_layout) for name in KIND_CONDITIONS[kind])
+    conds = [REP_CONDITIONS[name] for name in KIND_CONDITIONS[kind]]
+    _check_components(_ops(r, False, _rep_layout), conds, f"{kind.value} condition")
+    return (_condition(cond, r, _rep_layout) for cond in conds)
 
 
 def check_representation(kind, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
@@ -312,9 +305,7 @@ def check_representation(kind, r: RepBundle, *, max_counterexamples: int = 1) ->
 
 
 def _l_map(r: RepBundle, name: str, args) -> Vec:
-    _need_birep(r)
-    _need_mu(r)
-    return _eval_map(r.algebra, _SUBMAPS[name], args, name.lower(), _ops(r, True, _rep_layout))
+    return _eval_map(_ops(r, True, _rep_layout), _SUBMAPS[name], args)
 
 
 def l1(r: RepBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:

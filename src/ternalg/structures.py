@@ -37,7 +37,10 @@ in exact rationals, which doubles as a cross-check of the fast path.
 
 Every checker of the package hands its maps to `_condition`, the one place
 that builds a `Condition`, and those to `run_conditions`, the one scan
-driver and the one place that builds a `CheckReport`.
+driver and the one place that builds a `CheckReport`.  Before either,
+`_check_components` raises for the first tensor or action the maps read
+that the owner lacks, the error `_MISSING` gives it, so no checker,
+evaluator or builder guards its inputs' components by hand.
 
 Identity scans use only certified symmetries.  A term normaliser expands a
 defect into trees of `mul`, `br3` and `br2` and, for every transposition of
@@ -55,14 +58,16 @@ tuple count equal those of the full scan.
 
 Adding an identity: define it in `_registry` with `_define` (a shared
 sub-map with `_submap`), in terms of `mul`, `br3`, `br2` and the existing
-sub-maps, and list it in `KIND_IDENTITIES`.  Which tensors it needs, its
-term multipliers, its symmetry certificate and both evaluators follow from
-the definition.  A representation condition is the same, in
-`representations._registry` and `KIND_CONDITIONS`, with the module slot
-last and `rho`, `rho1` and `mu` available; an operator, trace or
-homomorphism condition goes into `_conditions`.  An operation applied to two
-nested terms goes through a named sub-map.  A new tensor needs a signature
-in `_SIGNATURES`.
+sub-maps, and list it in `KIND_IDENTITIES`.  Which tensors it reads (and so
+what an input without one raises), its term multipliers, its symmetry
+certificate and both evaluators follow from the definition.  A
+representation condition is the same, in `representations._registry` and
+`KIND_CONDITIONS`, with the module slot last and `rho`, `rho1` and `mu`
+available; an operator, trace or homomorphism condition goes into
+`_conditions`.  An operation applied to two
+nested terms goes through a named sub-map.  A new tensor or action needs a
+signature in `_SIGNATURES` and an entry in the missing-component table
+`_MISSING`: the error an owner without it gets.
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     InternalError,
+    MissingRep,
     MissingTensor,
     UnknownIdentity,
     UnknownKind,
@@ -107,8 +113,8 @@ def set_dimension_cap(n: int) -> None:
     build bundles; it is not meant to change while they run.
     """
     global _dimension_cap
-    if n < 1:
-        raise ValueError("dimension cap must be positive")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"the dimension cap must be an int of at least 1, not {n!r}")
     _dimension_cap = n
 
 
@@ -180,13 +186,13 @@ class AlgebraBundle:
         return [self.basis(i) for i in range(self.dim)]
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        return _operate(self, "mul", (x, y))
+        return _eval_map(_exact_ops(self), _TENSOR_MAPS["mul"], (x, y), "operation")
 
     def br3(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        return _operate(self, "br3", (x, y, z))
+        return _eval_map(_exact_ops(self), _TENSOR_MAPS["br3"], (x, y, z), "operation")
 
     def br2(self, x: Vec, y: Vec) -> Vec:
-        return _operate(self, "br2", (x, y))
+        return _eval_map(_exact_ops(self), _TENSOR_MAPS["br2"], (x, y), "operation")
 
 
 class StructureKind(str, Enum):
@@ -389,11 +395,24 @@ _SIGNATURES = {
     "tau": ("A", "k"), "smul": ("kA", "A"), "f": ("A", "B"),
     "mulB": ("BB", "B"), "br3B": ("BBB", "B"), "br2B": ("BB", "B"),
 }
-_TENSOR_SLOTS = (("mul", "product"), ("br3", "bracket"), ("br2", "binary_bracket"))
-_SLOT_OF = dict(_TENSOR_SLOTS)
 
 # the tensors each operation reads, sub-maps expanded
 _TENSORS_OF = {op: frozenset({op}) for op in _SIGNATURES}
+
+# The error an owner gets for lacking a component that a map reads, by
+# component, looked for in this order: the algebra's tensors, a homomorphism
+# target's, the actions.  Its argument names the entry point and the map.
+_MISSING = {
+    "mul": lambda where: MissingTensor("product", where),
+    "br3": lambda where: MissingTensor("bracket", where),
+    "br2": lambda where: MissingTensor("binary_bracket", where),
+    "mulB": lambda where: MissingTensor("product", f"{where}, in the target"),
+    "br3B": lambda where: MissingTensor("bracket", f"{where}, in the target"),
+    "br2B": lambda where: MissingTensor("binary_bracket", f"{where}, in the target"),
+    "rho": lambda where: MissingRep(f"{where} needs rho as a pair action (BiRep)"),
+    "rho1": lambda where: MissingRep(f"{where} needs rho as a single-argument action (LinRep)"),
+    "mu": lambda where: MissingRep(f"{where} needs mu"),
+}
 
 
 @dataclass(frozen=True)
@@ -414,10 +433,6 @@ class Identity:
     @property
     def arity(self) -> int:
         return len(self.sorts)
-
-    @property
-    def needs(self) -> tuple[str, ...]:
-        return tuple(slot for op, slot in _TENSOR_SLOTS if op in self.tensors)
 
 
 class _Sum:
@@ -685,11 +700,20 @@ def _conditions() -> dict[str, Identity]:
 
 CONDITIONS: dict[str, Identity] = _conditions()
 
+# each tensor as a map of its own, for AlgebraBundle.mul, br3 and br2
+_TENSOR_MAPS = {name: _define(name, body) for name, body in (
+    ("mul", lambda x, y: _op("mul")(x, y)), ("br3", lambda x, y, z: _op("br3")(x, y, z)),
+    ("br2", lambda x, y: _op("br2")(x, y)))}
 
-def _require(b: AlgebraBundle, needs: Sequence[str], context: str):
-    for slot in needs:
-        if getattr(b, slot) is None:
-            raise MissingTensor(slot, context)
+
+def _check_components(ops: _Ops, maps: Sequence[Identity], context: str) -> None:
+    """Raise, before any scan, the `_MISSING` error of the first component,
+    in its order, that one of maps reads and ops lacks."""
+    for op, error in _MISSING.items():
+        if op not in ops.tensors:
+            for m in maps:
+                if op in m.tensors:
+                    raise error(f"{context} {m.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1275,6 +1299,7 @@ def _tabulate(ops: _Ops, op: str) -> None:
 def _submap_tensor(ops: _Ops, name: str) -> Tensor:
     """The structure constants of the sub-map `name` on ops's (exact) tables."""
     m = _SUBMAPS[name]
+    _check_components(ops, [m], "sub-map")
     return Tensor(max(ops.sizes[s] for s in m.sorts + (m.out,)), m.arity + 1,
                   ((e[:-1], e[-1]) for e in _support(ops, name)))
 
@@ -1434,24 +1459,34 @@ class _Maps:
         return self.sizes, self.tensors, _ops(self.base, exact, self.base_layout)
 
     def conditions(self, names: Sequence[str]):
-        """The named `CONDITIONS` on these tables, each built when the
-        driver reaches it."""
-        return (_condition(CONDITIONS[name], self, _Maps.layout) for name in names)
+        """The named `CONDITIONS` on these tables, every component they read
+        checked at once, each built when the driver reaches it."""
+        conds = [CONDITIONS[name] for name in names]
+        _check_components(_ops(self, False, _Maps.layout), conds, "condition")
+        return (_condition(c, self, _Maps.layout) for c in conds)
 
     def tensor(self, name: str) -> Tensor:
         """The structure constants of the sub-map `name`."""
         return _submap_tensor(_ops(self, True, _Maps.layout), name)
 
 
+def _carried(b: AlgebraBundle, names: Sequence[str]) -> list[str]:
+    """The named `CONDITIONS` whose algebra tensors b carries, or all of them
+    when none is carried, so that their check names the first one missing."""
+    tensors = _layout(b, True)[1]
+    kept = [name for name in names
+            if all(tensors[op] is not None for op in CONDITIONS[name].tensors & tensors.keys())]
+    return kept or list(names)
+
+
 def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
     """The named identities of b as conditions, scanned on integer tables.
 
-    Every needed tensor is checked here; each identity's scanner, and the
+    Every tensor they read is checked here; each identity's scanner, and the
     sub-map tables it reads, are built only when the driver reaches it.
     Each identity's symmetry may assume the identities listed before it.
     """
-    for name in names:
-        _require(b, IDENTITIES[name].needs, f"identity {name!r}")
+    _check_components(_ops(b, False, _layout), [IDENTITIES[n] for n in names], "identity")
 
     def condition(pos, ident):
         assumable = tuple(a for a in names[:pos] if a in _SYMMETRY_OF)
@@ -1472,19 +1507,9 @@ def _coordinates(ops: _Ops, sorts: str, args: Sequence[Vec]) -> list:
     return [v.entries for v in args]
 
 
-def _operate(b: AlgebraBundle, op: str, args: Sequence[Vec]) -> Vec:
-    """The tensor operation op (mul, br3 or br2) of b at exact vectors."""
-    if getattr(b, _SLOT_OF[op]) is None:
-        raise MissingTensor(_SLOT_OF[op])
-    ops = _exact_ops(b)
-    return Vec(_apply(ops, op, _coordinates(ops, _SIGNATURES[op][0], args)))
-
-
-def _eval_map(b: AlgebraBundle, m: Identity, args: Sequence[Vec], context: str,
-              ops: Optional[_Ops] = None) -> Vec:
-    """m at exact vectors, on b's exact tables or on ops."""
-    _require(b, m.needs, context)
-    ops = ops or _exact_ops(b)
+def _eval_map(ops: _Ops, m: Identity, args: Sequence[Vec], context: str = "sub-map") -> Vec:
+    """m at exact vectors, on the exact tables ops."""
+    _check_components(ops, [m], context)
     return Vec(_evaluate(ops, m, _coordinates(ops, m.sorts, args)))
 
 
@@ -1501,7 +1526,7 @@ def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:
         raise ArityMismatch(
             f"identity {identity!r} takes {ident.arity} arguments, got {len(args)}"
         )
-    return _eval_map(b, ident, args, f"identity {identity!r}")
+    return _eval_map(_exact_ops(b), ident, args, "identity")
 
 
 def check_axioms(kind, b: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckReport:
@@ -1518,22 +1543,22 @@ def leibnizator3(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
 
 def leibnizator2(b: AlgebraBundle, x: Vec, y: Vec, z: Vec) -> Vec:
     """[x, y*z] - [x,y]*z - y*[x,z] over the binary bracket."""
-    return _eval_map(b, _SUBMAPS["leib2"], (x, y, z), "leibnizator2")
+    return _eval_map(_exact_ops(b), _SUBMAPS["leib2"], (x, y, z))
 
 
 def f1(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
     """F1 of a pre-structure bundle (product slot = Zinbiel, bracket slot = 3-pre-Lie)."""
-    return _eval_map(b, _SUBMAPS["f1"], (x1, x2, x3, x4), "f1")
+    return _eval_map(_exact_ops(b), _SUBMAPS["f1"], (x1, x2, x3, x4))
 
 
 def f2(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
     """F2 of a pre-structure bundle; the sub-adjacent product is formed internally."""
-    return _eval_map(b, _SUBMAPS["f2"], (x1, x2, x3, x4), "f2")
+    return _eval_map(_exact_ops(b), _SUBMAPS["f2"], (x1, x2, x3, x4))
 
 
 def k_op(b: AlgebraBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
     """[x,y,z*u] + [x,z,u*y] + [x,u,y*z]: the cyclic operator of the coherence set."""
-    return _eval_map(b, _SUBMAPS["kmap"], (x, y, z, u), "k_op")
+    return _eval_map(_exact_ops(b), _SUBMAPS["kmap"], (x, y, z, u))
 
 
 def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
@@ -1543,12 +1568,7 @@ def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
         raise DimensionMismatch(
             f"map is {f.dst_dim}x{f.src_dim}, bundles have dims {src.dim} -> {dst.dim}"
         )
-    names = [name for name in ("hom-product", "hom-bracket", "hom-binary-bracket")
-             if getattr(src, CONDITIONS[name].needs[0]) is not None]
-    if not names:
-        raise MissingTensor("product", "check_homomorphism (source carries no tensors)")
-    for name in names:
-        _require(dst, CONDITIONS[name].needs, "check_homomorphism target")
+    names = _carried(src, ("hom-product", "hom-bracket", "hom-binary-bracket"))
     maps = _Maps(src, _layout, {"B": dst.dim}, {
         "f": f.tensor, "mulB": dst.product, "br3B": dst.bracket,
         "br2B": dst.binary_bracket})

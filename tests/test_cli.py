@@ -330,8 +330,9 @@ def test_catalog_emit_bytes_pinned(runner, tmp_path):
 # -- check on generated documents -------------------------------------------------
 
 VALUES = st.sampled_from(["1", "-1", "2", "1/2", "-3/2", "0"] * 3 + ["1/0", "x"])
-CORRUPTIONS = [None] * 6 + [("schema_version", 2), ("dim", 0), ("dim", "3"), ("unit", 7),
-                            ("product", "x"), ("bracket", [{"indices": [0, 0, 0, 9]}])]
+# one document in six is corrupted, each corruption equally likely
+CORRUPTIONS = [None] * 30 + [("schema_version", 2), ("dim", 0), ("dim", "3"), ("unit", 7),
+                             ("product", "x"), ("bracket", [{"indices": [0, 0, 0, 9]}])]
 
 
 def matrices(m, cols=None):
@@ -409,9 +410,9 @@ READS = {"deform": ("N", "N_T"), "induce-pre": ("R", "T"), "lift-nijenhuis": ("r
 @st.composite
 def bundle_documents(draw, construction=None):
     """Documents of dimension 1-3 with a few structure constants per tensor,
-    some values malformed, now and then a rep block, a maps block and a
-    form block (always those that `construction` reads), and now and then
-    one broken field."""
+    no index tuple repeated, some values malformed, now and then a rep
+    block, a maps block and a form block (always those that `construction`
+    reads), and one document in six with one broken field."""
     reads = READS.get(construction, ())
     some = st.sampled_from([True, False, False])
     n = draw(st.integers(1, 3))
@@ -420,7 +421,7 @@ def bundle_documents(draw, construction=None):
         if draw(st.sampled_from([True, True, False])):
             doc[key] = draw(st.lists(st.fixed_dictionaries({
                 "indices": st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity),
-                "value": VALUES}), max_size=4))
+                "value": VALUES}), max_size=4, unique_by=lambda e: tuple(e["indices"])))
     if "rep" in reads or draw(some):
         doc["rep"] = draw(rep_blocks(n))
     names = [r for r in reads if r in MAP_NAMES]

@@ -147,8 +147,11 @@ def check(label, names, b, k):
     return run_conditions(label, _identity_conditions(b, names), k)
 
 
+SLOT_OF = {"mul": "product", "br3": "bracket", "br2": "binary_bracket"}
+
+
 def assert_agrees(b, label, names):
-    if any(getattr(b, s) is None for n in names for s in IDENTITIES[n].needs):
+    if any(getattr(b, SLOT_OF[t]) is None for n in names for t in IDENTITIES[n].tensors):
         return None
     expected = oracle.reports(b, names, label, KS)
     for k in KS:
@@ -479,9 +482,9 @@ def degrees(m, groups):
 def test_degree_vectors_pinned():
     assert {name: degrees(i, ("mul", "br3", "br2")) for name, i in IDENTITIES.items()} == \
         {name: {d} for name, d in DEGREES.items()}
-    assert IDENTITIES["hm2"].needs == ("product", "binary_bracket")
-    assert IDENTITIES["coh2"].needs == ("product", "bracket")
-    assert IDENTITIES["fundamental"].needs == ("bracket",)
+    assert IDENTITIES["hm2"].tensors == {"mul", "br2"}
+    assert IDENTITIES["coh2"].tensors == {"mul", "br3"}
+    assert IDENTITIES["fundamental"].tensors == {"br3"}
     for name, i in IDENTITIES.items():
         assert i.arity == oracle.arity(name)
 
@@ -776,7 +779,7 @@ def test_malformed_definitions_rejected():
     assert ok.tensors == IDENTITIES["assoc"].tensors and ok.terms == IDENTITIES["assoc"].terms
     # a map need not be homogeneous in its tensors: each term scales apart
     mixed = structures._define("mixed", lambda x, y, z: mul(mul(x, y), z) - br3(x, y, z))
-    assert (mixed.sorts, mixed.out, mixed.needs) == (("A",) * 3, "A", ("product", "bracket"))
+    assert (mixed.sorts, mixed.out, mixed.tensors) == (("A",) * 3, "A", {"mul", "br3"})
 
 
 # -- the generated code, pinned ------------------------------------------------------

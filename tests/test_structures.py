@@ -321,6 +321,11 @@ def test_dimension_cap_enforced():
     assert dimension_cap() == 16
     with pytest.raises(DimensionCapExceeded):
         AlgebraBundle(17, product=Tensor3.zero(17))
+    # only an int of at least 1 is a cap: bools, floats and strings are refused
+    for bad in (True, False, 2.5, 0, -3, "17", None):
+        with pytest.raises(ValueError, match="int of at least 1"):
+            set_dimension_cap(bad)
+        assert dimension_cap() == 16
     set_dimension_cap(17)
     try:
         b = AlgebraBundle(17, product=Tensor3.zero(17))
