@@ -7,6 +7,9 @@ as user bundles (see `ternalg.schema`), exported under fixtures/.
 
 from __future__ import annotations
 
+# structures first, for the peak RSS of a process that starts here (see cli)
+from .structures import AlgebraBundle  # isort: skip
+
 from fractions import Fraction
 
 from .constructions import TraceFunctional
@@ -15,7 +18,6 @@ from .linalg import InterMap, Matrix, Tensor3, Tensor4, Vec
 from .operators import BilinearForm
 from .representations import RepBundle, adjoint_rep
 from .schema import _complete_skew, document_to_obj
-from .structures import AlgebraBundle
 
 
 def _alternating_tensor4(n: int, generators: dict[tuple[int, int, int], dict[int, object]]):

@@ -56,10 +56,11 @@ from .structures import (
 
 
 def _check_map_dims(t: InterMap, r: RepBundle, context: str):
-    if t.src_dim != r.module_dim or t.dst_dim != r.algebra.dim:
+    """T: V -> A; with no action r has no module for T's columns to match."""
+    m = r.module_dim if r.rho or r.mu else t.src_dim
+    if t.src_dim != m or t.dst_dim != r.algebra.dim:
         raise DimensionMismatch(
-            f"{context}: map is {t.dst_dim}x{t.src_dim}, expected "
-            f"{r.algebra.dim}x{r.module_dim}"
+            f"{context}: map is {t.dst_dim}x{t.src_dim}, expected {r.algebra.dim}x{m}"
         )
 
 

@@ -268,10 +268,12 @@ KIND_CONDITIONS: dict[RepKind, tuple[str, ...]] = {
 
 
 def _rep_layout(r: RepBundle, exact: bool):
-    """r's action tensors for `_ops`, over the tables of its algebra."""
+    """r's action tensors for `_ops`, over its algebra's tables; with no action
+    there is no module sort, and `_check_components` names what r lacks."""
     tensors = {"rho" if isinstance(r.rho, BiRep) else "rho1": r.rho and r.rho.tensor,
                "mu": r.mu and r.mu.tensor}
-    return {"V": r.module_dim}, tensors, _ops(r.algebra, exact, _layout)
+    action = r.rho or r.mu
+    return {"V": action.module_dim} if action else {}, tensors, _ops(r.algebra, exact, _layout)
 
 
 def _need_birep(r: RepBundle) -> BiRep:

@@ -30,17 +30,21 @@ round trips are byte identical.
 
 from __future__ import annotations
 
+# structures first, for the peak RSS of a process that starts here (see cli)
+from .structures import AlgebraBundle, CheckReport, dimension_cap  # isort: skip
+
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .constructions import TraceFunctional
 from .errors import SchemaError
 from .linalg import ZERO, InterMap, Matrix, Tensor, Vec, parse_rational
-from .operators import BilinearForm
-from .representations import BiRep, LinRep, RepBundle
-from .structures import AlgebraBundle, CheckReport, dimension_cap
+
+if TYPE_CHECKING:  # imported where a rep, form or trace block is read or written
+    from .constructions import TraceFunctional
+    from .operators import BilinearForm
+    from .representations import RepBundle
 
 SCHEMA_VERSION = 1
 
@@ -71,6 +75,8 @@ class Document:
         return self.form
 
     def trace(self) -> TraceFunctional:
+        from .constructions import TraceFunctional
+
         tau = self.require_map("tau")
         if tau.dst_dim != 1:
             raise SchemaError("map 'tau' must have a 1-row matrix (a functional)")
@@ -276,6 +282,8 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
 
     rep = None
     if "rep" in data:
+        from .representations import BiRep, LinRep, RepBundle
+
         raw = data["rep"]
         if not isinstance(raw, dict):
             raise SchemaError("rep: expected an object")
@@ -314,6 +322,8 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
 
     form = None
     if "form" in data:
+        from .operators import BilinearForm
+
         raw = data["form"]
         if not isinstance(raw, dict):
             raise SchemaError("form: expected an object")
@@ -372,6 +382,8 @@ def document_to_obj(bundle: AlgebraBundle, rep: Optional[RepBundle] = None,
     if bundle.binary_bracket is not None:
         out["binary_bracket"] = _sparse_out(bundle.binary_bracket.nonzeros())
     if rep is not None:
+        from .representations import BiRep
+
         block: dict = {"module_dim": rep.module_dim}
         if rep.mu is not None:
             block["mu"] = [{"index": i, "matrix": _matrix_out(rows)}

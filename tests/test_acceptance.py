@@ -11,8 +11,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from ternalg.catalog import (
     fil4,
     fil4_adjoint,
@@ -21,7 +21,6 @@ from ternalg.catalog import (
     r_int,
     trunc,
 )
-from ternalg.cli import main as cli_main
 from ternalg.constructions import (
     direct_sum,
     fix_slot_bracket,
@@ -345,11 +344,6 @@ def test_c09_basis_sufficiency_sampling():
 
 
 def test_c10_cli_contract(tmp_path):
-    runner = CliRunner()
-
-    def invoke(*args):
-        return runner.invoke(cli_main, [str(a) for a in args])
-
     from ternalg.schema import document_to_obj, dumps, parse_document
 
     # round-trip on every fixture

@@ -1,7 +1,11 @@
 """What each checker, evaluator and builder raises for an input that lacks
 one component it reads, or whose map, form or trace has the wrong shape.
 
-Each case has exactly one fault.  Where a check runs several conditions,
+Each case has exactly one fault, except those of a representation with no
+action over a bundle that also lacks a tensor its conditions read: they get
+the error of the first component in the order of `structures._MISSING`, the
+algebra's tensors before the actions, and a map's wrong shape before both.
+Where a check runs several conditions,
 some cases make an earlier condition fail at k = 1, so the budget is full
 before the condition that reads the missing component: the error must
 come before any scan.  The table runs once more under `python -O`.
@@ -84,6 +88,9 @@ PAIR_ON_BINARY = RepBundle(algebra=GL2, rho=BiRep.zero(4, 2), mu=LinRep.zero(4, 
 UNSKEWED_RHO = BiRep.from_tensor(3, 3, Tensor(3, 4, [((0, 1, 0, 0), 1)]))
 SKEW_FAILS_NO_MU = RepBundle(algebra=T3, rho=UNSKEWED_RHO)
 SKEW_FAILS_NO_BRACKET = RepBundle(algebra=PRODUCT_ONLY, rho=UNSKEWED_RHO, mu=ADJ3.mu)
+NO_ACTION = RepBundle(algebra=T3)
+NO_ACTION_NO_PRODUCT = RepBundle(algebra=BRACKET_ONLY)
+NO_ACTION_NO_BRACKET = RepBundle(algebra=PRODUCT_ONLY)
 # the identity map fails rb-comm on the unital trunc(3) at (0, 0)
 NO_BRACKET_RB = RepBundle(algebra=PRODUCT_ONLY, rho=BiRep.zero(3, 3), mu=ADJ3.mu)
 
@@ -151,6 +158,28 @@ CASES = [
      REP, None),
     ("rb-after-failure-bracket", lambda: check_relative_rb(InterMap.identity(3), NO_BRACKET_RB),
      MISSING, "bracket"),
+    # a representation with no action, over a bundle lacking a tensor too
+    ("no-action-comm-assoc-rep", lambda: check_representation(
+        "comm-assoc-rep", NO_ACTION_NO_PRODUCT), MISSING, "product"),
+    ("no-action-lie-rep", lambda: check_representation("lie-rep", NO_ACTION),
+     MISSING, "binary_bracket"),
+    ("no-action-three-lie-rep", lambda: check_representation(
+        "three-lie-rep", NO_ACTION_NO_BRACKET), MISSING, "bracket"),
+    ("no-action-fmanifold-rep", lambda: check_representation("fmanifold-rep", NO_ACTION),
+     MISSING, "binary_bracket"),
+    ("no-action-ternary-fmanifold-rep", lambda: check_representation(
+        "ternary-fmanifold-rep", NO_ACTION_NO_PRODUCT), MISSING, "product"),
+    ("no-action-dual-conditions", lambda: check_representation(
+        "dual-conditions", NO_ACTION_NO_BRACKET), MISSING, "bracket"),
+    ("no-action-l1", lambda: l1(NO_ACTION_NO_BRACKET, *E3, E3[0]), MISSING, "bracket"),
+    ("no-action-rb-comm", lambda: check_relative_rb_comm(DOUBLE, NO_ACTION_NO_PRODUCT),
+     MISSING, "product"),
+    ("no-action-rb-3lie", lambda: check_relative_rb_3lie(DOUBLE, NO_ACTION_NO_BRACKET),
+     MISSING, "bracket"),
+    ("no-action-rb", lambda: check_relative_rb(DOUBLE, RepBundle(algebra=EMPTY)),
+     MISSING, "product"),
+    ("no-action-rb-T", lambda: check_relative_rb(InterMap.zero(4, 3), NO_ACTION_NO_PRODUCT),
+     SHAPE, None),
     # forms, Nijenhuis operators, traces and homomorphisms
     ("cocycle", lambda: check_cyclic_2cocycle(FORM3, BRACKET_ONLY), MISSING, "product"),
     ("symplectic", lambda: check_symplectic(FORM3, PRODUCT_ONLY), MISSING, "bracket"),
