@@ -10,11 +10,10 @@ written with tau: A -> k and the scalar multiplication smul: k A -> A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, MissingTensor, NotATrace
-from .linalg import Tensor, Vec
+from .linalg import Tensor, Value, Vec
 from .structures import (
     AlgebraBundle,
     CheckReport,
@@ -26,8 +25,7 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class TraceFunctional:
+class TraceFunctional(Value):
     """A linear functional tau on a bundle's space, stored as its coefficient row."""
 
     row: Vec

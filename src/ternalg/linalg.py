@@ -4,14 +4,14 @@ Scalars are `fractions.Fraction`: arbitrary precision, always in lowest
 terms with positive denominator, so equality is structural and arithmetic
 never rounds.  All container types are immutable after construction and
 every operation is a pure function, so values are safe to share between
-threads.
+threads.  `Value` is the base of every value class in the package: fields
+declared once, equality, hashing and repr by them, and frozen instances.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -25,6 +25,64 @@ ONE = Fraction(1)
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+class Value:
+    """An immutable value with named fields, the base of ternalg's values.
+
+    A subclass declares its fields as annotations, in order, after those
+    of its base; a class attribute of the same name is the field's default.
+    The constructor takes the fields by position or keyword.  Instances are
+    equal when they are of the same class and their fields are equal, hash
+    by their fields and print as `Cls(field=value, ...)`.  Assigning or
+    deleting an attribute raises AttributeError, so a subclass's own
+    constructor, and a cache kept on an instance, use `object.__setattr__`.
+    `class C(Value, eq=False)` keeps identity equality and hashing, and
+    `frozen=False` allows assignment (and, with equality, drops the hash).
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, frozen: bool = True):
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        elif not frozen:
+            cls.__hash__ = None
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names) or not set(kwargs) <= set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(names)}); got "
+                            f"{len(args)} positional and {sorted(kwargs)} by keyword")
+        kwargs.update(zip(names, args))
+        for name in names:
+            if name not in kwargs and not hasattr(cls, name):
+                raise TypeError(f"{cls.__name__}() missing the field {name!r}")
+            object.__setattr__(self, name, kwargs[name] if name in kwargs else getattr(cls, name))
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -51,8 +109,7 @@ def as_scalar(x) -> Fraction:
     raise TypeError(f"cannot build an exact scalar from {type(x).__name__}: {x!r}")
 
 
-@dataclass(frozen=True)
-class Vec:
+class Vec(Value):
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable):
@@ -113,8 +170,7 @@ class Vec:
         return "Vec(%s)" % ", ".join(str(e) for e in self.entries)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Value):
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable]):
@@ -250,8 +306,7 @@ def invert(m: Matrix) -> Matrix:
     return Matrix(inv)
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(Value):
     """Structure constants of a multilinear operation, stored sparse.
 
     An order-k tensor on a space of dimension `dim` sends basis vectors
@@ -264,7 +319,6 @@ class Tensor:
     dim: int
     order: int
     constants: tuple[tuple[tuple[int, ...], Fraction], ...]
-    _values: dict = field(compare=False, repr=False)
 
     def __init__(self, dim: int, order: int, nonzeros):
         """`nonzeros` maps index tuples to scalars, or lists (indices, value)
@@ -280,7 +334,7 @@ class Tensor:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "constants", tuple(values.items()))
-        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_values", values)  # read by [], not a field
 
     def nonzeros(self):
         return self.constants
@@ -350,8 +404,7 @@ Tensor3 = _FixedOrder(3)
 Tensor4 = _FixedOrder(4)
 
 
-@dataclass(frozen=True)
-class InterMap:
+class InterMap(Value):
     """A linear map between two spaces, held as an exact matrix (columns = images)."""
 
     matrix: Matrix

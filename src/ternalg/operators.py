@@ -21,7 +21,6 @@ or raw bundles remain usable for negative tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import subadjacent_ternary_fmanifold
@@ -35,7 +34,7 @@ from .errors import (
     NotSkew,
     NotSymplectic,
 )
-from .linalg import InterMap, Matrix, Tensor, Vec, invert
+from .linalg import InterMap, Matrix, Tensor, Value, Vec, invert
 from .representations import (
     BiRep,
     LinRep,
@@ -165,13 +164,13 @@ def invertible_rb_to_pre(t: InterMap, r: RepBundle) -> AlgebraBundle:
 # bilinear forms and the symplectic construction
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(Value):
     """An exact bilinear form B(x, y) = x^T M y on a bundle's space."""
 
     matrix: Matrix
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.matrix.rows != self.matrix.cols:
             raise DimensionMismatch("bilinear form matrix must be square")
 

@@ -29,7 +29,6 @@ walker on Fraction tables, which cross-checks the scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -39,7 +38,7 @@ from .errors import (
     MissingRep,
     MissingTensor,
 )
-from .linalg import ZERO, Matrix, Tensor, Vec
+from .linalg import ZERO, Matrix, Tensor, Value, Vec
 from .structures import (
     _SUBMAPS,
     COHERENCE_IDENTITIES,
@@ -60,8 +59,7 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class _Action:
+class _Action(Value):
     """An action of the algebra (dim `algebra_dim`) on a module (dim
     `module_dim`), stored once as a sparse `Tensor` on max(algebra_dim,
     module_dim): its constant at (i, [j,] q, p) is row p, column q of the
@@ -145,15 +143,15 @@ class BiRep(_Action):
     order = 4
 
 
-@dataclass(frozen=True, eq=False)
-class RepBundle:
+class RepBundle(Value, eq=False):
     """An algebra bundle together with optional rho / mu actions on one module."""
 
     algebra: AlgebraBundle
     rho: Optional[object] = None  # BiRep for ternary kinds, LinRep for binary kinds
     mu: Optional[LinRep] = None
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         n = self.algebra.dim
         dims = set()
         if self.rho is not None:

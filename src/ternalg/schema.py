@@ -34,12 +34,11 @@ from __future__ import annotations
 from .structures import AlgebraBundle, CheckReport, dimension_cap  # isort: skip
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .errors import SchemaError
-from .linalg import ZERO, InterMap, Matrix, Tensor, Vec, parse_rational
+from .linalg import ZERO, InterMap, Matrix, Tensor, Value, Vec, parse_rational
 
 if TYPE_CHECKING:  # imported where a rep, form or trace block is read or written
     from .constructions import TraceFunctional
@@ -49,14 +48,16 @@ if TYPE_CHECKING:  # imported where a rep, form or trace block is read or writte
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class Document:
+class Document(Value, frozen=False):
     """A parsed scenario: one bundle plus optional representation, maps, form."""
 
     bundle: AlgebraBundle
     rep: Optional[RepBundle] = None
-    maps: dict[str, InterMap] = field(default_factory=dict)
+    maps: dict[str, InterMap]
     form: Optional[BilinearForm] = None
+
+    def __init__(self, bundle, rep=None, maps=None, form=None):
+        super().__init__(bundle, rep, {} if maps is None else maps, form)
 
     def require_rep(self) -> RepBundle:
         if self.rep is None:

@@ -76,7 +76,6 @@ import heapq
 import itertools
 import logging
 import time
-from dataclasses import dataclass, replace
 from enum import Enum
 from math import comb, lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
@@ -92,7 +91,7 @@ from .errors import (
     UnknownIdentity,
     UnknownKind,
 )
-from .linalg import ZERO, InterMap, Tensor, Vec, nested_rows
+from .linalg import ZERO, InterMap, Tensor, Value, Vec, nested_rows
 
 log = logging.getLogger("ternalg")
 
@@ -122,8 +121,7 @@ def set_dimension_cap(n: int) -> None:
 # bundles
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraBundle:
+class AlgebraBundle(Value, eq=False):
     """A finite-dimensional space with optional product / bracket tensors.
 
     A bundle may carry tensors that fail axioms; only check_axioms renders
@@ -220,22 +218,21 @@ def coerce_kind(kind, kinds: type[Enum] = StructureKind, what: str = "structure"
 # reports
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Value):
     identity: str
     indices: tuple[int, ...]
     residual: Vec
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     passed: bool
     kind: str
     checked_identities: tuple[str, ...]
     counterexamples: tuple[Counterexample, ...]
     tuple_count: int
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.passed != (not self.counterexamples):
             raise InternalError("a report passes exactly when it has no counterexamples")
 
@@ -415,8 +412,7 @@ _MISSING = {
 }
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Value):
     """A named multilinear map: an identity's defect, a checker's
     condition, or a sub-map.
 
@@ -732,8 +728,7 @@ def _check_components(ops: _Ops, maps: Sequence[Identity], context: str) -> None
 _SYMMETRY_OF = {"comm": ("mul", 1), "skew3": ("br3", -1), "skew2": ("br2", -1)}
 
 
-@dataclass(frozen=True)
-class Symmetry:
+class Symmetry(Value):
     """Certified blocks of slots of a defect, and the identities assumed.
 
     `blocks` is ((slots, sign), ...): the defect is symmetric (sign 1) or
@@ -1073,7 +1068,8 @@ def _make_scanner(ops: _Ops, m: Identity, mode: str = "sweep", blocks=()):
     the exact ones; compiled once per source."""
     mults = _multipliers(ops, m)[1]
     if any(k != 1 for k in mults):
-        m = replace(m, terms=tuple((c * k, t) for (c, t), k in zip(m.terms, mults)))
+        m = Identity(m.name, tuple((c * k, t) for (c, t), k in zip(m.terms, mults)),
+                     m.sorts, m.out, m.tensors)
     hit = _COMPILED.get((m, mode, blocks))
     if hit is None:
         src, deps = _source(m, mode, blocks)
@@ -1308,8 +1304,7 @@ def _submap_tensor(ops: _Ops, name: str) -> Tensor:
 # conditions and the scan driver
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Value):
     """A multilinear condition that must vanish on every basis tuple.
 
     Its tuples are range(sizes[0]) x range(sizes[1]) x ...: a representation
@@ -1444,8 +1439,7 @@ def _condition(m: Identity, owner, layout: Callable,
     return Condition(m.name, sizes, defect, failures)
 
 
-@dataclass(eq=False)
-class _Maps:
+class _Maps(Value, eq=False, frozen=False):
     """Maps and forms over `base`, a bundle or a representation with the
     `_ops` layout `base_layout`: the owner of an operator check's tables.
     `sizes` holds the sorts base lacks, `tensors` the maps' tensors."""

@@ -123,3 +123,35 @@ def test_command_loads_only_the_modules_it_runs(args, absent):
     assert steps["cli"] == ["ternalg", "ternalg.cli", "ternalg.errors", "ternalg.linalg",
                             "ternalg.schema", "ternalg.structures"]
     assert not set(absent) & set(steps["command"])
+
+
+# stdlib modules that no command needs: `dataclasses` loads `inspect`, `ast`
+# and `dis`, and running its decorator costs about 1 ms per class
+UNUSED = """
+    import json, sys
+
+    def unused():
+        return sorted({"dataclasses", "inspect"} & set(sys.modules))
+
+    import ternalg.cli
+    steps = {"cli": unused()}
+    try:
+        ternalg.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        steps["exit"] = exc.code
+    steps["command"] = unused()
+    print(json.dumps(steps), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--kind", "ternary-f-manifold", "fil4"],
+    ["check", "--rep", "--kind", "ternary-fmanifold-rep", "fil4_adjoint"],
+    ["derive", "induce-pre", "fil4_rb"],
+], ids=["structure-kind", "rep-kind", "derive"])
+def test_no_command_loads_dataclasses_or_inspect(args, tmp_path):
+    args = [*args[:-1], str(FIXTURES / f"{args[-1]}.json")]
+    if args[0] == "derive":
+        args += ["-o", str(tmp_path / "derived.json")]
+    steps = loaded_in_fresh_process(UNUSED, *args)
+    assert steps == {"cli": [], "exit": 0, "command": []}
