@@ -25,9 +25,12 @@ from ternalg.constructions import (
     TraceFunctional,
     check_induced_condition,
     check_trace,
+    direct_sum,
+    fix_slot_bracket,
     subadjacent_commutator,
     subadjacent_ternary_fmanifold,
     symmetrize_zinbiel,
+    tensor_with_comm_assoc,
 )
 from ternalg.linalg import InterMap, Matrix, Tensor, Vec
 from ternalg.operators import (
@@ -47,9 +50,12 @@ from ternalg.representations import (
     adjoint_rep,
     check_coherence,
     check_representation,
+    fix_slot_rep,
     l1,
     l2,
     l3,
+    rep_of_subadjacent,
+    semidirect,
 )
 from ternalg.structures import (
     AlgebraBundle,
@@ -201,6 +207,32 @@ CASES = [
      MISSING, "product"),
     ("subadjacent-bracket", lambda: subadjacent_ternary_fmanifold(PRODUCT_ONLY),
      MISSING, "bracket"),
+    # builders that read tensors and actions directly
+    ("direct_sum-left", lambda: direct_sum(PRODUCT_ONLY, T3), MISSING, "bracket"),
+    ("direct_sum-right", lambda: direct_sum(T3, BRACKET_ONLY), MISSING, "product"),
+    ("tensor-ternary-product", lambda: tensor_with_comm_assoc(BRACKET_ONLY, T3),
+     MISSING, "product"),
+    ("tensor-ternary-bracket", lambda: tensor_with_comm_assoc(PRODUCT_ONLY, T3),
+     MISSING, "bracket"),
+    ("tensor-associative", lambda: tensor_with_comm_assoc(T3, BRACKET_ONLY), MISSING, "product"),
+    ("fix_slot_bracket-product", lambda: fix_slot_bracket(BRACKET_ONLY, E3[0]),
+     MISSING, "product"),
+    ("fix_slot_bracket-bracket", lambda: fix_slot_bracket(PRODUCT_ONLY, E3[0]),
+     MISSING, "bracket"),
+    ("adjoint_rep-product", lambda: adjoint_rep(BRACKET_ONLY), MISSING, "product"),
+    ("adjoint_rep-bracket", lambda: adjoint_rep(PRODUCT_ONLY), MISSING, "bracket"),
+    ("semidirect-product", lambda: semidirect(NO_PRODUCT_REP), MISSING, "product"),
+    ("semidirect-bracket", lambda: semidirect(NO_BRACKET_REP), MISSING, "bracket"),
+    ("semidirect-linear-rho", lambda: semidirect(LINEAR_RHO), REP, None),
+    ("semidirect-rho", lambda: semidirect(MU_ONLY), REP, None),
+    ("semidirect-mu", lambda: semidirect(RHO_ONLY), REP, None),
+    ("fix_slot_rep-product", lambda: fix_slot_rep(NO_PRODUCT_REP, E3[0]), MISSING, "product"),
+    ("fix_slot_rep-bracket", lambda: fix_slot_rep(NO_BRACKET_REP, E3[0]), MISSING, "bracket"),
+    ("fix_slot_rep-linear-rho", lambda: fix_slot_rep(LINEAR_RHO, E3[0]), REP, None),
+    ("fix_slot_rep-rho", lambda: fix_slot_rep(MU_ONLY, E3[0]), REP, None),
+    ("fix_slot_rep-mu", lambda: fix_slot_rep(RHO_ONLY, E3[0]), REP, None),
+    ("rep_of_subadjacent-product", lambda: rep_of_subadjacent(BRACKET_ONLY), MISSING, "product"),
+    ("rep_of_subadjacent-bracket", lambda: rep_of_subadjacent(PRODUCT_ONLY), MISSING, "bracket"),
     # wrong shapes
     ("rb-comm-T", lambda: check_relative_rb_comm(InterMap.zero(3, 2), ADJ3), SHAPE, None),
     ("rb-3lie-T", lambda: check_relative_rb_3lie(InterMap.zero(2, 3), ADJ3), SHAPE, None),
