@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, MissingTensor, NotATrace
+from .errors import DimensionMismatch, NotATrace
 from .linalg import Tensor, Value, Vec
 from .structures import (
     AlgebraBundle,
     CheckReport,
-    _exact_ops,
-    _layout,
+    _check_components,
+    _conditions,
     _Maps,
     _submap_tensor,
     run_conditions,
@@ -49,10 +49,7 @@ class TraceFunctional(Value):
 def direct_sum(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
     """Componentwise product and bracket on A (+) B; mixed constants are zero."""
     for bundle in (a, b):
-        if bundle.product is None:
-            raise MissingTensor("product", "direct_sum")
-        if bundle.bracket is None:
-            raise MissingTensor("bracket", "direct_sum")
+        _check_components(bundle, {"direct_sum": ("mul", "br3")})
     n = a.dim
     dim = n + b.dim
 
@@ -79,11 +76,8 @@ def tensor_with_comm_assoc(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
     Bracket: [x1 (x) y1, x2 (x) y2, x3 (x) y3] = [x1,x2,x3] (x) (y1 y2 y3).
     Basis order is A-index major, recorded in the labels.
     """
-    if a.product is None or a.bracket is None:
-        raise MissingTensor("product" if a.product is None else "bracket",
-                            "tensor_with_comm_assoc (ternary factor)")
-    if b.product is None:
-        raise MissingTensor("product", "tensor_with_comm_assoc (associative factor)")
+    _check_components(a, {"tensor_with_comm_assoc (ternary factor)": ("mul", "br3")})
+    _check_components(b, {"tensor_with_comm_assoc (associative factor)": ("mul",)})
     n, m = a.dim, b.dim
     dim = n * m
     rows = b.product.table()
@@ -114,10 +108,7 @@ def tensor_with_comm_assoc(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
 
 def fix_slot_bracket(a: AlgebraBundle, anchor: Vec) -> AlgebraBundle:
     """Binary bracket [x,y]_a = [x, anchor, y]; keeps the product."""
-    if a.product is None:
-        raise MissingTensor("product", "fix_slot_bracket")
-    if a.bracket is None:
-        raise MissingTensor("bracket", "fix_slot_bracket")
+    _check_components(a, {"fix_slot_bracket": ("mul", "br3")})
     if anchor.dim != a.dim:
         raise DimensionMismatch(f"anchor has dim {anchor.dim}, bundle has dim {a.dim}")
     bb = Tensor(a.dim, 3, (((i, j, l), f * anchor[s])
@@ -135,7 +126,7 @@ def _trace_maps(a: AlgebraBundle, tau: TraceFunctional) -> _Maps:
     if tau.dim != a.dim:
         raise DimensionMismatch(f"trace has dim {tau.dim}, bundle has dim {a.dim}")
     n = a.dim
-    return _Maps(a, _layout, {}, {
+    return _Maps(a, {}, {
         "tau": Tensor(n, 2, (((i, 0), v) for i, v in enumerate(tau.row) if v)),
         "smul": Tensor(n, 3, (((0, i, i), 1) for i in range(n)))})
 
@@ -143,7 +134,8 @@ def _trace_maps(a: AlgebraBundle, tau: TraceFunctional) -> _Maps:
 def check_trace(a: AlgebraBundle, tau: TraceFunctional, *,
                 max_counterexamples: int = 1) -> CheckReport:
     """Verify tau([e_i, e_j]) = 0 on all basis pairs of the binary bracket."""
-    return run_conditions("trace", _trace_maps(a, tau).conditions(["trace"]), max_counterexamples)
+    return run_conditions("trace", _conditions(_trace_maps(a, tau), ["trace"]),
+                          max_counterexamples)
 
 
 def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
@@ -163,24 +155,23 @@ def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
                             max_counterexamples: int = 1) -> CheckReport:
     """Verify tau(x1 x2) L(x3,x4,x5) = tau(x2) x1 L(...) + tau(x1) x2 L(...)
     on all basis 5-tuples, with L the binary Leibnizator."""
-    conditions = _trace_maps(a, tau).conditions(["induced-condition"])
+    conditions = _conditions(_trace_maps(a, tau), ["induced-condition"])
     return run_conditions("induced-condition", conditions, max_counterexamples)
 
 
 def symmetrize_zinbiel(d: AlgebraBundle) -> AlgebraBundle:
     """x*y = x<>y + y<>x: commutative associative when the input is Zinbiel."""
-    return AlgebraBundle(d.dim, product=_submap_tensor(_exact_ops(d), "symmul"),
+    return AlgebraBundle(d.dim, product=_submap_tensor(d, "symmul"),
                          basis_labels=d.basis_labels)
 
 
 def subadjacent_commutator(s: AlgebraBundle) -> AlgebraBundle:
     """[x,y,z]^C = {x,y,z} + {y,z,x} + {z,x,y}: 3-Lie when the input is 3-pre-Lie."""
-    return AlgebraBundle(s.dim, bracket=_submap_tensor(_exact_ops(s), "cyc3"),
+    return AlgebraBundle(s.dim, bracket=_submap_tensor(s, "cyc3"),
                          basis_labels=s.basis_labels)
 
 
 def subadjacent_ternary_fmanifold(p: AlgebraBundle) -> AlgebraBundle:
     """Symmetrised product plus cyclic-sum bracket of a pre-structure bundle."""
-    ops = _exact_ops(p)
-    return AlgebraBundle(p.dim, product=_submap_tensor(ops, "symmul"),
-                         bracket=_submap_tensor(ops, "cyc3"), basis_labels=p.basis_labels)
+    return AlgebraBundle(p.dim, product=_submap_tensor(p, "symmul"),
+                         bracket=_submap_tensor(p, "cyc3"), basis_labels=p.basis_labels)

@@ -5,14 +5,16 @@ nijenhuis-comm and nijenhuis-3lie -- is data in `structures.CONDITIONS`,
 written with the map T: V -> A, the operator N: A -> A or the form: A A -> k
 beside the algebra's tensors and the actions, and scanned by the generated
 integer loops like every identity.  A checker checks only the shapes of
-the maps and forms it is handed (and a form's skewness): the tensors and
-actions its conditions read are checked with them, by
-`structures._check_components`.  The builders read the same registry's
-sub-map tables (muT and rhoTT, the induced product and bracket; mu_T and
-rho_T, the representation induced on A; mul_pre and br3_pre over T^-1, for
-an invertible T and for the symplectic pre-structure, whose T is the
-inverse musical map on the coadjoint representation; mul_N and br3_N, the
-deformed ones), so each formula is written once.
+the maps and forms it is handed (and a form's skewness), which a
+`structures._Maps` holds over the bundle or representation.  The tensors
+and actions its conditions read, or a builder's sub-maps, are checked by
+`structures._check_components`, so nothing here guards a component.  The
+builders read the same registry's sub-map tables (muT and rhoTT, the
+induced product and bracket; mu_T and rho_T, the representation induced on
+A; mul_pre and br3_pre over T^-1, for an invertible T and for the
+symplectic pre-structure, whose T is the inverse musical map on the
+coadjoint representation; mul_N and br3_N, the deformed ones), so each
+formula is written once.
 
 Builders re-verify the operator identity they rely on (fail fast with the
 failing report attached); they do not re-check ambient axioms, so perturbed
@@ -39,7 +41,6 @@ from .representations import (
     BiRep,
     LinRep,
     RepBundle,
-    _rep_layout,
     adjoint_rep,
     check_coherence,
     dual_rep,
@@ -48,7 +49,7 @@ from .structures import (
     AlgebraBundle,
     CheckReport,
     _carried,
-    _layout,
+    _conditions,
     _Maps,
     run_conditions,
 )
@@ -64,14 +65,14 @@ def _check_map_dims(t: InterMap, r: RepBundle, context: str):
 
 
 def _rb_maps(t: InterMap, r: RepBundle) -> _Maps:
-    return _Maps(r, _rep_layout, {}, {"T": t.tensor})
+    return _Maps(r, {}, {"T": t.tensor})
 
 
 def _check_rb(kind: str, names: tuple[str, ...], t: InterMap, r: RepBundle,
               max_counterexamples: int) -> CheckReport:
     """The named relative Rota-Baxter conditions, once T's shape is checked."""
     _check_map_dims(t, r, kind)
-    return run_conditions(kind, _rb_maps(t, r).conditions(names), max_counterexamples)
+    return run_conditions(kind, _conditions(_rb_maps(t, r), names), max_counterexamples)
 
 
 def check_relative_rb_comm(t: InterMap, r: RepBundle, *,
@@ -144,7 +145,7 @@ def rb_induced_pre(R: InterMap, a: AlgebraBundle) -> AlgebraBundle:
 
 def _pre_structure(t: InterMap, t_inv: InterMap, r: RepBundle) -> AlgebraBundle:
     """x <> y = T(mu(x) T^-1 y) and {x,y,z} = T(rho(x,y) T^-1 z) on A."""
-    maps = _Maps(r, _rep_layout, {}, {"T": t.tensor, "Tinv": t_inv.tensor})
+    maps = _Maps(r, {}, {"T": t.tensor, "Tinv": t_inv.tensor})
     return AlgebraBundle(r.algebra.dim, product=maps.tensor("mul_pre"),
                          bracket=maps.tensor("br3_pre"), basis_labels=r.algebra.basis_labels)
 
@@ -206,7 +207,7 @@ def _check_form(kind: str, name: str, context: str, b: BilinearForm, a: AlgebraB
         raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
     _require_skew(b, context)
     form = Tensor(a.dim, 3, (((i, j, 0), v) for (i, j), v in b.matrix.nonzeros()))
-    return run_conditions(kind, _Maps(a, _layout, {}, {"form": form}).conditions([name]),
+    return run_conditions(kind, _conditions(_Maps(a, {}, {"form": form}), [name]),
                           max_counterexamples)
 
 
@@ -250,7 +251,7 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
 
 
 def _nijenhuis_maps(nop: InterMap, a: AlgebraBundle) -> _Maps:
-    return _Maps(a, _layout, {}, {"N": nop.tensor})
+    return _Maps(a, {}, {"N": nop.tensor})
 
 
 def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
@@ -261,7 +262,7 @@ def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
             f"Nijenhuis candidate is {nop.dst_dim}x{nop.src_dim}, bundle has dim {a.dim}"
         )
     names = _carried(a, ("nijenhuis-comm", "nijenhuis-3lie"))
-    return run_conditions("nijenhuis", _nijenhuis_maps(nop, a).conditions(names),
+    return run_conditions("nijenhuis", _conditions(_nijenhuis_maps(nop, a), names),
                           max_counterexamples)
 
 

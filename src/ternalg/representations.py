@@ -15,7 +15,10 @@ A A V -> V (`rho1`: A V -> V for a `LinRep`), `mu`: A V -> V and the
 algebra's tensors.  Its value at (t, e_p) is column p of the matrix identity
 at the algebra tuple t, ranked rank(t) * m + p.  `_registry` defines L1, L2,
 L3 and their binary forms as sub-maps, and each condition, once;
-`KIND_CONDITIONS` lists each kind's conditions by name.
+`KIND_CONDITIONS` lists each kind's conditions by name.  A `RepBundle`
+states its components once (`RepBundle._components`), and a builder names
+the ones it reads to `structures._check_components`, so no guard for a
+missing tensor or action is written here.
 
 The scans run on integer tables: rho and mu each times the lcm of its own
 denominators, next to the algebra's own integer tables and sub-map tables,
@@ -33,26 +36,20 @@ from enum import Enum
 from typing import Optional
 
 from .constructions import fix_slot_bracket, subadjacent_ternary_fmanifold
-from .errors import (
-    DimensionMismatch,
-    MissingRep,
-    MissingTensor,
-)
+from .errors import DimensionMismatch, MissingRep
 from .linalg import ZERO, Matrix, Tensor, Value, Vec
 from .structures import (
     _SUBMAPS,
     COHERENCE_IDENTITIES,
+    IDENTITIES,
     AlgebraBundle,
     CheckReport,
     Identity,
     _check_components,
-    _condition,
+    _conditions,
     _define,
     _eval_map,
-    _identity_conditions,
-    _layout,
     _op,
-    _ops,
     _submap,
     coerce_kind,
     run_conditions,
@@ -162,6 +159,8 @@ class RepBundle(Value, eq=False):
                 raise DimensionMismatch(f"rho {shape} does not match the algebra dimension")
             dims.add(self.rho.module_dim)
         if self.mu is not None:
+            if not isinstance(self.mu, LinRep):
+                raise TypeError("mu must be a LinRep")
             if self.mu.algebra_dim != n:
                 raise DimensionMismatch("mu list does not match the algebra dimension")
             dims.add(self.mu.module_dim)
@@ -175,6 +174,14 @@ class RepBundle(Value, eq=False):
         if self.mu is not None:
             return self.mu.module_dim
         raise MissingRep("representation bundle carries neither rho nor mu")
+
+    def _components(self):
+        """The module's size, the action tensors and the algebra, for
+        `structures._ops`: with no action there is no module sort."""
+        action = self.rho or self.mu
+        return {"V": action.module_dim} if action else {}, {
+            "rho" if isinstance(self.rho, BiRep) else "rho1": self.rho and self.rho.tensor,
+            "mu": self.mu and self.mu.tensor}, self.algebra
 
 
 class RepKind(str, Enum):
@@ -265,39 +272,11 @@ KIND_CONDITIONS: dict[RepKind, tuple[str, ...]] = {
 # checking
 
 
-def _rep_layout(r: RepBundle, exact: bool):
-    """r's action tensors for `_ops`, over its algebra's tables; with no action
-    there is no module sort, and `_check_components` names what r lacks."""
-    tensors = {"rho" if isinstance(r.rho, BiRep) else "rho1": r.rho and r.rho.tensor,
-               "mu": r.mu and r.mu.tensor}
-    action = r.rho or r.mu
-    return {"V": action.module_dim} if action else {}, tensors, _ops(r.algebra, exact, _layout)
-
-
-def _need_birep(r: RepBundle) -> BiRep:
-    if not isinstance(r.rho, BiRep):
-        raise MissingRep("this check needs rho as a pair action (BiRep)")
-    return r.rho
-
-
-def _need_mu(r: RepBundle) -> LinRep:
-    if r.mu is None:
-        raise MissingRep("this check needs mu")
-    return r.mu
-
-
-def _rep_conditions(kind: RepKind, r: RepBundle):
-    """The kind's conditions on integer tables, each scanner built when the
-    driver reaches it; raises first for any component they read r lacks."""
-    conds = [REP_CONDITIONS[name] for name in KIND_CONDITIONS[kind]]
-    _check_components(_ops(r, False, _rep_layout), conds, f"{kind.value} condition")
-    return (_condition(cond, r, _rep_layout) for cond in conds)
-
-
 def check_representation(kind, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Verify all conditions of the representation kind on basis tuples x module basis."""
     kind = coerce_kind(kind, RepKind, "representation")
-    return run_conditions(kind.value, _rep_conditions(kind, r), max_counterexamples)
+    return run_conditions(kind.value, _conditions(r, KIND_CONDITIONS[kind], REP_CONDITIONS,
+                                                  f"{kind.value} condition"), max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +284,7 @@ def check_representation(kind, r: RepBundle, *, max_counterexamples: int = 1) ->
 
 
 def _l_map(r: RepBundle, name: str, args) -> Vec:
-    return _eval_map(_ops(r, True, _rep_layout), _SUBMAPS[name], args)
+    return _eval_map(r, _SUBMAPS[name], args)
 
 
 def l1(r: RepBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
@@ -329,10 +308,7 @@ def l3(r: RepBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
 
 def adjoint_rep(a: AlgebraBundle) -> RepBundle:
     """rho(e_i,e_j) = [e_i, e_j, .], mu(e_i) = e_i * (.), acting on A itself."""
-    if a.product is None:
-        raise MissingTensor("product", "adjoint_rep")
-    if a.bracket is None:
-        raise MissingTensor("bracket", "adjoint_rep")
+    _check_components(a, {"adjoint_rep": ("mul", "br3")})
     n = a.dim
     return RepBundle(algebra=a, rho=BiRep.from_tensor(n, n, a.bracket),
                      mu=LinRep.from_tensor(n, n, a.product))
@@ -363,8 +339,8 @@ def check_coherence(a: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckR
     The coherence notion presumes the structure identities, so they are part
     of the identity list and a non-passing bundle fails with counterexamples.
     """
-    return run_conditions("coherence", _identity_conditions(a, COHERENCE_IDENTITIES),
-                          max_counterexamples)
+    return run_conditions("coherence", _conditions(a, COHERENCE_IDENTITIES, IDENTITIES,
+                                                   "identity"), max_counterexamples)
 
 
 def semidirect(r: RepBundle) -> AlgebraBundle:
@@ -373,16 +349,14 @@ def semidirect(r: RepBundle) -> AlgebraBundle:
     (x1+v1)(x2+v2) = x1 x2 + mu(x1)v2 + mu(x2)v1
     [x1+v1, x2+v2, x3+v3] = [x1,x2,x3] + rho(x1,x2)v3 - rho(x1,x3)v2 + rho(x2,x3)v1
     """
+    _check_components(r, {"semidirect": ("mul", "br3", "rho", "mu")})
     a = r.algebra
-    if a.product is None or a.bracket is None:
-        raise MissingTensor("product" if a.product is None else "bracket", "semidirect")
-    rho, mu = _need_birep(r), _need_mu(r)
     n, m = a.dim, r.module_dim
     prod = list(a.product.nonzeros())
-    for (i, j, k), v in mu.tensor.nonzeros():
+    for (i, j, k), v in r.mu.tensor.nonzeros():
         prod += [((i, n + j, n + k), v), ((n + j, i, n + k), v)]
     brk = list(a.bracket.nonzeros())
-    for (i, j, k, l), v in rho.tensor.nonzeros():
+    for (i, j, k, l), v in r.rho.tensor.nonzeros():
         brk += [((i, j, n + k, n + l), v), ((i, n + k, j, n + l), -v), ((n + k, i, j, n + l), v)]
     labels = a.basis_labels + tuple(f"v{p + 1}" for p in range(m))
     return AlgebraBundle(n + m, product=Tensor(n + m, 3, prod), bracket=Tensor(n + m, 4, brk),
@@ -392,13 +366,13 @@ def semidirect(r: RepBundle) -> AlgebraBundle:
 def fix_slot_rep(r: RepBundle, anchor: Vec) -> RepBundle:
     """rho_a(x) = rho(x, anchor) over the slot-fixed binary bundle: its
     constant at (i, q, p) is the sum over j of anchor_j rho[i, j, q, p]."""
-    rho = _need_birep(r)
-    mu = _need_mu(r)
+    _check_components(r, {"fix_slot_rep": ("mul", "br3", "rho", "mu")})
+    rho = r.rho
     fixed = fix_slot_bracket(r.algebra, anchor)  # checks the anchor's dim
     rho_a = Tensor(rho.tensor.dim, 3, (((i, q, p), anchor[j] * v)
                                        for (i, j, q, p), v in rho.tensor.nonzeros() if anchor[j]))
     return RepBundle(algebra=fixed, rho=LinRep.from_tensor(rho.algebra_dim, rho.module_dim, rho_a),
-                     mu=mu)
+                     mu=r.mu)
 
 
 def rep_of_subadjacent(p: AlgebraBundle) -> RepBundle:
@@ -407,8 +381,6 @@ def rep_of_subadjacent(p: AlgebraBundle) -> RepBundle:
     rho(e_i,e_j) has columns {e_i, e_j, e_k}; mu(e_i) has columns e_i <> e_k:
     the matrices of the adjoint action of p itself.
     """
-    if p.product is None or p.bracket is None:
-        raise MissingTensor("product" if p.product is None else "bracket",
-                            "rep_of_subadjacent")
+    _check_components(p, {"rep_of_subadjacent": ("mul", "br3")})
     adj = adjoint_rep(p)
     return RepBundle(algebra=subadjacent_ternary_fmanifold(p), rho=adj.rho, mu=adj.mu)

@@ -35,12 +35,16 @@ L times the exact defect and vanishes exactly when it does, homogeneous or
 not; on integer tensors every factor is 1.  Flagged tuples are recomputed
 in exact rationals, which doubles as a cross-check of the fast path.
 
-Every checker of the package hands its maps to `_condition`, the one place
-that builds a `Condition`, and those to `run_conditions`, the one scan
-driver and the one place that builds a `CheckReport`.  Before either,
-`_check_components` raises for the first tensor or action the maps read
-that the owner lacks, the error `_MISSING` gives it, so no checker,
-evaluator or builder guards its inputs' components by hand.
+Each owner of tables (`AlgebraBundle`, `representations.RepBundle`,
+`_Maps`) states its components once, as data: `_components()` gives the
+sizes of its own sorts, its tensors by operation and its base owner, and
+`_ops`, the one place that builds tables, reads nothing else.  Every
+checker hands the names of its maps to `_conditions`, which builds each
+`Condition`, and those to `run_conditions`, the one scan driver and the one
+place that builds a `CheckReport`.  Before either, `_check_components`
+raises for the first tensor or action the maps read that the owner lacks,
+the error `_MISSING` gives it; a builder names the components it reads to
+the same function, so nothing outside this module guards a component.
 
 Identity scans use only certified symmetries.  A term normaliser expands a
 defect into trees of `mul`, `br3` and `br2` and, for every transposition of
@@ -64,7 +68,7 @@ certificate and both evaluators follow from the definition.  A
 representation condition is the same, in `representations._registry` and
 `KIND_CONDITIONS`, with the module slot last and `rho`, `rho1` and `mu`
 available; an operator, trace or homomorphism condition goes into
-`_conditions`.  An operation applied to two
+`_condition_registry`.  An operation applied to two
 nested terms goes through a named sub-map.  A new tensor or action needs a
 signature in `_SIGNATURES` and an entry in the missing-component table
 `_MISSING`: the error an owner without it gets.
@@ -184,13 +188,18 @@ class AlgebraBundle(Value, eq=False):
         return [self.basis(i) for i in range(self.dim)]
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        return _eval_map(_exact_ops(self), _TENSOR_MAPS["mul"], (x, y), "operation")
+        return _eval_map(self, _TENSOR_MAPS["mul"], (x, y), "operation")
 
     def br3(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        return _eval_map(_exact_ops(self), _TENSOR_MAPS["br3"], (x, y, z), "operation")
+        return _eval_map(self, _TENSOR_MAPS["br3"], (x, y, z), "operation")
 
     def br2(self, x: Vec, y: Vec) -> Vec:
-        return _eval_map(_exact_ops(self), _TENSOR_MAPS["br2"], (x, y), "operation")
+        return _eval_map(self, _TENSOR_MAPS["br2"], (x, y), "operation")
+
+    def _components(self):
+        """The sizes of its sorts, its tensors and its base (none), for `_ops`."""
+        return {"A": self.dim}, {"mul": self.product, "br3": self.bracket,
+                                 "br2": self.binary_bracket}, None
 
 
 class StructureKind(str, Enum):
@@ -344,29 +353,22 @@ def _dims(sizes: dict) -> str:
     return ", ".join(f"{names[s]} {n}" for s, n in sizes.items() if s in names)
 
 
-def _ops(owner, exact: bool, layout: Callable, path: Optional[str] = None) -> _Ops:
+def _ops(owner, exact: bool, path: Optional[str] = None) -> _Ops:
     """The tables of owner's tensors, exact or each times the lcm of its own
-    denominators; layout(owner, exact) gives the sizes of owner's own sorts,
-    its tensors and the `_Ops` of its base or None.  Built on first use, kept
-    on owner; `path` (tests only) forces the plans made on a new one."""
+    denominators, over its base's: owner._components() gives the sizes of
+    its own sorts, its tensors by operation and its base owner or None.
+    Built on first use, kept on owner; `path` (tests only) forces the plans
+    made on a new one."""
     attr = "_ops_exact" if exact else "_ops_int"
     hit = getattr(owner, attr, None)
     if hit is None:
-        sizes, tensors, base = layout(owner, exact)
-        hit = _Ops(sizes, tensors, exact, base, path)
+        sizes, tensors, base = owner._components()
+        hit = _Ops(sizes, tensors, exact, None if base is None else _ops(base, exact), path)
         if not exact:
             log.debug("integer tables, %s: scale factors %s", _dims(hit.sizes), " ".join(
                 f"{op}={hit.scales.get(op)}" for op in tensors))
         object.__setattr__(owner, attr, hit)
     return hit
-
-
-def _layout(b: AlgebraBundle, exact: bool):
-    return {"A": b.dim}, {"mul": b.product, "br3": b.bracket, "br2": b.binary_bracket}, None
-
-
-def _exact_ops(b: AlgebraBundle) -> _Ops:
-    return _ops(b, True, _layout)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +621,7 @@ COHERENCE_IDENTITIES: tuple[str, ...] = KIND_IDENTITIES[
 ] + ("coh1", "coh2", "coh3")
 
 
-def _conditions() -> dict[str, Identity]:
+def _condition_registry() -> dict[str, Identity]:
     """The conditions of the operator, trace and homomorphism checkers, each
     defined once, and the sub-maps they share with the builders.  A term
     takes at most one nested term, so an operation applied to two images,
@@ -694,7 +696,7 @@ def _conditions() -> dict[str, Identity]:
     }
 
 
-CONDITIONS: dict[str, Identity] = _conditions()
+CONDITIONS: dict[str, Identity] = _condition_registry()
 
 # each tensor as a map of its own, for AlgebraBundle.mul, br3 and br2
 _TENSOR_MAPS = {name: _define(name, body) for name, body in (
@@ -702,14 +704,19 @@ _TENSOR_MAPS = {name: _define(name, body) for name, body in (
     ("br2", lambda x, y: _op("br2")(x, y)))}
 
 
-def _check_components(ops: _Ops, maps: Sequence[Identity], context: str) -> None:
-    """Raise, before any scan, the `_MISSING` error of the first component,
-    in its order, that one of maps reads and ops lacks."""
+def _check_components(owner, reads: dict) -> None:
+    """Raise, before any table is built, the `_MISSING` error of the first
+    component, in its order, that owner and its bases lack and an entry of
+    `reads`, {where (the entry point and map): the components read}, reads."""
+    have = set()
+    while owner is not None:
+        _, tensors, owner = owner._components()
+        have.update(op for op, t in tensors.items() if t is not None)
     for op, error in _MISSING.items():
-        if op not in ops.tensors:
-            for m in maps:
-                if op in m.tensors:
-                    raise error(f"{context} {m.name!r}")
+        if op not in have:
+            for where, ops in reads.items():
+                if op in ops:
+                    raise error(where)
 
 
 # ---------------------------------------------------------------------------
@@ -1292,10 +1299,11 @@ def _tabulate(ops: _Ops, op: str) -> None:
               _dims(ops.sizes), len(entries), _scale(ops, op), path, time.perf_counter() - start)
 
 
-def _submap_tensor(ops: _Ops, name: str) -> Tensor:
-    """The structure constants of the sub-map `name` on ops's (exact) tables."""
+def _submap_tensor(owner, name: str) -> Tensor:
+    """The structure constants of the sub-map `name` on owner's exact tables."""
     m = _SUBMAPS[name]
-    _check_components(ops, [m], "sub-map")
+    _check_components(owner, {f"sub-map {name!r}": m.tensors})
+    ops = _ops(owner, True)
     return Tensor(max(ops.sizes[s] for s in m.sorts + (m.out,)), m.arity + 1,
                   ((e[:-1], e[-1]) for e in _support(ops, name)))
 
@@ -1398,95 +1406,81 @@ def run_conditions(kind: str, conditions: Iterable[Condition],
     )
 
 
-def _condition(m: Identity, owner, layout: Callable,
-               symmetry: Optional[Symmetry] = None) -> Condition:
-    """m as a condition on owner's tables (see `_ops`), scanned on the
-    integer ones; a failure's residual is m at its basis vectors, exact.
+def _conditions(owner, names: Sequence[str], registry: dict = CONDITIONS,
+                context: str = "condition"):
+    """The named maps of `registry` (`CONDITIONS` by default) as conditions
+    on owner's tables, scanned on the integer ones; a failure's residual is
+    its map at its basis vectors, exact.
 
-    When the run reaches it, `_plan` picks the contraction or the tuple
-    scan, a sweep, and only that one is compiled.  `symmetry`, for a
-    condition whose slots share one size, is its certificate: once every
-    identity it assumes has passed earlier in the same run, the sweep runs
-    over one representative per orbit.
+    Every component the maps read is checked here.  Each condition is built
+    when the driver reaches it, and `_plan` picks its scan, a contraction or
+    a tuple scan (a sweep), the only one compiled.  A bundle's own
+    identities, whose slots share one size, get symmetry certificates, each
+    assuming the identities listed before it: once all those it assumes have
+    passed in the same run, the sweep runs over one representative per orbit.
     """
-    ops = _ops(owner, False, layout)
-    sizes = _shape(ops, m)[0]
+    maps = [registry[name] for name in names]
+    _check_components(owner, {f"{context} {m.name!r}": m.tensors for m in maps})
+    ops = _ops(owner, False)
 
-    def defect(idx):
-        tables = _ops(owner, True, layout)
-        units = [[int(j == i) for j in range(tables.sizes[s])] for s, i in zip(m.sorts, idx)]
-        return Vec(_evaluate(tables, m, units))
+    def condition(pos, m):
+        sizes, symmetry = _shape(ops, m)[0], None
+        if isinstance(owner, AlgebraBundle):
+            symmetry = _certificate(m, tuple(a for a in names[:pos] if a in _SYMMETRY_OF))
 
-    def failures(budget, passed):
-        reduced = symmetry is not None and passed.issuperset(symmetry.assumes)
-        blocks = symmetry.blocks if reduced else ()
-        rows = _representative_count(sizes, blocks)
-        if _plan(ops, m, rows):
-            found, evaluated, made = _contracted_failures(
-                _make_scanner(ops, m, "contract"), sizes, budget)
-            log.debug("scan %s: contraction; %d contributions made, %d of %d tuples covered",
-                      m.name, made, evaluated, prod(sizes))
-            return found, evaluated
-        found = _swept_failures(_make_scanner(ops, m, "sweep", blocks), blocks, budget)
-        stop = found[-1] if len(found) == budget else None
-        path = (f"symmetry-reduced over {symmetry}" if reduced
-                else "full range" + (f", certified {symmetry} unused" if symmetry else ""))
-        log.debug("scan %s: %s; %d of %d tuples scanned", m.name, path,
-                  rows if stop is None else _representative_count(sizes, blocks, stop),
-                  prod(sizes))
-        return found, prod(sizes) if stop is None else _rank(stop, sizes) + 1
+        def defect(idx):
+            tables = _ops(owner, True)
+            units = [[int(j == i) for j in range(tables.sizes[s])] for s, i in zip(m.sorts, idx)]
+            return Vec(_evaluate(tables, m, units))
 
-    return Condition(m.name, sizes, defect, failures)
+        def failures(budget, passed):
+            reduced = symmetry is not None and passed.issuperset(symmetry.assumes)
+            blocks = symmetry.blocks if reduced else ()
+            rows = _representative_count(sizes, blocks)
+            if _plan(ops, m, rows):
+                found, evaluated, made = _contracted_failures(
+                    _make_scanner(ops, m, "contract"), sizes, budget)
+                log.debug("scan %s: contraction; %d contributions made, %d of %d tuples "
+                          "covered", m.name, made, evaluated, prod(sizes))
+                return found, evaluated
+            found = _swept_failures(_make_scanner(ops, m, "sweep", blocks), blocks, budget)
+            stop = found[-1] if len(found) == budget else None
+            path = (f"symmetry-reduced over {symmetry}" if reduced
+                    else "full range" + (f", certified {symmetry} unused" if symmetry else ""))
+            log.debug("scan %s: %s; %d of %d tuples scanned", m.name, path,
+                      rows if stop is None else _representative_count(sizes, blocks, stop),
+                      prod(sizes))
+            return found, prod(sizes) if stop is None else _rank(stop, sizes) + 1
+
+        return Condition(m.name, sizes, defect, failures)
+
+    return (condition(pos, m) for pos, m in enumerate(maps))
 
 
 class _Maps(Value, eq=False, frozen=False):
-    """Maps and forms over `base`, a bundle or a representation with the
-    `_ops` layout `base_layout`: the owner of an operator check's tables.
-    `sizes` holds the sorts base lacks, `tensors` the maps' tensors."""
+    """Maps and forms over `base`, a bundle or a representation: the owner
+    of an operator check's tables.  `sizes` holds the sorts base lacks,
+    `tensors` the maps' tensors."""
 
     base: object
-    base_layout: Callable
     sizes: dict
     tensors: dict
 
-    def layout(self, exact: bool):
-        return self.sizes, self.tensors, _ops(self.base, exact, self.base_layout)
-
-    def conditions(self, names: Sequence[str]):
-        """The named `CONDITIONS` on these tables, every component they read
-        checked at once, each built when the driver reaches it."""
-        conds = [CONDITIONS[name] for name in names]
-        _check_components(_ops(self, False, _Maps.layout), conds, "condition")
-        return (_condition(c, self, _Maps.layout) for c in conds)
+    def _components(self):
+        return self.sizes, self.tensors, self.base
 
     def tensor(self, name: str) -> Tensor:
         """The structure constants of the sub-map `name`."""
-        return _submap_tensor(_ops(self, True, _Maps.layout), name)
+        return _submap_tensor(self, name)
 
 
 def _carried(b: AlgebraBundle, names: Sequence[str]) -> list[str]:
     """The named `CONDITIONS` whose algebra tensors b carries, or all of them
     when none is carried, so that their check names the first one missing."""
-    tensors = _layout(b, True)[1]
+    tensors = b._components()[1]
     kept = [name for name in names
             if all(tensors[op] is not None for op in CONDITIONS[name].tensors & tensors.keys())]
     return kept or list(names)
-
-
-def _identity_conditions(b: AlgebraBundle, names: Sequence[str]):
-    """The named identities of b as conditions, scanned on integer tables.
-
-    Every tensor they read is checked here; each identity's scanner, and the
-    sub-map tables it reads, are built only when the driver reaches it.
-    Each identity's symmetry may assume the identities listed before it.
-    """
-    _check_components(_ops(b, False, _layout), [IDENTITIES[n] for n in names], "identity")
-
-    def condition(pos, ident):
-        assumable = tuple(a for a in names[:pos] if a in _SYMMETRY_OF)
-        return _condition(ident, b, _layout, _certificate(ident, assumable))
-
-    return (condition(pos, IDENTITIES[name]) for pos, name in enumerate(names))
 
 
 # ---------------------------------------------------------------------------
@@ -1501,9 +1495,10 @@ def _coordinates(ops: _Ops, sorts: str, args: Sequence[Vec]) -> list:
     return [v.entries for v in args]
 
 
-def _eval_map(ops: _Ops, m: Identity, args: Sequence[Vec], context: str = "sub-map") -> Vec:
-    """m at exact vectors, on the exact tables ops."""
-    _check_components(ops, [m], context)
+def _eval_map(owner, m: Identity, args: Sequence[Vec], context: str = "sub-map") -> Vec:
+    """m at exact vectors, on owner's exact tables."""
+    _check_components(owner, {f"{context} {m.name!r}": m.tensors})
+    ops = _ops(owner, True)
     return Vec(_evaluate(ops, m, _coordinates(ops, m.sorts, args)))
 
 
@@ -1520,14 +1515,14 @@ def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:
         raise ArityMismatch(
             f"identity {identity!r} takes {ident.arity} arguments, got {len(args)}"
         )
-    return _eval_map(_exact_ops(b), ident, args, "identity")
+    return _eval_map(b, ident, args, "identity")
 
 
 def check_axioms(kind, b: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Exhaustively verify the identity list of the given structure kind."""
     kind = coerce_kind(kind)
-    return run_conditions(kind.value, _identity_conditions(b, KIND_IDENTITIES[kind]),
-                          max_counterexamples)
+    return run_conditions(kind.value, _conditions(b, KIND_IDENTITIES[kind], IDENTITIES,
+                                                  "identity"), max_counterexamples)
 
 
 def leibnizator3(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
@@ -1537,22 +1532,22 @@ def leibnizator3(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
 
 def leibnizator2(b: AlgebraBundle, x: Vec, y: Vec, z: Vec) -> Vec:
     """[x, y*z] - [x,y]*z - y*[x,z] over the binary bracket."""
-    return _eval_map(_exact_ops(b), _SUBMAPS["leib2"], (x, y, z))
+    return _eval_map(b, _SUBMAPS["leib2"], (x, y, z))
 
 
 def f1(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
     """F1 of a pre-structure bundle (product slot = Zinbiel, bracket slot = 3-pre-Lie)."""
-    return _eval_map(_exact_ops(b), _SUBMAPS["f1"], (x1, x2, x3, x4))
+    return _eval_map(b, _SUBMAPS["f1"], (x1, x2, x3, x4))
 
 
 def f2(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
     """F2 of a pre-structure bundle; the sub-adjacent product is formed internally."""
-    return _eval_map(_exact_ops(b), _SUBMAPS["f2"], (x1, x2, x3, x4))
+    return _eval_map(b, _SUBMAPS["f2"], (x1, x2, x3, x4))
 
 
 def k_op(b: AlgebraBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
     """[x,y,z*u] + [x,z,u*y] + [x,u,y*z]: the cyclic operator of the coherence set."""
-    return _eval_map(_exact_ops(b), _SUBMAPS["kmap"], (x, y, z, u))
+    return _eval_map(b, _SUBMAPS["kmap"], (x, y, z, u))
 
 
 def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
@@ -1563,7 +1558,7 @@ def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
             f"map is {f.dst_dim}x{f.src_dim}, bundles have dims {src.dim} -> {dst.dim}"
         )
     names = _carried(src, ("hom-product", "hom-bracket", "hom-binary-bracket"))
-    maps = _Maps(src, _layout, {"B": dst.dim}, {
+    maps = _Maps(src, {"B": dst.dim}, {
         "f": f.tensor, "mulB": dst.product, "br3B": dst.bracket,
         "br2B": dst.binary_bracket})
-    return run_conditions("homomorphism", maps.conditions(names), max_counterexamples)
+    return run_conditions("homomorphism", _conditions(maps, names), max_counterexamples)

@@ -1,6 +1,8 @@
 """What a process loads: the package's public names load their submodule on
-first use, and a CLI command imports only the modules it runs."""
+first use, a CLI command imports only the modules it runs, and only
+`structures` builds tables."""
 
+import ast
 import importlib
 import json
 import os
@@ -155,3 +157,25 @@ def test_no_command_loads_dataclasses_or_inspect(args, tmp_path):
         args += ["-o", str(tmp_path / "derived.json")]
     steps = loaded_in_fresh_process(UNUSED, *args)
     assert steps == {"cli": [], "exit": 0, "command": []}
+
+
+def calls(tree: ast.AST, names: set) -> set:
+    """The names in `names` that tree calls, by name or as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                out.add(name)
+    return out
+
+
+def test_only_structures_builds_tables_or_missing_tensor_errors():
+    """`structures` alone builds an owner's tables and decides what a missing
+    component raises: no other module calls `_ops` or constructs a
+    `MissingTensor`; a builder names the components it reads instead."""
+    found = {path.name: calls(ast.parse(path.read_text()), {"_ops", "MissingTensor"})
+             for path in sorted((ROOT / "src" / "ternalg").glob("*.py"))}
+    assert {name: got for name, got in found.items() if got} == {
+        "structures.py": {"_ops", "MissingTensor"}}

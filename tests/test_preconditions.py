@@ -2,9 +2,10 @@
 one component it reads, or whose map, form or trace has the wrong shape.
 
 Each case has exactly one fault, except those of a representation with no
-action over a bundle that also lacks a tensor its conditions read: they get
-the error of the first component in the order of `structures._MISSING`, the
-algebra's tensors before the actions, and a map's wrong shape before both.
+action over a bundle that also lacks a tensor the check or builder reads:
+they get the error of the first component in the order of
+`structures._MISSING`, the algebra's tensors before the actions, and a
+map's wrong shape before both.
 Where a check runs several conditions,
 some cases make an earlier condition fail at k = 1, so the budget is full
 before the condition that reads the missing component: the error must
@@ -186,6 +187,9 @@ CASES = [
      MISSING, "product"),
     ("no-action-rb-T", lambda: check_relative_rb(InterMap.zero(4, 3), NO_ACTION_NO_PRODUCT),
      SHAPE, None),
+    ("no-action-semidirect", lambda: semidirect(NO_ACTION_NO_PRODUCT), MISSING, "product"),
+    ("no-action-fix_slot_rep", lambda: fix_slot_rep(NO_ACTION_NO_BRACKET, E3[0]),
+     MISSING, "bracket"),
     # forms, Nijenhuis operators, traces and homomorphisms
     ("cocycle", lambda: check_cyclic_2cocycle(FORM3, BRACKET_ONLY), MISSING, "product"),
     ("symplectic", lambda: check_symplectic(FORM3, PRODUCT_ONLY), MISSING, "bracket"),

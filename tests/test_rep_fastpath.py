@@ -31,8 +31,6 @@ from ternalg.representations import (
     LinRep,
     RepBundle,
     RepKind,
-    _rep_conditions,
-    _rep_layout,
     adjoint_rep,
     check_representation,
     fix_slot_rep,
@@ -40,6 +38,7 @@ from ternalg.representations import (
 )
 from ternalg.structures import (
     AlgebraBundle,
+    _conditions,
     _evaluate,
     _make_scanner,
     _multipliers,
@@ -170,7 +169,8 @@ def test_every_condition_matches_oracle_alone(seed, binary):
     # whole budget; scanning each condition alone reaches the later ones.
     r = random_rep(100 + seed, binary)
     for kind in BINARY_KINDS if binary else TERNARY_KINDS:
-        ours = list(_rep_conditions(RepKind(kind), r))
+        ours = list(_conditions(r, KIND_CONDITIONS[RepKind(kind)], REP_CONDITIONS,
+                                f"{kind} condition"))
         theirs = rep_oracle.conditions(kind, r)
         # the oracle counts the algebra slots; the module slot is the last
         assert [(name, REP_CONDITIONS[name].arity - 1)
@@ -232,9 +232,9 @@ def test_conditions_scale_by_one_monomial(seed, binary):
     rng = random.Random(200 + seed)
     r = random_rep(200 + seed, binary)
     alpha, beta = rng.randint(2, 9), rng.randint(2, 9)
-    base = _ops(r, True, _rep_layout)
-    big = _ops(scaled(r, alpha, beta), True, _rep_layout)
-    fast = _ops(r, False, _rep_layout)
+    base = _ops(r, True)
+    big = _ops(scaled(r, alpha, beta), True)
+    fast = _ops(r, False)
     names = {name for kind in (BINARY_KINDS if binary else TERNARY_KINDS)
              for name in KIND_CONDITIONS[RepKind(kind)]}
     seen = set()

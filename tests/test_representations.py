@@ -129,6 +129,13 @@ def test_rho_must_be_a_pair_or_single_action(f4):
         RepBundle(algebra=f4, rho=LinRep.zero(4, 2).mats, mu=LinRep.zero(4, 2))
 
 
+@pytest.mark.parametrize("mu", [BiRep.zero(3, 3), [Matrix.zero(3, 3)] * 3],
+                         ids=["pair-action", "matrices"])
+def test_mu_must_be_a_single_action(mu):
+    with pytest.raises(TypeError, match="^mu must be a LinRep$"):
+        RepBundle(algebra=trunc(3), mu=mu)
+
+
 def test_action_tensors_are_the_constants(adj, f4):
     """The adjoint actions are the bracket and product themselves, equal to
     their dense construction; a tensor of another order or dim is refused."""

@@ -38,7 +38,6 @@ from ternalg.representations import (
     BiRep,
     LinRep,
     RepBundle,
-    _rep_layout,
     adjoint_rep,
     check_coherence,
     check_representation,
@@ -52,7 +51,7 @@ from ternalg.structures import (
     KIND_IDENTITIES,
     AlgebraBundle,
     StructureKind,
-    _identity_conditions,
+    _conditions,
     check_axioms,
     eval_defect,
     f1,
@@ -144,7 +143,7 @@ def check(label, names, b, k):
         return check_coherence(b, max_counterexamples=k)
     if label in KIND_LABELS:
         return check_axioms(label, b, max_counterexamples=k)
-    return run_conditions(label, _identity_conditions(b, names), k)
+    return run_conditions(label, _conditions(b, names, IDENTITIES, "identity"), k)
 
 
 SLOT_OF = {"mul": "product", "br3": "bracket", "br2": "binary_bracket"}
@@ -370,7 +369,7 @@ def test_plan_takes_the_contraction_only_past_the_margin(monkeypatch):
         monkeypatch.setattr(structures, name, 0)
     for name, value in (("_TUPLE_COST", 1), ("_CHUNK_COST", 1), ("_MARGIN", 10)):
         monkeypatch.setattr(structures, name, value)
-    ops = structures._ops(fil4(), False, structures._layout)
+    ops = structures._ops(fil4(), False)
     picks = [structures._plan(ops, IDENTITIES["fundamental"], rows) for rows in (10, 14, 15)]
     assert picks == [False, False, True]
 
@@ -437,7 +436,7 @@ def test_planner_on_dense_input(caplog):
                                 "contributions") for t in text), name
     caplog.clear()
     b = dense(tfm4_trunc4())
-    ops = structures._ops(b, False, structures._layout)
+    ops = structures._ops(b, False)
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         assert not _planned(ops, KIND_IDENTITIES[StructureKind("ternary-f-manifold")], "hm3")
         assert not _planned(ops, COHERENCE_IDENTITIES, "coh1")
@@ -507,7 +506,7 @@ PATHS = ("tuples", "contract")
 def forced(b, path):
     """b with every plan made on its integer tables, and on the tables of
     representations and maps built over it, forced to `path`."""
-    structures._ops(b, False, structures._layout, path)
+    structures._ops(b, False, path)
     return b
 
 
@@ -542,7 +541,7 @@ def _all_tensor_owners(seed, path=None):
         "f": tensor(n, 2, (29,), (n, n2)), "mulB": tensor(n2, 3, (31,)),
         "br3B": tensor(n2, 4, (3, 37)), "br2B": tensor(n2, 3, (41,)),
     }
-    return [structures._Maps(r, _rep_layout, {"B": n2}, maps) for r in (pair, single)]
+    return [structures._Maps(r, {"B": n2}, maps) for r in (pair, single)]
 
 
 def integer_values(fast, m):
@@ -574,10 +573,10 @@ def integer_values(fast, m):
     return {t: {l: v for l, v in enumerate(out) if v} for t, out in swept}
 
 
-def exact_values(owner, layout, m, tuples):
+def exact_values(owner, m, tuples):
     """L times m's exact value at each basis tuple, as {l: value}, L from
     `_multipliers` on owner's integer tables."""
-    fast, exact = (structures._ops(owner, e, layout) for e in (False, True))
+    fast, exact = (structures._ops(owner, e) for e in (False, True))
     L = structures._multipliers(fast, m)[0]
     out = {}
     for t in tuples:
@@ -598,14 +597,14 @@ def test_scan_is_L_times_the_exact_value(seed):
         seen, uneven = set(), set()
         for name, m in maps.items():
             owner = single if "rho1" in m.tensors else pair
-            fast = structures._ops(owner, False, structures._Maps.layout)
+            fast = structures._ops(owner, False)
             assert fast.path == path
             mults = structures._multipliers(fast, m)[1]
             if len(set(mults)) > 1:
                 uneven.add(name)
             got = integer_values(fast, m)
             tuples = list(itertools.product(*(range(fast.sizes[s]) for s in m.sorts)))
-            want = exact_values(owner, structures._Maps.layout, m, tuples)
+            want = exact_values(owner, m, tuples)
             assert {t: v for t, v in want.items() if v} == got, (path, name)
             if got:
                 seen.add(name)
@@ -634,22 +633,22 @@ def test_contraction_is_L_times_the_exact_value_on_interacting_tables(case):
     owners = {}
     for path in PATHS:
         b = forced(INTERACTING[case](), path)
-        owners[path] = ((b, structures._layout, {**IDENTITIES, **structures._SUBMAPS}),
-                        (adjoint_rep(b), _rep_layout, {**REP_CONDITIONS, **structures._SUBMAPS}))
+        owners[path] = ((b, {**IDENTITIES, **structures._SUBMAPS}),
+                        (adjoint_rep(b), {**REP_CONDITIONS, **structures._SUBMAPS}))
     nonzero = set()
-    for side, (owner, layout, maps) in enumerate(owners["contract"]):
+    for side, (owner, maps) in enumerate(owners["contract"]):
         tuple_owner = owners["tuples"][side][0]
-        have = set(structures._ops(owner, False, layout).tables)
+        have = set(structures._ops(owner, False).tables)
         for name, m in maps.items():
             if not m.tensors <= have:
                 continue
-            fast, slow = (structures._ops(o, False, layout) for o in (owner, tuple_owner))
+            fast, slow = (structures._ops(o, False) for o in (owner, tuple_owner))
             got = integer_values(fast, m)
             assert got == integer_values(slow, m), (case, name)
             small = all(fast.sizes[s] <= 4 for s in m.sorts)
             tuples = (list(itertools.product(*(range(fast.sizes[s]) for s in m.sorts)))
                       if small else sorted(got))
-            want = exact_values(owner, layout, m, tuples)
+            want = exact_values(owner, m, tuples)
             assert {t: v for t, v in want.items() if v} == got, (case, name)
             if got:
                 nonzero.add(name)
@@ -673,9 +672,8 @@ def sub_map_tables(b):
     adjoint representation have the tensors for, built by the plans made
     on their integer tables."""
     out = {}
-    for side, (owner, layout) in enumerate(((b, structures._layout),
-                                            (adjoint_rep(b), _rep_layout))):
-        ops = structures._ops(owner, False, layout)
+    for side, owner in enumerate((b, adjoint_rep(b))):
+        ops = structures._ops(owner, False)
         for name, m in structures._SUBMAPS.items():
             if m.tensors <= ops.tables.keys() and (side == 0 or m.tensors & {"rho", "mu"}):
                 out[side, name] = (structures._support(ops, name), structures._table(ops, name))
@@ -709,16 +707,16 @@ def test_partly_empty_sub_map_is_still_scanned(caplog):
         if path:
             forced(b, path)
         r = RepBundle(algebra=b, rho=BiRep.from_tensor(4, 4, b.bracket), mu=LinRep.zero(4, 4))
-        return structures._Maps(r, _rep_layout, {}, {"T": Tensor(4, 2, {(0, 0): 1, (1, 2): 1})})
+        return structures._Maps(r, {}, {"T": Tensor(4, 2, {(0, 0): 1, (1, 2): 1})})
 
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
-        ops = structures._ops(owner(), False, structures._Maps.layout)
+        ops = structures._ops(owner(), False)
         support = structures._support(ops, "mu_T")
     assert support and structures._support(ops, "mu") == [] and structures._support(ops, "mulT")
     built = [r.getMessage() for r in caplog.records if r.getMessage().startswith("built mu_T ")]
     assert len(built) == 1 and " by tuple scan in " in built[0], built
     for path in PATHS:
-        fast = structures._ops(owner(path), False, structures._Maps.layout)
+        fast = structures._ops(owner(path), False)
         assert structures._support(fast, "mu_T") == support, path
 
 
@@ -744,8 +742,8 @@ def test_adjoint_representation_shares_the_algebra_tables():
     b = direct_sum(sd, sd)
     r = adjoint_rep(b)
     for exact in (False, True):
-        base = structures._ops(b, exact, structures._layout)
-        ops = structures._ops(r, exact, _rep_layout)
+        base = structures._ops(b, exact)
+        ops = structures._ops(r, exact)
         assert ops.base is base
         assert ops.tables["rho"] is base.tables["br3"]
         assert ops.tables["mu"] is base.tables["mul"]
@@ -759,7 +757,7 @@ def test_sweep_keeps_no_value_it_handed_on():
     list keeps its value, and the cancelled tuple is skipped."""
     b = AlgebraBundle(3, product=Tensor(3, 3, [((0, 1, 0), 1), ((0, 2, 1), 1),
                                                ((2, 0, 1), 1)]))
-    ops = structures._ops(b, False, structures._layout)
+    ops = structures._ops(b, False)
     comm = IDENTITIES["comm"]
     assert list(structures._make_scanner(ops, comm)()) == [((0, 1), [1, 0, 0]),
                                                            ((1, 0), [-1, 0, 0])]
@@ -871,10 +869,10 @@ def test_generated_source_pinned(caplog, monkeypatch):
     forced(b, "tuples")
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         for m in IDENTITIES.values():
-            structures._make_scanner(structures._ops(b, False, structures._layout), m)
+            structures._make_scanner(structures._ops(b, False), m)
         for m in REP_CONDITIONS.values():
             owner = rb if "rho1" in m.tensors else r
-            structures._make_scanner(structures._ops(owner, False, _rep_layout), m)
+            structures._make_scanner(structures._ops(owner, False), m)
     seen = {}
     for record in caplog.records:
         head, _, src = record.getMessage().partition(":\n")

@@ -343,8 +343,8 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     from ternalg.catalog import fil4
     from ternalg.errors import InternalError
     from ternalg.linalg import Vec
-    from ternalg.representations import _rep_layout, adjoint_rep, check_representation
-    from ternalg.structures import CheckReport, Counterexample, _layout, _ops, check_axioms
+    from ternalg.representations import adjoint_rep, check_representation
+    from ternalg.structures import CheckReport, Counterexample, _ops, check_axioms
 
     # the scan path forced on every integer table below, or "" to plan
     path = sys.argv[1] or None
@@ -363,12 +363,12 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
 
     # integer tables that disagree with the exact ones: e1 -> e1 at [e1,e1,e1]
     b = fil4()
-    _ops(b, False, _layout, path).tables["br3"][0][0][0] = ((0, 1),)
+    _ops(b, False, path).tables["br3"][0][0][0] = ((0, 1),)
     structure_scan = raises(lambda: check_axioms("3-lie", b))
 
     # the same for the integer rho table: column e1 of rho(e1, e1) -> e1
     r = adjoint_rep(fil4())
-    _ops(r, False, _rep_layout, path).tables["rho"][0][0][0] = ((0, 1),)
+    _ops(r, False, path).tables["rho"][0][0][0] = ((0, 1),)
     rep_scan = raises(lambda: check_representation("three-lie-rep", r))
 
     # and for an operator condition: the symplectic scan reads the bundle's
@@ -376,7 +376,7 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     from ternalg.catalog import fil4_symplectic
     from ternalg.operators import check_symplectic
     b = fil4()
-    _ops(b, False, _layout, path).tables["br3"][0][0][0] = ((0, 1),)
+    _ops(b, False, path).tables["br3"][0][0][0] = ((0, 1),)
     operator_scan = raises(lambda: check_symplectic(fil4_symplectic(), b))
 
     # a symmetry certificate claiming assoc symmetric in all three slots: on
@@ -390,7 +390,7 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
         (((0, 1, 2), 1),), ("comm",))
     b = AlgebraBundle(2, product=Tensor3.from_nonzeros(
         2, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}))
-    _ops(b, False, _layout, path)
+    _ops(b, False, path)
     if path == "contract":
         found = check_axioms("comm-assoc", b, max_counterexamples=100).counterexamples
         certificate = [ce.indices for ce in found] == [

@@ -28,7 +28,6 @@ from ternalg.structures import (
     Counterexample,
     Identity,
     Symmetry,
-    _layout,
     _Maps,
     check_axioms,
 )
@@ -46,7 +45,7 @@ FIELDS = {
     Identity: ("name", "terms", "sorts", "out", "tensors"),
     Symmetry: ("blocks", "assumes"),
     Condition: ("name", "sizes", "defect", "failures"),
-    _Maps: ("base", "base_layout", "sizes", "tensors"),
+    _Maps: ("base", "sizes", "tensors"),
     BiRep: ("module_dim", "algebra_dim", "tensor"),
     LinRep: ("module_dim", "algebra_dim", "tensor"),
     RepBundle: ("algebra", "rho", "mu"),
@@ -163,7 +162,7 @@ def identity_values():
     yield b, lambda: AlgebraBundle(2, product=b.product, bracket=b.bracket, unit=b.unit,
                                    basis_labels=("one", "x"))
     yield RepBundle(b), lambda: RepBundle(b)
-    yield _Maps(b, _layout, {}, {}), lambda: _Maps(b, _layout, {}, {})
+    yield _Maps(b, {}, {}), lambda: _Maps(b, {}, {})
 
 
 @pytest.mark.parametrize("value, rebuild", list(identity_values()),
@@ -248,7 +247,7 @@ def test_caches_kept_on_a_value_are_set_through_object_setattr():
     check_axioms("3-lie", b)
     tables = vars(b)["_ops_int"]
     assert check_axioms("3-lie", b).passed and vars(b)["_ops_int"] is tables
-    maps = _Maps(b, _layout, {}, {})
+    maps = _Maps(b, {}, {})
     maps.sizes = {"B": 2}  # an operator check's owner is not frozen
     assert maps.sizes == {"B": 2}
 
@@ -264,7 +263,7 @@ def test_copy_and_pickle_give_equal_values(value):
 def test_copy_and_pickle_keep_the_fields_of_identity_values():
     b = unit_bundle()
     doc = Document(b, maps={"tau": InterMap(Matrix([[1, 0]]))})
-    for value in (b, adjoint_rep(fil4()), _Maps(b, _layout, {}, {"T": b.product}), doc):
+    for value in (b, adjoint_rep(fil4()), _Maps(b, {}, {"T": b.product}), doc):
         for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and repr(twin) == repr(value)
     assert pickle.loads(pickle.dumps(doc)).maps == doc.maps
@@ -294,7 +293,7 @@ def test_keyword_and_default_construction():
     assert InterMap(matrix=Matrix([[1]])) == InterMap(Matrix([[1]]))
     assert TraceFunctional(row=Vec([1])) == TraceFunctional(Vec([1]))
     assert BilinearForm(matrix=Matrix([[1]])) == BilinearForm(Matrix([[1]]))
-    maps = _Maps(base=b, base_layout=_layout, sizes={}, tensors={})
+    maps = _Maps(base=b, sizes={}, tensors={})
     assert maps.base is b and maps.tensors == {}
     doc = Document(bundle=b, form=BilinearForm(Matrix([[0, 1], [-1, 0]])))
     assert doc.rep is None and doc.maps == {} and doc.form.dim == 2

@@ -113,7 +113,7 @@ def main() -> None:
     cases = []
     for density in DENSITIES:
         b = random_bundle(args.n, density, rng)
-        ops = structures._ops(b, False, structures._layout)
+        ops = structures._ops(b, False)
         for m in (*IDENTITIES.values(), *structures._SUBMAPS.values()):
             if m.tensors <= ops.tables.keys() | structures._SUBMAPS.keys():
                 cases.append({"density": density, **measure(ops, m, args.repeats)})
