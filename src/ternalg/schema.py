@@ -337,7 +337,7 @@ def load_document(path, *, complete_skew: bool = False) -> tuple[Document, int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
     return parse_document(text, complete_skew=complete_skew)
 

@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
+import sys
 import time
 from enum import Enum
 from math import comb, lcm, prod
@@ -97,7 +97,22 @@ from .errors import (
 )
 from .linalg import ZERO, InterMap, Tensor, Value, Vec, nested_rows
 
-log = logging.getLogger("ternalg")
+
+class _Log:
+    """The `ternalg` logger, without importing `logging`, which with the
+    `traceback`, `tokenize` and `string` modules it loads would be the
+    costliest stdlib import of a CLI process.  Each debug line goes to
+    `logging.getLogger("ternalg")` once the host has imported `logging`, with
+    its call site as the record's location; a process that has not imported
+    it has no handler that could show the line."""
+
+    def debug(self, msg: str, *args) -> None:
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            logging.getLogger("ternalg").debug(msg, *args, stacklevel=2)
+
+
+log = _Log()
 
 DEFAULT_DIMENSION_CAP = 16
 _dimension_cap = DEFAULT_DIMENSION_CAP

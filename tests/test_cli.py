@@ -348,6 +348,22 @@ def test_derive_unwritable_output_exits_2(tmp_path):
     assert "Traceback" not in r.output
 
 
+@pytest.mark.parametrize("args", [
+    ["check", "--kind", "3-lie", "{bad}"],
+    ["derive", "semidirect", "{bad}", "-o", "{out}"],
+], ids=["check", "derive"])
+def test_input_not_utf8_exits_2(tmp_path, args):
+    # a decoding error is an input error, not a failed check
+    bad, out = tmp_path / "bad.json", tmp_path / "x.json"
+    bad.write_bytes(b"\xff\xfe")
+    r = invoke(*(a.format(bad=bad, out=out) for a in args))
+    assert (r.exit_code, r.exception, r.stdout) == (2, None, "")
+    assert r.stderr.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+    assert r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_catalog_emit_to_directory_exits_2(tmp_path):
     r = invoke("catalog", "emit", "fil4", "-o", tmp_path)
     assert r.exit_code == 2

@@ -13,6 +13,7 @@ from ternalg.linalg import Matrix, Vec
 from ternalg.schema import (
     document_to_obj,
     dumps,
+    load_document,
     parse_document,
     parse_scalar,
     report_to_obj,
@@ -257,6 +258,18 @@ def test_missing_blocks_raise():
         doc.require_map("T")
     with pytest.raises(SchemaError):
         doc.require_form()
+
+
+def test_load_document_errors_are_schema_errors(tmp_path):
+    # an unreadable path and undecodable bytes raise the same error
+    missing, bad = tmp_path / "missing.json", tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    with pytest.raises(SchemaError) as got:
+        load_document(missing)
+    assert str(got.value).startswith(f"cannot read {missing}: [Errno 2]")
+    with pytest.raises(SchemaError) as got:
+        load_document(bad)
+    assert str(got.value).startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_report_document_shape():

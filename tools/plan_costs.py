@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import prod
 
 from ternalg import structures
-from ternalg.linalg import Tensor3, Tensor4
+from ternalg.linalg import Tensor
 from ternalg.structures import IDENTITIES, AlgebraBundle
 
 DENSITIES = (0.0, 0.05, 0.15, 0.4)
@@ -40,13 +40,12 @@ def random_bundle(n: int, density: float, rng: random.Random) -> AlgebraBundle:
     """Product, bracket and binary bracket with about `density` of their
     entries nonzero small integers; they satisfy no identity."""
 
-    def tensor(cls, order):
+    def tensor(order):
         cells = list(itertools.product(range(n), repeat=order))
-        return cls.from_nonzeros(n, {c: Fraction(rng.choice((-2, -1, 1, 2)))
-                                     for c in rng.sample(cells, round(density * len(cells)))})
+        return Tensor(n, order, {c: Fraction(rng.choice((-2, -1, 1, 2)))
+                                 for c in rng.sample(cells, round(density * len(cells)))})
 
-    return AlgebraBundle(n, product=tensor(Tensor3, 3), bracket=tensor(Tensor4, 4),
-                         binary_bracket=tensor(Tensor3, 3))
+    return AlgebraBundle(n, product=tensor(3), bracket=tensor(4), binary_bracket=tensor(3))
 
 
 def best(fn, repeats: int) -> float:
