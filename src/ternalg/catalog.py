@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .constructions import TraceFunctional
 from .errors import BundleError, SchemaError
-from .linalg import InterMap, Matrix, Tensor3, Tensor4, Vec
+from .linalg import InterMap, Matrix, Tensor, Vec
 from .operators import BilinearForm
 from .representations import RepBundle, adjoint_rep
 from .schema import _complete_skew, document_to_obj
@@ -24,7 +24,7 @@ def _alternating_tensor4(n: int, generators: dict[tuple[int, int, int], dict[int
     """Extend bracket generators to all index permutations by skew-symmetry."""
     entries = {(i, j, k, l): Fraction(v)
                for (i, j, k), row in generators.items() for l, v in row.items()}
-    return Tensor4.from_nonzeros(n, _complete_skew(entries, 3, "bracket")[0])
+    return Tensor(n, 4, _complete_skew(entries, 3, "bracket")[0])
 
 
 def fil4() -> AlgebraBundle:
@@ -40,7 +40,7 @@ def fil4() -> AlgebraBundle:
             (1, 2, 3): {0: 1},
         },
     )
-    return AlgebraBundle(4, product=Tensor3.zero(4), bracket=bracket)
+    return AlgebraBundle(4, product=Tensor(4, 3, {}), bracket=bracket)
 
 
 def trunc(n: int) -> AlgebraBundle:
@@ -48,12 +48,12 @@ def trunc(n: int) -> AlgebraBundle:
     unital commutative associative, zero ternary bracket."""
     if n < 1:
         raise BundleError("trunc(n) needs n >= 1")
-    prod = Tensor3.from_nonzeros(n, {(i, j, i + j): 1 for i in range(n) for j in range(n - i)})
+    prod = Tensor(n, 3, {(i, j, i + j): 1 for i in range(n) for j in range(n - i)})
     labels = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, n)]
     return AlgebraBundle(
         n,
         product=prod,
-        bracket=Tensor4.zero(n),
+        bracket=Tensor(n, 4, {}),
         unit=Vec.basis(n, 0),
         basis_labels=labels,
     )
@@ -72,16 +72,17 @@ def r_int(n: int) -> InterMap:
 
 def heisenberg_trace() -> tuple[AlgebraBundle, TraceFunctional]:
     """Heisenberg Lie bundle [e1,e2]=e3 with zero product, and the trace e1*."""
-    bb = Tensor3.from_nonzeros(3, {(0, 1, 2): 1, (1, 0, 2): -1})
-    bundle = AlgebraBundle(3, product=Tensor3.zero(3), binary_bracket=bb)
+    bb = Tensor(3, 3, {(0, 1, 2): 1, (1, 0, 2): -1})
+    bundle = AlgebraBundle(3, product=Tensor(3, 3, {}), binary_bracket=bb)
     return bundle, TraceFunctional.dual_of(3, 0)
 
 
 def gl2_trace() -> tuple[AlgebraBundle, TraceFunctional]:
     """sl2 plus a central element z (basis h,e,f,z) with zero product and the
     trace z*; the induced ternary bracket satisfies [z,e,f]_tau = h."""
-    bb = Tensor3.from_nonzeros(
+    bb = Tensor(
         4,
+        3,
         {
             (0, 1, 1): 2, (1, 0, 1): -2,   # [h,e] = 2e
             (0, 2, 2): -2, (2, 0, 2): 2,   # [h,f] = -2f
@@ -89,7 +90,7 @@ def gl2_trace() -> tuple[AlgebraBundle, TraceFunctional]:
         },
     )
     bundle = AlgebraBundle(
-        4, product=Tensor3.zero(4), binary_bracket=bb, basis_labels=("h", "e", "f", "z")
+        4, product=Tensor(4, 3, {}), binary_bracket=bb, basis_labels=("h", "e", "f", "z")
     )
     return bundle, TraceFunctional.dual_of(4, 3)
 

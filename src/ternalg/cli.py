@@ -16,7 +16,7 @@ from __future__ import annotations
 # structures first: without a bytecode cache its compile is a CLI process's largest
 # allocation, and made before other modules load it adds least to the peak RSS
 # (18.5 MB for a check in this order, 19.7 MB with it imported last)
-from .structures import StructureKind, check_axioms  # isort: skip
+from .structures import check_axioms, coerce_kind  # isort: skip
 
 import argparse
 import sys
@@ -25,9 +25,6 @@ import time
 from . import schema
 from .errors import PreconditionError, SchemaError, TernalgError
 from .linalg import Vec
-
-STRUCTURE_KINDS = [k.value for k in StructureKind] + ["coherence"]
-
 
 def _emit(obj: dict):
     sys.stdout.write(schema.dumps(obj))
@@ -47,19 +44,9 @@ def cmd_check(args) -> int:
     if args.as_rep:
         from .representations import RepKind, check_representation
 
-        rep_kinds = [k.value for k in RepKind]
-        if kind not in rep_kinds:
-            raise SchemaError(f"unknown representation kind {kind!r} (choices: {rep_kinds})")
+        kind = coerce_kind(kind, RepKind, "representation")  # before the rep block is read
         report = check_representation(kind, doc.require_rep(), max_counterexamples=budget)
-    elif kind == "coherence":
-        from .representations import check_coherence
-
-        report = check_coherence(doc.bundle, max_counterexamples=budget)
     else:
-        if kind not in [k.value for k in StructureKind]:
-            raise SchemaError(
-                f"unknown structure kind {kind!r} (choices: {STRUCTURE_KINDS})"
-            )
         report = check_axioms(kind, doc.bundle, max_counterexamples=budget)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     _emit(schema.report_to_obj(report, timing_ms=elapsed_ms if args.timing else None))

@@ -18,7 +18,6 @@ from .structures import (
     AlgebraBundle,
     CheckReport,
     _check_components,
-    _conditions,
     _Maps,
     _submap_tensor,
     run_conditions,
@@ -134,8 +133,7 @@ def _trace_maps(a: AlgebraBundle, tau: TraceFunctional) -> _Maps:
 def check_trace(a: AlgebraBundle, tau: TraceFunctional, *,
                 max_counterexamples: int = 1) -> CheckReport:
     """Verify tau([e_i, e_j]) = 0 on all basis pairs of the binary bracket."""
-    return run_conditions("trace", _conditions(_trace_maps(a, tau), ["trace"]),
-                          max_counterexamples)
+    return run_conditions("trace", _trace_maps(a, tau), ["trace"], max_counterexamples)
 
 
 def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
@@ -155,8 +153,8 @@ def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
                             max_counterexamples: int = 1) -> CheckReport:
     """Verify tau(x1 x2) L(x3,x4,x5) = tau(x2) x1 L(...) + tau(x1) x2 L(...)
     on all basis 5-tuples, with L the binary Leibnizator."""
-    conditions = _conditions(_trace_maps(a, tau), ["induced-condition"])
-    return run_conditions("induced-condition", conditions, max_counterexamples)
+    return run_conditions("induced-condition", _trace_maps(a, tau), ["induced-condition"],
+                          max_counterexamples)
 
 
 def symmetrize_zinbiel(d: AlgebraBundle) -> AlgebraBundle:

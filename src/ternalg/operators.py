@@ -49,7 +49,6 @@ from .structures import (
     AlgebraBundle,
     CheckReport,
     _carried,
-    _conditions,
     _Maps,
     run_conditions,
 )
@@ -72,7 +71,7 @@ def _check_rb(kind: str, names: tuple[str, ...], t: InterMap, r: RepBundle,
               max_counterexamples: int) -> CheckReport:
     """The named relative Rota-Baxter conditions, once T's shape is checked."""
     _check_map_dims(t, r, kind)
-    return run_conditions(kind, _conditions(_rb_maps(t, r), names), max_counterexamples)
+    return run_conditions(kind, _rb_maps(t, r), names, max_counterexamples)
 
 
 def check_relative_rb_comm(t: InterMap, r: RepBundle, *,
@@ -207,8 +206,7 @@ def _check_form(kind: str, name: str, context: str, b: BilinearForm, a: AlgebraB
         raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
     _require_skew(b, context)
     form = Tensor(a.dim, 3, (((i, j, 0), v) for (i, j), v in b.matrix.nonzeros()))
-    return run_conditions(kind, _conditions(_Maps(a, {}, {"form": form}), [name]),
-                          max_counterexamples)
+    return run_conditions(kind, _Maps(a, {}, {"form": form}), [name], max_counterexamples)
 
 
 def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
@@ -262,8 +260,7 @@ def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
             f"Nijenhuis candidate is {nop.dst_dim}x{nop.src_dim}, bundle has dim {a.dim}"
         )
     names = _carried(a, ("nijenhuis-comm", "nijenhuis-3lie"))
-    return run_conditions("nijenhuis", _conditions(_nijenhuis_maps(nop, a), names),
-                          max_counterexamples)
+    return run_conditions("nijenhuis", _nijenhuis_maps(nop, a), names, max_counterexamples)
 
 
 def deform(nop: InterMap, a: AlgebraBundle) -> AlgebraBundle:

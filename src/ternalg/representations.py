@@ -40,17 +40,16 @@ from .errors import DimensionMismatch, MissingRep
 from .linalg import ZERO, Matrix, Tensor, Value, Vec
 from .structures import (
     _SUBMAPS,
-    COHERENCE_IDENTITIES,
-    IDENTITIES,
     AlgebraBundle,
     CheckReport,
     Identity,
+    StructureKind,
     _check_components,
-    _conditions,
     _define,
     _eval_map,
     _op,
     _submap,
+    check_axioms,
     coerce_kind,
     run_conditions,
 )
@@ -275,8 +274,8 @@ KIND_CONDITIONS: dict[RepKind, tuple[str, ...]] = {
 def check_representation(kind, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Verify all conditions of the representation kind on basis tuples x module basis."""
     kind = coerce_kind(kind, RepKind, "representation")
-    return run_conditions(kind.value, _conditions(r, KIND_CONDITIONS[kind], REP_CONDITIONS,
-                                                  f"{kind.value} condition"), max_counterexamples)
+    return run_conditions(kind.value, r, KIND_CONDITIONS[kind], max_counterexamples,
+                          REP_CONDITIONS, f"{kind.value} condition")
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +333,9 @@ def dual_rep(r: RepBundle) -> RepBundle:
 
 
 def check_coherence(a: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckReport:
-    """Ternary F-manifold identities plus the three coherence identities.
-
-    The coherence notion presumes the structure identities, so they are part
-    of the identity list and a non-passing bundle fails with counterexamples.
-    """
-    return run_conditions("coherence", _conditions(a, COHERENCE_IDENTITIES, IDENTITIES,
-                                                   "identity"), max_counterexamples)
+    """Ternary F-manifold identities plus the three coherence identities:
+    `check_axioms` of `StructureKind.COHERENCE`."""
+    return check_axioms(StructureKind.COHERENCE, a, max_counterexamples=max_counterexamples)
 
 
 def semidirect(r: RepBundle) -> AlgebraBundle:

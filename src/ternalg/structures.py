@@ -39,12 +39,13 @@ Each owner of tables (`AlgebraBundle`, `representations.RepBundle`,
 `_Maps`) states its components once, as data: `_components()` gives the
 sizes of its own sorts, its tensors by operation and its base owner, and
 `_ops`, the one place that builds tables, reads nothing else.  Every
-checker hands the names of its maps to `_conditions`, which builds each
-`Condition`, and those to `run_conditions`, the one scan driver and the one
-place that builds a `CheckReport`.  Before either, `_check_components`
-raises for the first tensor or action the maps read that the owner lacks,
-the error `_MISSING` gives it; a builder names the components it reads to
-the same function, so nothing outside this module guards a component.
+checker makes one call, `run_conditions(kind, owner, names, k)`: the one
+scan driver and the one place that builds a `CheckReport`.  Before it
+builds a table, `_check_components` raises for the first tensor or action
+the named maps read that the owner lacks, the error `_MISSING` gives it;
+then it scans each map, re-checks each failure exactly and reports.  A
+builder names the components it reads to `_check_components` too, so
+nothing outside this module guards a component.
 
 Identity scans use only certified symmetries.  A term normaliser expands a
 defect into trees of `mul`, `br3` and `br2` and, for every transposition of
@@ -82,7 +83,7 @@ import sys
 import time
 from enum import Enum
 from math import comb, lcm, prod
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -228,6 +229,7 @@ class StructureKind(str, Enum):
     TERNARY_NAMBU_POISSON = "ternary-nambu-poisson"
     TERNARY_PRE_F_MANIFOLD = "ternary-pre-f-manifold"
     TERNARY_PRE_NAMBU_POISSON = "ternary-pre-nambu-poisson"
+    COHERENCE = "coherence"
 
 
 def coerce_kind(kind, kinds: type[Enum] = StructureKind, what: str = "structure"):
@@ -235,7 +237,8 @@ def coerce_kind(kind, kinds: type[Enum] = StructureKind, what: str = "structure"
     try:
         return kinds(kind)
     except ValueError:
-        raise UnknownKind(f"unknown {what} kind {kind!r}") from None
+        raise UnknownKind(f"unknown {what} kind {kind!r} "
+                          f"(choices: {[k.value for k in kinds]})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +614,8 @@ def _registry() -> dict[str, Identity]:
 
 IDENTITIES: dict[str, Identity] = _registry()
 
+_TFM = ("comm", "assoc", "skew3", "fundamental", "hm3")
+
 KIND_IDENTITIES: dict[StructureKind, tuple[str, ...]] = {
     StructureKind.COMM_ASSOC: ("comm", "assoc"),
     StructureKind.ZINBIEL: ("zinbiel",),
@@ -618,7 +623,7 @@ KIND_IDENTITIES: dict[StructureKind, tuple[str, ...]] = {
     StructureKind.THREE_LIE: ("skew3", "fundamental"),
     StructureKind.THREE_PRE_LIE: ("prelie3-skew", "prelie3-a", "prelie3-b"),
     StructureKind.F_MANIFOLD: ("comm", "assoc", "skew2", "jacobi", "hm2"),
-    StructureKind.TERNARY_F_MANIFOLD: ("comm", "assoc", "skew3", "fundamental", "hm3"),
+    StructureKind.TERNARY_F_MANIFOLD: _TFM,
     StructureKind.TERNARY_NAMBU_POISSON: (
         "comm", "assoc", "skew3", "fundamental", "leibniz-np",
     ),
@@ -629,11 +634,9 @@ KIND_IDENTITIES: dict[StructureKind, tuple[str, ...]] = {
     StructureKind.TERNARY_PRE_NAMBU_POISSON: (
         "zinbiel", "prelie3-skew", "prelie3-a", "prelie3-b", "prenp-1", "prenp-2",
     ),
+    # coherence presumes the ternary F-manifold identities, so they come first
+    StructureKind.COHERENCE: _TFM + ("coh1", "coh2", "coh3"),
 }
-
-COHERENCE_IDENTITIES: tuple[str, ...] = KIND_IDENTITIES[
-    StructureKind.TERNARY_F_MANIFOLD
-] + ("coh1", "coh2", "coh3")
 
 
 def _condition_registry() -> dict[str, Identity]:
@@ -1327,26 +1330,6 @@ def _submap_tensor(owner, name: str) -> Tensor:
 # conditions and the scan driver
 
 
-class Condition(Value):
-    """A multilinear condition that must vanish on every basis tuple.
-
-    Its tuples are range(sizes[0]) x range(sizes[1]) x ...: a representation
-    condition's last slot ranges over the module basis.  `defect(t)` is the
-    exact residual `Vec` at t.  `failures(budget, passed)` is the fast test,
-    a generated sweep or contraction on integer tables: the first `budget`
-    failing tuples, in rank order, and the number of tuples evaluated, up to
-    and including the last one returned when the budget fills, else all of
-    them.  A tuple's rank is its position in lexicographic order, the
-    mixed-radix number of its values; `passed` names the conditions that
-    passed earlier in the run.
-    """
-
-    name: str
-    sizes: tuple[int, ...]
-    defect: Callable
-    failures: Callable
-
-
 def _contracted_failures(chunk: Callable, sizes: tuple[int, ...], budget: int):
     """The failures of a contraction `chunk(x0)`, chunk by chunk in rank
     order, and the number of contributions made: the chunk that fills the
@@ -1383,33 +1366,77 @@ def _swept_failures(sweep: Callable, blocks, budget: int) -> list:
     return found + sorted(waiting)[:budget - len(found)]
 
 
-def run_conditions(kind: str, conditions: Iterable[Condition],
-                   max_counterexamples: int) -> CheckReport:
-    """Scan the conditions in order and report their first k failures.
+def _failures(ops: _Ops, m: Identity, symmetry: Optional[Symmetry], passed: set,
+              budget: int) -> tuple[list, int]:
+    """The first `budget` tuples at which m fails on the integer tables ops,
+    in rank order, and the number of tuples evaluated: up to and including
+    the last one returned when the budget fills, else all of them.  A
+    tuple's rank is its position in lexicographic order, the mixed-radix
+    number of its values.
 
-    The budget k is shared: the list stops at the condition that fills it,
-    so a generator of conditions builds each one only when it is reached.
-    Every failure is re-evaluated by its exact defect, which must be nonzero.
+    `_plan` picks the scan, a contraction or a tuple scan (a sweep), the only
+    one compiled.  The sweep runs over one representative per orbit of the
+    certified `symmetry` once every identity it assumes is in `passed`.
     """
+    sizes = _shape(ops, m)[0]
+    reduced = symmetry is not None and passed.issuperset(symmetry.assumes)
+    blocks = symmetry.blocks if reduced else ()
+    rows = _representative_count(sizes, blocks)
+    if _plan(ops, m, rows):
+        found, evaluated, made = _contracted_failures(
+            _make_scanner(ops, m, "contract"), sizes, budget)
+        log.debug("scan %s: contraction; %d contributions made, %d of %d tuples "
+                  "covered", m.name, made, evaluated, prod(sizes))
+        return found, evaluated
+    found = _swept_failures(_make_scanner(ops, m, "sweep", blocks), blocks, budget)
+    stop = found[-1] if len(found) == budget else None
+    path = (f"symmetry-reduced over {symmetry}" if reduced
+            else "full range" + (f", certified {symmetry} unused" if symmetry else ""))
+    log.debug("scan %s: %s; %d of %d tuples scanned", m.name, path,
+              rows if stop is None else _representative_count(sizes, blocks, stop),
+              prod(sizes))
+    return found, prod(sizes) if stop is None else _rank(stop, sizes) + 1
+
+
+def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: int,
+                   registry: dict = CONDITIONS, context: str = "condition") -> CheckReport:
+    """Scan the named maps of `registry` (`CONDITIONS` by default) on owner's
+    tables, in order, and report their first k failures.
+
+    Every component the maps read is checked first, each missing one
+    raising as `context` and the map's name.  The budget k is shared: the
+    run stops at the map that fills it.  A bundle's own identities, whose
+    slots share one size, get symmetry certificates, each assuming the
+    identities listed before it.  Every failure is re-evaluated at its basis
+    vectors on exact tables, and its residual must be nonzero.
+    """
+    maps = [registry[name] for name in names]
+    _check_components(owner, {f"{context} {m.name!r}": m.tensors for m in maps})
+    ops = _ops(owner, False)
     budget = max(1, max_counterexamples)
     counterexamples: list[Counterexample] = []
     checked: list[str] = []
     passed: set[str] = set()
     tuple_count = 0
-    for cond in conditions:
-        checked.append(cond.name)
-        found, evaluated = cond.failures(budget - len(counterexamples), passed)
+    for pos, m in enumerate(maps):
+        checked.append(m.name)
+        symmetry = None
+        if isinstance(owner, AlgebraBundle):
+            symmetry = _certificate(m, tuple(a for a in names[:pos] if a in _SYMMETRY_OF))
+        found, evaluated = _failures(ops, m, symmetry, passed, budget - len(counterexamples))
         if not found:
-            passed.add(cond.name)
+            passed.add(m.name)
         tuple_count += evaluated
         for idx in found:
-            residual = cond.defect(idx)
-            log.debug("exact re-check of %s at %s: residual %s", cond.name, idx, residual)
+            tables = _ops(owner, True)
+            units = [[int(j == i) for j in range(tables.sizes[s])] for s, i in zip(m.sorts, idx)]
+            residual = Vec(_evaluate(tables, m, units))
+            log.debug("exact re-check of %s at %s: residual %s", m.name, idx, residual)
             if residual.is_zero():
                 raise InternalError(
-                    f"the scan flagged {cond.name} at {idx}, but its exact residual is zero"
+                    f"the scan flagged {m.name} at {idx}, but its exact residual is zero"
                 )
-            counterexamples.append(Counterexample(cond.name, idx, residual))
+            counterexamples.append(Counterexample(m.name, idx, residual))
         if len(counterexamples) >= budget:
             break
     return CheckReport(
@@ -1419,57 +1446,6 @@ def run_conditions(kind: str, conditions: Iterable[Condition],
         counterexamples=tuple(counterexamples),
         tuple_count=tuple_count,
     )
-
-
-def _conditions(owner, names: Sequence[str], registry: dict = CONDITIONS,
-                context: str = "condition"):
-    """The named maps of `registry` (`CONDITIONS` by default) as conditions
-    on owner's tables, scanned on the integer ones; a failure's residual is
-    its map at its basis vectors, exact.
-
-    Every component the maps read is checked here.  Each condition is built
-    when the driver reaches it, and `_plan` picks its scan, a contraction or
-    a tuple scan (a sweep), the only one compiled.  A bundle's own
-    identities, whose slots share one size, get symmetry certificates, each
-    assuming the identities listed before it: once all those it assumes have
-    passed in the same run, the sweep runs over one representative per orbit.
-    """
-    maps = [registry[name] for name in names]
-    _check_components(owner, {f"{context} {m.name!r}": m.tensors for m in maps})
-    ops = _ops(owner, False)
-
-    def condition(pos, m):
-        sizes, symmetry = _shape(ops, m)[0], None
-        if isinstance(owner, AlgebraBundle):
-            symmetry = _certificate(m, tuple(a for a in names[:pos] if a in _SYMMETRY_OF))
-
-        def defect(idx):
-            tables = _ops(owner, True)
-            units = [[int(j == i) for j in range(tables.sizes[s])] for s, i in zip(m.sorts, idx)]
-            return Vec(_evaluate(tables, m, units))
-
-        def failures(budget, passed):
-            reduced = symmetry is not None and passed.issuperset(symmetry.assumes)
-            blocks = symmetry.blocks if reduced else ()
-            rows = _representative_count(sizes, blocks)
-            if _plan(ops, m, rows):
-                found, evaluated, made = _contracted_failures(
-                    _make_scanner(ops, m, "contract"), sizes, budget)
-                log.debug("scan %s: contraction; %d contributions made, %d of %d tuples "
-                          "covered", m.name, made, evaluated, prod(sizes))
-                return found, evaluated
-            found = _swept_failures(_make_scanner(ops, m, "sweep", blocks), blocks, budget)
-            stop = found[-1] if len(found) == budget else None
-            path = (f"symmetry-reduced over {symmetry}" if reduced
-                    else "full range" + (f", certified {symmetry} unused" if symmetry else ""))
-            log.debug("scan %s: %s; %d of %d tuples scanned", m.name, path,
-                      rows if stop is None else _representative_count(sizes, blocks, stop),
-                      prod(sizes))
-            return found, prod(sizes) if stop is None else _rank(stop, sizes) + 1
-
-        return Condition(m.name, sizes, defect, failures)
-
-    return (condition(pos, m) for pos, m in enumerate(maps))
 
 
 class _Maps(Value, eq=False, frozen=False):
@@ -1536,8 +1512,8 @@ def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:
 def check_axioms(kind, b: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Exhaustively verify the identity list of the given structure kind."""
     kind = coerce_kind(kind)
-    return run_conditions(kind.value, _conditions(b, KIND_IDENTITIES[kind], IDENTITIES,
-                                                  "identity"), max_counterexamples)
+    return run_conditions(kind.value, b, KIND_IDENTITIES[kind], max_counterexamples,
+                          IDENTITIES, "identity")
 
 
 def leibnizator3(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
@@ -1576,4 +1552,4 @@ def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
     maps = _Maps(src, {"B": dst.dim}, {
         "f": f.tensor, "mulB": dst.product, "br3B": dst.bracket,
         "br2B": dst.binary_bracket})
-    return run_conditions("homomorphism", _conditions(maps, names), max_counterexamples)
+    return run_conditions("homomorphism", maps, names, max_counterexamples)

@@ -55,9 +55,25 @@ def test_check_missing_tensor_exits_2():
     assert r.exit_code == 2
 
 
+STRUCTURE_CHOICES = ("['comm-assoc', 'zinbiel', 'lie', '3-lie', '3-pre-lie', 'f-manifold', "
+                     "'ternary-f-manifold', 'ternary-nambu-poisson', 'ternary-pre-f-manifold', "
+                     "'ternary-pre-nambu-poisson', 'coherence']")
+REP_CHOICES = ("['comm-assoc-rep', 'lie-rep', 'three-lie-rep', 'fmanifold-rep', "
+               "'ternary-fmanifold-rep', 'dual-conditions']")
+
+
 def test_check_unknown_kind_exits_2():
-    r = invoke("check", "--kind", "frobnitz", fixture("fil4"))
-    assert r.exit_code == 2
+    # a rep kind is refused before the rep block is read: fil4 has none
+    for args, line in [
+        (["--kind", "frobnitz", "fil4"],
+         f"error: unknown structure kind 'frobnitz' (choices: {STRUCTURE_CHOICES})"),
+        (["--rep", "--kind", "frobnitz", "fil4_adjoint"],
+         f"error: unknown representation kind 'frobnitz' (choices: {REP_CHOICES})"),
+        (["--rep", "--kind", "frobnitz", "fil4"],
+         f"error: unknown representation kind 'frobnitz' (choices: {REP_CHOICES})"),
+    ]:
+        r = invoke("check", *args[:-1], fixture(args[-1]))
+        assert (r.exit_code, r.stdout, r.stderr) == (2, "", line + "\n"), args
 
 
 def test_check_failure_exits_1_with_counterexample(tmp_path):
@@ -516,7 +532,7 @@ def bundle_documents(draw, construction=None):
     return doc
 
 
-CHECK_KINDS = sorted(k.value for k in StructureKind) + ["coherence", "no-such-kind"]
+CHECK_KINDS = sorted(k.value for k in StructureKind) + ["no-such-kind"]
 REP_CHECK_KINDS = sorted(k.value for k in RepKind) + ["no-such-kind"]
 
 

@@ -114,13 +114,16 @@ COMMAND = LOADED + """
 """
 
 
+STRUCTURE_ABSENT = ["click", "ternalg.catalog", "ternalg.constructions", "ternalg.operators",
+                    "ternalg.representations"]
+
+
 @pytest.mark.parametrize("args, absent", [
-    (["check", "--kind", "3-lie", "fil4"],
-     ["click", "ternalg.catalog", "ternalg.constructions", "ternalg.operators",
-      "ternalg.representations"]),
+    (["check", "--kind", "3-lie", "fil4"], STRUCTURE_ABSENT),
+    (["check", "--kind", "coherence", "fil4"], STRUCTURE_ABSENT),
     (["check", "--rep", "--kind", "ternary-fmanifold-rep", "fil4_adjoint"],
      ["click", "ternalg.catalog", "ternalg.operators"]),
-], ids=["structure-kind", "rep-kind"])
+], ids=["structure-kind", "coherence", "rep-kind"])
 def test_command_loads_only_the_modules_it_runs(args, absent):
     steps = loaded_in_fresh_process(COMMAND, *args[:-1], str(FIXTURES / f"{args[-1]}.json"))
     assert steps["exit"] == 0
@@ -201,8 +204,8 @@ def test_debug_lines_reach_logging_configured_before_or_after_import(caplog, con
                                 for r in caplog.records])
     # from their call sites, not from the forwarder
     assert [(line[2], line[3].split(":")[0]) for line in expected] == [
-        ("_plan", "plan skew3, dim 4"), ("failures", "scan skew3"),
-        ("_plan", "plan fundamental, dim 4"), ("failures", "scan fundamental")]
+        ("_plan", "plan skew3, dim 4"), ("_failures", "scan skew3"),
+        ("_plan", "plan fundamental, dim 4"), ("_failures", "scan fundamental")]
     code = LOADED + (CONFIGURE + IMPORT if configured_first else IMPORT + CONFIGURE) + RUN
     imported_with_logging, lines = loaded_in_fresh_process(code)
     assert imported_with_logging == configured_first

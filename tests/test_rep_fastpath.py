@@ -38,7 +38,6 @@ from ternalg.representations import (
 )
 from ternalg.structures import (
     AlgebraBundle,
-    _conditions,
     _evaluate,
     _make_scanner,
     _multipliers,
@@ -169,17 +168,16 @@ def test_every_condition_matches_oracle_alone(seed, binary):
     # whole budget; scanning each condition alone reaches the later ones.
     r = random_rep(100 + seed, binary)
     for kind in BINARY_KINDS if binary else TERNARY_KINDS:
-        ours = list(_conditions(r, KIND_CONDITIONS[RepKind(kind)], REP_CONDITIONS,
-                                f"{kind} condition"))
+        names = KIND_CONDITIONS[RepKind(kind)]
         theirs = rep_oracle.conditions(kind, r)
         # the oracle counts the algebra slots; the module slot is the last
-        assert [(name, REP_CONDITIONS[name].arity - 1)
-                for name in KIND_CONDITIONS[RepKind(kind)]] == [c[:2] for c in theirs]
-        assert [c.name for c in ours] == list(KIND_CONDITIONS[RepKind(kind)])
-        for mine, ref in zip(ours, theirs):
+        assert [(name, REP_CONDITIONS[name].arity - 1) for name in names] == \
+            [c[:2] for c in theirs]
+        for name, ref in zip(names, theirs):
             for k in KS:
-                assert run_conditions(kind, [mine], k) == \
-                    rep_oracle.scan([ref], r, kind, k), (mine.name, k)
+                assert run_conditions(kind, r, [name], k, REP_CONDITIONS,
+                                      f"{kind} condition") == \
+                    rep_oracle.scan([ref], r, kind, k), (name, k)
 
 
 def _fil4_near_misses():

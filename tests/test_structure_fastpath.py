@@ -46,12 +46,10 @@ from ternalg.representations import (
 )
 from ternalg import structures
 from ternalg.structures import (
-    COHERENCE_IDENTITIES,
     IDENTITIES,
     KIND_IDENTITIES,
     AlgebraBundle,
     StructureKind,
-    _conditions,
     check_axioms,
     eval_defect,
     f1,
@@ -134,16 +132,13 @@ KIND_LABELS = {k.value for k in StructureKind}
 
 
 def kinds():
-    return [(k.value, KIND_IDENTITIES[k]) for k in StructureKind] + [
-        ("coherence", COHERENCE_IDENTITIES)]
+    return [(k.value, KIND_IDENTITIES[k]) for k in StructureKind]
 
 
 def check(label, names, b, k):
-    if label == "coherence":
-        return check_coherence(b, max_counterexamples=k)
     if label in KIND_LABELS:
         return check_axioms(label, b, max_counterexamples=k)
-    return run_conditions(label, _conditions(b, names, IDENTITIES, "identity"), k)
+    return run_conditions(label, b, names, k, IDENTITIES, "identity")
 
 
 SLOT_OF = {"mul": "product", "br3": "bracket", "br2": "binary_bracket"}
@@ -222,7 +217,7 @@ def test_near_misses_of_catalog_passes(case):
 def test_noncoherent_tfm_fails_only_coherence():
     b = scaled(noncoherent_tfm(*NONCOHERENT_A))
     assert check_axioms("ternary-f-manifold", b).passed
-    report = assert_agrees(b, "coherence", COHERENCE_IDENTITIES)
+    report = assert_agrees(b, "coherence", KIND_IDENTITIES[StructureKind.COHERENCE])
     assert {ce.identity for ce in report.counterexamples} <= {"coh1", "coh2", "coh3"}
     assert len(report.counterexamples) == 10
 
@@ -439,7 +434,7 @@ def test_planner_on_dense_input(caplog):
     ops = structures._ops(b, False)
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         assert not _planned(ops, KIND_IDENTITIES[StructureKind("ternary-f-manifold")], "hm3")
-        assert not _planned(ops, COHERENCE_IDENTITIES, "coh1")
+        assert not _planned(ops, KIND_IDENTITIES[StructureKind.COHERENCE], "coh1")
     plans = [r.getMessage() for r in caplog.records if r.getMessage().startswith("plan ")]
     assert [t.split(";")[0] for t in plans] == [
         "plan leib3, dim 16: tuple scan", "plan hm3, dim 16: tuple scan",

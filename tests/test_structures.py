@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from ternalg.catalog import fil4, trunc
-from ternalg.errors import ArityMismatch, MissingTensor, UnknownIdentity
+from ternalg.errors import ArityMismatch, MissingTensor, UnknownIdentity, UnknownKind
 from ternalg.linalg import InterMap, Matrix, Tensor3, Tensor4, Vec
-from ternalg.representations import adjoint_rep, semidirect
+from ternalg.representations import adjoint_rep, check_representation, semidirect
 from ternalg.structures import (
     AlgebraBundle,
     KIND_IDENTITIES,
@@ -312,6 +312,15 @@ def test_zinbiel_symmetrization_is_comm_assoc():
 def test_kind_identity_table_complete():
     for kind in StructureKind:
         assert KIND_IDENTITIES[kind]
+
+
+def test_unknown_kind_names_the_choices():
+    with pytest.raises(UnknownKind, match=r"^unknown structure kind 'frob' \(choices: "
+                                          r"\['comm-assoc', .*, 'coherence'\]\)$"):
+        check_axioms("frob", fil4())
+    with pytest.raises(UnknownKind, match=r"^unknown representation kind 'frob' \(choices: "
+                                          r"\['comm-assoc-rep', .*, 'dual-conditions'\]\)$"):
+        check_representation("frob", adjoint_rep(fil4()))
 
 
 def test_dimension_cap_enforced():

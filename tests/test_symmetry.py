@@ -33,7 +33,6 @@ from ternalg.constructions import direct_sum
 from ternalg.linalg import Tensor, Tensor3, Tensor4, Vec
 from ternalg.representations import check_coherence
 from ternalg.structures import (
-    COHERENCE_IDENTITIES,
     IDENTITIES,
     KIND_IDENTITIES,
     AlgebraBundle,
@@ -281,9 +280,7 @@ def test_fundamental_near_misses(seed, caplog):
     base = scaled(fil4()) if seed < 2 else direct_sum(scaled(fil4()), trunc(1))
     b = bracket_near_miss(base, seed)
     for label in ("3-lie", "ternary-f-manifold", "ternary-nambu-poisson", "coherence"):
-        names = (COHERENCE_IDENTITIES if label == "coherence"
-                 else KIND_IDENTITIES[StructureKind(label)])
-        report, lines = agrees(b, label, names, caplog)
+        report, lines = agrees(b, label, KIND_IDENTITIES[StructureKind(label)], caplog)
         assert not report.passed
         assert report.counterexamples[0].identity == "fundamental"
         assert "skew3" in report.checked_identities
@@ -295,7 +292,7 @@ def test_fundamental_near_misses(seed, caplog):
 def test_hm3_near_misses(prod, caplog):
     b = fil4_with_product(prod)
     for label, names in (("ternary-f-manifold", TFM), ("comm+hm3", ("comm", "hm3")),
-                         ("coherence", COHERENCE_IDENTITIES)):
+                         ("coherence", KIND_IDENTITIES[StructureKind.COHERENCE])):
         report, lines = agrees(b, label, names, caplog)
         assert not report.passed
         assert report.counterexamples[0].identity == "hm3"
@@ -330,7 +327,7 @@ def test_fallback_when_skew3_fails(caplog):
 
 def test_coherence_near_miss_n8(caplog):
     b = bracket_near_miss(coherence_near_miss_n8(), 1)
-    report, lines = agrees(b, "coherence", COHERENCE_IDENTITIES, caplog)
+    report, lines = agrees(b, "coherence", KIND_IDENTITIES[StructureKind.COHERENCE], caplog)
     assert {ce.identity for ce in report.counterexamples} == {"fundamental"}
     assert lines["fundamental"].startswith("scan fundamental: symmetry-reduced")
 

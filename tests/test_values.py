@@ -24,7 +24,6 @@ from ternalg.structures import (
     IDENTITIES,
     AlgebraBundle,
     CheckReport,
-    Condition,
     Counterexample,
     Identity,
     Symmetry,
@@ -44,7 +43,6 @@ FIELDS = {
     CheckReport: ("passed", "kind", "checked_identities", "counterexamples", "tuple_count"),
     Identity: ("name", "terms", "sorts", "out", "tensors"),
     Symmetry: ("blocks", "assumes"),
-    Condition: ("name", "sizes", "defect", "failures"),
     _Maps: ("base", "sizes", "tensors"),
     BiRep: ("module_dim", "algebra_dim", "tensor"),
     LinRep: ("module_dim", "algebra_dim", "tensor"),
@@ -64,14 +62,6 @@ def unit_bundle():
     prod = Tensor3.from_nonzeros(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
     return AlgebraBundle(2, product=prod, bracket=Tensor4.zero(2), unit=Vec([1, 0]),
                          basis_labels=("one", "x"))
-
-
-def defect(t):
-    return Vec([0])
-
-
-def failures(budget, passed):
-    return [], 0
 
 
 def report(kind="3-lie", count=12):
@@ -109,9 +99,6 @@ def by_field():
     blocks = (((0, 1), -1),)
     yield Symmetry(blocks, ("skew3",)), Symmetry(blocks, ("skew3",)), [
         Symmetry((((0, 1), 1),), ("skew3",)), Symmetry(blocks, ())]
-    yield Condition("c", (2, 2), defect, failures), Condition("c", (2, 2), defect, failures), [
-        Condition("d", (2, 2), defect, failures), Condition("c", (2, 3), defect, failures),
-        Condition("c", (2, 2), failures, failures), Condition("c", (2, 2), defect, defect)]
     rho = adjoint_rep(fil4()).rho
     yield rho, BiRep.from_tensor(4, 4, rho.tensor), [
         BiRep.zero(4, 4), BiRep.from_tensor(4, 3, rho.tensor)]
@@ -252,7 +239,7 @@ def test_caches_kept_on_a_value_are_set_through_object_setattr():
     assert maps.sizes == {"B": 2}
 
 
-@pytest.mark.parametrize("value", [v for v, _, _ in BY_FIELD if not isinstance(v, Condition)],
+@pytest.mark.parametrize("value", [v for v, _, _ in BY_FIELD],
                          ids=lambda v: type(v).__name__)
 def test_copy_and_pickle_give_equal_values(value):
     for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
@@ -288,8 +275,6 @@ def test_keyword_and_default_construction():
     assert Identity(name=FUND.name, terms=FUND.terms, sorts=FUND.sorts, out=FUND.out,
                     tensors=FUND.tensors) == FUND
     assert Symmetry(assumes=(), blocks=()) == Symmetry((), ())
-    assert Condition("c", (1,), defect=defect, failures=failures) == Condition(
-        "c", (1,), defect, failures)
     assert InterMap(matrix=Matrix([[1]])) == InterMap(Matrix([[1]]))
     assert TraceFunctional(row=Vec([1])) == TraceFunctional(Vec([1]))
     assert BilinearForm(matrix=Matrix([[1]])) == BilinearForm(Matrix([[1]]))
