@@ -123,50 +123,41 @@ def fil4_symplectic() -> BilinearForm:
     ]))
 
 
-CATALOG_DOC = {
-    "fil4": "4-dim 3-Lie algebra (zero product): passes 3-lie and ternary-f-manifold",
-    "fil4_adjoint": "fil4 with its adjoint representation block",
-    "fil4_rb": "fil4 adjoint with the span(e1,e2) projection as relative Rota-Baxter map T",
-    "fil4_symplectic": "fil4 with a nondegenerate skew form passing both form checks",
-    "trunc2": "K[t]/(t^2), unital commutative associative, zero bracket",
-    "trunc3": "K[t]/(t^3), unital commutative associative, zero bracket",
-    "trunc4": "K[t]/(t^4), unital commutative associative, zero bracket",
-    "r_int3": "trunc(3) with its regular representation and the integration map T",
-    "r_int4": "trunc(4) with its regular representation and the integration map T",
-    "r_int5": "trunc(5) with its regular representation and the integration map T",
-    "heisenberg_trace": "Heisenberg Lie bundle with the trace e1*",
-    "gl2_trace": "sl2 + center Lie bundle with the trace z*",
+def _rep_document(rep: RepBundle, **maps: InterMap) -> dict:
+    return document_to_obj(rep.algebra, rep=rep, maps=maps or None)
+
+
+def _trace_document(bundle: AlgebraBundle, tau: TraceFunctional) -> dict:
+    return document_to_obj(bundle, maps={"tau": InterMap(Matrix([tau.row.entries]))})
+
+
+# every entry once: its name, its description and the builder of its document
+_CATALOG = {
+    "fil4": ("4-dim 3-Lie algebra (zero product): passes 3-lie and ternary-f-manifold",
+             lambda: document_to_obj(fil4())),
+    "fil4_adjoint": ("fil4 with its adjoint representation block",
+                     lambda: _rep_document(fil4_adjoint())),
+    "fil4_rb": ("fil4 adjoint with the span(e1,e2) projection as relative Rota-Baxter map T",
+                lambda: _rep_document(fil4_adjoint(), T=fil4_rb())),
+    "fil4_symplectic": ("fil4 with a nondegenerate skew form passing both form checks",
+                        lambda: document_to_obj(fil4(), form=fil4_symplectic())),
+    **{f"trunc{n}": (f"K[t]/(t^{n}), unital commutative associative, zero bracket",
+                     lambda n=n: document_to_obj(trunc(n))) for n in (2, 3, 4)},
+    **{f"r_int{n}": (f"trunc({n}) with its regular representation and the integration map T",
+                     lambda n=n: _rep_document(adjoint_rep(trunc(n)), T=r_int(n)))
+       for n in (3, 4, 5)},
+    "heisenberg_trace": ("Heisenberg Lie bundle with the trace e1*",
+                         lambda: _trace_document(*heisenberg_trace())),
+    "gl2_trace": ("sl2 + center Lie bundle with the trace z*",
+                  lambda: _trace_document(*gl2_trace())),
 }
+
+CATALOG_DOC = {name: doc for name, (doc, _) in _CATALOG.items()}
 
 
 def catalog_document(name: str) -> dict:
     """The schema document object of catalog entry `name` (see CATALOG_DOC)."""
-    if name == "fil4":
-        return document_to_obj(fil4())
-    if name == "fil4_adjoint":
-        rep = fil4_adjoint()
-        return document_to_obj(rep.algebra, rep=rep)
-    if name == "fil4_rb":
-        rep = fil4_adjoint()
-        return document_to_obj(rep.algebra, rep=rep, maps={"T": fil4_rb()})
-    if name == "fil4_symplectic":
-        return document_to_obj(fil4(), form=fil4_symplectic())
-    if name.startswith("trunc"):
-        return document_to_obj(trunc(int(name[len("trunc"):])))
-    if name.startswith("r_int"):
-        n = int(name[len("r_int"):])
-        bundle = trunc(n)
-        return document_to_obj(
-            bundle, rep=adjoint_rep(bundle), maps={"T": r_int(n)}
-        )
-    if name == "heisenberg_trace":
-        bundle, tau = heisenberg_trace()
-        return document_to_obj(
-            bundle, maps={"tau": InterMap(Matrix([tau.row.entries]))}
-        )
-    if name == "gl2_trace":
-        bundle, tau = gl2_trace()
-        return document_to_obj(
-            bundle, maps={"tau": InterMap(Matrix([tau.row.entries]))}
-        )
-    raise SchemaError(f"unknown catalog entry {name!r}")
+    entry = _CATALOG.get(name)
+    if entry is None:
+        raise SchemaError(f"unknown catalog entry {name!r}")
+    return entry[1]()

@@ -14,17 +14,19 @@ and every operation a signature (`_SIGNATURES`) that `_define` checks.  The
 conditions of every other checker are written in the same language: those
 of representations in `representations`, the operator, trace and
 homomorphism conditions in `CONDITIONS`.  Two evaluators derive from the
-data.  The exhaustive scans run Python source generated per map: one loop
-nest over the map's tuples, a sweep, in which each term becomes two nested
-loops over sparse tables, and each sub-map is tabulated once per owner, on
-first use, by the same loop nest.  Or, where one
-planner (`_plan`) estimates it cheaper from counts of the tables' nonzeros,
-the same terms become a contraction over those nonzeros, which adds each
-term's contributions at the tuples they bind; both give the same integers
-at every tuple, so the reports do not depend on the path.  Exact evaluations
-(`eval_defect`, the Leibnizators, F1, F2, K and the residual of every
-counterexample) walk the same terms over exact vectors instead, so the
-reported residuals never depend on generated code.
+data.  The exhaustive scans run Python source generated per map on integer
+tables: one loop nest over the map's tuples, a sweep, in which each term
+becomes two nested loops over sparse tables, or, where one planner
+(`_plan`) estimates it cheaper from counts of the tables' nonzeros, a
+contraction over those nonzeros, which adds each term's contributions at
+the tuples they bind.  One producer, `_nonzeros`, yields a map's nonzero
+tuples in rank order by the path picked, and both paths give the same
+integers at every tuple, so nothing downstream depends on the path: the
+scan driver's failures come from it, and so does each sub-map's table,
+built once per owner, on first use.  Exact evaluations (`eval_defect`, the
+Leibnizators, F1, F2, K and the residual of every counterexample) walk the
+same terms over exact vectors instead, one multilinear loop per operation
+(`_multilinear`), so the reported residuals never depend on generated code.
 
 The scans run on integer tables, each tensor times the lcm of its own
 denominators, its scale.  A term's scale is the product of its operations'
@@ -82,8 +84,9 @@ import itertools
 import sys
 import time
 from enum import Enum
+from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -277,62 +280,38 @@ class CheckReport(Value):
 #
 # Tables hold sparse rows, as `Tensor.table` builds them: prod[i][j] is a
 # tuple of (k, coeff) pairs, and br3t[i][j][k] a tuple of (l, coeff) pairs.
-# Integer tables drive the exhaustive scans; Fraction tables serve exact
-# evaluation at arbitrary rational vectors through the functions below.
+# Integer tables drive the exhaustive scans and hold every sub-map's table;
+# Fraction tables hold the tensors alone and serve exact evaluation at
+# arbitrary rational vectors through `_multilinear`.
 
 
-def _bilinear(n, table, x, y):
+def _multilinear(n, table, *vecs):
+    """The operation of a table at dense vectors, one per slot, as a dense
+    list of size n: over each choice of nonzero coordinates of the leading
+    slots, the node of the table they index, then the last slot's rows."""
+    *lead, last = vecs
+    last = [(k, z) for k, z in enumerate(last) if z]
     out = [ZERO] * n
-    for i, xi in enumerate(x):
-        if xi:
-            plane = table[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    row = plane[j]
-                    if row:
-                        c = xi * yj
-                        for k, v in row:
-                            out[k] += c * v
+    for choice in itertools.product(*([(i, x) for i, x in enumerate(v) if x] for v in lead)):
+        node, c = table, 1
+        for i, x in choice:
+            node, c = node[i], c * x
+        for k, z in last:
+            row = node[k]
+            if row:
+                cz = c * z
+                for l, w in row:
+                    out[l] += cz * w
     return out
-
-
-def _trilinear(n, table, x, y, z):
-    out = [ZERO] * n
-    for i, xi in enumerate(x):
-        if xi:
-            cube = table[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    plane = cube[j]
-                    cij = xi * yj
-                    for k, zk in enumerate(z):
-                        if zk:
-                            row = plane[k]
-                            if row:
-                                c = cij * zk
-                                for l, v in row:
-                                    out[l] += c * v
-    return out
-
-
-def _linear(n, table, x):
-    out = [ZERO] * n
-    for i, xi in enumerate(x):
-        if xi:
-            for k, v in table[i]:
-                out[k] += xi * v
-    return out
-
-
-_MULTILINEAR = {1: _linear, 2: _bilinear, 3: _trilinear}
 
 
 class _Ops:
     """Sparse tables by operation name, each one's integer scale, and each
     sort's size: the tensors, exact (scale 1) or times the lcm of their own
-    denominators, those of `base`, and the sub-map tables the scanners add on
-    first use.  A sub-map that needs no tensor beyond base's is built on base,
-    so an algebra's sub-map tables serve its representations and operators.
+    denominators, those of `base`, and, on integer tables, the sub-map tables
+    the scanners add on first use.  A sub-map that needs no tensor beyond
+    base's is built on base, so an algebra's sub-map tables serve its
+    representations and operators.
 
     A table has two forms: `tables` holds the nested rows the tuple scans
     read, `support` the list of nonzeros (i1, ..., value index, value) in
@@ -914,17 +893,17 @@ def _apply(ops: _Ops, op: str, vecs) -> list:
     sub = _SUBMAPS.get(op)
     if sub is not None:
         return _evaluate(ops, sub, vecs)
-    return _MULTILINEAR[len(vecs)](ops.sizes[_SIGNATURES[op][1]], ops.tables[op], *vecs)
+    return _multilinear(ops.sizes[_SIGNATURES[op][1]], ops.tables[op], *vecs)
 
 
 # ---------------------------------------------------------------------------
 # integer sweeps: one generated loop nest per map over its tuples, each table
 # prefix bound where its slots are, and each term in the innermost body
 #   for m, v in Inner[x..]: for l, w in Outer[x..][m][x..]: out[l] += c*v*w
-# into one reused buffer; sub-maps are tabulated by the same nest.  Or the
-# same terms become a contraction over the tables' nonzeros, one chunk per
-# value of the first slot:
+# into one reused buffer.  Or the same terms become a contraction over the
+# tables' nonzeros, one chunk per value of the first slot:
 #   for x.., m, v in Inner at x0: for x.., l, w in Outer at m: acc[t, l] += c*v*w
+# `_nonzeros` runs either; scans and sub-map tables both read it.
 
 
 def _source(m: Identity, mode: str, blocks=()) -> tuple[str, list]:
@@ -934,15 +913,12 @@ def _source(m: Identity, mode: str, blocks=()) -> tuple[str, list]:
     of (t, out) for each basis tuple t at which m is nonzero, in rank order,
     out being m's dense value there; with certified `blocks`, t ranges over
     the tuples whose values rise along each block, strictly in an
-    alternating one: the smallest member of every orbit.  In mode "table",
-    build() returns m's nonzeros over every tuple, (x0, ..., l, v) in rank
-    order: its support, from which `_table` lays out the nested rows that
-    sweeps read.  `sizes` holds
-    the size of each slot's range, `size` the value's, and the tables are
-    named by operation.  Both run one loop nest; a prefix of a table that
-    the loops below it index again is bound to a local at the depth where
-    its slots are, and the value is summed into one buffer, which a nonzero
-    value leaves and a zero one (terms that cancel included) keeps.
+    alternating one: the smallest member of every orbit.  `sizes` holds the
+    size of each slot's range, `size` the value's, and the tables are named
+    by operation.  It runs one loop nest; a prefix of a table that the loops
+    below it index again is bound to a local at the depth where its slots
+    are, and the value is summed into one buffer, which a nonzero value
+    leaves and a zero one (terms that cancel included) keeps.
     In mode "contract", see `_contraction_source`.
     """
     if mode == "contract":
@@ -985,21 +961,16 @@ def _source(m: Identity, mode: str, blocks=()) -> tuple[str, list]:
     start = {s: f"x{prev}{' + 1' if sign < 0 else ''}, "
              for slots, sign in blocks for prev, s in zip(slots, slots[1:])}
 
-    sweep, xs = mode == "sweep", ", ".join(f"x{s}" for s in range(m.arity))
-    src = [f"def make(sizes, size, {', '.join(deps)}):",
-           f"    def {'sweep' if sweep else 'build'}():",
-           "        out, zero = [0] * size, [0] * size"] + ([] if sweep else ["        entries = []"])
+    src = [f"def make(sizes, size, {', '.join(deps)}):", "    def sweep():",
+           "        out, zero = [0] * size, [0] * size"]
     for d in range(m.arity):
         pad = "        " + "    " * d
         src += [f"{pad}for x{d} in range({start.get(d, '')}sizes[{d}]):"]
         src += [f"{pad}    {h}" for h in defs[d + 1]]
-    if sweep:
-        keep = f"yield ({xs},), out"
-    else:
-        keep = f"entries += [({xs}, l, v) for l, v in enumerate(out) if v]"
+    keep = f"yield ({', '.join(f'x{s}' for s in range(m.arity))},), out"
     pad = "        " + "    " * m.arity
     src += [pad + s for s in lines + ["if out != zero:", "    " + keep, "    out = [0] * size"]]
-    src += ["    return sweep"] if sweep else ["        return entries", "    return build"]
+    src += ["    return sweep"]
     return "\n".join(src) + "\n", deps
 
 
@@ -1082,15 +1053,15 @@ def _multipliers(ops: _Ops, m: Identity) -> tuple[int, tuple[int, ...]]:
 
 
 _COMPILED: dict = {}
-_GENERATED = {"sweep": "sweep", "table": "table builder", "contract": "contraction"}
+_GENERATED = {"sweep": "sweep", "contract": "contraction"}
 
 
 def _make_scanner(ops: _Ops, m: Identity, mode: str = "sweep", blocks=()):
     """m's sweep() on ops, over the representatives of the certified
-    `blocks` (every tuple without), or its build() or chunk(x0) in mode
-    "table" or "contract", from `_source` with each coefficient times its
-    term's multiplier (all 1 on integer tensors), so its values are L times
-    the exact ones; compiled once per source."""
+    `blocks` (every tuple without), or its chunk(x0) in mode "contract",
+    from `_source` with each coefficient times its term's multiplier (all 1
+    on integer tensors), so its values are L times the exact ones; compiled
+    once per source."""
     mults = _multipliers(ops, m)[1]
     if any(k != 1 for k in mults):
         m = Identity(m.name, tuple((c * k, t) for (c, t), k in zip(m.terms, mults)),
@@ -1291,79 +1262,70 @@ def _plan(ops: _Ops, m: Identity, rows: int) -> bool:
     return chosen
 
 
+def _nonzeros(ops: _Ops, m: Identity, blocks=()) -> tuple[Optional[list], Iterator]:
+    """(made, nonzeros) for m on the integer tables ops: nonzeros yields
+    (t, out) for each tuple t at which m is nonzero, in rank order, out
+    being m's dense value at t, a list of its own.
+
+    `_plan` picks the path.  A sweep visits the representatives of the
+    certified `blocks` (every tuple without), and made is None.  A
+    contraction covers every tuple, chunk by chunk, and made is a one-item
+    list of the contributions of the chunks contracted so far, so a
+    consumer that stops early reads what it paid for."""
+    sizes, size = _shape(ops, m)
+    if not _plan(ops, m, _representative_count(sizes, blocks)):
+        return None, _make_scanner(ops, m, "sweep", blocks)()
+    chunk, made = _make_scanner(ops, m, "contract"), [0]
+
+    def contracted():
+        for x0 in range(sizes[0]):
+            acc, count = chunk(x0)
+            made[0] += count
+            values: dict = {}
+            for k in sorted(k for k, v in acc.items() if v):
+                values.setdefault(k[:-1], [0] * size)[k[-1]] = acc[k]
+            yield from values.items()
+
+    return made, contracted()
+
+
 def _tabulate(ops: _Ops, op: str) -> None:
-    """Build the support of the sub-map op on ops.  Each term is a product
-    of its factors' entries, its operation's and its nested one's, so when
-    every term has an empty factor (support [], a zero tensor's from the
-    start, a sub-map's once built) the support is empty, and no plan or
-    scanner is made; a forced `path` builds it by that path all the same.
-    Otherwise by the path `_plan` picks: a contraction or a tuple scan."""
+    """Build the support of the sub-map op on the integer tables ops.  Each
+    term is a product of its factors' entries, its operation's and its
+    nested one's, so when every term has an empty factor (support [], a
+    zero tensor's from the start, a sub-map's once built) the support is
+    empty, and no plan or scanner is made; a forced `path` builds it by that
+    path all the same.  Otherwise it is `_nonzeros` flattened."""
     sub = _SUBMAPS[op]
-    sizes = _shape(ops, sub)[0]
     start = time.perf_counter()
     factors = [[o] + [a[0] for a in args if not isinstance(a, int)] for _, (o, args) in sub.terms]
     if not ops.path and all(any(_built(ops, f).support.get(f) == [] for f in term)
                             for term in factors):
         entries, path = [], "an empty factor in every term"
-    elif _plan(ops, sub, prod(sizes)):
-        chunk, entries = _make_scanner(ops, sub, "contract"), []
-        for x0 in range(sizes[0]):
-            entries += sorted(k + (v,) for k, v in chunk(x0)[0].items() if v)
-        path = "contraction"
     else:
-        entries, path = _make_scanner(ops, sub, "table")(), "tuple scan"
+        made, nonzeros = _nonzeros(ops, sub)
+        entries = [t + (l, v) for t, out in nonzeros for l, v in enumerate(out) if v]
+        path = "tuple scan" if made is None else "contraction"
     ops.support[op] = entries
     log.debug("built %s table, %s: %d entries, scale %d, by %s in %.4f s", op,
               _dims(ops.sizes), len(entries), _scale(ops, op), path, time.perf_counter() - start)
 
 
 def _submap_tensor(owner, name: str) -> Tensor:
-    """The structure constants of the sub-map `name` on owner's exact tables."""
+    """The structure constants of the sub-map `name`: its support on owner's
+    integer tables, each value over the table's scale.  So generated loops
+    run on integer tables alone, and the exact tables, which serve only
+    `_evaluate`, keep the exact re-check independent of them."""
     m = _SUBMAPS[name]
     _check_components(owner, {f"sub-map {name!r}": m.tensors})
-    ops = _ops(owner, True)
+    ops = _ops(owner, False)
+    scale = _scale(ops, name)
     return Tensor(max(ops.sizes[s] for s in m.sorts + (m.out,)), m.arity + 1,
-                  ((e[:-1], e[-1]) for e in _support(ops, name)))
+                  ((e[:-1], Fraction(e[-1], scale)) for e in _support(ops, name)))
 
 
 # ---------------------------------------------------------------------------
 # conditions and the scan driver
-
-
-def _contracted_failures(chunk: Callable, sizes: tuple[int, ...], budget: int):
-    """The failures of a contraction `chunk(x0)`, chunk by chunk in rank
-    order, and the number of contributions made: the chunk that fills the
-    budget is the last one contracted."""
-    found, made = [], 0
-    for x0 in range(sizes[0]):
-        acc, count = chunk(x0)
-        made += count
-        for t in sorted({k[:-1] for k, v in acc.items() if v}):
-            found.append(t)
-            if len(found) == budget:
-                return found, _rank(t, sizes) + 1, made
-    return found, prod(sizes), made
-
-
-def _swept_failures(sweep: Callable, blocks, budget: int) -> list:
-    """The first `budget` failures, in rank order, of a sweep over the
-    representatives of the certified `blocks` (every tuple without).
-
-    Every member of a failing representative's orbit fails too, its defect
-    being +/- the representative's.  Members wait on a heap and are released
-    up to each failing representative as it is yielded, and at the end: a
-    failure ranked below a released member has its orbit's smallest member,
-    its representative, ranked below too, so it was yielded already.
-    """
-    found, waiting = [], []
-    for t, _ in sweep():
-        for u in _orbit(t, blocks):
-            heapq.heappush(waiting, u)
-        while waiting and waiting[0] <= t:
-            found.append(heapq.heappop(waiting))
-            if len(found) == budget:
-                return found
-    return found + sorted(waiting)[:budget - len(found)]
 
 
 def _failures(ops: _Ops, m: Identity, symmetry: Optional[Symmetry], passed: set,
@@ -1374,28 +1336,41 @@ def _failures(ops: _Ops, m: Identity, symmetry: Optional[Symmetry], passed: set,
     tuple's rank is its position in lexicographic order, the mixed-radix
     number of its values.
 
-    `_plan` picks the scan, a contraction or a tuple scan (a sweep), the only
-    one compiled.  The sweep runs over one representative per orbit of the
-    certified `symmetry` once every identity it assumes is in `passed`.
+    `_nonzeros` gives the failing tuples.  A sweep runs over one
+    representative per orbit of the certified `symmetry` once every identity
+    it assumes is in `passed`; a contraction covers every tuple.  Every
+    member of a failing representative's orbit fails too, its defect being
+    +/- the representative's.  Members wait on a heap and are released up
+    to each failing representative as it is yielded, and at the end: a
+    failure ranked below a released member has its orbit's smallest member,
+    its representative, ranked below too, so it was yielded already.
     """
     sizes = _shape(ops, m)[0]
     reduced = symmetry is not None and passed.issuperset(symmetry.assumes)
     blocks = symmetry.blocks if reduced else ()
-    rows = _representative_count(sizes, blocks)
-    if _plan(ops, m, rows):
-        found, evaluated, made = _contracted_failures(
-            _make_scanner(ops, m, "contract"), sizes, budget)
-        log.debug("scan %s: contraction; %d contributions made, %d of %d tuples "
-                  "covered", m.name, made, evaluated, prod(sizes))
-        return found, evaluated
-    found = _swept_failures(_make_scanner(ops, m, "sweep", blocks), blocks, budget)
+    made, nonzeros = _nonzeros(ops, m, blocks)
+    orbits = blocks if made is None else ()
+    found, waiting = [], []
+    for t, _ in nonzeros:
+        for u in _orbit(t, orbits):
+            heapq.heappush(waiting, u)
+        while waiting and waiting[0] <= t and len(found) < budget:
+            found.append(heapq.heappop(waiting))
+        if len(found) == budget:
+            break
+    else:
+        found += sorted(waiting)[:budget - len(found)]
     stop = found[-1] if len(found) == budget else None
+    evaluated = prod(sizes) if stop is None else _rank(stop, sizes) + 1
+    if made is not None:
+        log.debug("scan %s: contraction; %d contributions made, %d of %d tuples "
+                  "covered", m.name, made[0], evaluated, prod(sizes))
+        return found, evaluated
     path = (f"symmetry-reduced over {symmetry}" if reduced
             else "full range" + (f", certified {symmetry} unused" if symmetry else ""))
     log.debug("scan %s: %s; %d of %d tuples scanned", m.name, path,
-              rows if stop is None else _representative_count(sizes, blocks, stop),
-              prod(sizes))
-    return found, prod(sizes) if stop is None else _rank(stop, sizes) + 1
+              _representative_count(sizes, blocks, stop), prod(sizes))
+    return found, evaluated
 
 
 def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: int,

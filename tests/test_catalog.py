@@ -4,6 +4,7 @@ import pytest
 
 from ternalg import catalog
 from ternalg.constructions import check_trace, trace_induced
+from ternalg.errors import SchemaError
 from ternalg.operators import check_relative_rb, check_relative_rb_comm
 from ternalg.representations import adjoint_rep
 from ternalg.structures import check_axioms
@@ -90,3 +91,10 @@ def test_fixtures_match_emitted_documents():
         want = dumps(catalog.catalog_document(name))
         got = (FIXTURES / f"{name}.json").read_text(encoding="utf-8")
         assert got == want, f"fixture {name} is stale"
+
+
+@pytest.mark.parametrize("name", ["trunc", "truncx", "trunc7", "r_int1", "r_int9", "fil5", ""])
+def test_unknown_catalog_entry_is_a_schema_error(name):
+    """Only the listed names build a document, as the CLI allows."""
+    with pytest.raises(SchemaError, match="unknown catalog entry"):
+        catalog.catalog_document(name)

@@ -232,3 +232,24 @@ def test_only_structures_builds_tables_or_missing_tensor_errors():
              for path in sorted((ROOT / "src" / "ternalg").glob("*.py"))}
     assert {name: got for name, got in found.items() if got} == {
         "structures.py": {"_ops", "MissingTensor"}}
+
+
+def unused_imports(tree: ast.AST) -> list:
+    """The names an import in tree binds that no expression in it reads;
+    `from __future__` imports bind nothing."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {path.name: unused_imports(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "ternalg").glob("*.py"))}
+    assert {name: got for name, got in found.items() if got} == {}
+    # the check sees what it looks for
+    assert unused_imports(ast.parse("import os.path\nfrom x import y as z\nz()")) == ["os"]

@@ -542,7 +542,7 @@ def _all_tensor_owners(seed, path=None):
 def integer_values(fast, m):
     """{tuple: {l: value}} over the nonzero integer values of the map m on
     fast, by the path forced there: a sub-map's from its table, in both
-    forms, a condition's from its sweep or its contraction."""
+    forms, a condition's from `_nonzeros`, a sweep or a contraction."""
     sizes = [fast.sizes[s] for s in m.sorts]
     if m.name in structures._SUBMAPS:
         values = {}
@@ -555,17 +555,12 @@ def integer_values(fast, m):
                 row = row[i]
             assert dict(row) == values.get(t, {}), (m.name, t)
         return values
-    if fast.path == "contract":
-        chunk, values = structures._make_scanner(fast, m, "contract"), {}
-        for x0 in range(sizes[0]):
-            for k, v in chunk(x0)[0].items():
-                if v:
-                    values.setdefault(k[:-1], {})[k[-1]] = v
-        return values
-    # every list kept as the sweep yielded it, so that a buffer it reused shows
-    swept = list(structures._make_scanner(fast, m)())
-    assert [t for t, _ in swept] == sorted(t for t, out in swept if any(out))
-    return {t: {l: v for l, v in enumerate(out) if v} for t, out in swept}
+    made, nonzeros = structures._nonzeros(fast, m)
+    assert (made is not None) == (fast.path == "contract")
+    # every list kept as it was yielded, so that a buffer reused shows
+    yielded = list(nonzeros)
+    assert [t for t, _ in yielded] == sorted(t for t, out in yielded if any(out))
+    return {t: {l: v for l, v in enumerate(out) if v} for t, out in yielded}
 
 
 def exact_values(owner, m, tuples):
@@ -585,7 +580,8 @@ def test_scan_is_L_times_the_exact_value(seed):
     """For every map of every registry, on either path, the generated scan
     or contraction (or sub-map table, built by either) on integer tables is
     L, from `_multipliers`, times the map's exact value, at every basis
-    tuple; multipliers other than 1 occur."""
+    tuple; multipliers other than 1 occur.  A sub-map's structure constants,
+    its integer table over its scale, are its exact value there."""
     maps = {**IDENTITIES, **REP_CONDITIONS, **structures.CONDITIONS, **structures._SUBMAPS}
     for path in PATHS:
         pair, single = _all_tensor_owners(seed, path)
@@ -601,6 +597,11 @@ def test_scan_is_L_times_the_exact_value(seed):
             tuples = list(itertools.product(*(range(fast.sizes[s]) for s in m.sorts)))
             want = exact_values(owner, m, tuples)
             assert {t: v for t, v in want.items() if v} == got, (path, name)
+            if name in structures._SUBMAPS:
+                L, constants = structures._multipliers(fast, m)[0], {}
+                for idx, v in structures._submap_tensor(owner, name).nonzeros():
+                    constants.setdefault(idx[:-1], {})[idx[-1]] = L * v
+                assert constants == {t: v for t, v in want.items() if v}, (path, name)
             if got:
                 seen.add(name)
         assert seen == set(maps)
@@ -717,13 +718,13 @@ def test_partly_empty_sub_map_is_still_scanned(caplog):
 
 def test_empty_leib3_on_sd2_compiles_no_table_builder(caplog, monkeypatch):
     """sd2's product is zero, so every term of leib3 has an empty factor:
-    its support is [] without a plan or a generated table builder."""
+    its support is [] without a plan or a generated sweep."""
     monkeypatch.setattr(structures, "_COMPILED", {})
     sd = semidirect(adjoint_rep(fil4()))
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         assert check_axioms("ternary-f-manifold", direct_sum(sd, sd)).passed
     text = [r.getMessage() for r in caplog.records]
-    assert not any(t.startswith("generated table builder for leib3") for t in text)
+    assert not any(t.startswith("generated sweep for leib3") for t in text)
     assert not any(t.startswith("plan leib3,") for t in text)
     assert any(t.startswith("built leib3 table, dim 16: 0 entries, scale 1, "
                             "by an empty factor in every term in ") for t in text)
@@ -747,17 +748,15 @@ def test_adjoint_representation_shares_the_algebra_tables():
 def test_sweep_keeps_no_value_it_handed_on():
     """comm on a product with e1 e2 = e1 but e2 e1 = 0, and e1 e3 = e3 e1 =
     e2: nonzero at (0, 1) and (1, 0), and zero at (0, 2) between them only
-    because its two terms cancel.  The sweep and the table builder reuse
-    one buffer across tuples, which must hold nothing over: each yielded
-    list keeps its value, and the cancelled tuple is skipped."""
+    because its two terms cancel.  The sweep reuses one buffer across
+    tuples, which must hold nothing over: each yielded list keeps its
+    value, and the cancelled tuple is skipped."""
     b = AlgebraBundle(3, product=Tensor(3, 3, [((0, 1, 0), 1), ((0, 2, 1), 1),
                                                ((2, 0, 1), 1)]))
     ops = structures._ops(b, False)
     comm = IDENTITIES["comm"]
     assert list(structures._make_scanner(ops, comm)()) == [((0, 1), [1, 0, 0]),
                                                            ((1, 0), [-1, 0, 0])]
-    entries = structures._make_scanner(ops, comm, "table")()
-    assert entries == [(0, 1, 0, 1), (1, 0, 0, -1)]
 
 
 def test_malformed_definitions_rejected():
@@ -776,10 +775,10 @@ def test_malformed_definitions_rejected():
 
 
 # -- the generated code, pinned ------------------------------------------------------
-# sha256 of `_source` for every identity and representation condition (the
-# sweep over every tuple) and every sub-map (the table builder), computed
-# when both became one loop nest with a reused buffer, the table builders'
-# again when they began to emit their nonzeros: on integer tables the tuple
+# sha256 of `_source`'s sweep over every tuple for every identity and
+# representation condition and every sub-map they read, computed when the
+# sweep became one loop nest with a reused buffer, the sub-maps' again when
+# their tables came to be built from the sweep: on integer tables the tuple
 # scans run this code.
 
 SWEEP_SOURCES = {
@@ -817,21 +816,19 @@ SWEEP_SOURCES = {
     "corep-1": "84c2c9dfb0c31c93ec93d2f46e2ee58fe3d1c483318ca5191450442dcaed8e35",
     "corep-2": "5507c04ff5a93a77de521e51d6630056e8acce22a7f8f7a4ce5b95bd46c5e5e7",
     "corep-3": "f9fec571413282795fe8da2f6faec83d71665d56bf9aa53df94665ae66e3bb83",
-}
-TABLE_BUILDER_SOURCES = {
-    "symmul": "f0f0f749e86b091b09085ea59bcffe5175bd16807bcba27b05f7fb0f99dc6f6e",
-    "cyc3": "0b2e61aa5161a1ea06b8bfaa0f6342489c60f73e084e3e9d68ef34482dbc36bc",
-    "leib3": "9f9cc25aa6957e52f711b2eea592b05911fde5a7442535ec450e19b59d81df87",
-    "leib2": "9f930e1f974465dae7f0c1781ea24e475d9d69ef325728b7807c97ebe37d1965",
-    "kmap": "87373a248e5785333761a31a9ee345e917334d4ed9ac20e7c6d7e2b1a34d8e40",
-    "f1": "6ece4f4b584615916a4a2148ec5415bcf8a95d3d3e4467a2615e28df62113ea9",
-    "f2": "87c4e7176c3e2b4d11c3a2d1447fb13629194b6e3015d2347ecc1542b57b42fd",
-    "leib3_sub": "aa2be310d1a50674e8561e608aa8adaa53b371fba788d2e27a8d682ab64bf348",
-    "L1": "2e01a33d9abe4fe146ce81b714dabc895c6cfb8f1a541d55fb2f4de545816a40",
-    "L2": "d08c015c65d43dc68c4b9628816fe5ca1f5858cd778179418c9e28d39326024a",
-    "L3": "1fc5c60ddee962ba5a56141433055ee3db52b49b4c3fa733002b225685dbc807",
-    "L1b": "b288efd34c6d2896a755ffef35757837029050caf0ccaff09b839ee6fdd41f77",
-    "L2b": "26780dc6eb907c654ccdccd973272d9f99223678f2af5909f1f68406c8e4f80f",
+    "symmul": "fee6db22ae96b86d05a27616e563d2adfdc457a5cbb4d7069aa196f2eb619b5f",
+    "cyc3": "cfd1ea1afcdb14d0cbef459b0fd123e15ae6384a5bfc9a94cdefc4ba54541d01",
+    "leib3": "2de1d5dcf862f4ff64f831446ed2f6e8a3c39cda3759e9ef443fa98499a0d667",
+    "leib2": "45c304d843dc2b2ea8c3d07984f8e1e7166895608564d3de79772596a227f551",
+    "kmap": "e5e17a66325ef6177352876db7d6b861c1ae73c8aef1fc82ddd3a5f849ab75fb",
+    "f1": "d773338cefbe0cb3d59b54b19a650cb88d06e069a8a48deff0848d1a5c6b3de3",
+    "f2": "d7712d9a33bb0ed0a923eb907aeeaa5c308cd32224594cebf109039933fdd596",
+    "leib3_sub": "843903c8736f66d604f1d93b4bcb4c68cc692a001cbda61052455d7838f46436",
+    "L1": "1a63a60b248a8f6718b8b18206b7136492f3677f582c92796ccc01720f11780c",
+    "L2": "72589f099182a7ed973bc3aa93fecf08f7975bb0ab5d777224e636f2ef1ef7b3",
+    "L3": "57695928099343eabd4905a393941b38dc511e054c811197781d8910ab983bf9",
+    "L1b": "76076fd6a324950e128b2f4eaa1c7646edd2e8c9bafaa84b97500c91bbe240ef",
+    "L2b": "c47ae81ef095fcb3c78672aa4b4fb9ac1f685aec18bae8c8a9cd645af31c468b",
 }
 
 
@@ -852,11 +849,8 @@ def _integer_owners():
 
 def test_generated_source_pinned(caplog, monkeypatch):
     for name, digest in SWEEP_SOURCES.items():
-        m = IDENTITIES.get(name) or REP_CONDITIONS[name]
+        m = IDENTITIES.get(name) or REP_CONDITIONS.get(name) or structures._SUBMAPS[name]
         assert hashlib.sha256(structures._source(m, "sweep")[0].encode()).hexdigest() == digest
-    for name, digest in TABLE_BUILDER_SOURCES.items():
-        m = structures._SUBMAPS[name]
-        assert hashlib.sha256(structures._source(m, "table")[0].encode()).hexdigest() == digest
 
     # on integer tables, the tuple scans compile exactly the pinned sources
     monkeypatch.setattr(structures, "_COMPILED", {})
@@ -873,9 +867,7 @@ def test_generated_source_pinned(caplog, monkeypatch):
         head, _, src = record.getMessage().partition(":\n")
         if head.startswith("generated "):
             seen[head] = hashlib.sha256(src.encode()).hexdigest()
-    assert seen == {**{f"generated sweep for {name}": d for name, d in SWEEP_SOURCES.items()},
-                    **{f"generated table builder for {name}": d
-                       for name, d in TABLE_BUILDER_SOURCES.items()}}
+    assert seen == {f"generated sweep for {name}": d for name, d in SWEEP_SOURCES.items()}
 
 
 # -- debug logging -----------------------------------------------------------------
@@ -890,7 +882,7 @@ def test_debug_events(caplog, monkeypatch):
     assert all(r.name == "ternalg" and r.levelno == logging.DEBUG for r in caplog.records)
     assert "integer tables, dim 4: scale factors mul=3 br3=5 br2=None" in text
     assert any(t.startswith("generated sweep for coh1:\ndef make(") for t in text)
-    assert any(t.startswith("generated table builder for leib3:") for t in text)
+    assert any(t.startswith("generated sweep for leib3:") for t in text)
     assert any(t.startswith("built leib3 table, dim 4:") for t in text)
     assert any(t.startswith("built kmap table, dim 4:") for t in text)
     rechecks = [t for t in text if t.startswith("exact re-check of coh")]

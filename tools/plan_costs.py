@@ -9,9 +9,12 @@ terms, and contributions (the sweep's steps) for the tuple scan; chunks,
 inner nonzeros joined (probes) and contributions for the contraction.  A
 least-squares fit of each path's times on its counts gives the constants,
 in tenths of a microsecond, and each case's predicted over measured time
-shows the fit.  The loops of `_swept_failures` and `_contracted_failures`
-are timed without the failure lists, which only failing inputs build, and
-every random bundle fails nearly everywhere.
+shows the fit.  Both loops are timed bare, as `_nonzeros` drives them:
+the sweep's generator, and each chunk with its nonzero sums found.  The
+work done per nonzero tuple (the dense values `_nonzeros` makes of a
+contraction's sums, `_failures`' orbit heap, `_tabulate`'s entries) is
+left out: it is paid only where a map is nonzero, and every random bundle
+is nonzero nearly everywhere.
 
 Run from the repository root:
 ``PYTHONPATH=src python3 tools/plan_costs.py [--n 6] [--repeats 3] [--json out.json]``
@@ -63,11 +66,11 @@ def measure(ops, m, repeats: int) -> dict:
     sweep = structures._make_scanner(ops, m)
     chunk = structures._make_scanner(ops, m, "contract")
 
-    def run_scan():  # the loop of `_swept_failures` over every tuple
+    def run_scan():  # the sweep `_nonzeros` runs, over every tuple
         for t, out in sweep():
             pass
 
-    def run_contraction():  # the loop of `_contracted_failures`
+    def run_contraction():  # the chunks `_nonzeros` contracts
         for x0 in range(sizes[0]):
             acc, made = chunk(x0)
             for k, v in acc.items():
