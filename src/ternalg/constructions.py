@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotATrace
-from .linalg import Tensor, Value, Vec
+from .linalg import Tensor, Value, Vec, nested_rows
 from .structures import (
     AlgebraBundle,
     CheckReport,
@@ -79,7 +79,7 @@ def tensor_with_comm_assoc(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
     _check_components(b, {"tensor_with_comm_assoc (associative factor)": ("mul",)})
     n, m = a.dim, b.dim
     dim = n * m
-    rows = b.product.table()
+    rows = nested_rows((m, m), (idx + (v,) for idx, v in b.product.nonzeros()))
     # triple product table of B: e_p e_q e_r expanded as (pq)r
     triple = Tensor(m, 4, (((p, q, r, t), c * d) for (p, q, s), c in b.product.nonzeros()
                            for r in range(m) for t, d in rows[s][r]))

@@ -14,7 +14,7 @@ import itertools
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -349,15 +349,6 @@ class Tensor(Value):
         """The lcm of the constants' denominators: the least integer that
         makes every constant integral."""
         return lcm(*(v.denominator for _, v in self.constants))
-
-    def table(self, scale: Optional[int] = None):
-        """Nested sparse rows: table[i1]...[i(k-1)] is the tuple of (j, value)
-        pairs of the nonzero constants there, by increasing j, each value
-        times `scale` (an integer that clears every denominator, giving an
-        int) when one is given.  The outer levels are lists."""
-        return nested_rows((self.dim,) * (self.order - 1),
-                           (idx + ((v * scale).numerator if scale else v,)
-                            for idx, v in self.constants))
 
 
 def nested_rows(sizes: Sequence[int], entries: Iterable[tuple]) -> list:

@@ -61,8 +61,9 @@ class _Action(Value):
     module_dim): its constant at (i, [j,] q, p) is row p, column q of the
     matrix of e_i [, e_j], so that the action sends e_q to the sum over p.
     `Cls(module_dim, mats)` converts dense matrices, `Cls.from_tensor`
-    takes the constants themselves, and `mats` is a dense view built on
-    each access."""
+    takes the constants themselves, which must lie at algebra indices below
+    algebra_dim and module indices below module_dim, and `mats` is a dense
+    view built on each access."""
 
     module_dim: int
     algebra_dim: int
@@ -87,6 +88,12 @@ class _Action(Value):
         if tensor.order != self.order or tensor.dim != max(algebra_dim, module_dim):
             raise DimensionMismatch(f"an order-{tensor.order} tensor of dim {tensor.dim} is "
                                     f"no action of dim {algebra_dim} on dim {module_dim}")
+        ranges = (algebra_dim,) * (self.order - 2) + (module_dim, module_dim)
+        tops = [max(column) for column in zip(*(idx for idx, _ in tensor.nonzeros()))]
+        for p, (top, n) in enumerate(zip(tops, ranges)):
+            if top >= n:
+                raise DimensionMismatch(f"a constant with index {top} at position {p} is outside "
+                                        f"an action of dim {algebra_dim} on dim {module_dim}")
         object.__setattr__(self, "module_dim", module_dim)
         object.__setattr__(self, "algebra_dim", algebra_dim)
         object.__setattr__(self, "tensor", tensor)

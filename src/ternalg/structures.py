@@ -23,10 +23,13 @@ the tuples they bind.  One producer, `_nonzeros`, yields a map's nonzero
 tuples in rank order by the path picked, and both paths give the same
 integers at every tuple, so nothing downstream depends on the path: the
 scan driver's failures come from it, and so does each sub-map's table,
-built once per owner, on first use.  Exact evaluations (`eval_defect`, the
-Leibnizators, F1, F2, K and the residual of every counterexample) walk the
-same terms over exact vectors instead, one multilinear loop per operation
-(`_multilinear`), so the reported residuals never depend on generated code.
+built once per owner, on first use.  Every table, a tensor's or a
+sub-map's, starts as its list of nonzeros, and `_table` and `_groups` lay
+out the nested rows and the groups the loops read from it, on first use.
+Exact evaluations (`eval_defect`, the Leibnizators, F1, F2, K and the
+residual of every counterexample) walk the same terms over exact vectors
+instead, one multilinear loop per operation (`_multilinear`), so the
+reported residuals never depend on generated code.
 
 The scans run on integer tables, each tensor times the lcm of its own
 denominators, its scale.  A term's scale is the product of its operations'
@@ -278,8 +281,9 @@ class CheckReport(Value):
 # ---------------------------------------------------------------------------
 # sparse tables
 #
-# Tables hold sparse rows, as `Tensor.table` builds them: prod[i][j] is a
-# tuple of (k, coeff) pairs, and br3t[i][j][k] a tuple of (l, coeff) pairs.
+# Tables hold sparse rows, as `_table` lays them out from a table's list of
+# nonzeros over its slots' sorts: prod[i][j] is a tuple of (k, coeff) pairs,
+# and br3t[i][j][k] a tuple of (l, coeff) pairs.
 # Integer tables drive the exhaustive scans and hold every sub-map's table;
 # Fraction tables hold the tensors alone and serve exact evaluation at
 # arbitrary rational vectors through `_multilinear`.
@@ -313,36 +317,38 @@ class _Ops:
     base's is built on base, so an algebra's sub-map tables serve its
     representations and operators.
 
-    A table has two forms: `tables` holds the nested rows the tuple scans
-    read, `support` the list of nonzeros (i1, ..., value index, value) in
-    rank order, and `groups` those nonzeros by the index at one position,
-    for the contractions; `counts` holds, for the planner, how many nonzeros
-    have each index at each position.  A tensor's rows are built at once
-    (shared with base when base holds the same tensor object), and its
-    support read off them on first use, a zero tensor's being [] at once.
-    A sub-map starts as its support; its rows are laid out from it when a
-    sweep first reads them.  `path` forces "contract" or "tuples" on every
-    plan made on these tables and on those built over them; None lets
+    Every table starts as its support: the list of its nonzeros (i1, ...,
+    value index, value) in rank order, a tensor's built here from its
+    constants, a sub-map's by `_tabulate` on first use.  Two views are laid
+    out from it on first use: `tables` holds the nested rows the tuple scans
+    and the exact evaluator read (`_table`), `groups` the nonzeros by the
+    index at one position, which the contractions join and the planner
+    counts (`_groups`).  A tensor that is the same object as one of base's
+    (an adjoint representation's rho and mu) shares base's support and
+    rows, which are laid out then.  `path` forces "contract" or "tuples" on
+    every plan made on these tables and on those built over them; None lets
     `_plan` choose."""
 
-    __slots__ = ("sizes", "scales", "tensors", "tables", "support", "groups", "counts",
-                 "base", "path")
+    __slots__ = ("sizes", "scales", "tensors", "tables", "support", "groups", "base", "path")
 
     def __init__(self, sizes: dict, tensors: dict, exact: bool, base: Optional["_Ops"] = None,
                  path: Optional[str] = None):
         tensors = {op: t for op, t in tensors.items() if t is not None}
         scales = {op: 1 if exact else t.den_lcm() for op, t in tensors.items()}
-        shared = {id(t): base.tables[op] for op, t in base.tensors.items()} if base else {}
-        tables = {op: shared.get(id(t)) or t.table(None if exact else scales[op])
-                  for op, t in tensors.items()}
         self.base = base
         self.path = path or (base.path if base else None)
         self.sizes = {**base.sizes, **sizes} if base else {"k": 1, **sizes}
         self.scales = {**base.scales, **scales} if base else scales
         self.tensors = {**base.tensors, **tensors} if base else tensors
-        self.tables = {**base.tables, **tables} if base else tables
-        self.support = {op: [] for op, t in tensors.items() if t.is_zero()}
-        self.groups, self.counts = {}, {}
+        self.support, self.tables, self.groups = {}, {}, {}
+        shared = {id(t): op for op, t in base.tensors.items()} if base else {}
+        for op, t in tensors.items():
+            same, scale = shared.get(id(t)), scales[op]
+            if same:
+                self.support[op], self.tables[op] = _support(base, same), _table(base, same)
+            else:
+                self.support[op] = [idx + (v if exact else (v * scale).numerator,)
+                                    for idx, v in t.nonzeros()]
 
 
 def _dims(sizes: dict) -> str:
@@ -893,7 +899,7 @@ def _apply(ops: _Ops, op: str, vecs) -> list:
     sub = _SUBMAPS.get(op)
     if sub is not None:
         return _evaluate(ops, sub, vecs)
-    return _multilinear(ops.sizes[_SIGNATURES[op][1]], ops.tables[op], *vecs)
+    return _multilinear(ops.sizes[_SIGNATURES[op][1]], _table(ops, op), *vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,46 +1149,30 @@ def _shape(ops: _Ops, m: Identity) -> tuple[tuple[int, ...], int]:
 def _built(ops: _Ops, op: str) -> _Ops:
     """The `_Ops` that holds op's table: ops's base when it has every tensor
     op reads, else ops; a sub-map is tabulated there on first use."""
-    while ops.base is not None and _TENSORS_OF[op] <= ops.base.tables.keys():
+    while ops.base is not None and _TENSORS_OF[op] <= ops.base.tensors.keys():
         ops = ops.base
-    if op not in ops.tables and op not in ops.support:
+    if op not in ops.support:
         _tabulate(ops, op)
     return ops
 
 
-def _table(ops: _Ops, op: str):
-    """The nested sparse rows of a tensor or sub-map: a sub-map's are laid
-    out from its support when a sweep first reads them."""
-    home = _built(ops, op)
-    if op not in home.tables:
-        home.tables[op] = nested_rows(_shape(home, _SUBMAPS[op])[0], home.support[op])
-    return home.tables[op]
-
-
 def _support(ops: _Ops, op: str) -> list:
     """The nonzeros (i1, ..., value index, value) of a tensor or sub-map, in
-    rank order: a sub-map's as built, a tensor's read off its nested rows."""
-    home = _built(ops, op)
-    if op not in home.support:
-        nodes = [((), home.tables[op])]
-        for _ in _SIGNATURES[op][0][1:]:
-            nodes = [(idx + (i,), sub) for idx, node in nodes for i, sub in enumerate(node)]
-        home.support[op] = [idx + (i, l, v) for idx, node in nodes
-                            for i, row in enumerate(node) if row for l, v in row]
-    return home.support[op]
+    rank order: every table's first form, from which the others are laid
+    out."""
+    return _built(ops, op).support[op]
 
 
-def _counts(ops: _Ops, op: str) -> list:
-    """For each position of op's nonzeros, the value's last, how many have
-    each index there."""
+def _table(ops: _Ops, op: str):
+    """The nested sparse rows of a tensor or sub-map, laid out from its
+    support over the sizes of its slots' sorts when first read: the one
+    place rows are laid out."""
     home = _built(ops, op)
-    hit = home.counts.get(op)
-    if hit is None:
-        hit = home.counts[op] = [{} for _ in range(len(_SIGNATURES[op][0]) + 1)]
-        for e in _support(home, op):
-            for q, hist in enumerate(hit):
-                hist[e[q]] = hist.get(e[q], 0) + 1
-    return hit
+    rows = home.tables.get(op)
+    if rows is None:
+        sizes = [home.sizes[s] for s in _SIGNATURES[op][0]]
+        rows = home.tables[op] = nested_rows(sizes, home.support[op])
+    return rows
 
 
 def _groups(ops: _Ops, op: str, q: int) -> dict:
@@ -1223,12 +1213,12 @@ def _contributions(ops: _Ops, m: Identity) -> tuple[int, int]:
     for _, (op, args) in m.terms:
         nested = [(p, a) for p, a in enumerate(args) if not isinstance(a, int)]
         if not nested:
-            contributions += sum(_counts(ops, op)[0].values())
+            contributions += len(_support(ops, op))
             continue
         (p, (inner, slots)), = nested
-        outer, values = _counts(ops, op)[p], _counts(ops, inner)[-1]
-        probes += sum(values.values())
-        contributions += sum(c * outer.get(v, 0) for v, c in values.items())
+        outer, values = _groups(ops, op, p), _groups(ops, inner, len(slots))
+        probes += len(_support(ops, inner))
+        contributions += sum(len(es) * len(outer.get(v, ())) for v, es in values.items())
     return probes, contributions
 
 
@@ -1292,15 +1282,14 @@ def _nonzeros(ops: _Ops, m: Identity, blocks=()) -> tuple[Optional[list], Iterat
 def _tabulate(ops: _Ops, op: str) -> None:
     """Build the support of the sub-map op on the integer tables ops.  Each
     term is a product of its factors' entries, its operation's and its
-    nested one's, so when every term has an empty factor (support [], a
-    zero tensor's from the start, a sub-map's once built) the support is
-    empty, and no plan or scanner is made; a forced `path` builds it by that
-    path all the same.  Otherwise it is `_nonzeros` flattened."""
+    nested one's, so when every term has an empty factor (an empty support,
+    a sub-map factor's built first) the support is empty, and no plan or
+    scanner is made; a forced `path` builds it by that path all the same.
+    Otherwise it is `_nonzeros` flattened."""
     sub = _SUBMAPS[op]
     start = time.perf_counter()
     factors = [[o] + [a[0] for a in args if not isinstance(a, int)] for _, (o, args) in sub.terms]
-    if not ops.path and all(any(_built(ops, f).support.get(f) == [] for f in term)
-                            for term in factors):
+    if not ops.path and all(any(not _support(ops, f) for f in term) for term in factors):
         entries, path = [], "an empty factor in every term"
     else:
         made, nonzeros = _nonzeros(ops, sub)

@@ -19,7 +19,7 @@ from ternalg.linalg import (
     Vec,
     invert,
 )
-from ternalg.structures import AlgebraBundle
+from ternalg.structures import AlgebraBundle, _ops, _support, _table
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -227,4 +227,11 @@ def test_tensor_is_structural_and_sparse():
     assert t[2, 0, 1] == Fraction(3, 4) and t[1, 1, 1] == 0
     assert t != Tensor4.zero(3) and Tensor3.from_nonzeros(3, {(0, 0, 0): 0}).is_zero()
     assert t.den_lcm() == 4
-    assert t.table(4)[2][0] == ((1, 3),) and t.table()[0][1] == ((2, -1),)
+    # a bundle's tables of t: integer ones times its scale 4, and exact ones
+    b = AlgebraBundle(3, product=t)
+    fast, exact = _ops(b, False), _ops(b, True)
+    assert fast.scales["mul"] == 4
+    assert _support(fast, "mul") == [(0, 1, 2, -4), (2, 0, 1, 3)]
+    assert _table(fast, "mul")[2][0] == ((1, 3),) and _table(fast, "mul")[0][1] == ((2, -4),)
+    assert _table(exact, "mul")[2][0] == ((1, Fraction(3, 4)),)
+    assert _table(exact, "mul")[0][1] == ((2, -1),)

@@ -6,7 +6,7 @@ import pytest
 
 from ternalg.catalog import fil4, fil4_adjoint, fil4_rb, trunc
 from ternalg.errors import DimensionMismatch, MissingRep
-from ternalg.linalg import Matrix, Tensor3, Tensor4, Vec
+from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec
 from ternalg.operators import induced_pre_fmanifold
 from ternalg.representations import (
     BiRep,
@@ -145,6 +145,23 @@ def test_action_tensors_are_the_constants(adj, f4):
         BiRep.from_tensor(4, 4, f4.product)
     with pytest.raises(DimensionMismatch):
         LinRep.from_tensor(4, 6, f4.product)
+
+
+@pytest.mark.parametrize("cls, algebra_dim, module_dim, idx", [
+    (LinRep, 2, 4, (3, 0, 0)), (LinRep, 4, 2, (0, 3, 0)), (LinRep, 4, 2, (0, 0, 2)),
+    (BiRep, 2, 4, (0, 2, 0, 0)), (BiRep, 4, 2, (0, 0, 0, 3))],
+    ids=["mu-algebra", "mu-column", "mu-row", "rho-algebra", "rho-row"])
+def test_action_constants_must_lie_in_its_ranges(cls, algebra_dim, module_dim, idx):
+    """A constant at an algebra index past algebra_dim, or a module index
+    past module_dim, fits the tensor on the larger dim but no action: it is
+    refused, not dropped from `mats` while `semidirect` writes it out."""
+    t = Tensor(max(algebra_dim, module_dim), cls.order, {idx: 1})
+    position = next(p for p, i in enumerate(idx) if i)
+    with pytest.raises(DimensionMismatch, match=rf"^a constant with index {idx[position]} at "
+                                                rf"position {position} is outside an action"):
+        cls.from_tensor(algebra_dim, module_dim, t)
+    ok = tuple(0 for _ in idx)
+    assert cls.from_tensor(algebra_dim, module_dim, Tensor(t.dim, t.order, {ok: 1})).tensor
 
 
 # -- L maps ---------------------------------------------------------------------

@@ -31,7 +31,7 @@ from ternalg.catalog import (
 )
 from ternalg.constructions import direct_sum, tensor_with_comm_assoc
 from ternalg.errors import InternalError
-from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec
+from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec, nested_rows
 from ternalg.operators import induced_pre_fmanifold
 from ternalg.representations import (
     REP_CONDITIONS,
@@ -325,6 +325,14 @@ def test_plan_and_contraction_debug_lines(caplog, monkeypatch):
     # the budget of three fills in coh1's contraction, at its 769th tuple
     assert [ce.identity for ce in report.counterexamples] == ["coh1"] * 3
     assert "scan coh1: contraction; 4 contributions made, 769 of 1024 tuples covered" in text
+    # a budget of two fills at the 193rd tuple, in the chunk x0 = 0, and the
+    # contraction stops there: no later chunk is made or counted
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        check_coherence(forced(scaled(noncoherent_tfm(*NONCOHERENT_A)), "contract"),
+                        max_counterexamples=2)
+    assert "scan coh1: contraction; 3 contributions made, 193 of 1024 tuples covered" in [
+        r.getMessage() for r in caplog.records]
     # unforced, a scan this small stays on the tuple scan unestimated; at
     # n = 16 the 67,200 representatives of fundamental cost under the
     # margin, and the planner estimates both paths for hm3 and contracts it
@@ -634,7 +642,7 @@ def test_contraction_is_L_times_the_exact_value_on_interacting_tables(case):
     nonzero = set()
     for side, (owner, maps) in enumerate(owners["contract"]):
         tuple_owner = owners["tuples"][side][0]
-        have = set(structures._ops(owner, False).tables)
+        have = set(structures._ops(owner, False).tensors)
         for name, m in maps.items():
             if not m.tensors <= have:
                 continue
@@ -663,15 +671,15 @@ SUPPORT_FIRST = {
 }
 
 
-def sub_map_tables(b):
-    """{(owner, name): (support, nested rows)} of every sub-map b and its
-    adjoint representation have the tensors for, built by the plans made
-    on their integer tables."""
+def every_table(b):
+    """{(owner, name): (support, nested rows)} of every tensor and sub-map b
+    and its adjoint representation have the tensors for, the sub-maps built
+    by the plans made on their integer tables."""
     out = {}
     for side, owner in enumerate((b, adjoint_rep(b))):
         ops = structures._ops(owner, False)
-        for name, m in structures._SUBMAPS.items():
-            if m.tensors <= ops.tables.keys() and (side == 0 or m.tensors & {"rho", "mu"}):
+        for name, reads in structures._TENSORS_OF.items():
+            if reads <= ops.tensors.keys() and (side == 0 or reads & {"rho", "mu"}):
                 out[side, name] = (structures._support(ops, name), structures._table(ops, name))
     return out
 
@@ -680,11 +688,14 @@ def sub_map_tables(b):
 def test_support_first_tables_equal_both_forced_paths(case, caplog):
     """Every sub-map table as planned, a support built by the empty-factor
     rule or by the path `_plan` picks and nested rows laid out from it,
-    equals the tables the forced tuple scan and contraction build."""
+    equals the tables the forced tuple scan and contraction build.  Every
+    tensor's support is its constants times its scale, in rank order, and
+    its rows, like every sub-map's, are `nested_rows` of its support."""
+    b = SUPPORT_FIRST[case]()
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
-        planned = sub_map_tables(SUPPORT_FIRST[case]())
+        planned = every_table(b)
     for path in PATHS:
-        assert sub_map_tables(forced(SUPPORT_FIRST[case](), path)) == planned, path
+        assert every_table(forced(SUPPORT_FIRST[case](), path)) == planned, path
     assert {name for _, name in planned} >= {"leib3", "kmap", "f1", "L1", "L3"}
     ruled = {t.split()[1] for t in (r.getMessage() for r in caplog.records)
              if t.startswith("built ") and " by an empty factor in every term " in t}
@@ -692,6 +703,16 @@ def test_support_first_tables_equal_both_forced_paths(case, caplog):
     assert ruled <= empty
     if case in ("sd", "sd16"):
         assert {"leib3", "kmap", "L1"} <= ruled, sorted(ruled)
+    ops = [structures._ops(owner, False) for owner in (b, adjoint_rep(b))]
+    for (side, name), (support, rows) in planned.items():
+        sizes = [ops[side].sizes[s] for s in structures._SIGNATURES[name][0]]
+        assert rows == nested_rows(sizes, support), (side, name)
+        t = ops[side].tensors.get(name)
+        if t is not None:
+            scale = ops[side].scales[name]
+            assert all(type(e[-1]) is int for e in support), (side, name)
+            assert [(e[:-1], Fraction(e[-1], scale)) for e in support] == list(t.nonzeros())
+    assert {name for _, name in planned} >= {"mul", "br3", "rho", "mu"}
 
 
 def test_partly_empty_sub_map_is_still_scanned(caplog):
@@ -732,8 +753,8 @@ def test_empty_leib3_on_sd2_compiles_no_table_builder(caplog, monkeypatch):
 
 def test_adjoint_representation_shares_the_algebra_tables():
     """adjoint_rep keeps the algebra's bracket and product themselves, so
-    its rho and mu tables are the algebra's br3 and mul tables, exact and
-    integer."""
+    its rho and mu tables, supports and rows, are the algebra's br3 and mul
+    tables, exact and integer."""
     sd = semidirect(adjoint_rep(fil4()))
     b = direct_sum(sd, sd)
     r = adjoint_rep(b)
@@ -743,6 +764,8 @@ def test_adjoint_representation_shares_the_algebra_tables():
         assert ops.base is base
         assert ops.tables["rho"] is base.tables["br3"]
         assert ops.tables["mu"] is base.tables["mul"]
+        assert structures._support(ops, "rho") is structures._support(base, "br3")
+        assert structures._support(ops, "mu") is structures._support(base, "mul")
 
 
 def test_sweep_keeps_no_value_it_handed_on():

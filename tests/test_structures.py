@@ -370,14 +370,25 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
                                         checked_identities=("comm",),
                                         counterexamples=(bad,), tuple_count=1))
 
+    # e1 -> e1 at (e1, e1, e1), the first tuple in rank order, in op's
+    # integer support, and in its rows where they are laid out already
+    def corrupt(ops, op):
+        ops.support[op].insert(0, (0, 0, 0, 0, 1))
+        if op in ops.tables:
+            ops.tables[op][0][0][0] = ((0, 1),)
+
     # integer tables that disagree with the exact ones: e1 -> e1 at [e1,e1,e1]
     b = fil4()
-    _ops(b, False, path).tables["br3"][0][0][0] = ((0, 1),)
+    corrupt(_ops(b, False, path), "br3")
     structure_scan = raises(lambda: check_axioms("3-lie", b))
 
-    # the same for the integer rho table: column e1 of rho(e1, e1) -> e1
+    # the same for the integer rho table, shared with the algebra's br3 and
+    # so laid out already: column e1 of rho(e1, e1) -> e1
     r = adjoint_rep(fil4())
-    _ops(r, False, path).tables["rho"][0][0][0] = ((0, 1),)
+    ops = _ops(r, False, path)
+    if "rho" not in ops.tables:
+        sys.exit("rho's rows are not shared")
+    corrupt(ops, "rho")
     rep_scan = raises(lambda: check_representation("three-lie-rep", r))
 
     # and for an operator condition: the symplectic scan reads the bundle's
@@ -385,7 +396,7 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     from ternalg.catalog import fil4_symplectic
     from ternalg.operators import check_symplectic
     b = fil4()
-    _ops(b, False, path).tables["br3"][0][0][0] = ((0, 1),)
+    corrupt(_ops(b, False, path), "br3")
     operator_scan = raises(lambda: check_symplectic(fil4_symplectic(), b))
 
     # a symmetry certificate claiming assoc symmetric in all three slots: on

@@ -1,5 +1,6 @@
 """The scripts under `tools/` still run against the package."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -21,3 +22,21 @@ def test_plan_costs_runs_and_fits_every_constant(tmp_path):
     assert proc.stdout.startswith(f"{len(got['cases'])} cases, n = 2, best of 1;")
     assert got["cases"] and got["fit"].keys() == got["in_use"].keys() == {
         "tuple", "term", "step", "chunk", "probe", "contribution"}
+
+
+def test_mutations_still_apply():
+    """Every mutation of `tools/mutate.py` still finds its snippet exactly
+    once under `src`, and names existing tests or a reason it is equivalent;
+    no mutant is run."""
+    spec = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    assert len({m.name for m in mutate.MUTATIONS}) == len(mutate.MUTATIONS)
+    for m in mutate.MUTATIONS:
+        assert m.path.startswith("src/") and m.snippet != m.replacement, m.name
+        assert (ROOT / m.path).read_text(encoding="utf-8").count(m.snippet) == 1, m.name
+        assert bool(m.kill) != bool(m.equivalent), m.name
+        for test in m.kill:
+            path, name = test.split("::")
+            function = name.split("[")[0]
+            assert f"def {function}(" in (ROOT / path).read_text(encoding="utf-8"), test

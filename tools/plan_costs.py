@@ -117,7 +117,7 @@ def main() -> None:
         b = random_bundle(args.n, density, rng)
         ops = structures._ops(b, False)
         for m in (*IDENTITIES.values(), *structures._SUBMAPS.values()):
-            if m.tensors <= ops.tables.keys() | structures._SUBMAPS.keys():
+            if m.tensors <= ops.tensors.keys() | structures._SUBMAPS.keys():
                 cases.append({"density": density, **measure(ops, m, args.repeats)})
 
     scan_x = [[c["rows"], c["rows"] * c["terms"], c["contributions"]] for c in cases]
