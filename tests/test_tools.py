@@ -26,8 +26,8 @@ def test_plan_costs_runs_and_fits_every_constant(tmp_path):
 
 def test_mutations_still_apply():
     """Every mutation of `tools/mutate.py` still finds its snippet exactly
-    once under `src`, and names existing tests or a reason it is equivalent;
-    no mutant is run."""
+    once under `src`, and names a reason it is equivalent or test ids that
+    pytest still collects, parameter ids included; no mutant is run."""
     spec = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
     mutate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutate)
@@ -36,7 +36,11 @@ def test_mutations_still_apply():
         assert m.path.startswith("src/") and m.snippet != m.replacement, m.name
         assert (ROOT / m.path).read_text(encoding="utf-8").count(m.snippet) == 1, m.name
         assert bool(m.kill) != bool(m.equivalent), m.name
-        for test in m.kill:
-            path, name = test.split("::")
-            function = name.split("[")[0]
-            assert f"def {function}(" in (ROOT / path).read_text(encoding="utf-8"), test
+    kill = sorted({test for m in mutate.MUTATIONS for test in m.kill})
+    pythonpath = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                           "-p", "no:cacheprovider", *kill],
+                          cwd=ROOT, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert sorted(line for line in proc.stdout.splitlines() if "::" in line) == kill

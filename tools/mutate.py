@@ -14,11 +14,11 @@ Tests that start a Python process of their own point it at the copy too,
 since they find `src` next to their own file.  A run that exceeds
 `TIMEOUT` seconds counts as killed.
 
-Run from the repository root:
-``python3 tools/mutate.py [NAME ...]``, with no name to run every mutation.
-It prints one line per mutation and exits 1 when any survives or cannot
-run.  `tests/test_tools.py` checks, without running any mutant, that every
-snippet still occurs exactly once and every named test still exists.
+Run from the repository root: ``python3 tools/mutate.py``.  It runs
+every mutation, prints one line per mutation and exits 1 when any
+survives or cannot run.  `tests/test_tools.py` checks, without running
+any mutant, that every snippet still occurs exactly once and that pytest
+still collects every named test id.
 """
 
 from __future__ import annotations
@@ -159,15 +159,9 @@ def run(m: Mutation) -> tuple[str, float]:
     return f"ERROR: pytest exited {proc.returncode}: {' '.join(tail)}", seconds
 
 
-def main(names: list[str]) -> int:
-    known = {m.name: m for m in MUTATIONS}
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        print(f"unknown mutation(s): {', '.join(unknown)}; choices: {', '.join(known)}",
-              file=sys.stderr)
-        return 2
+def main() -> int:
     bad = 0
-    for m in (known[n] for n in names) if names else MUTATIONS:
+    for m in MUTATIONS:
         if m.equivalent:
             print(f"{m.name}: equivalent, not run: {m.equivalent}")
             continue
@@ -178,4 +172,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
