@@ -19,6 +19,7 @@ from .structures import (
     CheckReport,
     _check_components,
     _Maps,
+    _require,
     _submap_tensor,
     run_conditions,
 )
@@ -142,10 +143,10 @@ def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
     Refuses functionals that are not traces: the closure statement assumes
     tau kills the bracket image.
     """
-    report = check_trace(a, tau)
-    if not report.passed:
-        raise NotATrace("functional does not vanish on the bracket image", report)
-    return AlgebraBundle(a.dim, product=a.product, bracket=_trace_maps(a, tau).tensor("br3_tau"),
+    maps = _trace_maps(a, tau)
+    _require(run_conditions("trace", maps, ["trace"], 1), NotATrace,
+             "functional does not vanish on the bracket image")
+    return AlgebraBundle(a.dim, product=a.product, bracket=maps.tensor("br3_tau"),
                          unit=a.unit, basis_labels=a.basis_labels)
 
 

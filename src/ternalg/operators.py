@@ -4,21 +4,20 @@ Every condition here -- rb-comm, rb-3lie, cocycle, symplectic,
 nijenhuis-comm and nijenhuis-3lie -- is data in `structures.CONDITIONS`,
 written with the map T: V -> A, the operator N: A -> A or the form: A A -> k
 beside the algebra's tensors and the actions, and scanned by the generated
-integer loops like every identity.  A checker checks only the shapes of
-the maps and forms it is handed (and a form's skewness), which a
-`structures._Maps` holds over the bundle or representation.  The tensors
-and actions its conditions read, or a builder's sub-maps, are checked by
-`structures._check_components`, so nothing here guards a component.  The
-builders read the same registry's sub-map tables (muT and rhoTT, the
-induced product and bracket; mu_T and rho_T, the representation induced on
-A; mul_pre and br3_pre over T^-1, for an invertible T and for the
-symplectic pre-structure, whose T is the inverse musical map on the
-coadjoint representation; mul_N and br3_N, the deformed ones), so each
-formula is written once.
-
-Builders re-verify the operator identity they rely on (fail fast with the
-failing report attached); they do not re-check ambient axioms, so perturbed
-or raw bundles remain usable for negative tests.
+integer loops like every identity.  An owner-maker per kind of map or form
+(`_rb_maps`, `_form_maps`, `_nijenhuis_maps`) checks its shape (and a form's
+skewness) and returns its `structures._Maps` over the bundle or
+representation; `structures._check_components` checks the components read.
+A checker makes one `run_conditions` call on that owner.  A builder makes
+the owner once, requires its precondition's report there
+(`structures._require`) and reads the registry's sub-map tables from it
+(muT and rhoTT, the induced product and bracket; mu_T and rho_T, the
+representation induced on A; mul_N and br3_N, the deformed ones), so each
+table is built once and each formula written once.  Only mul_pre and
+br3_pre, over T and T^-1 (an invertible T, or the inverse musical map of a
+symplectic form on the coadjoint representation), get a second owner: the
+inverse is computed only after the check passes.  Builders do not re-check
+ambient axioms, so perturbed or raw bundles remain usable for negative tests.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .representations import (
     BiRep,
     LinRep,
     RepBundle,
+    _module_labels,
     adjoint_rep,
     check_coherence,
     dual_rep,
@@ -50,94 +50,91 @@ from .structures import (
     CheckReport,
     _carried,
     _Maps,
+    _require,
     run_conditions,
 )
 
 
-def _check_map_dims(t: InterMap, r: RepBundle, context: str):
-    """T: V -> A; with no action r has no module for T's columns to match."""
+def _rb_maps(t: InterMap, r: RepBundle, context: str) -> _Maps:
+    """The owner of T: V -> A over r, once T's shape is checked; with no
+    action r has no module for T's columns to match."""
     m = r.module_dim if r.rho or r.mu else t.src_dim
     if t.src_dim != m or t.dst_dim != r.algebra.dim:
         raise DimensionMismatch(
             f"{context}: map is {t.dst_dim}x{t.src_dim}, expected {r.algebra.dim}x{m}"
         )
-
-
-def _rb_maps(t: InterMap, r: RepBundle) -> _Maps:
     return _Maps(r, {}, {"T": t.tensor})
 
 
-def _check_rb(kind: str, names: tuple[str, ...], t: InterMap, r: RepBundle,
-              max_counterexamples: int) -> CheckReport:
-    """The named relative Rota-Baxter conditions, once T's shape is checked."""
-    _check_map_dims(t, r, kind)
-    return run_conditions(kind, _rb_maps(t, r), names, max_counterexamples)
+_RB_CONDITIONS = {"relative-rb-comm": ("rb-comm",), "relative-rb-3lie": ("rb-3lie",),
+                  "relative-rb": ("rb-comm", "rb-3lie")}
 
 
 def check_relative_rb_comm(t: InterMap, r: RepBundle, *,
                            max_counterexamples: int = 1) -> CheckReport:
     """Tu * Tv = T(mu(Tu)v + mu(Tv)u) on all module basis pairs."""
-    return _check_rb("relative-rb-comm", ("rb-comm",), t, r, max_counterexamples)
+    kind = "relative-rb-comm"
+    return run_conditions(kind, _rb_maps(t, r, kind), _RB_CONDITIONS[kind], max_counterexamples)
 
 
 def check_relative_rb_3lie(t: InterMap, r: RepBundle, *,
                            max_counterexamples: int = 1) -> CheckReport:
     """[Tu,Tv,Tw] = T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v) on basis triples."""
-    return _check_rb("relative-rb-3lie", ("rb-3lie",), t, r, max_counterexamples)
+    kind = "relative-rb-3lie"
+    return run_conditions(kind, _rb_maps(t, r, kind), _RB_CONDITIONS[kind], max_counterexamples)
 
 
 def check_relative_rb(t: InterMap, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Conjunction: relative Rota-Baxter for both the product and the bracket."""
-    return _check_rb("relative-rb", ("rb-comm", "rb-3lie"), t, r, max_counterexamples)
+    kind = "relative-rb"
+    return run_conditions(kind, _rb_maps(t, r, kind), _RB_CONDITIONS[kind], max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
 # induced structures
 
 
-def _module_labels(m: int) -> tuple[str, ...]:
-    return tuple(f"v{p + 1}" for p in range(m))
+def _checked_rb_maps(t: InterMap, r: RepBundle, kind: str = "relative-rb",
+                     error=NotRelativeRB,
+                     message: str = "map fails the relative Rota-Baxter identities") -> _Maps:
+    """T's owner over r, once T passes the conditions of `kind`; else
+    error(message, report)."""
+    maps = _rb_maps(t, r, kind)
+    _require(run_conditions(kind, maps, _RB_CONDITIONS[kind], 1), error, message)
+    return maps
+
+
+def _on_module(maps: _Maps, product: str | None = None,
+               bracket: str | None = None) -> AlgebraBundle:
+    """The bundle on maps' module whose product and bracket are the named sub-maps."""
+    m = maps.base.module_dim
+    return AlgebraBundle(m, product=product and maps.tensor(product),
+                         bracket=bracket and maps.tensor(bracket), basis_labels=_module_labels(m))
 
 
 def induced_zinbiel(t: InterMap, r: RepBundle) -> AlgebraBundle:
     """u <> v = mu(Tu)v on the module; Zinbiel when T is relative Rota-Baxter."""
-    report = check_relative_rb_comm(t, r)
-    if not report.passed:
-        raise NotRelativeRB("map fails the commutative relative Rota-Baxter identity",
-                            report)
-    m = r.module_dim
-    return AlgebraBundle(m, product=_rb_maps(t, r).tensor("muT"), basis_labels=_module_labels(m))
+    return _on_module(_checked_rb_maps(
+        t, r, "relative-rb-comm",
+        message="map fails the commutative relative Rota-Baxter identity"), product="muT")
 
 
 def induced_3prelie(t: InterMap, r: RepBundle) -> AlgebraBundle:
     """{u,v,w} = rho(Tu,Tv)w on the module; 3-pre-Lie when T is relative Rota-Baxter."""
-    report = check_relative_rb_3lie(t, r)
-    if not report.passed:
-        raise NotRelativeRB("map fails the 3-Lie relative Rota-Baxter identity", report)
-    m = r.module_dim
-    return AlgebraBundle(m, bracket=_rb_maps(t, r).tensor("rhoTT"),
-                         basis_labels=_module_labels(m))
+    return _on_module(_checked_rb_maps(
+        t, r, "relative-rb-3lie",
+        message="map fails the 3-Lie relative Rota-Baxter identity"), bracket="rhoTT")
 
 
 def induced_pre_fmanifold(t: InterMap, r: RepBundle) -> AlgebraBundle:
     """Both induced tensors on the module: a ternary pre-F-manifold bundle."""
-    report = check_relative_rb(t, r)
-    if not report.passed:
-        raise NotRelativeRB("map fails the relative Rota-Baxter identities", report)
-    m = r.module_dim
-    maps = _rb_maps(t, r)
-    return AlgebraBundle(m, product=maps.tensor("muT"), bracket=maps.tensor("rhoTT"),
-                         basis_labels=_module_labels(m))
+    return _on_module(_checked_rb_maps(t, r), "muT", "rhoTT")
 
 
 def rb_induced_pre(R: InterMap, a: AlgebraBundle) -> AlgebraBundle:
     """x <> y = R(x) y and {x,y,z} = [Rx, Ry, z] for a weight-zero Rota-Baxter R."""
-    rep = adjoint_rep(a)
-    report = check_relative_rb(R, rep)
-    if not report.passed:
-        raise NotRotaBaxter("map fails the Rota-Baxter identities on the adjoint action",
-                            report)
-    maps = _rb_maps(R, rep)
+    maps = _checked_rb_maps(R, adjoint_rep(a), error=NotRotaBaxter,
+                            message="map fails the Rota-Baxter identities on the adjoint action")
     return AlgebraBundle(a.dim, product=maps.tensor("mulT"), bracket=maps.tensor("br3TT"),
                          basis_labels=a.basis_labels)
 
@@ -154,9 +151,7 @@ def invertible_rb_to_pre(t: InterMap, r: RepBundle) -> AlgebraBundle:
 
     The sub-adjacent operations recover the ambient product and bracket exactly.
     """
-    report = check_relative_rb(t, r)
-    if not report.passed:
-        raise NotRelativeRB("map fails the relative Rota-Baxter identities", report)
+    _checked_rb_maps(t, r)
     return _pre_structure(t, InterMap(invert(t.matrix)), r)
 
 
@@ -199,28 +194,27 @@ def _require_skew(b: BilinearForm, context: str):
         raise NotSkew(f"{context}: bilinear form is not skew-symmetric")
 
 
-def _check_form(kind: str, name: str, context: str, b: BilinearForm, a: AlgebraBundle,
-                max_counterexamples: int) -> CheckReport:
-    """The scalar condition `name` of a skew form; its residual is a 1-vector."""
+def _form_maps(b: BilinearForm, a: AlgebraBundle, context: str) -> _Maps:
+    """The owner of a skew form b: A A -> k over a, once b's size is checked."""
     if b.dim != a.dim:
         raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
     _require_skew(b, context)
     form = Tensor(a.dim, 3, (((i, j, 0), v) for (i, j), v in b.matrix.nonzeros()))
-    return run_conditions(kind, _Maps(a, {}, {"form": form}), [name], max_counterexamples)
+    return _Maps(a, {}, {"form": form})
 
 
 def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
                           max_counterexamples: int = 1) -> CheckReport:
     """B(x y, z) + B(y z, x) + B(z x, y) = 0 on all basis triples."""
-    return _check_form("cyclic-2cocycle", "cocycle", "check_cyclic_2cocycle", b, a,
-                       max_counterexamples)
+    return run_conditions("cyclic-2cocycle", _form_maps(b, a, "check_cyclic_2cocycle"),
+                          ["cocycle"], max_counterexamples)
 
 
 def check_symplectic(b: BilinearForm, a: AlgebraBundle, *,
                      max_counterexamples: int = 1) -> CheckReport:
     """B([x,y,z],u) - B([x,y,u],z) + B([x,z,u],y) - B([y,z,u],x) = 0 on 4-tuples."""
-    return _check_form("symplectic", "symplectic", "check_symplectic", b, a,
-                       max_counterexamples)
+    return run_conditions("symplectic", _form_maps(b, a, "check_symplectic"),
+                          ["symplectic"], max_counterexamples)
 
 
 def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
@@ -230,16 +224,13 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
     T = (B flat)^-1 on the coadjoint representation; requires a coherent
     bundle, a skew form passing both form checks, and an invertible musical map.
     """
-    coh = check_coherence(a)
-    if not coh.passed:
-        raise NotCoherent("bundle fails the coherence identities", coh)
+    _require(check_coherence(a), NotCoherent, "bundle fails the coherence identities")
     _require_skew(b, "symplectic_induced_pre")
-    c1 = check_cyclic_2cocycle(b, a)
-    if not c1.passed:
-        raise NotCyclicCocycle("form fails the cyclic 2-cocycle identity", c1)
-    c2 = check_symplectic(b, a)
-    if not c2.passed:
-        raise NotSymplectic("form fails the symplectic identity", c2)
+    maps = _form_maps(b, a, "symplectic_induced_pre")
+    _require(run_conditions("cyclic-2cocycle", maps, ["cocycle"], 1), NotCyclicCocycle,
+             "form fails the cyclic 2-cocycle identity")
+    _require(run_conditions("symplectic", maps, ["symplectic"], 1), NotSymplectic,
+             "form fails the symplectic identity")
     flat = b.musical()
     return _pre_structure(InterMap(invert(flat)), InterMap(flat), dual_rep(adjoint_rep(a)))
 
@@ -248,27 +239,27 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
 # Nijenhuis operators and deformations
 
 
-def _nijenhuis_maps(nop: InterMap, a: AlgebraBundle) -> _Maps:
-    return _Maps(a, {}, {"N": nop.tensor})
+def _nijenhuis_maps(nop: InterMap, a: AlgebraBundle) -> tuple[_Maps, list[str]]:
+    """The owner of N: A -> A over a, once N's shape is checked, and the
+    Nijenhuis conditions of the tensors a carries."""
+    if nop.src_dim != a.dim or nop.dst_dim != a.dim:
+        raise DimensionMismatch(
+            f"Nijenhuis candidate is {nop.dst_dim}x{nop.src_dim}, bundle has dim {a.dim}"
+        )
+    return _Maps(a, {}, {"N": nop.tensor}), _carried(a, ("nijenhuis-comm", "nijenhuis-3lie"))
 
 
 def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
                     max_counterexamples: int = 1) -> CheckReport:
     """Integrability of N for whichever of the product / ternary bracket exists."""
-    if nop.src_dim != a.dim or nop.dst_dim != a.dim:
-        raise DimensionMismatch(
-            f"Nijenhuis candidate is {nop.dst_dim}x{nop.src_dim}, bundle has dim {a.dim}"
-        )
-    names = _carried(a, ("nijenhuis-comm", "nijenhuis-3lie"))
-    return run_conditions("nijenhuis", _nijenhuis_maps(nop, a), names, max_counterexamples)
+    return run_conditions("nijenhuis", *_nijenhuis_maps(nop, a), max_counterexamples)
 
 
 def deform(nop: InterMap, a: AlgebraBundle) -> AlgebraBundle:
     """Deformed structures x *_N y and [x,y,z]_N of a Nijenhuis operator."""
-    report = check_nijenhuis(nop, a)
-    if not report.passed:
-        raise NotNijenhuis("map fails the Nijenhuis integrability conditions", report)
-    maps = _nijenhuis_maps(nop, a)
+    maps, names = _nijenhuis_maps(nop, a)
+    _require(run_conditions("nijenhuis", maps, names, 1), NotNijenhuis,
+             "map fails the Nijenhuis integrability conditions")
     prod = maps.tensor("mul_N") if a.product is not None else None
     brk = maps.tensor("br3_N") if a.bracket is not None else None
     return AlgebraBundle(a.dim, product=prod, bracket=brk, basis_labels=a.basis_labels)
@@ -276,7 +267,7 @@ def deform(nop: InterMap, a: AlgebraBundle) -> AlgebraBundle:
 
 def lift_nijenhuis(t: InterMap, r: RepBundle) -> InterMap:
     """Block operator (0 T; 0 0) on the semidirect space A (+) V; squares to zero."""
-    _check_map_dims(t, r, "lift_nijenhuis")
+    _rb_maps(t, r, "lift_nijenhuis")
     n = r.algebra.dim
     m = r.module_dim
     dim = n + m
@@ -293,11 +284,8 @@ def induced_rep_on_A(t: InterMap, r: RepBundle) -> RepBundle:
     rho_T(u,v)x = [Tu,Tv,x] - T(rho(Tv,x)u + rho(x,Tu)v)
     mu_T(u)x    = Tu x - T(mu(x)u)
     """
-    report = check_relative_rb(t, r)
-    if not report.passed:
-        raise NotRelativeRB("map fails the relative Rota-Baxter identities", report)
+    maps = _checked_rb_maps(t, r)
     n, m = r.algebra.dim, r.module_dim
-    maps = _rb_maps(t, r)
-    return RepBundle(algebra=subadjacent_ternary_fmanifold(induced_pre_fmanifold(t, r)),
+    return RepBundle(algebra=subadjacent_ternary_fmanifold(_on_module(maps, "muT", "rhoTT")),
                      rho=BiRep.from_tensor(m, n, maps.tensor("rho_T")),
                      mu=LinRep.from_tensor(m, n, maps.tensor("mu_T")))

@@ -345,6 +345,10 @@ def check_coherence(a: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckR
     return check_axioms(StructureKind.COHERENCE, a, max_counterexamples=max_counterexamples)
 
 
+def _module_labels(m: int) -> tuple[str, ...]:
+    return tuple(f"v{p + 1}" for p in range(m))
+
+
 def semidirect(r: RepBundle) -> AlgebraBundle:
     """Semidirect product bundle on A (+) V.
 
@@ -360,9 +364,8 @@ def semidirect(r: RepBundle) -> AlgebraBundle:
     brk = list(a.bracket.nonzeros())
     for (i, j, k, l), v in r.rho.tensor.nonzeros():
         brk += [((i, j, n + k, n + l), v), ((i, n + k, j, n + l), -v), ((n + k, i, j, n + l), v)]
-    labels = a.basis_labels + tuple(f"v{p + 1}" for p in range(m))
     return AlgebraBundle(n + m, product=Tensor(n + m, 3, prod), bracket=Tensor(n + m, 4, brk),
-                         basis_labels=labels)
+                         basis_labels=a.basis_labels + _module_labels(m))
 
 
 def fix_slot_rep(r: RepBundle, anchor: Vec) -> RepBundle:

@@ -1438,6 +1438,12 @@ def _carried(b: AlgebraBundle, names: Sequence[str]) -> list[str]:
     return kept or list(names)
 
 
+def _require(report: CheckReport, error, message: str) -> None:
+    """A builder's precondition: error(message, report) unless report passed."""
+    if not report.passed:
+        raise error(message, report)
+
+
 # ---------------------------------------------------------------------------
 # public evaluators and checkers
 

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 from fractions import Fraction
 
@@ -9,13 +10,21 @@ from ternalg.catalog import (
     fil4_adjoint,
     fil4_rb,
     fil4_symplectic,
+    gl2_trace,
     r_int,
     trunc,
 )
-from ternalg.constructions import direct_sum, subadjacent_ternary_fmanifold
+from ternalg.constructions import (
+    TraceFunctional,
+    check_trace,
+    direct_sum,
+    subadjacent_ternary_fmanifold,
+    trace_induced,
+)
 from ternalg.errors import (
     MissingRep,
     MissingTensor,
+    NotATrace,
     NotCoherent,
     NotCyclicCocycle,
     NotNijenhuis,
@@ -49,6 +58,7 @@ from ternalg.representations import (
     LinRep,
     RepBundle,
     adjoint_rep,
+    check_coherence,
     check_representation,
     dual_rep,
     rep_of_subadjacent,
@@ -594,3 +604,100 @@ def test_induction_closure_all_checkers(reg3):
         assert check_representation(
             "ternary-fmanifold-rep", induced_rep_on_A(T, rep)
         ).passed
+
+
+# -- a builder checks its precondition once, on the owner it reads --------------------
+
+def fil4_pre_rep():
+    return rep_of_subadjacent(induced_pre_fmanifold(fil4_rb(), fil4_adjoint()))
+
+
+# each builder that checks a precondition, and inputs that pass it, made
+# before the call so that no table of theirs exists yet
+BUILDS = {
+    "induced_zinbiel": (induced_zinbiel, lambda: (r_int(3), adjoint_rep(trunc(3)))),
+    "induced_3prelie": (induced_3prelie, lambda: (fil4_rb(), fil4_adjoint())),
+    "induced_pre_fmanifold": (induced_pre_fmanifold, lambda: (fil4_rb(), fil4_adjoint())),
+    "rb_induced_pre": (rb_induced_pre, lambda: (r_int(3), trunc(3))),
+    "invertible_rb_to_pre": (invertible_rb_to_pre,
+                             lambda: (InterMap.identity(4), fil4_pre_rep())),
+    "induced_rep_on_A": (induced_rep_on_A, lambda: (fil4_rb(), fil4_adjoint())),
+    "deform": (deform, lambda: (lift_nijenhuis(fil4_rb(), fil4_adjoint()),
+                                semidirect(fil4_adjoint()))),
+    "trace_induced": (trace_induced, gl2_trace),
+    "symplectic_induced_pre": (symplectic_induced_pre, lambda: (fil4_symplectic(), fil4())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_builder_scans_each_condition_and_builds_each_table_once(name, caplog):
+    builder, inputs = BUILDS[name]
+    args = inputs()
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        builder(*args)
+    lines = [r.getMessage() for r in caplog.records]
+    scans = [line.split(":")[0] for line in lines if line.startswith("scan ")]
+    built = [line.split(" table")[0] for line in lines if line.startswith("built ")]
+    assert scans and len(set(scans)) == len(scans), scans
+    assert built and len(set(built)) == len(built), built
+
+
+def nijenhuis_fails():
+    rng = random.Random(5)
+    return InterMap(Matrix([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]))
+
+
+def rb_fails():
+    return InterMap.identity(3), adjoint_rep(trunc(3))
+
+
+RB_FAILS = "map fails the relative Rota-Baxter identities"
+
+# each builder that checks a precondition, an input that fails it, the error
+# and message it raises, and the checker call whose report (at k = 1) that
+# error carries; symplectic_induced_pre once for each of its three checks
+REJECTS = [
+    ("induced_zinbiel", lambda: induced_zinbiel(*rb_fails()), NotRelativeRB,
+     "map fails the commutative relative Rota-Baxter identity",
+     lambda: check_relative_rb_comm(*rb_fails())),
+    ("induced_3prelie", lambda: induced_3prelie(InterMap.identity(4), fil4_adjoint()),
+     NotRelativeRB, "map fails the 3-Lie relative Rota-Baxter identity",
+     lambda: check_relative_rb_3lie(InterMap.identity(4), fil4_adjoint())),
+    ("induced_pre_fmanifold", lambda: induced_pre_fmanifold(*rb_fails()), NotRelativeRB,
+     RB_FAILS, lambda: check_relative_rb(*rb_fails())),
+    ("rb_induced_pre", lambda: rb_induced_pre(InterMap.identity(3), trunc(3)), NotRotaBaxter,
+     "map fails the Rota-Baxter identities on the adjoint action",
+     lambda: check_relative_rb(*rb_fails())),
+    ("invertible_rb_to_pre", lambda: invertible_rb_to_pre(*rb_fails()), NotRelativeRB,
+     RB_FAILS, lambda: check_relative_rb(*rb_fails())),
+    ("induced_rep_on_A", lambda: induced_rep_on_A(*rb_fails()), NotRelativeRB, RB_FAILS,
+     lambda: check_relative_rb(*rb_fails())),
+    ("deform", lambda: deform(nijenhuis_fails(), trunc(3)), NotNijenhuis,
+     "map fails the Nijenhuis integrability conditions",
+     lambda: check_nijenhuis(nijenhuis_fails(), trunc(3))),
+    ("trace_induced", lambda: trace_induced(gl2_trace()[0], TraceFunctional.dual_of(4, 0)),
+     NotATrace, "functional does not vanish on the bracket image",
+     lambda: check_trace(gl2_trace()[0], TraceFunctional.dual_of(4, 0))),
+    ("symplectic_induced_pre-coherence",
+     lambda: symplectic_induced_pre(BilinearForm(Matrix([[0, 1], [-1, 0]])), NONCOHERENT2),
+     NotCoherent, "bundle fails the coherence identities",
+     lambda: check_coherence(NONCOHERENT2)),
+    ("symplectic_induced_pre-cocycle",
+     lambda: symplectic_induced_pre(BilinearForm(Matrix([[0, 1], [-1, 0]])), trunc(2)),
+     NotCyclicCocycle, "form fails the cyclic 2-cocycle identity",
+     lambda: check_cyclic_2cocycle(BilinearForm(Matrix([[0, 1], [-1, 0]])), trunc(2))),
+    ("symplectic_induced_pre-symplectic",
+     lambda: symplectic_induced_pre(pairing_form(8), semidirect(adjoint_rep(fil4()))),
+     NotSymplectic, "form fails the symplectic identity",
+     lambda: check_symplectic(pairing_form(8), semidirect(adjoint_rep(fil4())))),
+]
+
+
+@pytest.mark.parametrize("name, build, error, message, check", REJECTS,
+                         ids=[r[0] for r in REJECTS])
+def test_builder_precondition_failure_is_its_checkers(name, build, error, message, check):
+    with pytest.raises(error) as exc:
+        build()
+    assert type(exc.value) is error and str(exc.value) == message
+    report = check()
+    assert not report.passed and exc.value.report == report

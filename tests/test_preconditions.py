@@ -5,7 +5,10 @@ Each case has exactly one fault, except those of a representation with no
 action over a bundle that also lacks a tensor the check or builder reads:
 they get the error of the first component in the order of
 `structures._MISSING`, the algebra's tensors before the actions, and a
-map's wrong shape before both.
+map's wrong shape before both; and a form that is neither skew nor of the
+bundle's size, which `symplectic_induced_pre` refuses as not skew.  A
+builder that checks a precondition raises what its checker raises, and
+the messages of the errors that name their context are pinned.
 Where a check runs several conditions,
 some cases make an earlier condition fail at k = 1, so the budget is full
 before the condition that reads the missing component: the error must
@@ -32,6 +35,7 @@ from ternalg.constructions import (
     subadjacent_ternary_fmanifold,
     symmetrize_zinbiel,
     tensor_with_comm_assoc,
+    trace_induced,
 )
 from ternalg.linalg import InterMap, Matrix, Tensor, Vec
 from ternalg.operators import (
@@ -42,7 +46,15 @@ from ternalg.operators import (
     check_relative_rb_3lie,
     check_relative_rb_comm,
     check_symplectic,
+    deform,
+    induced_3prelie,
+    induced_pre_fmanifold,
+    induced_rep_on_A,
+    induced_zinbiel,
+    invertible_rb_to_pre,
     lift_nijenhuis,
+    rb_induced_pre,
+    symplectic_induced_pre,
 )
 from ternalg.representations import (
     BiRep,
@@ -105,6 +117,7 @@ E3 = T3.basis_vectors()
 E4 = GL2.basis_vectors()
 FORM3 = BilinearForm(Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
 FORM2 = BilinearForm(Matrix([[0, 1], [-1, 0]]))
+NOT_SKEW3 = BilinearForm(Matrix.identity(3))
 DOUBLE = InterMap(Matrix.identity(3).scale(2))
 
 MISSING, REP, SHAPE = "MissingTensor", "MissingRep", "DimensionMismatch"
@@ -249,7 +262,62 @@ CASES = [
     ("induced-tau", lambda: check_induced_condition(GL2, TraceFunctional(Vec([0] * 5))),
      SHAPE, None),
     ("hom-f", lambda: check_homomorphism(InterMap.zero(3, 2), T3, T3), SHAPE, None),
+    # builders that check a precondition: a wrong shape, then a missing component
+    ("induced_zinbiel-T", lambda: induced_zinbiel(InterMap.zero(3, 2), ADJ3), SHAPE, None),
+    ("induced_3prelie-T", lambda: induced_3prelie(InterMap.zero(2, 3), ADJ3), SHAPE, None),
+    ("induced_pre_fmanifold-T", lambda: induced_pre_fmanifold(InterMap.zero(3, 4), ADJ3),
+     SHAPE, None),
+    ("rb_induced_pre-R", lambda: rb_induced_pre(InterMap.zero(3, 2), T3), SHAPE, None),
+    ("invertible_rb_to_pre-T", lambda: invertible_rb_to_pre(InterMap.zero(2, 3), ADJ3),
+     SHAPE, None),
+    ("induced_rep_on_A-T", lambda: induced_rep_on_A(InterMap.zero(3, 4), ADJ3), SHAPE, None),
+    ("deform-N", lambda: deform(InterMap.zero(3, 2), T3), SHAPE, None),
+    ("trace_induced-tau", lambda: trace_induced(GL2, TraceFunctional.zero(3)), SHAPE, None),
+    ("symplectic_induced_pre-form", lambda: symplectic_induced_pre(FORM2, F4), SHAPE, None),
+    ("induced_zinbiel-mu", lambda: induced_zinbiel(DOUBLE, RHO_ONLY), REP, None),
+    ("induced_3prelie-rho", lambda: induced_3prelie(DOUBLE, MU_ONLY), REP, None),
+    ("induced_pre_fmanifold-bracket", lambda: induced_pre_fmanifold(DOUBLE, NO_BRACKET_REP),
+     MISSING, "bracket"),
+    ("rb_induced_pre-product", lambda: rb_induced_pre(DOUBLE, BRACKET_ONLY), MISSING, "product"),
+    ("invertible_rb_to_pre-rho", lambda: invertible_rb_to_pre(DOUBLE, MU_ONLY), REP, None),
+    ("induced_rep_on_A-mu", lambda: induced_rep_on_A(DOUBLE, RHO_ONLY), REP, None),
+    ("deform-product", lambda: deform(InterMap.identity(3), EMPTY), MISSING, "product"),
+    ("trace_induced-binary", lambda: trace_induced(NO_BINARY, TAU), MISSING, "binary_bracket"),
+    ("symplectic_induced_pre-bracket", lambda: symplectic_induced_pre(FORM3, PRODUCT_ONLY),
+     MISSING, "bracket"),
+    # two faults: the form is neither skew nor of fil4's size, and its
+    # skewness is checked first
+    ("symplectic_induced_pre-skew-before-size",
+     lambda: symplectic_induced_pre(NOT_SKEW3, F4), "NotSkew", None),
 ]
+
+# the message of every case whose error names where it arose: each wrong
+# shape, with the checker kind or builder that refused it, and the form the
+# symplectic builder refuses as not skew
+MESSAGES = {
+    "no-action-rb-T": "relative-rb: map is 4x3, expected 3x3",
+    "rb-comm-T": "relative-rb-comm: map is 3x2, expected 3x3",
+    "rb-3lie-T": "relative-rb-3lie: map is 2x3, expected 3x3",
+    "rb-T": "relative-rb: map is 3x4, expected 3x3",
+    "lift_nijenhuis-T": "lift_nijenhuis: map is 2x3, expected 3x3",
+    "nijenhuis-N": "Nijenhuis candidate is 3x2, bundle has dim 3",
+    "cocycle-form": "form has dim 2, bundle has dim 3",
+    "symplectic-form": "form has dim 2, bundle has dim 4",
+    "trace-tau": "trace has dim 3, bundle has dim 4",
+    "induced-tau": "trace has dim 5, bundle has dim 4",
+    "hom-f": "map is 3x2, bundles have dims 3 -> 3",
+    "induced_zinbiel-T": "relative-rb-comm: map is 3x2, expected 3x3",
+    "induced_3prelie-T": "relative-rb-3lie: map is 2x3, expected 3x3",
+    "induced_pre_fmanifold-T": "relative-rb: map is 3x4, expected 3x3",
+    "rb_induced_pre-R": "relative-rb: map is 3x2, expected 3x3",
+    "invertible_rb_to_pre-T": "relative-rb: map is 2x3, expected 3x3",
+    "induced_rep_on_A-T": "relative-rb: map is 3x4, expected 3x3",
+    "deform-N": "Nijenhuis candidate is 3x2, bundle has dim 3",
+    "trace_induced-tau": "trace has dim 3, bundle has dim 4",
+    "symplectic_induced_pre-form": "form has dim 2, bundle has dim 4",
+    "symplectic_induced_pre-skew-before-size":
+        "symplectic_induced_pre: bilinear form is not skew-symmetric",
+}
 
 # the cases whose error must come before a scan, and the same check with the
 # missing component supplied: the earlier condition fails there at k = 1
@@ -288,6 +356,15 @@ def test_earlier_condition_fails_at_k_1(name):
     assert not report.passed and len(report.counterexamples) == 1
     # the condition that read the missing component comes later in the list
     assert report.checked_identities[-1] == report.counterexamples[0].identity
+
+
+def test_errors_name_their_context():
+    assert {name for name, _, error, _ in CASES if error == SHAPE} < MESSAGES.keys()
+    for name, call, _, _ in CASES:
+        if name in MESSAGES:
+            with pytest.raises(Exception) as exc:
+                call()
+            assert str(exc.value) == MESSAGES[name], name
 
 
 OPTIMIZED = textwrap.dedent("""

@@ -1,7 +1,7 @@
-"""Mutation check of the fast path: each mutation in `MUTATIONS`, applied
-alone to a copy of the source tree, must make one of the tests it names
-fail.  A mutation that no named test kills is a survivor: a fault the
-tests would let through.
+"""Mutation check of the fast path and the builders' preconditions: each
+mutation in `MUTATIONS`, applied alone to a copy of the source tree, must
+make one of the tests it names fail.  A mutation that no named test kills
+is a survivor: a fault the tests would let through.
 
 A mutation is an exact snippet of a file under `src`, which must occur
 there exactly once, and its replacement.  It names the tests that must
@@ -118,6 +118,14 @@ MUTATIONS = [
         "certified[i, j] = (1 if image == base else -1, s)",
         "certified[i, j] = (-1 if image == base else 1, s)",
         kill=("tests/test_symmetry.py::test_certificates_pinned",)),
+    # the builders: a precondition that fails raises
+    Mutation(
+        "builder-precondition-disarmed", STRUCTURES,
+        "    if not report.passed:\n        raise error(message, report)",
+        "    if False:\n        raise error(message, report)",
+        kill=("tests/test_operators.py::test_induced_zinbiel_rejects",
+              "tests/test_operators.py::test_builder_precondition_failure_is_its_checkers"
+              "[deform]")),
 ]
 
 
