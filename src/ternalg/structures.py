@@ -7,10 +7,11 @@ report the first failures with exact residual vectors.
 
 Each identity, and each sub-map identities share (Leibnizators, F1, F2, the
 cyclic sums), is defined once, as data: a signed sum of terms, each term an
-operation (`mul`, `br3`, `br2` or a sub-map) applied to argument slots, with
-at most one argument itself such a term.  Every slot has a sort -- A (the
+operation (`mul`, `br3`, `br2` or a sub-map) applied to argument slots and
+to such terms, nested to any depth.  Every slot has a sort -- A (the
 algebra), V (a module), B (a homomorphism's target) or k (the scalars) --
-and every operation a signature (`_SIGNATURES`) that `_define` checks.  The
+and every operation a signature (`_SIGNATURES`) that `_define` checks
+before it lowers each term, naming intermediate sub-maps (`_lower`).  The
 conditions of every other checker are written in the same language: those
 of representations in `representations`, the operator, trace and
 homomorphism conditions in `CONDITIONS`.  Two evaluators derive from the
@@ -74,10 +75,9 @@ certificate and both evaluators follow from the definition.  A
 representation condition is the same, in `representations._registry` and
 `KIND_CONDITIONS`, with the module slot last and `rho`, `rho1` and `mu`
 available; an operator, trace or homomorphism condition goes into
-`_condition_registry`.  An operation applied to two
-nested terms goes through a named sub-map.  A new tensor or action needs a
-signature in `_SIGNATURES` and an entry in the missing-component table
-`_MISSING`: the error an owner without it gets.
+`_condition_registry`.  A new tensor or action needs a signature in
+`_SIGNATURES` and an entry in the missing-component table `_MISSING`: the
+error an owner without it gets.
 """
 
 from __future__ import annotations
@@ -378,12 +378,11 @@ def _ops(owner, exact: bool, path: Optional[str] = None) -> _Ops:
 # identities as data
 #
 # A term is (op, args): op names a tensor or a sub-map, and each argument
-# is a slot index or one nested (op, slots) term.  Every term uses each slot
-# exactly once, so each map is multilinear.  Identities are oriented
-# LHS - RHS as the defining equation reads.  Skewness identities are
-# oriented as "tensor minus its full antisymmetrisation", scaled by the
-# symmetric group order to stay integral: the combination vanishes for all
-# arguments iff the bracket is alternating.
+# is a slot index or a term, lowered to at most one (op, slots) term.  Every
+# term uses each slot exactly once, so each map is multilinear.  Identities
+# are oriented LHS - RHS as the defining equation reads, skewness ones as
+# "tensor minus its full antisymmetrisation", scaled by the symmetric group
+# order to stay integral: it vanishes iff the bracket is alternating.
 
 # The sorts of each operation's slots and value; `_submap` adds sub-maps'.
 # A is the algebra, V a module, B a homomorphism's target and k the scalars
@@ -418,12 +417,10 @@ _MISSING = {
 
 
 class Identity(Value):
-    """A named multilinear map: an identity's defect, a checker's
-    condition, or a sub-map.
-
-    `terms` is ((coeff, (op, args)), ...); `sorts` is each slot's sort and
-    `out` the value's; `tensors` names the tensors its terms read.
-    """
+    """A named multilinear map: an identity's defect, a checker's condition,
+    or a sub-map.  `terms` is ((coeff, (op, args)), ...), lowered; `sorts` is
+    each slot's sort and `out` the value's; `tensors` names the tensors its
+    terms read."""
 
     name: str
     terms: tuple
@@ -437,7 +434,7 @@ class Identity(Value):
 
 
 class _Sum:
-    """A signed sum of terms, built by applying operations to slots."""
+    """A signed sum of terms, built by applying operations to slots and sums."""
 
     __slots__ = ("terms",)
 
@@ -458,38 +455,34 @@ class _Sum:
 
 
 def _op(name: str):
-    """The operation `name` as a function of slots and at most one term."""
+    """The operation `name` as a function of slots and sums of terms, nested
+    to any depth.  It distributes over a sum argument, by multilinearity."""
     arity = len(_SIGNATURES[name][0])
 
-    def arg(a):
-        if isinstance(a, int):
-            return a
-        if len(a.terms) == 1 and a.terms[0][0] == 1:
-            term = a.terms[0][1]
-            if all(isinstance(s, int) for s in term[1]):
-                return term
-        raise InternalError(f"{name}: a nested argument must be one term on slots")
-
     def apply(*args):
-        args = tuple(map(arg, args))
-        if len(args) != arity or sum(not isinstance(a, int) for a in args) > 1:
-            raise InternalError(f"{name} takes {arity} arguments, at most one a term")
-        return _Sum([(1, (name, args))])
+        if len(args) != arity:
+            raise InternalError(f"{name} takes {arity} arguments, not {len(args)}")
+        choices = [[(1, a)] if isinstance(a, int) else a.terms for a in args]
+        return _Sum((prod(cs), (name, ts))
+                    for cs, ts in (zip(*choice) for choice in itertools.product(*choices)))
 
     return apply
 
 
 def _define(name: str, body) -> Identity:
-    """The map body(slot 0, slot 1, ...), checked to be multilinear and well
-    sorted; the integer scans rely on both."""
+    """The map body(slot 0, slot 1, ...), by `_identity`."""
     arity = body.__code__.co_argcount
-    terms = body(*range(arity)).terms
+    return _identity(name, body(*range(arity)).terms, arity)
+
+
+def _identity(name: str, written, arity: int) -> Identity:
+    """The map of the written terms ((coeff, tree), ...) on `arity` slots,
+    checked to be multilinear and well sorted, as the scans need, and lowered."""
     sorts: dict[int, str] = {}
     tensors: set[str] = set()
 
     def bind(op, args):
-        """The slots of the term op(*args); each slot's sort is checked
-        against op's signature and recorded."""
+        """The slots of the term op(*args), each one's sort checked and recorded."""
         slots = []
         tensors.update(_TENSORS_OF[op])
         for a, want in zip(args, _SIGNATURES[op][0]):
@@ -498,27 +491,81 @@ def _define(name: str, body) -> Identity:
                     raise InternalError(f"{name}: slot x{a + 1} is {sorts[a]} in one "
                                         f"term and {want} in another")
                 slots.append(a)
-                continue
-            got = _SIGNATURES[a[0]][1]
-            if got != want:
-                raise InternalError(f"{name}: {a[0]} gives {got} where {op} takes {want}")
-            slots += bind(*a)
+            elif _SIGNATURES[a[0]][1] != want:
+                raise InternalError(f"{name}: {a[0]} gives {_SIGNATURES[a[0]][1]} where "
+                                    f"{op} takes {want}")
+            else:
+                slots += bind(*a)
         return slots
 
-    for _, term in terms:
+    for _, term in written:
         if sorted(bind(*term)) != list(range(arity)):
             raise InternalError(f"{name}: every term must use each slot exactly once")
-    out = _SIGNATURES[terms[0][1][0]][1]  # the same for every term, on the same slots
-    return Identity(name, terms, tuple(sorts[s] for s in range(arity)), out, frozenset(tensors))
+    out = _SIGNATURES[written[0][1][0]][1]  # the same for every term, on the same slots
+    return Identity(name, tuple((c, _lower(term)) for c, term in written),
+                    tuple(sorts[s] for s in range(arity)), out, frozenset(tensors))
+
+
+def _lower(term):
+    """term as the generators read it, nesting one operation on slots at most:
+    the operation with its nested arguments but the last, whose place is left
+    a slot (-1), becomes an intermediate, as does an argument nesting further."""
+    op, args = term
+    nested = [p for p, a in enumerate(args) if not isinstance(a, int)]
+    if len(nested) > 1:
+        op, slots = _intermediate((op, args[:nested[-1]] + (-1,) + args[nested[-1] + 1:]))
+        args = tuple(args[nested[-1]] if s == -1 else s for s in slots)
+    return op, tuple(a if isinstance(a, int) or all(isinstance(s, int) for s in a[1])
+                     else _intermediate(a) for a in args)
+
+
+def _text(tree) -> str:
+    """tree as written, slot s as x{s + 1}: an intermediate's name in debug lines."""
+    if isinstance(tree, int):
+        return f"x{tree + 1}"
+    return f"{tree[0]}({', '.join(map(_text, tree[1]))})"
 
 
 _SUBMAPS: dict[str, Identity] = {}
+_TREES: dict = {}  # the sub-map of each tree lowered out of a term, slots renumbered
+
+
+def _register(name: str, m: Identity) -> str:
+    if name in _SIGNATURES:
+        raise InternalError(f"two maps are named {name}")
+    _SUBMAPS[name] = m
+    _SIGNATURES[name] = ("".join(m.sorts), m.out)
+    _TENSORS_OF[name] = m.tensors
+    return name
+
+
+def _intermediate(tree) -> tuple:
+    """(name, slots): the sub-map of tree, registered on first use and
+    shared by every map that holds it, and the slots of tree it takes."""
+    slots: list[int] = []
+
+    def renumber(t):
+        if isinstance(t, int):
+            slots.append(t)
+            return len(slots) - 1
+        return t[0], tuple(map(renumber, t[1]))
+
+    key = renumber(tree)
+    if key not in _TREES:
+        text = _text(key)  # in code, its operations and slots in prefix order: one per tree
+        name = text.replace("(", "__").replace(", ", "__").replace(")", "")
+        _TREES[key] = _register(name, _identity(text, ((1, key),), len(slots)))
+    return _TREES[key], tuple(slots)
 
 
 def _submap(name: str, body):
-    m = _SUBMAPS[name] = _define(name, body)
-    _SIGNATURES[name] = ("".join(m.sorts), m.out)
-    _TENSORS_OF[name] = m.tensors
+    """The sub-map `name`, as an operation.  One whose body is one term is
+    the sub-map of that term's tree, so it comes before the maps holding it."""
+    arity = body.__code__.co_argcount
+    written = body(*range(arity)).terms
+    _register(name, _identity(name, written, arity))
+    if len(written) == 1 and written[0][0] == 1 and _TREES.setdefault(written[0][1], name) != name:
+        raise InternalError(f"{name}: {_text(written[0][1])} is already an intermediate")
     return _op(name)
 
 
@@ -626,75 +673,50 @@ KIND_IDENTITIES: dict[StructureKind, tuple[str, ...]] = {
 
 def _condition_registry() -> dict[str, Identity]:
     """The conditions of the operator, trace and homomorphism checkers, each
-    defined once, and the sub-maps they share with the builders.  A term
-    takes at most one nested term, so an operation applied to two images,
-    such as T(p) * T(q), goes through a sub-map: mulT(p, T(q))."""
-    mul, br3, br2, rho, mu, leib2 = map(_op, ("mul", "br3", "br2", "rho", "mu", "leib2"))
-    T, Tinv, N, form, tau, smul, f = map(_op, ("T", "Tinv", "N", "form", "tau", "smul", "f"))
-    mulB, br3B, br2B = map(_op, ("mulB", "br3B", "br2B"))
-    # relative Rota-Baxter: T(p) * y, mu(T(p)) q, [T(p), T(q), z], rho(T(p), T(q)) v;
-    # muT and rhoTT are the induced product and bracket on the module
-    mulT = _submap("mulT", lambda p, y: mul(T(p), y))
-    muT = _submap("muT", lambda p, q: mu(T(p), q))
-    br3T = _submap("br3T", lambda p, y, z: br3(T(p), y, z))
-    br3TT = _submap("br3TT", lambda p, q, z: br3T(p, T(q), z))
-    rhoT = _submap("rhoT", lambda p, y, v: rho(T(p), y, v))
-    rhoTT = _submap("rhoTT", lambda p, q, v: rhoT(p, T(q), v))
+    defined once and written as the paper writes it, after the sub-maps they
+    share with the builders, whose trees the conditions then read."""
+    mul, br3, br2, rho, mu, leib2, T, Tinv, N, form, tau, smul, f, mulB, br3B, br2B = map(
+        _op, "mul br3 br2 rho mu leib2 T Tinv N form tau smul f mulB br3B br2B".split())
+    # relative Rota-Baxter: muT and rhoTT are the induced product and bracket
+    _submap("mulT", lambda p, y: mul(T(p), y))
+    _submap("br3TT", lambda p, q, z: br3(T(p), T(q), z))
+    _submap("muT", lambda p, q: mu(T(p), q))
+    _submap("rhoTT", lambda p, q, v: rho(T(p), T(q), v))
     # the representation induced back on A: mu_T(u)x and rho_T(u,v)x
-    rhoxT = _submap("rhoxT", lambda x, p, v: rho(x, T(p), v))
-    _submap("mu_T", lambda p, x: mulT(p, x) - T(mu(x, p)))
-    _submap("rho_T", lambda p, q, x: br3TT(p, q, x) - T(rhoT(q, x, p)) - T(rhoxT(x, p, q)))
+    _submap("mu_T", lambda p, x: mul(T(p), x) - T(mu(x, p)))
+    _submap("rho_T", lambda p, q, x: br3(T(p), T(q), x) - T(rho(T(q), x, p) + rho(x, T(p), q)))
     # the pre-structure on A of an invertible T: T(mu(x) Tinv y) and T(rho(x, y) Tinv z)
-    muTinv = _submap("muTinv", lambda x, y: mu(x, Tinv(y)))
-    rhoTinv = _submap("rhoTinv", lambda x, y, z: rho(x, y, Tinv(z)))
-    _submap("mul_pre", lambda x, y: T(muTinv(x, y)))
-    _submap("br3_pre", lambda x, y, z: T(rhoTinv(x, y, z)))
-    # Nijenhuis: the deformed x o_N y and [x,y,z]_N, with N x * y, [N x, y, z],
-    # [x, N y, z], [N x, N y, z] and the terms of [x,y,z]_N inside N
-    mulN = _submap("mulN", lambda x, y: mul(N(x), y))
-    mul_N = _submap("mul_N", lambda x, y: mulN(x, y) + mul(x, N(y)) - N(mul(x, y)))
-    br3N = _submap("br3N", lambda x, y, z: br3(N(x), y, z))
-    br3xN = _submap("br3xN", lambda x, y, z: br3(x, N(y), z))
-    br3NN = _submap("br3NN", lambda x, y, z: br3N(x, N(y), z))
-    br3_N1 = _submap("br3_N1", lambda x, y, z: (
-        br3N(x, y, z) + br3xN(x, y, z) + br3(x, y, N(z)) - N(br3(x, y, z))))
+    _submap("mul_pre", lambda x, y: T(mu(x, Tinv(y))))
+    _submap("br3_pre", lambda x, y, z: T(rho(x, y, Tinv(z))))
+    # Nijenhuis: the deformed x o_N y and [x,y,z]_N
+    mul_N = _submap("mul_N", lambda x, y: mul(N(x), y) + mul(x, N(y)) - N(mul(x, y)))
     br3_N = _submap("br3_N", lambda x, y, z: (
-        br3NN(x, y, z) + br3N(x, y, N(z)) + br3xN(x, y, N(z)) - N(br3_N1(x, y, z))))
-    # traces: tau(x) y, tau(x) L(y, z, w) and x L(y, z, w), L the binary Leibnizator,
-    # and the induced [x,y,z]_tau = tau(x)[y,z] - tau(y)[x,z] + tau(z)[x,y]
-    tau_smul = _submap("tau_smul", lambda x, y: smul(tau(x), y))
+        br3(N(x), N(y), z) + br3(N(x), y, N(z)) + br3(x, N(y), N(z))
+        - N(br3(N(x), y, z) + br3(x, N(y), z) + br3(x, y, N(z)) - N(br3(x, y, z)))))
     _submap("br3_tau", lambda x, y, z: (
-        tau_smul(x, br2(y, z)) - tau_smul(y, br2(x, z)) + tau_smul(z, br2(x, y))))
-    tau_leib2 = _submap("tau_leib2", lambda x, y, z, w: tau_smul(x, leib2(y, z, w)))
-    mul_leib2 = _submap("mul_leib2", lambda x, y, z, w: mul(x, leib2(y, z, w)))
-    # homomorphisms: f(x) * q, [f(x), f(y), q] and [f(x), q] in the target
-    mulBf = _submap("mulBf", lambda x, q: mulB(f(x), q))
-    br3Bf = _submap("br3Bf", lambda x, p, q: br3B(f(x), p, q))
-    br3Bff = _submap("br3Bff", lambda x, y, q: br3Bf(x, f(y), q))
-    br2Bf = _submap("br2Bf", lambda x, q: br2B(f(x), q))
+        smul(tau(x), br2(y, z)) - smul(tau(y), br2(x, z)) + smul(tau(z), br2(x, y))))
     return {
         c.name: c
         for c in [
-            # Tu * Tv - T(mu(Tu)v + mu(Tv)u)
-            _define("rb-comm", lambda p, q: mulT(p, T(q)) - T(muT(p, q)) - T(muT(q, p))),
-            # [Tu,Tv,Tw] - T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v)
+            _define("rb-comm", lambda p, q: mul(T(p), T(q)) - T(mu(T(p), q) + mu(T(q), p))),
             _define("rb-3lie", lambda p, q, s: (
-                br3TT(p, q, T(s)) - T(rhoTT(p, q, s)) - T(rhoTT(q, s, p)) - T(rhoTT(s, p, q)))),
+                br3(T(p), T(q), T(s))
+                - T(rho(T(p), T(q), s) + rho(T(q), T(s), p) + rho(T(s), T(p), q)))),
             _define("cocycle", lambda x, y, z: (
                 form(mul(x, y), z) + form(mul(y, z), x) + form(mul(z, x), y))),
             _define("symplectic", lambda x, y, z, u: (
                 form(br3(x, y, z), u) - form(br3(x, y, u), z) + form(br3(x, z, u), y)
                 - form(br3(y, z, u), x))),
-            _define("nijenhuis-comm", lambda x, y: mulN(x, N(y)) - N(mul_N(x, y))),
-            _define("nijenhuis-3lie", lambda x, y, z: br3NN(x, y, N(z)) - N(br3_N(x, y, z))),
+            _define("nijenhuis-comm", lambda x, y: mul(N(x), N(y)) - N(mul_N(x, y))),
+            _define("nijenhuis-3lie", lambda x, y, z: br3(N(x), N(y), N(z)) - N(br3_N(x, y, z))),
             _define("trace", lambda x, y: tau(br2(x, y))),
-            # tau(x1 x2) L(x3,x4,x5) - tau(x2) x1 L(x3,x4,x5) - tau(x1) x2 L(x3,x4,x5)
             _define("induced-condition", lambda x1, x2, x3, x4, x5: (
-                tau_leib2(mul(x1, x2), x3, x4, x5) - tau_smul(x2, mul_leib2(x1, x3, x4, x5))
-                - tau_smul(x1, mul_leib2(x2, x3, x4, x5)))),
-            _define("hom-product", lambda x, y: f(mul(x, y)) - mulBf(x, f(y))),
-            _define("hom-bracket", lambda x, y, z: f(br3(x, y, z)) - br3Bff(x, y, f(z))),
-            _define("hom-binary-bracket", lambda x, y: f(br2(x, y)) - br2Bf(x, f(y))),
+                smul(tau(mul(x1, x2)), leib2(x3, x4, x5))
+                - smul(tau(x2), mul(x1, leib2(x3, x4, x5)))
+                - smul(tau(x1), mul(x2, leib2(x3, x4, x5))))),
+            _define("hom-product", lambda x, y: f(mul(x, y)) - mulB(f(x), f(y))),
+            _define("hom-bracket", lambda x, y, z: f(br3(x, y, z)) - br3B(f(x), f(y), f(z))),
+            _define("hom-binary-bracket", lambda x, y: f(br2(x, y)) - br2B(f(x), f(y))),
         ]
     }
 
@@ -702,9 +724,8 @@ def _condition_registry() -> dict[str, Identity]:
 CONDITIONS: dict[str, Identity] = _condition_registry()
 
 # each tensor as a map of its own, for AlgebraBundle.mul, br3 and br2
-_TENSOR_MAPS = {name: _define(name, body) for name, body in (
-    ("mul", lambda x, y: _op("mul")(x, y)), ("br3", lambda x, y, z: _op("br3")(x, y, z)),
-    ("br2", lambda x, y: _op("br2")(x, y)))}
+_TENSOR_MAPS = {op: _identity(op, ((1, (op, tuple(range(n)))),), n)
+                for op, n in (("mul", 2), ("br3", 3), ("br2", 2))}
 
 
 def _check_components(owner, reads: dict) -> None:
@@ -1296,7 +1317,7 @@ def _tabulate(ops: _Ops, op: str) -> None:
         entries = [t + (l, v) for t, out in nonzeros for l, v in enumerate(out) if v]
         path = "tuple scan" if made is None else "contraction"
     ops.support[op] = entries
-    log.debug("built %s table, %s: %d entries, scale %d, by %s in %.4f s", op,
+    log.debug("built %s table, %s: %d entries, scale %d, by %s in %.4f s", sub.name,
               _dims(ops.sizes), len(entries), _scale(ops, op), path, time.perf_counter() - start)
 
 

@@ -16,6 +16,7 @@ from ternalg.catalog import (
 )
 from ternalg.constructions import (
     TraceFunctional,
+    check_induced_condition,
     check_trace,
     direct_sum,
     subadjacent_ternary_fmanifold,
@@ -64,6 +65,7 @@ from ternalg.representations import (
     rep_of_subadjacent,
     semidirect,
 )
+from ternalg import structures
 from ternalg.structures import AlgebraBundle, check_axioms, check_homomorphism
 
 
@@ -629,9 +631,25 @@ BUILDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BUILDS))
+# the checkers whose conditions read sub-map tables, with inputs that pass
+CHECKS = {
+    "check_relative_rb": (check_relative_rb, lambda: (fil4_rb(), fil4_adjoint())),
+    "check_nijenhuis": (check_nijenhuis, BUILDS["deform"][1]),
+    "check_induced_condition": (check_induced_condition, gl2_trace),
+    "check_homomorphism": (check_homomorphism, lambda: (InterMap.identity(4), fil4(), fil4())),
+}
+
+
+def meaning(m):
+    """The normal form of m expanded into trees of tensors: one per tree,
+    whether a sub-map is named or an intermediate."""
+    terms = [(c * k, t) for c, term in m.terms for k, t in structures._expand(term)]
+    return frozenset(structures._normal(terms, {}, {}).items())
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS) + sorted(CHECKS))
 def test_builder_scans_each_condition_and_builds_each_table_once(name, caplog):
-    builder, inputs = BUILDS[name]
+    builder, inputs = BUILDS.get(name) or CHECKS[name]
     args = inputs()
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         builder(*args)
@@ -640,6 +658,11 @@ def test_builder_scans_each_condition_and_builds_each_table_once(name, caplog):
     built = [line.split(" table")[0] for line in lines if line.startswith("built ")]
     assert scans and len(set(scans)) == len(scans), scans
     assert built and len(set(built)) == len(built), built
+    # no two tables of one tree: a named sub-map and an intermediate of the
+    # same tree would show as two names
+    shown = {m.name: meaning(m) for m in structures._SUBMAPS.values()}
+    trees = [shown[line[len("built "):]] for line in built]
+    assert len(set(trees)) == len(trees), built
 
 
 def nijenhuis_fails():

@@ -12,7 +12,11 @@ map of every registry on random rational tensors.
 import hashlib
 import itertools
 import logging
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,7 +36,7 @@ from ternalg.catalog import (
 from ternalg.constructions import direct_sum, tensor_with_comm_assoc
 from ternalg.errors import InternalError
 from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec, nested_rows
-from ternalg.operators import induced_pre_fmanifold
+from ternalg.operators import check_relative_rb, induced_pre_fmanifold
 from ternalg.representations import (
     REP_CONDITIONS,
     BiRep,
@@ -716,7 +720,7 @@ def test_support_first_tables_equal_both_forced_paths(case, caplog):
 
 
 def test_partly_empty_sub_map_is_still_scanned(caplog):
-    """mu_T = mulT(p, x) - T(mu(x, p)) with mu = 0 and T != 0: only its second
+    """mu_T = T(p) x - T(mu(x, p)) with mu = 0 and T != 0: only its second
     term has an empty factor, so its table is built by a plan, and equals
     both forced paths."""
     def owner(path=None):
@@ -782,19 +786,113 @@ def test_sweep_keeps_no_value_it_handed_on():
                                                            ((1, 0), [-1, 0, 0])]
 
 
-def test_malformed_definitions_rejected():
+@pytest.fixture
+def registries():
+    """The sub-map registries as they were, after a test whose definitions
+    add intermediates to them: no later test sees them."""
+    saved = [(d, dict(d)) for d in (structures._SUBMAPS, structures._SIGNATURES,
+                                    structures._TENSORS_OF, structures._TREES)]
+    yield
+    for d, items in saved:
+        d.clear()
+        d.update(items)
+
+
+def test_malformed_definitions_rejected(registries):
     mul, br3 = structures._op("mul"), structures._op("br3")
     with pytest.raises(InternalError, match="each slot exactly once"):
         structures._define("bad", lambda x, y, z: mul(x, y) - mul(y, z))
-    with pytest.raises(InternalError, match="one term on slots"):
-        structures._define("bad", lambda x, y, z, u: mul(x, mul(y, mul(z, u))))
-    with pytest.raises(InternalError, match="at most one a term"):
-        structures._define("bad", lambda x, y, z, u: mul(mul(x, y), mul(z, u)))
     ok = structures._define("ok", lambda x, y, z: mul(mul(x, y), z) - mul(x, mul(y, z)))
     assert ok.tensors == IDENTITIES["assoc"].tensors and ok.terms == IDENTITIES["assoc"].terms
     # a map need not be homogeneous in its tensors: each term scales apart
     mixed = structures._define("mixed", lambda x, y, z: mul(mul(x, y), z) - br3(x, y, z))
     assert (mixed.sorts, mixed.out, mixed.tensors) == (("A",) * 3, "A", {"mul", "br3"})
+
+
+def test_terms_of_any_shape(registries):
+    """A term nests to any depth and distributes over a sum argument, its
+    coefficients multiplied: each map equals its hand expansion at random
+    rational vectors.  A tree met twice is one intermediate, shared by
+    every map that holds it; ill-sorted terms and reused slots still raise,
+    registering nothing."""
+    mul, mu = structures._op("mul"), structures._op("mu")
+    before = set(structures._SUBMAPS)
+    twice = structures._define("twice", lambda x, y, z, u: (
+        mul(mul(x, y), mul(z, u)) + mul(mul(z, u), mul(x, y))))
+    assert set(structures._SUBMAPS) - before == {"mul__mul__x1__x2__x3"}
+    assert twice.terms == ((1, ("mul__mul__x1__x2__x3", (0, 1, ("mul", (2, 3))))),
+                           (1, ("mul__mul__x1__x2__x3", (2, 3, ("mul", (0, 1))))))
+    assert structures._SUBMAPS["mul__mul__x1__x2__x3"].name == "mul(mul(x1, x2), x3)"
+
+    rng = random.Random(11)
+    b = AlgebraBundle(3, product=Tensor(3, 3, [
+        (idx, Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 5))))
+        for idx in itertools.product(range(3), repeat=3)]))
+    args = [Vec(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
+            for _ in range(4)]
+    x, y, z, u = args
+    m = b.mul
+    cases = [
+        (lambda x, y, z, u: mul(x, mul(y, mul(z, u))), m(x, m(y, m(z, u)))),
+        (lambda x, y, z, u: mul(mul(x, y), mul(z, u)), m(m(x, y), m(z, u))),
+        (lambda x, y, z, u: mul(2 * mul(x, y) - mul(y, x), 3 * mul(z, u) + mul(u, z)),
+         m(m(x, y), m(z, u)).scale(6) + m(m(x, y), m(u, z)).scale(2)
+         - m(m(y, x), m(z, u)).scale(3) - m(m(y, x), m(u, z))),
+        (lambda x, y, z, u: mul(x, 3 * mul(y, 2 * mul(z, u) - mul(u, z))),
+         m(x, m(y, m(z, u))).scale(6) - m(x, m(y, m(u, z))).scale(3)),
+    ]
+    for body, want in cases:
+        got = structures._eval_map(b, structures._define("case", body), args)
+        assert got == want and not got.is_zero()
+    after = dict(structures._SUBMAPS)
+    with pytest.raises(InternalError, match="mu gives V where mul takes A"):
+        structures._define("bad", lambda x, y, z, v: mul(x, mul(y, mu(z, v))))
+    with pytest.raises(InternalError, match="each slot exactly once"):
+        structures._define("bad", lambda x, y, z: mul(mul(x, y), mul(x, z)))
+    assert structures._SUBMAPS == after
+
+
+def test_conditions_share_the_named_sub_maps_trees():
+    """rb-comm's T(p) T(q) reads mulT and its mu(T(p), q) muT, and rb-3lie
+    reads br3TT and rhoTT: the tables the builders read, not copies."""
+    (_, comm), (_, image_p), (_, image_q) = structures.CONDITIONS["rb-comm"].terms
+    assert comm == ("mulT", (0, ("T", (1,))))
+    assert image_p == ("T", (("muT", (0, 1)),)) and image_q == ("T", (("muT", (1, 0)),))
+    (_, bracket), (_, image), *_ = structures.CONDITIONS["rb-3lie"].terms
+    assert bracket == ("br3TT", (0, 1, ("T", (2,)))) and image == ("T", (("rhoTT", (0, 1, 2)),))
+    assert {name for name in structures._TREES.values() if "__" not in name} == {
+        "mulT", "br3TT", "muT", "rhoTT", "mul_pre", "br3_pre"}
+
+
+NAMES = """
+from ternalg import structures
+print(sorted((structures._text(t), n) for t, n in structures._TREES.items()))
+"""
+
+
+def test_intermediate_names(registries):
+    """An intermediate is named by its tree, in prefix order: a Python
+    identifier, the same in every process, and one per tree even where an
+    operation's name joins two others' (mul_N, mul(N(...)).  A name taken
+    twice raises."""
+    mul = structures._op("mul")
+    joined = structures._intermediate(("mul", (("mul_N", (0, 1)), 2)))[0]
+    nested = structures._intermediate(("mul", (("mul", (("N", (0,)), 1)), 2)))[0]
+    assert (joined, nested) == ("mul__mul_N__x1__x2__x3", "mul__mul__N__x1__x2__x3")
+    assert structures._SUBMAPS[nested].name == "mul(mul(N(x1), x2), x3)"
+    assert all(name.isidentifier() for name in structures._TREES.values())
+    with pytest.raises(InternalError, match="two maps are named mul__mul__x1__x2__x3"):
+        structures._submap("mul__mul__x1__x2__x3", lambda x, y, z: mul(x, mul(y, z)))
+        structures._define("clash", lambda x, y, z, u: mul(mul(x, y), mul(z, u)))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    seen = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", NAMES], env=env, capture_output=True,
+                              text=True, check=True)
+        seen.add(proc.stdout)
+    assert len(seen) == 1 and "('rho(T(x1), x2, x3)', 'rho__T__x1__x2__x3')" in seen.pop()
 
 
 # -- the generated code, pinned ------------------------------------------------------
@@ -853,6 +951,98 @@ SWEEP_SOURCES = {
     "L1b": "76076fd6a324950e128b2f4eaa1c7646edd2e8c9bafaa84b97500c91bbe240ef",
     "L2b": "c47ae81ef095fcb3c78672aa4b4fb9ac1f685aec18bae8c8a9cd645af31c468b",
 }
+
+
+# sha256 of each registry map's meaning: its slots' sorts, its value's sort
+# and the sorted normal form of its terms expanded into trees of tensors,
+# with no symmetry assumed; for every identity, representation condition
+# and operator, trace and homomorphism condition, and every sub-map that a
+# builder, a public evaluator or the paper names.  Computed when the
+# conditions were written with two-operand sub-maps by hand, before the
+# compiler lowered terms of any shape, so any change of meaning shows.
+
+EXPANSIONS = {
+    "comm": "418d427e2755264578059926867b31d6899af6856b4ab265c9d9109cae08f991",
+    "assoc": "37b0c104f4e52bdb2d141444adb7cfee7a18206dd703ea6ad73038e7bb9ef818",
+    "zinbiel": "a5ff03b3ae7ddaca28dce3b23d430a7491c9e610f8901260e1e24e8c96d64476",
+    "skew2": "e779d2ef447f7eef2d4e55370212e6c30f64e764607ce0300851051d37eb9268",
+    "jacobi": "94d884f8066d6302e0ee96e51f0417b4f7ed9c23e5c118545c36e2244c983099",
+    "skew3": "7a420634934361ba3d757e237693f99806d34718caec68f35a955bcbe3b09ead",
+    "fundamental": "bba1ae0842ad5b75c3e1cb225a9653d79150a579536da814096ce0cb49dbd50b",
+    "prelie3-skew": "7fb6998c252d0a4cc6e96422d59a3c76193b3f876d86c66e9af687f38bef6546",
+    "prelie3-a": "d8754b44f5af2ea059f4f6f510fcbec26a2f94fcd761e473f4e023a0d82e6add",
+    "prelie3-b": "aed064528561202c36d0c611e4c4a1d17a47eee34d9493a789175cef93a636bc",
+    "leibniz-np": "f4a1f33331b043e4cb0454740e7169c638b71ca3a5a109d8bc540dff7a100f47",
+    "hm2": "94402721f8ae70a20fde2e4430ace10b8e9e38810459cf034bd84971a0435728",
+    "hm3": "5a6b4a9fcd97b10cb4c7fab6523b8f9386e3cec2b75f038f46ee56c7cfc9e0c8",
+    "prefm-1": "14f02096cf12957a349034796a044a2587c9f0831bbd32fbaaa5e9f63ea3da1b",
+    "prefm-11": "24d6c35c721cca18b2831d3516740c16cf57c83c17f3c0c48416dbbb9ae10615",
+    "prefm-2": "9eaebcb6f2c5e702c1d160eeba0026f7112ff965e3b9dcfa06c370255b5b0295",
+    "prenp-1": "c4cacb208cf36b5011a5de2d6071a18e19f3a74ec43d2ef152772cb934bbc606",
+    "prenp-2": "0cd600d76c794457cd027e89b2257a50ec6c407b44e66c4199787ed690e959bc",
+    "coh1": "24c59ffba3d32b33eef7297d2c8c89ce7d10b511dbb1b16da42ee2563779991d",
+    "coh2": "8b1ffceaadca923d1898cc3396b47b65be05e2348bd2e6f0529c938bb6de126f",
+    "coh3": "33a56ec51eb5722196e2832f398e3e2ad359a850dff7b1115b171bb53eeaa72f",
+    "rho-skew": "3339286c9865c316de82df37f256b1b063ea331744460338483fbd5fde03ce8a",
+    "kasymov-i": "312663e33d4d01a8a63d6e0d10fe90dfa57e3e73d439f4e91c11b9dbe1168d61",
+    "kasymov-ii": "4faee14fb063cacb4d1df1357cab0f44677aeb3dfebba5c22a5d5e3c38b6a1c5",
+    "mu-mult": "7d12cae3f0a0db01466c7b39e1939abbb560024a87a362e5ee2a5ce248f8b0ae",
+    "rho-lie": "1482bce347b31a2d4cc04bc7f856c718f14d0b8b2bd117d692221b7aa50f19a9",
+    "brep-1": "bbe0223c472be921ffc5697a7e45cd8d1a33057f5baeaa6e008e016922b621d2",
+    "brep-2": "367c10ec7ccc885092c2c82501ad1a43a2b1a2b17abfdb015a8d4b13d523691b",
+    "rep-1": "36bb6698595e3b03225f76de3044c906ae02ed0441b0f12a79a34cf4f8946fc1",
+    "rep-3": "bd1b9c713b945b8bcb602326a8bcfd101311d3c5d5af892d5b5408b7a3bec5b6",
+    "rep-2": "db90a1dbcbff57424da0e2fb0598af169440d1b3cc1add4f928f61a33936ffa4",
+    "corep-1": "7de14ec9f7064f33715bdaa84ab80d95fa6122ee778bf98dda7607a8ea3feb42",
+    "corep-2": "cc0edc12ef4f72d2b6e2cc310b79833bc587a98b6f80e0d1a91739da788806c9",
+    "corep-3": "b0eaf0128374d8a56566120d5301cf92c4e0d65acf3e96837ea36ca48564453a",
+    "rb-comm": "6832eef6c0e27890f54823f751cdf432c84f51a3c74da4c63532de02112654cd",
+    "rb-3lie": "0ecc2432e124b3bf9c33cfb1c3d55d80d3e53966bfa09fa569ccf2263b7e06bd",
+    "cocycle": "a3ad8274f7f0c7d75de3e4536b24a4541b98fc5a6fce1421ca79392eff14f2a4",
+    "symplectic": "8b2a50f4dcca40282a5cc6c939008094386ee5bd76fca131512e158a79fcd48a",
+    "nijenhuis-comm": "43150f0c91c7af6947671084d3121f14eab08eb9178de0c91115b3ecd3bffc57",
+    "nijenhuis-3lie": "a7ef09a68e1ef568038c34dd45ff782f328d86600b1aba79024f967459ec8711",
+    "trace": "bce33fe24a66fcdffe6cbb389f319826b049ec1b959c57a1b21728ea8434fc95",
+    "induced-condition": "fa1b9d34214568445ba7b9263dc0016d9ebccbaae39a1edf344227c68d3ef4b5",
+    "hom-product": "405ec212694939692e79b42e98df2bfd5a9c9b017be5d302730bbefeb17956a1",
+    "hom-bracket": "ab15a4da47da0d1b3240b64744978bcebd147d7bdc50e8a246e5d92584ead50b",
+    "hom-binary-bracket": "ad7b14ef0f5b0433cd4f01a736e0a45dd2e8d21575d33524965e4b6192c03c20",
+    "symmul": "ab5d5f85aebd24a507b831921f06eed103a6982cec258570560898ebcce9991b",
+    "cyc3": "75f9477329b5aedebb3dc3b678ece7720e1d326fef120cabcd2f9a89442205b2",
+    "leib3": "f4a1f33331b043e4cb0454740e7169c638b71ca3a5a109d8bc540dff7a100f47",
+    "leib2": "7c5317f6850569fcd0374e2935173dd372b508d338eafac727a61083604199d8",
+    "kmap": "b1f64a3b0123334276c315115f7df1b1513982e1c6c191ddc8887381e0da35ab",
+    "f1": "c4cacb208cf36b5011a5de2d6071a18e19f3a74ec43d2ef152772cb934bbc606",
+    "f2": "8c993676f0fed33789126271a5d3e1aa134f6c7434f72ef4a51a71a1cf8a3c43",
+    "leib3_sub": "8dfc879bdcd1f7b70b281f97d730a49309a9901b2c8fc2b89182a2a13f026c33",
+    "L1": "809706702c04a19b3fc87bc2867321fcde85a38ca0dfe68befff86effbb9240c",
+    "L2": "bc46306d9a082dc6c17c433de54682ce85ee87224ce9876a0526b326dbc75881",
+    "L3": "2c69325abf3cecb411a155235e45feb475ea730ac7ba5dc7ffd07598a0185790",
+    "L1b": "b094a64551c44b8f3bd3fc2ec44c0b2691e255f975f03b5612c9c2f2e980ee7b",
+    "L2b": "1b43e9a9657ba9a19319f694f68ce223e8e1344d54937ea5f2375bd8d7e89823",
+    "mulT": "766ee8bc8ea3e1fc924f703268585028954db942aa2045a49fa77a73619463b3",
+    "br3TT": "f569faa667d4239f26114989a65fd126acd27c7041bf0bc292f4fdb5284056a1",
+    "muT": "c0b4eb74f2d771112d7b1f7f29c571e57ddff7a7c824f4f50f16b43f71fa5819",
+    "rhoTT": "5b73e60bcaf872c043204a33e094b7574e674b958f1f6049237999fe00fba4f3",
+    "mu_T": "3f11cbb420dca74f191baa3044d3a10a2c322b18acf0b9ba20c92b07d3daed61",
+    "rho_T": "b63d48c7249d8f16edd0065ceb4ec0d4701840d035de34417bbc2e40828a8b0a",
+    "mul_pre": "3de729ed2844dbd308bdb9272fee770e8fdb753f283d52a06be4b8402f79f06c",
+    "br3_pre": "929fa0995d1bf0dd1a01a53775cbb74e25afd9c4cb77646cd0913a42ce783054",
+    "mul_N": "37976708c91ac0677f3c4ac59cd74a7c2820d039fba84934abd680ed7f3def93",
+    "br3_N": "4cf24d2ba67747d7d19fff47757c8d68e4b28f343ee894478d15f8130dd6ea20",
+    "br3_tau": "262115b086ea7afe1c3c980d0b4c9eab19428d484c6001697cf80f70e70dd8d8",
+}
+
+
+def test_registry_maps_expand_as_pinned():
+    maps = {**IDENTITIES, **REP_CONDITIONS, **structures.CONDITIONS, **structures._SUBMAPS}
+    for name, digest in EXPANSIONS.items():
+        m = maps[name]
+        terms = [(c * k, t) for c, term in m.terms for k, t in structures._expand(term)]
+        normal = structures._normal(terms, {}, {})
+        text = repr((m.sorts, m.out, sorted(map(repr, normal.items()))))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+    assert len(EXPANSIONS) == 69
 
 
 def _integer_owners():
@@ -920,6 +1110,13 @@ def test_debug_events(caplog, monkeypatch):
     assert "scan rho-skew: full range; 64 of 64 tuples scanned" in text
     assert "scan rep-1: full range; 1024 of 1024 tuples scanned" in text
     assert any(t.startswith("built L1 table, dim 4, module dim 4:") for t in text)
+
+    # an intermediate the compiler names shows its tree
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        assert check_relative_rb(fil4_rb(), fil4_adjoint()).passed
+    text = [r.getMessage() for r in caplog.records]
+    assert any(t.startswith("built rho(T(x1), x2, x3) table, dim 4, module dim 4:") for t in text)
 
 
 @pytest.mark.parametrize("rep_first", (False, True))

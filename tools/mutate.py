@@ -1,6 +1,6 @@
-"""Mutation check of the fast path and the builders' preconditions: each
-mutation in `MUTATIONS`, applied alone to a copy of the source tree, must
-make one of the tests it names fail.  A mutation that no named test kills
+"""Mutation check of the fast path, the term language and the builders'
+preconditions: each mutation in `MUTATIONS`, applied alone to a copy of the
+source tree, must make one of the tests it names fail.  A mutation that no named test kills
 is a survivor: a fault the tests would let through.
 
 A mutation is an exact snippet of a file under `src`, which must occur
@@ -118,6 +118,20 @@ MUTATIONS = [
         "certified[i, j] = (1 if image == base else -1, s)",
         "certified[i, j] = (-1 if image == base else 1, s)",
         kill=("tests/test_symmetry.py::test_certificates_pinned",)),
+    # the term language: sums distribute with their coefficients, and a
+    # named sub-map's tree is the one intermediate of that tree
+    Mutation(
+        "sum-coefficient-dropped", STRUCTURES,
+        "return _Sum((prod(cs), (name, ts))",
+        "return _Sum((1, (name, ts))",
+        kill=(f"{FASTPATH}::test_terms_of_any_shape",
+              f"{FASTPATH}::test_registry_maps_expand_as_pinned")),
+    Mutation(
+        "named-tree-not-shared", STRUCTURES,
+        "_TREES.setdefault(written[0][1], name) != name",
+        "False",
+        kill=("tests/test_operators.py::test_builder_scans_each_condition_and_builds_each_table_once"
+              "[rb_induced_pre]",)),
     # the builders: a precondition that fails raises
     Mutation(
         "builder-precondition-disarmed", STRUCTURES,
