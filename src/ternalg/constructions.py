@@ -126,9 +126,9 @@ def _trace_maps(a: AlgebraBundle, tau: TraceFunctional) -> _Maps:
     if tau.dim != a.dim:
         raise DimensionMismatch(f"trace has dim {tau.dim}, bundle has dim {a.dim}")
     n = a.dim
-    return _Maps(a, {}, {
-        "tau": Tensor(n, 2, (((i, 0), v) for i, v in enumerate(tau.row) if v)),
-        "smul": Tensor(n, 3, (((0, i, i), 1) for i in range(n)))})
+    return _Maps(a, {
+        "tau": Tensor((n, 1), (((i, 0), v) for i, v in enumerate(tau.row) if v)),
+        "smul": Tensor((1, n, n), (((0, i, i), 1) for i in range(n)))})
 
 
 def check_trace(a: AlgebraBundle, tau: TraceFunctional, *,

@@ -309,32 +309,40 @@ def invert(m: Matrix) -> Matrix:
 class Tensor(Value):
     """Structure constants of a multilinear operation, stored sparse.
 
-    An order-k tensor on a space of dimension `dim` sends basis vectors
-    (e_i1, ..., e_i(k-1)) to sum_j c[i1, ..., i(k-1), j] e_j: order 3 for a
-    product or binary bracket, 4 for a ternary bracket.  Only the nonzero
-    constants are kept, sorted by indices, so equality is structural and a
-    tensor is hashable; `t[i, j, k]` reads one constant, zero when absent.
+    An order-k tensor sends basis vectors (e_i1, ..., e_i(k-1)) to
+    sum_j c[i1, ..., i(k-1), j] e_j: order 3 for a product or binary
+    bracket, 4 for a ternary bracket.  Its shape is the size of each index
+    position, the value's last, so a map between spaces of different sizes
+    is held on its own spaces.  Only the nonzero constants are kept, sorted
+    by indices, so equality is structural and a tensor is hashable;
+    `t[i, j, k]` reads one constant, zero when absent.
     """
 
-    dim: int
-    order: int
+    shape: tuple[int, ...]
     constants: tuple[tuple[tuple[int, ...], Fraction], ...]
 
-    def __init__(self, dim: int, order: int, nonzeros):
-        """`nonzeros` maps index tuples to scalars, or lists (indices, value)
-        pairs whose values at repeated indices add up; zeros are dropped."""
-        values: dict = {}
+    def __init__(self, shape, *args):
+        """`Tensor(shape, nonzeros)`, or `Tensor(dim, order, nonzeros)` for the
+        square shape.  `nonzeros` maps index tuples to scalars, or lists
+        (indices, value) pairs whose values at repeated indices add up; zeros
+        are dropped.  Each index must lie below its position's size."""
+        if isinstance(shape, int):
+            shape, args = (shape,) * args[0], args[1:]
+        (nonzeros,) = args
+        shape, values = tuple(shape), {}
         for idx, v in nonzeros.items() if isinstance(nonzeros, Mapping) else nonzeros:
             idx = tuple(idx)
-            if len(idx) != order or not all(isinstance(i, int) and 0 <= i < dim for i in idx):
-                raise DimensionMismatch(
-                    f"indices {list(idx)} do not address an order-{order} tensor of dim {dim}")
+            if len(idx) != len(shape) or not all(
+                    isinstance(i, int) and 0 <= i < n for i, n in zip(idx, shape)):
+                raise DimensionMismatch(f"indices {list(idx)} do not fit the shape {shape}")
             values[idx] = values.get(idx, ZERO) + as_scalar(v)
         values = {idx: v for idx, v in sorted(values.items()) if v}
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "constants", tuple(values.items()))
         object.__setattr__(self, "_values", values)  # read by [], not a field
+
+    order = property(lambda self: len(self.shape))
+    dim = property(lambda self: self.shape[-1])  # the value's size, every slot's if square
 
     def nonzeros(self):
         return self.constants
@@ -410,9 +418,9 @@ class InterMap(Value):
 
     @property
     def tensor(self) -> Tensor:
-        """The map as an order-2 tensor on the larger of its two spaces:
-        its constant at (j, i) is row i, column j of the matrix."""
-        return Tensor(max(self.dst_dim, self.src_dim), 2,
+        """The map as an order-2 tensor of shape (src_dim, dst_dim): its
+        constant at (j, i) is row i, column j of the matrix."""
+        return Tensor((self.src_dim, self.dst_dim),
                       (((j, i), v) for (i, j), v in self.matrix.nonzeros()))
 
     def apply(self, v: Vec) -> Vec:

@@ -63,7 +63,7 @@ def _rb_maps(t: InterMap, r: RepBundle, context: str) -> _Maps:
         raise DimensionMismatch(
             f"{context}: map is {t.dst_dim}x{t.src_dim}, expected {r.algebra.dim}x{m}"
         )
-    return _Maps(r, {}, {"T": t.tensor})
+    return _Maps(r, {"T": t.tensor})
 
 
 _RB_CONDITIONS = {"relative-rb-comm": ("rb-comm",), "relative-rb-3lie": ("rb-3lie",),
@@ -141,7 +141,7 @@ def rb_induced_pre(R: InterMap, a: AlgebraBundle) -> AlgebraBundle:
 
 def _pre_structure(t: InterMap, t_inv: InterMap, r: RepBundle) -> AlgebraBundle:
     """x <> y = T(mu(x) T^-1 y) and {x,y,z} = T(rho(x,y) T^-1 z) on A."""
-    maps = _Maps(r, {}, {"T": t.tensor, "Tinv": t_inv.tensor})
+    maps = _Maps(r, {"T": t.tensor, "Tinv": t_inv.tensor})
     return AlgebraBundle(r.algebra.dim, product=maps.tensor("mul_pre"),
                          bracket=maps.tensor("br3_pre"), basis_labels=r.algebra.basis_labels)
 
@@ -199,8 +199,8 @@ def _form_maps(b: BilinearForm, a: AlgebraBundle, context: str) -> _Maps:
     if b.dim != a.dim:
         raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
     _require_skew(b, context)
-    form = Tensor(a.dim, 3, (((i, j, 0), v) for (i, j), v in b.matrix.nonzeros()))
-    return _Maps(a, {}, {"form": form})
+    form = Tensor((a.dim, a.dim, 1), (((i, j, 0), v) for (i, j), v in b.matrix.nonzeros()))
+    return _Maps(a, {"form": form})
 
 
 def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
@@ -246,7 +246,7 @@ def _nijenhuis_maps(nop: InterMap, a: AlgebraBundle) -> tuple[_Maps, list[str]]:
         raise DimensionMismatch(
             f"Nijenhuis candidate is {nop.dst_dim}x{nop.src_dim}, bundle has dim {a.dim}"
         )
-    return _Maps(a, {}, {"N": nop.tensor}), _carried(a, ("nijenhuis-comm", "nijenhuis-3lie"))
+    return _Maps(a, {"N": nop.tensor}), _carried(a, ("nijenhuis-comm", "nijenhuis-3lie"))
 
 
 def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,

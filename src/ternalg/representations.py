@@ -2,7 +2,7 @@
 
 A representation pairs a module action mu with a bracket action rho (of a
 basis pair for ternary brackets, of a basis vector for binary ones).  Each
-is stored once as a sparse `Tensor` of structure constants, like the
+is stored once as a sparse `Tensor` of shape (n, [n,] m, m), like the
 algebra's own: the constant at (i, [j,] q, p) is row p, column q of the
 matrix of e_i [, e_j].  So `adjoint_rep` stores the algebra's bracket and
 product themselves, and `dual_rep` swaps the last two indices.  All checks
@@ -16,9 +16,9 @@ algebra's tensors.  Its value at (t, e_p) is column p of the matrix identity
 at the algebra tuple t, ranked rank(t) * m + p.  `_registry` defines L1, L2,
 L3 and their binary forms as sub-maps, and each condition, once;
 `KIND_CONDITIONS` lists each kind's conditions by name.  A `RepBundle`
-states its components once (`RepBundle._components`), and a builder names
-the ones it reads to `structures._check_components`, so no guard for a
-missing tensor or action is written here.
+states its components once (`RepBundle._components`), which give the
+module's size by their shapes, and a builder names the ones it reads to
+`structures._check_components`: no guard for a missing one is written here.
 
 The scans run on integer tables: rho and mu each times the lcm of its own
 denominators, next to the algebra's own integer tables and sub-map tables,
@@ -56,17 +56,14 @@ from .structures import (
 
 
 class _Action(Value):
-    """An action of the algebra (dim `algebra_dim`) on a module (dim
-    `module_dim`), stored once as a sparse `Tensor` on max(algebra_dim,
-    module_dim): its constant at (i, [j,] q, p) is row p, column q of the
-    matrix of e_i [, e_j], so that the action sends e_q to the sum over p.
-    `Cls(module_dim, mats)` converts dense matrices, `Cls.from_tensor`
-    takes the constants themselves, which must lie at algebra indices below
-    algebra_dim and module indices below module_dim, and `mats` is a dense
-    view built on each access."""
+    """An action of the algebra on a module, stored once as a sparse `Tensor`
+    of shape (algebra_dim, [algebra_dim,] module_dim, module_dim), from which
+    both dims are read: its constant at (i, [j,] q, p) is row p, column q of
+    the matrix of e_i [, e_j], so that the action sends e_q to the sum over
+    p.  `Cls(module_dim, mats)` converts dense matrices, `Cls.from_tensor`
+    takes the constants themselves, and `mats` is a dense view built on each
+    access."""
 
-    module_dim: int
-    algebra_dim: int
     tensor: Tensor
 
     def __init__(self, module_dim: int, mats):
@@ -81,32 +78,28 @@ class _Action(Value):
             if m.rows != module_dim or m.cols != module_dim:
                 raise DimensionMismatch(
                     f"representation matrix is {m.rows}x{m.cols}, module dim is {module_dim}")
-        self._set(n, module_dim, Tensor(max(n, module_dim), self.order, (
+        object.__setattr__(self, "tensor", Tensor(self._shape(n, module_dim), (
             (head + (q, p), v) for head, m in cells for (p, q), v in m.nonzeros())))
 
-    def _set(self, algebra_dim: int, module_dim: int, tensor: Tensor):
-        if tensor.order != self.order or tensor.dim != max(algebra_dim, module_dim):
-            raise DimensionMismatch(f"an order-{tensor.order} tensor of dim {tensor.dim} is "
-                                    f"no action of dim {algebra_dim} on dim {module_dim}")
-        ranges = (algebra_dim,) * (self.order - 2) + (module_dim, module_dim)
-        tops = [max(column) for column in zip(*(idx for idx, _ in tensor.nonzeros()))]
-        for p, (top, n) in enumerate(zip(tops, ranges)):
-            if top >= n:
-                raise DimensionMismatch(f"a constant with index {top} at position {p} is outside "
-                                        f"an action of dim {algebra_dim} on dim {module_dim}")
-        object.__setattr__(self, "module_dim", module_dim)
-        object.__setattr__(self, "algebra_dim", algebra_dim)
-        object.__setattr__(self, "tensor", tensor)
+    @classmethod
+    def _shape(cls, algebra_dim: int, module_dim: int) -> tuple[int, ...]:
+        return (algebra_dim,) * (cls.order - 2) + (module_dim, module_dim)
 
     @classmethod
     def from_tensor(cls, algebra_dim: int, module_dim: int, tensor: Tensor):
+        if tensor.shape != cls._shape(algebra_dim, module_dim):
+            raise DimensionMismatch(f"a tensor of shape {tensor.shape} is "
+                                    f"no action of dim {algebra_dim} on dim {module_dim}")
         out = object.__new__(cls)
-        out._set(algebra_dim, module_dim, tensor)
+        object.__setattr__(out, "tensor", tensor)
         return out
 
     @classmethod
     def zero(cls, n: int, module_dim: int):
-        return cls.from_tensor(n, module_dim, Tensor(max(n, module_dim), cls.order, ()))
+        return cls.from_tensor(n, module_dim, Tensor(cls._shape(n, module_dim), ()))
+
+    algebra_dim = property(lambda self: self.tensor.shape[0])
+    module_dim = property(lambda self: self.tensor.shape[-1])
 
     def grids(self) -> dict:
         """The rows of the matrix of each index (i,) [or (i, j)] whose action
@@ -182,12 +175,9 @@ class RepBundle(Value, eq=False):
         raise MissingRep("representation bundle carries neither rho nor mu")
 
     def _components(self):
-        """The module's size, the action tensors and the algebra, for
-        `structures._ops`: with no action there is no module sort."""
-        action = self.rho or self.mu
-        return {"V": action.module_dim} if action else {}, {
-            "rho" if isinstance(self.rho, BiRep) else "rho1": self.rho and self.rho.tensor,
-            "mu": self.mu and self.mu.tensor}, self.algebra
+        """The action tensors and the algebra, for `structures._ops`."""
+        return {"rho" if isinstance(self.rho, BiRep) else "rho1": self.rho and self.rho.tensor,
+                "mu": self.mu and self.mu.tensor}, self.algebra
 
 
 class RepKind(str, Enum):
@@ -327,7 +317,7 @@ def _transpose(x, sign: int):
         return None
     t = x.tensor
     return type(x).from_tensor(x.algebra_dim, x.module_dim, Tensor(
-        t.dim, t.order, ((idx[:-2] + (idx[-1], idx[-2]), sign * v) for idx, v in t.nonzeros())))
+        t.shape, ((idx[:-2] + (idx[-1], idx[-2]), sign * v) for idx, v in t.nonzeros())))
 
 
 def dual_rep(r: RepBundle) -> RepBundle:
@@ -372,12 +362,11 @@ def fix_slot_rep(r: RepBundle, anchor: Vec) -> RepBundle:
     """rho_a(x) = rho(x, anchor) over the slot-fixed binary bundle: its
     constant at (i, q, p) is the sum over j of anchor_j rho[i, j, q, p]."""
     _check_components(r, {"fix_slot_rep": ("mul", "br3", "rho", "mu")})
-    rho = r.rho
     fixed = fix_slot_bracket(r.algebra, anchor)  # checks the anchor's dim
-    rho_a = Tensor(rho.tensor.dim, 3, (((i, q, p), anchor[j] * v)
-                                       for (i, j, q, p), v in rho.tensor.nonzeros() if anchor[j]))
-    return RepBundle(algebra=fixed, rho=LinRep.from_tensor(rho.algebra_dim, rho.module_dim, rho_a),
-                     mu=r.mu)
+    n, _, m, _ = r.rho.tensor.shape
+    rho_a = Tensor((n, m, m), (((i, q, p), anchor[j] * v)
+                               for (i, j, q, p), v in r.rho.tensor.nonzeros() if anchor[j]))
+    return RepBundle(algebra=fixed, rho=LinRep.from_tensor(n, m, rho_a), mu=r.mu)
 
 
 def rep_of_subadjacent(p: AlgebraBundle) -> RepBundle:

@@ -294,10 +294,10 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
         _check_cap("rep.module_dim", m)
         mu = rho = None
         if "mu" in raw:
-            mu = LinRep.from_tensor(dim, m, Tensor(max(dim, m), 3,
+            mu = LinRep.from_tensor(dim, m, Tensor((dim, m, m),
                                                    _parse_action(raw["mu"], "mu", dim, m)))
         if "rho" in raw:
-            rho = BiRep.from_tensor(dim, m, Tensor(max(dim, m), 4,
+            rho = BiRep.from_tensor(dim, m, Tensor((dim, dim, m, m),
                                                    _parse_action(raw["rho"], "rho", dim, m)))
         try:
             rep = RepBundle(algebra=bundle, rho=rho, mu=mu)

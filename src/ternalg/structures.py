@@ -42,9 +42,9 @@ not; on integer tensors every factor is 1.  Flagged tuples are recomputed
 in exact rationals, which doubles as a cross-check of the fast path.
 
 Each owner of tables (`AlgebraBundle`, `representations.RepBundle`,
-`_Maps`) states its components once, as data: `_components()` gives the
-sizes of its own sorts, its tensors by operation and its base owner, and
-`_ops`, the one place that builds tables, reads nothing else.  Every
+`_Maps`) states its components once, as data: `_components()` gives its
+tensors by operation and its base owner, and `_ops`, the one place that
+builds tables, reads nothing else, each sort's size from their shapes.  Every
 checker makes one call, `run_conditions(kind, owner, names, k)`: the one
 scan driver and the one place that builds a `CheckReport`.  Before it
 builds a table, `_check_components` raises for the first tensor or action
@@ -184,8 +184,8 @@ class AlgebraBundle(Value, eq=False):
             if not isinstance(t, Tensor) or t.order != order:
                 got = f"order {t.order}" if isinstance(t, Tensor) else type(t).__name__
                 raise BundleError(f"{name} must be an order-{order} Tensor, got {got}")
-            if t.dim != dim:
-                raise BundleError(f"{name} tensor has dim {t.dim}, bundle has dim {dim}")
+            if t.shape != (dim,) * order:
+                raise BundleError(f"{name} tensor has shape {t.shape}, bundle has dim {dim}")
         if unit is not None:
             if product is None:
                 raise BundleError("unit given but bundle has no product")
@@ -219,9 +219,8 @@ class AlgebraBundle(Value, eq=False):
         return _eval_map(self, _TENSOR_MAPS["br2"], (x, y), "operation")
 
     def _components(self):
-        """The sizes of its sorts, its tensors and its base (none), for `_ops`."""
-        return {"A": self.dim}, {"mul": self.product, "br3": self.bracket,
-                                 "br2": self.binary_bracket}, None
+        """Its tensors and its base (none), for `_ops`."""
+        return {"mul": self.product, "br3": self.bracket, "br2": self.binary_bracket}, None
 
 
 class StructureKind(str, Enum):
@@ -315,7 +314,8 @@ class _Ops:
     denominators, those of `base`, and, on integer tables, the sub-map tables
     the scanners add on first use.  A sub-map that needs no tensor beyond
     base's is built on base, so an algebra's sub-map tables serve its
-    representations and operators.
+    representations and operators.  Sort sizes are read from the tensors'
+    shapes, here and in base, by `_SIGNATURES`; k is 1, and all must agree.
 
     Every table starts as its support: the list of its nonzeros (i1, ...,
     value index, value) in rank order, a tensor's built here from its
@@ -331,18 +331,21 @@ class _Ops:
 
     __slots__ = ("sizes", "scales", "tensors", "tables", "support", "groups", "base", "path")
 
-    def __init__(self, sizes: dict, tensors: dict, exact: bool, base: Optional["_Ops"] = None,
+    def __init__(self, tensors: dict, exact: bool, base: Optional["_Ops"] = None,
                  path: Optional[str] = None):
         tensors = {op: t for op, t in tensors.items() if t is not None}
         scales = {op: 1 if exact else t.den_lcm() for op, t in tensors.items()}
         self.base = base
         self.path = path or (base.path if base else None)
-        self.sizes = {**base.sizes, **sizes} if base else {"k": 1, **sizes}
+        self.sizes = dict(base.sizes) if base else {"k": 1}
         self.scales = {**base.scales, **scales} if base else scales
         self.tensors = {**base.tensors, **tensors} if base else tensors
         self.support, self.tables, self.groups = {}, {}, {}
         shared = {id(t): op for op, t in base.tensors.items()} if base else {}
         for op, t in tensors.items():
+            for s, n in zip("".join(_SIGNATURES[op]), t.shape, strict=True):
+                if self.sizes.setdefault(s, n) != n:
+                    raise InternalError(f"{op} of shape {t.shape} disagrees with {self.sizes}")
             same, scale = shared.get(id(t)), scales[op]
             if same:
                 self.support[op], self.tables[op] = _support(base, same), _table(base, same)
@@ -353,20 +356,19 @@ class _Ops:
 
 def _dims(sizes: dict) -> str:
     names = {"A": "dim", "V": "module dim", "B": "target dim"}
-    return ", ".join(f"{names[s]} {n}" for s, n in sizes.items() if s in names)
+    return ", ".join(f"{name} {sizes[s]}" for s, name in names.items() if s in sizes)
 
 
 def _ops(owner, exact: bool, path: Optional[str] = None) -> _Ops:
     """The tables of owner's tensors, exact or each times the lcm of its own
-    denominators, over its base's: owner._components() gives the sizes of
-    its own sorts, its tensors by operation and its base owner or None.
-    Built on first use, kept on owner; `path` (tests only) forces the plans
-    made on a new one."""
+    denominators, over its base's: owner._components() gives its tensors by
+    operation and its base owner or None.  Built on first use, kept on
+    owner; `path` (tests only) forces the plans made on a new one."""
     attr = "_ops_exact" if exact else "_ops_int"
     hit = getattr(owner, attr, None)
     if hit is None:
-        sizes, tensors, base = owner._components()
-        hit = _Ops(sizes, tensors, exact, None if base is None else _ops(base, exact), path)
+        tensors, base = owner._components()
+        hit = _Ops(tensors, exact, None if base is None else _ops(base, exact), path)
         if not exact:
             log.debug("integer tables, %s: scale factors %s", _dims(hit.sizes), " ".join(
                 f"{op}={hit.scales.get(op)}" for op in tensors))
@@ -734,7 +736,7 @@ def _check_components(owner, reads: dict) -> None:
     `reads`, {where (the entry point and map): the components read}, reads."""
     have = set()
     while owner is not None:
-        _, tensors, owner = owner._components()
+        tensors, owner = owner._components()
         have.update(op for op, t in tensors.items() if t is not None)
     for op, error in _MISSING.items():
         if op not in have:
@@ -1322,15 +1324,16 @@ def _tabulate(ops: _Ops, op: str) -> None:
 
 
 def _submap_tensor(owner, name: str) -> Tensor:
-    """The structure constants of the sub-map `name`: its support on owner's
-    integer tables, each value over the table's scale.  So generated loops
-    run on integer tables alone, and the exact tables, which serve only
-    `_evaluate`, keep the exact re-check independent of them."""
+    """The structure constants of the sub-map `name`, shaped by its sorts:
+    its support on owner's integer tables, each value over the table's
+    scale.  So generated loops run on integer tables alone, and the exact
+    tables, which serve only `_evaluate`, keep the exact re-check
+    independent of them."""
     m = _SUBMAPS[name]
     _check_components(owner, {f"sub-map {name!r}": m.tensors})
     ops = _ops(owner, False)
     scale = _scale(ops, name)
-    return Tensor(max(ops.sizes[s] for s in m.sorts + (m.out,)), m.arity + 1,
+    return Tensor(tuple(ops.sizes[s] for s in m.sorts + (m.out,)),
                   ((e[:-1], Fraction(e[-1], scale)) for e in _support(ops, name)))
 
 
@@ -1435,15 +1438,14 @@ def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: 
 
 class _Maps(Value, eq=False, frozen=False):
     """Maps and forms over `base`, a bundle or a representation: the owner
-    of an operator check's tables.  `sizes` holds the sorts base lacks,
-    `tensors` the maps' tensors."""
+    of an operator check's tables.  `tensors` holds the maps' tensors,
+    whose shapes give the sizes of the sorts base lacks."""
 
     base: object
-    sizes: dict
     tensors: dict
 
     def _components(self):
-        return self.sizes, self.tensors, self.base
+        return self.tensors, self.base
 
     def tensor(self, name: str) -> Tensor:
         """The structure constants of the sub-map `name`."""
@@ -1453,7 +1455,7 @@ class _Maps(Value, eq=False, frozen=False):
 def _carried(b: AlgebraBundle, names: Sequence[str]) -> list[str]:
     """The named `CONDITIONS` whose algebra tensors b carries, or all of them
     when none is carried, so that their check names the first one missing."""
-    tensors = b._components()[1]
+    tensors = b._components()[0]
     kept = [name for name in names
             if all(tensors[op] is not None for op in CONDITIONS[name].tensors & tensors.keys())]
     return kept or list(names)
@@ -1540,7 +1542,7 @@ def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
             f"map is {f.dst_dim}x{f.src_dim}, bundles have dims {src.dim} -> {dst.dim}"
         )
     names = _carried(src, ("hom-product", "hom-bracket", "hom-binary-bracket"))
-    maps = _Maps(src, {"B": dst.dim}, {
+    maps = _Maps(src, {
         "f": f.tensor, "mulB": dst.product, "br3B": dst.bracket,
         "br2B": dst.binary_bracket})
     return run_conditions("homomorphism", maps, names, max_counterexamples)

@@ -28,7 +28,8 @@ def _grid(t):
     hit = _GRIDS.get(id(t))
     if hit is None:
         def zeros(depth):
-            return [zeros(depth - 1) for _ in range(t.dim)] if depth else [0] * t.dim
+            n = t.shape[t.order - 1 - depth]
+            return [zeros(depth - 1) for _ in range(n)] if depth else [0] * n
 
         grid = zeros(t.order - 1)
         for idx, c in t.nonzeros():

@@ -188,7 +188,7 @@ INTERMAP_TENSOR = textwrap.dedent("""
         m = t.matrix
         tensor = t.tensor
         fresh = InterMap(Matrix(m.entries))  # its tensor never read
-        print(tensor.order == 2, tensor.dim == max(t.dst_dim, t.src_dim),
+        print(tensor.order == 2, tensor.shape == (t.src_dim, t.dst_dim),
               all(tensor[j, i] == m.entries[i][j]
                   for i in range(m.rows) for j in range(m.cols)),
               len(tensor.nonzeros()) == len(m.nonzeros()),
@@ -200,7 +200,7 @@ INTERMAP_TENSOR = textwrap.dedent("""
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_intermap_tensor_is_derived_from_the_matrix(flags):
-    # tensor[j, i] is row i, column j of the matrix, on the larger space;
+    # tensor[j, i] is row i, column j of the matrix, of shape (src, dst);
     # it takes no part in ==, hash or repr
     pythonpath = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}

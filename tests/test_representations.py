@@ -152,16 +152,20 @@ def test_action_tensors_are_the_constants(adj, f4):
     (BiRep, 2, 4, (0, 2, 0, 0)), (BiRep, 4, 2, (0, 0, 0, 3))],
     ids=["mu-algebra", "mu-column", "mu-row", "rho-algebra", "rho-row"])
 def test_action_constants_must_lie_in_its_ranges(cls, algebra_dim, module_dim, idx):
-    """A constant at an algebra index past algebra_dim, or a module index
-    past module_dim, fits the tensor on the larger dim but no action: it is
-    refused, not dropped from `mats` while `semidirect` writes it out."""
-    t = Tensor(max(algebra_dim, module_dim), cls.order, {idx: 1})
-    position = next(p for p, i in enumerate(idx) if i)
-    with pytest.raises(DimensionMismatch, match=rf"^a constant with index {idx[position]} at "
-                                                rf"position {position} is outside an action"):
-        cls.from_tensor(algebra_dim, module_dim, t)
+    """An action's tensor has the shape (algebra_dim, [algebra_dim,]
+    module_dim, module_dim), so a constant at an algebra index past
+    algebra_dim, or a module index past module_dim, is refused by the
+    `Tensor` constructor, the one range check; a tensor padded to the
+    larger dim, where such a constant fits, is no action."""
+    shape = (algebra_dim,) * (cls.order - 2) + (module_dim, module_dim)
+    with pytest.raises(DimensionMismatch, match=rf"^indices \[{', '.join(map(str, idx))}\] do "
+                                                rf"not fit the shape"):
+        Tensor(shape, {idx: 1})
+    padded = Tensor(max(algebra_dim, module_dim), cls.order, {idx: 1})
+    with pytest.raises(DimensionMismatch, match=r"^a tensor of shape .* is no action of dim"):
+        cls.from_tensor(algebra_dim, module_dim, padded)
     ok = tuple(0 for _ in idx)
-    assert cls.from_tensor(algebra_dim, module_dim, Tensor(t.dim, t.order, {ok: 1})).tensor
+    assert cls.from_tensor(algebra_dim, module_dim, Tensor(shape, {ok: 1})).tensor
 
 
 # -- L maps ---------------------------------------------------------------------

@@ -524,14 +524,15 @@ def _all_tensor_owners(seed, path=None):
     rng = random.Random(seed)
     n, m, n2 = 3, 2, 2
 
-    def tensor(dim, order, dens, shape=None):
-        cells = list(itertools.product(*map(range, shape or (dim,) * order)))
-        return Tensor(dim, order, [
+    def tensor(shape, dens):
+        cells = list(itertools.product(*map(range, shape)))
+        return Tensor(shape, [
             (idx, Fraction(rng.choice((-2, -1, 1, 2)), rng.choice(dens)))
             for idx in rng.sample(cells, (len(cells) + 1) // 2)])
 
-    b = forced(AlgebraBundle(n, product=tensor(n, 3, (2, 3)), bracket=tensor(n, 4, (5, 4)),
-                             binary_bracket=tensor(n, 3, (7, 3))), path)
+    b = forced(AlgebraBundle(n, product=tensor((n,) * 3, (2, 3)),
+                             bracket=tensor((n,) * 4, (5, 4)),
+                             binary_bracket=tensor((n,) * 3, (7, 3))), path)
 
     def mats(count, dens):
         return tuple(Matrix([[rand_q(rng, dens, 0.6) for _ in range(m)] for _ in range(m)])
@@ -541,14 +542,13 @@ def _all_tensor_owners(seed, path=None):
                      mu=LinRep(m, mats(n, (11,))))
     single = RepBundle(algebra=b, rho=LinRep(m, mats(n, (13,))), mu=pair.mu)
     maps = {
-        "T": tensor(n, 2, (2, 5), (m, n)), "Tinv": tensor(n, 2, (43,), (n, m)),
-        "N": tensor(n, 2, (17,)),
-        "form": tensor(n, 3, (19, 3), (n, n, 1)), "tau": tensor(n, 2, (23,), (n, 1)),
-        "smul": Tensor(n, 3, [((0, i, i), 1) for i in range(n)]),
-        "f": tensor(n, 2, (29,), (n, n2)), "mulB": tensor(n2, 3, (31,)),
-        "br3B": tensor(n2, 4, (3, 37)), "br2B": tensor(n2, 3, (41,)),
+        "T": tensor((m, n), (2, 5)), "Tinv": tensor((n, m), (43,)), "N": tensor((n, n), (17,)),
+        "form": tensor((n, n, 1), (19, 3)), "tau": tensor((n, 1), (23,)),
+        "smul": Tensor((1, n, n), [((0, i, i), 1) for i in range(n)]),
+        "f": tensor((n, n2), (29,)), "mulB": tensor((n2,) * 3, (31,)),
+        "br3B": tensor((n2,) * 4, (3, 37)), "br2B": tensor((n2,) * 3, (41,)),
     }
-    return [structures._Maps(r, {"B": n2}, maps) for r in (pair, single)]
+    return [structures._Maps(r, maps) for r in (pair, single)]
 
 
 def integer_values(fast, m):
@@ -722,23 +722,45 @@ def test_support_first_tables_equal_both_forced_paths(case, caplog):
 def test_partly_empty_sub_map_is_still_scanned(caplog):
     """mu_T = T(p) x - T(mu(x, p)) with mu = 0 and T != 0: only its second
     term has an empty factor, so its table is built by a plan, and equals
-    both forced paths."""
+    both forced paths.  The first term's factors are read from its lowered
+    terms, as `_tabulate` reads them, and each is nonempty."""
     def owner(path=None):
         b = noncoherent_tfm(*NONCOHERENT_A)
         if path:
             forced(b, path)
         r = RepBundle(algebra=b, rho=BiRep.from_tensor(4, 4, b.bracket), mu=LinRep.zero(4, 4))
-        return structures._Maps(r, {}, {"T": Tensor(4, 2, {(0, 0): 1, (1, 2): 1})})
+        return structures._Maps(r, {"T": Tensor(4, 2, {(0, 0): 1, (1, 2): 1})})
 
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         ops = structures._ops(owner(), False)
         support = structures._support(ops, "mu_T")
-    assert support and structures._support(ops, "mu") == [] and structures._support(ops, "mulT")
+    (_, (op, args)), _ = structures._SUBMAPS["mu_T"].terms
+    first = [op] + [a[0] for a in args if not isinstance(a, int)]
+    assert first == ["mul", "T"] and all(structures._support(ops, f) for f in first)
+    assert support and structures._support(ops, "mu") == []
     built = [r.getMessage() for r in caplog.records if r.getMessage().startswith("built mu_T ")]
     assert len(built) == 1 and " by tuple scan in " in built[0], built
     for path in PATHS:
         fast = structures._ops(owner(path), False)
         assert structures._support(fast, "mu_T") == support, path
+
+
+def test_sort_sizes_are_read_from_the_shapes():
+    """Each sort's size comes from the shapes of the tensors an owner and its
+    bases hold, by their signatures, and k is 1: T: V -> A of shape (2, 4)
+    over an action of fil4 on a module of dim 2, f: A -> B of shape (4, 3).
+    A tensor that disagrees with another on a sort's size is refused there."""
+    r = RepBundle(algebra=fil4(), mu=LinRep.zero(4, 2))
+    ops = structures._ops(structures._Maps(r, {"T": Tensor((2, 4), {(1, 3): 1})}), False)
+    assert ops.sizes == {"k": 1, "A": 4, "V": 2}
+    hom = structures._Maps(fil4(), {"f": Tensor((4, 3), {}), "br3B": Tensor(3, 4, {})})
+    assert structures._ops(hom, False).sizes == {"k": 1, "A": 4, "B": 3}
+    assert structures._dims(structures._ops(hom, False).sizes) == "dim 4, target dim 3"
+    for maps in (structures._Maps(r, {"T": Tensor((3, 4), {})}),
+                 structures._Maps(fil4(), {"f": Tensor((4, 3), {}), "br3B": Tensor(2, 4, {})}),
+                 structures._Maps(fil4(), {"form": Tensor((4, 4, 2), {})})):
+        with pytest.raises(InternalError, match=r"of shape \(.*\) disagrees with"):
+            structures._ops(maps, False)
 
 
 def test_empty_leib3_on_sd2_compiles_no_table_builder(caplog, monkeypatch):

@@ -36,16 +36,16 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FIELDS = {
     Vec: ("entries",),
     Matrix: ("entries",),
-    Tensor: ("dim", "order", "constants"),
+    Tensor: ("shape", "constants"),
     InterMap: ("matrix",),
     AlgebraBundle: ("dim", "basis_labels", "product", "bracket", "binary_bracket", "unit"),
     Counterexample: ("identity", "indices", "residual"),
     CheckReport: ("passed", "kind", "checked_identities", "counterexamples", "tuple_count"),
     Identity: ("name", "terms", "sorts", "out", "tensors"),
     Symmetry: ("blocks", "assumes"),
-    _Maps: ("base", "sizes", "tensors"),
-    BiRep: ("module_dim", "algebra_dim", "tensor"),
-    LinRep: ("module_dim", "algebra_dim", "tensor"),
+    _Maps: ("base", "tensors"),
+    BiRep: ("tensor",),
+    LinRep: ("tensor",),
     RepBundle: ("algebra", "rho", "mu"),
     TraceFunctional: ("row",),
     BilinearForm: ("matrix",),
@@ -79,8 +79,9 @@ def by_field():
     yield (Matrix([[1, 2], [3, 4]]), Matrix([[1, 2], [3, 4]]),
            [Matrix([[1, 2], [3, 5]]), Matrix([[1, 2]])])
     half = ((0, 1, 1), Fraction(1, 2))
-    yield Tensor(2, 3, {(0, 1, 1): 1}), Tensor3.from_nonzeros(2, [half, half]), [
-        Tensor(3, 3, {(0, 1, 1): 1}), Tensor(2, 4, {(0, 1, 1, 1): 1}), Tensor(2, 3, {(0, 1, 0): 1})]
+    yield Tensor(2, 3, {(0, 1, 1): 1}), Tensor((2, 2, 2), [half, half]), [
+        Tensor(3, 3, {(0, 1, 1): 1}), Tensor(2, 4, {(0, 1, 1, 1): 1}),
+        Tensor(2, 3, {(0, 1, 0): 1}), Tensor((2, 2, 3), {(0, 1, 1): 1})]
     yield InterMap(Matrix([[1, 0]])), InterMap(Matrix([[1, 0]])), [InterMap(Matrix([[1, 1]]))]
     ce = Counterexample("fundamental", (0, 1), Vec([1]))
     yield ce, Counterexample("fundamental", (0, 1), Vec([1])), [
@@ -104,7 +105,7 @@ def by_field():
     rho = BiRep.from_tensor(4, 4, Tensor(4, 4, [
         (idx, v) for idx, v in adjoint_rep(fil4()).rho.tensor.nonzeros() if max(idx[2:]) < 3]))
     yield rho, BiRep.from_tensor(4, 4, rho.tensor), [
-        BiRep.zero(4, 4), BiRep.from_tensor(4, 3, rho.tensor)]
+        BiRep.zero(4, 4), BiRep.from_tensor(4, 3, Tensor((4, 4, 3, 3), rho.tensor.nonzeros()))]
     yield LinRep.zero(2, 3), LinRep(3, [Matrix.zero(3, 3)] * 2), [
         LinRep.zero(2, 2), LinRep.zero(3, 3), LinRep(3, [Matrix.identity(3)] * 2)]
     yield TraceFunctional(Vec([1, 0])), TraceFunctional(Vec([1, 0])), [TraceFunctional(Vec([0, 1]))]
@@ -152,7 +153,7 @@ def identity_values():
     yield b, lambda: AlgebraBundle(2, product=b.product, bracket=b.bracket, unit=b.unit,
                                    basis_labels=("one", "x"))
     yield RepBundle(b), lambda: RepBundle(b)
-    yield _Maps(b, {}, {}), lambda: _Maps(b, {}, {})
+    yield _Maps(b, {}), lambda: _Maps(b, {})
 
 
 @pytest.mark.parametrize("value, rebuild", list(identity_values()),
@@ -187,15 +188,14 @@ REPRS = [
     (lambda: InterMap(Matrix([[1, 0], [Fraction(-1, 2), 3]])),
      "InterMap(matrix=Matrix(1 0; -1/2 3))"),
     (unit_bundle,
-     "AlgebraBundle(dim=2, basis_labels=('one', 'x'), product=Tensor(dim=2, order=3, "
+     "AlgebraBundle(dim=2, basis_labels=('one', 'x'), product=Tensor(shape=(2, 2, 2), "
      "constants=(((0, 0, 0), Fraction(1, 1)), ((0, 1, 1), Fraction(1, 1)), ((1, 0, 1), "
-     "Fraction(1, 1)))), bracket=Tensor(dim=2, order=4, constants=()), binary_bracket=None, "
-     "unit=Vec(1, 0))"),
+     "Fraction(1, 1)))), bracket=Tensor(shape=(2, 2, 2, 2), constants=()), "
+     "binary_bracket=None, unit=Vec(1, 0))"),
     (lambda: Symmetry((((0, 1), -1), ((2, 3, 4), 1)), ("skew3",)),
      "Symmetry(blocks=(((0, 1), -1), ((2, 3, 4), 1)), assumes=('skew3',))"),
     (lambda: LinRep(2, [Matrix([[0, 1], [0, 0]]), Matrix.zero(2, 2)]),
-     "LinRep(module_dim=2, algebra_dim=2, tensor=Tensor(dim=2, order=3, "
-     "constants=(((0, 1, 0), Fraction(1, 1)),)))"),
+     "LinRep(tensor=Tensor(shape=(2, 2, 2), constants=(((0, 1, 0), Fraction(1, 1)),)))"),
     (lambda: TraceFunctional(Vec([1, 0])), "TraceFunctional(row=Vec(1, 0))"),
     (lambda: BilinearForm(Matrix([[0, 1], [-1, 0]])), "BilinearForm(matrix=Matrix(0 1; -1 0))"),
     (lambda: RepBundle(AlgebraBundle(1)),
@@ -237,9 +237,9 @@ def test_caches_kept_on_a_value_are_set_through_object_setattr():
     check_axioms("3-lie", b)
     tables = vars(b)["_ops_int"]
     assert check_axioms("3-lie", b).passed and vars(b)["_ops_int"] is tables
-    maps = _Maps(b, {}, {})
-    maps.sizes = {"B": 2}  # an operator check's owner is not frozen
-    assert maps.sizes == {"B": 2}
+    maps = _Maps(b, {})
+    maps.tensors = {"N": InterMap.identity(2).tensor}  # an operator check's owner is not frozen
+    assert maps.tensors == {"N": InterMap.identity(2).tensor}
 
 
 @pytest.mark.parametrize("value", [v for v, _, _ in BY_FIELD],
@@ -253,7 +253,7 @@ def test_copy_and_pickle_give_equal_values(value):
 def test_copy_and_pickle_keep_the_fields_of_identity_values():
     b = unit_bundle()
     doc = Document(b, maps={"tau": InterMap(Matrix([[1, 0]]))})
-    for value in (b, adjoint_rep(fil4()), _Maps(b, {}, {"T": b.product}), doc):
+    for value in (b, adjoint_rep(fil4()), _Maps(b, {"T": b.product}), doc):
         for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and repr(twin) == repr(value)
     assert pickle.loads(pickle.dumps(doc)).maps == doc.maps
@@ -281,7 +281,7 @@ def test_keyword_and_default_construction():
     assert InterMap(matrix=Matrix([[1]])) == InterMap(Matrix([[1]]))
     assert TraceFunctional(row=Vec([1])) == TraceFunctional(Vec([1]))
     assert BilinearForm(matrix=Matrix([[1]])) == BilinearForm(Matrix([[1]]))
-    maps = _Maps(base=b, sizes={}, tensors={})
+    maps = _Maps(base=b, tensors={})
     assert maps.base is b and maps.tensors == {}
     doc = Document(bundle=b, form=BilinearForm(Matrix([[0, 1], [-1, 0]])))
     assert doc.rep is None and doc.maps == {} and doc.form.dim == 2

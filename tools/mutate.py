@@ -91,6 +91,20 @@ MUTATIONS = [
         "hit.setdefault(e[q], []).append(e)",
         "hit.setdefault(e[q + 1], []).append(e)",
         kill=(f"{FASTPATH}::test_scan_is_L_times_the_exact_value[0]",)),
+    # shaped tensors: the constructor's one range check, and each sort's
+    # size read from the shapes, two tensors agreeing on it
+    Mutation(
+        "tensor-bound-off-by-one", "src/ternalg/linalg.py",
+        "isinstance(i, int) and 0 <= i < n for i, n in zip(idx, shape)",
+        "isinstance(i, int) and 0 <= i <= n for i, n in zip(idx, shape)",
+        kill=("tests/test_linalg.py::test_tensor_shape_validation",
+              "tests/test_representations.py::test_action_constants_must_lie_in_its_ranges"
+              "[mu-row]")),
+    Mutation(
+        "sort-size-from-the-first-tensor", STRUCTURES,
+        "if self.sizes.setdefault(s, n) != n:",
+        "if self.sizes.setdefault(s, n) != self.sizes[s]:",
+        kill=(f"{FASTPATH}::test_sort_sizes_are_read_from_the_shapes",)),
     # the terms, scales, re-check and certificates the scans rest on
     Mutation(
         "fundamental-term-sign", STRUCTURES,
