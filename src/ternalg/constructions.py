@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotATrace
-from .linalg import Tensor, Value, Vec, nested_rows
+from .linalg import Tensor, Value, Vec
 from .structures import (
     AlgebraBundle,
     CheckReport,
@@ -80,10 +80,10 @@ def tensor_with_comm_assoc(a: AlgebraBundle, b: AlgebraBundle) -> AlgebraBundle:
     _check_components(b, {"tensor_with_comm_assoc (associative factor)": ("mul",)})
     n, m = a.dim, b.dim
     dim = n * m
-    rows = nested_rows((m, m), (idx + (v,) for idx, v in b.product.nonzeros()))
     # triple product table of B: e_p e_q e_r expanded as (pq)r
+    sr = {(s, r): b.product.apply(b.basis(s), b.basis(r)) for s in range(m) for r in range(m)}
     triple = Tensor(m, 4, (((p, q, r, t), c * d) for (p, q, s), c in b.product.nonzeros()
-                           for r in range(m) for t, d in rows[s][r]))
+                           for r in range(m) for t, d in enumerate(sr[s, r]) if d))
 
     def kron(x, y):
         return Tensor(dim, x.order, ((tuple(i * m + j for i, j in zip(u, w)), c * d)

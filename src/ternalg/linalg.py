@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -114,6 +114,15 @@ class Vec(Value):
 
     def __init__(self, entries: Iterable):
         object.__setattr__(self, "entries", tuple(as_scalar(e) for e in entries))
+
+    def _integers(self) -> tuple[dict, int]:
+        """({i: integer}, d): the nonzero coordinates over their common d."""
+        if "_ints" not in self.__dict__:
+            nonzero = [(i, x) for i, x in enumerate(self.entries) if x]
+            d = lcm(*[x.denominator for _, x in nonzero])
+            object.__setattr__(self, "_ints", (
+                {i: x.numerator * (d // x.denominator) for i, x in nonzero}, d))
+        return self._ints
 
     @staticmethod
     def zero(n: int) -> "Vec":
@@ -357,6 +366,33 @@ class Tensor(Value):
         """The lcm of the constants' denominators: the least integer that
         makes every constant integral."""
         return lcm(*(v.denominator for _, v in self.constants))
+
+    def apply(self, *vecs: Vec) -> Vec:
+        """The operation at vectors, one per position but the value's: the
+        sum of c[i1, ..., ik, j] times the vectors' coordinates at i1, ...,
+        ik, at e_j, in integers over the constants' and each vector's common
+        denominator, the constants grouped by leading indices on first use."""
+        if [v.dim for v in vecs] != list(self.shape[:-1]):
+            raise DimensionMismatch(f"shape {self.shape}, vector dims {[v.dim for v in vecs]}")
+        if "_rows" not in self.__dict__:
+            den = self.den_lcm()
+            object.__setattr__(self, "_rows", (den, {
+                head: [(idx[-1], v.numerator * (den // v.denominator)) for idx, v in run]
+                for head, run in itertools.groupby(self.constants, lambda e: e[0][:-1])}))
+        den, rows = self._rows
+        ints, dens = zip(*[v._integers() for v in vecs]) if vecs else ((), ())
+        out = [0] * self.shape[-1]
+        for head in itertools.product(*ints):  # each choice of nonzero coordinates
+            row = rows.get(head)
+            if row:
+                c = prod(map(dict.get, ints, head))
+                for l, w in row:
+                    out[l] += c * w
+        den *= prod(dens)
+        result = object.__new__(Vec)  # no coercion: the entries are Fractions already
+        object.__setattr__(result, "entries", tuple(Fraction(x, den) if x else ZERO for x in out))
+        object.__setattr__(result, "_ints", ({l: x for l, x in enumerate(out) if x}, den))
+        return result
 
 
 def nested_rows(sizes: Sequence[int], entries: Iterable[tuple]) -> list:

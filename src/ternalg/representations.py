@@ -27,7 +27,7 @@ homogeneous in its tensors (L1 mixes rho with the bracket): each term's
 coefficient carries the multiplier that brings it to the condition's
 common scale L (`structures._multipliers`), so every scanned column is L
 times the exact one.  Flagged entries are recomputed by the exact term
-walker on Fraction tables, which cross-checks the scan.
+walker, from each tensor's own constants, which cross-checks the scan.
 """
 
 from __future__ import annotations

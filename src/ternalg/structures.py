@@ -28,9 +28,9 @@ built once per owner, on first use.  Every table, a tensor's or a
 sub-map's, starts as its list of nonzeros, and `_table` and `_groups` lay
 out the nested rows and the groups the loops read from it, on first use.
 Exact evaluations (`eval_defect`, the Leibnizators, F1, F2, K and the
-residual of every counterexample) walk the same terms over exact vectors
-instead, one multilinear loop per operation (`_multilinear`), so the
-reported residuals never depend on generated code.
+residual of every counterexample) walk the same terms over vectors
+instead, applying each tensor from its own constants (`Tensor.apply`), so
+the reported residuals depend on no table, support or generated code.
 
 The scans run on integer tables, each tensor times the lcm of its own
 denominators, its scale.  A term's scale is the product of its operations'
@@ -82,6 +82,7 @@ error an owner without it gets.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import sys
@@ -200,7 +201,7 @@ class AlgebraBundle(Value, eq=False):
         if unit is not None:
             for i in range(dim):
                 e = self.basis(i)
-                if self.mul(e, unit) != e or self.mul(unit, e) != e:
+                if product.apply(e, unit) != e or product.apply(unit, e) != e:
                     raise BundleError(f"unit fails x*1 = 1*x = x at basis vector {i}")
 
     def basis(self, i: int) -> Vec:
@@ -280,61 +281,40 @@ class CheckReport(Value):
 # ---------------------------------------------------------------------------
 # sparse tables
 #
-# Tables hold sparse rows, as `_table` lays them out from a table's list of
+# Tables hold sparse integer rows, as `_table` lays them out from a table's
 # nonzeros over its slots' sorts: prod[i][j] is a tuple of (k, coeff) pairs,
-# and br3t[i][j][k] a tuple of (l, coeff) pairs.
-# Integer tables drive the exhaustive scans and hold every sub-map's table;
-# Fraction tables hold the tensors alone and serve exact evaluation at
-# arbitrary rational vectors through `_multilinear`.
-
-
-def _multilinear(n, table, *vecs):
-    """The operation of a table at dense vectors, one per slot, as a dense
-    list of size n: over each choice of nonzero coordinates of the leading
-    slots, the node of the table they index, then the last slot's rows."""
-    *lead, last = vecs
-    last = [(k, z) for k, z in enumerate(last) if z]
-    out = [ZERO] * n
-    for choice in itertools.product(*([(i, x) for i, x in enumerate(v) if x] for v in lead)):
-        node, c = table, 1
-        for i, x in choice:
-            node, c = node[i], c * x
-        for k, z in last:
-            row = node[k]
-            if row:
-                cz = c * z
-                for l, w in row:
-                    out[l] += cz * w
-    return out
+# br3t[i][j][k] of (l, coeff) pairs.  They serve the exhaustive scans alone;
+# exact evaluation applies each tensor from its own constants (`Tensor.apply`).
 
 
 class _Ops:
-    """Sparse tables by operation name, each one's integer scale, and each
-    sort's size: the tensors, exact (scale 1) or times the lcm of their own
-    denominators, those of `base`, and, on integer tables, the sub-map tables
-    the scanners add on first use.  A sub-map that needs no tensor beyond
-    base's is built on base, so an algebra's sub-map tables serve its
-    representations and operators.  Sort sizes are read from the tensors'
-    shapes, here and in base, by `_SIGNATURES`; k is 1, and all must agree.
+    """Integer sparse tables by operation name, each one's integer scale,
+    and each sort's size: the tensors, each times the lcm of its own
+    denominators, those of `base`, and the sub-map tables the scanners add
+    on first use.  A sub-map that needs no tensor beyond base's is built on
+    base, so an algebra's sub-map tables serve its representations and
+    operators.  Sort sizes are read from the tensors' shapes, here and in
+    base, by `_SIGNATURES`; k is 1, and all must agree.  The exact
+    evaluator reads only the sizes and `tensors`, the tensors themselves.
 
     Every table starts as its support: the list of its nonzeros (i1, ...,
     value index, value) in rank order, a tensor's built here from its
     constants, a sub-map's by `_tabulate` on first use.  Two views are laid
     out from it on first use: `tables` holds the nested rows the tuple scans
-    and the exact evaluator read (`_table`), `groups` the nonzeros by the
-    index at one position, which the contractions join and the planner
-    counts (`_groups`).  A tensor that is the same object as one of base's
-    (an adjoint representation's rho and mu) shares base's support and
-    rows, which are laid out then.  `path` forces "contract" or "tuples" on
-    every plan made on these tables and on those built over them; None lets
-    `_plan` choose."""
+    read (`_table`), `groups` the nonzeros by the index at one position,
+    which the contractions join and the planner counts (`_groups`).  A
+    tensor that is the same object as one of base's (an adjoint
+    representation's rho and mu) shares base's support and rows, which are
+    laid out then.  `path` forces "contract" or "tuples" on every plan made
+    on these tables and on those built over them; None lets `_plan`
+    choose."""
 
     __slots__ = ("sizes", "scales", "tensors", "tables", "support", "groups", "base", "path")
 
-    def __init__(self, tensors: dict, exact: bool, base: Optional["_Ops"] = None,
+    def __init__(self, tensors: dict, base: Optional["_Ops"] = None,
                  path: Optional[str] = None):
         tensors = {op: t for op, t in tensors.items() if t is not None}
-        scales = {op: 1 if exact else t.den_lcm() for op, t in tensors.items()}
+        scales = {op: t.den_lcm() for op, t in tensors.items()}
         self.base = base
         self.path = path or (base.path if base else None)
         self.sizes = dict(base.sizes) if base else {"k": 1}
@@ -350,7 +330,7 @@ class _Ops:
             if same:
                 self.support[op], self.tables[op] = _support(base, same), _table(base, same)
             else:
-                self.support[op] = [idx + (v if exact else (v * scale).numerator,)
+                self.support[op] = [idx + (v.numerator * scale // v.denominator,)
                                     for idx, v in t.nonzeros()]
 
 
@@ -359,20 +339,18 @@ def _dims(sizes: dict) -> str:
     return ", ".join(f"{name} {sizes[s]}" for s, name in names.items() if s in sizes)
 
 
-def _ops(owner, exact: bool, path: Optional[str] = None) -> _Ops:
-    """The tables of owner's tensors, exact or each times the lcm of its own
+def _ops(owner, path: Optional[str] = None) -> _Ops:
+    """The integer tables of owner's tensors, each times the lcm of its own
     denominators, over its base's: owner._components() gives its tensors by
     operation and its base owner or None.  Built on first use, kept on
     owner; `path` (tests only) forces the plans made on a new one."""
-    attr = "_ops_exact" if exact else "_ops_int"
-    hit = getattr(owner, attr, None)
+    hit = getattr(owner, "_ops_int", None)
     if hit is None:
         tensors, base = owner._components()
-        hit = _Ops(tensors, exact, None if base is None else _ops(base, exact), path)
-        if not exact:
-            log.debug("integer tables, %s: scale factors %s", _dims(hit.sizes), " ".join(
-                f"{op}={hit.scales.get(op)}" for op in tensors))
-        object.__setattr__(owner, attr, hit)
+        hit = _Ops(tensors, None if base is None else _ops(base), path)
+        log.debug("integer tables, %s: scale factors %s", _dims(hit.sizes), " ".join(
+            f"{op}={hit.scales.get(op)}" for op in tensors))
+        object.__setattr__(owner, "_ops_int", hit)
     return hit
 
 
@@ -894,35 +872,25 @@ def _certificate(ident: Identity, assumable: tuple[str, ...]) -> Optional[Symmet
 
 
 # ---------------------------------------------------------------------------
-# exact evaluator: walk the terms over the vector methods of _Ops
+# exact evaluator: walk the terms, applying each tensor by `Tensor.apply`
 
 
 def _evaluate(ops: _Ops, m: Identity, vecs) -> list:
-    """m at dense vectors, one per slot; exact on Fraction tables."""
-    out = None
+    """m at `Vec`s, one per slot, as a list of exact coordinates: each
+    tensor is applied from its own constants, and no table is read."""
+    out = [ZERO] * ops.sizes[m.out]
     for c, (op, args) in m.terms:
         vals = [vecs[a] if isinstance(a, int) else _apply(ops, a[0], [vecs[s] for s in a[1]])
                 for a in args]
-        term = _apply(ops, op, vals)
-        if out is None:
-            out = term if c == 1 else [c * v for v in term]
-            continue
-        for k, v in enumerate(term):
+        for k, v in enumerate(_apply(ops, op, vals)):
             if v:
-                if c == 1:
-                    out[k] += v
-                elif c == -1:
-                    out[k] -= v
-                else:
-                    out[k] += c * v
+                out[k] += v if c == 1 else -v if c == -1 else c * v
     return out
 
 
-def _apply(ops: _Ops, op: str, vecs) -> list:
+def _apply(ops: _Ops, op: str, vecs) -> Vec:
     sub = _SUBMAPS.get(op)
-    if sub is not None:
-        return _evaluate(ops, sub, vecs)
-    return _multilinear(ops.sizes[_SIGNATURES[op][1]], _table(ops, op), *vecs)
+    return ops.tensors[op].apply(*vecs) if sub is None else Vec(_evaluate(ops, sub, vecs))
 
 
 # ---------------------------------------------------------------------------
@@ -1327,11 +1295,11 @@ def _submap_tensor(owner, name: str) -> Tensor:
     """The structure constants of the sub-map `name`, shaped by its sorts:
     its support on owner's integer tables, each value over the table's
     scale.  So generated loops run on integer tables alone, and the exact
-    tables, which serve only `_evaluate`, keep the exact re-check
+    re-check, which applies each tensor from its own constants, stays
     independent of them."""
     m = _SUBMAPS[name]
     _check_components(owner, {f"sub-map {name!r}": m.tensors})
-    ops = _ops(owner, False)
+    ops = _ops(owner)
     scale = _scale(ops, name)
     return Tensor(tuple(ops.sizes[s] for s in m.sorts + (m.out,)),
                   ((e[:-1], Fraction(e[-1], scale)) for e in _support(ops, name)))
@@ -1395,17 +1363,18 @@ def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: 
     raising as `context` and the map's name.  The budget k is shared: the
     run stops at the map that fills it.  A bundle's own identities, whose
     slots share one size, get symmetry certificates, each assuming the
-    identities listed before it.  Every failure is re-evaluated at its basis
-    vectors on exact tables, and its residual must be nonzero.
+    identities listed before it.  Every failure is re-evaluated exactly at
+    its basis vectors by `_evaluate`, and its residual must be nonzero.
     """
     maps = [registry[name] for name in names]
     _check_components(owner, {f"{context} {m.name!r}": m.tensors for m in maps})
-    ops = _ops(owner, False)
+    ops = _ops(owner)
     budget = max(1, max_counterexamples)
     counterexamples: list[Counterexample] = []
     checked: list[str] = []
     passed: set[str] = set()
     tuple_count = 0
+    unit = functools.cache(Vec.basis)  # each re-check's basis vectors, built once
     for pos, m in enumerate(maps):
         checked.append(m.name)
         symmetry = None
@@ -1416,9 +1385,8 @@ def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: 
             passed.add(m.name)
         tuple_count += evaluated
         for idx in found:
-            tables = _ops(owner, True)
-            units = [[int(j == i) for j in range(tables.sizes[s])] for s, i in zip(m.sorts, idx)]
-            residual = Vec(_evaluate(tables, m, units))
+            units = [unit(ops.sizes[s], i) for s, i in zip(m.sorts, idx)]
+            residual = Vec(_evaluate(ops, m, units))
             log.debug("exact re-check of %s at %s: residual %s", m.name, idx, residual)
             if residual.is_zero():
                 raise InternalError(
@@ -1471,19 +1439,15 @@ def _require(report: CheckReport, error, message: str) -> None:
 # public evaluators and checkers
 
 
-def _coordinates(ops: _Ops, sorts: str, args: Sequence[Vec]) -> list:
-    for v, s in zip(args, sorts):
+def _eval_map(owner, m: Identity, args: Sequence[Vec], context: str = "sub-map") -> Vec:
+    """m at exact vectors, on owner's tensors."""
+    _check_components(owner, {f"{context} {m.name!r}": m.tensors})
+    ops = _ops(owner)
+    for v, s in zip(args, m.sorts):
         if v.dim != ops.sizes[s]:
             raise DimensionMismatch(f"argument has dim {v.dim}, "
                                     f"{'module' if s == 'V' else 'bundle'} has dim {ops.sizes[s]}")
-    return [v.entries for v in args]
-
-
-def _eval_map(owner, m: Identity, args: Sequence[Vec], context: str = "sub-map") -> Vec:
-    """m at exact vectors, on owner's exact tables."""
-    _check_components(owner, {f"{context} {m.name!r}": m.tensors})
-    ops = _ops(owner, True)
-    return Vec(_evaluate(ops, m, _coordinates(ops, m.sorts, args)))
+    return Vec(_evaluate(ops, m, args))
 
 
 def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:

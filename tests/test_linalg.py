@@ -227,11 +227,14 @@ def test_tensor_is_structural_and_sparse():
     assert t[2, 0, 1] == Fraction(3, 4) and t[1, 1, 1] == 0
     assert t != Tensor4.zero(3) and Tensor3.from_nonzeros(3, {(0, 0, 0): 0}).is_zero()
     assert t.den_lcm() == 4
-    # a bundle's tables of t: integer ones times its scale 4, and exact ones
+    # a bundle's integer tables of t, times its scale 4; exact values come
+    # from t itself, at basis and at rational vectors
     b = AlgebraBundle(3, product=t)
-    fast, exact = _ops(b, False), _ops(b, True)
+    fast = _ops(b)
     assert fast.scales["mul"] == 4
     assert _support(fast, "mul") == [(0, 1, 2, -4), (2, 0, 1, 3)]
     assert _table(fast, "mul")[2][0] == ((1, 3),) and _table(fast, "mul")[0][1] == ((2, -4),)
-    assert _table(exact, "mul")[2][0] == ((1, Fraction(3, 4)),)
-    assert _table(exact, "mul")[0][1] == ((2, -1),)
+    assert t.apply(Vec.basis(3, 2), Vec.basis(3, 0)) == Vec([0, Fraction(3, 4), 0])
+    assert t.apply(Vec.basis(3, 0), Vec.basis(3, 1)) == Vec([0, 0, -1])
+    x, y = Vec([Fraction(1, 2), 0, 2]), Vec([1, Fraction(1, 3), 0])
+    assert t.apply(x, y) == b.mul(x, y) == Vec([0, Fraction(3, 2), Fraction(-1, 6)])

@@ -13,14 +13,19 @@ is the only independent check of the fast path past n = 8, where the dense
 oracles stop.
 """
 
+import itertools
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 import random_point
+import structure_oracle as oracle
 from structure_oracle import arity
-from test_structure_fastpath import FAILING, dense, forced, tfm4_trunc4
-from ternalg import schema
+from test_rep_fastpath import random_rep
+from test_structure_fastpath import FAILING, dense, forced, random_bundle, tfm4_trunc4
+from ternalg import linalg, schema, structures
 from ternalg.catalog import (
     CATALOG_DOC,
     catalog_document,
@@ -31,16 +36,28 @@ from ternalg.catalog import (
     trunc,
 )
 from ternalg.constructions import direct_sum
-from ternalg.errors import MissingRep, MissingTensor
+from ternalg.errors import BundleError, DimensionMismatch, MissingRep, MissingTensor
+from ternalg.linalg import Tensor, Vec
 from ternalg.operators import induced_pre_fmanifold
 from ternalg.representations import (
     RepKind,
     adjoint_rep,
     check_representation,
     fix_slot_rep,
+    l1,
     semidirect,
 )
-from ternalg.structures import StructureKind, check_axioms, dimension_cap, set_dimension_cap
+from ternalg.structures import (
+    AlgebraBundle,
+    StructureKind,
+    check_axioms,
+    dimension_cap,
+    eval_defect,
+    f1,
+    k_op,
+    leibnizator2,
+    set_dimension_cap,
+)
 
 POINTS = 2
 PATHS = ("tuples", "contract")
@@ -183,3 +200,81 @@ def test_a_failing_identity_is_nonzero_at_random_points(case):
     for _ in range(POINTS):
         pt = random_point.point(rng, [b.dim] * arity(name))
         assert not random_point.structure_defect(name, b, pt).is_zero(), name
+
+
+# -- the exact evaluator's one operation against the oracle's loop ------------------
+
+# every shape of tensor the package builds: a product or binary bracket, a
+# ternary bracket, a pair and a single action, a map, a form, a trace and
+# the scalar multiplication
+SHAPES = ("nnn", "nnnn", "nnmm", "nmm", "mn", "nn1", "n1", "1nn")
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_tensor_apply_matches_the_oracle_loop(shape):
+    """`Tensor.apply`, which the exact evaluator applies every tensor by,
+    equals `random_point.apply`, the oracle's own loop over the nonzeros,
+    on a seeded tensor of each shape with non-unit denominators: at every
+    tuple of basis vectors, with a zero vector in each slot, and at random
+    rational vectors with non-unit denominators."""
+    rng = random.Random(f"apply:{shape}")
+    n, m = rng.randint(2, 5), rng.randint(2, 4)
+    dims = [{"n": n, "m": m, "1": 1}[c] for c in shape]
+    t = Tensor(dims, [(idx, Fraction(rng.choice((-3, -1, 1, 5)), rng.choice((2, 7))))
+                      for idx in itertools.product(*map(range, dims)) if rng.random() < 0.5])
+    assert t.den_lcm() > 1
+    lead = dims[:-1]
+    cases = [[Vec.basis(d, i) for d, i in zip(lead, idx)]
+             for idx in itertools.product(*map(range, lead))]
+    cases += [[Vec.zero(d) if s == z else Vec.basis(d, d - 1) for s, d in enumerate(lead)]
+              for z in range(len(lead))]
+    cases += [[Vec([Fraction(rng.randint(-9, 9), rng.choice((1, 4, 5, 6))) for _ in range(d)])
+               for d in lead] for _ in range(5)]
+    nonzero = 0
+    for vecs in cases:
+        got = t.apply(*vecs)
+        assert got == random_point.apply(t, *vecs), vecs
+        nonzero += not got.is_zero()
+    assert nonzero > len(cases) // 4
+    with pytest.raises(DimensionMismatch):
+        t.apply(*[Vec.zero(d + 1) for d in lead])
+    with pytest.raises(DimensionMismatch):
+        t.apply(*[Vec.zero(d) for d in lead[1:]])
+
+
+def _unread(*_):
+    raise AssertionError("an exact evaluator read a scan table or support")
+
+
+def test_exact_evaluators_read_no_table():
+    """With `_table`, `_groups`, `_support` and `nested_rows` made to raise,
+    every public evaluator still gives the oracle's values on fresh owners,
+    and a unital bundle is still built and its unit checked: the exact
+    evaluator reads each tensor's own constants and no scan table.  The
+    representation has actions of its own: an adjoint one shares the
+    algebra's rows, which its tables lay out when they are built."""
+    rng = random.Random(11)
+    with mock.patch.object(structures, "_table", _unread), \
+            mock.patch.object(structures, "_groups", _unread), \
+            mock.patch.object(structures, "_support", _unread), \
+            mock.patch.object(structures, "nested_rows", _unread), \
+            mock.patch.object(linalg, "nested_rows", _unread):
+        b, r = random_bundle(7), random_rep(201, False)
+        n, m = b.dim, r.module_dim
+        x = [Vec([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n)])
+             for _ in range(5)]
+        v = Vec([Fraction(rng.randint(-5, 5), 4) for _ in range(m)])
+        with random_point.sparse_operations():
+            assert eval_defect("fundamental", b, x) == oracle.FORMULAS["fundamental"](b, *x)
+            assert eval_defect("hm3", b, x) == oracle.FORMULAS["hm3"](b, *x)
+            assert leibnizator2(b, *x[:3]) == oracle.SUBMAPS["leib2"](b, *x[:3])
+            assert f1(b, *x[:4]) == oracle.SUBMAPS["f1"](b, *x[:4])
+            assert k_op(b, *x[:4]) == oracle.SUBMAPS["kmap"](b, *x[:4])
+        a = r.algebra
+        y = [Vec([Fraction(rng.randint(-5, 5), 3) for _ in range(a.dim)]) for _ in range(3)]
+        assert l1(r, *y, v) == random_point._l1(r, *y, v)
+        assert not l1(r, *y, v).is_zero() and not eval_defect("fundamental", b, x).is_zero()
+        t = trunc(4)
+        assert t.mul(t.basis(1), t.basis(2)) == t.basis(3)
+        with pytest.raises(BundleError, match="unit fails"):
+            AlgebraBundle(4, product=t.product, unit=t.basis(1))

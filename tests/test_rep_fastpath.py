@@ -221,7 +221,7 @@ def test_degrees_pinned():
 
 
 def _units(sorts, t, sizes):
-    return [[int(j == i) for j in range(sizes[s])] for s, i in zip(sorts, t)]
+    return [Vec.basis(sizes[s], i) for s, i in zip(sorts, t)]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -230,9 +230,8 @@ def test_conditions_scale_by_one_monomial(seed, binary):
     rng = random.Random(200 + seed)
     r = random_rep(200 + seed, binary)
     alpha, beta = rng.randint(2, 9), rng.randint(2, 9)
-    base = _ops(r, True)
-    big = _ops(scaled(r, alpha, beta), True)
-    fast = _ops(r, False)
+    base = _ops(r)
+    big = _ops(scaled(r, alpha, beta))
     names = {name for kind in (BINARY_KINDS if binary else TERNARY_KINDS)
              for name in KIND_CONDITIONS[RepKind(kind)]}
     seen = set()
@@ -240,7 +239,7 @@ def test_conditions_scale_by_one_monomial(seed, binary):
         cond = REP_CONDITIONS[name]
         a, b = DEGREES[name]
         # the lists kept as the sweep yielded them: a reused buffer would show
-        swept, L = dict(_make_scanner(fast, cond)()), _multipliers(fast, cond)[0]
+        swept, L = dict(_make_scanner(base, cond)()), _multipliers(base, cond)[0]
         for t in itertools.product(*(range(base.sizes[s]) for s in cond.sorts)):
             ref = _evaluate(base, cond, _units(cond.sorts, t, base.sizes))
             assert _evaluate(big, cond, _units(cond.sorts, t, base.sizes)) == \

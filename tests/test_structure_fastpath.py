@@ -53,6 +53,7 @@ from ternalg.structures import (
     IDENTITIES,
     KIND_IDENTITIES,
     AlgebraBundle,
+    Counterexample,
     StructureKind,
     check_axioms,
     eval_defect,
@@ -315,6 +316,39 @@ def test_failure_reports_equal_on_both_paths(case):
         assert contract == tuples, k
 
 
+def _shifted(report, offset, pad, lead):
+    """report's counterexamples with each index moved up by offset and each
+    residual padded with pad zeros, before its coordinates if lead."""
+    zeros = (0,) * pad
+    return tuple(Counterexample(ce.identity, tuple(i + offset for i in ce.indices),
+                                Vec(zeros + ce.residual.entries if lead
+                                    else ce.residual.entries + zeros))
+                 for ce in report.counterexamples)
+
+
+@pytest.mark.parametrize("near_miss", ["sd_near_miss", "tfm4_scaled"])
+def test_a_direct_sum_fails_as_its_failing_summand(near_miss):
+    """No oracle, n = 12-16: A passes every kind here, so on either forced
+    path and at every k, A (+) B has B's verdict, checked identities and
+    counterexamples, their indices moved up by A's dim and their residuals
+    led by its zeros, and B (+) A the same with trailing zeros.  Every
+    counterexample's residual is re-checked exactly at n = 12-16."""
+    a = semidirect(adjoint_rep(fil4()))
+    b, failed = FAILING[near_miss][0](), set()
+    for kind in ("ternary-f-manifold", "coherence", "3-lie"):
+        for k in KS:
+            want = check_axioms(kind, b, max_counterexamples=k)
+            failed.update(ce.identity for ce in want.counterexamples)
+            for path in PATHS:
+                for first, offset in ((a, a.dim), (b, 0)):
+                    pair = (a, b) if first is a else (b, a)
+                    got = check_axioms(kind, forced(direct_sum(*pair), path), max_counterexamples=k)
+                    assert (got.passed, got.checked_identities) == \
+                        (want.passed, want.checked_identities), (kind, k, path)
+                    assert got.counterexamples == _shifted(want, offset, a.dim, first is a)
+    assert failed
+
+
 def test_plan_and_contraction_debug_lines(caplog, monkeypatch):
     monkeypatch.setattr(structures, "_COMPILED", {})
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
@@ -376,7 +410,7 @@ def test_plan_takes_the_contraction_only_past_the_margin(monkeypatch):
         monkeypatch.setattr(structures, name, 0)
     for name, value in (("_TUPLE_COST", 1), ("_CHUNK_COST", 1), ("_MARGIN", 10)):
         monkeypatch.setattr(structures, name, value)
-    ops = structures._ops(fil4(), False)
+    ops = structures._ops(fil4())
     picks = [structures._plan(ops, IDENTITIES["fundamental"], rows) for rows in (10, 14, 15)]
     assert picks == [False, False, True]
 
@@ -443,7 +477,7 @@ def test_planner_on_dense_input(caplog):
                                 "contributions") for t in text), name
     caplog.clear()
     b = dense(tfm4_trunc4())
-    ops = structures._ops(b, False)
+    ops = structures._ops(b)
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         assert not _planned(ops, KIND_IDENTITIES[StructureKind("ternary-f-manifold")], "hm3")
         assert not _planned(ops, KIND_IDENTITIES[StructureKind.COHERENCE], "coh1")
@@ -512,8 +546,9 @@ PATHS = ("tuples", "contract")
 
 def forced(b, path):
     """b with every plan made on its integer tables, and on the tables of
-    representations and maps built over it, forced to `path`."""
-    structures._ops(b, False, path)
+    representations and maps built over it, forced to `path`: b's tables
+    must be new, since tables built already keep the plans they had."""
+    assert structures._ops(b, path).path == path
     return b
 
 
@@ -578,12 +613,12 @@ def integer_values(fast, m):
 def exact_values(owner, m, tuples):
     """L times m's exact value at each basis tuple, as {l: value}, L from
     `_multipliers` on owner's integer tables."""
-    fast, exact = (structures._ops(owner, e) for e in (False, True))
-    L = structures._multipliers(fast, m)[0]
+    ops = structures._ops(owner)
+    L = structures._multipliers(ops, m)[0]
     out = {}
     for t in tuples:
-        units = [[int(j == i) for j in range(exact.sizes[s])] for s, i in zip(m.sorts, t)]
-        out[t] = {l: L * v for l, v in enumerate(structures._evaluate(exact, m, units)) if v}
+        units = [Vec.basis(ops.sizes[s], i) for s, i in zip(m.sorts, t)]
+        out[t] = {l: L * v for l, v in enumerate(structures._evaluate(ops, m, units)) if v}
     return out
 
 
@@ -600,7 +635,7 @@ def test_scan_is_L_times_the_exact_value(seed):
         seen, uneven = set(), set()
         for name, m in maps.items():
             owner = single if "rho1" in m.tensors else pair
-            fast = structures._ops(owner, False)
+            fast = structures._ops(owner)
             assert fast.path == path
             mults = structures._multipliers(fast, m)[1]
             if len(set(mults)) > 1:
@@ -646,11 +681,11 @@ def test_contraction_is_L_times_the_exact_value_on_interacting_tables(case):
     nonzero = set()
     for side, (owner, maps) in enumerate(owners["contract"]):
         tuple_owner = owners["tuples"][side][0]
-        have = set(structures._ops(owner, False).tensors)
+        have = set(structures._ops(owner).tensors)
         for name, m in maps.items():
             if not m.tensors <= have:
                 continue
-            fast, slow = (structures._ops(o, False) for o in (owner, tuple_owner))
+            fast, slow = (structures._ops(o) for o in (owner, tuple_owner))
             got = integer_values(fast, m)
             assert got == integer_values(slow, m), (case, name)
             small = all(fast.sizes[s] <= 4 for s in m.sorts)
@@ -681,7 +716,7 @@ def every_table(b):
     by the plans made on their integer tables."""
     out = {}
     for side, owner in enumerate((b, adjoint_rep(b))):
-        ops = structures._ops(owner, False)
+        ops = structures._ops(owner)
         for name, reads in structures._TENSORS_OF.items():
             if reads <= ops.tensors.keys() and (side == 0 or reads & {"rho", "mu"}):
                 out[side, name] = (structures._support(ops, name), structures._table(ops, name))
@@ -707,7 +742,7 @@ def test_support_first_tables_equal_both_forced_paths(case, caplog):
     assert ruled <= empty
     if case in ("sd", "sd16"):
         assert {"leib3", "kmap", "L1"} <= ruled, sorted(ruled)
-    ops = [structures._ops(owner, False) for owner in (b, adjoint_rep(b))]
+    ops = [structures._ops(owner) for owner in (b, adjoint_rep(b))]
     for (side, name), (support, rows) in planned.items():
         sizes = [ops[side].sizes[s] for s in structures._SIGNATURES[name][0]]
         assert rows == nested_rows(sizes, support), (side, name)
@@ -732,7 +767,7 @@ def test_partly_empty_sub_map_is_still_scanned(caplog):
         return structures._Maps(r, {"T": Tensor(4, 2, {(0, 0): 1, (1, 2): 1})})
 
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
-        ops = structures._ops(owner(), False)
+        ops = structures._ops(owner())
         support = structures._support(ops, "mu_T")
     (_, (op, args)), _ = structures._SUBMAPS["mu_T"].terms
     first = [op] + [a[0] for a in args if not isinstance(a, int)]
@@ -741,7 +776,7 @@ def test_partly_empty_sub_map_is_still_scanned(caplog):
     built = [r.getMessage() for r in caplog.records if r.getMessage().startswith("built mu_T ")]
     assert len(built) == 1 and " by tuple scan in " in built[0], built
     for path in PATHS:
-        fast = structures._ops(owner(path), False)
+        fast = structures._ops(owner(path))
         assert structures._support(fast, "mu_T") == support, path
 
 
@@ -751,16 +786,16 @@ def test_sort_sizes_are_read_from_the_shapes():
     over an action of fil4 on a module of dim 2, f: A -> B of shape (4, 3).
     A tensor that disagrees with another on a sort's size is refused there."""
     r = RepBundle(algebra=fil4(), mu=LinRep.zero(4, 2))
-    ops = structures._ops(structures._Maps(r, {"T": Tensor((2, 4), {(1, 3): 1})}), False)
+    ops = structures._ops(structures._Maps(r, {"T": Tensor((2, 4), {(1, 3): 1})}))
     assert ops.sizes == {"k": 1, "A": 4, "V": 2}
     hom = structures._Maps(fil4(), {"f": Tensor((4, 3), {}), "br3B": Tensor(3, 4, {})})
-    assert structures._ops(hom, False).sizes == {"k": 1, "A": 4, "B": 3}
-    assert structures._dims(structures._ops(hom, False).sizes) == "dim 4, target dim 3"
+    assert structures._ops(hom).sizes == {"k": 1, "A": 4, "B": 3}
+    assert structures._dims(structures._ops(hom).sizes) == "dim 4, target dim 3"
     for maps in (structures._Maps(r, {"T": Tensor((3, 4), {})}),
                  structures._Maps(fil4(), {"f": Tensor((4, 3), {}), "br3B": Tensor(2, 4, {})}),
                  structures._Maps(fil4(), {"form": Tensor((4, 4, 2), {})})):
         with pytest.raises(InternalError, match=r"of shape \(.*\) disagrees with"):
-            structures._ops(maps, False)
+            structures._ops(maps)
 
 
 def test_empty_leib3_on_sd2_compiles_no_table_builder(caplog, monkeypatch):
@@ -780,18 +815,17 @@ def test_empty_leib3_on_sd2_compiles_no_table_builder(caplog, monkeypatch):
 def test_adjoint_representation_shares_the_algebra_tables():
     """adjoint_rep keeps the algebra's bracket and product themselves, so
     its rho and mu tables, supports and rows, are the algebra's br3 and mul
-    tables, exact and integer."""
+    tables."""
     sd = semidirect(adjoint_rep(fil4()))
     b = direct_sum(sd, sd)
     r = adjoint_rep(b)
-    for exact in (False, True):
-        base = structures._ops(b, exact)
-        ops = structures._ops(r, exact)
-        assert ops.base is base
-        assert ops.tables["rho"] is base.tables["br3"]
-        assert ops.tables["mu"] is base.tables["mul"]
-        assert structures._support(ops, "rho") is structures._support(base, "br3")
-        assert structures._support(ops, "mu") is structures._support(base, "mul")
+    base = structures._ops(b)
+    ops = structures._ops(r)
+    assert ops.base is base
+    assert ops.tables["rho"] is base.tables["br3"]
+    assert ops.tables["mu"] is base.tables["mul"]
+    assert structures._support(ops, "rho") is structures._support(base, "br3")
+    assert structures._support(ops, "mu") is structures._support(base, "mul")
 
 
 def test_sweep_keeps_no_value_it_handed_on():
@@ -802,7 +836,7 @@ def test_sweep_keeps_no_value_it_handed_on():
     value, and the cancelled tuple is skipped."""
     b = AlgebraBundle(3, product=Tensor(3, 3, [((0, 1, 0), 1), ((0, 2, 1), 1),
                                                ((2, 0, 1), 1)]))
-    ops = structures._ops(b, False)
+    ops = structures._ops(b)
     comm = IDENTITIES["comm"]
     assert list(structures._make_scanner(ops, comm)()) == [((0, 1), [1, 0, 0]),
                                                            ((1, 0), [-1, 0, 0])]
@@ -1093,10 +1127,10 @@ def test_generated_source_pinned(caplog, monkeypatch):
     forced(b, "tuples")
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         for m in IDENTITIES.values():
-            structures._make_scanner(structures._ops(b, False), m)
+            structures._make_scanner(structures._ops(b), m)
         for m in REP_CONDITIONS.values():
             owner = rb if "rho1" in m.tensors else r
-            structures._make_scanner(structures._ops(owner, False), m)
+            structures._make_scanner(structures._ops(owner), m)
     seen = {}
     for record in caplog.records:
         head, _, src = record.getMessage().partition(":\n")

@@ -379,13 +379,13 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
 
     # integer tables that disagree with the exact ones: e1 -> e1 at [e1,e1,e1]
     b = fil4()
-    corrupt(_ops(b, False, path), "br3")
+    corrupt(_ops(b, path), "br3")
     structure_scan = raises(lambda: check_axioms("3-lie", b))
 
     # the same for the integer rho table, shared with the algebra's br3 and
     # so laid out already: column e1 of rho(e1, e1) -> e1
     r = adjoint_rep(fil4())
-    ops = _ops(r, False, path)
+    ops = _ops(r, path)
     if "rho" not in ops.tables:
         sys.exit("rho's rows are not shared")
     corrupt(ops, "rho")
@@ -396,7 +396,7 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     from ternalg.catalog import fil4_symplectic
     from ternalg.operators import check_symplectic
     b = fil4()
-    corrupt(_ops(b, False, path), "br3")
+    corrupt(_ops(b, path), "br3")
     operator_scan = raises(lambda: check_symplectic(fil4_symplectic(), b))
 
     # a symmetry certificate claiming assoc symmetric in all three slots: on
@@ -410,7 +410,7 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
         (((0, 1, 2), 1),), ("comm",))
     b = AlgebraBundle(2, product=Tensor3.from_nonzeros(
         2, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}))
-    _ops(b, False, path)
+    _ops(b, path)
     if path == "contract":
         found = check_axioms("comm-assoc", b, max_counterexamples=100).counterexamples
         certificate = [ce.indices for ce in found] == [

@@ -104,7 +104,7 @@ def swept(arity, blocks, n):
     m = {3: _define("every3", lambda x, y, z: br3(x, y, z)),
          5: _define("every5", lambda x1, x2, x3, x4, x5: br3(x1, x2, br3(x3, x4, x5)))}[arity]
     bracket = Tensor(n, 4, [(t + (0,), 1) for t in itertools.product(range(n), repeat=3)])
-    ops = _ops(AlgebraBundle(n, bracket=bracket), False)
+    ops = _ops(AlgebraBundle(n, bracket=bracket))
     return [t for t, _ in _make_scanner(ops, m, "sweep", blocks)()]
 
 

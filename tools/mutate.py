@@ -82,8 +82,8 @@ MUTATIONS = [
               f"{FASTPATH}::test_scan_is_L_times_the_exact_value[0]")),
     Mutation(
         "tensor-support-unscaled", STRUCTURES,
-        "(v * scale).numerator",
-        "v.numerator",
+        "v.numerator * scale // v.denominator,",
+        "v.numerator,",
         kill=("tests/test_linalg.py::test_tensor_is_structural_and_sparse",
               f"{FASTPATH}::test_support_first_tables_equal_both_forced_paths[dense8]")),
     Mutation(
@@ -91,6 +91,15 @@ MUTATIONS = [
         "hit.setdefault(e[q], []).append(e)",
         "hit.setdefault(e[q + 1], []).append(e)",
         kill=(f"{FASTPATH}::test_scan_is_L_times_the_exact_value[0]",)),
+    # the exact evaluator's one operation: a vector's denominator dropped
+    # from the result's, which a re-check at unit vectors meets wherever a
+    # nested term's value carries denominators
+    Mutation(
+        "apply-drops-a-vector-denominator", "src/ternalg/linalg.py",
+        "den *= prod(dens)",
+        "den *= prod(dens[1:])",
+        kill=("tests/test_random_point.py::test_tensor_apply_matches_the_oracle_loop[nnn]",
+              "tests/test_checker_pins.py::test_checker_report_pinned[rb.fil4_rb]")),
     # shaped tensors: the constructor's one range check, and each sort's
     # size read from the shapes, two tensors agreeing on it
     Mutation(

@@ -115,7 +115,7 @@ def main() -> None:
     cases = []
     for density in DENSITIES:
         b = random_bundle(args.n, density, rng)
-        ops = structures._ops(b, False)
+        ops = structures._ops(b)
         for m in (*IDENTITIES.values(), *structures._SUBMAPS.values()):
             if m.tensors <= ops.tensors.keys() | structures._SUBMAPS.keys():
                 cases.append({"density": density, **measure(ops, m, args.repeats)})
