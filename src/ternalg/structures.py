@@ -53,19 +53,22 @@ then it scans each map, re-checks each failure exactly and reports.  A
 builder names the components it reads to `_check_components` too, so
 nothing outside this module guards a component.
 
-Identity scans use only certified symmetries.  A term normaliser expands a
-defect into trees of `mul`, `br3` and `br2` and, for every transposition of
-two slots, compares the transposed defect with +/- the defect, assuming
-only what identities earlier in the same list state: `comm` (mul
-symmetric), `skew3` (br3 alternating), `skew2` (br2 alternating).  The
-certified transpositions form blocks of slots in which the defect is
-symmetric or alternating, and the scan visits one representative per orbit
--- non-decreasing values in a symmetric block, strictly increasing ones in
-an alternating block, whose tuples with a repeated value vanish -- but only
-once every identity the blocks assume has passed in the same run; otherwise
-it scans the full range.  A failing representative expands back to its
-orbit members at their own ranks, so the first k counterexamples and the
-tuple count equal those of the full scan.
+Identity and representation scans use only certified symmetries.  A term
+normaliser expands a defect into trees of its tensors and, for every
+transposition of two slots of one sort, compares the transposed defect with
++/- the defect, assuming only what identities earlier in the same list
+state of an operation's leading slots: `comm` (mul symmetric), `skew3` (br3
+alternating), `skew2` (br2 alternating), `prelie3-skew` (br3 alternating
+in its first two slots) and `rho-skew` (rho alternating in its two algebra
+slots).  Operator owners' conditions, in which it finds no symmetry, are
+not certified.  The certified transpositions form blocks of slots in which
+the defect is symmetric or alternating, and the scan visits one
+representative per orbit -- non-decreasing values in a symmetric block,
+strictly increasing ones in an alternating block, whose tuples with a
+repeated value vanish -- but only once every identity the blocks assume has
+passed in the same run; otherwise it scans the full range.  A failing
+representative expands back to its orbit members at their own ranks, so the
+first k counterexamples and the tuple count equal those of the full scan.
 
 Adding an identity: define it in `_registry` with `_define` (a shared
 sub-map with `_submap`), in terms of `mul`, `br3`, `br2` and the existing
@@ -304,12 +307,13 @@ class _Ops:
     read (`_table`), `groups` the nonzeros by the index at one position,
     which the contractions join and the planner counts (`_groups`).  A
     tensor that is the same object as one of base's (an adjoint
-    representation's rho and mu) shares base's support and rows, which are
-    laid out then.  `path` forces "contract" or "tuples" on every plan made
-    on these tables and on those built over them; None lets `_plan`
-    choose."""
+    representation's rho and mu) shares base's support, and its rows are
+    base's, laid out when first read (`shared` names base's operation).
+    `path` forces "contract" or "tuples" on every plan made on these tables
+    and on those built over them; None lets `_plan` choose."""
 
-    __slots__ = ("sizes", "scales", "tensors", "tables", "support", "groups", "base", "path")
+    __slots__ = ("sizes", "scales", "tensors", "tables", "support", "groups", "shared", "base",
+                 "path")
 
     def __init__(self, tensors: dict, base: Optional["_Ops"] = None,
                  path: Optional[str] = None):
@@ -320,7 +324,7 @@ class _Ops:
         self.sizes = dict(base.sizes) if base else {"k": 1}
         self.scales = {**base.scales, **scales} if base else scales
         self.tensors = {**base.tensors, **tensors} if base else tensors
-        self.support, self.tables, self.groups = {}, {}, {}
+        self.support, self.tables, self.groups, self.shared = {}, {}, {}, {}
         shared = {id(t): op for op, t in base.tensors.items()} if base else {}
         for op, t in tensors.items():
             for s, n in zip("".join(_SIGNATURES[op]), t.shape, strict=True):
@@ -328,7 +332,7 @@ class _Ops:
                     raise InternalError(f"{op} of shape {t.shape} disagrees with {self.sizes}")
             same, scale = shared.get(id(t)), scales[op]
             if same:
-                self.support[op], self.tables[op] = _support(base, same), _table(base, same)
+                self.support[op], self.shared[op] = _built(base, same).support[same], same
             else:
                 self.support[op] = [idx + (v.numerator * scale // v.denominator,)
                                     for idx, v in t.nonzeros()]
@@ -726,17 +730,19 @@ def _check_components(owner, reads: dict) -> None:
 # ---------------------------------------------------------------------------
 # symmetry certificates
 #
-# A defect is expanded into a signed list of trees of mul/br3/br2 on slots,
-# sub-maps included.  A tree is canonical when the arguments of every
-# operation assumed symmetric or alternating are sorted, an alternating sort
-# contributing its sign; summing equal canonical trees gives the normal
-# form.  Each rewrite is an equality given the assumed identities, so equal
-# normal forms of the transposed defect and +/- the defect prove the
-# transposition.
+# A defect is expanded into a signed list of trees of tensors on slots,
+# sub-maps included.  A tree is canonical when the leading arguments of
+# every operation assumed symmetric or alternating in them are sorted, an
+# alternating sort contributing its sign; summing equal canonical trees
+# gives the normal form.  Each rewrite is an equality given the assumed
+# identities, so equal normal forms of the transposed defect and +/- the
+# defect prove the transposition.
 
-# the identities a certificate may assume: operation and its sign (1 =
-# symmetric, -1 = alternating) once the identity has passed
-_SYMMETRY_OF = {"comm": ("mul", 1), "skew3": ("br3", -1), "skew2": ("br2", -1)}
+# the identities a certificate may assume: (operation, sign, k), the
+# operation being symmetric (sign 1) or alternating (-1) in its leading k
+# slots once the identity has passed
+_SYMMETRY_OF = {"comm": ("mul", 1, 2), "skew3": ("br3", -1, 3), "skew2": ("br2", -1, 2),
+                "prelie3-skew": ("br3", -1, 2), "rho-skew": ("rho", -1, 2)}
 
 
 class Symmetry(Value):
@@ -786,8 +792,9 @@ def _expand(tree) -> list:
 
 
 def _canonical(tree, signs: dict, memo: dict):
-    """(sign, tree) with the arguments of each operation in `signs` sorted;
-    `memo` caches sub-trees already seen under the same `signs`."""
+    """(sign, tree) with the leading k arguments of each operation in
+    `signs`, {op: (sign, k)}, sorted; `memo` caches sub-trees already seen
+    under the same `signs`."""
     if isinstance(tree, int):
         return 1, tree
     hit = memo.get(tree)
@@ -799,8 +806,9 @@ def _canonical(tree, signs: dict, memo: dict):
             sign *= s
             canon.append(c)
         if op in signs:
-            order = sorted(range(len(canon)), key=lambda i: repr(canon[i]))
-            if signs[op] < 0:
+            k = signs[op][1]
+            order = sorted(range(k), key=lambda i: repr(canon[i])) + list(range(k, len(canon)))
+            if signs[op][0] < 0:
                 sign *= (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
             canon = [canon[i] for i in order]
         hit = memo[tree] = (sign, (op, tuple(canon)))
@@ -816,19 +824,23 @@ def _normal(terms, signs: dict, memo: dict) -> dict:
 
 
 def _transpositions(ident: Identity, assumable: tuple[str, ...]) -> dict:
-    """{(i, j): (sign, assumed)} for each slot transposition that maps the
-    defect of `ident` to sign * itself given the identities in `assumable`;
+    """{(i, j): (sign, assumed)} for each transposition of two slots of one
+    sort that maps the defect of `ident` to sign * itself given the
+    identities in `assumable`, the widest on an operation deciding;
     `assumed` is the smallest subset of them found to prove it.  A pair
     that all of `assumable` does not prove is not tried further, since
     fewer assumptions identify fewer terms."""
     terms = [(c * k, t) for c, term in ident.terms for k, t in _expand(term)]
     subsets = [s for r in range(len(assumable), -1, -1)
                for s in itertools.combinations(assumable, r)]
-    signs = {s: dict(_SYMMETRY_OF[a] for a in s) for s in subsets}
+    signs = {s: {op: (sign, k) for op, sign, k in sorted(
+        (_SYMMETRY_OF[a] for a in s), key=lambda e: e[2])} for s in subsets}  # widest k wins
     memos: dict = {s: {} for s in subsets}
     normals = {s: _normal(terms, signs[s], memos[s]) for s in subsets}
     certified = {}
     for i, j in itertools.combinations(range(ident.arity), 2):
+        if ident.sorts[i] != ident.sorts[j]:
+            continue
         swap = list(range(ident.arity))
         swap[i], swap[j] = j, i
         swapped = [(c, _substitute(t, swap)) for c, t in terms]
@@ -846,10 +858,11 @@ _CERTIFICATES: dict = {}
 
 def _certificate(ident: Identity, assumable: tuple[str, ...]) -> Optional[Symmetry]:
     """The symmetry blocks of `ident` given the identities in `assumable`,
-    or None; computed on first use and cached.
+    each stating its operation symmetric or alternating in its leading k
+    slots (`_SYMMETRY_OF`), or None; computed on first use and cached.
 
-    A block is a slot with every later slot it transposes with, kept only
-    if every pair inside is certified with one sign.
+    A block is a slot with every later slot of its sort it transposes with,
+    kept only if every pair inside is certified with one sign.
     """
     key = (ident, assumable)
     if key in _CERTIFICATES:
@@ -1157,12 +1170,13 @@ def _support(ops: _Ops, op: str) -> list:
 def _table(ops: _Ops, op: str):
     """The nested sparse rows of a tensor or sub-map, laid out from its
     support over the sizes of its slots' sorts when first read: the one
-    place rows are laid out."""
+    place rows are laid out.  A tensor shared with base reads base's rows."""
     home = _built(ops, op)
     rows = home.tables.get(op)
     if rows is None:
-        sizes = [home.sizes[s] for s in _SIGNATURES[op][0]]
-        rows = home.tables[op] = nested_rows(sizes, home.support[op])
+        same, sizes = home.shared.get(op), [home.sizes[s] for s in _SIGNATURES[op][0]]
+        rows = home.tables[op] = (_table(home.base, same) if same
+                                  else nested_rows(sizes, home.support[op]))
     return rows
 
 
@@ -1361,10 +1375,12 @@ def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: 
 
     Every component the maps read is checked first, each missing one
     raising as `context` and the map's name.  The budget k is shared: the
-    run stops at the map that fills it.  A bundle's own identities, whose
-    slots share one size, get symmetry certificates, each assuming the
-    identities listed before it.  Every failure is re-evaluated exactly at
-    its basis vectors by `_evaluate`, and its residual must be nonzero.
+    run stops at the map that fills it.  A bundle's identities and a
+    representation's conditions get symmetry certificates, each assuming
+    the identities listed before it; an operator owner's (`_Maps`), in
+    which the certifier finds no symmetry, scan the full range.  Every
+    failure is re-evaluated exactly at its basis vectors by `_evaluate`, and
+    its residual must be nonzero.
     """
     maps = [registry[name] for name in names]
     _check_components(owner, {f"{context} {m.name!r}": m.tensors for m in maps})
@@ -1378,7 +1394,7 @@ def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: 
     for pos, m in enumerate(maps):
         checked.append(m.name)
         symmetry = None
-        if isinstance(owner, AlgebraBundle):
+        if not isinstance(owner, _Maps):
             symmetry = _certificate(m, tuple(a for a in names[:pos] if a in _SYMMETRY_OF))
         found, evaluated = _failures(ops, m, symmetry, passed, budget - len(counterexamples))
         if not found:

@@ -45,6 +45,8 @@ from ternalg.representations import (
     check_representation,
     fix_slot_rep,
     l1,
+    l2,
+    l3,
     semidirect,
 )
 from ternalg.structures import (
@@ -122,11 +124,15 @@ def test_catalog_passes_hold_at_random_points(name):
         assert assert_rep_passes_hold(lambda path: catalog(name, path).rep)
 
 
-# three-lie-rep's conditions lead ternary-fmanifold-rep's, which on
-# adjoint_rep(inter16) take over a second on the forced tuple path
+# n = m = 16: three-lie-rep and ternary-fmanifold-rep each sweep rho-skew
+# and kasymov-i over their certified representatives on the forced tuple
+# path, and contract the full range on the other; ternary-fmanifold-rep
+# takes over a second on the forced tuple path
 REPS = {
+    "adjoint_sd2": (lambda: adjoint_rep(sd2()), ("three-lie-rep", "ternary-fmanifold-rep")),
     "adjoint_inter16": (lambda: adjoint_rep(tfm4_trunc4()),
-                        ("comm-assoc-rep", "ternary-fmanifold-rep", "dual-conditions")),
+                        ("three-lie-rep", "comm-assoc-rep", "ternary-fmanifold-rep",
+                         "dual-conditions")),
     # rho a single-argument action over a binary bracket: the fmanifold-rep conditions
     "fix_slot_fil4": (lambda: fix_slot_rep(adjoint_rep(fil4()), fil4().basis(3)), tuple(RepKind)),
 }
@@ -250,9 +256,9 @@ def test_exact_evaluators_read_no_table():
     """With `_table`, `_groups`, `_support` and `nested_rows` made to raise,
     every public evaluator still gives the oracle's values on fresh owners,
     and a unital bundle is still built and its unit checked: the exact
-    evaluator reads each tensor's own constants and no scan table.  The
-    representation has actions of its own: an adjoint one shares the
-    algebra's rows, which its tables lay out when they are built."""
+    evaluator reads each tensor's own constants and no scan table.  That
+    holds for a representation with actions of its own and for an adjoint
+    one, whose rows are the algebra's, laid out only when a scan reads them."""
     rng = random.Random(11)
     with mock.patch.object(structures, "_table", _unread), \
             mock.patch.object(structures, "_groups", _unread), \
@@ -274,6 +280,10 @@ def test_exact_evaluators_read_no_table():
         y = [Vec([Fraction(rng.randint(-5, 5), 3) for _ in range(a.dim)]) for _ in range(3)]
         assert l1(r, *y, v) == random_point._l1(r, *y, v)
         assert not l1(r, *y, v).is_zero() and not eval_defect("fundamental", b, x).is_zero()
+        adj = adjoint_rep(b)
+        for lmap, formula in ((l1, random_point._l1), (l2, random_point._l2),
+                              (l3, random_point._l3)):
+            assert lmap(adj, *x[:4]) == formula(adj, *x[:4])
         t = trunc(4)
         assert t.mul(t.basis(1), t.basis(2)) == t.basis(3)
         with pytest.raises(BundleError, match="unit fails"):

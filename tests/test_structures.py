@@ -353,7 +353,7 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     from ternalg.errors import InternalError
     from ternalg.linalg import Vec
     from ternalg.representations import adjoint_rep, check_representation
-    from ternalg.structures import CheckReport, Counterexample, _ops, check_axioms
+    from ternalg.structures import CheckReport, Counterexample, _ops, _table, check_axioms
 
     # the scan path forced on every integer table below, or "" to plan
     path = sys.argv[1] or None
@@ -382,11 +382,11 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     corrupt(_ops(b, path), "br3")
     structure_scan = raises(lambda: check_axioms("3-lie", b))
 
-    # the same for the integer rho table, shared with the algebra's br3 and
-    # so laid out already: column e1 of rho(e1, e1) -> e1
+    # the same for the integer rho table, shared with the algebra's br3, its
+    # rows read first: column e1 of rho(e1, e1) -> e1
     r = adjoint_rep(fil4())
     ops = _ops(r, path)
-    if "rho" not in ops.tables:
+    if _table(ops, "rho") is not _table(ops.base, "br3"):
         sys.exit("rho's rows are not shared")
     corrupt(ops, "rho")
     rep_scan = raises(lambda: check_representation("three-lie-rep", r))

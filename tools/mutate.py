@@ -141,6 +141,23 @@ MUTATIONS = [
         "certified[i, j] = (1 if image == base else -1, s)",
         "certified[i, j] = (-1 if image == base else 1, s)",
         kill=("tests/test_symmetry.py::test_certificates_pinned",)),
+    # partial symmetries: an assumed identity sorts the leading k arguments
+    # of its operation, and only slots of one sort transpose
+    Mutation(
+        "rho-skew-sign-flipped", STRUCTURES,
+        '"rho-skew": ("rho", -1, 2)',
+        '"rho-skew": ("rho", 1, 2)',
+        kill=("tests/test_symmetry.py::test_rep_certificates_pinned",)),
+    Mutation(
+        "canonical-sorts-one-argument-more", STRUCTURES,
+        "            k = signs[op][1]\n",
+        "            k = min(signs[op][1] + 1, len(canon))\n",
+        kill=("tests/test_symmetry.py::test_wrong_partial_symmetries_are_rejected",)),
+    Mutation(
+        "transpositions-across-sorts", STRUCTURES,
+        "        if ident.sorts[i] != ident.sorts[j]:\n            continue\n",
+        "",
+        kill=("tests/test_symmetry.py::test_wrong_partial_symmetries_are_rejected",)),
     # the term language: sums distribute with their coefficients, and a
     # named sub-map's tree is the one intermediate of that tree
     Mutation(
