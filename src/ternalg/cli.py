@@ -8,7 +8,9 @@ default output does not vary between runs.
 
 Submodules load on first use: this module imports `structures`, `schema` and
 `errors`, which every command reads; each command imports the rest of what it
-runs (`representations`, the builders, `catalog`), and nothing else.
+runs (`representations`, `catalog`), and nothing else.  A `derive` command
+reads its builder through the package's lazy names, so it loads only the
+module that builds its output (and those its input documents' blocks need).
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .structures import check_axioms, coerce_kind  # isort: skip
 import argparse
 import sys
 import time
+
+import ternalg
 
 from . import schema
 from .errors import PreconditionError, SchemaError, TernalgError
@@ -53,21 +57,9 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-_CONSTRUCTIONS = {
-    "direct-sum": 2,
-    "tensor": 2,
-    "fix-slot": 1,
-    "trace-induce": 1,
-    "semidirect": 1,
-    "dual-rep": 1,
-    "induce-pre": 1,
-    "deform": 1,
-    "lift-nijenhuis": 1,
-    "symplectic-pre": 1,
-}
-
-
-def _parse_anchor(spec: str, doc: schema.Document) -> Vec:
+def _parse_anchor(spec: str | None, doc: schema.Document) -> Vec:
+    if spec is None:
+        raise SchemaError("fix-slot needs --anchor")
     bundle = doc.bundle
     if spec in bundle.basis_labels:
         return bundle.basis(bundle.basis_labels.index(spec))
@@ -90,60 +82,53 @@ def _parse_anchor(spec: str, doc: schema.Document) -> Vec:
     return bundle.basis(idx)
 
 
+def _dual_rep(docs, anchor):
+    rep = ternalg.dual_rep(docs[0].require_rep())
+    return rep.algebra, rep, None
+
+
+def _induce_pre(docs, anchor):
+    doc = docs[0]
+    if doc.rep is not None:
+        return ternalg.induced_pre_fmanifold(doc.require_map("T", "R"), doc.rep), None, None
+    return ternalg.rb_induced_pre(doc.require_map("R", "T"), doc.bundle), None, None
+
+
+def _lift_nijenhuis(docs, anchor):
+    rep = docs[0].require_rep()
+    nt = ternalg.lift_nijenhuis(docs[0].require_map("T"), rep)
+    return ternalg.semidirect(rep), None, {"N_T": nt}
+
+
+# Each construction: how many documents it reads, and its builder, which
+# makes the output's (bundle, rep, maps) from those documents and --anchor.
+_CONSTRUCTIONS = {
+    "direct-sum": (2, lambda d, _: (ternalg.direct_sum(d[0].bundle, d[1].bundle), None, None)),
+    "tensor": (2, lambda d, _: (
+        ternalg.tensor_with_comm_assoc(d[0].bundle, d[1].bundle), None, None)),
+    "fix-slot": (1, lambda d, anchor: (
+        ternalg.fix_slot_bracket(d[0].bundle, _parse_anchor(anchor, d[0])), None, None)),
+    "trace-induce": (1, lambda d, _: (
+        ternalg.trace_induced(d[0].bundle, d[0].trace()), None, None)),
+    "semidirect": (1, lambda d, _: (ternalg.semidirect(d[0].require_rep()), None, None)),
+    "dual-rep": (1, _dual_rep),
+    "induce-pre": (1, _induce_pre),
+    "deform": (1, lambda d, _: (
+        ternalg.deform(d[0].require_map("N", "N_T"), d[0].bundle), None, None)),
+    "lift-nijenhuis": (1, _lift_nijenhuis),
+    "symplectic-pre": (1, lambda d, _: (
+        ternalg.symplectic_induced_pre(d[0].require_form(), d[0].bundle), None, None)),
+}
+
+
 def cmd_derive(args) -> int:
     """Build a derived bundle document; precondition failures exit 1 with a report."""
-    from .constructions import direct_sum, fix_slot_bracket, tensor_with_comm_assoc, trace_induced
-    from .operators import (
-        deform,
-        induced_pre_fmanifold,
-        lift_nijenhuis,
-        rb_induced_pre,
-        symplectic_induced_pre,
-    )
-    from .representations import dual_rep, semidirect
-
     construction, inputs = args.construction, args.inputs
-    want = _CONSTRUCTIONS[construction]
+    want, build = _CONSTRUCTIONS[construction]
     if len(inputs) != want:
         raise SchemaError(f"{construction} takes {want} input document(s), got {len(inputs)}")
     docs = [schema.load_document(p, complete_skew=args.complete_skew)[0] for p in inputs]
-
-    rep_out = None
-    maps_out = None
-    if construction == "direct-sum":
-        bundle = direct_sum(docs[0].bundle, docs[1].bundle)
-    elif construction == "tensor":
-        bundle = tensor_with_comm_assoc(docs[0].bundle, docs[1].bundle)
-    elif construction == "fix-slot":
-        if args.anchor_spec is None:
-            raise SchemaError("fix-slot needs --anchor")
-        bundle = fix_slot_bracket(docs[0].bundle, _parse_anchor(args.anchor_spec, docs[0]))
-    elif construction == "trace-induce":
-        bundle = trace_induced(docs[0].bundle, docs[0].trace())
-    elif construction == "semidirect":
-        bundle = semidirect(docs[0].require_rep())
-    elif construction == "dual-rep":
-        rep_out = dual_rep(docs[0].require_rep())
-        bundle = rep_out.algebra
-    elif construction == "induce-pre":
-        doc = docs[0]
-        if doc.rep is not None:
-            bundle = induced_pre_fmanifold(doc.require_map("T", "R"), doc.rep)
-        else:
-            bundle = rb_induced_pre(doc.require_map("R", "T"), doc.bundle)
-    elif construction == "deform":
-        bundle = deform(docs[0].require_map("N", "N_T"), docs[0].bundle)
-    elif construction == "lift-nijenhuis":
-        rep = docs[0].require_rep()
-        nt = lift_nijenhuis(docs[0].require_map("T"), rep)
-        bundle = semidirect(rep)
-        maps_out = {"N_T": nt}
-    elif construction == "symplectic-pre":
-        bundle = symplectic_induced_pre(docs[0].require_form(), docs[0].bundle)
-    else:  # pragma: no cover
-        raise SchemaError(f"unknown construction {construction!r}")
-
-    obj = schema.document_to_obj(bundle, rep=rep_out, maps=maps_out)
+    obj = schema.document_to_obj(*build(docs, args.anchor_spec))
     schema.save_document(obj, args.output_path)
     _note(f"wrote {args.output_path}")
     return 0

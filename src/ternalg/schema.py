@@ -33,6 +33,7 @@ from __future__ import annotations
 # structures first, for the peak RSS of a process that starts here (see cli)
 from .structures import AlgebraBundle, CheckReport, dimension_cap  # isort: skip
 
+import itertools
 import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -46,6 +47,10 @@ if TYPE_CHECKING:  # imported where a rep, form or trace block is read or writte
     from .representations import RepBundle
 
 SCHEMA_VERSION = 1
+
+# Each tensor block: its key, also the `AlgebraBundle` field, its order, and
+# how many of its leading slots --complete-skew alternates.
+_TENSORS = (("product", 3, 0), ("bracket", 4, 3), ("binary_bracket", 3, 2))
 
 
 class Document(Value, frozen=False):
@@ -110,10 +115,6 @@ def _check_cap(where: str, n: int):
                           "raise it with set_dimension_cap()")
 
 
-def _fmt_scalar(v: Fraction) -> str:
-    return str(v)
-
-
 def _parse_indices(entry, where: str, count: int, dim: int) -> tuple[int, ...]:
     idx = entry.get("indices")
     if not isinstance(idx, list) or len(idx) != count:
@@ -147,36 +148,17 @@ def _parse_sparse(raw, where: str, count: int, dim: int) -> dict[tuple[int, ...]
 def _complete_skew(entries: dict[tuple[int, ...], Fraction], count: int,
                    where: str) -> tuple[dict[tuple[int, ...], Fraction], int]:
     """Fill absent orientations of the first `count` slots by alternation."""
-    from itertools import permutations
-
     out = dict(entries)
-    filled = 0
     for idx, v in entries.items():
-        head, tail = idx[:count], idx[count:]
-        for perm in permutations(range(count)):
-            sign = 1
-            lst = list(perm)
-            for a in range(count):
-                for b in range(a + 1, count):
-                    if lst[a] > lst[b]:
-                        sign = -sign
-            new = tuple(head[p] for p in perm) + tail
-            val = sign * v
-            if new in entries:
-                if entries[new] != val:
-                    raise SchemaError(
-                        f"{where}: entries at {list(idx)} and {list(new)} conflict "
-                        "under skew-symmetric completion"
-                    )
-            elif new in out:
-                if out[new] != val:
-                    raise SchemaError(
-                        f"{where}: completion of {list(idx)} conflicts at {list(new)}"
-                    )
-            else:
-                out[new] = val
-                filled += 1
-    return out, filled
+        for perm in itertools.permutations(range(count)):
+            new = tuple(idx[p] for p in perm) + idx[count:]
+            val = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)) * v
+            if out.setdefault(new, val) != val:
+                raise SchemaError(
+                    f"{where}: entries at {list(idx)} and {list(new)} conflict under "
+                    "skew-symmetric completion" if new in entries
+                    else f"{where}: completion of {list(idx)} conflicts at {list(new)}")
+    return out, len(out) - len(entries)
 
 
 def _parse_matrix(raw, where: str, rows: int, cols: int) -> list[list[Fraction]]:
@@ -248,23 +230,14 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
             raise SchemaError(f"basis: expected a list of {dim} strings")
         basis = tuple(basis)
 
-    filled = 0
-    product = bracket = binary_bracket = None
-    if "product" in data:
-        entries = _parse_sparse(data["product"], "product", 3, dim)
-        product = Tensor(dim, 3, entries)
-    if "bracket" in data:
-        entries = _parse_sparse(data["bracket"], "bracket", 4, dim)
-        if complete_skew:
-            entries, f = _complete_skew(entries, 3, "bracket")
-            filled += f
-        bracket = Tensor(dim, 4, entries)
-    if "binary_bracket" in data:
-        entries = _parse_sparse(data["binary_bracket"], "binary_bracket", 3, dim)
-        if complete_skew:
-            entries, f = _complete_skew(entries, 2, "binary_bracket")
-            filled += f
-        binary_bracket = Tensor(dim, 3, entries)
+    filled, tensors = 0, {}
+    for key, order, skew in _TENSORS:
+        if key in data:
+            entries = _parse_sparse(data[key], key, order, dim)
+            if complete_skew:
+                entries, f = _complete_skew(entries, skew, key)
+                filled += f
+            tensors[key] = Tensor(dim, order, entries)
 
     unit = None
     if "unit" in data:
@@ -274,10 +247,7 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
         unit = Vec.basis(dim, u)
 
     try:
-        bundle = AlgebraBundle(
-            dim, product=product, bracket=bracket, binary_bracket=binary_bracket,
-            unit=unit, basis_labels=basis,
-        )
+        bundle = AlgebraBundle(dim, **tensors, unit=unit, basis_labels=basis)
     except Exception as exc:
         raise SchemaError(f"bundle: {exc}") from None
 
@@ -356,14 +326,11 @@ def save_document(obj: dict, path) -> None:
 
 
 def _sparse_out(nonzeros) -> list:
-    return [
-        {"indices": list(idx), "value": _fmt_scalar(v)}
-        for idx, v in sorted(nonzeros)
-    ]
+    return [{"indices": list(idx), "value": str(v)} for idx, v in sorted(nonzeros)]
 
 
 def _matrix_out(rows) -> list:
-    return [[_fmt_scalar(v) for v in row] for row in rows]
+    return [[str(v) for v in row] for row in rows]
 
 
 def document_to_obj(bundle: AlgebraBundle, rep: Optional[RepBundle] = None,
@@ -376,12 +343,9 @@ def document_to_obj(bundle: AlgebraBundle, rep: Optional[RepBundle] = None,
         ones = [i for i, v in enumerate(bundle.unit.entries) if v]
         if len(ones) == 1 and bundle.unit[ones[0]] == 1:
             out["unit"] = ones[0]
-    if bundle.product is not None:
-        out["product"] = _sparse_out(bundle.product.nonzeros())
-    if bundle.bracket is not None:
-        out["bracket"] = _sparse_out(bundle.bracket.nonzeros())
-    if bundle.binary_bracket is not None:
-        out["binary_bracket"] = _sparse_out(bundle.binary_bracket.nonzeros())
+    for key, _, _ in _TENSORS:
+        if getattr(bundle, key) is not None:
+            out[key] = _sparse_out(getattr(bundle, key).nonzeros())
     if rep is not None:
         from .representations import BiRep
 
@@ -420,7 +384,7 @@ def report_to_obj(report: CheckReport, timing_ms: Optional[float] = None) -> dic
             {
                 "identity": ce.identity,
                 "indices": list(ce.indices),
-                "residual": [_fmt_scalar(v) for v in ce.residual.entries],
+                "residual": [str(v) for v in ce.residual.entries],
             }
             for ce in report.counterexamples
         ],

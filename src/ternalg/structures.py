@@ -301,16 +301,16 @@ class _Ops:
     evaluator reads only the sizes and `tensors`, the tensors themselves.
 
     Every table starts as its support: the list of its nonzeros (i1, ...,
-    value index, value) in rank order, a tensor's built here from its
-    constants, a sub-map's by `_tabulate` on first use.  Two views are laid
-    out from it on first use: `tables` holds the nested rows the tuple scans
-    read (`_table`), `groups` the nonzeros by the index at one position,
-    which the contractions join and the planner counts (`_groups`).  A
-    tensor that is the same object as one of base's (an adjoint
-    representation's rho and mu) shares base's support, and its rows are
-    base's, laid out when first read (`shared` names base's operation).
-    `path` forces "contract" or "tuples" on every plan made on these tables
-    and on those built over them; None lets `_plan` choose."""
+    value index, value) in rank order, made on first read (`_built`), a
+    tensor's from its constants, a sub-map's by `_tabulate`.  Two views are
+    laid out from it on first use: `tables` holds the nested rows the tuple
+    scans read (`_table`), `groups` the nonzeros by the index at one
+    position, which the contractions join and the planner counts
+    (`_groups`).  A tensor that is the same object as one of base's (an
+    adjoint representation's rho and mu) is base's table, support and
+    views alike (`shared` names base's operation).  `path` forces
+    "contract" or "tuples" on every plan made on these tables and on those
+    built over them; None lets `_plan` choose."""
 
     __slots__ = ("sizes", "scales", "tensors", "tables", "support", "groups", "shared", "base",
                  "path")
@@ -324,18 +324,13 @@ class _Ops:
         self.sizes = dict(base.sizes) if base else {"k": 1}
         self.scales = {**base.scales, **scales} if base else scales
         self.tensors = {**base.tensors, **tensors} if base else tensors
-        self.support, self.tables, self.groups, self.shared = {}, {}, {}, {}
-        shared = {id(t): op for op, t in base.tensors.items()} if base else {}
+        self.support, self.tables, self.groups = {}, {}, {}
+        same = {id(t): op for op, t in base.tensors.items()} if base else {}
+        self.shared = {op: same[id(t)] for op, t in tensors.items() if id(t) in same}
         for op, t in tensors.items():
             for s, n in zip("".join(_SIGNATURES[op]), t.shape, strict=True):
                 if self.sizes.setdefault(s, n) != n:
                     raise InternalError(f"{op} of shape {t.shape} disagrees with {self.sizes}")
-            same, scale = shared.get(id(t)), scales[op]
-            if same:
-                self.support[op], self.shared[op] = _built(base, same).support[same], same
-            else:
-                self.support[op] = [idx + (v.numerator * scale // v.denominator,)
-                                    for idx, v in t.nonzeros()]
 
 
 def _dims(sizes: dict) -> str:
@@ -1150,43 +1145,52 @@ def _shape(ops: _Ops, m: Identity) -> tuple[tuple[int, ...], int]:
     return tuple(ops.sizes[s] for s in m.sorts), ops.sizes[m.out]
 
 
-def _built(ops: _Ops, op: str) -> _Ops:
-    """The `_Ops` that holds op's table: ops's base when it has every tensor
-    op reads, else ops; a sub-map is tabulated there on first use."""
+def _built(ops: _Ops, op: str) -> tuple[_Ops, str]:
+    """The `_Ops` that holds op's table, and op's name there: ops's base when
+    it has every tensor op reads, and base's own name for a tensor that is
+    one of base's; else ops and op.  The support is made there on first
+    read: a tensor's from its constants, a sub-map's by `_tabulate`."""
     while ops.base is not None and _TENSORS_OF[op] <= ops.base.tensors.keys():
         ops = ops.base
+    if op in ops.shared:
+        return _built(ops.base, ops.shared[op])
     if op not in ops.support:
-        _tabulate(ops, op)
-    return ops
+        if op in ops.tensors:
+            scale = ops.scales[op]
+            ops.support[op] = [idx + (v.numerator * scale // v.denominator,)
+                               for idx, v in ops.tensors[op].nonzeros()]
+        else:
+            _tabulate(ops, op)
+    return ops, op
 
 
 def _support(ops: _Ops, op: str) -> list:
     """The nonzeros (i1, ..., value index, value) of a tensor or sub-map, in
     rank order: every table's first form, from which the others are laid
     out."""
-    return _built(ops, op).support[op]
+    home, name = _built(ops, op)
+    return home.support[name]
 
 
 def _table(ops: _Ops, op: str):
     """The nested sparse rows of a tensor or sub-map, laid out from its
     support over the sizes of its slots' sorts when first read: the one
-    place rows are laid out.  A tensor shared with base reads base's rows."""
-    home = _built(ops, op)
-    rows = home.tables.get(op)
+    place rows are laid out."""
+    home, name = _built(ops, op)
+    rows = home.tables.get(name)
     if rows is None:
-        same, sizes = home.shared.get(op), [home.sizes[s] for s in _SIGNATURES[op][0]]
-        rows = home.tables[op] = (_table(home.base, same) if same
-                                  else nested_rows(sizes, home.support[op]))
+        rows = home.tables[name] = nested_rows([home.sizes[s] for s in _SIGNATURES[name][0]],
+                                               home.support[name])
     return rows
 
 
 def _groups(ops: _Ops, op: str, q: int) -> dict:
     """op's nonzeros by their index at position q (the value's at q = arity)."""
-    home = _built(ops, op)
-    hit = home.groups.get((op, q))
+    home, name = _built(ops, op)
+    hit = home.groups.get((name, q))
     if hit is None:
-        hit = home.groups[(op, q)] = {}
-        for e in _support(home, op):
+        hit = home.groups[(name, q)] = {}
+        for e in home.support[name]:
             hit.setdefault(e[q], []).append(e)
     return hit
 

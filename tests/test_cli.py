@@ -10,12 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ternalg
 from cli_runner import invoke
-from ternalg.catalog import fil4, trunc
+from ternalg import cli
+from ternalg.catalog import fil4, r_int, trunc
 from ternalg.linalg import Matrix
 from ternalg.operators import BilinearForm
 from ternalg.representations import RepKind, adjoint_rep, semidirect
-from ternalg.schema import document_to_obj, load_document
+from ternalg.schema import document_to_obj, dumps, load_document
 from ternalg.structures import StructureKind
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -215,6 +217,69 @@ def test_derive_symplectic_pre(tmp_path):
                   "-o", out).exit_code == 0
     assert invoke("check", "--kind", "ternary-pre-f-manifold",
                   out).exit_code == 0
+
+
+def dual(docs):
+    rep = ternalg.dual_rep(docs[0].require_rep())
+    return rep.algebra, rep
+
+
+def lift(docs):
+    rep = docs[0].require_rep()
+    return ternalg.semidirect(rep), None, {
+        "N_T": ternalg.lift_nijenhuis(docs[0].require_map("T"), rep)}
+
+
+def lifted():
+    return document_to_obj(*lift([load_document(fixture("r_int3"))[0]]))
+
+
+# Each derive case: its construction, its inputs (a fixture's name, or a
+# function that makes the document), its options, and document_to_obj's
+# arguments for the output the library's builders give on the parsed inputs.
+DERIVED = {
+    "direct-sum": ("direct-sum", ["fil4", "trunc3"], [],
+                   lambda d: (ternalg.direct_sum(d[0].bundle, d[1].bundle),)),
+    "tensor": ("tensor", ["fil4", "trunc2"], [],
+               lambda d: (ternalg.tensor_with_comm_assoc(d[0].bundle, d[1].bundle),)),
+    "fix-slot": ("fix-slot", ["fil4"], ["--anchor", "e4"],
+                 lambda d: (ternalg.fix_slot_bracket(d[0].bundle, d[0].bundle.basis(3)),)),
+    "trace-induce": ("trace-induce", ["gl2_trace"], [],
+                     lambda d: (ternalg.trace_induced(d[0].bundle, d[0].trace()),)),
+    "semidirect": ("semidirect", ["fil4_adjoint"], [],
+                   lambda d: (ternalg.semidirect(d[0].require_rep()),)),
+    "dual-rep": ("dual-rep", ["fil4_adjoint"], [], dual),
+    "induce-pre-rep": ("induce-pre", ["r_int3"], [], lambda d: (
+        ternalg.induced_pre_fmanifold(d[0].require_map("T"), d[0].require_rep()),)),
+    "induce-pre-map": ("induce-pre", [lambda: document_to_obj(trunc(5), maps={"R": r_int(5)})],
+                       [], lambda d: (ternalg.rb_induced_pre(r_int(5), trunc(5)),)),
+    "deform": ("deform", [lifted], [],
+               lambda d: (ternalg.deform(d[0].require_map("N_T"), d[0].bundle),)),
+    "lift-nijenhuis": ("lift-nijenhuis", ["r_int3"], [], lift),
+    "symplectic-pre": ("symplectic-pre", ["fil4_symplectic"], [], lambda d: (
+        ternalg.symplectic_induced_pre(d[0].require_form(), d[0].bundle),)),
+}
+
+
+@pytest.mark.parametrize("case", DERIVED)
+def test_derive_output_bytes_equal_the_library_builders(tmp_path, case):
+    construction, inputs, options, expected = DERIVED[case]
+    paths = []
+    for i, spec in enumerate(inputs):
+        if isinstance(spec, str):
+            paths.append(fixture(spec))
+        else:
+            paths.append(tmp_path / f"in{i}.json")
+            paths[-1].write_text(dumps(spec()))
+    out = tmp_path / "out.json"
+    r = invoke("derive", construction, *paths, *options, "-o", out)
+    assert (r.exit_code, r.stdout, r.stderr) == (0, "", f"wrote {out}\n")
+    docs = [load_document(p)[0] for p in paths]
+    assert out.read_text() == dumps(document_to_obj(*expected(docs)))
+
+
+def test_derive_byte_pins_cover_every_construction():
+    assert {construction for construction, *_ in DERIVED.values()} == set(cli._CONSTRUCTIONS)
 
 
 def symplectic_documents():

@@ -116,6 +116,9 @@ COMMAND = LOADED + """
 
 STRUCTURE_ABSENT = ["click", "ternalg.catalog", "ternalg.constructions", "ternalg.operators",
                     "ternalg.representations"]
+# a derive command loads the module that builds its output, and those its
+# input documents' blocks need
+CONSTRUCTION_ABSENT = ["click", "ternalg.catalog", "ternalg.operators", "ternalg.representations"]
 
 
 @pytest.mark.parametrize("args, absent", [
@@ -123,9 +126,17 @@ STRUCTURE_ABSENT = ["click", "ternalg.catalog", "ternalg.constructions", "ternal
     (["check", "--kind", "coherence", "fil4"], STRUCTURE_ABSENT),
     (["check", "--rep", "--kind", "ternary-fmanifold-rep", "fil4_adjoint"],
      ["click", "ternalg.catalog", "ternalg.operators"]),
-], ids=["structure-kind", "coherence", "rep-kind"])
-def test_command_loads_only_the_modules_it_runs(args, absent):
-    steps = loaded_in_fresh_process(COMMAND, *args[:-1], str(FIXTURES / f"{args[-1]}.json"))
+    (["derive", "direct-sum", "fil4", "trunc3"], CONSTRUCTION_ABSENT),
+    (["derive", "trace-induce", "gl2_trace"], CONSTRUCTION_ABSENT),
+    (["derive", "semidirect", "fil4_adjoint"], ["click", "ternalg.catalog", "ternalg.operators"]),
+], ids=["structure-kind", "coherence", "rep-kind", "derive-direct-sum", "derive-trace-induce",
+        "derive-semidirect"])
+def test_command_loads_only_the_modules_it_runs(args, absent, tmp_path):
+    args = [str(FIXTURES / f"{a}.json") if (FIXTURES / f"{a}.json").is_file() else a
+            for a in args]
+    if args[0] == "derive":
+        args += ["-o", str(tmp_path / "derived.json")]
+    steps = loaded_in_fresh_process(COMMAND, *args)
     assert steps["exit"] == 0
     # the CLI module loads what every command reads, and nothing else
     assert steps["cli"] == ["ternalg", "ternalg.cli", "ternalg.errors", "ternalg.linalg",

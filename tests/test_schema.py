@@ -202,6 +202,30 @@ def test_complete_skew_fills_and_conflicts():
         parse_document(json.dumps(bad), complete_skew=True)
 
 
+@pytest.mark.parametrize("key, entries, message", [
+    ("bracket", [([0, 1, 2, 0], 1), ([1, 0, 2, 0], 1)],
+     "bracket: entries at [0, 1, 2, 0] and [1, 0, 2, 0] conflict under skew-symmetric "
+     "completion"),
+    ("bracket", [([0, 1, 0, 0], 1)],
+     "bracket: completion of [0, 1, 0, 0] conflicts at [1, 0, 0, 0]"),
+], ids=["two-entries", "one-entry"])
+def test_complete_skew_conflict_messages(key, entries, message):
+    doc = {"schema_version": 1, "dim": 3,
+           key: [{"indices": idx, "value": v} for idx, v in entries]}
+    with pytest.raises(SchemaError) as exc:
+        parse_document(doc, complete_skew=True)
+    assert str(exc.value) == message
+
+
+def test_complete_skew_fills_binary_bracket():
+    doc = {"schema_version": 1, "dim": 3,
+           "binary_bracket": [{"indices": [0, 1, 2], "value": "1/2"}]}
+    doc, filled = parse_document(doc, complete_skew=True)
+    assert filled == 1
+    b = doc.bundle
+    assert b.br2(b.basis(1), b.basis(0)) == Vec([0, 0, Fraction(-1, 2)])
+
+
 def test_rep_block_roundtrip():
     doc, _ = parse_document((FIXTURES / "r_int3.json").read_text())
     rep = doc.require_rep()

@@ -46,6 +46,7 @@ from ternalg.representations import (
     check_coherence,
     check_representation,
     fix_slot_rep,
+    l1,
     semidirect,
 )
 from ternalg import structures
@@ -828,6 +829,22 @@ def test_adjoint_representation_shares_the_algebra_tables():
     assert structures._table(ops, "mu") is structures._table(base, "mul")
     assert structures._support(ops, "rho") is structures._support(base, "br3")
     assert structures._support(ops, "mu") is structures._support(base, "mul")
+
+
+def test_exact_evaluation_builds_no_support():
+    """A tensor's integer support is made when a scan first reads it, so the
+    exact evaluators, which read only the tensors, build none; the shared
+    tensors' groups are then base's own."""
+    sd = semidirect(adjoint_rep(fil4()))
+    b = dense(direct_sum(sd, sd))
+    r = adjoint_rep(b)
+    x = [b.basis(i) for i in range(4)]
+    eval_defect("comm", b, x[:2])
+    l1(r, *x)
+    ops = structures._ops(r)
+    assert ops.support == ops.base.support == {}
+    for q in range(4):
+        assert structures._groups(ops, "rho", q) is structures._groups(ops.base, "br3", q)
 
 
 def test_sweep_keeps_no_value_it_handed_on():

@@ -353,7 +353,8 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     from ternalg.errors import InternalError
     from ternalg.linalg import Vec
     from ternalg.representations import adjoint_rep, check_representation
-    from ternalg.structures import CheckReport, Counterexample, _ops, _table, check_axioms
+    from ternalg.structures import (CheckReport, Counterexample, _groups, _ops, _support,
+                                    _table, check_axioms)
 
     # the scan path forced on every integer table below, or "" to plan
     path = sys.argv[1] or None
@@ -371,25 +372,28 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
                                         counterexamples=(bad,), tuple_count=1))
 
     # e1 -> e1 at (e1, e1, e1), the first tuple in rank order, in op's
-    # integer support, and in its rows where they are laid out already
+    # integer support and in its rows, both read first; its groups, which
+    # the contractions join, are laid out from the support afterwards
     def corrupt(ops, op):
-        ops.support[op].insert(0, (0, 0, 0, 0, 1))
-        if op in ops.tables:
-            ops.tables[op][0][0][0] = ((0, 1),)
+        rows = _table(ops, op)
+        _support(ops, op).insert(0, (0, 0, 0, 0, 1))
+        rows[0][0][0] = ((0, 1),)
 
     # integer tables that disagree with the exact ones: e1 -> e1 at [e1,e1,e1]
     b = fil4()
     corrupt(_ops(b, path), "br3")
     structure_scan = raises(lambda: check_axioms("3-lie", b))
 
-    # the same for the integer rho table, shared with the algebra's br3, its
-    # rows read first: column e1 of rho(e1, e1) -> e1
+    # the same for the integer rho table, shared with the algebra's br3:
+    # column e1 of rho(e1, e1) -> e1
     r = adjoint_rep(fil4())
     ops = _ops(r, path)
     if _table(ops, "rho") is not _table(ops.base, "br3"):
         sys.exit("rho's rows are not shared")
     corrupt(ops, "rho")
     rep_scan = raises(lambda: check_representation("three-lie-rep", r))
+    if any(_groups(ops, "rho", q) is not _groups(ops.base, "br3", q) for q in range(4)):
+        sys.exit("rho's groups are not shared")
 
     # and for an operator condition: the symplectic scan reads the bundle's
     # integer bracket table, where [e1,e1,e1] -> e1 meets B(e1, e2) = 1

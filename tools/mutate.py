@@ -48,6 +48,8 @@ class Mutation(NamedTuple):
 
 STRUCTURES = "src/ternalg/structures.py"
 FASTPATH = "tests/test_structure_fastpath.py"
+CLI = "src/ternalg/cli.py"
+CLI_TESTS = "tests/test_cli.py"
 
 MUTATIONS = [
     # the four baseline mutants of the scan driver
@@ -91,6 +93,13 @@ MUTATIONS = [
         "hit.setdefault(e[q], []).append(e)",
         "hit.setdefault(e[q + 1], []).append(e)",
         kill=(f"{FASTPATH}::test_scan_is_L_times_the_exact_value[0]",)),
+    Mutation(
+        "shared-tensor-not-resolved", STRUCTURES,
+        "    if op in ops.shared:\n        return _built(ops.base, ops.shared[op])\n",
+        "",
+        kill=(f"{FASTPATH}::test_adjoint_representation_shares_the_algebra_tables",
+              f"{FASTPATH}::test_exact_evaluation_builds_no_support",
+              "tests/test_structures.py::test_invariants_survive_python_O")),
     # the exact evaluator's one operation: a vector's denominator dropped
     # from the result's, which a re-check at unit vectors meets wherever a
     # nested term's value carries denominators
@@ -180,6 +189,17 @@ MUTATIONS = [
         kill=("tests/test_operators.py::test_induced_zinbiel_rejects",
               "tests/test_operators.py::test_builder_precondition_failure_is_its_checkers"
               "[deform]")),
+    # the CLI's construction table: each builder's inputs and output blocks
+    Mutation(
+        "direct-sum-documents-swapped", CLI,
+        "ternalg.direct_sum(d[0].bundle, d[1].bundle)",
+        "ternalg.direct_sum(d[1].bundle, d[0].bundle)",
+        kill=(f"{CLI_TESTS}::test_derive_output_bytes_equal_the_library_builders[direct-sum]",)),
+    Mutation(
+        "dual-rep-writes-no-rep-block", CLI,
+        "return rep.algebra, rep, None",
+        "return rep.algebra, None, None",
+        kill=(f"{CLI_TESTS}::test_derive_output_bytes_equal_the_library_builders[dual-rep]",)),
 ]
 
 
