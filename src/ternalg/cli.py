@@ -30,6 +30,7 @@ from . import schema
 from .errors import PreconditionError, SchemaError, TernalgError
 from .linalg import Vec
 
+
 def _emit(obj: dict):
     sys.stdout.write(schema.dumps(obj))
 

@@ -15,6 +15,7 @@ import logging
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -372,10 +373,63 @@ def test_plan_and_contraction_debug_lines(caplog, monkeypatch):
                         max_counterexamples=2)
     assert "scan coh1: contraction; 3 contributions made, 193 of 1024 tuples covered" in [
         r.getMessage() for r in caplog.records]
-    # unforced, a scan this small stays on the tuple scan unestimated; at
-    # n = 16 the 67,200 representatives of fundamental cost under the
-    # margin, and the planner estimates both paths for hm3 and contracts it
-    caplog.clear()
+
+
+def test_plan_counts_the_full_range_when_the_certificate_cannot_apply(caplog):
+    """sd with one bracket entry whose skew images are missing: skew3 fails,
+    so fundamental's certificate is unused, and the sweep's plan counts
+    every tuple."""
+    sd = semidirect(adjoint_rep(fil4()))
+    bracket = dict(sd.bracket.nonzeros())
+    bracket[(0, 1, 2, 3)] = bracket.get((0, 1, 2, 3), 0) + Fraction(1, 2)
+    b = forced(AlgebraBundle(8, product=sd.product, bracket=Tensor(8, 4, bracket)), "tuples")
+    with caplog.at_level(logging.DEBUG, logger="ternalg"):
+        report = check_axioms("ternary-f-manifold", b, max_counterexamples=100)
+    text = [r.getMessage() for r in caplog.records]
+    assert "skew3" in {ce.identity for ce in report.counterexamples}
+    assert any(t.startswith("plan fundamental, dim 8: tuple scan (forced); ")
+               and ", tuple scan of 32768 tuples ~" in t for t in text)
+    assert any(t.startswith("scan fundamental: full range, certified ") for t in text)
+
+
+# -- the planner, under the cost model each test sets ------------------------------
+
+# The constants the planner tests below assume, those tools/plan_costs.py
+# fitted, with the 40 ms margin.  Each test sets them itself (`costs`), so a
+# refit or a new margin in `structures` changes the plans only there.
+COSTS = {"_TUPLE_COST": 1.1, "_TERM_COST": 0.6, "_STEP_COST": 1.4, "_CHUNK_COST": 10,
+         "_PROBE_COST": 2, "_CONTRIBUTION_COST": 4, "_MARGIN": 4 * 10 ** 5}
+
+PLAN_LINE = re.compile(r"plan (\S+), [^:]+: (contraction|tuple scan)( \(forced\))?; "
+                       r"contraction of (\d+) contributions ~([\d.]+) ms, "
+                       r"tuple scan of (\d+) tuples ~([\d.]+) ms")
+
+
+@pytest.fixture
+def costs(monkeypatch):
+    for name, value in COSTS.items():
+        monkeypatch.setattr(structures, name, value)
+
+
+def assert_plans_follow_their_estimates(lines):
+    """Each unforced plan among the debug lines, made under `COSTS`, that
+    estimates both paths takes the contraction exactly when its estimate,
+    plus the margin, is below the tuple scan's; returns those plans' (map,
+    path) pairs."""
+    chosen = []
+    for line in lines:
+        hit = PLAN_LINE.fullmatch(line)
+        if hit and not hit[3]:
+            contract, scan = float(hit[5]), float(hit[7])
+            assert (hit[2] == "contraction") == (contract + COSTS["_MARGIN"] / 1e4 < scan), line
+            chosen.append((hit[1], hit[2]))
+    return chosen
+
+
+def test_planner_debug_lines(caplog, costs):
+    """Under `COSTS`, coh1 at n = 4 stays on the tuple scan unestimated; at
+    n = 16 the 67,200 representatives of fundamental cost under the margin,
+    and the planner estimates both paths for hm3 and contracts it."""
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         check_coherence(scaled(noncoherent_tfm(*NONCOHERENT_A)))
         check_axioms("ternary-f-manifold", tfm4_trunc4())
@@ -384,23 +438,17 @@ def test_plan_and_contraction_debug_lines(caplog, monkeypatch):
         "within the margin" in text
     assert any(t.startswith("plan fundamental, dim 16: tuple scan; 67200 tuples ~")
                for t in text)
-    assert any(t.startswith("plan hm3, dim 16: contraction; contraction of ") for t in text)
+    assert ("hm3", "contraction") in assert_plans_follow_their_estimates(text)
     assert any(t.startswith("scan hm3: contraction; ") for t in text)
 
 
-def test_plan_counts_the_full_range_when_the_certificate_cannot_apply(caplog):
-    """sd with one bracket entry whose skew images are missing: skew3 fails,
-    so fundamental's certificate is unused, and the plan counts every tuple."""
-    sd = semidirect(adjoint_rep(fil4()))
-    bracket = dict(sd.bracket.nonzeros())
-    bracket[(0, 1, 2, 3)] = bracket.get((0, 1, 2, 3), 0) + Fraction(1, 2)
-    b = AlgebraBundle(8, product=sd.product, bracket=Tensor(8, 4, bracket))
-    with caplog.at_level(logging.DEBUG, logger="ternalg"):
-        report = check_axioms("ternary-f-manifold", b, max_counterexamples=100)
-    text = [r.getMessage() for r in caplog.records]
-    assert "skew3" in {ce.identity for ce in report.counterexamples}
-    assert any(t.startswith("plan fundamental, dim 8: tuple scan; 32768 tuples ~") for t in text)
-    assert any(t.startswith("scan fundamental: full range, certified ") for t in text)
+def test_within_the_margin_rests_on_a_contribution_costing_a_step_or_more():
+    """`_plan` keeps the sweep, unestimated, when its per-tuple costs alone
+    are within the margin.  That is sound while a contribution costs at
+    least a step: for c contributions, contract >= CONTRIBUTION * c >=
+    STEP * c >= the cost of the sweep's steps, so the contraction cannot
+    save more than the per-tuple costs."""
+    assert structures._CONTRIBUTION_COST >= structures._STEP_COST
 
 
 def test_plan_takes_the_contraction_only_past_the_margin(monkeypatch):
@@ -459,7 +507,7 @@ def _planned(ops, names, name):
     return structures._plan(ops, m, rows)
 
 
-def test_planner_on_dense_input(caplog):
+def test_planner_on_dense_input(caplog, costs):
     """On sd2 after a dense change of basis, fundamental's representatives
     cost under the margin and the zero product leaves hm3 and coh1-coh3
     nothing to contract.  Where a dense product and bracket interact, the
@@ -476,6 +524,8 @@ def test_planner_on_dense_input(caplog):
     for name in ("hm3", "coh1", "coh2", "coh3"):
         assert any(t.startswith(f"plan {name}, dim 16: contraction; contraction of 0 "
                                 "contributions") for t in text), name
+    assert set(assert_plans_follow_their_estimates(text)) == {
+        (name, "contraction") for name in ("hm3", "coh1", "coh2", "coh3")}
     caplog.clear()
     b = dense(tfm4_trunc4())
     ops = structures._ops(b)
@@ -487,9 +537,108 @@ def test_planner_on_dense_input(caplog):
         "plan leib3, dim 16: tuple scan", "plan hm3, dim 16: tuple scan",
         "plan coh1, dim 16: tuple scan"]
     assert plans[0].endswith("within the margin")
+    assert assert_plans_follow_their_estimates(plans) == [("hm3", "tuple scan"),
+                                                          ("coh1", "tuple scan")]
     for t in plans[1:]:
-        made = int(t.split("contraction of ")[1].split()[0])
-        assert made > 30_000_000 and "within the margin" not in t, t
+        assert int(t.split("contraction of ")[1].split()[0]) > 30_000_000, t
+
+
+# the watched inputs: paper scale, sparse at n = 8 and 16, a product and
+# bracket that interact at n = 16, and dense at n = 8
+WATCHED = {
+    "fil4": fil4,
+    "sd": lambda: semidirect(adjoint_rep(fil4())),
+    "sd2": lambda: direct_sum(*[semidirect(adjoint_rep(fil4()))] * 2),
+    "inter16": tfm4_trunc4,
+    "dense(sd)": lambda: dense(semidirect(adjoint_rep(fil4()))),
+}
+
+
+def plans_made(monkeypatch, b):
+    """{(ops, map, blocks): whether the map was contracted} for each plan
+    the 3-lie, ternary-f-manifold and coherence checks of b and the
+    ternary-fmanifold-rep check of its adjoint representation make, sub-map
+    tables' included, as each is first made."""
+    made = {}
+    nonzeros = structures._nonzeros
+
+    def spy(ops, m, blocks=()):
+        found = nonzeros(ops, m, blocks)
+        made.setdefault((ops, m, blocks), found[0] is not None)
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(structures, "_nonzeros", spy)
+        for kind in ("3-lie", "ternary-f-manifold", "coherence"):
+            check_axioms(kind, b)
+        check_representation("ternary-fmanifold-rep", adjoint_rep(b))
+    return made
+
+
+def counted_sweep(ops, m, blocks, every=True):
+    """m's generated sweep over the certified `blocks` on ops with each step,
+    an update of the value, adding one instead: (t, the steps taken at t)
+    for every tuple t it visits, or, unless `every`, for those at which it
+    takes a step."""
+    src, deps = structures._source(m, "sweep", blocks)
+    src = re.sub(r"out\[l\] [+-]= .*", "out[l] += 1", src)
+    if every:
+        src = src.replace("if out != zero:", "if True:")
+    make = structures._exec(src, m.name, "make")
+    sweep = make(*structures._shape(ops, m), *(structures._table(ops, d) for d in deps))
+    return [(t, sum(out)) for t, out in sweep()]
+
+
+@pytest.mark.parametrize("case", ["fil4", "sd", "dense(sd)"])
+def test_plan_estimates_count_each_paths_work(case, monkeypatch):
+    """`_plan` estimates both paths from counts, and these are the work each
+    forced path does, for every plan the watched checks make: a sweep visits
+    `_representative_count` tuples, a contraction makes `_contributions`
+    contributions, and a sweep over the whole range takes a step for each
+    of them."""
+    for path in PATHS:
+        plans = plans_made(monkeypatch, forced(WATCHED[case](), path))
+        assert plans and set(plans.values()) == {path == "contract"}
+        for ops, m, blocks in plans:
+            contributions = structures._contributions(ops, m)[1]
+            if path == "contract":
+                made, nonzeros = structures._nonzeros(ops, m, blocks)
+                for _ in nonzeros:
+                    pass
+                assert made == [contributions], m.name
+                continue
+            visits = counted_sweep(ops, m, blocks)
+            sizes = structures._shape(ops, m)[0]
+            assert len(visits) == structures._representative_count(sizes, blocks), m.name
+            if not blocks:
+                assert sum(steps for _, steps in visits) == contributions, m.name
+
+
+# Loop work, counted in iterations and not weighted by the cost model: a
+# sweep enters each term's loops at every tuple it visits and takes its
+# steps; a contraction makes its chunks, probes and contributions.  A sound
+# plan may take the path with more iterations, by up to the ratio of their
+# costs per iteration, which is under 3 in every fit so far; and loop work
+# under the floor, tens of milliseconds, is not judged.
+WORK_FACTOR, WORK_FLOOR = 4, 5 * 10 ** 5
+
+
+@pytest.mark.parametrize("case", sorted(WATCHED))
+def test_planned_work_is_near_the_cheaper_paths(case, monkeypatch):
+    """Under the constants in `structures`, whatever their fit, every plan
+    the watched checks make takes a path whose loop work is within
+    WORK_FACTOR of the other's, or under WORK_FLOOR.  Contracting dense
+    input breaks this: fundamental's contraction on dense(sd) takes 940,184
+    iterations, 13.5 times its sweep's; so does sweeping sd2's hm3, 887,808
+    iterations against 16."""
+    for (ops, m, blocks), contracted in plans_made(monkeypatch, WATCHED[case]()).items():
+        sizes = structures._shape(ops, m)[0]
+        probes, contributions = structures._contributions(ops, m)
+        steps = sum(s for _, s in counted_sweep(ops, m, blocks, every=False))
+        sweep = structures._representative_count(sizes, blocks) * len(m.terms) + steps
+        contract = sizes[0] + probes + contributions
+        planned, other = (contract, sweep) if contracted else (sweep, contract)
+        assert planned <= max(WORK_FLOOR, WORK_FACTOR * other), (m.name, planned, other)
 
 
 # -- identities as data: degrees, L times the exact value, the import-time checks ----
@@ -775,7 +924,7 @@ def test_partly_empty_sub_map_is_still_scanned(caplog):
     assert first == ["mul", "T"] and all(structures._support(ops, f) for f in first)
     assert support and structures._support(ops, "mu") == []
     built = [r.getMessage() for r in caplog.records if r.getMessage().startswith("built mu_T ")]
-    assert len(built) == 1 and " by tuple scan in " in built[0], built
+    assert len(built) == 1 and re.search(" by (tuple scan|contraction) in ", built[0]), built
     for path in PATHS:
         fast = structures._ops(owner(path))
         assert structures._support(fast, "mu_T") == support, path
@@ -1164,7 +1313,7 @@ def test_debug_events(caplog, monkeypatch):
     monkeypatch.setattr(structures, "_COMPILED", {})
     b = scaled(noncoherent_tfm(*NONCOHERENT_A))
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
-        report = check_coherence(b, max_counterexamples=100)
+        report = check_coherence(forced(b, "tuples"), max_counterexamples=100)
     assert not report.passed
     text = [r.getMessage() for r in caplog.records]
     assert all(r.name == "ternalg" and r.levelno == logging.DEBUG for r in caplog.records)

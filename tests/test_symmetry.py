@@ -34,7 +34,7 @@ from test_structure_fastpath import (
     random_bundle,
     scaled,
 )
-from ternalg import schema
+from ternalg import schema, structures
 from ternalg.catalog import _alternating_tensor4, fil4, fil4_adjoint, fil4_rb, r_int, trunc
 from ternalg.constructions import direct_sum
 from ternalg.linalg import Tensor, Tensor3, Tensor4, Vec
@@ -406,13 +406,17 @@ def scans(caplog):
 
 
 def agrees(b, label, names, caplog):
-    """Compare every k with the oracle; return the k = 100 report and the
-    scan lines of its run."""
+    """Compare every k with the oracle, as planned and on a copy of b forced
+    to the tuple path; return the k = 100 report and the scan lines of its
+    forced run."""
     expected = oracle.reports(b, names, label, KS)
+    swept = forced(AlgebraBundle(b.dim, product=b.product, bracket=b.bracket,
+                                 binary_bracket=b.binary_bracket), "tuples")
     for k in KS:
+        assert check(label, names, b, k) == expected[k], (label, k)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="ternalg"):
-            assert check(label, names, b, k) == expected[k], (label, k)
+            assert check(label, names, swept, k) == expected[k], (label, k, "tuples")
     return expected[max(KS)], scans(caplog)
 
 
@@ -501,19 +505,35 @@ def test_coherence_near_miss_n8(caplog):
 
 # -- observability -----------------------------------------------------------------
 
-def test_scan_debug_lines(caplog):
-    b = fil4_with_product(NILPOTENT[0])
+def test_scan_debug_lines(caplog, monkeypatch):
+    b = forced(fil4_with_product(NILPOTENT[0]), "tuples")
+    read = {}
+    nonzeros = structures._nonzeros
+
+    def counted(ops, m, blocks=()):  # each map's nonzeros, counted as its scan reads them
+        made, found = nonzeros(ops, m, blocks)
+        read[m.name] = 0
+
+        def each():
+            for item in found:
+                read[m.name] += 1
+                yield item
+        return made, each()
+
+    monkeypatch.setattr(structures, "_nonzeros", counted)
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
         report = check_axioms("ternary-f-manifold", b)
     assert not report.passed
+    # every nonzero of hm3 fails, and the budget of one fills with the
+    # first: its scan reads no further nonzero
+    assert read["hm3"] == 1
     assert list(scans(caplog).values()) == [
         "scan comm: symmetry-reduced over alt(x1,x2) given no identity; 6 of 16 tuples scanned",
         "scan assoc: symmetry-reduced over alt(x1,x3) given comm; 24 of 64 tuples scanned",
         "scan skew3: full range; 64 of 64 tuples scanned",
         "scan fundamental: symmetry-reduced over alt(x1,x2) alt(x3,x4,x5) given skew3; "
         "24 of 1024 tuples scanned",
-        # the budget of one fills with the first failing representative,
-        # released before the next representative is scanned
+        # the first failing representative fills the budget of one
         f"scan hm3: symmetry-reduced over sym(x1,x2) sym(x4,x5) given comm; "
         f"{scanned_until(b, report)} of 1024 tuples scanned",
     ]
@@ -543,13 +563,13 @@ def report_bytes(report):
 
 def three_ways(build, algebra_of, run, expected, caplog):
     """At each k, run(owner, k) on a fresh build() gives the report bytes of
-    expected(k), an oracle's: with the contraction forced, which covers the
-    full range, with the tuple path forced, and as planned, which at these
-    sizes sweeps the certified representatives.  Returns the planned k = 100
-    report and its scan lines."""
+    expected(k), an oracle's: as planned, with the contraction forced, which
+    covers the full range, and with the tuple path forced, which sweeps the
+    certified representatives.  Returns the k = 100 report and the scan
+    lines of the forced tuple path."""
     for k in KS:
         want = report_bytes(expected(k))
-        for path in ("contract", "tuples", None):
+        for path in (None, "contract", "tuples"):
             owner = build()
             forced(algebra_of(owner), path)
             caplog.clear()

@@ -64,7 +64,7 @@ MUTATIONS = [
         "comb(N + k - 1, k) if sign > 0 else comb(N, k)",
         "comb(N + k - 1, k) if sign > 0 else comb(N + 1, k)",
         kill=("tests/test_symmetry.py::test_representative_counts_at_n16",
-              f"{FASTPATH}::test_plan_and_contraction_debug_lines")),
+              "tests/test_symmetry.py::test_scan_debug_lines")),
     Mutation(
         "strict-start-swapped", STRUCTURES,
         """f"x{prev}{' + 1' if sign < 0 else ''}, \"""",
@@ -74,7 +74,8 @@ MUTATIONS = [
         "orbit-release-strict", STRUCTURES,
         "while waiting and waiting[0] <= t and len(found) < budget:",
         "while waiting and waiting[0] < t and len(found) < budget:",
-        kill=(f"{FASTPATH}::test_plan_and_contraction_debug_lines",)),
+        kill=("tests/test_symmetry.py::test_scan_debug_lines",
+              f"{FASTPATH}::test_plan_and_contraction_debug_lines")),
     # the table layer: every table starts as its support
     Mutation(
         "nested-rows-drop-a-nonzero", "src/ternalg/linalg.py",
@@ -88,6 +89,19 @@ MUTATIONS = [
         "v.numerator,",
         kill=("tests/test_linalg.py::test_tensor_is_structural_and_sparse",
               f"{FASTPATH}::test_support_first_tables_equal_both_forced_paths[dense8]")),
+    # the contraction: each chunk's nonzeros in rank order, and a nested
+    # term joined on the inner table's value
+    Mutation(
+        "chunk-keys-unsorted", STRUCTURES,
+        "for k in sorted(k for k, v in acc.items() if v):",
+        "for k in [k for k, v in acc.items() if v]:",
+        kill=(f"{FASTPATH}::test_failure_reports_equal_on_both_paths[tfm4_scaled]",)),
+    Mutation(
+        "nested-join-on-the-wrong-position", STRUCTURES,
+        'rows, then = group(inner, len(slots)), names(slots + ("_", "v"))',
+        'rows, then = group(inner, len(slots) - 1), names(slots + ("_", "v"))',
+        kill=(f"{FASTPATH}::test_contraction_is_L_times_the_exact_value_on_interacting_tables"
+              "[tfm4]",)),
     Mutation(
         "groups-keyed-one-position-off", STRUCTURES,
         "hit.setdefault(e[q], []).append(e)",
