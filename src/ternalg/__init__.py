@@ -27,7 +27,7 @@ _EXPORTS = {
         "NotRotaBaxter", "NotSkew", "PreconditionError", "SchemaError", "SingularMatrix",
         "TernalgError",
     ),
-    "linalg": ("InterMap", "Matrix", "Scalar", "Tensor", "Tensor3", "Tensor4", "Vec", "invert"),
+    "linalg": ("InterMap", "Matrix", "Scalar", "Tensor", "Vec", "invert"),
     "operators": (
         "BilinearForm", "check_cyclic_2cocycle", "check_nijenhuis", "check_relative_rb",
         "check_relative_rb_3lie", "check_relative_rb_comm", "check_symplectic", "deform",

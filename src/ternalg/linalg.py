@@ -14,7 +14,7 @@ import itertools
 import re
 from fractions import Fraction
 from math import lcm, prod
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -416,7 +416,9 @@ def nested_rows(sizes: Sequence[int], entries: Iterable[tuple]) -> list:
 
 
 class _FixedOrder:
-    """Constructors of `Tensor`s of one order."""
+    """Square `Tensor`s of one order, unexported, for their last users,
+    `perfbench/gen.py` and `perfbench/test_perfbench.py`: these go in the first
+    change after the benchmark moves those to `Tensor` (ROADMAP item 1, stage 2)."""
 
     def __init__(self, order: int):
         self.order = order
@@ -424,18 +426,11 @@ class _FixedOrder:
     def zero(self, n: int) -> Tensor:
         return Tensor(n, self.order, {})
 
-    def build(self, n: int, fn: Callable[..., object]) -> Tensor:
-        """The tensor with constant fn(*indices) at each of the n**order cells."""
-        return Tensor(n, self.order, ((idx, fn(*idx))
-                                      for idx in itertools.product(range(n), repeat=self.order)))
-
     def from_nonzeros(self, n: int, nonzeros) -> Tensor:
         return Tensor(n, self.order, nonzeros)
 
 
-# binary products and brackets: e_i * e_j = sum_k c[i, j, k] e_k
 Tensor3 = _FixedOrder(3)
-# ternary brackets: [e_i, e_j, e_k] = sum_l f[i, j, k, l] e_l
 Tensor4 = _FixedOrder(4)
 
 

@@ -38,7 +38,7 @@ import json
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .errors import SchemaError
+from .errors import SchemaError, TernalgError
 from .linalg import ZERO, InterMap, Matrix, Tensor, Value, Vec, parse_rational
 
 if TYPE_CHECKING:  # imported where a rep, form or trace block is read or written
@@ -248,7 +248,7 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
 
     try:
         bundle = AlgebraBundle(dim, **tensors, unit=unit, basis_labels=basis)
-    except Exception as exc:
+    except TernalgError as exc:  # a library fault (InternalError, TypeError) propagates
         raise SchemaError(f"bundle: {exc}") from None
 
     rep = None
@@ -271,7 +271,7 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
                                                    _parse_action(raw["rho"], "rho", dim, m)))
         try:
             rep = RepBundle(algebra=bundle, rho=rho, mu=mu)
-        except Exception as exc:
+        except TernalgError as exc:
             raise SchemaError(f"rep: {exc}") from None
 
     maps: dict[str, InterMap] = {}

@@ -1197,12 +1197,13 @@ def _groups(ops: _Ops, op: str, q: int) -> dict:
 # The planner's cost model, in tenths of a microsecond: a tuple scan pays
 # _TUPLE_COST per tuple, _TERM_COST per term of each tuple and _STEP_COST per
 # step of its inner loops; a contraction _CHUNK_COST per chunk, _PROBE_COST per
-# inner nonzero it joins and _CONTRIBUTION_COST per contribution.  Measured by
-# tools/plan_costs.py, which fits both loops' times over every identity and
-# sub-map on random n = 7 bundles of four densities: on an x86_64 vCPU with
-# CPython 3.11, three runs fitted 0.9-1.4, 0.45-0.72, 1.35-1.40, 8-9, 0.9-1.4
-# and 3.4-3.6, and these constants predict the sweeps' measured times within
-# 0.5x to 1.8x, with the middle half of the maps' ratios in 0.7x-1.1x.
+# probe and _CONTRIBUTION_COST per contribution (see `_contributions`).
+# Measured by tools/plan_costs.py, which fits both loops' times over every
+# identity and sub-map on random n = 7 bundles of four densities: on an x86_64
+# vCPU with CPython 3.11, three runs fitted 0.9-1.4, 0.45-0.72, 1.35-1.40, 8-9,
+# 1.05-2.82 and 3.4-3.6 (the probe cost in later runs, whose other five were
+# 0.5-0.8 of these), and these constants predict the sweeps' measured times
+# within 0.5x to 1.8x, with the middle half of the maps' ratios in 0.7x-1.1x.
 # The contraction is taken only when it is estimated to save more than
 # _MARGIN, 40 ms; below that the tuple scan, with its pinned sources and
 # certified symmetries, is kept.  No test restates these values: the
@@ -1216,10 +1217,11 @@ _MARGIN = 4 * 10 ** 5
 
 
 def _contributions(ops: _Ops, m: Identity) -> tuple[int, int]:
-    """The inner nonzeros a contraction of m on ops joins, and the
-    contributions it makes: a term's are the nonzeros of its table, or, with
-    a nested argument, the sum over values v of (inner nonzeros of value v)
-    times (outer nonzeros with v at the nested position)."""
+    """The probes a contraction of m on ops makes, and its contributions: a
+    term's are the nonzeros of its table, or, with a nested argument, the
+    sum over values v of (inner nonzeros of value v) times (outer nonzeros
+    with v at the nested position); such a term probes one table once per
+    nonzero of the other, the one binding slot 0 (`_contraction_source`)."""
     probes = contributions = 0
     for _, (op, args) in m.terms:
         nested = [(p, a) for p, a in enumerate(args) if not isinstance(a, int)]
@@ -1228,7 +1230,7 @@ def _contributions(ops: _Ops, m: Identity) -> tuple[int, int]:
             continue
         (p, (inner, slots)), = nested
         outer, values = _groups(ops, op, p), _groups(ops, inner, len(slots))
-        probes += len(_support(ops, inner))
+        probes += len(_support(ops, inner if 0 in slots else op))
         contributions += sum(len(es) * len(outer.get(v, ())) for v, es in values.items())
     return probes, contributions
 

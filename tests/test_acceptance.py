@@ -29,7 +29,7 @@ from ternalg.constructions import (
     tensor_with_comm_assoc,
     trace_induced,
 )
-from ternalg.linalg import InterMap, Matrix, Tensor3, Tensor4, Vec, invert
+from ternalg.linalg import InterMap, Matrix, Tensor, Vec, invert
 from ternalg.operators import (
     BilinearForm,
     check_cyclic_2cocycle,
@@ -214,36 +214,30 @@ def test_c06_lift_and_induced_rep():
     alg_v = subadjacent_ternary_fmanifold(induced_pre_fmanifold(t, rep))
     n = m = 3
 
-    expected_product = [
-        [[Fraction(0)] * (n + m) for _ in range(n + m)] for _ in range(n + m)
-    ]
+    expected_product = {}  # (i, j, k) -> constant; later writes win, as on a dense array
     for p, q in itertools.product(range(m), repeat=2):
         w = alg_v.mul(alg_v.basis(p), alg_v.basis(q))
         for k in range(m):
-            expected_product[n + p][n + q][n + k] = w[k]
+            expected_product[n + p, n + q, n + k] = w[k]
     for p, i in itertools.product(range(m), range(n)):
         w = rep_a.mu.mats[p].column(i)
         for k in range(n):
-            expected_product[n + p][i][k] = w[k]
-            expected_product[i][n + p][k] = w[k]
-    assert deformed.product == Tensor3.build(n + m, lambda i, j, k: expected_product[i][j][k])
+            expected_product[n + p, i, k] = w[k]
+            expected_product[i, n + p, k] = w[k]
+    assert deformed.product == Tensor(n + m, 3, expected_product)
 
-    expected_bracket = [
-        [[[Fraction(0)] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-        for _ in range(n + m)
-    ]
+    expected_bracket = {}
     for p, q, s in itertools.product(range(m), repeat=3):
         w = alg_v.br3(alg_v.basis(p), alg_v.basis(q), alg_v.basis(s))
         for k in range(m):
-            expected_bracket[n + p][n + q][n + s][n + k] = w[k]
+            expected_bracket[n + p, n + q, n + s, n + k] = w[k]
     for p, q, i in itertools.product(range(m), range(m), range(n)):
         w = rep_a.rho.mats[p][q].column(i)
         for k in range(n):
-            expected_bracket[n + p][n + q][i][k] = w[k]      # [u,v,x] -> rho_T(u,v)x
-            expected_bracket[n + q][i][n + p][k] = -w[k]     # [v,x,u] = -[v,u,x]
-            expected_bracket[i][n + p][n + q][k] = w[k]      # [x,u,v] -> rho_T(u,v)x
-    assert deformed.bracket == Tensor4.build(
-        n + m, lambda i, j, k, l: expected_bracket[i][j][k][l])
+            expected_bracket[n + p, n + q, i, k] = w[k]      # [u,v,x] -> rho_T(u,v)x
+            expected_bracket[n + q, i, n + p, k] = -w[k]     # [v,x,u] = -[v,u,x]
+            expected_bracket[i, n + p, n + q, k] = w[k]      # [x,u,v] -> rho_T(u,v)x
+    assert deformed.bracket == Tensor(n + m, 4, expected_bracket)
     done(6, "N_T lift, induced representation, block expansion")
 
 
@@ -273,7 +267,7 @@ def test_c07_dual_and_coherence():
 
 
 def test_c08_symplectic_suite():
-    z2 = AlgebraBundle(2, product=Tensor3.zero(2), bracket=Tensor4.zero(2))
+    z2 = AlgebraBundle(2, product=Tensor(2, 3, {}), bracket=Tensor(2, 4, {}))
     B = BilinearForm(Matrix([[0, 1], [-1, 0]]))
     assert check_cyclic_2cocycle(B, z2).passed
     assert check_symplectic(B, z2).passed

@@ -38,7 +38,7 @@ from ternalg.constructions import (
     tensor_with_comm_assoc,
     trace_induced,
 )
-from ternalg.linalg import InterMap, Matrix, Tensor3, Tensor4, Vec
+from ternalg.linalg import InterMap, Matrix, Tensor, Vec
 from ternalg.operators import (
     BilinearForm,
     deform,
@@ -73,9 +73,9 @@ def rational(seed, n, density=0.3):
                 for idx in itertools.product(range(n), repeat=arity)
                 if rng.random() < density}
 
-    return AlgebraBundle(n, product=Tensor3.from_nonzeros(n, nonzeros(3)),
-                         bracket=Tensor4.from_nonzeros(n, nonzeros(4)),
-                         binary_bracket=Tensor3.from_nonzeros(n, nonzeros(3)))
+    return AlgebraBundle(n, product=Tensor(n, 3, nonzeros(3)),
+                         bracket=Tensor(n, 4, nonzeros(4)),
+                         binary_bracket=Tensor(n, 3, nonzeros(3)))
 
 
 def doc(bundle, rep=None, maps=None):

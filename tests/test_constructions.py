@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -17,13 +16,13 @@ from ternalg.constructions import (
     trace_induced,
 )
 from ternalg.errors import MissingTensor, NotATrace
-from ternalg.linalg import Tensor3, Tensor4, Vec
+from ternalg.linalg import Tensor, Vec
 from ternalg.representations import adjoint_rep
 from ternalg.structures import AlgebraBundle, check_axioms
 
 
 def zero_bundle(n):
-    return AlgebraBundle(n, product=Tensor3.zero(n), bracket=Tensor4.zero(n))
+    return AlgebraBundle(n, product=Tensor(n, 3, {}), bracket=Tensor(n, 4, {}))
 
 
 # -- direct sum ---------------------------------------------------------------
@@ -51,7 +50,7 @@ def test_direct_sum_block_embedding():
 
 def test_direct_sum_requires_tensors():
     with pytest.raises(MissingTensor):
-        direct_sum(AlgebraBundle(2, product=Tensor3.zero(2)), zero_bundle(2))
+        direct_sum(AlgebraBundle(2, product=Tensor(2, 3, {})), zero_bundle(2))
 
 
 # -- tensor with a commutative associative factor ------------------------------
@@ -85,7 +84,7 @@ def test_tensor_unit():
         AlgebraBundle(
             2,
             product=trunc(2).product,
-            bracket=Tensor4.zero(2),
+            bracket=Tensor(2, 4, {}),
             unit=Vec.basis(2, 0),
         ),
         trunc(2),
@@ -120,14 +119,14 @@ def test_fix_slot_linear_in_anchor():
     t1 = fix_slot_bracket(f, a1).binary_bracket
     t2 = fix_slot_bracket(f, a2).binary_bracket
     ts = fix_slot_bracket(f, a1 + a2).binary_bracket
-    got = Tensor3.build(4, lambda i, j, k: t1[i, j, k] + t2[i, j, k])
+    got = Tensor(4, 3, [*t1.nonzeros(), *t2.nonzeros()])  # repeated indices add up
     assert ts == got
 
 
 # -- traces ----------------------------------------------------------------------
 
 def test_check_trace_zero_bracket():
-    b = AlgebraBundle(2, binary_bracket=Tensor3.zero(2))
+    b = AlgebraBundle(2, binary_bracket=Tensor(2, 3, {}))
     assert check_trace(b, TraceFunctional.dual_of(2, 0)).passed
 
 
@@ -180,7 +179,7 @@ def test_induced_condition_unital_with_zero_trace():
     # finite dimension; the zero trace satisfies it and the condition passes
     t = trunc(3)
     b = AlgebraBundle(
-        3, product=t.product, binary_bracket=Tensor3.zero(3), unit=t.unit
+        3, product=t.product, binary_bracket=Tensor(3, 3, {}), unit=t.unit
     )
     assert check_induced_condition(b, TraceFunctional.zero(3)).passed
 
@@ -188,7 +187,7 @@ def test_induced_condition_unital_with_zero_trace():
 def test_induced_condition_trunc2_dual_of_unit():
     t = trunc(2)
     b = AlgebraBundle(
-        2, product=t.product, binary_bracket=Tensor3.zero(2), unit=t.unit
+        2, product=t.product, binary_bracket=Tensor(2, 3, {}), unit=t.unit
     )
     tau = TraceFunctional.dual_of(2, 0)
     assert check_induced_condition(b, tau).passed
@@ -200,13 +199,13 @@ def test_induced_condition_trunc2_dual_of_unit():
 # -- symmetrisation and sub-adjacent structures -----------------------------------
 
 def test_symmetrize_zero():
-    b = AlgebraBundle(2, product=Tensor3.zero(2))
+    b = AlgebraBundle(2, product=Tensor(2, 3, {}))
     assert symmetrize_zinbiel(b).product.is_zero()
 
 
 def test_symmetrize_half_product_recovers():
     t = trunc(3)
-    half = Tensor3.build(3, lambda i, j, k: Fraction(t.product[i, j, k], 2))
+    half = Tensor(3, 3, {idx: v / 2 for idx, v in t.product.nonzeros()})
     b = AlgebraBundle(3, product=half)
     assert symmetrize_zinbiel(b).product == t.product
 
@@ -229,7 +228,7 @@ def test_subadjacent_commutator_of_skew_bracket_is_triple():
     f = fil4()
     p = AlgebraBundle(4, bracket=f.bracket)
     out = subadjacent_commutator(p)
-    tripled = Tensor4.build(4, lambda i, j, k, l: 3 * f.bracket[i, j, k, l])
+    tripled = Tensor(4, 4, {idx: 3 * v for idx, v in f.bracket.nonzeros()})
     assert out.bracket == tripled
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import pathlib
 import random
@@ -14,8 +15,6 @@ from ternalg.linalg import (
     InterMap,
     Matrix,
     Tensor,
-    Tensor3,
-    Tensor4,
     Vec,
     invert,
 )
@@ -31,7 +30,7 @@ def rand_vec(rng, n):
 
 
 def trunc_product(n):
-    return Tensor3.build(n, lambda i, j, k: 1 if i + j == k else 0)
+    return Tensor(n, 3, {(i, j, i + j): 1 for i in range(n) for j in range(n - i)})
 
 
 def mul(t, x, y):
@@ -69,7 +68,7 @@ def test_scalar_lowest_terms():
 # -- products through AlgebraBundle.mul -----------------------------------------
 
 def test_bilinear_zero_tensor():
-    t = Tensor3.zero(3)
+    t = Tensor(3, 3, {})
     rng = random.Random(1)
     assert mul(t, rand_vec(rng, 3), rand_vec(rng, 3)) == Vec.zero(3)
 
@@ -212,20 +211,21 @@ def test_intermap_tensor_is_derived_from_the_matrix(flags):
 
 def test_tensor_shape_validation():
     with pytest.raises(DimensionMismatch):
-        Tensor3.from_nonzeros(2, {(0, 1): 1})  # too few indices
+        Tensor(2, 3, {(0, 1): 1})  # too few indices
     with pytest.raises(DimensionMismatch):
-        Tensor4.from_nonzeros(2, {(0, 1, 2, 0): 1})  # index 2 out of range
+        Tensor(2, 4, {(0, 1, 2, 0): 1})  # index 2 out of range
     with pytest.raises(DimensionMismatch):
-        Tensor3.from_nonzeros(2, {(0, -1, 0): 1})
+        Tensor(2, 3, {(0, -1, 0): 1})
 
 
 def test_tensor_is_structural_and_sparse():
-    t = Tensor3.from_nonzeros(3, {(2, 0, 1): Fraction(3, 4), (0, 1, 2): -1, (1, 1, 1): 0})
+    t = Tensor(3, 3, {(2, 0, 1): Fraction(3, 4), (0, 1, 2): -1, (1, 1, 1): 0})
     assert t == Tensor(3, 3, [((0, 1, 2), -2), ((2, 0, 1), Fraction(3, 4)), ((0, 1, 2), 1)])
-    assert hash(t) == hash(Tensor3.build(3, lambda *idx: t[idx]))
+    every_cell = {idx: t[idx] for idx in itertools.product(range(3), repeat=3)}  # zeros too
+    assert hash(t) == hash(Tensor(3, 3, every_cell))
     assert t.nonzeros() == (((0, 1, 2), -1), ((2, 0, 1), Fraction(3, 4)))
     assert t[2, 0, 1] == Fraction(3, 4) and t[1, 1, 1] == 0
-    assert t != Tensor4.zero(3) and Tensor3.from_nonzeros(3, {(0, 0, 0): 0}).is_zero()
+    assert t != Tensor(3, 4, {}) and Tensor(3, 3, {(0, 0, 0): 0}).is_zero()
     assert t.den_lcm() == 4
     # a bundle's integer tables of t, times its scale 4; exact values come
     # from t itself, at basis and at rational vectors

@@ -27,7 +27,7 @@ from ternalg.catalog import (
     trunc,
 )
 from ternalg.constructions import TraceFunctional, check_induced_condition, check_trace
-from ternalg.linalg import InterMap, Matrix, Tensor, Tensor3, Tensor4, Vec, invert
+from ternalg.linalg import InterMap, Matrix, Tensor, Vec, invert
 from ternalg.operators import (
     BilinearForm,
     check_cyclic_2cocycle,
@@ -57,11 +57,15 @@ def rand_matrix(rng, rows, cols, dens):
 
 
 def rand_algebra(rng, n):
+    def tensor(order, dens):  # one draw per cell, in index order
+        return Tensor(n, order, {idx: rand_q(rng, dens)
+                                 for idx in itertools.product(range(n), repeat=order)})
+
     return AlgebraBundle(
         n,
-        product=Tensor3.build(n, lambda *_: rand_q(rng, DENS["product"])),
-        bracket=Tensor4.build(n, lambda *_: rand_q(rng, DENS["bracket"])),
-        binary_bracket=Tensor3.build(n, lambda *_: rand_q(rng, DENS["binary_bracket"])),
+        product=tensor(3, DENS["product"]),
+        bracket=tensor(4, DENS["bracket"]),
+        binary_bracket=tensor(3, DENS["binary_bracket"]),
     )
 
 

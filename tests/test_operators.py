@@ -35,7 +35,7 @@ from ternalg.errors import (
     NotSymplectic,
     SingularMatrix,
 )
-from ternalg.linalg import InterMap, Matrix, Tensor3, Tensor4, Vec, invert
+from ternalg.linalg import InterMap, Matrix, Tensor, Vec, invert
 from ternalg.operators import (
     BilinearForm,
     check_cyclic_2cocycle,
@@ -241,7 +241,7 @@ def test_invertible_rb_identity_recovers(pre_f4):
 
 
 def test_invertible_rb_diagonal_on_zero_structure():
-    z = AlgebraBundle(2, product=Tensor3.zero(2), bracket=Tensor4.zero(2))
+    z = AlgebraBundle(2, product=Tensor(2, 3, {}), bracket=Tensor(2, 4, {}))
     r = RepBundle(algebra=z, rho=BiRep.zero(2, 2), mu=LinRep.zero(2, 2))
     out = invertible_rb_to_pre(InterMap(Matrix([[2, 0], [0, 3]])), r)
     assert out.product.is_zero() and out.bracket.is_zero()
@@ -284,7 +284,7 @@ def test_homomorphism_law_all_tuples(pre_f4):
 # -- bilinear forms ------------------------------------------------------------------
 
 def test_form_checks_zero_structures():
-    z = AlgebraBundle(2, product=Tensor3.zero(2), bracket=Tensor4.zero(2))
+    z = AlgebraBundle(2, product=Tensor(2, 3, {}), bracket=Tensor(2, 4, {}))
     B = BilinearForm(Matrix([[0, 1], [-1, 0]]))
     assert check_cyclic_2cocycle(B, z).passed
     assert check_symplectic(B, z).passed
@@ -323,7 +323,7 @@ def test_fil4_form_passes_both():
 # -- symplectic-induced pre-structure ---------------------------------------------------
 
 def test_symplectic_pre_zero_algebra():
-    z = AlgebraBundle(2, product=Tensor3.zero(2), bracket=Tensor4.zero(2))
+    z = AlgebraBundle(2, product=Tensor(2, 3, {}), bracket=Tensor(2, 4, {}))
     B = BilinearForm(Matrix([[0, 1], [-1, 0]]))
     out = symplectic_induced_pre(B, z)
     assert out.product.is_zero() and out.bracket.is_zero()
@@ -360,7 +360,7 @@ def test_musical_inverse_is_relative_rb_on_coadjoint():
 
 def test_symplectic_pre_requires_coherence():
     bad = AlgebraBundle(
-        2, product=Tensor3.from_nonzeros(2, {(0, 1, 0): 1}), bracket=Tensor4.zero(2)
+        2, product=Tensor(2, 3, {(0, 1, 0): 1}), bracket=Tensor(2, 4, {})
     )
     with pytest.raises(NotCoherent):
         symplectic_induced_pre(BilinearForm(Matrix([[0, 1], [-1, 0]])), bad)
@@ -369,8 +369,8 @@ def test_symplectic_pre_requires_coherence():
 def product4():
     """Zero bracket, e2 e4 = e4 e2 = -e3 and e4 e4 = 2 e1: coherent, and W4 is
     a symplectic cyclic 2-cocycle on it with a nonzero pre-product."""
-    return AlgebraBundle(4, product=Tensor3.from_nonzeros(
-        4, {(1, 3, 2): -1, (3, 1, 2): -1, (3, 3, 0): 2}), bracket=Tensor4.zero(4))
+    return AlgebraBundle(4, product=Tensor(4, 3, {(1, 3, 2): -1, (3, 1, 2): -1, (3, 3, 0): 2}),
+                         bracket=Tensor(4, 4, {}))
 
 
 W4 = Matrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -418,8 +418,8 @@ def pairing_form(n: int) -> BilinearForm:
                                  for j in range(n)] for i in range(n)]))
 
 
-NONCOHERENT2 = AlgebraBundle(2, product=Tensor3.from_nonzeros(2, {(0, 1, 0): 1}),
-                             bracket=Tensor4.zero(2))
+NONCOHERENT2 = AlgebraBundle(2, product=Tensor(2, 3, {(0, 1, 0): 1}),
+                             bracket=Tensor(2, 4, {}))
 
 # each input passes the preconditions listed before its own
 SYMPLECTIC_PRECONDITIONS = [

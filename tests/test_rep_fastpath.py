@@ -22,7 +22,7 @@ from ternalg import structures
 from ternalg import schema
 from ternalg.catalog import fil4, trunc
 from ternalg.constructions import direct_sum
-from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec, invert
+from ternalg.linalg import Matrix, Tensor, Vec, invert
 from ternalg.errors import InternalError
 from ternalg.representations import (
     KIND_CONDITIONS,
@@ -84,11 +84,16 @@ def rand_mat(rng, m, dens):
 def random_rep(seed, binary):
     rng = random.Random(seed)
     n, m = rng.choice((2, 3)), rng.choice((2, 3))
+
+    def tensor(order, dens):  # one draw per cell, in index order
+        return Tensor(n, order, {idx: rand_q(rng, dens)
+                                 for idx in itertools.product(range(n), repeat=order)})
+
     algebra = AlgebraBundle(
         n,
-        product=Tensor3.build(n, lambda *_: rand_q(rng, DENS["product"])),
-        bracket=Tensor4.build(n, lambda *_: rand_q(rng, DENS["bracket"])),
-        binary_bracket=Tensor3.build(n, lambda *_: rand_q(rng, DENS["binary"])),
+        product=tensor(3, DENS["product"]),
+        bracket=tensor(4, DENS["bracket"]),
+        binary_bracket=tensor(3, DENS["binary"]),
     )
     if binary:
         rho = LinRep(m, tuple(rand_mat(rng, m, DENS["rho"]) for _ in range(n)))

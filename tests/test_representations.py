@@ -6,7 +6,7 @@ import pytest
 
 from ternalg.catalog import fil4, fil4_adjoint, fil4_rb, trunc
 from ternalg.errors import DimensionMismatch, MissingRep
-from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec
+from ternalg.linalg import Matrix, Tensor, Vec
 from ternalg.operators import induced_pre_fmanifold
 from ternalg.representations import (
     BiRep,
@@ -196,9 +196,9 @@ def test_adjoint_l1_equals_leibnizator(adj, f4):
 def test_adjoint_l2_is_permuted_leibnizator():
     # on the adjoint bundle, L2(x,y,z,u) = L(x,u,y,z); exercised on a bundle
     # with interacting product and bracket so the identity has content
-    prod = Tensor3.from_nonzeros(3, {(0, 0, 0): 1})
-    brk = Tensor4.from_nonzeros(
-        3,
+    prod = Tensor(3, 3, {(0, 0, 0): 1})
+    brk = Tensor(
+        3, 4,
         {
             (0, 1, 2, 0): 1, (1, 2, 0, 0): 1, (2, 0, 1, 0): 1,
             (1, 0, 2, 0): -1, (0, 2, 1, 0): -1, (2, 1, 0, 0): -1,
@@ -219,9 +219,9 @@ def test_l3_matches_k_op_on_adjoint():
     # needs a fully alternating bracket: [x,u,y*z] = -[x,y*z,u]
     from ternalg.structures import k_op
 
-    prod = Tensor3.from_nonzeros(3, {(0, 0, 0): 1})
-    brk = Tensor4.from_nonzeros(
-        3,
+    prod = Tensor(3, 3, {(0, 0, 0): 1})
+    brk = Tensor(
+        3, 4,
         {
             (0, 1, 2, 0): 1, (1, 2, 0, 0): 1, (2, 0, 1, 0): 1,
             (1, 0, 2, 0): -1, (0, 2, 1, 0): -1, (2, 1, 0, 0): -1,
@@ -247,7 +247,7 @@ def test_adjoint_matrices(adj, f4):
 
 
 def test_adjoint_of_zero_bundle():
-    z = AlgebraBundle(2, product=Tensor3.zero(2), bracket=Tensor4.zero(2))
+    z = AlgebraBundle(2, product=Tensor(2, 3, {}), bracket=Tensor(2, 4, {}))
     r = adjoint_rep(z)
     assert all(m.is_zero() for m in r.mu.mats)
     assert all(m.is_zero() for row in r.rho.mats for m in row)
@@ -319,8 +319,8 @@ def test_coherence_zero_bracket():
 
 
 def test_coherence_fails_on_non_tfm():
-    bad = AlgebraBundle(2, product=Tensor3.from_nonzeros(2, {(0, 1, 0): 1}),
-                        bracket=Tensor4.zero(2))
+    bad = AlgebraBundle(2, product=Tensor(2, 3, {(0, 1, 0): 1}),
+                        bracket=Tensor(2, 4, {}))
     report = check_coherence(bad)
     assert not report.passed
     assert report.counterexamples[0].identity == "comm"
@@ -337,7 +337,7 @@ def test_semidirect_adjoint_passes(adj):
 def test_semidirect_zero_rep_is_direct_sum(f4):
     from ternalg.constructions import direct_sum
 
-    z = AlgebraBundle(2, product=Tensor3.zero(2), bracket=Tensor4.zero(2))
+    z = AlgebraBundle(2, product=Tensor(2, 3, {}), bracket=Tensor(2, 4, {}))
     r = RepBundle(algebra=f4, rho=BiRep.zero(4, 2), mu=LinRep.zero(4, 2))
     sd = semidirect(r)
     ds = direct_sum(f4, z)
@@ -385,7 +385,7 @@ def test_fix_slot_rep_passes_binary_checker(adj):
 
 
 def test_rep_of_subadjacent_zero():
-    z = AlgebraBundle(2, product=Tensor3.zero(2), bracket=Tensor4.zero(2))
+    z = AlgebraBundle(2, product=Tensor(2, 3, {}), bracket=Tensor(2, 4, {}))
     r = rep_of_subadjacent(z)
     assert all(m.is_zero() for m in r.mu.mats)
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ternalg import catalog
-from ternalg.errors import SchemaError
+from ternalg import catalog, representations, schema
+from ternalg.errors import InternalError, SchemaError
 from ternalg.linalg import Matrix, Vec
 from ternalg.schema import (
     document_to_obj,
@@ -174,6 +174,36 @@ def test_parse_document_raises_only_schema_error(obj, as_text, complete_skew):
         parse_document(json.dumps(obj) if as_text else obj, complete_skew=complete_skew)
     except SchemaError:
         pass
+
+
+@pytest.mark.parametrize("module, constructor, fixture", [
+    (schema, "AlgebraBundle", "fil4"),
+    (representations, "RepBundle", "fil4_adjoint"),
+], ids=["algebra", "rep"])
+def test_library_faults_in_a_bundle_constructor_are_not_bad_input(
+        monkeypatch, module, constructor, fixture):
+    """Only a `TernalgError` from a constructor is the document's fault; any
+    other exception is a library fault and leaves `parse_document` as it
+    is, so the CLI does not report it as bad input."""
+    def fault(*args, **kwargs):
+        raise InternalError("an invariant failed")
+
+    monkeypatch.setattr(module, constructor, fault)
+    with pytest.raises(InternalError, match="^an invariant failed$"):
+        parse_document((FIXTURES / f"{fixture}.json").read_text())
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"product": None}, "bundle: unit given but bundle has no product"),
+    ({"unit": 1}, "bundle: unit fails x*1 = 1*x = x at basis vector 0"),
+])
+def test_bundle_errors_are_schema_errors(change, message):
+    obj = json.loads((FIXTURES / "trunc2.json").read_text())
+    obj.update(change)
+    obj = {k: v for k, v in obj.items() if v is not None}
+    with pytest.raises(SchemaError) as exc:
+        parse_document(obj)
+    assert str(exc.value) == message
 
 
 def test_wrong_schema_version():

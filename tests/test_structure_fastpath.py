@@ -36,7 +36,7 @@ from ternalg.catalog import (
 )
 from ternalg.constructions import direct_sum, tensor_with_comm_assoc
 from ternalg.errors import InternalError
-from ternalg.linalg import Matrix, Tensor, Tensor3, Tensor4, Vec, nested_rows
+from ternalg.linalg import Matrix, Tensor, Vec, nested_rows
 from ternalg.operators import check_relative_rb, induced_pre_fmanifold
 from ternalg.representations import (
     REP_CONDITIONS,
@@ -83,15 +83,16 @@ def random_bundle(seed):
     n = rng.choice((2, 3, 3))
     density = rng.choice((0.1, 0.25, 0.6))
 
-    def tensor(cls, dens):
-        t = cls.build(n, lambda *_: rand_q(rng, dens, density))
+    def tensor(order, dens):  # one draw per cell, in index order
+        cells = list(itertools.product(range(n), repeat=order))
+        t = Tensor(n, order, {idx: rand_q(rng, dens, density) for idx in cells})
         if t.is_zero():
-            t = cls.build(n, lambda *i: Fraction(int(sum(i) == 1), dens[0]))
+            t = Tensor(n, order, {idx: Fraction(int(sum(idx) == 1), dens[0]) for idx in cells})
         return t
 
-    return AlgebraBundle(n, product=tensor(Tensor3, DENS["product"]),
-                         bracket=tensor(Tensor4, DENS["bracket"]),
-                         binary_bracket=tensor(Tensor3, DENS["binary_bracket"]))
+    return AlgebraBundle(n, product=tensor(3, DENS["product"]),
+                         bracket=tensor(4, DENS["bracket"]),
+                         binary_bracket=tensor(3, DENS["binary_bracket"]))
 
 
 def scaled(b, lam=Fraction(2, 3), mu=Fraction(3, 5), nu=Fraction(5, 7)):
@@ -182,7 +183,7 @@ def test_random_bundles_each_identity_alone(seed):
 
 def noncoherent_tfm(prod, gens):
     """A 4-dimensional ternary F-manifold algebra that is not coherent."""
-    return AlgebraBundle(4, product=Tensor3.from_nonzeros(4, prod),
+    return AlgebraBundle(4, product=Tensor(4, 3, prod),
                          bracket=_alternating_tensor4(4, gens))
 
 
@@ -192,7 +193,7 @@ NONCOHERENT_B = ({(0, 0, 1): 1, (0, 1, 2): -1, (1, 0, 2): -1},
 
 PASSES = {
     "fil4": (fil4, ("3-lie", "ternary-f-manifold", "ternary-nambu-poisson", "coherence")),
-    "trunc3": (lambda: AlgebraBundle(3, product=trunc(3).product, bracket=Tensor4.zero(3)),
+    "trunc3": (lambda: AlgebraBundle(3, product=trunc(3).product, bracket=Tensor(3, 4, {})),
                ("comm-assoc", "ternary-f-manifold", "coherence")),
     "gl2": (lambda: gl2_trace()[0], ("lie", "f-manifold")),
     "heisenberg": (lambda: heisenberg_trace()[0], ("lie", "f-manifold")),
@@ -589,23 +590,35 @@ def counted_sweep(ops, m, blocks, every=True):
     return [(t, sum(out)) for t, out in sweep()]
 
 
-@pytest.mark.parametrize("case", ["fil4", "sd", "dense(sd)"])
+def counted_probes(ops, m):
+    """The probes m's generated contraction on ops makes over every chunk:
+    the lookups of one table's nonzeros by another's value, each counted in
+    place of the contributions it yields."""
+    src, deps = structures._source(m, "contract")
+    src = src.replace("made += len(rows)", "pass").replace(".get(m, ())", ".get(m, ()); made += 1")
+    make = structures._exec(src, m.name, "make")
+    chunk = make(*(structures._groups(ops, op, q) for op, q in deps))
+    return sum(chunk(x0)[1] for x0 in range(structures._shape(ops, m)[0][0]))
+
+
+@pytest.mark.parametrize("case", ["fil4", "sd", "inter16", "dense(sd)"])
 def test_plan_estimates_count_each_paths_work(case, monkeypatch):
     """`_plan` estimates both paths from counts, and these are the work each
     forced path does, for every plan the watched checks make: a sweep visits
     `_representative_count` tuples, a contraction makes `_contributions`
-    contributions, and a sweep over the whole range takes a step for each
-    of them."""
+    probes and contributions, and a sweep over the whole range takes a step
+    for each contribution."""
     for path in PATHS:
         plans = plans_made(monkeypatch, forced(WATCHED[case](), path))
         assert plans and set(plans.values()) == {path == "contract"}
         for ops, m, blocks in plans:
-            contributions = structures._contributions(ops, m)[1]
+            probes, contributions = structures._contributions(ops, m)
             if path == "contract":
                 made, nonzeros = structures._nonzeros(ops, m, blocks)
                 for _ in nonzeros:
                     pass
                 assert made == [contributions], m.name
+                assert counted_probes(ops, m) == probes, m.name
                 continue
             visits = counted_sweep(ops, m, blocks)
             sizes = structures._shape(ops, m)[0]

@@ -11,7 +11,7 @@ import pytest
 
 from ternalg.catalog import fil4, trunc
 from ternalg.errors import ArityMismatch, MissingTensor, UnknownIdentity, UnknownKind
-from ternalg.linalg import InterMap, Matrix, Tensor3, Tensor4, Vec
+from ternalg.linalg import InterMap, Matrix, Tensor, Vec
 from ternalg.representations import adjoint_rep, check_representation, semidirect
 from ternalg.structures import (
     AlgebraBundle,
@@ -33,7 +33,7 @@ def rand_vec(rng, n):
 
 
 def zero_bundle(n):
-    return AlgebraBundle(n, product=Tensor3.zero(n), bracket=Tensor4.zero(n))
+    return AlgebraBundle(n, product=Tensor(n, 3, {}), bracket=Tensor(n, 4, {}))
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +50,9 @@ def t3():
 # satisfy any axioms (the evaluators work on raw tensors)
 @pytest.fixture(scope="module")
 def raw_mixed():
-    prod = Tensor3.from_nonzeros(3, {(0, 0, 0): 1})
-    brk = Tensor4.from_nonzeros(
-        3,
+    prod = Tensor(3, 3, {(0, 0, 0): 1})
+    brk = Tensor(
+        3, 4,
         {
             (0, 1, 2, 0): 1, (1, 2, 0, 0): 1, (2, 0, 1, 0): 1,
             (1, 0, 2, 0): -1, (0, 2, 1, 0): -1, (2, 1, 0, 0): -1,
@@ -104,7 +104,7 @@ def test_fil4_is_ternary_f_manifold(f4):
 def test_broken_skew_detected(f4):
     entries = dict(f4.bracket.nonzeros())
     entries[(0, 1, 2, 3)] = Fraction(2)  # double one orientation only
-    b = AlgebraBundle(4, product=f4.product, bracket=Tensor4.from_nonzeros(4, entries))
+    b = AlgebraBundle(4, product=f4.product, bracket=Tensor(4, 4, entries))
     report = check_axioms("3-lie", b)
     assert not report.passed
     ce = report.counterexamples[0]
@@ -120,7 +120,7 @@ def test_trunc4_comm_assoc():
 def test_counterexample_budget(f4):
     entries = dict(f4.bracket.nonzeros())
     entries[(0, 1, 2, 3)] = Fraction(2)
-    b = AlgebraBundle(4, product=f4.product, bracket=Tensor4.from_nonzeros(4, entries))
+    b = AlgebraBundle(4, product=f4.product, bracket=Tensor(4, 4, entries))
     report = check_axioms("3-lie", b, max_counterexamples=4)
     assert len(report.counterexamples) == 4
     ranks = [ce.indices for ce in report.counterexamples]
@@ -179,11 +179,11 @@ def test_leibnizator3_swap_symmetry_when_commutative(raw_mixed):
 
 
 def test_leibnizator2_zero_cases():
-    heis = Tensor3.from_nonzeros(3, {(0, 1, 2): 1, (1, 0, 2): -1})
-    b = AlgebraBundle(3, product=Tensor3.zero(3), binary_bracket=heis)
+    heis = Tensor(3, 3, {(0, 1, 2): 1, (1, 0, 2): -1})
+    b = AlgebraBundle(3, product=Tensor(3, 3, {}), binary_bracket=heis)
     rng = random.Random(2)
     assert leibnizator2(b, *(rand_vec(rng, 3) for _ in range(3))).is_zero()
-    b2 = AlgebraBundle(3, product=trunc(3).product, binary_bracket=Tensor3.zero(3))
+    b2 = AlgebraBundle(3, product=trunc(3).product, binary_bracket=Tensor(3, 3, {}))
     assert leibnizator2(b2, *(rand_vec(rng, 3) for _ in range(3))).is_zero()
 
 
@@ -196,7 +196,7 @@ def test_f1_f2_zero_pre_structure():
 
 
 def test_f1_with_zero_diamond(f4):
-    b = AlgebraBundle(4, product=Tensor3.zero(4), bracket=f4.bracket)
+    b = AlgebraBundle(4, product=Tensor(4, 3, {}), bracket=f4.bracket)
     e = b.basis_vectors()
     assert f1(b, e[0], e[1], e[2], e[3]).is_zero()
 
@@ -238,7 +238,7 @@ def test_k_op_zero_cases(f4, t3):
 
 
 def test_k_op_direct_expansion(f4):
-    prod = Tensor3.from_nonzeros(4, {(0, 0, 0): 1})
+    prod = Tensor(4, 3, {(0, 0, 0): 1})
     b = AlgebraBundle(4, product=prod, bracket=f4.bracket)
     rng = random.Random(8)
     for _ in range(10):
@@ -329,7 +329,7 @@ def test_dimension_cap_enforced():
 
     assert dimension_cap() == 16
     with pytest.raises(DimensionCapExceeded):
-        AlgebraBundle(17, product=Tensor3.zero(17))
+        AlgebraBundle(17, product=Tensor(17, 3, {}))
     # only an int of at least 1 is a cap: bools, floats and strings are refused
     for bad in (True, False, 2.5, 0, -3, "17", None):
         with pytest.raises(ValueError, match="int of at least 1"):
@@ -337,7 +337,7 @@ def test_dimension_cap_enforced():
         assert dimension_cap() == 16
     set_dimension_cap(17)
     try:
-        b = AlgebraBundle(17, product=Tensor3.zero(17))
+        b = AlgebraBundle(17, product=Tensor(17, 3, {}))
         assert b.dim == 17
     finally:
         set_dimension_cap(16)
@@ -408,12 +408,11 @@ OPTIMIZED_INVARIANTS = textwrap.dedent("""
     # member (e1, e2, e1) has a zero exact residual; a contraction uses no
     # certificate, so there the check finds the true failures
     from ternalg import structures
-    from ternalg.linalg import Tensor3
+    from ternalg.linalg import Tensor
     from ternalg.structures import IDENTITIES, AlgebraBundle, Symmetry
     structures._CERTIFICATES[(IDENTITIES["assoc"], ("comm",))] = Symmetry(
         (((0, 1, 2), 1),), ("comm",))
-    b = AlgebraBundle(2, product=Tensor3.from_nonzeros(
-        2, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}))
+    b = AlgebraBundle(2, product=Tensor(2, 3, {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}))
     _ops(b, path)
     if path == "contract":
         found = check_axioms("comm-assoc", b, max_counterexamples=100).counterexamples
@@ -438,7 +437,7 @@ def test_invariants_survive_python_O():
 
 TENSOR_ORDERS = textwrap.dedent("""
     from ternalg.errors import BundleError
-    from ternalg.linalg import Tensor3, Tensor4
+    from ternalg.linalg import Tensor
     from ternalg.structures import AlgebraBundle
 
     def refused(**tensors):
@@ -448,9 +447,9 @@ TENSOR_ORDERS = textwrap.dedent("""
             return str(exc)
         return "accepted"
 
-    print(refused(bracket=Tensor3.zero(2)))
-    print(refused(product=Tensor4.zero(2)))
-    print(refused(binary_bracket=Tensor4.zero(2)))
+    print(refused(bracket=Tensor(2, 3, {})))
+    print(refused(product=Tensor(2, 4, {})))
+    print(refused(binary_bracket=Tensor(2, 4, {})))
     print(refused(product=[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]))
 """)
 

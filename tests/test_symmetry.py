@@ -37,7 +37,7 @@ from test_structure_fastpath import (
 from ternalg import schema, structures
 from ternalg.catalog import _alternating_tensor4, fil4, fil4_adjoint, fil4_rb, r_int, trunc
 from ternalg.constructions import direct_sum
-from ternalg.linalg import Tensor, Tensor3, Tensor4, Vec
+from ternalg.linalg import Tensor, Vec
 from ternalg.operators import induced_pre_fmanifold
 from ternalg.representations import (
     KIND_CONDITIONS,
@@ -188,9 +188,9 @@ def symmetric_bundle(seed, n=4):
             bb[(j, i, k)] = -bb[(i, j, k)]
     for i, j, k in itertools.combinations(range(n), 3):
         br[(i, j, k)] = {l: q() for l in range(n)}
-    return AlgebraBundle(n, product=Tensor3.from_nonzeros(n, prod),
+    return AlgebraBundle(n, product=Tensor(n, 3, prod),
                          bracket=_alternating_tensor4(n, br),
-                         binary_bracket=Tensor3.from_nonzeros(n, bb))
+                         binary_bracket=Tensor(n, 3, bb))
 
 
 def prelie_bundle(seed, n=4):
@@ -421,7 +421,7 @@ def agrees(b, label, names, caplog):
 
 
 def fil4_with_product(prod):
-    return AlgebraBundle(4, product=Tensor3.from_nonzeros(4, prod),
+    return AlgebraBundle(4, product=Tensor(4, 3, prod),
                          bracket=scaled(fil4()).bracket)
 
 
@@ -486,7 +486,7 @@ def test_fallback_when_comm_fails(caplog):
 def test_fallback_when_skew3_fails(caplog):
     nz = dict(scaled(fil4()).bracket.nonzeros())
     nz[(0, 1, 2, 1)] = Fraction(1, 3)  # one entry without its skew partners
-    b = AlgebraBundle(4, product=Tensor3.zero(4), bracket=Tensor4.from_nonzeros(4, nz))
+    b = AlgebraBundle(4, product=Tensor(4, 3, {}), bracket=Tensor(4, 4, nz))
     for label, names in (("3-lie", ("skew3", "fundamental")),
                          ("skew3+fundamental", ("skew3", "fundamental"))):
         report, lines = agrees(b, label, names, caplog)

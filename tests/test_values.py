@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from ternalg.catalog import fil4
-from ternalg.constructions import TraceFunctional
-from ternalg.linalg import InterMap, Matrix, Tensor, Tensor3, Tensor4, Vec
+from ternalg.catalog import fil4, r_int, trunc
+from ternalg.constructions import TraceFunctional, fix_slot_bracket
+from ternalg.errors import BundleError, DimensionMismatch, InternalError
+from ternalg.linalg import InterMap, Matrix, Tensor, Vec, as_scalar
 from ternalg.operators import BilinearForm
 from ternalg.representations import BiRep, LinRep, RepBundle, adjoint_rep
 from ternalg.schema import Document
@@ -28,6 +29,7 @@ from ternalg.structures import (
     Identity,
     Symmetry,
     _Maps,
+    _op,
     check_axioms,
 )
 
@@ -59,8 +61,8 @@ def test_every_value_class_has_its_fields_in_order():
 
 
 def unit_bundle():
-    prod = Tensor3.from_nonzeros(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
-    return AlgebraBundle(2, product=prod, bracket=Tensor4.zero(2), unit=Vec([1, 0]),
+    prod = Tensor(2, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+    return AlgebraBundle(2, product=prod, bracket=Tensor(2, 4, {}), unit=Vec([1, 0]),
                          basis_labels=("one", "x"))
 
 
@@ -349,3 +351,49 @@ def test_validation_at_construction_survives_python_O(flags):
         "DimensionMismatch: bilinear form matrix must be square",
         "DimensionMismatch: bilinear form matrix must be square",
     ]
+
+
+# Input checks no other test reaches: (call, exception, message).  The
+# report's pass/counterexample invariant and a non-square form are
+# `VALIDATION`'s, and a tensor of the wrong order is checked in
+# test_structures.py.
+INPUT_CHECKS = {
+    "bundle-dim": (lambda: AlgebraBundle(0), BundleError, "bundle dimension must be positive"),
+    "bundle-labels": (lambda: AlgebraBundle(2, basis_labels=["a"]), BundleError,
+                      "expected 2 basis labels, got 1"),
+    "bundle-shape": (lambda: AlgebraBundle(2, bracket=Tensor(3, 4, {})), BundleError,
+                     "bracket tensor has shape (3, 3, 3, 3), bundle has dim 2"),
+    "unit-no-product": (lambda: AlgebraBundle(2, unit=Vec([1, 0])), BundleError,
+                        "unit given but bundle has no product"),
+    "unit-dim": (lambda: AlgebraBundle(2, product=Tensor(2, 3, {}), unit=Vec([1, 0, 0])),
+                 BundleError, "unit has dim 3, bundle has dim 2"),
+    "op-arity": (lambda: _op("mul")(0), InternalError, "mul takes 2 arguments, not 1"),
+    "scalar-type": (lambda: as_scalar(0.5), TypeError,
+                    "cannot build an exact scalar from float: 0.5"),
+    "basis-index": (lambda: Vec.basis(2, 2), DimensionMismatch,
+                    "basis index 2 out of range for dimension 2"),
+    "vec-dims": (lambda: Vec([1, 2]) + Vec([1]), DimensionMismatch,
+                 "vector dimensions differ: 2 vs 1"),
+    "matrix-ragged": (lambda: Matrix([[1, 2], [3]]), DimensionMismatch,
+                      "matrix rows have unequal lengths"),
+    "matrix-apply": (lambda: Matrix([[1, 2]]) @ Vec([1]), DimensionMismatch,
+                     "matrix is 1x2, vector has dim 1"),
+    "matrix-matmul": (lambda: Matrix([[1, 2]]) @ Matrix([[1, 2]]), DimensionMismatch,
+                      "cannot multiply 1x2 by 1x2"),
+    "matrix-add": (lambda: Matrix([[1]]) + Matrix([[1, 2]]), DimensionMismatch,
+                   "matrix shapes differ: 1x1 vs 1x2"),
+    "matrix-sub": (lambda: Matrix([[1], [2]]) - Matrix([[1]]), DimensionMismatch,
+                   "matrix shapes differ: 2x1 vs 1x1"),
+    "anchor-dim": (lambda: fix_slot_bracket(fil4(), Vec([1, 0])), DimensionMismatch,
+                   "anchor has dim 2, bundle has dim 4"),
+    "trunc-0": (lambda: trunc(0), BundleError, "trunc(n) needs n >= 1"),
+    "r_int-1": (lambda: r_int(1), BundleError, "r_int(n) needs n >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_input_checks_raise_their_errors(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message

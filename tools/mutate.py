@@ -1,7 +1,8 @@
-"""Mutation check of the fast path, the term language and the builders'
-preconditions: each mutation in `MUTATIONS`, applied alone to a copy of the
-source tree, must make one of the tests it names fail.  A mutation that no named test kills
-is a survivor: a fault the tests would let through.
+"""Mutation check of the fast path, the term language, the builders'
+preconditions and the input checks: each mutation in `MUTATIONS`, applied
+alone to a copy of the source tree, must make one of the tests it names
+fail.  A mutation that no named test kills is a survivor: a fault the
+tests would let through.
 
 A mutation is an exact snippet of a file under `src`, which must occur
 there exactly once, and its replacement.  It names the tests that must
@@ -103,6 +104,11 @@ MUTATIONS = [
         kill=(f"{FASTPATH}::test_contraction_is_L_times_the_exact_value_on_interacting_tables"
               "[tfm4]",)),
     Mutation(
+        "probes-count-the-inner-table", STRUCTURES,
+        "probes += len(_support(ops, inner if 0 in slots else op))",
+        "probes += len(_support(ops, inner))",
+        kill=(f"{FASTPATH}::test_plan_estimates_count_each_paths_work[fil4]",)),
+    Mutation(
         "groups-keyed-one-position-off", STRUCTURES,
         "hit.setdefault(e[q], []).append(e)",
         "hit.setdefault(e[q + 1], []).append(e)",
@@ -195,6 +201,19 @@ MUTATIONS = [
         "False",
         kill=("tests/test_operators.py::test_builder_scans_each_condition_and_builds_each_table_once"
               "[rb_induced_pre]",)),
+    # the input checks: a bundle needs a dimension, and only a TernalgError
+    # from a constructor is a document's fault
+    Mutation(
+        "bundle-accepts-dim-0", STRUCTURES,
+        "        if dim < 1:\n            raise BundleError(",
+        "        if dim < 0:\n            raise BundleError(",
+        kill=("tests/test_values.py::test_input_checks_raise_their_errors[bundle-dim]",)),
+    Mutation(
+        "schema-catches-every-exception", "src/ternalg/schema.py",
+        "    except TernalgError as exc:  # a library fault",
+        "    except Exception as exc:  # a library fault",
+        kill=("tests/test_schema.py::test_library_faults_in_a_bundle_constructor_are_not_bad_input"
+              "[algebra]",)),
     # the builders: a precondition that fails raises
     Mutation(
         "builder-precondition-disarmed", STRUCTURES,

@@ -6,10 +6,10 @@ integer bundles of a few densities, it times the generated sweep over the
 whole range and the generated contraction over every chunk, each the best
 of a few runs, and counts what the cost model counts: tuples, tuples times
 terms, and contributions (the sweep's steps) for the tuple scan; chunks,
-inner nonzeros joined (probes) and contributions for the contraction.  A
-least-squares fit of each path's times on its counts gives the constants,
-in tenths of a microsecond, and each case's predicted over measured time
-shows the fit.  Both loops are timed bare, as `_nonzeros` drives them:
+probes (one per nonzero a nested term walks) and contributions for the
+contraction.  A least-squares fit of each path's times on its counts gives
+the constants, in tenths of a microsecond, and each case's predicted over
+measured time shows the fit.  Both loops are timed bare, as `_nonzeros` drives them:
 the sweep's generator, and each chunk with its nonzero sums found.  The
 work done per nonzero tuple (the dense values `_nonzeros` makes of a
 contraction's sums, `_failures`' orbit heap, `_tabulate`'s entries) is
