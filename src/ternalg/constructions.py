@@ -5,7 +5,9 @@ commutative associative factor, slot-fixing, trace induction, symmetrisation,
 sub-adjacent structures); the paired checker that certifies the claim lives
 in `structures` and is exercised by the test suite on every catalog input.
 The trace and induced conditions are data in `structures.CONDITIONS`,
-written with tau: A -> k and the scalar multiplication smul: k A -> A.
+written with tau: A -> k and the scalar multiplication smul: k A -> A on
+their own sizes in a `structures._Maps(bundle, {name: tensor})`, whose one
+size rule refuses a trace of the wrong size.
 """
 
 from __future__ import annotations
@@ -123,12 +125,10 @@ def fix_slot_bracket(a: AlgebraBundle, anchor: Vec) -> AlgebraBundle:
 
 
 def _trace_maps(a: AlgebraBundle, tau: TraceFunctional) -> _Maps:
-    if tau.dim != a.dim:
-        raise DimensionMismatch(f"trace has dim {tau.dim}, bundle has dim {a.dim}")
     n = a.dim
     return _Maps(a, {
-        "tau": Tensor((n, 1), (((i, 0), v) for i, v in enumerate(tau.row) if v)),
-        "smul": Tensor((1, n, n), (((0, i, i), 1) for i in range(n)))})
+        "smul": Tensor((1, n, n), (((0, i, i), 1) for i in range(n))),
+        "tau": Tensor((tau.dim, 1), (((i, 0), v) for i, v in enumerate(tau.row) if v))})
 
 
 def check_trace(a: AlgebraBundle, tau: TraceFunctional, *,

@@ -4,20 +4,20 @@ Every condition here -- rb-comm, rb-3lie, cocycle, symplectic,
 nijenhuis-comm and nijenhuis-3lie -- is data in `structures.CONDITIONS`,
 written with the map T: V -> A, the operator N: A -> A or the form: A A -> k
 beside the algebra's tensors and the actions, and scanned by the generated
-integer loops like every identity.  An owner-maker per kind of map or form
-(`_rb_maps`, `_form_maps`, `_nijenhuis_maps`) checks its shape (and a form's
-skewness) and returns its `structures._Maps` over the bundle or
-representation; `structures._check_components` checks the components read.
-A checker makes one `run_conditions` call on that owner.  A builder makes
-the owner once, requires its precondition's report there
-(`structures._require`) and reads the registry's sub-map tables from it
-(muT and rhoTT, the induced product and bracket; mu_T and rho_T, the
-representation induced on A; mul_N and br3_N, the deformed ones), so each
-table is built once and each formula written once.  Only mul_pre and
-br3_pre, over T and T^-1 (an invertible T, or the inverse musical map of a
-symplectic form on the coadjoint representation), get a second owner: the
-inverse is computed only after the check passes.  Builders do not re-check
-ambient axioms, so perturbed or raw bundles remain usable for negative tests.
+integer loops like every identity.  Its owner is `structures._Maps(base,
+{name: tensor})` over the bundle or representation, each tensor on its own
+size, and `structures._check_components` refuses a map or form of the wrong
+size (`_form_maps` checks a form's skewness first).  A checker makes one
+`run_conditions` call on that owner.  A builder makes the owner once,
+requires its precondition's report there (`structures._require`) and reads
+the registry's sub-map tables from it (muT and rhoTT, the induced product
+and bracket; mu_T and rho_T, the representation induced on A; mul_N and
+br3_N, the deformed ones), so each table is built once and each formula
+written once.  Only mul_pre and br3_pre, over T and T^-1 (an invertible T,
+or the inverse musical map of a symplectic form on the coadjoint
+representation), get a second owner: the inverse is computed only after the
+check passes.  Builders do not re-check ambient axioms, so perturbed or raw
+bundles remain usable for negative tests.
 """
 
 from __future__ import annotations
@@ -49,21 +49,11 @@ from .structures import (
     AlgebraBundle,
     CheckReport,
     _carried,
+    _check_components,
     _Maps,
     _require,
     run_conditions,
 )
-
-
-def _rb_maps(t: InterMap, r: RepBundle, context: str) -> _Maps:
-    """The owner of T: V -> A over r, once T's shape is checked; with no
-    action r has no module for T's columns to match."""
-    m = r.module_dim if r.rho or r.mu else t.src_dim
-    if t.src_dim != m or t.dst_dim != r.algebra.dim:
-        raise DimensionMismatch(
-            f"{context}: map is {t.dst_dim}x{t.src_dim}, expected {r.algebra.dim}x{m}"
-        )
-    return _Maps(r, {"T": t.tensor})
 
 
 _RB_CONDITIONS = {"relative-rb-comm": ("rb-comm",), "relative-rb-3lie": ("rb-3lie",),
@@ -74,20 +64,23 @@ def check_relative_rb_comm(t: InterMap, r: RepBundle, *,
                            max_counterexamples: int = 1) -> CheckReport:
     """Tu * Tv = T(mu(Tu)v + mu(Tv)u) on all module basis pairs."""
     kind = "relative-rb-comm"
-    return run_conditions(kind, _rb_maps(t, r, kind), _RB_CONDITIONS[kind], max_counterexamples)
+    return run_conditions(kind, _Maps(r, {"T": t.tensor}), _RB_CONDITIONS[kind],
+                          max_counterexamples)
 
 
 def check_relative_rb_3lie(t: InterMap, r: RepBundle, *,
                            max_counterexamples: int = 1) -> CheckReport:
     """[Tu,Tv,Tw] = T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v) on basis triples."""
     kind = "relative-rb-3lie"
-    return run_conditions(kind, _rb_maps(t, r, kind), _RB_CONDITIONS[kind], max_counterexamples)
+    return run_conditions(kind, _Maps(r, {"T": t.tensor}), _RB_CONDITIONS[kind],
+                          max_counterexamples)
 
 
 def check_relative_rb(t: InterMap, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Conjunction: relative Rota-Baxter for both the product and the bracket."""
     kind = "relative-rb"
-    return run_conditions(kind, _rb_maps(t, r, kind), _RB_CONDITIONS[kind], max_counterexamples)
+    return run_conditions(kind, _Maps(r, {"T": t.tensor}), _RB_CONDITIONS[kind],
+                          max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +92,7 @@ def _checked_rb_maps(t: InterMap, r: RepBundle, kind: str = "relative-rb",
                      message: str = "map fails the relative Rota-Baxter identities") -> _Maps:
     """T's owner over r, once T passes the conditions of `kind`; else
     error(message, report)."""
-    maps = _rb_maps(t, r, kind)
+    maps = _Maps(r, {"T": t.tensor})
     _require(run_conditions(kind, maps, _RB_CONDITIONS[kind], 1), error, message)
     return maps
 
@@ -189,17 +182,11 @@ class BilinearForm(Value):
         return self.matrix.T
 
 
-def _require_skew(b: BilinearForm, context: str):
+def _form_maps(b: BilinearForm, a: AlgebraBundle, context: str) -> _Maps:
+    """The owner of a skew form b: A A -> k over a, once b's skewness is checked."""
     if not b.is_skew():
         raise NotSkew(f"{context}: bilinear form is not skew-symmetric")
-
-
-def _form_maps(b: BilinearForm, a: AlgebraBundle, context: str) -> _Maps:
-    """The owner of a skew form b: A A -> k over a, once b's size is checked."""
-    if b.dim != a.dim:
-        raise DimensionMismatch(f"form has dim {b.dim}, bundle has dim {a.dim}")
-    _require_skew(b, context)
-    form = Tensor((a.dim, a.dim, 1), (((i, j, 0), v) for (i, j), v in b.matrix.nonzeros()))
+    form = Tensor((b.dim, b.dim, 1), (((i, j, 0), v) for (i, j), v in b.matrix.nonzeros()))
     return _Maps(a, {"form": form})
 
 
@@ -225,7 +212,6 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
     bundle, a skew form passing both form checks, and an invertible musical map.
     """
     _require(check_coherence(a), NotCoherent, "bundle fails the coherence identities")
-    _require_skew(b, "symplectic_induced_pre")
     maps = _form_maps(b, a, "symplectic_induced_pre")
     _require(run_conditions("cyclic-2cocycle", maps, ["cocycle"], 1), NotCyclicCocycle,
              "form fails the cyclic 2-cocycle identity")
@@ -240,12 +226,8 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
 
 
 def _nijenhuis_maps(nop: InterMap, a: AlgebraBundle) -> tuple[_Maps, list[str]]:
-    """The owner of N: A -> A over a, once N's shape is checked, and the
-    Nijenhuis conditions of the tensors a carries."""
-    if nop.src_dim != a.dim or nop.dst_dim != a.dim:
-        raise DimensionMismatch(
-            f"Nijenhuis candidate is {nop.dst_dim}x{nop.src_dim}, bundle has dim {a.dim}"
-        )
+    """The owner of N: A -> A over a and the Nijenhuis conditions of the
+    tensors a carries."""
     return _Maps(a, {"N": nop.tensor}), _carried(a, ("nijenhuis-comm", "nijenhuis-3lie"))
 
 
@@ -267,7 +249,7 @@ def deform(nop: InterMap, a: AlgebraBundle) -> AlgebraBundle:
 
 def lift_nijenhuis(t: InterMap, r: RepBundle) -> InterMap:
     """Block operator (0 T; 0 0) on the semidirect space A (+) V; squares to zero."""
-    _rb_maps(t, r, "lift_nijenhuis")
+    _check_components(_Maps(r, {"T": t.tensor}), {"lift_nijenhuis": ()})
     n = r.algebra.dim
     m = r.module_dim
     dim = n + m

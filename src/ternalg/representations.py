@@ -18,7 +18,8 @@ L3 and their binary forms as sub-maps, and each condition, once;
 `KIND_CONDITIONS` lists each kind's conditions by name.  A `RepBundle`
 states its components once (`RepBundle._components`), which give the
 module's size by their shapes, and a builder names the ones it reads to
-`structures._check_components`: no guard for a missing one is written here.
+`structures._check_components`: `structures._sort_sizes` refuses a
+mis-sized one, and no guard for a missing one is written here.
 
 The scans run on integer tables: rho and mu each times the lcm of its own
 denominators, next to the algebra's own integer tables and sub-map tables,
@@ -48,6 +49,7 @@ from .structures import (
     _define,
     _eval_map,
     _op,
+    _sort_sizes,
     _submap,
     check_axioms,
     coerce_kind,
@@ -148,23 +150,11 @@ class RepBundle(Value, eq=False):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        n = self.algebra.dim
-        dims = set()
-        if self.rho is not None:
-            if not isinstance(self.rho, (BiRep, LinRep)):
-                raise TypeError("rho must be a BiRep or LinRep")
-            if self.rho.algebra_dim != n:
-                shape = "grid" if isinstance(self.rho, BiRep) else "list"
-                raise DimensionMismatch(f"rho {shape} does not match the algebra dimension")
-            dims.add(self.rho.module_dim)
-        if self.mu is not None:
-            if not isinstance(self.mu, LinRep):
-                raise TypeError("mu must be a LinRep")
-            if self.mu.algebra_dim != n:
-                raise DimensionMismatch("mu list does not match the algebra dimension")
-            dims.add(self.mu.module_dim)
-        if len(dims) > 1:
-            raise DimensionMismatch(f"rho and mu disagree on the module dimension: {dims}")
+        if self.rho is not None and not isinstance(self.rho, (BiRep, LinRep)):
+            raise TypeError("rho must be a BiRep or LinRep")
+        if self.mu is not None and not isinstance(self.mu, LinRep):
+            raise TypeError("mu must be a LinRep")
+        _sort_sizes("RepBundle", self._components()[0], {"k": 1, "A": self.algebra.dim})
 
     @property
     def module_dim(self) -> int:

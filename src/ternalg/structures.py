@@ -44,14 +44,15 @@ in exact rationals, which doubles as a cross-check of the fast path.
 Each owner of tables (`AlgebraBundle`, `representations.RepBundle`,
 `_Maps`) states its components once, as data: `_components()` gives its
 tensors by operation and its base owner, and `_ops`, the one place that
-builds tables, reads nothing else, each sort's size from their shapes.  Every
-checker makes one call, `run_conditions(kind, owner, names, k)`: the one
-scan driver and the one place that builds a `CheckReport`.  Before it
-builds a table, `_check_components` raises for the first tensor or action
+builds tables, reads nothing else.  One rule, `_sort_sizes`, reads each
+sort's size from their shapes and refuses a map, form, trace or action of
+the wrong size.  Every checker makes one call, `run_conditions(kind, owner,
+names, k)`: the one scan driver and the one place that builds a
+`CheckReport`.  Before it builds a table, `_check_components` sizes the
+owner's components, bases first, and raises for the first tensor or action
 the named maps read that the owner lacks, the error `_MISSING` gives it;
 then it scans each map, re-checks each failure exactly and reports.  A
-builder names the components it reads to `_check_components` too, so
-nothing outside this module guards a component.
+builder names the components it reads to `_check_components` too.
 
 Identity and representation scans use only certified symmetries.  A term
 normaliser expands a defect into trees of its tensors and, for every
@@ -168,6 +169,8 @@ class AlgebraBundle(Value, eq=False):
 
     def __init__(self, dim, product=None, bracket=None, binary_bracket=None,
                  unit=None, basis_labels=None):
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise BundleError(f"bundle dimension must be an int, not {dim!r}")
         if dim < 1:
             raise BundleError("bundle dimension must be positive")
         if dim > _dimension_cap:
@@ -296,8 +299,8 @@ class _Ops:
     on first use.  A sub-map that needs no tensor beyond base's is built on
     base, so an algebra's sub-map tables serve its representations and
     operators.  Sort sizes are read from the tensors' shapes, here and in
-    base, by `_SIGNATURES`; k is 1, and all must agree.  The exact
-    evaluator reads only the sizes and `tensors`, the tensors themselves.
+    base, by `_sort_sizes`.  The exact evaluator reads only the sizes and
+    `tensors`, the tensors themselves.
 
     Every table starts as its support: the list of its nonzeros (i1, ...,
     value index, value) in rank order, made on first read (`_built`), a
@@ -320,21 +323,34 @@ class _Ops:
         scales = {op: t.den_lcm() for op, t in tensors.items()}
         self.base = base
         self.path = path or (base.path if base else None)
-        self.sizes = dict(base.sizes) if base else {"k": 1}
+        self.sizes = _sort_sizes("integer tables", tensors, base.sizes if base else {"k": 1})
         self.scales = {**base.scales, **scales} if base else scales
         self.tensors = {**base.tensors, **tensors} if base else tensors
         self.support, self.tables, self.groups = {}, {}, {}
         same = {id(t): op for op, t in base.tensors.items()} if base else {}
         self.shared = {op: same[id(t)] for op, t in tensors.items() if id(t) in same}
-        for op, t in tensors.items():
-            for s, n in zip("".join(_SIGNATURES[op]), t.shape, strict=True):
-                if self.sizes.setdefault(s, n) != n:
-                    raise InternalError(f"{op} of shape {t.shape} disagrees with {self.sizes}")
 
 
 def _dims(sizes: dict) -> str:
     names = {"A": "dim", "V": "module dim", "B": "target dim"}
     return ", ".join(f"{name} {sizes[s]}" for s, name in names.items() if s in sizes)
+
+
+def _sort_sizes(where: str, tensors: dict, sizes: dict) -> dict:
+    """`sizes` and each sort's size read from the shapes of `tensors` by
+    `_SIGNATURES`; a shape not its sorts' sizes, in order, raises at `where`."""
+    sizes = dict(sizes)
+    for op, t in tensors.items():
+        if t is None:
+            continue
+        sorts = "".join(_SIGNATURES[op])
+        for s, n in zip(sorts, t.shape):
+            sizes.setdefault(s, n)
+        want = tuple(sizes.get(s) for s in sorts)
+        if t.shape != want:
+            raise DimensionMismatch(f"{where}: {op} of shape {t.shape} disagrees with "
+                                    f"{_dims(sizes)}: expected {want}")
+    return sizes
 
 
 def _ops(owner, path: Optional[str] = None) -> _Ops:
@@ -706,19 +722,25 @@ _TENSOR_MAPS = {op: _identity(op, ((1, (op, tuple(range(n)))),), n)
                 for op, n in (("mul", 2), ("br3", 3), ("br2", 2))}
 
 
-def _check_components(owner, reads: dict) -> None:
-    """Raise, before any table is built, the `_MISSING` error of the first
-    component, in its order, that owner and its bases lack and an entry of
-    `reads`, {where (the entry point and map): the components read}, reads."""
-    have = set()
+def _check_components(owner, reads: dict, where: Optional[str] = None) -> None:
+    """Raise, before any table is built, for a component of owner or its
+    bases whose size disagrees, bases first (naming `where` or the first
+    entry of `reads`), then the `_MISSING` error of the first component, in
+    its order, that they lack and an entry of `reads`, {where (the entry
+    point and map): the components read}, reads."""
+    chain, sized = [], hasattr(owner, "_ops_int")  # tables are sized when built
     while owner is not None:
         tensors, owner = owner._components()
-        have.update(op for op, t in tensors.items() if t is not None)
+        chain.append(tensors)
+    sizes = {"k": 1}
+    for tensors in () if sized else reversed(chain):
+        sizes = _sort_sizes(where or next(iter(reads)), tensors, sizes)
+    have = {op for tensors in chain for op, t in tensors.items() if t is not None}
     for op, error in _MISSING.items():
         if op not in have:
-            for where, ops in reads.items():
+            for entry, ops in reads.items():
                 if op in ops:
-                    raise error(where)
+                    raise error(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -1391,7 +1413,7 @@ def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: 
     its residual must be nonzero.
     """
     maps = [registry[name] for name in names]
-    _check_components(owner, {f"{context} {m.name!r}": m.tensors for m in maps})
+    _check_components(owner, {f"{context} {m.name!r}": m.tensors for m in maps}, kind)
     ops = _ops(owner)
     budget = max(1, max_counterexamples)
     counterexamples: list[Counterexample] = []
@@ -1525,10 +1547,6 @@ def k_op(b: AlgebraBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
 def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
                        max_counterexamples: int = 1) -> CheckReport:
     """Check that f carries every tensor src has onto dst's tensor of the same kind."""
-    if f.src_dim != src.dim or f.dst_dim != dst.dim:
-        raise DimensionMismatch(
-            f"map is {f.dst_dim}x{f.src_dim}, bundles have dims {src.dim} -> {dst.dim}"
-        )
     names = _carried(src, ("hom-product", "hom-bracket", "hom-binary-bracket"))
     maps = _Maps(src, {
         "f": f.tensor, "mulB": dst.product, "br3B": dst.bracket,

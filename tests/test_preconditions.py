@@ -5,14 +5,16 @@ Each case has exactly one fault, except those of a representation with no
 action over a bundle that also lacks a tensor the check or builder reads:
 they get the error of the first component in the order of
 `structures._MISSING`, the algebra's tensors before the actions, and a
-map's wrong shape before both; and a form that is neither skew nor of the
-bundle's size, which `symplectic_induced_pre` refuses as not skew.  A
-builder that checks a precondition raises what its checker raises, and
-the messages of the errors that name their context are pinned.
-Where a check runs several conditions,
-some cases make an earlier condition fail at k = 1, so the budget is full
-before the condition that reads the missing component: the error must
-come before any scan.  The table runs once more under `python -O`.
+map's wrong shape before both; a form that is neither skew nor of the
+bundle's size, which `symplectic_induced_pre` refuses as not skew; and a
+homomorphism onto a target with no tensor, whose map then has no target
+size to disagree with, so the target's tensor is missing.  A builder that
+checks a precondition raises what its checker raises, and the messages of
+the errors that name their context are pinned.  Where a check runs
+several conditions, some cases make an earlier condition fail at k = 1, so
+the budget is full before the condition that reads the missing component:
+the error must come before any scan.  The table runs once more under
+`python -O`.
 """
 
 import json
@@ -72,6 +74,7 @@ from ternalg.representations import (
 )
 from ternalg.structures import (
     AlgebraBundle,
+    _Maps,
     check_axioms,
     check_homomorphism,
     eval_defect,
@@ -80,6 +83,7 @@ from ternalg.structures import (
     k_op,
     leibnizator2,
     leibnizator3,
+    run_conditions,
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -217,6 +221,9 @@ CASES = [
      MISSING, "bracket"),
     ("hom-after-failure", lambda: check_homomorphism(DOUBLE, T3, PRODUCT_ONLY),
      MISSING, "bracket"),
+    # a target with no tensor gives f's target sort no other size to disagree with
+    ("hom-target-empty", lambda: check_homomorphism(InterMap.zero(2, 4), F4, AlgebraBundle(4)),
+     MISSING, "product"),
     # builders that read sub-maps
     ("symmetrize_zinbiel", lambda: symmetrize_zinbiel(BRACKET_ONLY), MISSING, "product"),
     ("subadjacent_commutator", lambda: subadjacent_commutator(PRODUCT_ONLY), MISSING, "bracket"),
@@ -262,6 +269,11 @@ CASES = [
     ("induced-tau", lambda: check_induced_condition(GL2, TraceFunctional(Vec([0] * 5))),
      SHAPE, None),
     ("hom-f", lambda: check_homomorphism(InterMap.zero(3, 2), T3, T3), SHAPE, None),
+    # a private owner: a sub-map over a map of the wrong size, a form of the wrong order
+    ("sub-map-N", lambda: _Maps(F4, {"N": InterMap.zero(3, 2).tensor}).tensor("mul_N"),
+     SHAPE, None),
+    ("wrong-order-form", lambda: run_conditions(
+        "cyclic-2cocycle", _Maps(F4, {"form": Tensor((4, 4), {})}), ["cocycle"], 1), SHAPE, None),
     # builders that check a precondition: a wrong shape, then a missing component
     ("induced_zinbiel-T", lambda: induced_zinbiel(InterMap.zero(3, 2), ADJ3), SHAPE, None),
     ("induced_3prelie-T", lambda: induced_3prelie(InterMap.zero(2, 3), ADJ3), SHAPE, None),
@@ -292,29 +304,46 @@ CASES = [
 ]
 
 # the message of every case whose error names where it arose: each wrong
-# shape, with the checker kind or builder that refused it, and the form the
-# symplectic builder refuses as not skew
+# shape, with the kind, builder or sub-map that refused it, the component,
+# its shape and the sizes it disagrees with, and the form the symplectic
+# builder refuses as not skew
 MESSAGES = {
-    "no-action-rb-T": "relative-rb: map is 4x3, expected 3x3",
-    "rb-comm-T": "relative-rb-comm: map is 3x2, expected 3x3",
-    "rb-3lie-T": "relative-rb-3lie: map is 2x3, expected 3x3",
-    "rb-T": "relative-rb: map is 3x4, expected 3x3",
-    "lift_nijenhuis-T": "lift_nijenhuis: map is 2x3, expected 3x3",
-    "nijenhuis-N": "Nijenhuis candidate is 3x2, bundle has dim 3",
-    "cocycle-form": "form has dim 2, bundle has dim 3",
-    "symplectic-form": "form has dim 2, bundle has dim 4",
-    "trace-tau": "trace has dim 3, bundle has dim 4",
-    "induced-tau": "trace has dim 5, bundle has dim 4",
-    "hom-f": "map is 3x2, bundles have dims 3 -> 3",
-    "induced_zinbiel-T": "relative-rb-comm: map is 3x2, expected 3x3",
-    "induced_3prelie-T": "relative-rb-3lie: map is 2x3, expected 3x3",
-    "induced_pre_fmanifold-T": "relative-rb: map is 3x4, expected 3x3",
-    "rb_induced_pre-R": "relative-rb: map is 3x2, expected 3x3",
-    "invertible_rb_to_pre-T": "relative-rb: map is 2x3, expected 3x3",
-    "induced_rep_on_A-T": "relative-rb: map is 3x4, expected 3x3",
-    "deform-N": "Nijenhuis candidate is 3x2, bundle has dim 3",
-    "trace_induced-tau": "trace has dim 3, bundle has dim 4",
-    "symplectic_induced_pre-form": "form has dim 2, bundle has dim 4",
+    "no-action-rb-T":
+        "relative-rb: T of shape (3, 4) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "rb-comm-T":
+        "relative-rb-comm: T of shape (2, 3) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "rb-3lie-T":
+        "relative-rb-3lie: T of shape (3, 2) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "rb-T": "relative-rb: T of shape (4, 3) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "lift_nijenhuis-T":
+        "lift_nijenhuis: T of shape (3, 2) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "nijenhuis-N": "nijenhuis: N of shape (2, 3) disagrees with dim 3: expected (3, 3)",
+    "cocycle-form":
+        "cyclic-2cocycle: form of shape (2, 2, 1) disagrees with dim 3: expected (3, 3, 1)",
+    "symplectic-form":
+        "symplectic: form of shape (2, 2, 1) disagrees with dim 4: expected (4, 4, 1)",
+    "trace-tau": "trace: tau of shape (3, 1) disagrees with dim 4: expected (4, 1)",
+    "induced-tau": "induced-condition: tau of shape (5, 1) disagrees with dim 4: expected (4, 1)",
+    "hom-f": "homomorphism: f of shape (2, 3) disagrees with dim 3, target dim 3: expected (3, 3)",
+    "induced_zinbiel-T":
+        "relative-rb-comm: T of shape (2, 3) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "induced_3prelie-T":
+        "relative-rb-3lie: T of shape (3, 2) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "induced_pre_fmanifold-T":
+        "relative-rb: T of shape (4, 3) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "rb_induced_pre-R":
+        "relative-rb: T of shape (2, 3) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "invertible_rb_to_pre-T":
+        "relative-rb: T of shape (3, 2) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "induced_rep_on_A-T":
+        "relative-rb: T of shape (4, 3) disagrees with dim 3, module dim 3: expected (3, 3)",
+    "deform-N": "nijenhuis: N of shape (2, 3) disagrees with dim 3: expected (3, 3)",
+    "trace_induced-tau": "trace: tau of shape (3, 1) disagrees with dim 4: expected (4, 1)",
+    "symplectic_induced_pre-form":
+        "cyclic-2cocycle: form of shape (2, 2, 1) disagrees with dim 4: expected (4, 4, 1)",
+    "sub-map-N": "sub-map 'mul_N': N of shape (2, 3) disagrees with dim 4: expected (4, 4)",
+    "wrong-order-form":
+        "cyclic-2cocycle: form of shape (4, 4) disagrees with dim 4: expected (4, 4, 1)",
     "symplectic_induced_pre-skew-before-size":
         "symplectic_induced_pre: bilinear form is not skew-symmetric",
 }

@@ -35,7 +35,7 @@ from ternalg.catalog import (
     trunc,
 )
 from ternalg.constructions import direct_sum, tensor_with_comm_assoc
-from ternalg.errors import InternalError
+from ternalg.errors import DimensionMismatch, InternalError
 from ternalg.linalg import Matrix, Tensor, Vec, nested_rows
 from ternalg.operators import check_relative_rb, induced_pre_fmanifold
 from ternalg.representations import (
@@ -957,7 +957,7 @@ def test_sort_sizes_are_read_from_the_shapes():
     for maps in (structures._Maps(r, {"T": Tensor((3, 4), {})}),
                  structures._Maps(fil4(), {"f": Tensor((4, 3), {}), "br3B": Tensor(2, 4, {})}),
                  structures._Maps(fil4(), {"form": Tensor((4, 4, 2), {})})):
-        with pytest.raises(InternalError, match=r"of shape \(.*\) disagrees with"):
+        with pytest.raises(DimensionMismatch, match=r"of shape \(.*\) disagrees with"):
             structures._ops(maps)
 
 

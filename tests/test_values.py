@@ -344,10 +344,14 @@ def test_validation_at_construction_survives_python_O(flags):
         "InternalError: a report passes exactly when it has no counterexamples",
         "InternalError: a report passes exactly when it has no counterexamples",
         "TypeError: rho must be a BiRep or LinRep",
-        "DimensionMismatch: rho list does not match the algebra dimension",
-        "DimensionMismatch: rho grid does not match the algebra dimension",
-        "DimensionMismatch: mu list does not match the algebra dimension",
-        "DimensionMismatch: rho and mu disagree on the module dimension: {2, 3}",
+        "DimensionMismatch: RepBundle: rho1 of shape (3, 2, 2) disagrees with dim 2, "
+        "module dim 2: expected (2, 2, 2)",
+        "DimensionMismatch: RepBundle: rho of shape (3, 3, 2, 2) disagrees with dim 2, "
+        "module dim 2: expected (2, 2, 2, 2)",
+        "DimensionMismatch: RepBundle: mu of shape (3, 2, 2) disagrees with dim 2, "
+        "module dim 2: expected (2, 2, 2)",
+        "DimensionMismatch: RepBundle: mu of shape (2, 3, 3) disagrees with dim 2, "
+        "module dim 2: expected (2, 2, 2)",
         "DimensionMismatch: bilinear form matrix must be square",
         "DimensionMismatch: bilinear form matrix must be square",
     ]
@@ -359,6 +363,14 @@ def test_validation_at_construction_survives_python_O(flags):
 # test_structures.py.
 INPUT_CHECKS = {
     "bundle-dim": (lambda: AlgebraBundle(0), BundleError, "bundle dimension must be positive"),
+    "bundle-dim-bool": (lambda: AlgebraBundle(True, product=Tensor(1, 3, {})), BundleError,
+                        "bundle dimension must be an int, not True"),
+    "bundle-dim-float": (lambda: AlgebraBundle(2.5), BundleError,
+                         "bundle dimension must be an int, not 2.5"),
+    "bundle-dim-str": (lambda: AlgebraBundle("3"), BundleError,
+                       "bundle dimension must be an int, not '3'"),
+    "bundle-dim-none": (lambda: AlgebraBundle(None), BundleError,
+                        "bundle dimension must be an int, not None"),
     "bundle-labels": (lambda: AlgebraBundle(2, basis_labels=["a"]), BundleError,
                       "expected 2 basis labels, got 1"),
     "bundle-shape": (lambda: AlgebraBundle(2, bracket=Tensor(3, 4, {})), BundleError,

@@ -140,9 +140,18 @@ MUTATIONS = [
               "[mu-row]")),
     Mutation(
         "sort-size-from-the-first-tensor", STRUCTURES,
-        "if self.sizes.setdefault(s, n) != n:",
-        "if self.sizes.setdefault(s, n) != self.sizes[s]:",
+        "        if t.shape != want:",
+        "        if len(t.shape) != len(want):",
         kill=(f"{FASTPATH}::test_sort_sizes_are_read_from_the_shapes",)),
+    # the size rule runs over the owner chain, bases first, before the
+    # presence check: a map sized only against its own owner's tensors is
+    # refused later, as a missing component or by the tables' own sizing
+    Mutation(
+        "components-sized-without-their-bases", STRUCTURES,
+        "    for tensors in () if sized else reversed(chain):",
+        "    for tensors in () if sized else chain[:1]:",
+        kill=("tests/test_preconditions.py::test_single_fault_raises_its_error[no-action-rb-T]",
+              "tests/test_preconditions.py::test_errors_name_their_context")),
     # the terms, scales, re-check and certificates the scans rest on
     Mutation(
         "fundamental-term-sign", STRUCTURES,

@@ -17,7 +17,7 @@ left out: it is paid only where a map is nonzero, and every random bundle
 is nonzero nearly everywhere.
 
 Run from the repository root:
-``PYTHONPATH=src python3 tools/plan_costs.py [--n 6] [--repeats 3] [--json out.json]``
+``PYTHONPATH=src python3 tools/plan_costs.py [--n 7] [--repeats 3] [--json out.json]``
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def solve(rows: list[list[float]], ys: list[float]) -> list[float]:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--n", type=int, default=6, help="dimension of the random bundles")
+    ap.add_argument("--n", type=int, default=7, help="dimension of the random bundles")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", help="also write the cases and the fit here")
