@@ -267,7 +267,5 @@ def induced_rep_on_A(t: InterMap, r: RepBundle) -> RepBundle:
     mu_T(u)x    = Tu x - T(mu(x)u)
     """
     maps = _checked_rb_maps(t, r)
-    n, m = r.algebra.dim, r.module_dim
     return RepBundle(algebra=subadjacent_ternary_fmanifold(_on_module(maps, "muT", "rhoTT")),
-                     rho=BiRep.from_tensor(m, n, maps.tensor("rho_T")),
-                     mu=LinRep.from_tensor(m, n, maps.tensor("mu_T")))
+                     rho=BiRep(maps.tensor("rho_T")), mu=LinRep(maps.tensor("mu_T")))

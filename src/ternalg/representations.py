@@ -4,10 +4,13 @@ A representation pairs a module action mu with a bracket action rho (of a
 basis pair for ternary brackets, of a basis vector for binary ones).  Each
 is stored once as a sparse `Tensor` of shape (n, [n,] m, m), like the
 algebra's own: the constant at (i, [j,] q, p) is row p, column q of the
-matrix of e_i [, e_j].  So `adjoint_rep` stores the algebra's bracket and
-product themselves, and `dual_rep` swaps the last two indices.  All checks
-quantify over algebra basis tuples and module basis vectors; the defect for
-a counterexample is the corresponding column of the failing matrix identity.
+matrix of e_i [, e_j].  `BiRep(tensor)` and `LinRep(tensor)` are the one
+constructor, and `structures._sort_sizes` sizes the tensor by its
+operation's signature (rho: A A V -> V, mu: A V -> V).  So `adjoint_rep`
+stores the algebra's bracket and product themselves, and `dual_rep` swaps
+the last two indices.  All checks quantify over algebra basis tuples and
+module basis vectors; the defect for a counterexample is the corresponding
+column of the failing matrix identity.
 
 Every condition is data in the term language of `structures`: a map with
 algebra slots (A) first and the module slot (V) last, built from `rho`:
@@ -37,7 +40,7 @@ from enum import Enum
 from typing import Optional
 
 from .constructions import fix_slot_bracket, subadjacent_ternary_fmanifold
-from .errors import DimensionMismatch, MissingRep
+from .errors import MissingRep
 from .linalg import ZERO, Matrix, Tensor, Value, Vec
 from .structures import (
     _SUBMAPS,
@@ -62,43 +65,23 @@ class _Action(Value):
     of shape (algebra_dim, [algebra_dim,] module_dim, module_dim), from which
     both dims are read: its constant at (i, [j,] q, p) is row p, column q of
     the matrix of e_i [, e_j], so that the action sends e_q to the sum over
-    p.  `Cls(module_dim, mats)` converts dense matrices, `Cls.from_tensor`
-    takes the constants themselves, and `mats` is a dense view built on each
-    access."""
+    p.  `Cls(tensor)` is the one constructor: it refuses anything but a
+    `Tensor` and sizes it by its operation's signature (`op`), so a tensor
+    of another order, or whose algebra or module slots differ, raises
+    DimensionMismatch.  `mats` is a dense view built on each access."""
 
     tensor: Tensor
 
-    def __init__(self, module_dim: int, mats):
-        n = len(mats)
-        if self.order == 3:
-            cells = [((i,), m) for i, m in enumerate(mats)]
-        elif any(len(row) != n for row in mats):
-            raise DimensionMismatch("rho grid does not match the algebra dimension")
-        else:
-            cells = [((i, j), m) for i, row in enumerate(mats) for j, m in enumerate(row)]
-        for _, m in cells:
-            if m.rows != module_dim or m.cols != module_dim:
-                raise DimensionMismatch(
-                    f"representation matrix is {m.rows}x{m.cols}, module dim is {module_dim}")
-        object.__setattr__(self, "tensor", Tensor(self._shape(n, module_dim), (
-            (head + (q, p), v) for head, m in cells for (p, q), v in m.nonzeros())))
-
-    @classmethod
-    def _shape(cls, algebra_dim: int, module_dim: int) -> tuple[int, ...]:
-        return (algebra_dim,) * (cls.order - 2) + (module_dim, module_dim)
-
-    @classmethod
-    def from_tensor(cls, algebra_dim: int, module_dim: int, tensor: Tensor):
-        if tensor.shape != cls._shape(algebra_dim, module_dim):
-            raise DimensionMismatch(f"a tensor of shape {tensor.shape} is "
-                                    f"no action of dim {algebra_dim} on dim {module_dim}")
-        out = object.__new__(cls)
-        object.__setattr__(out, "tensor", tensor)
-        return out
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if not isinstance(self.tensor, Tensor):
+            raise TypeError(f"{type(self).__name__} takes a Tensor, "
+                            f"not {type(self.tensor).__name__}")
+        _sort_sizes(type(self).__name__, {self.op: self.tensor}, {"k": 1})
 
     @classmethod
     def zero(cls, n: int, module_dim: int):
-        return cls.from_tensor(n, module_dim, Tensor(cls._shape(n, module_dim), ()))
+        return cls(Tensor((n,) * (cls.order - 2) + (module_dim, module_dim), ()))
 
     algebra_dim = property(lambda self: self.tensor.shape[0])
     module_dim = property(lambda self: self.tensor.shape[-1])
@@ -130,7 +113,7 @@ class LinRep(_Action):
     """mu: A -> End(V), or the rho of a binary bracket: an order-3 tensor;
     `mats[i]` = mu(e_i) has row p, column q the constant at (i, q, p)."""
 
-    order = 3
+    op, order = "mu", 3
 
 
 class BiRep(_Action):
@@ -138,7 +121,7 @@ class BiRep(_Action):
     has row p, column q the constant at (i, j, q, p).  Skewness in (i, j) is
     intended and validated by the checkers, never enforced."""
 
-    order = 4
+    op, order = "rho", 4
 
 
 class RepBundle(Value, eq=False):
@@ -295,9 +278,7 @@ def l3(r: RepBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
 def adjoint_rep(a: AlgebraBundle) -> RepBundle:
     """rho(e_i,e_j) = [e_i, e_j, .], mu(e_i) = e_i * (.), acting on A itself."""
     _check_components(a, {"adjoint_rep": ("mul", "br3")})
-    n = a.dim
-    return RepBundle(algebra=a, rho=BiRep.from_tensor(n, n, a.bracket),
-                     mu=LinRep.from_tensor(n, n, a.product))
+    return RepBundle(algebra=a, rho=BiRep(a.bracket), mu=LinRep(a.product))
 
 
 def _transpose(x, sign: int):
@@ -306,8 +287,8 @@ def _transpose(x, sign: int):
     if x is None:
         return None
     t = x.tensor
-    return type(x).from_tensor(x.algebra_dim, x.module_dim, Tensor(
-        t.shape, ((idx[:-2] + (idx[-1], idx[-2]), sign * v) for idx, v in t.nonzeros())))
+    return type(x)(Tensor(t.shape, (
+        (idx[:-2] + (idx[-1], idx[-2]), sign * v) for idx, v in t.nonzeros())))
 
 
 def dual_rep(r: RepBundle) -> RepBundle:
@@ -356,7 +337,7 @@ def fix_slot_rep(r: RepBundle, anchor: Vec) -> RepBundle:
     n, _, m, _ = r.rho.tensor.shape
     rho_a = Tensor((n, m, m), (((i, q, p), anchor[j] * v)
                                for (i, j, q, p), v in r.rho.tensor.nonzeros() if anchor[j]))
-    return RepBundle(algebra=fixed, rho=LinRep.from_tensor(n, m, rho_a), mu=r.mu)
+    return RepBundle(algebra=fixed, rho=LinRep(rho_a), mu=r.mu)
 
 
 def rep_of_subadjacent(p: AlgebraBundle) -> RepBundle:

@@ -264,11 +264,9 @@ def parse_document(data, *, complete_skew: bool = False) -> tuple[Document, int]
         _check_cap("rep.module_dim", m)
         mu = rho = None
         if "mu" in raw:
-            mu = LinRep.from_tensor(dim, m, Tensor((dim, m, m),
-                                                   _parse_action(raw["mu"], "mu", dim, m)))
+            mu = LinRep(Tensor((dim, m, m), _parse_action(raw["mu"], "mu", dim, m)))
         if "rho" in raw:
-            rho = BiRep.from_tensor(dim, m, Tensor((dim, dim, m, m),
-                                                   _parse_action(raw["rho"], "rho", dim, m)))
+            rho = BiRep(Tensor((dim, dim, m, m), _parse_action(raw["rho"], "rho", dim, m)))
         try:
             rep = RepBundle(algebra=bundle, rho=rho, mu=mu)
         except TernalgError as exc:

@@ -12,8 +12,19 @@ is slow and used only by the tests.
 import itertools
 
 from structure_oracle import _leib2, _leib3, br2, br3, mul
-from ternalg.linalg import Matrix, Vec
+from ternalg.linalg import Matrix, Tensor, Vec
 from ternalg.structures import CheckReport, Counterexample
+
+
+def action(cls, mats):
+    """The `cls` action (`LinRep` or `BiRep`) whose dense view `mats` is
+    mats, a tuple of m x m matrices or, for a `BiRep`, a grid of them: the
+    constant at (index, q, p) is row p, column q of the matrix at index."""
+    cells = ([((i,), x) for i, x in enumerate(mats)] if cls.order == 3 else
+             [((i, j), x) for i, row in enumerate(mats) for j, x in enumerate(row)])
+    m = cells[0][1].rows
+    return cls(Tensor((len(mats),) * (cls.order - 2) + (m, m), [
+        (head + (q, p), v) for head, x in cells for (p, q), v in x.nonzeros()]))
 
 
 def _mu_of(mu, v: Vec) -> Matrix:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from cli_runner import invoke
+from rep_oracle import action
 from ternalg.catalog import (
     fil4,
     fil4_adjoint,
@@ -119,7 +120,7 @@ def _perturbed_adjoint(rng):
     mats[i][j] = Matrix(grid)
     if rng.random() < 0.5:
         mats[j][i] = -mats[i][j]
-    rho = BiRep(4, tuple(tuple(r) for r in mats))
+    rho = action(BiRep, mats)
     return RepBundle(algebra=adj.algebra, rho=rho, mu=adj.mu)
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import operator_oracle as oracle
+from rep_oracle import action
 from structure_oracle import br2, br3, mul
 from ternalg.catalog import (
     fil4,
@@ -71,9 +72,9 @@ def rand_algebra(rng, n):
 
 def rand_rep(rng, n, m):
     algebra = rand_algebra(rng, n)
-    rho = BiRep(m, tuple(tuple(rand_matrix(rng, m, m, DENS["rho"]) for _ in range(n))
-                         for _ in range(n)))
-    mu = LinRep(m, tuple(rand_matrix(rng, m, m, DENS["mu"]) for _ in range(n)))
+    rho = action(BiRep, tuple(tuple(rand_matrix(rng, m, m, DENS["rho"]) for _ in range(n))
+                              for _ in range(n)))
+    mu = action(LinRep, tuple(rand_matrix(rng, m, m, DENS["mu"]) for _ in range(n)))
     return RepBundle(algebra=algebra, rho=rho, mu=mu)
 
 
@@ -137,8 +138,8 @@ def rebased_rep(r, s: Matrix, alpha, beta):
         a.dim,
         product=Tensor(a.dim, 3, [(i, beta * v) for i, v in a.product.nonzeros()]),
         bracket=Tensor(a.dim, 4, [(i, alpha * v) for i, v in a.bracket.nonzeros()]))
-    rho = BiRep(r.module_dim, tuple(tuple(conj(x, alpha) for x in row) for row in r.rho.mats))
-    mu = LinRep(r.module_dim, tuple(conj(x, beta) for x in r.mu.mats))
+    rho = action(BiRep, tuple(tuple(conj(x, alpha) for x in row) for row in r.rho.mats))
+    mu = action(LinRep, tuple(conj(x, beta) for x in r.mu.mats))
     return RepBundle(algebra=algebra, rho=rho, mu=mu)
 
 

@@ -1,5 +1,7 @@
 """What each checker, evaluator and builder raises for an input that lacks
-one component it reads, or whose map, form or trace has the wrong shape.
+one component it reads, or whose map, form or trace has the wrong shape,
+and what a bundle, an action or a representation raises for a tensor or
+action of the wrong shape.
 
 Each case has exactly one fault, except those of a representation with no
 action over a bundle that also lacks a tensor the check or builder reads:
@@ -108,7 +110,7 @@ NO_PRODUCT_REP = RepBundle(algebra=BRACKET_ONLY, rho=ADJ3.rho, mu=ADJ3.mu)
 BINARY_REP = RepBundle(algebra=NO_BINARY, rho=LinRep.zero(4, 2), mu=LinRep.zero(4, 2))
 PAIR_ON_BINARY = RepBundle(algebra=GL2, rho=BiRep.zero(4, 2), mu=LinRep.zero(4, 2))
 # rho(e1, e2) != -rho(e2, e1): rho-skew fails at its first tuple
-UNSKEWED_RHO = BiRep.from_tensor(3, 3, Tensor(3, 4, [((0, 1, 0, 0), 1)]))
+UNSKEWED_RHO = BiRep(Tensor(3, 4, [((0, 1, 0, 0), 1)]))
 SKEW_FAILS_NO_MU = RepBundle(algebra=T3, rho=UNSKEWED_RHO)
 SKEW_FAILS_NO_BRACKET = RepBundle(algebra=PRODUCT_ONLY, rho=UNSKEWED_RHO, mu=ADJ3.mu)
 NO_ACTION = RepBundle(algebra=T3)
@@ -274,6 +276,22 @@ CASES = [
      SHAPE, None),
     ("wrong-order-form", lambda: run_conditions(
         "cyclic-2cocycle", _Maps(F4, {"form": Tensor((4, 4), {})}), ["cocycle"], 1), SHAPE, None),
+    # constructors: a tensor of the wrong order or dim, an action whose two
+    # algebra or two module slots differ or of another order than its
+    # class's, and an action on an algebra of another dim than the bundle's
+    ("bundle-product-order", lambda: AlgebraBundle(3, product=Tensor(3, 4, {})), SHAPE, None),
+    ("bundle-product-dim", lambda: AlgebraBundle(3, product=Tensor(2, 3, {})), SHAPE, None),
+    ("bundle-bracket-order", lambda: AlgebraBundle(3, bracket=Tensor(3, 3, {})), SHAPE, None),
+    ("bundle-bracket-dim", lambda: AlgebraBundle(3, bracket=Tensor(4, 4, {})), SHAPE, None),
+    ("bundle-binary-order", lambda: AlgebraBundle(4, binary_bracket=Tensor(4, 4, {})),
+     SHAPE, None),
+    ("bundle-binary-dim", lambda: AlgebraBundle(4, binary_bracket=Tensor(3, 3, {})),
+     SHAPE, None),
+    ("birep-algebra-slots", lambda: BiRep(Tensor((3, 2, 2, 2), {})), SHAPE, None),
+    ("birep-module-slots", lambda: BiRep(Tensor((3, 3, 2, 3), {})), SHAPE, None),
+    ("linrep-order-4", lambda: LinRep(Tensor((3, 3, 2, 2), {})), SHAPE, None),
+    ("rep-rho-algebra-dim", lambda: RepBundle(algebra=T3, rho=BiRep.zero(4, 2)), SHAPE, None),
+    ("rep-mu-algebra-dim", lambda: RepBundle(algebra=T3, mu=LinRep.zero(2, 2)), SHAPE, None),
     # builders that check a precondition: a wrong shape, then a missing component
     ("induced_zinbiel-T", lambda: induced_zinbiel(InterMap.zero(3, 2), ADJ3), SHAPE, None),
     ("induced_3prelie-T", lambda: induced_3prelie(InterMap.zero(2, 3), ADJ3), SHAPE, None),
@@ -344,6 +362,28 @@ MESSAGES = {
     "sub-map-N": "sub-map 'mul_N': N of shape (2, 3) disagrees with dim 4: expected (4, 4)",
     "wrong-order-form":
         "cyclic-2cocycle: form of shape (4, 4) disagrees with dim 4: expected (4, 4, 1)",
+    "bundle-product-order":
+        "AlgebraBundle: mul of shape (3, 3, 3, 3) disagrees with dim 3: expected (3, 3, 3)",
+    "bundle-product-dim":
+        "AlgebraBundle: mul of shape (2, 2, 2) disagrees with dim 3: expected (3, 3, 3)",
+    "bundle-bracket-order":
+        "AlgebraBundle: br3 of shape (3, 3, 3) disagrees with dim 3: expected (3, 3, 3, 3)",
+    "bundle-bracket-dim":
+        "AlgebraBundle: br3 of shape (4, 4, 4, 4) disagrees with dim 3: expected (3, 3, 3, 3)",
+    "bundle-binary-order":
+        "AlgebraBundle: br2 of shape (4, 4, 4, 4) disagrees with dim 4: expected (4, 4, 4)",
+    "bundle-binary-dim":
+        "AlgebraBundle: br2 of shape (3, 3, 3) disagrees with dim 4: expected (4, 4, 4)",
+    "birep-algebra-slots": "BiRep: rho of shape (3, 2, 2, 2) disagrees with dim 3, "
+                           "module dim 2: expected (3, 3, 2, 2)",
+    "birep-module-slots": "BiRep: rho of shape (3, 3, 2, 3) disagrees with dim 3, "
+                          "module dim 2: expected (3, 3, 2, 2)",
+    "linrep-order-4": "LinRep: mu of shape (3, 3, 2, 2) disagrees with dim 3, "
+                      "module dim 3: expected (3, 3, 3)",
+    "rep-rho-algebra-dim": "RepBundle: rho of shape (4, 4, 2, 2) disagrees with dim 3, "
+                           "module dim 2: expected (3, 3, 2, 2)",
+    "rep-mu-algebra-dim": "RepBundle: mu of shape (2, 2, 2) disagrees with dim 3, "
+                          "module dim 2: expected (3, 2, 2)",
     "symplectic_induced_pre-skew-before-size":
         "symplectic_induced_pre: bilinear form is not skew-symmetric",
 }

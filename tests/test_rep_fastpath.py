@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 import rep_oracle
+from rep_oracle import action
 from test_structure_fastpath import degrees
 from ternalg import structures
 from ternalg import schema
@@ -96,11 +97,11 @@ def random_rep(seed, binary):
         binary_bracket=tensor(3, DENS["binary"]),
     )
     if binary:
-        rho = LinRep(m, tuple(rand_mat(rng, m, DENS["rho"]) for _ in range(n)))
+        rho = action(LinRep, tuple(rand_mat(rng, m, DENS["rho"]) for _ in range(n)))
     else:
-        rho = BiRep(m, tuple(tuple(rand_mat(rng, m, DENS["rho"]) for _ in range(n))
-                             for _ in range(n)))
-    mu = LinRep(m, tuple(rand_mat(rng, m, DENS["mu"]) for _ in range(n)))
+        rho = action(BiRep, tuple(tuple(rand_mat(rng, m, DENS["rho"]) for _ in range(n))
+                                  for _ in range(n)))
+    mu = action(LinRep, tuple(rand_mat(rng, m, DENS["mu"]) for _ in range(n)))
     return RepBundle(algebra=algebra, rho=rho, mu=mu)
 
 
@@ -115,11 +116,10 @@ def scaled(r, alpha, beta):
                             bracket=tensor(a.bracket, alpha),
                             binary_bracket=tensor(a.binary_bracket, alpha))
     if isinstance(r.rho, BiRep):
-        rho = BiRep(r.module_dim, tuple(tuple(x.scale(alpha) for x in row)
-                                        for row in r.rho.mats))
+        rho = action(BiRep, tuple(tuple(x.scale(alpha) for x in row) for row in r.rho.mats))
     else:
-        rho = LinRep(r.module_dim, tuple(x.scale(alpha) for x in r.rho.mats))
-    mu = LinRep(r.module_dim, tuple(x.scale(beta) for x in r.mu.mats))
+        rho = action(LinRep, tuple(x.scale(alpha) for x in r.rho.mats))
+    mu = action(LinRep, tuple(x.scale(beta) for x in r.mu.mats))
     return RepBundle(algebra=algebra, rho=rho, mu=mu)
 
 
@@ -130,8 +130,8 @@ def conjugated(r, s):
     def conj(x):
         return s @ x @ s_inv
 
-    rho = BiRep(r.module_dim, tuple(tuple(conj(x) for x in row) for row in r.rho.mats))
-    mu = LinRep(r.module_dim, tuple(conj(x) for x in r.mu.mats))
+    rho = action(BiRep, tuple(tuple(conj(x) for x in row) for row in r.rho.mats))
+    mu = action(LinRep, tuple(conj(x) for x in r.mu.mats))
     return RepBundle(algebra=r.algebra, rho=rho, mu=mu)
 
 
@@ -145,12 +145,12 @@ def nudged(r, which, i, j, row, col, delta, keep_skew=False):
     if which == "mu":
         mats = list(r.mu.mats)
         mats[i] = bump(mats[i])
-        return RepBundle(algebra=r.algebra, rho=r.rho, mu=LinRep(r.module_dim, tuple(mats)))
+        return RepBundle(algebra=r.algebra, rho=r.rho, mu=action(LinRep, mats))
     mats = [list(x) for x in r.rho.mats]
     mats[i][j] = bump(mats[i][j])
     if keep_skew:
         mats[j][i] = -mats[i][j]
-    rho = BiRep(r.module_dim, tuple(tuple(x) for x in mats))
+    rho = action(BiRep, mats)
     return RepBundle(algebra=r.algebra, rho=rho, mu=r.mu)
 
 

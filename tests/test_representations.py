@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rep_oracle import action
 from ternalg.catalog import fil4, fil4_adjoint, fil4_rb, trunc
 from ternalg.errors import DimensionMismatch, MissingRep
 from ternalg.linalg import Matrix, Tensor, Vec
@@ -58,7 +59,7 @@ def perturb_rho(rep, i, j, row, col, delta, keep_skew=True):
     mats[i][j] = Matrix(m)
     if keep_skew:
         mats[j][i] = -Matrix(m)
-    rho = BiRep(rep.rho.module_dim, tuple(tuple(r) for r in mats))
+    rho = action(BiRep, mats)
     return RepBundle(algebra=rep.algebra, rho=rho, mu=rep.mu)
 
 
@@ -98,23 +99,21 @@ def test_rep_kind_requires_components(f4):
 # -- construction errors --------------------------------------------------------
 
 def test_wrong_shaped_rep_matrix_is_refused():
-    z = Matrix.zero(2, 2)
     with pytest.raises(DimensionMismatch):
-        LinRep(2, (z, Matrix.zero(2, 3)))
+        LinRep(Tensor((2, 2, 3), {}))
     with pytest.raises(DimensionMismatch):
-        BiRep(2, ((z, Matrix.zero(3, 3)), (z, z)))
+        BiRep(Tensor((2, 2, 2, 3), {}))
 
 
 def test_action_count_must_match_the_algebra_dim(f4):
-    z = Matrix.zero(2, 2)
     with pytest.raises(DimensionMismatch):
-        RepBundle(algebra=f4, mu=LinRep(2, (z,) * 3))
+        RepBundle(algebra=f4, mu=LinRep.zero(3, 2))
     with pytest.raises(DimensionMismatch):
-        RepBundle(algebra=f4, rho=LinRep(2, (z,) * 5))
+        RepBundle(algebra=f4, rho=LinRep.zero(5, 2))
     with pytest.raises(DimensionMismatch):
-        RepBundle(algebra=f4, rho=BiRep(2, ((z,) * 4,) * 3))
+        RepBundle(algebra=f4, rho=BiRep.zero(3, 2))
     with pytest.raises(DimensionMismatch):
-        RepBundle(algebra=f4, rho=BiRep(2, ((z,) * 4,) * 3 + ((z,) * 3,)))
+        BiRep(Tensor((4, 2, 2, 2), {}))
 
 
 def test_rho_and_mu_must_agree_on_the_module_dim(f4):
@@ -138,13 +137,16 @@ def test_mu_must_be_a_single_action(mu):
 
 def test_action_tensors_are_the_constants(adj, f4):
     """The adjoint actions are the bracket and product themselves, equal to
-    their dense construction; a tensor of another order or dim is refused."""
+    the actions built from their dense views; a tensor of another order is
+    refused, and so is anything but a tensor."""
     assert adj.rho.tensor is f4.bracket and adj.mu.tensor is f4.product
-    assert adj.rho == BiRep(4, adj.rho.mats) and adj.mu == LinRep(4, adj.mu.mats)
+    assert adj.rho == action(BiRep, adj.rho.mats) and adj.mu == action(LinRep, adj.mu.mats)
     with pytest.raises(DimensionMismatch):
-        BiRep.from_tensor(4, 4, f4.product)
+        BiRep(f4.product)
     with pytest.raises(DimensionMismatch):
-        LinRep.from_tensor(4, 6, f4.product)
+        LinRep(f4.bracket)
+    with pytest.raises(TypeError, match="^LinRep takes a Tensor, not tuple$"):
+        LinRep(adj.mu.mats)
 
 
 @pytest.mark.parametrize("cls, algebra_dim, module_dim, idx", [
@@ -156,22 +158,22 @@ def test_action_constants_must_lie_in_its_ranges(cls, algebra_dim, module_dim, i
     module_dim, module_dim), so a constant at an algebra index past
     algebra_dim, or a module index past module_dim, is refused by the
     `Tensor` constructor, the one range check; a tensor padded to the
-    larger dim, where such a constant fits, is no action."""
+    larger dim, where such a constant fits, is an action of other dims, read
+    from its shape."""
     shape = (algebra_dim,) * (cls.order - 2) + (module_dim, module_dim)
     with pytest.raises(DimensionMismatch, match=rf"^indices \[{', '.join(map(str, idx))}\] do "
                                                 rf"not fit the shape"):
         Tensor(shape, {idx: 1})
-    padded = Tensor(max(algebra_dim, module_dim), cls.order, {idx: 1})
-    with pytest.raises(DimensionMismatch, match=r"^a tensor of shape .* is no action of dim"):
-        cls.from_tensor(algebra_dim, module_dim, padded)
-    ok = tuple(0 for _ in idx)
-    assert cls.from_tensor(algebra_dim, module_dim, Tensor(shape, {ok: 1})).tensor
+    padded = cls(Tensor(max(algebra_dim, module_dim), cls.order, {idx: 1}))
+    assert (padded.algebra_dim, padded.module_dim) != (algebra_dim, module_dim)
+    fit = cls(Tensor(shape, {tuple(0 for _ in idx): 1}))
+    assert (fit.algebra_dim, fit.module_dim) == (algebra_dim, module_dim)
 
 
 # -- L maps ---------------------------------------------------------------------
 
 def test_l1_with_zero_rho(f4):
-    mu = LinRep(4, tuple(Matrix.identity(4) for _ in range(4)))
+    mu = action(LinRep, tuple(Matrix.identity(4) for _ in range(4)))
     r = RepBundle(algebra=f4, rho=BiRep.zero(4, 4), mu=mu)
     rng = random.Random(3)
     x, y, z, u = (rand_vec(rng, 4) for _ in range(4))
@@ -257,7 +259,7 @@ def test_adjoint_of_zero_bundle():
 
 def test_dual_rep_transposes():
     t = trunc(2)
-    mu = LinRep(2, (Matrix([[0, 1], [0, 0]]), Matrix.zero(2, 2)))
+    mu = action(LinRep, (Matrix([[0, 1], [0, 0]]), Matrix.zero(2, 2)))
     r = RepBundle(algebra=t, mu=mu)
     d = dual_rep(r)
     assert d.mu.mats[0] == Matrix([[0, 0], [1, 0]])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rep_oracle import action
 from ternalg import catalog, representations, schema
 from ternalg.errors import InternalError, SchemaError
 from ternalg.linalg import Matrix, Vec
@@ -276,8 +277,8 @@ def seeded_rep(seed, n, m):
         return Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5
                         else 0 for _ in range(m)] for _ in range(m)])
 
-    rho = BiRep(m, tuple(tuple(mat() for _ in range(n)) for _ in range(n)))
-    mu = LinRep(m, tuple(mat() for _ in range(n)))
+    rho = action(BiRep, tuple(tuple(mat() for _ in range(n)) for _ in range(n)))
+    mu = action(LinRep, tuple(mat() for _ in range(n)))
     return RepBundle(algebra=catalog.trunc(n), rho=rho, mu=mu)
 
 

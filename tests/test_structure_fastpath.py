@@ -23,6 +23,7 @@ from fractions import Fraction
 import pytest
 
 import structure_oracle as oracle
+from rep_oracle import action
 from ternalg import schema
 from ternalg.catalog import (
     _alternating_tensor4,
@@ -736,9 +737,9 @@ def _all_tensor_owners(seed, path=None):
         return tuple(Matrix([[rand_q(rng, dens, 0.6) for _ in range(m)] for _ in range(m)])
                      for _ in range(count))
 
-    pair = RepBundle(algebra=b, rho=BiRep(m, tuple(mats(n, (3, 9)) for _ in range(n))),
-                     mu=LinRep(m, mats(n, (11,))))
-    single = RepBundle(algebra=b, rho=LinRep(m, mats(n, (13,))), mu=pair.mu)
+    pair = RepBundle(algebra=b, rho=action(BiRep, tuple(mats(n, (3, 9)) for _ in range(n))),
+                     mu=action(LinRep, mats(n, (11,))))
+    single = RepBundle(algebra=b, rho=action(LinRep, mats(n, (13,))), mu=pair.mu)
     maps = {
         "T": tensor((m, n), (2, 5)), "Tinv": tensor((n, m), (43,)), "N": tensor((n, n), (17,)),
         "form": tensor((n, n, 1), (19, 3)), "tau": tensor((n, 1), (23,)),
@@ -926,7 +927,7 @@ def test_partly_empty_sub_map_is_still_scanned(caplog):
         b = noncoherent_tfm(*NONCOHERENT_A)
         if path:
             forced(b, path)
-        r = RepBundle(algebra=b, rho=BiRep.from_tensor(4, 4, b.bracket), mu=LinRep.zero(4, 4))
+        r = RepBundle(algebra=b, rho=BiRep(b.bracket), mu=LinRep.zero(4, 4))
         return structures._Maps(r, {"T": Tensor(4, 2, {(0, 0): 1, (1, 2): 1})})
 
     with caplog.at_level(logging.DEBUG, logger="ternalg"):

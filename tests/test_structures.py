@@ -436,15 +436,15 @@ def test_invariants_survive_python_O():
 
 
 TENSOR_ORDERS = textwrap.dedent("""
-    from ternalg.errors import BundleError
+    from ternalg.errors import BundleError, DimensionMismatch
     from ternalg.linalg import Tensor
     from ternalg.structures import AlgebraBundle
 
     def refused(**tensors):
         try:
             AlgebraBundle(2, **tensors)
-        except BundleError as exc:
-            return str(exc)
+        except (BundleError, DimensionMismatch) as exc:
+            return f"{type(exc).__name__}: {exc}"
         return "accepted"
 
     print(refused(bracket=Tensor(2, 3, {})))
@@ -462,8 +462,11 @@ def test_tensor_order_checked_under_python_O(flags):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "bracket must be an order-4 Tensor, got order 3",
-        "product must be an order-3 Tensor, got order 4",
-        "binary_bracket must be an order-3 Tensor, got order 4",
-        "product must be an order-3 Tensor, got list",
+        "DimensionMismatch: AlgebraBundle: br3 of shape (2, 2, 2) disagrees with dim 2: "
+        "expected (2, 2, 2, 2)",
+        "DimensionMismatch: AlgebraBundle: mul of shape (2, 2, 2, 2) disagrees with dim 2: "
+        "expected (2, 2, 2)",
+        "DimensionMismatch: AlgebraBundle: br2 of shape (2, 2, 2, 2) disagrees with dim 2: "
+        "expected (2, 2, 2)",
+        "BundleError: product must be a Tensor, got list",
     ]

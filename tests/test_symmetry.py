@@ -232,8 +232,8 @@ def skew_rep(seed, n=3, m=2):
     algebra = AlgebraBundle(n, product=Tensor(n, 3, {idx: q() for idx in itertools.product(
         range(n), repeat=3)}), bracket=Tensor(n, 4, {idx: q() for idx in itertools.product(
             range(n), repeat=4)}))
-    return RepBundle(algebra=algebra, rho=BiRep.from_tensor(n, m, Tensor((n, n, m, m), rho)),
-                     mu=LinRep.from_tensor(n, m, Tensor((n, m, m), mu)))
+    return RepBundle(algebra=algebra, rho=BiRep(Tensor((n, n, m, m), rho)),
+                     mu=LinRep(Tensor((n, m, m), mu)))
 
 
 def random_vectors(rng, n, count):

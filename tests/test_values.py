@@ -104,12 +104,13 @@ def by_field():
         Symmetry((((0, 1), 1),), ("skew3",)), Symmetry(blocks, ())]
     # fil4's adjoint rho on a module of dim 3 as well as 4, so that the
     # module dim alone can differ: its constants at module index 3 dropped
-    rho = BiRep.from_tensor(4, 4, Tensor(4, 4, [
+    rho = BiRep(Tensor(4, 4, [
         (idx, v) for idx, v in adjoint_rep(fil4()).rho.tensor.nonzeros() if max(idx[2:]) < 3]))
-    yield rho, BiRep.from_tensor(4, 4, rho.tensor), [
-        BiRep.zero(4, 4), BiRep.from_tensor(4, 3, Tensor((4, 4, 3, 3), rho.tensor.nonzeros()))]
-    yield LinRep.zero(2, 3), LinRep(3, [Matrix.zero(3, 3)] * 2), [
-        LinRep.zero(2, 2), LinRep.zero(3, 3), LinRep(3, [Matrix.identity(3)] * 2)]
+    yield rho, BiRep(rho.tensor), [
+        BiRep.zero(4, 4), BiRep(Tensor((4, 4, 3, 3), rho.tensor.nonzeros()))]
+    identities = {(i, p, p): 1 for i in range(2) for p in range(3)}
+    yield LinRep.zero(2, 3), LinRep(Tensor((2, 3, 3), {})), [
+        LinRep.zero(2, 2), LinRep.zero(3, 3), LinRep(Tensor((2, 3, 3), identities))]
     yield TraceFunctional(Vec([1, 0])), TraceFunctional(Vec([1, 0])), [TraceFunctional(Vec([0, 1]))]
     yield (BilinearForm(Matrix([[0, 1], [-1, 0]])), BilinearForm(Matrix([[0, 1], [-1, 0]])),
            [BilinearForm(Matrix([[0, 2], [-2, 0]]))])
@@ -196,7 +197,7 @@ REPRS = [
      "binary_bracket=None, unit=Vec(1, 0))"),
     (lambda: Symmetry((((0, 1), -1), ((2, 3, 4), 1)), ("skew3",)),
      "Symmetry(blocks=(((0, 1), -1), ((2, 3, 4), 1)), assumes=('skew3',))"),
-    (lambda: LinRep(2, [Matrix([[0, 1], [0, 0]]), Matrix.zero(2, 2)]),
+    (lambda: LinRep(Tensor((2, 2, 2), {(0, 1, 0): 1})),
      "LinRep(tensor=Tensor(shape=(2, 2, 2), constants=(((0, 1, 0), Fraction(1, 1)),)))"),
     (lambda: TraceFunctional(Vec([1, 0])), "TraceFunctional(row=Vec(1, 0))"),
     (lambda: BilinearForm(Matrix([[0, 1], [-1, 0]])), "BilinearForm(matrix=Matrix(0 1; -1 0))"),
@@ -300,8 +301,9 @@ def test_keyword_and_default_construction():
     lambda: RepBundle(rho=None),
     lambda: Document(),
     lambda: InterMap(Matrix([[1]]), 2),
+    lambda: LinRep(2, [Matrix.zero(2, 2)] * 2),
 ], ids=["missing", "too-many", "repeated", "unknown", "no-row", "no-algebra",
-        "only-default", "no-bundle", "intermap-extra"])
+        "only-default", "no-bundle", "intermap-extra", "action-dense"])
 def test_bad_arguments_raise_type_error(build):
     with pytest.raises(TypeError):
         build()
@@ -373,8 +375,9 @@ INPUT_CHECKS = {
                         "bundle dimension must be an int, not None"),
     "bundle-labels": (lambda: AlgebraBundle(2, basis_labels=["a"]), BundleError,
                       "expected 2 basis labels, got 1"),
-    "bundle-shape": (lambda: AlgebraBundle(2, bracket=Tensor(3, 4, {})), BundleError,
-                     "bracket tensor has shape (3, 3, 3, 3), bundle has dim 2"),
+    "bundle-shape": (lambda: AlgebraBundle(2, bracket=Tensor(3, 4, {})), DimensionMismatch,
+                     "AlgebraBundle: br3 of shape (3, 3, 3, 3) disagrees with dim 2: "
+                     "expected (2, 2, 2, 2)"),
     "unit-no-product": (lambda: AlgebraBundle(2, unit=Vec([1, 0])), BundleError,
                         "unit given but bundle has no product"),
     "unit-dim": (lambda: AlgebraBundle(2, product=Tensor(2, 3, {}), unit=Vec([1, 0, 0])),

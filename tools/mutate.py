@@ -152,6 +152,21 @@ MUTATIONS = [
         "    for tensors in () if sized else chain[:1]:",
         kill=("tests/test_preconditions.py::test_single_fault_raises_its_error[no-action-rb-T]",
               "tests/test_preconditions.py::test_errors_name_their_context")),
+    # the constructors size their own tensors by the same rule: an action as
+    # its own operation, here a BiRep as A B B -> B, which lets its two
+    # algebra slots differ, and a bundle every tensor it holds
+    Mutation(
+        "action-sized-as-another-operation", "src/ternalg/representations.py",
+        '    op, order = "rho", 4',
+        '    op, order = "br3B__f__x1__x2__x3", 4',
+        kill=("tests/test_representations.py::test_action_count_must_match_the_algebra_dim",)),
+    Mutation(
+        "bundle-sizes-no-binary-bracket", STRUCTURES,
+        '_sort_sizes("AlgebraBundle", self._components()[0], {"k": 1, "A": dim})',
+        '_sort_sizes("AlgebraBundle", {**self._components()[0], "br2": None}, {"k": 1, "A": dim})',
+        kill=("tests/test_preconditions.py::test_single_fault_raises_its_error"
+              "[bundle-binary-order]",
+              "tests/test_structures.py::test_tensor_order_checked_under_python_O[flags0]")),
     # the terms, scales, re-check and certificates the scans rest on
     Mutation(
         "fundamental-term-sign", STRUCTURES,
