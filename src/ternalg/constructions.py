@@ -134,7 +134,7 @@ def _trace_maps(a: AlgebraBundle, tau: TraceFunctional) -> _Maps:
 def check_trace(a: AlgebraBundle, tau: TraceFunctional, *,
                 max_counterexamples: int = 1) -> CheckReport:
     """Verify tau([e_i, e_j]) = 0 on all basis pairs of the binary bracket."""
-    return run_conditions("trace", _trace_maps(a, tau), ["trace"], max_counterexamples)
+    return run_conditions("trace", _trace_maps(a, tau), max_counterexamples)
 
 
 def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
@@ -144,7 +144,7 @@ def trace_induced(a: AlgebraBundle, tau: TraceFunctional) -> AlgebraBundle:
     tau kills the bracket image.
     """
     maps = _trace_maps(a, tau)
-    _require(run_conditions("trace", maps, ["trace"], 1), NotATrace,
+    _require(run_conditions("trace", maps, 1), NotATrace,
              "functional does not vanish on the bracket image")
     return AlgebraBundle(a.dim, product=a.product, bracket=maps.tensor("br3_tau"),
                          unit=a.unit, basis_labels=a.basis_labels)
@@ -154,8 +154,7 @@ def check_induced_condition(a: AlgebraBundle, tau: TraceFunctional, *,
                             max_counterexamples: int = 1) -> CheckReport:
     """Verify tau(x1 x2) L(x3,x4,x5) = tau(x2) x1 L(...) + tau(x1) x2 L(...)
     on all basis 5-tuples, with L the binary Leibnizator."""
-    return run_conditions("induced-condition", _trace_maps(a, tau), ["induced-condition"],
-                          max_counterexamples)
+    return run_conditions("induced-condition", _trace_maps(a, tau), max_counterexamples)
 
 
 def symmetrize_zinbiel(d: AlgebraBundle) -> AlgebraBundle:

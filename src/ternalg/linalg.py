@@ -37,20 +37,15 @@ class Value:
     by their fields and print as `Cls(field=value, ...)`.  Assigning or
     deleting an attribute raises AttributeError, so a subclass's own
     constructor, and a cache kept on an instance, use `object.__setattr__`.
-    `class C(Value, eq=False)` keeps identity equality and hashing, and
-    `frozen=False` allows assignment (and, with equality, drops the hash).
+    `class C(Value, eq=False)` keeps identity equality and hashing.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, eq: bool = True, frozen: bool = True):
+    def __init_subclass__(cls, eq: bool = True):
         cls._fields += tuple(vars(cls).get("__annotations__", ()))
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-        elif not frozen:
-            cls.__hash__ = None
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self._fields

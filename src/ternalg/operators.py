@@ -8,8 +8,10 @@ integer loops like every identity.  Its owner is `structures._Maps(base,
 {name: tensor})` over the bundle or representation, each tensor on its own
 size, and `structures._check_components` refuses a map or form of the wrong
 size (`_form_maps` checks a form's skewness first).  A checker makes one
-`run_conditions` call on that owner.  A builder makes the owner once,
-requires its precondition's report there (`structures._require`) and reads
+call, `run_conditions(kind, owner, k)`, on that owner: `structures.KINDS`
+names each kind's conditions, and over a bundle the driver scans the
+Nijenhuis conditions of the tensors it carries.  A builder makes the owner
+once, requires its precondition's report there (`structures._require`) and reads
 the registry's sub-map tables from it (muT and rhoTT, the induced product
 and bracket; mu_T and rho_T, the representation induced on A; mul_N and
 br3_N, the deformed ones), so each table is built once and each formula
@@ -48,7 +50,6 @@ from .representations import (
 from .structures import (
     AlgebraBundle,
     CheckReport,
-    _carried,
     _check_components,
     _Maps,
     _require,
@@ -56,31 +57,21 @@ from .structures import (
 )
 
 
-_RB_CONDITIONS = {"relative-rb-comm": ("rb-comm",), "relative-rb-3lie": ("rb-3lie",),
-                  "relative-rb": ("rb-comm", "rb-3lie")}
-
-
 def check_relative_rb_comm(t: InterMap, r: RepBundle, *,
                            max_counterexamples: int = 1) -> CheckReport:
     """Tu * Tv = T(mu(Tu)v + mu(Tv)u) on all module basis pairs."""
-    kind = "relative-rb-comm"
-    return run_conditions(kind, _Maps(r, {"T": t.tensor}), _RB_CONDITIONS[kind],
-                          max_counterexamples)
+    return run_conditions("relative-rb-comm", _Maps(r, {"T": t.tensor}), max_counterexamples)
 
 
 def check_relative_rb_3lie(t: InterMap, r: RepBundle, *,
                            max_counterexamples: int = 1) -> CheckReport:
     """[Tu,Tv,Tw] = T(rho(Tu,Tv)w + rho(Tv,Tw)u + rho(Tw,Tu)v) on basis triples."""
-    kind = "relative-rb-3lie"
-    return run_conditions(kind, _Maps(r, {"T": t.tensor}), _RB_CONDITIONS[kind],
-                          max_counterexamples)
+    return run_conditions("relative-rb-3lie", _Maps(r, {"T": t.tensor}), max_counterexamples)
 
 
 def check_relative_rb(t: InterMap, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Conjunction: relative Rota-Baxter for both the product and the bracket."""
-    kind = "relative-rb"
-    return run_conditions(kind, _Maps(r, {"T": t.tensor}), _RB_CONDITIONS[kind],
-                          max_counterexamples)
+    return run_conditions("relative-rb", _Maps(r, {"T": t.tensor}), max_counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +84,7 @@ def _checked_rb_maps(t: InterMap, r: RepBundle, kind: str = "relative-rb",
     """T's owner over r, once T passes the conditions of `kind`; else
     error(message, report)."""
     maps = _Maps(r, {"T": t.tensor})
-    _require(run_conditions(kind, maps, _RB_CONDITIONS[kind], 1), error, message)
+    _require(run_conditions(kind, maps, 1), error, message)
     return maps
 
 
@@ -194,14 +185,14 @@ def check_cyclic_2cocycle(b: BilinearForm, a: AlgebraBundle, *,
                           max_counterexamples: int = 1) -> CheckReport:
     """B(x y, z) + B(y z, x) + B(z x, y) = 0 on all basis triples."""
     return run_conditions("cyclic-2cocycle", _form_maps(b, a, "check_cyclic_2cocycle"),
-                          ["cocycle"], max_counterexamples)
+                          max_counterexamples)
 
 
 def check_symplectic(b: BilinearForm, a: AlgebraBundle, *,
                      max_counterexamples: int = 1) -> CheckReport:
     """B([x,y,z],u) - B([x,y,u],z) + B([x,z,u],y) - B([y,z,u],x) = 0 on 4-tuples."""
     return run_conditions("symplectic", _form_maps(b, a, "check_symplectic"),
-                          ["symplectic"], max_counterexamples)
+                          max_counterexamples)
 
 
 def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
@@ -213,9 +204,9 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
     """
     _require(check_coherence(a), NotCoherent, "bundle fails the coherence identities")
     maps = _form_maps(b, a, "symplectic_induced_pre")
-    _require(run_conditions("cyclic-2cocycle", maps, ["cocycle"], 1), NotCyclicCocycle,
+    _require(run_conditions("cyclic-2cocycle", maps, 1), NotCyclicCocycle,
              "form fails the cyclic 2-cocycle identity")
-    _require(run_conditions("symplectic", maps, ["symplectic"], 1), NotSymplectic,
+    _require(run_conditions("symplectic", maps, 1), NotSymplectic,
              "form fails the symplectic identity")
     flat = b.musical()
     return _pre_structure(InterMap(invert(flat)), InterMap(flat), dual_rep(adjoint_rep(a)))
@@ -225,22 +216,16 @@ def symplectic_induced_pre(b: BilinearForm, a: AlgebraBundle) -> AlgebraBundle:
 # Nijenhuis operators and deformations
 
 
-def _nijenhuis_maps(nop: InterMap, a: AlgebraBundle) -> tuple[_Maps, list[str]]:
-    """The owner of N: A -> A over a and the Nijenhuis conditions of the
-    tensors a carries."""
-    return _Maps(a, {"N": nop.tensor}), _carried(a, ("nijenhuis-comm", "nijenhuis-3lie"))
-
-
 def check_nijenhuis(nop: InterMap, a: AlgebraBundle, *,
                     max_counterexamples: int = 1) -> CheckReport:
     """Integrability of N for whichever of the product / ternary bracket exists."""
-    return run_conditions("nijenhuis", *_nijenhuis_maps(nop, a), max_counterexamples)
+    return run_conditions("nijenhuis", _Maps(a, {"N": nop.tensor}), max_counterexamples)
 
 
 def deform(nop: InterMap, a: AlgebraBundle) -> AlgebraBundle:
     """Deformed structures x *_N y and [x,y,z]_N of a Nijenhuis operator."""
-    maps, names = _nijenhuis_maps(nop, a)
-    _require(run_conditions("nijenhuis", maps, names, 1), NotNijenhuis,
+    maps = _Maps(a, {"N": nop.tensor})
+    _require(run_conditions("nijenhuis", maps, 1), NotNijenhuis,
              "map fails the Nijenhuis integrability conditions")
     prod = maps.tensor("mul_N") if a.product is not None else None
     brk = maps.tensor("br3_N") if a.bracket is not None else None

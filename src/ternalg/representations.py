@@ -17,12 +17,13 @@ algebra slots (A) first and the module slot (V) last, built from `rho`:
 A A V -> V (`rho1`: A V -> V for a `LinRep`), `mu`: A V -> V and the
 algebra's tensors.  Its value at (t, e_p) is column p of the matrix identity
 at the algebra tuple t, ranked rank(t) * m + p.  `_registry` defines L1, L2,
-L3 and their binary forms as sub-maps, and each condition, once;
-`KIND_CONDITIONS` lists each kind's conditions by name.  A `RepBundle`
-states its components once (`RepBundle._components`), which give the
-module's size by their shapes, and a builder names the ones it reads to
-`structures._check_components`: `structures._sort_sizes` refuses a
-mis-sized one, and no guard for a missing one is written here.
+L3 and their binary forms as sub-maps, and each condition, once, and this
+module adds the conditions to `structures._MAPS`, where the scan driver
+finds the names `structures.KINDS` lists for each kind, in scan order.  A
+`RepBundle` states its components once (`RepBundle._components`), which
+give the module's size by their shapes, and a builder names the ones it
+reads to `structures._check_components`: `structures._sort_sizes` refuses
+a mis-sized one, and no guard for a missing one is written here.
 
 The scans run on integer tables: rho and mu each times the lcm of its own
 denominators, next to the algebra's own integer tables and sub-map tables,
@@ -43,6 +44,7 @@ from .constructions import fix_slot_bracket, subadjacent_ternary_fmanifold
 from .errors import MissingRep
 from .linalg import ZERO, Matrix, Tensor, Value, Vec
 from .structures import (
+    _MAPS,
     _SUBMAPS,
     AlgebraBundle,
     CheckReport,
@@ -224,17 +226,7 @@ def _registry() -> dict[str, Identity]:
 
 
 REP_CONDITIONS: dict[str, Identity] = _registry()
-
-_THREE_LIE = ("rho-skew", "kasymov-i", "kasymov-ii")
-
-KIND_CONDITIONS: dict[RepKind, tuple[str, ...]] = {
-    RepKind.COMM_ASSOC_REP: ("mu-mult",),
-    RepKind.LIE_REP: ("rho-lie",),
-    RepKind.THREE_LIE_REP: _THREE_LIE,
-    RepKind.FMANIFOLD_REP: ("rho-lie", "mu-mult", "brep-1", "brep-2"),
-    RepKind.TERNARY_FMANIFOLD_REP: _THREE_LIE + ("mu-mult", "rep-1", "rep-3", "rep-2"),
-    RepKind.DUAL_CONDITIONS: ("corep-1", "corep-2", "corep-3"),
-}
+_MAPS.update(REP_CONDITIONS)  # the maps the representation kinds of `KINDS` name
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +236,7 @@ KIND_CONDITIONS: dict[RepKind, tuple[str, ...]] = {
 def check_representation(kind, r: RepBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Verify all conditions of the representation kind on basis tuples x module basis."""
     kind = coerce_kind(kind, RepKind, "representation")
-    return run_conditions(kind.value, r, KIND_CONDITIONS[kind], max_counterexamples,
-                          REP_CONDITIONS, f"{kind.value} condition")
+    return run_conditions(kind.value, r, max_counterexamples)
 
 
 # ---------------------------------------------------------------------------

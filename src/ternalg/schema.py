@@ -53,7 +53,7 @@ SCHEMA_VERSION = 1
 _TENSORS = (("product", 3, 0), ("bracket", 4, 3), ("binary_bracket", 3, 2))
 
 
-class Document(Value, frozen=False):
+class Document(Value):
     """A parsed scenario: one bundle plus optional representation, maps, form."""
 
     bundle: AlgebraBundle

@@ -48,12 +48,15 @@ builds tables, reads nothing else.  One rule, `_sort_sizes`, reads each
 sort's size from their shapes and refuses a tensor, map, form, trace or
 action of the wrong size; `AlgebraBundle` and the actions apply it to
 their own tensors when built.  Every checker makes one call,
-`run_conditions(kind, owner, names, k)`: the one scan driver and the one
-place that builds a `CheckReport`.  Before it builds a table,
-`_check_components` sizes the owner's components, bases first, and raises
-for the first tensor or action the named maps read that the owner lacks,
-the error `_MISSING` gives it; then it scans each map, re-checks each
-failure exactly and reports.  A builder names the components it reads to
+`run_conditions(kind, owner, k)`: the one scan driver and the one place
+that builds a `CheckReport`.  It reads the kind's maps from `KINDS`, the
+one table of every check kind's maps in scan order, and over an algebra
+bundle's maps (`_Maps`) keeps those of the tensors the bundle carries.
+Before it builds a table, `_check_components` sizes the owner's
+components, bases first, and raises for the first tensor or action the
+maps read that the owner lacks, the error `_MISSING` gives it, naming
+"<kind> condition '<map>'"; then it scans each map, re-checks each failure
+exactly and reports.  A builder names the components it reads to
 `_check_components` too.
 
 Identity and representation scans use only certified symmetries.  A term
@@ -75,15 +78,14 @@ first k counterexamples and the tuple count equal those of the full scan.
 
 Adding an identity: define it in `_registry` with `_define` (a shared
 sub-map with `_submap`), in terms of `mul`, `br3`, `br2` and the existing
-sub-maps, and list it in `KIND_IDENTITIES`.  Which tensors it reads (and so
-what an input without one raises), its term multipliers, its symmetry
-certificate and both evaluators follow from the definition.  A
-representation condition is the same, in `representations._registry` and
-`KIND_CONDITIONS`, with the module slot last and `rho`, `rho1` and `mu`
-available; an operator, trace or homomorphism condition goes into
-`_condition_registry`.  A new tensor or action needs a signature in
-`_SIGNATURES` and an entry in the missing-component table `_MISSING`: the
-error an owner without it gets.
+sub-maps, and list it under its kinds in `KINDS`.  Which tensors it reads
+(and so what an input without one raises), its term multipliers, its
+symmetry certificate and both evaluators follow from the definition.  A
+representation condition is the same, in `representations._registry`,
+with the module slot last and `rho`, `rho1` and `mu` available; an
+operator, trace or homomorphism condition goes into `_condition_registry`.
+A new tensor or action needs a signature in `_SIGNATURES` and an entry in
+the missing-component table `_MISSING`: the error an owner without it gets.
 """
 
 from __future__ import annotations
@@ -333,12 +335,17 @@ def _dims(sizes: dict) -> str:
 
 def _sort_sizes(where: str, tensors: dict, sizes: dict) -> dict:
     """`sizes` and each sort's size read from the shapes of `tensors` by
-    `_SIGNATURES`; a shape not its sorts' sizes, in order, raises at `where`."""
+    `_SIGNATURES`; a tensor of another order than its sorts', refused before
+    any size is read from it, or a shape not its sorts' sizes, in order,
+    raises at `where`."""
     sizes = dict(sizes)
     for op, t in tensors.items():
         if t is None:
             continue
         sorts = "".join(_SIGNATURES[op])
+        if len(t.shape) != len(sorts):
+            raise DimensionMismatch(f"{where}: {op} of shape {t.shape} has order "
+                                    f"{len(t.shape)}, not {len(sorts)}")
         for s, n in zip(sorts, t.shape):
             sizes.setdefault(s, n)
         want = tuple(sizes.get(s) for s in sorts)
@@ -636,27 +643,42 @@ def _registry() -> dict[str, Identity]:
 IDENTITIES: dict[str, Identity] = _registry()
 
 _TFM = ("comm", "assoc", "skew3", "fundamental", "hm3")
+_THREE_LIE_REP = ("rho-skew", "kasymov-i", "kasymov-ii")
 
-KIND_IDENTITIES: dict[StructureKind, tuple[str, ...]] = {
-    StructureKind.COMM_ASSOC: ("comm", "assoc"),
-    StructureKind.ZINBIEL: ("zinbiel",),
-    StructureKind.LIE: ("skew2", "jacobi"),
-    StructureKind.THREE_LIE: ("skew3", "fundamental"),
-    StructureKind.THREE_PRE_LIE: ("prelie3-skew", "prelie3-a", "prelie3-b"),
-    StructureKind.F_MANIFOLD: ("comm", "assoc", "skew2", "jacobi", "hm2"),
-    StructureKind.TERNARY_F_MANIFOLD: _TFM,
-    StructureKind.TERNARY_NAMBU_POISSON: (
-        "comm", "assoc", "skew3", "fundamental", "leibniz-np",
-    ),
-    StructureKind.TERNARY_PRE_F_MANIFOLD: (
-        "zinbiel", "prelie3-skew", "prelie3-a", "prelie3-b",
-        "prefm-1", "prefm-11", "prefm-2",
-    ),
-    StructureKind.TERNARY_PRE_NAMBU_POISSON: (
-        "zinbiel", "prelie3-skew", "prelie3-a", "prelie3-b", "prenp-1", "prenp-2",
-    ),
+# Every check kind's maps, by name, in scan order: the structure kinds
+# (`StructureKind`), the representation kinds (`representations.RepKind`)
+# and the kinds of the operator, form, trace and homomorphism checkers.
+# `run_conditions` resolves the names in `_MAPS`.
+KINDS: dict[str, tuple[str, ...]] = {
+    "comm-assoc": ("comm", "assoc"),
+    "zinbiel": ("zinbiel",),
+    "lie": ("skew2", "jacobi"),
+    "3-lie": ("skew3", "fundamental"),
+    "3-pre-lie": ("prelie3-skew", "prelie3-a", "prelie3-b"),
+    "f-manifold": ("comm", "assoc", "skew2", "jacobi", "hm2"),
+    "ternary-f-manifold": _TFM,
+    "ternary-nambu-poisson": ("comm", "assoc", "skew3", "fundamental", "leibniz-np"),
+    "ternary-pre-f-manifold": ("zinbiel", "prelie3-skew", "prelie3-a", "prelie3-b",
+                               "prefm-1", "prefm-11", "prefm-2"),
+    "ternary-pre-nambu-poisson": ("zinbiel", "prelie3-skew", "prelie3-a", "prelie3-b",
+                                  "prenp-1", "prenp-2"),
     # coherence presumes the ternary F-manifold identities, so they come first
-    StructureKind.COHERENCE: _TFM + ("coh1", "coh2", "coh3"),
+    "coherence": _TFM + ("coh1", "coh2", "coh3"),
+    "comm-assoc-rep": ("mu-mult",),
+    "lie-rep": ("rho-lie",),
+    "three-lie-rep": _THREE_LIE_REP,
+    "fmanifold-rep": ("rho-lie", "mu-mult", "brep-1", "brep-2"),
+    "ternary-fmanifold-rep": _THREE_LIE_REP + ("mu-mult", "rep-1", "rep-3", "rep-2"),
+    "dual-conditions": ("corep-1", "corep-2", "corep-3"),
+    "relative-rb-comm": ("rb-comm",),
+    "relative-rb-3lie": ("rb-3lie",),
+    "relative-rb": ("rb-comm", "rb-3lie"),
+    "cyclic-2cocycle": ("cocycle",),
+    "symplectic": ("symplectic",),
+    "nijenhuis": ("nijenhuis-comm", "nijenhuis-3lie"),
+    "trace": ("trace",),
+    "induced-condition": ("induced-condition",),
+    "homomorphism": ("hom-product", "hom-bracket", "hom-binary-bracket"),
 }
 
 
@@ -711,6 +733,9 @@ def _condition_registry() -> dict[str, Identity]:
 
 
 CONDITIONS: dict[str, Identity] = _condition_registry()
+
+# every map of a check kind, by name; representations adds its conditions
+_MAPS: dict[str, Identity] = {**IDENTITIES, **CONDITIONS}
 
 # each tensor as a map of its own, for AlgebraBundle.mul, br3 and br2
 _TENSOR_MAPS = {op: _identity(op, ((1, (op, tuple(range(n)))),), n)
@@ -1395,22 +1420,27 @@ def _failures(ops: _Ops, m: Identity, symmetry: Optional[Symmetry], passed: set,
     return found, evaluated
 
 
-def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: int,
-                   registry: dict = CONDITIONS, context: str = "condition") -> CheckReport:
-    """Scan the named maps of `registry` (`CONDITIONS` by default) on owner's
-    tables, in order, and report their first k failures.
+def run_conditions(kind: str, owner, max_counterexamples: int) -> CheckReport:
+    """Scan the maps of `kind` (`KINDS`) on owner's tables, in order, and
+    report their first k failures.
 
-    Every component the maps read is checked first, each missing one
-    raising as `context` and the map's name.  The budget k is shared: the
-    run stops at the map that fills it.  A bundle's identities and a
-    representation's conditions get symmetry certificates, each assuming
-    the identities listed before it; an operator owner's (`_Maps`), in
-    which the certifier finds no symmetry, scan the full range.  Every
-    failure is re-evaluated exactly at its basis vectors by `_evaluate`, and
-    its residual must be nonzero.
+    An owner that is a `_Maps` over an algebra bundle scans only the maps of
+    the tensors that bundle carries, or all of them when it carries none,
+    so that the check names the first one missing.  Every component the
+    maps read is checked first, a missing one raising as "<kind> condition
+    '<map>'".  The budget k is shared: the run stops at the map that fills
+    it.  A bundle's identities and a representation's conditions get
+    symmetry certificates, each assuming the identities listed before it;
+    an operator owner's (`_Maps`), in which the certifier finds no
+    symmetry, scan the full range.  Every failure is re-evaluated exactly at
+    its basis vectors by `_evaluate`, and its residual must be nonzero.
     """
-    maps = [registry[name] for name in names]
-    _check_components(owner, {f"{context} {m.name!r}": m.tensors for m in maps}, kind)
+    maps = [_MAPS[name] for name in KINDS[kind]]
+    if isinstance(owner, _Maps) and isinstance(owner.base, AlgebraBundle):
+        tensors = owner.base._components()[0]
+        maps = [m for m in maps if all(
+            tensors[op] is not None for op in m.tensors & tensors.keys())] or maps
+    _check_components(owner, {f"{kind} condition {m.name!r}": m.tensors for m in maps}, kind)
     ops = _ops(owner)
     budget = max(1, max_counterexamples)
     counterexamples: list[Counterexample] = []
@@ -1422,7 +1452,8 @@ def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: 
         checked.append(m.name)
         symmetry = None
         if not isinstance(owner, _Maps):
-            symmetry = _certificate(m, tuple(a for a in names[:pos] if a in _SYMMETRY_OF))
+            symmetry = _certificate(m, tuple(a.name for a in maps[:pos]
+                                             if a.name in _SYMMETRY_OF))
         found, evaluated = _failures(ops, m, symmetry, passed, budget - len(counterexamples))
         if not found:
             passed.add(m.name)
@@ -1447,7 +1478,7 @@ def run_conditions(kind: str, owner, names: Sequence[str], max_counterexamples: 
     )
 
 
-class _Maps(Value, eq=False, frozen=False):
+class _Maps(Value, eq=False):
     """Maps and forms over `base`, a bundle or a representation: the owner
     of an operator check's tables.  `tensors` holds the maps' tensors,
     whose shapes give the sizes of the sorts base lacks."""
@@ -1461,15 +1492,6 @@ class _Maps(Value, eq=False, frozen=False):
     def tensor(self, name: str) -> Tensor:
         """The structure constants of the sub-map `name`."""
         return _submap_tensor(self, name)
-
-
-def _carried(b: AlgebraBundle, names: Sequence[str]) -> list[str]:
-    """The named `CONDITIONS` whose algebra tensors b carries, or all of them
-    when none is carried, so that their check names the first one missing."""
-    tensors = b._components()[0]
-    kept = [name for name in names
-            if all(tensors[op] is not None for op in CONDITIONS[name].tensors & tensors.keys())]
-    return kept or list(names)
 
 
 def _require(report: CheckReport, error, message: str) -> None:
@@ -1512,8 +1534,7 @@ def eval_defect(identity: str, b: AlgebraBundle, args: Sequence[Vec]) -> Vec:
 def check_axioms(kind, b: AlgebraBundle, *, max_counterexamples: int = 1) -> CheckReport:
     """Exhaustively verify the identity list of the given structure kind."""
     kind = coerce_kind(kind)
-    return run_conditions(kind.value, b, KIND_IDENTITIES[kind], max_counterexamples,
-                          IDENTITIES, "identity")
+    return run_conditions(kind.value, b, max_counterexamples)
 
 
 def leibnizator3(b: AlgebraBundle, x1: Vec, x2: Vec, x3: Vec, x4: Vec) -> Vec:
@@ -1544,8 +1565,7 @@ def k_op(b: AlgebraBundle, x: Vec, y: Vec, z: Vec, u: Vec) -> Vec:
 def check_homomorphism(f: InterMap, src: AlgebraBundle, dst: AlgebraBundle, *,
                        max_counterexamples: int = 1) -> CheckReport:
     """Check that f carries every tensor src has onto dst's tensor of the same kind."""
-    names = _carried(src, ("hom-product", "hom-bracket", "hom-binary-bracket"))
     maps = _Maps(src, {
         "f": f.tensor, "mulB": dst.product, "br3B": dst.bracket,
         "br2B": dst.binary_bracket})
-    return run_conditions("homomorphism", maps, names, max_counterexamples)
+    return run_conditions("homomorphism", maps, max_counterexamples)

@@ -19,6 +19,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -54,7 +55,7 @@ from ternalg.representations import (
 from ternalg import structures
 from ternalg.structures import (
     IDENTITIES,
-    KIND_IDENTITIES,
+    KINDS,
     AlgebraBundle,
     Counterexample,
     StructureKind,
@@ -141,13 +142,16 @@ KIND_LABELS = {k.value for k in StructureKind}
 
 
 def kinds():
-    return [(k.value, KIND_IDENTITIES[k]) for k in StructureKind]
+    return [(k.value, KINDS[k.value]) for k in StructureKind]
 
 
 def check(label, names, b, k):
+    """The structure kind `label`'s check of b, or the scan of the named
+    identities as a test kind of their own."""
     if label in KIND_LABELS:
         return check_axioms(label, b, max_counterexamples=k)
-    return run_conditions(label, b, names, k, IDENTITIES, "identity")
+    with mock.patch.dict(KINDS, {label: tuple(names)}):
+        return run_conditions(label, b, k)
 
 
 SLOT_OF = {"mul": "product", "br3": "bracket", "br2": "binary_bracket"}
@@ -226,7 +230,7 @@ def test_near_misses_of_catalog_passes(case):
 def test_noncoherent_tfm_fails_only_coherence():
     b = scaled(noncoherent_tfm(*NONCOHERENT_A))
     assert check_axioms("ternary-f-manifold", b).passed
-    report = assert_agrees(b, "coherence", KIND_IDENTITIES[StructureKind.COHERENCE])
+    report = assert_agrees(b, "coherence", KINDS["coherence"])
     assert {ce.identity for ce in report.counterexamples} <= {"coh1", "coh2", "coh3"}
     assert len(report.counterexamples) == 10
 
@@ -237,7 +241,7 @@ def test_n6_direct_sum_against_oracle():
     base = direct_sum(scaled(fil4()), scaled(trunc(2)))
     b = perturb(base, random.Random(3), "bracket")
     for label in ("3-lie", "ternary-f-manifold"):
-        report = assert_agrees(b, label, KIND_IDENTITIES[StructureKind(label)])
+        report = assert_agrees(b, label, KINDS[label])
         assert not report.passed
 
 
@@ -532,8 +536,8 @@ def test_planner_on_dense_input(caplog, costs):
     b = dense(tfm4_trunc4())
     ops = structures._ops(b)
     with caplog.at_level(logging.DEBUG, logger="ternalg"):
-        assert not _planned(ops, KIND_IDENTITIES[StructureKind("ternary-f-manifold")], "hm3")
-        assert not _planned(ops, KIND_IDENTITIES[StructureKind.COHERENCE], "coh1")
+        assert not _planned(ops, KINDS["ternary-f-manifold"], "hm3")
+        assert not _planned(ops, KINDS["coherence"], "coh1")
     plans = [r.getMessage() for r in caplog.records if r.getMessage().startswith("plan ")]
     assert [t.split(";")[0] for t in plans] == [
         "plan leib3, dim 16: tuple scan", "plan hm3, dim 16: tuple scan",

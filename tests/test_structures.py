@@ -10,12 +10,33 @@ from fractions import Fraction
 import pytest
 
 from ternalg.catalog import fil4, trunc
+from ternalg.constructions import TraceFunctional, check_induced_condition, check_trace
 from ternalg.errors import ArityMismatch, MissingTensor, UnknownIdentity, UnknownKind
 from ternalg.linalg import InterMap, Matrix, Tensor, Vec
-from ternalg.representations import adjoint_rep, check_representation, semidirect
+from ternalg.operators import (
+    BilinearForm,
+    check_cyclic_2cocycle,
+    check_nijenhuis,
+    check_relative_rb,
+    check_relative_rb_3lie,
+    check_relative_rb_comm,
+    check_symplectic,
+)
+from ternalg.representations import (
+    REP_CONDITIONS,
+    BiRep,
+    LinRep,
+    RepBundle,
+    RepKind,
+    adjoint_rep,
+    check_representation,
+    semidirect,
+)
 from ternalg.structures import (
+    CONDITIONS,
+    IDENTITIES,
+    KINDS,
     AlgebraBundle,
-    KIND_IDENTITIES,
     StructureKind,
     check_axioms,
     check_homomorphism,
@@ -309,9 +330,84 @@ def test_zinbiel_symmetrization_is_comm_assoc():
     assert check_axioms("comm-assoc", symmetrize_zinbiel(z)).passed
 
 
+# Every check kind's maps in scan order, written out here and not read from
+# the library: a kind that loses, gains or reorders a map fails below.
+KIND_MAPS = {
+    "comm-assoc": ["comm", "assoc"],
+    "zinbiel": ["zinbiel"],
+    "lie": ["skew2", "jacobi"],
+    "3-lie": ["skew3", "fundamental"],
+    "3-pre-lie": ["prelie3-skew", "prelie3-a", "prelie3-b"],
+    "f-manifold": ["comm", "assoc", "skew2", "jacobi", "hm2"],
+    "ternary-f-manifold": ["comm", "assoc", "skew3", "fundamental", "hm3"],
+    "ternary-nambu-poisson": ["comm", "assoc", "skew3", "fundamental", "leibniz-np"],
+    "ternary-pre-f-manifold": ["zinbiel", "prelie3-skew", "prelie3-a", "prelie3-b",
+                               "prefm-1", "prefm-11", "prefm-2"],
+    "ternary-pre-nambu-poisson": ["zinbiel", "prelie3-skew", "prelie3-a", "prelie3-b",
+                                  "prenp-1", "prenp-2"],
+    "coherence": ["comm", "assoc", "skew3", "fundamental", "hm3", "coh1", "coh2", "coh3"],
+    "comm-assoc-rep": ["mu-mult"],
+    "lie-rep": ["rho-lie"],
+    "three-lie-rep": ["rho-skew", "kasymov-i", "kasymov-ii"],
+    "fmanifold-rep": ["rho-lie", "mu-mult", "brep-1", "brep-2"],
+    "ternary-fmanifold-rep": ["rho-skew", "kasymov-i", "kasymov-ii", "mu-mult",
+                              "rep-1", "rep-3", "rep-2"],
+    "dual-conditions": ["corep-1", "corep-2", "corep-3"],
+    "relative-rb-comm": ["rb-comm"],
+    "relative-rb-3lie": ["rb-3lie"],
+    "relative-rb": ["rb-comm", "rb-3lie"],
+    "cyclic-2cocycle": ["cocycle"],
+    "symplectic": ["symplectic"],
+    "nijenhuis": ["nijenhuis-comm", "nijenhuis-3lie"],
+    "trace": ["trace"],
+    "induced-condition": ["induced-condition"],
+    "homomorphism": ["hom-product", "hom-bracket", "hom-binary-bracket"],
+}
+
+# zero data, on which every map of every kind passes
+ZERO = AlgebraBundle(2, product=Tensor(2, 3, {}), bracket=Tensor(2, 4, {}),
+                     binary_bracket=Tensor(2, 3, {}))
+ZERO_MAP = InterMap.zero(2, 2)
+ZERO_FORM = BilinearForm(Matrix.zero(2, 2))
+ZERO_TAU = TraceFunctional.zero(2)
+
+
+def zero_rep(rho=BiRep):
+    return RepBundle(algebra=ZERO, rho=rho.zero(2, 2), mu=LinRep.zero(2, 2))
+
+
+# the check of each kind, on zero data
+ZERO_CHECKS = {
+    **{k.value: lambda k=k: check_axioms(k, ZERO) for k in StructureKind},
+    **{k.value: lambda k=k: check_representation(k, zero_rep()) for k in RepKind},
+    "lie-rep": lambda: check_representation("lie-rep", zero_rep(LinRep)),
+    "fmanifold-rep": lambda: check_representation("fmanifold-rep", zero_rep(LinRep)),
+    "relative-rb-comm": lambda: check_relative_rb_comm(ZERO_MAP, zero_rep()),
+    "relative-rb-3lie": lambda: check_relative_rb_3lie(ZERO_MAP, zero_rep()),
+    "relative-rb": lambda: check_relative_rb(ZERO_MAP, zero_rep()),
+    "cyclic-2cocycle": lambda: check_cyclic_2cocycle(ZERO_FORM, ZERO),
+    "symplectic": lambda: check_symplectic(ZERO_FORM, ZERO),
+    "nijenhuis": lambda: check_nijenhuis(ZERO_MAP, ZERO),
+    "trace": lambda: check_trace(ZERO, ZERO_TAU),
+    "induced-condition": lambda: check_induced_condition(ZERO, ZERO_TAU),
+    "homomorphism": lambda: check_homomorphism(ZERO_MAP, ZERO, ZERO),
+}
+
+
 def test_kind_identity_table_complete():
-    for kind in StructureKind:
-        assert KIND_IDENTITIES[kind]
+    # every kind the library checks is pinned, and every map it defines
+    # belongs to a kind
+    assert list(KINDS) == list(KIND_MAPS) == list(ZERO_CHECKS)
+    assert {name for names in KIND_MAPS.values() for name in names} == \
+        {*IDENTITIES, *CONDITIONS, *REP_CONDITIONS}
+
+
+@pytest.mark.parametrize("kind", list(KIND_MAPS))
+def test_each_kind_scans_its_maps_in_order(kind):
+    """A kind's check on zero data scans its whole list of maps, in order."""
+    report = ZERO_CHECKS[kind]()
+    assert report.passed and report.kind == kind
+    assert list(report.checked_identities) == KIND_MAPS[kind]
 
 
 def test_unknown_kind_names_the_choices():
@@ -462,11 +558,8 @@ def test_tensor_order_checked_under_python_O(flags):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "DimensionMismatch: AlgebraBundle: br3 of shape (2, 2, 2) disagrees with dim 2: "
-        "expected (2, 2, 2, 2)",
-        "DimensionMismatch: AlgebraBundle: mul of shape (2, 2, 2, 2) disagrees with dim 2: "
-        "expected (2, 2, 2)",
-        "DimensionMismatch: AlgebraBundle: br2 of shape (2, 2, 2, 2) disagrees with dim 2: "
-        "expected (2, 2, 2)",
+        "DimensionMismatch: AlgebraBundle: br3 of shape (2, 2, 2) has order 3, not 4",
+        "DimensionMismatch: AlgebraBundle: mul of shape (2, 2, 2, 2) has order 4, not 3",
+        "DimensionMismatch: AlgebraBundle: br2 of shape (2, 2, 2, 2) has order 4, not 3",
         "BundleError: product must be a Tensor, got list",
     ]

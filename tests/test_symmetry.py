@@ -40,11 +40,11 @@ from ternalg.constructions import direct_sum
 from ternalg.linalg import Tensor, Vec
 from ternalg.operators import induced_pre_fmanifold
 from ternalg.representations import (
-    KIND_CONDITIONS,
     REP_CONDITIONS,
     BiRep,
     LinRep,
     RepBundle,
+    RepKind,
     adjoint_rep,
     check_coherence,
     check_representation,
@@ -52,10 +52,9 @@ from ternalg.representations import (
 )
 from ternalg.structures import (
     IDENTITIES,
-    KIND_IDENTITIES,
+    KINDS,
     AlgebraBundle,
     CheckReport,
-    StructureKind,
     Symmetry,
     _certificate,
     _define,
@@ -71,7 +70,7 @@ from ternalg.structures import (
     eval_defect,
 )
 
-TFM = KIND_IDENTITIES[StructureKind.TERNARY_F_MANIFOLD]
+TFM = KINDS["ternary-f-manifold"]
 
 
 def assumable(names, pos):
@@ -128,7 +127,7 @@ REP_CERTIFIED = {
 
 
 def rep_kinds():
-    return [(k.value, names) for k, names in KIND_CONDITIONS.items()]
+    return [(k.value, KINDS[k.value]) for k in RepKind]
 
 
 def assert_pinned(registry, lists, pins):
@@ -451,7 +450,7 @@ def test_fundamental_near_misses(seed, caplog):
     base = scaled(fil4()) if seed < 2 else direct_sum(scaled(fil4()), trunc(1))
     b = bracket_near_miss(base, seed)
     for label in ("3-lie", "ternary-f-manifold", "ternary-nambu-poisson", "coherence"):
-        report, lines = agrees(b, label, KIND_IDENTITIES[StructureKind(label)], caplog)
+        report, lines = agrees(b, label, KINDS[label], caplog)
         assert not report.passed
         assert report.counterexamples[0].identity == "fundamental"
         assert "skew3" in report.checked_identities
@@ -463,7 +462,7 @@ def test_fundamental_near_misses(seed, caplog):
 def test_hm3_near_misses(prod, caplog):
     b = fil4_with_product(prod)
     for label, names in (("ternary-f-manifold", TFM), ("comm+hm3", ("comm", "hm3")),
-                         ("coherence", KIND_IDENTITIES[StructureKind.COHERENCE])):
+                         ("coherence", KINDS["coherence"])):
         report, lines = agrees(b, label, names, caplog)
         assert not report.passed
         assert report.counterexamples[0].identity == "hm3"
@@ -498,7 +497,7 @@ def test_fallback_when_skew3_fails(caplog):
 
 def test_coherence_near_miss_n8(caplog):
     b = bracket_near_miss(coherence_near_miss_n8(), 1)
-    report, lines = agrees(b, "coherence", KIND_IDENTITIES[StructureKind.COHERENCE], caplog)
+    report, lines = agrees(b, "coherence", KINDS["coherence"], caplog)
     assert {ce.identity for ce in report.counterexamples} == {"fundamental"}
     assert lines["fundamental"].startswith("scan fundamental: symmetry-reduced")
 
@@ -676,7 +675,7 @@ def test_pre_structure_near_misses_reduced_full_and_oracle(base, seed, keep, cap
 
     failed = set()
     for kind in ("3-pre-lie", "ternary-pre-nambu-poisson"):
-        names = KIND_IDENTITIES[StructureKind(kind)]
+        names = KINDS[kind]
         expected = oracle.reports(build(), names, kind, KS)
         report, lines = three_ways(build, lambda b: b,
                                    lambda b, k: check_axioms(kind, b, max_counterexamples=k),

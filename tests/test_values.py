@@ -167,17 +167,15 @@ def test_bundles_reps_and_maps_compare_and_hash_by_identity(value, rebuild):
     assert hash(value) == object.__hash__(value) and len({value, twin}) == 2
 
 
-def test_a_document_compares_by_its_fields_is_mutable_and_unhashable():
+def test_a_document_compares_by_its_fields_and_is_unhashable():
     b = unit_bundle()
     first, second = Document(b), Document(b)
     assert first == second and first.maps == {} and first.maps is not second.maps
     assert Document(b, maps={"tau": InterMap(Matrix([[1, 0]]))}) != first
     assert Document(unit_bundle()) != first
-    with pytest.raises(TypeError):
+    assert Document(b, RepBundle(b)) != first
+    with pytest.raises(TypeError):  # its maps are a dict
         hash(first)
-    first.rep = RepBundle(b)
-    first.maps["t"] = InterMap.identity(2)
-    assert first.rep.algebra is b and first != second
 
 
 REPRS = [
@@ -219,8 +217,8 @@ def frozen_values():
     for value, _, _ in BY_FIELD:
         yield value
     for value, _ in identity_values():
-        if not isinstance(value, _Maps):
-            yield value
+        yield value
+    yield Document(unit_bundle())
 
 
 @pytest.mark.parametrize("value", list(frozen_values()),
@@ -241,8 +239,9 @@ def test_caches_kept_on_a_value_are_set_through_object_setattr():
     tables = vars(b)["_ops_int"]
     assert check_axioms("3-lie", b).passed and vars(b)["_ops_int"] is tables
     maps = _Maps(b, {})
-    maps.tensors = {"N": InterMap.identity(2).tensor}  # an operator check's owner is not frozen
-    assert maps.tensors == {"N": InterMap.identity(2).tensor}
+    with pytest.raises(AttributeError):  # an operator check's owner is frozen too
+        maps.tensors = {"N": InterMap.identity(2).tensor}
+    assert maps.tensors == {}
 
 
 @pytest.mark.parametrize("value", [v for v, _, _ in BY_FIELD],

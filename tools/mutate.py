@@ -167,6 +167,19 @@ MUTATIONS = [
         kill=("tests/test_preconditions.py::test_single_fault_raises_its_error"
               "[bundle-binary-order]",
               "tests/test_structures.py::test_tensor_order_checked_under_python_O[flags0]")),
+    # the kind table: each kind's maps, and over an algebra bundle's maps
+    # only those of the tensors it carries
+    Mutation(
+        "lie-loses-jacobi", STRUCTURES,
+        '"lie": ("skew2", "jacobi"),',
+        '"lie": ("skew2",),',
+        kill=("tests/test_structures.py::test_each_kind_scans_its_maps_in_order[lie]",)),
+    Mutation(
+        "every-map-of-a-bundle-kind-scanned", STRUCTURES,
+        "    if isinstance(owner, _Maps) and isinstance(owner.base, AlgebraBundle):",
+        "    if False:",
+        kill=("tests/test_operators.py::test_homomorphism_checks_every_target_tensor"
+              "_before_scanning",)),
     # the terms, scales, re-check and certificates the scans rest on
     Mutation(
         "fundamental-term-sign", STRUCTURES,
